@@ -38,6 +38,9 @@ class IsingPolynomial:
     layout: str
     node_count: int
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _int_energies: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _float_energies: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -64,6 +67,18 @@ class IsingPolynomial:
             self._arrays = (scale, int(self.constant * scale), li, lv, qi, qj, qv)
         return self._arrays
 
+    def _energy_int_vector(self) -> np.ndarray:
+        """Scaled int64 energies of all 2^n basis states, enumerated once.
+
+        Callers check their own size cap first.
+        """
+        if self._int_energies is None:
+            _, const, li, lv, qi, qj, qv = self.to_int_arrays()
+            self._int_energies = kernels.enumerate_spin_energies(
+                self.n, const, li, lv, qi, qj, qv
+            )
+        return self._int_energies
+
     def energy_float_vector(self) -> np.ndarray:
         """float64 energies of all 2^n basis states (cached)."""
         if self._float_energies is None:
@@ -71,9 +86,8 @@ class IsingPolynomial:
                 raise SizeCapError(
                     f"energy vector capped at {SPECTRUM_VARIABLE_CAP} spins, got {self.n}"
                 )
-            scale, const, li, lv, qi, qj, qv = self.to_int_arrays()
-            ints = kernels.enumerate_spin_energies(self.n, const, li, lv, qi, qj, qv)
-            self._float_energies = ints.astype(np.float64) / scale
+            scale = self.to_int_arrays()[0]
+            self._float_energies = self._energy_int_vector().astype(np.float64) / scale
         return self._float_energies
 
     def energies_at(self, indices) -> np.ndarray:
@@ -146,8 +160,8 @@ def ground_states(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     """(ground energy, all minimizing bitstrings in index order)."""
     if ising.n > cap:
         raise SizeCapError(f"enumeration capped at {cap} spins, got {ising.n}")
-    scale, const, li, lv, qi, qj, qv = ising.to_int_arrays()
-    ints = kernels.enumerate_spin_energies(ising.n, const, li, lv, qi, qj, qv)
+    scale = ising.to_int_arrays()[0]
+    ints = ising._energy_int_vector()
     emin = int(ints.min())
     bitstrings = [
         layouts.bits_to_string(layouts.index_to_bits(int(z), ising.n))
@@ -160,8 +174,8 @@ def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     """All 2^n (bitstring, energy) pairs sorted by energy, ties by index."""
     if ising.n > cap:
         raise SizeCapError(f"spectrum capped at {cap} spins, got {ising.n}")
-    scale, const, li, lv, qi, qj, qv = ising.to_int_arrays()
-    ints = kernels.enumerate_spin_energies(ising.n, const, li, lv, qi, qj, qv)
+    scale = ising.to_int_arrays()[0]
+    ints = ising._energy_int_vector()
     order = np.argsort(ints, kind="stable")
     return [
         (

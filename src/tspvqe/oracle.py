@@ -83,22 +83,29 @@ def _tour_cost(instance, order, wrap=True):
 
 
 def solve_exact_tsp(instance: ProblemInstance, cap: int = EXACT_TSP_NODE_CAP):
-    """Enumerate all tours from node 1; return (optimal cost, all optima).
+    """Enumerate all tours; return (optimal cost, all optima).
 
-    Tours are orders over 1..N starting at node 1, closed by the wrap edge
-    back to 1.  Returns (None, ()) when no valid tour exists.  Enumeration
-    is lexicographic, so degenerate optima come back in a fixed order.
+    Cyclic variants (tsp, hamiltonian_cycle) enumerate orders over 1..N
+    starting at node 1, closed by the wrap edge back to 1.  Hamiltonian paths
+    may start at any node and have no wrap edge, so an undirected path comes
+    back in both directions.  Returns (None, ()) when no valid tour exists.
+    Enumeration is lexicographic, so degenerate optima come back in a fixed
+    order.
     """
     n = instance.node_count
     if n > cap:
         raise SizeCapError(f"exact enumeration capped at {cap} nodes, got {n}")
     if n == 1:
         return Fraction(0), (Tour(order=(1,), cost=Fraction(0), valid=True),)
+    wrap = instance.variant != "hamiltonian_path"
+    if wrap:
+        orders = ((1,) + perm for perm in itertools.permutations(range(2, n + 1)))
+    else:
+        orders = itertools.permutations(range(1, n + 1))
     best_cost = None
     best_orders = []
-    for perm in itertools.permutations(range(2, n + 1)):
-        order = (1,) + perm
-        cost = _tour_cost(instance, order)
+    for order in orders:
+        cost = _tour_cost(instance, order, wrap=wrap)
         if cost is None:
             continue
         if best_cost is None or cost < best_cost:

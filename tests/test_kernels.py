@@ -7,7 +7,6 @@ import pytest
 
 from tspvqe import kernels
 from tspvqe.kernels import (
-    _apply_ansatz_numpy,
     _bit_energies_numpy,
     _spin_energies_at_numpy,
     _spin_energies_numpy,
@@ -16,6 +15,7 @@ from tspvqe.kernels import (
     enumerate_spin_energies,
     spin_energies_at,
 )
+from tspvqe.quantum import QuantumState, apply_gate
 
 
 def _random_form(rng, n):
@@ -75,17 +75,49 @@ def test_spin_energies_at_matches_enumeration():
     assert np.array_equal(spin_energies_at(z, 8, const, li, lv, qi, qj, qv), full[z])
 
 
+def _ansatz_gate_by_gate(psi0, n, layers, ring, params):
+    """The layered ansatz built one gate at a time from quantum.apply_gate."""
+    angles = iter(params)
+    state = QuantumState(psi0, check=False)
+
+    def rotations(state):
+        for name in ("Ry", "Rz"):
+            for q in range(n):
+                state = apply_gate(state, name, q, next(angles))
+        return state
+
+    for _ in range(layers):
+        state = rotations(state)
+        for e in range(n if ring else n - 1):
+            q1, q2, theta = e, (e + 1) % n, next(angles)
+            if q1 == q2:
+                # n = 1 ring: Rzz on (0, 0) sees parity 0, a global phase
+                state = QuantumState(state.amplitudes * np.exp(-0.5j * theta), check=False)
+            else:
+                state = apply_gate(state, "Rzz", (q1, q2), theta)
+    return rotations(state).amplitudes
+
+
 def test_ansatz_paths_agree():
+    """The active kernel against the gate-by-gate reference.
+
+    Covers the degenerate rings: at n = 1 the entangler acts on (0, 0) and
+    at n = 2 it repeats the edge (0, 1).
+    """
     rng = np.random.default_rng(3)
-    for n, layers, ring in ((3, 1, False), (5, 2, True), (9, 2, False)):
-        n_ent = n if ring else n - 1
-        n_par = layers * (2 * n + n_ent) + 2 * n
-        params = rng.uniform(-np.pi, np.pi, n_par)
-        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        psi0 /= np.linalg.norm(psi0)
-        active = apply_ansatz_amplitudes(psi0, n, layers, ring, params)
-        reference = _apply_ansatz_numpy(psi0.astype(complex), n, layers, ring, params)
-        assert np.max(np.abs(active - reference)) < 1e-12
+    for n in (1, 2, 3, 5, 9):
+        for layers in (1, 2, 3):
+            for ring in (False, True):
+                n_ent = n if ring else n - 1
+                n_par = layers * (2 * n + n_ent) + 2 * n
+                params = rng.uniform(-np.pi, np.pi, n_par)
+                psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                psi0 /= np.linalg.norm(psi0)
+                before = psi0.copy()
+                active = apply_ansatz_amplitudes(psi0, n, layers, ring, params)
+                reference = _ansatz_gate_by_gate(psi0, n, layers, ring, params)
+                assert np.max(np.abs(active - reference)) < 1e-12, (n, layers, ring)
+                assert np.array_equal(psi0, before)
 
 
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")

@@ -6,7 +6,12 @@ import pytest
 from tspvqe import (
     ProblemInstance,
     SizeCapError,
+    encode_cycle_hamiltonian,
+    encode_tsp_hamiltonian,
+    ground_states,
     solve_exact_tsp,
+    suggest_penalties,
+    to_ising,
     validate_bitstring,
 )
 from tspvqe.oracle import Tour, ViolationReport
@@ -57,6 +62,37 @@ class TestSolveExact:
         cost, tours = solve_exact_tsp(inst)
         assert cost == 3
         assert [t.order for t in tours] == [(1, 2, 3)]
+
+    def test_path_without_cycle(self):
+        # a path through node 1 in the middle; no Hamiltonian cycle exists
+        inst = ProblemInstance(3, False, "path", ((1, 2, 2), (1, 3, 5)), 1, 1)
+        cost, tours = solve_exact_tsp(inst)
+        assert cost == 7
+        assert [t.order for t in tours] == [(2, 1, 3), (3, 1, 2)]
+
+    @pytest.mark.parametrize("variant", ["tsp", "cycle", "path"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_agrees_with_full_layout_ground_states(self, variant, directed):
+        rng = random.Random(11)
+        if variant == "tsp":
+            pairs = [(u, v) for u in range(1, 5) for v in range(1, 5)
+                     if u != v and (directed or u < v)]
+            edges = tuple((u, v, rng.randint(1, 9)) for u, v in pairs)
+        elif variant == "cycle":
+            # one Hamiltonian cycle 1-2-3-4-1 plus the chord 1-3, unit costs
+            edges = ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1))
+        else:
+            # only the path 2-1-3-4 (and its reversal when undirected)
+            edges = ((2, 1, 1), (1, 3, 1), (3, 4, 1))
+        raw = ProblemInstance(4, directed, variant, edges, 1, 1)
+        inst = raw.with_penalties(*suggest_penalties(raw, "safe"))
+        encode = encode_tsp_hamiltonian if variant == "tsp" else encode_cycle_hamiltonian
+        energy, bitstrings = ground_states(to_ising(encode(inst)))
+        cost, tours = solve_exact_tsp(inst)
+        assert cost is not None
+        assert energy == (inst.penalty_b * cost if variant == "tsp" else 0)
+        decoded = {validate_bitstring(inst, "full", bits).order for bits in bitstrings}
+        assert decoded == {t.order for t in tours}
 
     def test_node_cap(self):
         inst = ProblemInstance(14, False, "tsp", ((1, 2, 1),), 1, 1)
