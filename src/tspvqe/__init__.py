@@ -8,6 +8,7 @@ from .encoder import (
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
+    fix_variables,
     suggest_penalties,
 )
 from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
@@ -65,6 +66,7 @@ __all__ = [
     "encode_efficient",
     "encode_fixed_start",
     "encode_tsp_hamiltonian",
+    "fix_variables",
     "energy_of_bitstring",
     "expectation",
     "ground_states",

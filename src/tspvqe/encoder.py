@@ -9,9 +9,10 @@ structure encodes the problem:
 * ``encode_tsp_hamiltonian``   -- the cycle penalties plus cost-weighted
   transition terms over existing edges.
 * ``encode_fixed_start``       -- additionally pins node 1 to step 1.
-* ``encode_efficient``         -- eliminates the known row/column of the
-  fixed-start form, leaving (N-1)^2 variables; node 1's outgoing and
-  incoming steps become linear boundary terms on columns 2 and N.
+* ``encode_efficient``         -- derived from the fixed-start form by
+  ``fix_variables``, which substitutes out the known row and column of
+  node 1, leaving (N-1)^2 variables; node 1's outgoing and incoming steps
+  become linear boundary terms on columns 2 and N.
 
 All coefficients are exact rationals.  For undirected instances every stored
 edge contributes both traversal orientations.
@@ -21,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from . import kernels, layouts, oracle
+from . import ising, layouts, oracle
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
 from .rationals import rational_to_json
@@ -81,30 +81,6 @@ class PseudoBooleanPolynomial:
         """Exact value at an assignment given as a {(v, t): 0/1} mapping."""
         bits = [table[var] for var in self.variable_order]
         return self.evaluate(bits)
-
-    def to_int_arrays(self):
-        """(scale, const, lin_idx, lin_val, qi, qj, qval) with int64 values.
-
-        Coefficients are multiplied by the common denominator ``scale`` so
-        kernel arithmetic stays exact.
-        """
-        denoms = [self.constant.denominator]
-        denoms += [c.denominator for c in self.linear.values()]
-        denoms += [c.denominator for c in self.quadratic.values()]
-        scale = lcm(*denoms) if denoms else 1
-        lin_idx = np.array([self._index[v] for v in self.linear], dtype=np.int64)
-        lin_val = np.array(
-            [int(c * scale) for c in self.linear.values()], dtype=np.int64
-        )
-        qi = np.array([self._index[a] for a, _ in self.quadratic], dtype=np.int64)
-        qj = np.array([self._index[b] for _, b in self.quadratic], dtype=np.int64)
-        qval = np.array([int(c * scale) for c in self.quadratic.values()], dtype=np.int64)
-        bound = abs(int(self.constant * scale)) + int(np.abs(lin_val).sum()) + int(
-            np.abs(qval).sum()
-        )
-        if bound >= 1 << 62:
-            raise ValidationError("polynomial coefficients overflow int64 kernels")
-        return scale, int(self.constant * scale), lin_idx, lin_val, qi, qj, qval
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,103 +160,92 @@ def _transition_steps(instance):
     return [(t, t % n + 1) for t in range(1, n + 1)]
 
 
+def _full_builder(instance, layout, costs):
+    """Full-layout penalties, plus B*cost transitions over existing edges if ``costs``."""
+    n = instance.node_count
+    builder = _PolyBuilder(layout, n, layouts.full_variable_order(n))
+    _add_one_hot_penalties(builder, instance)
+    weighted = [(u, v, instance.penalty_a) for u, v in instance.missing_ordered_pairs()]
+    if costs:
+        weighted += [(u, v, instance.penalty_b * c) for u, v, c in instance.ordered_edges()]
+    steps = _transition_steps(instance)
+    for u, v, w in weighted:
+        for t, t_next in steps:
+            builder.add_quadratic((u, t), (v, t_next), w)
+    return builder
+
+
 def encode_cycle_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Penalty Hamiltonian whose zeros are exactly the valid cycles/paths."""
-    n = instance.node_count
-    builder = _PolyBuilder("full", n, layouts.full_variable_order(n))
-    _add_one_hot_penalties(builder, instance)
-    steps = _transition_steps(instance)
-    for u, v in instance.missing_ordered_pairs():
-        for t, t_next in steps:
-            builder.add_quadratic((u, t), (v, t_next), instance.penalty_a)
-    return builder.build()
+    return _full_builder(instance, "full", costs=False).build()
 
 
 def encode_tsp_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Cycle penalties plus cost-weighted transitions over existing edges."""
     if instance.variant != "tsp":
         raise ValidationError("encode_tsp_hamiltonian requires variant=tsp")
-    builder = _PolyBuilder("full", instance.node_count,
-                           layouts.full_variable_order(instance.node_count))
-    _add_one_hot_penalties(builder, instance)
-    steps = _transition_steps(instance)
-    for u, v in instance.missing_ordered_pairs():
-        for t, t_next in steps:
-            builder.add_quadratic((u, t), (v, t_next), instance.penalty_a)
-    for u, v, c in instance.ordered_edges():
-        for t, t_next in steps:
-            builder.add_quadratic((u, t), (v, t_next), instance.penalty_b * c)
-    return builder.build()
+    return _full_builder(instance, "full", costs=True).build()
 
 
 def encode_fixed_start(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Full Hamiltonian plus the start-at-node-1 term A*(1 - x_{1,1})^2."""
-    if instance.variant == "tsp":
-        base = encode_tsp_hamiltonian(instance)
-    elif instance.variant == "hamiltonian_cycle":
-        base = encode_cycle_hamiltonian(instance)
-    else:
+    if instance.variant not in ("tsp", "hamiltonian_cycle"):
         raise ValidationError("encode_fixed_start requires variant tsp or hamiltonian_cycle")
-    builder = _PolyBuilder("fixed_start_full", instance.node_count, base.variable_order)
-    builder.add_constant(base.constant)
-    for var, c in base.linear.items():
-        builder.add_linear(var, c)
-    for (a, b), c in base.quadratic.items():
-        builder.add_quadratic(a, b, c)
+    builder = _full_builder(instance, "fixed_start_full", costs=instance.variant == "tsp")
     # (1 - x)^2 = 1 - x for binary x
     builder.add_constant(instance.penalty_a)
     builder.add_linear((1, 1), -instance.penalty_a)
     return builder.build()
 
 
+def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
+                  layout: str) -> PseudoBooleanPolynomial:
+    """``poly`` with the variables of ``assignment`` ({var: 0 or 1}) substituted.
+
+    The remaining variables keep their order; the result, labelled
+    ``layout``, takes at every assignment of them the value ``poly`` takes
+    at the completed assignment.
+    """
+    for var, value in assignment.items():
+        if var not in poly._index:
+            raise ValidationError(f"cannot fix unknown variable {var}")
+        if value not in (0, 1):
+            raise ValidationError(f"variable {var} can be fixed to 0 or 1, not {value!r}")
+    order = tuple(var for var in poly.variable_order if var not in assignment)
+    builder = _PolyBuilder(layout, poly.node_count, order)
+    builder.add_constant(poly.constant)
+    for var, c in poly.linear.items():
+        if var in assignment:
+            builder.add_constant(c * assignment[var])
+        else:
+            builder.add_linear(var, c)
+    for (a, b), c in poly.quadratic.items():
+        if a in assignment and b in assignment:
+            builder.add_constant(c * assignment[a] * assignment[b])
+        elif a in assignment:
+            builder.add_linear(b, c * assignment[a])
+        elif b in assignment:
+            builder.add_linear(a, c * assignment[b])
+        else:
+            builder.add_quadratic(a, b, c)
+    return builder.build()
+
+
 def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """(N-1)^2-variable Hamiltonian with node 1 fixed at step 1.
 
-    Equivalent to ``encode_fixed_start`` with the known variables substituted
-    out: row/column one-hot penalties now range over 2..N, internal
-    transitions run on steps 2..N-1, and node 1's boundary steps 1 -> 2 and
-    N -> 1 contribute linear terms on columns 2 and N (penalty A for missing
-    edges, B*c for existing ones).  The substituted constant vanishes.
+    ``encode_fixed_start`` with row 1 and column 1 substituted out by
+    ``fix_variables``: node 1's boundary steps 1 -> 2 and N -> 1 become
+    linear terms on columns 2 and N.
     """
     if instance.variant != "tsp":
         raise ValidationError("encode_efficient requires variant=tsp")
     n = instance.node_count
     if n < 2:
         raise ValidationError("encode_efficient requires at least 2 nodes")
-    a = instance.penalty_a
-    b = instance.penalty_b
-    builder = _PolyBuilder("efficient", n, layouts.efficient_variable_order(n))
-    for v in range(2, n + 1):
-        builder.add_constant(a)
-        for t in range(2, n + 1):
-            builder.add_linear((v, t), -a)
-        for t1 in range(2, n + 1):
-            for t2 in range(t1 + 1, n + 1):
-                builder.add_quadratic((v, t1), (v, t2), 2 * a)
-    for t in range(2, n + 1):
-        builder.add_constant(a)
-        for v in range(2, n + 1):
-            builder.add_linear((v, t), -a)
-        for v1 in range(2, n + 1):
-            for v2 in range(v1 + 1, n + 1):
-                builder.add_quadratic((v1, t), (v2, t), 2 * a)
-    for u, v in instance.missing_ordered_pairs():
-        if u == 1:
-            builder.add_linear((v, 2), a)
-        elif v == 1:
-            builder.add_linear((u, n), a)
-        else:
-            for t in range(2, n):
-                builder.add_quadratic((u, t), (v, t + 1), a)
-    for u, v, c in instance.ordered_edges():
-        if u == 1:
-            builder.add_linear((v, 2), b * c)
-        elif v == 1:
-            builder.add_linear((u, n), b * c)
-        else:
-            for t in range(2, n):
-                builder.add_quadratic((u, t), (v, t + 1), b * c)
-    return builder.build()
+    known = {(1, t): int(t == 1) for t in range(1, n + 1)}
+    known.update({(v, 1): 0 for v in range(2, n + 1)})
+    return fix_variables(encode_fixed_start(instance), known, "efficient")
 
 
 def suggest_penalties(instance: ProblemInstance, mode: str = "safe"):
@@ -361,8 +326,9 @@ def audit_penalties(instance: ProblemInstance, cap: int = AUDIT_VARIABLE_CAP,
         if instance.variant == "tsp"
         else encode_cycle_hamiltonian(instance)
     )
-    scale, const, li, lv, qi, qj, qv = poly.to_int_arrays()
-    energies = kernels.enumerate_bit_energies(poly.n_vars, const, li, lv, qi, qj, qv)
+    spin_form = ising.to_ising(poly)
+    scale = spin_form.to_int_arrays()[0]
+    energies = spin_form.energy_int_vector()
     emin = int(energies.min())
     argmins = np.flatnonzero(energies == emin)
     minimum_tour = None

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels, layouts
-from .encoder import PseudoBooleanPolynomial
-from .errors import SizeCapError, ValidationError
-from .rationals import rational_to_json
+from .errors import SizeCapError
+from .rationals import rational_to_json, scale_to_int64
+
+if TYPE_CHECKING:
+    from .encoder import PseudoBooleanPolynomial
 
 SPECTRUM_VARIABLE_CAP = 24
 
@@ -46,28 +48,26 @@ class IsingPolynomial:
     )
 
     def to_int_arrays(self):
+        """(scale, const, field spins, field values, coupling i, j, values) in int64."""
         if self._arrays is None:
-            denoms = [self.constant.denominator]
-            denoms += [c.denominator for c in self.fields.values()]
-            denoms += [c.denominator for c in self.couplings.values()]
-            scale = lcm(*denoms) if denoms else 1
-            li = np.array(sorted(self.fields), dtype=np.int64)
-            lv = np.array([int(self.fields[i] * scale) for i in li], dtype=np.int64)
+            spins = sorted(self.fields)
             pairs = sorted(self.couplings)
-            qi = np.array([p[0] for p in pairs], dtype=np.int64)
-            qj = np.array([p[1] for p in pairs], dtype=np.int64)
-            qv = np.array(
-                [int(self.couplings[p] * scale) for p in pairs], dtype=np.int64
+            scale, const, values = scale_to_int64(
+                self.constant,
+                [self.fields[i] for i in spins] + [self.couplings[p] for p in pairs],
             )
-            bound = abs(int(self.constant * scale)) + int(np.abs(lv).sum()) + int(
-                np.abs(qv).sum()
+            self._arrays = (
+                scale,
+                const,
+                np.array(spins, dtype=np.int64),
+                values[:len(spins)],
+                np.array([i for i, _ in pairs], dtype=np.int64),
+                np.array([j for _, j in pairs], dtype=np.int64),
+                values[len(spins):],
             )
-            if bound >= 1 << 62:
-                raise ValidationError("Ising coefficients overflow int64 kernels")
-            self._arrays = (scale, int(self.constant * scale), li, lv, qi, qj, qv)
         return self._arrays
 
-    def _energy_int_vector(self) -> np.ndarray:
+    def energy_int_vector(self) -> np.ndarray:
         """Scaled int64 energies of all 2^n basis states, enumerated once.
 
         Callers check their own size cap first.
@@ -87,13 +87,12 @@ class IsingPolynomial:
                     f"energy vector capped at {SPECTRUM_VARIABLE_CAP} spins, got {self.n}"
                 )
             scale = self.to_int_arrays()[0]
-            self._float_energies = self._energy_int_vector().astype(np.float64) / scale
+            self._float_energies = self.energy_int_vector().astype(np.float64) / scale
         return self._float_energies
 
     def energies_at(self, indices) -> np.ndarray:
-        scale, const, li, lv, qi, qj, qv = self.to_int_arrays()
-        ints = kernels.spin_energies_at(indices, self.n, const, li, lv, qi, qj, qv)
-        return ints.astype(np.float64) / scale
+        """float64 energies at the given basis-state indices."""
+        return self.energy_float_vector()[np.asarray(indices, dtype=np.int64)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,7 +160,7 @@ def ground_states(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     if ising.n > cap:
         raise SizeCapError(f"enumeration capped at {cap} spins, got {ising.n}")
     scale = ising.to_int_arrays()[0]
-    ints = ising._energy_int_vector()
+    ints = ising.energy_int_vector()
     emin = int(ints.min())
     bitstrings = [
         layouts.bits_to_string(layouts.index_to_bits(int(z), ising.n))
@@ -175,7 +174,7 @@ def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     if ising.n > cap:
         raise SizeCapError(f"spectrum capped at {cap} spins, got {ising.n}")
     scale = ising.to_int_arrays()[0]
-    ints = ising._energy_int_vector()
+    ints = ising.energy_int_vector()
     order = np.argsort(ints, kind="stable")
     return [
         (

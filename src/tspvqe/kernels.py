@@ -1,14 +1,16 @@
 """Hot numeric kernels: exhaustive energy enumeration and ansatz application.
 
-Every kernel has a numba ``@njit`` implementation and a pure-numpy fallback.
-The numpy path is selected automatically when numba is unavailable, or
-explicitly by setting the environment variable ``TSPVQE_NO_NUMBA=1``.  The
-numpy ansatz kernel applies each layer as a few grouped Ry matmuls and one
-fused phase vector for its Rz and Rzz gates; the numba kernel applies the
-gates one at a time.  ``perfbench/run.py`` measures the kernels end to end.
+Energy enumeration is one numpy kernel on every install.  It works in scaled
+int64 arithmetic (the caller supplies coefficients multiplied by a common
+denominator), so results are exact.
 
-Energies are computed in scaled int64 arithmetic (the caller supplies
-coefficients multiplied by a common denominator), so results are exact.
+The ansatz kernel has a numba ``@njit`` implementation and a pure-numpy
+fallback.  The numpy path is selected automatically when numba is
+unavailable, or explicitly by setting the environment variable
+``TSPVQE_NO_NUMBA=1``.  The numpy ansatz kernel applies each layer as a few
+grouped Ry matmuls and one fused phase vector for its Rz and Rzz gates; the
+numba kernel applies the gates one at a time.  ``perfbench/run.py`` measures
+the kernels end to end.
 """
 
 import os
@@ -16,8 +18,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-_CHUNK = 1 << 14
 
 _force_numpy = os.environ.get("TSPVQE_NO_NUMBA", "") not in ("", "0")
 try:
@@ -30,51 +30,7 @@ except ImportError:
     HAVE_NUMBA = False
 
 
-# -- numpy implementations --------------------------------------------------
-
-
-def _bit_energies_numpy(n, const, lin_idx, lin_val, qi, qj, qval):
-    out = np.empty(1 << n, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.int64)
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        z = np.arange(lo, hi, dtype=np.int64)
-        bits = (z[:, None] >> shifts) & 1
-        e = np.full(hi - lo, const, dtype=np.int64)
-        if len(lin_idx):
-            e += bits[:, lin_idx] @ lin_val
-        if len(qi):
-            e += (bits[:, qi] & bits[:, qj]) @ qval
-        out[lo:hi] = e
-    return out
-
-
-def _spin_energies_numpy(n, const, lin_idx, lin_val, qi, qj, qval):
-    out = np.empty(1 << n, dtype=np.int64)
-    shifts = np.arange(n, dtype=np.int64)
-    for lo in range(0, 1 << n, _CHUNK):
-        hi = min(lo + _CHUNK, 1 << n)
-        z = np.arange(lo, hi, dtype=np.int64)
-        s = 1 - 2 * ((z[:, None] >> shifts) & 1)
-        e = np.full(hi - lo, const, dtype=np.int64)
-        if len(lin_idx):
-            e += s[:, lin_idx] @ lin_val
-        if len(qi):
-            e += (s[:, qi] * s[:, qj]) @ qval
-        out[lo:hi] = e
-    return out
-
-
-def _spin_energies_at_numpy(z, n, const, lin_idx, lin_val, qi, qj, qval):
-    z = np.asarray(z, dtype=np.int64)
-    s = 1 - 2 * ((z[:, None] >> np.arange(n, dtype=np.int64)) & 1)
-    e = np.full(len(z), const, dtype=np.int64)
-    if len(lin_idx):
-        e += s[:, lin_idx] @ lin_val
-    if len(qi):
-        e += (s[:, qi] * s[:, qj]) @ qval
-    return e
-
+# -- numpy ansatz kernel -----------------------------------------------------
 
 # The numpy ansatz kernel fuses each layer.  Ry gates on different qubits
 # commute, so the Ry gates of up to _RY_GROUP consecutive qubits are applied
@@ -197,51 +153,9 @@ def _apply_ansatz_numpy(psi0, n, layers, ring, params):
     return amps
 
 
-# -- numba implementations ---------------------------------------------------
+# -- numba ansatz kernel -----------------------------------------------------
 
 if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bit_energies_numba(n, const, lin_idx, lin_val, qi, qj, qval):
-        out = np.empty(1 << n, dtype=np.int64)
-        for z in range(1 << n):
-            e = const
-            for k in range(lin_idx.shape[0]):
-                if (z >> lin_idx[k]) & 1:
-                    e += lin_val[k]
-            for k in range(qi.shape[0]):
-                if ((z >> qi[k]) & 1) and ((z >> qj[k]) & 1):
-                    e += qval[k]
-            out[z] = e
-        return out
-
-    @njit(cache=True)
-    def _spin_energies_numba(n, const, lin_idx, lin_val, qi, qj, qval):
-        out = np.empty(1 << n, dtype=np.int64)
-        for z in range(1 << n):
-            e = const
-            for k in range(lin_idx.shape[0]):
-                e += lin_val[k] * (1 - 2 * ((z >> lin_idx[k]) & 1))
-            for k in range(qi.shape[0]):
-                si = 1 - 2 * ((z >> qi[k]) & 1)
-                sj = 1 - 2 * ((z >> qj[k]) & 1)
-                e += qval[k] * si * sj
-            out[z] = e
-        return out
-
-    @njit(cache=True)
-    def _spin_energies_at_numba(z, n, const, lin_idx, lin_val, qi, qj, qval):
-        out = np.empty(z.shape[0], dtype=np.int64)
-        for m in range(z.shape[0]):
-            e = const
-            for k in range(lin_idx.shape[0]):
-                e += lin_val[k] * (1 - 2 * ((z[m] >> lin_idx[k]) & 1))
-            for k in range(qi.shape[0]):
-                si = 1 - 2 * ((z[m] >> qi[k]) & 1)
-                sj = 1 - 2 * ((z[m] >> qj[k]) & 1)
-                e += qval[k] * si * sj
-            out[m] = e
-        return out
 
     @njit(cache=True)
     def _ry_inplace(amps, q, theta):
@@ -291,58 +205,40 @@ if HAVE_NUMBA:
         return amps
 
 
-# -- dispatch ----------------------------------------------------------------
+# -- entry points ------------------------------------------------------------
 
-if HAVE_NUMBA:
-    _bit_energies = _bit_energies_numba
-    _spin_energies = _spin_energies_numba
-    _spin_energies_at = _spin_energies_at_numba
-    _apply_ansatz = _apply_ansatz_numba
-else:
-    _bit_energies = _bit_energies_numpy
-    _spin_energies = _spin_energies_numpy
-    _spin_energies_at = _spin_energies_at_numpy
-    _apply_ansatz = _apply_ansatz_numpy
-
-
-def enumerate_bit_energies(n, const, lin_idx, lin_val, qi, qj, qval):
-    """Scaled-int energies of all 2^n bit assignments of a quadratic form."""
-    return _bit_energies(
-        n,
-        np.int64(const),
-        np.asarray(lin_idx, dtype=np.int64),
-        np.asarray(lin_val, dtype=np.int64),
-        np.asarray(qi, dtype=np.int64),
-        np.asarray(qj, dtype=np.int64),
-        np.asarray(qval, dtype=np.int64),
-    )
+_apply_ansatz = _apply_ansatz_numba if HAVE_NUMBA else _apply_ansatz_numpy
 
 
 def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
-    """Scaled-int Ising energies of all 2^n spin assignments (s = 1 - 2*bit)."""
-    return _spin_energies(
-        n,
-        np.int64(const),
-        np.asarray(lin_idx, dtype=np.int64),
-        np.asarray(lin_val, dtype=np.int64),
-        np.asarray(qi, dtype=np.int64),
-        np.asarray(qj, dtype=np.int64),
-        np.asarray(qval, dtype=np.int64),
-    )
+    """Scaled-int Ising energies of all 2^n spin assignments (s = 1 - 2*bit).
 
+    A doubling recurrence in O(2^n) int64 additions and no memory beyond the
+    result.  Spins from k up are +1 in every state z < 2^k, and flipping
+    spin k changes the energy by 2 G_k[z], where
+    G_k[z] = -h_k - sum_{j != k} J_jk s_j(z), so E[z + 2^k] = E[z] + 2 G_k[z].
+    G_k doubles the same way: G_k[z + 2^j] = G_k[z] + 2 J_jk for j < k.
 
-def spin_energies_at(z, n, const, lin_idx, lin_val, qi, qj, qval):
-    """Scaled-int Ising energies at the given basis-state indices."""
-    return _spin_energies_at(
-        np.asarray(z, dtype=np.int64),
-        n,
-        np.int64(const),
-        np.asarray(lin_idx, dtype=np.int64),
-        np.asarray(lin_val, dtype=np.int64),
-        np.asarray(qi, dtype=np.int64),
-        np.asarray(qj, dtype=np.int64),
-        np.asarray(qval, dtype=np.int64),
-    )
+    Exact as long as |const| + sum |h| + sum |J| < 2^62, the bound that
+    ``rationals.scale_to_int64`` enforces: every E and G_k lies within that
+    bound, and every 2 G_k, 2 J_jk and partial sum within twice it, below 2^63.
+    """
+    h = np.zeros(n, dtype=np.int64)
+    np.add.at(h, np.asarray(lin_idx, dtype=np.int64), np.asarray(lin_val, dtype=np.int64))
+    qi, qj, qval = (np.asarray(a, dtype=np.int64) for a in (qi, qj, qval))
+    coupling = np.zeros((n, n), dtype=np.int64)
+    np.add.at(coupling, (qi, qj), qval)
+    np.add.at(coupling, (qj, qi), qval)
+    energies = np.empty(1 << n, dtype=np.int64)
+    energies[0] = np.int64(const) + h.sum() + qval.sum()
+    for k in range(n):
+        flip = energies[1 << k:2 << k]  # holds G_k, then the energies it leads to
+        flip[0] = -(h[k] + coupling[k].sum())
+        for j in range(k):
+            np.add(flip[:1 << j], 2 * coupling[j, k], out=flip[1 << j:2 << j])
+        flip *= 2
+        flip += energies[:1 << k]
+    return energies
 
 
 def apply_ansatz_amplitudes(psi0, n, layers, ring, params):

@@ -7,6 +7,9 @@ decimal strings like "1.5" are accepted on input.
 """
 
 from fractions import Fraction
+from math import lcm
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -37,3 +40,18 @@ def rational_to_json(value: Fraction):
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale_to_int64(constant: Fraction, coefficients):
+    """(scale, constant * scale, int64 array of coefficients * scale), exactly.
+
+    ``scale`` is the common denominator.  Raises ``ValidationError`` unless
+    the scaled |constant| + sum |coefficients| is below 2^62, the bound under
+    which the int64 energy kernel is exact.
+    """
+    values = [constant, *coefficients]
+    scale = lcm(*(v.denominator for v in values))
+    ints = [int(v * scale) for v in values]
+    if sum(map(abs, ints)) >= 1 << 62:
+        raise ValidationError("coefficients overflow int64 kernels")
+    return scale, ints[0], np.array(ints[1:], dtype=np.int64)

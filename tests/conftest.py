@@ -1,5 +1,7 @@
 import pathlib
+from math import lcm
 
+import numpy as np
 import pytest
 
 from tspvqe import load_instance
@@ -32,3 +34,26 @@ def complete4_instance():
         ' "edges": [[1,2,1],[2,3,3],[3,4,8],[1,4,5],[1,3,1],[2,4,2]],'
         ' "penalty_a": 9, "penalty_b": 1}'
     )
+
+
+def _bit_energies(poly):
+    """(scaled int64 energies of all 2^n assignments of ``poly``, scale).
+
+    A vectorised reference, independent of the Ising transform and of the
+    enumeration kernel: one pass over all assignments per term.
+    """
+    coefs = [poly.constant, *poly.linear.values(), *poly.quadratic.values()]
+    scale = lcm(*(c.denominator for c in coefs))
+    z = np.arange(1 << poly.n_vars, dtype=np.int64)
+    bits = (z[:, None] >> np.arange(poly.n_vars)) & 1
+    out = np.full(len(z), int(poly.constant * scale), dtype=np.int64)
+    for var, c in poly.linear.items():
+        out += int(c * scale) * bits[:, poly.index_of(var)]
+    for (a, b), c in poly.quadratic.items():
+        out += int(c * scale) * (bits[:, poly.index_of(a)] & bits[:, poly.index_of(b)])
+    return out, scale
+
+
+@pytest.fixture(scope="session")
+def bit_energies():
+    return _bit_energies

@@ -31,7 +31,7 @@ from tspvqe import (
     validate_bitstring,
 )
 from tspvqe.cli import main
-from tspvqe.kernels import enumerate_bit_energies, enumerate_spin_energies
+from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.oracle import Tour
 from tspvqe.quantum import QuantumState
 from tspvqe.vqe import AnsatzConfig, ZerosInit, apply_ansatz, run_vqe
@@ -43,9 +43,6 @@ BATCH_SEED = 0           # documented seed for the best-MUB / random batches
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     # trigger JIT compilation outside the timed sections
-    one = np.array([0], dtype=np.int64)
-    enumerate_bit_energies(1, 0, one, one, one, one, one)
-    enumerate_spin_energies(1, 0, one, one, one, one, one)
     config = AnsatzConfig(n=2, layers=1)
     apply_ansatz(config, np.zeros(config.parameter_count), QuantumState([1, 0, 0, 0]))
 
@@ -129,14 +126,13 @@ def test_04_qubit_reduction(landscape_instance):
             assert efficient.evaluate(bits) == fixed.evaluate_table(table)
 
 
-def test_05_ising_equivalence(landscape_instance):
+def test_05_ising_equivalence(landscape_instance, bit_energies):
     with _Timer(5, 10, "binary and Ising values agree on all 65536 full-layout "
                        "assignments (constant retained)"):
         poly = encode_tsp_hamiltonian(landscape_instance)
         ising = to_ising(poly)
-        scale_b, const_b, li_b, lv_b, qi_b, qj_b, qv_b = poly.to_int_arrays()
+        binary, scale_b = bit_energies(poly)
         scale_s, const_s, li_s, lv_s, qi_s, qj_s, qv_s = ising.to_int_arrays()
-        binary = enumerate_bit_energies(16, const_b, li_b, lv_b, qi_b, qj_b, qv_b)
         spins = enumerate_spin_energies(16, const_s, li_s, lv_s, qi_s, qj_s, qv_s)
         assert np.array_equal(binary * scale_s, spins * scale_b)
 

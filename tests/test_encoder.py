@@ -6,6 +6,7 @@ import pytest
 
 from tspvqe import (
     ProblemInstance,
+    PseudoBooleanPolynomial,
     SizeCapError,
     ValidationError,
     audit_penalties,
@@ -13,11 +14,11 @@ from tspvqe import (
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
+    fix_variables,
     solve_exact_tsp,
     suggest_penalties,
     validate_bitstring,
 )
-from tspvqe.kernels import enumerate_bit_energies
 from tspvqe.oracle import Tour
 
 
@@ -27,12 +28,6 @@ def bits_from_order(order, n):
     for t, v in enumerate(order, start=1):
         bits[(v - 1) * n + (t - 1)] = 1
     return bits
-
-
-def all_energies(poly):
-    scale, const, li, lv, qi, qj, qv = poly.to_int_arrays()
-    ints = enumerate_bit_energies(poly.n_vars, const, li, lv, qi, qj, qv)
-    return ints, scale
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +52,7 @@ class TestCycleHamiltonian:
         assert poly.evaluate([0] * 16) == 8
 
     def test_zero_set_is_exactly_the_valid_cycles(self, directed_cycle_instance,
-                                                  counterexample_instance):
+                                                  counterexample_instance, bit_energies):
         # the unique directed cycle appears in 4 rotations; the undirected
         # counter-example graph has one cycle in 4 rotations x 2 directions
         for instance, expected_zeros in (
@@ -65,7 +60,7 @@ class TestCycleHamiltonian:
             (counterexample_instance, 8),
         ):
             poly = encode_cycle_hamiltonian(instance)
-            energies, scale = all_energies(poly)
+            energies, scale = bit_energies(poly)
             zeros = np.flatnonzero(energies == 0)
             assert len(zeros) == expected_zeros
             for z in zeros:
@@ -78,7 +73,7 @@ class TestCycleHamiltonian:
                 decoded = validate_bitstring(instance, "full", bits)
                 assert (energies[z] == 0) == isinstance(decoded, Tour)
 
-    def test_directed_path_instance_unique_solution(self):
+    def test_directed_path_instance_unique_solution(self, bit_energies):
         # directed graph with edges 2->1, 1->4, 4->3, 2->3: its only
         # Hamiltonian path 2-1-4-3 is the unique zero of the penalty form
         instance = ProblemInstance(
@@ -87,7 +82,7 @@ class TestCycleHamiltonian:
         )
         poly = encode_cycle_hamiltonian(instance)
         assert poly.evaluate(bits_from_order([2, 1, 4, 3], 4)) == 0
-        energies, _ = all_energies(poly)
+        energies, _ = bit_energies(poly)
         assert int((energies == 0).sum()) == 1
 
     def test_path_variant_has_no_wrap(self):
@@ -137,10 +132,10 @@ class TestFixedStart:
         bits = bits_from_order([3, 1, 4, 2], 4)  # same cycle, shifted start
         assert fixed.evaluate(bits) == tsp.evaluate(bits) + complete4_instance.penalty_a
 
-    def test_exhaustive_minimum_unchanged(self, counterexample_instance):
+    def test_exhaustive_minimum_unchanged(self, counterexample_instance, bit_energies):
         # fixing the start only removes rotational redundancy
-        plain, s1 = all_energies(encode_tsp_hamiltonian(counterexample_instance))
-        fixed, s2 = all_energies(encode_fixed_start(counterexample_instance))
+        plain, s1 = bit_energies(encode_tsp_hamiltonian(counterexample_instance))
+        fixed, s2 = bit_energies(encode_fixed_start(counterexample_instance))
         assert Fraction(int(plain.min()), s1) == Fraction(int(fixed.min()), s2)
 
 
@@ -219,6 +214,43 @@ class TestEfficient:
         fixed = encode_fixed_start(instance)
         table = {(1, 1): 1, (1, 2): 0, (2, 1): 0, (2, 2): 1}
         assert fixed.evaluate_table(table) == 6
+
+
+class TestFixVariables:
+    def test_matches_evaluate_exhaustively(self):
+        rng = random.Random(29)
+
+        def rational():
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            order = tuple((1, t) for t in range(1, n + 1))
+            poly = PseudoBooleanPolynomial(
+                layout="full",
+                node_count=n,
+                variable_order=order,
+                constant=rational(),
+                linear={v: rational() for v in order if rng.random() < 0.7},
+                quadratic={(order[i], order[j]): rational()
+                           for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5},
+            )
+            assignment = {v: rng.randint(0, 1) for v in rng.sample(order, rng.randint(1, min(3, n)))}
+            reduced = fix_variables(poly, assignment, "reduced")
+            assert reduced.layout == "reduced"
+            assert reduced.variable_order == tuple(v for v in order if v not in assignment)
+            for z in range(1 << reduced.n_vars):
+                bits = [(z >> k) & 1 for k in range(reduced.n_vars)]
+                table = {**dict(zip(reduced.variable_order, bits)), **assignment}
+                assert reduced.evaluate(bits) == poly.evaluate_table(table)
+
+    def test_rejects_unknown_variable_and_bad_value(self, complete4_instance):
+        poly = encode_tsp_hamiltonian(complete4_instance)
+        with pytest.raises(ValidationError):
+            fix_variables(poly, {(5, 1): 0}, "full")
+        for value in (2, -1, Fraction(1, 2)):
+            with pytest.raises(ValidationError):
+                fix_variables(poly, {(1, 1): value}, "full")
 
 
 class TestPenalties:

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from tspvqe import (
+    IsingPolynomial,
+    ProblemInstance,
     PseudoBooleanPolynomial,
+    ValidationError,
+    audit_penalties,
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
@@ -16,7 +21,7 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
-from tspvqe.kernels import enumerate_bit_energies, enumerate_spin_energies
+from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.oracle import Tour
 
 
@@ -48,14 +53,49 @@ def test_product_transform():
     assert ising.couplings == {(0, 1): Fraction(1, 4)}
 
 
-def test_full_tsp_equivalence_exhaustive(complete4_instance):
+def test_full_tsp_equivalence_exhaustive(complete4_instance, bit_energies):
     poly = encode_tsp_hamiltonian(complete4_instance)
     ising = to_ising(poly)
-    scale_b, const_b, li_b, lv_b, qi_b, qj_b, qv_b = poly.to_int_arrays()
+    binary, scale_b = bit_energies(poly)
     scale_s, const_s, li_s, lv_s, qi_s, qj_s, qv_s = ising.to_int_arrays()
-    binary = enumerate_bit_energies(16, const_b, li_b, lv_b, qi_b, qj_b, qv_b)
     spins = enumerate_spin_energies(16, const_s, li_s, lv_s, qi_s, qj_s, qv_s)
     assert np.array_equal(binary * scale_s, spins * scale_b)
+
+
+def _guard_form(last_coupling):
+    """3 spins whose scaled |constant| + sum |h| + sum |J| is 2^62 - 2^60
+    plus the scaled ``last_coupling`` (the scale is 2)."""
+    return IsingPolynomial(
+        n=3,
+        constant=Fraction(1, 2),
+        fields={0: Fraction(2**61 - 1, 2), 2: Fraction(-(2**58))},
+        couplings={(0, 1): Fraction(2**58), (1, 2): last_coupling},
+        variable_order=((1, 1), (1, 2), (1, 3)),
+        layout="full",
+        node_count=3,
+    )
+
+
+def test_int64_guard_refuses_bound_at_2_62():
+    with pytest.raises(ValidationError):
+        _guard_form(Fraction(2**59)).energy_float_vector()
+    # the audit enumerates the Ising form of the full layout, so it is guarded too
+    huge = ProblemInstance(2, False, "tsp", ((1, 2, 1),), 2**62, 1)
+    with pytest.raises(ValidationError):
+        audit_penalties(huge)
+
+
+def test_int64_guard_just_below_bound_is_exact():
+    ising = _guard_form(Fraction(2**60 - 1, 2))
+    scale = ising.to_int_arrays()[0]
+    assert scale == 2
+    ints = ising.energy_int_vector()
+    floats = ising.energy_float_vector()
+    for z in range(8):
+        bits = [(z >> k) & 1 for k in range(3)]
+        exact = energy_of_bitstring(ising, bits)
+        assert Fraction(int(ints[z]), scale) == exact
+        assert floats[z] == float(exact)
 
 
 def test_same_row_and_column_couplings_are_half_a(complete4_instance):

@@ -1,20 +1,13 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tspvqe import kernels
-from tspvqe.kernels import (
-    _bit_energies_numpy,
-    _spin_energies_at_numpy,
-    _spin_energies_numpy,
-    apply_ansatz_amplitudes,
-    enumerate_bit_energies,
-    enumerate_spin_energies,
-    spin_energies_at,
-)
+from tspvqe import PseudoBooleanPolynomial, kernels
+from tspvqe.kernels import apply_ansatz_amplitudes, enumerate_spin_energies
 from tspvqe.quantum import QuantumState, apply_gate
 
 
@@ -39,40 +32,50 @@ def _reference_bit_energy(z, n, const, lin_idx, lin_val, qi, qj, qval):
     return e
 
 
-def test_bit_energies_against_scalar_reference():
+def _reference_spin_energy(z, n, const, lin_idx, lin_val, qi, qj, qval):
+    e = const
+    for idx, val in zip(lin_idx, lin_val):
+        e += val * (1 - 2 * ((z >> idx) & 1))
+    for i, j, val in zip(qi, qj, qval):
+        e += val * (1 - 2 * ((z >> i) & 1)) * (1 - 2 * ((z >> j) & 1))
+    return e
+
+
+def test_bit_energies_against_scalar_reference(bit_energies):
+    """The vectorised bit-energy reference of conftest.py, checked itself."""
     rng = np.random.default_rng(0)
     for n in (1, 3, 6):
         const, li, lv, qi, qj, qv = _random_form(rng, n)
-        out = enumerate_bit_energies(n, const, li, lv, qi, qj, qv)
+        order = tuple((1, t) for t in range(1, n + 1))
+        poly = PseudoBooleanPolynomial(
+            layout="full",
+            node_count=n,
+            variable_order=order,
+            constant=Fraction(const),
+            linear={order[i]: Fraction(int(v)) for i, v in zip(li, lv)},
+            quadratic={(order[i], order[j]): Fraction(int(v)) for i, j, v in zip(qi, qj, qv)},
+        )
+        out, scale = bit_energies(poly)
+        assert scale == 1
         for z in range(1 << n):
             assert out[z] == _reference_bit_energy(z, n, const, li, lv, qi, qj, qv)
 
 
-def test_numpy_and_active_paths_agree():
+def test_spin_energies_against_scalar_reference():
     rng = np.random.default_rng(1)
-    for n in (2, 5, 10):
+    none = np.array([], dtype=np.int64)
+    for n in (1, 3, 6, 10):
         const, li, lv, qi, qj, qv = _random_form(rng, n)
-        assert np.array_equal(
-            enumerate_bit_energies(n, const, li, lv, qi, qj, qv),
-            _bit_energies_numpy(n, const, li, lv, qi, qj, qv),
-        )
-        assert np.array_equal(
-            enumerate_spin_energies(n, const, li, lv, qi, qj, qv),
-            _spin_energies_numpy(n, const, li, lv, qi, qj, qv),
-        )
-        z = rng.integers(0, 1 << n, size=40).astype(np.int64)
-        assert np.array_equal(
-            spin_energies_at(z, n, const, li, lv, qi, qj, qv),
-            _spin_energies_at_numpy(z, n, const, li, lv, qi, qj, qv),
-        )
-
-
-def test_spin_energies_at_matches_enumeration():
-    rng = np.random.default_rng(2)
-    const, li, lv, qi, qj, qv = _random_form(rng, 8)
-    full = enumerate_spin_energies(8, const, li, lv, qi, qj, qv)
-    z = rng.integers(0, 256, size=64).astype(np.int64)
-    assert np.array_equal(spin_energies_at(z, 8, const, li, lv, qi, qj, qv), full[z])
+        for form in (
+            (const, li, lv, qi, qj, qv),
+            (const, none, none, qi, qj, qv),  # no fields
+            (const, li, lv, none, none, none),  # no couplings
+            (const, none, none, none, none, none),
+        ):
+            out = enumerate_spin_energies(n, *form)
+            assert out.dtype == np.int64 and len(out) == 1 << n
+            for z in range(1 << n):
+                assert out[z] == _reference_spin_energy(z, n, *form), (n, z)
 
 
 def _ansatz_gate_by_gate(psi0, n, layers, ring, params):
@@ -123,13 +126,13 @@ def test_ansatz_paths_agree():
 @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")
 def test_env_flag_forces_numpy_path():
     code = (
+        "import numpy as np; "
         "import tspvqe.kernels as k; "
         "assert not k.HAVE_NUMBA; "
-        "assert k._bit_energies is k._bit_energies_numpy; "
-        "import numpy as np; "
-        "out = k.enumerate_bit_energies(3, 1, np.array([0]), np.array([2]), "
-        "np.array([0]), np.array([1]), np.array([5])); "
-        "assert out[3] == 8"
+        "assert k._apply_ansatz is k._apply_ansatz_numpy; "
+        "params = np.array([np.pi, 0.0, 0.0, 0.0]); "
+        "out = k.apply_ansatz_amplitudes(np.array([1.0, 0.0]), 1, 1, False, params); "
+        "assert np.allclose(out, [0.0, 1.0])"
     )
     env = dict(os.environ, TSPVQE_NO_NUMBA="1")
     subprocess.run([sys.executable, "-c", code], check=True, env=env)

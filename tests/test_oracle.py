@@ -70,6 +70,26 @@ class TestSolveExact:
         assert cost == 7
         assert [t.order for t in tours] == [(2, 1, 3), (3, 1, 2)]
 
+    @staticmethod
+    def _planted_instance(rng, n, variant, directed):
+        """A random graph around a planted Hamiltonian cycle (or path).
+
+        tsp costs are random; cycle and path costs are 1, so that every
+        Hamiltonian cycle or path is optimal, as every zero of the penalty
+        Hamiltonian is.
+        """
+        order = rng.sample(range(1, n + 1), n)
+        hops = list(zip(order, order[1:]))
+        if variant != "path":
+            hops.append((order[-1], order[0]))
+        chosen = {hop if directed else tuple(sorted(hop)) for hop in hops}
+        chosen |= {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                   if u != v and (directed or u < v) and rng.random() < 0.5}
+        costs = (lambda: rng.randint(1, 9)) if variant == "tsp" else (lambda: 1)
+        return ProblemInstance(
+            n, directed, variant, tuple((u, v, costs()) for u, v in sorted(chosen)), 1, 1
+        )
+
     @pytest.mark.parametrize("variant", ["tsp", "cycle", "path"])
     @pytest.mark.parametrize("directed", [False, True])
     def test_agrees_with_full_layout_ground_states(self, variant, directed):
@@ -84,15 +104,18 @@ class TestSolveExact:
         else:
             # only the path 2-1-3-4 (and its reversal when undirected)
             edges = ((2, 1, 1), (1, 3, 1), (3, 4, 1))
-        raw = ProblemInstance(4, directed, variant, edges, 1, 1)
-        inst = raw.with_penalties(*suggest_penalties(raw, "safe"))
+        instances = [ProblemInstance(4, directed, variant, edges, 1, 1)]
+        instances += [self._planted_instance(rng, n, variant, directed)
+                      for n in (3, 4) for _ in range(3)]
         encode = encode_tsp_hamiltonian if variant == "tsp" else encode_cycle_hamiltonian
-        energy, bitstrings = ground_states(to_ising(encode(inst)))
-        cost, tours = solve_exact_tsp(inst)
-        assert cost is not None
-        assert energy == (inst.penalty_b * cost if variant == "tsp" else 0)
-        decoded = {validate_bitstring(inst, "full", bits).order for bits in bitstrings}
-        assert decoded == {t.order for t in tours}
+        for raw in instances:
+            inst = raw.with_penalties(*suggest_penalties(raw, "safe"))
+            energy, bitstrings = ground_states(to_ising(encode(inst)))
+            cost, tours = solve_exact_tsp(inst)
+            assert cost is not None
+            assert energy == (inst.penalty_b * cost if variant == "tsp" else 0), inst
+            decoded = {validate_bitstring(inst, "full", bits).order for bits in bitstrings}
+            assert decoded == {t.order for t in tours}, inst
 
     def test_node_cap(self):
         inst = ProblemInstance(14, False, "tsp", ((1, 2, 1),), 1, 1)
