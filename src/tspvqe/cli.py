@@ -66,12 +66,13 @@ def _apply_penalties(instance, args):
     raise ValidationError(f"unknown penalty mode {mode!r}")
 
 
-def _emit(args, text: str):
+def _emit(args, chunks):
+    """Write the strings of ``chunks``, in order, to the output."""
     if args.output and args.output != "-":
         with open(args.output, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_report(args, command: str, payload: dict):
@@ -79,7 +80,7 @@ def _emit_report(args, command: str, payload: dict):
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc.update(payload)
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit(args, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def _encode_polynomial(instance, layout):
@@ -130,9 +131,13 @@ def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
     poly = _encode_polynomial(instance, _LAYOUT_FLAGS[args.layout])
     levels = ising.spectrum(ising.to_ising(poly), cap=args.cap)
-    lines = ["bitstring,energy"]
-    lines += [f"{bits},{rational_to_json(energy)}" for bits, energy in levels]
-    _emit(args, "\n".join(lines) + "\n")
+    parts = ["bitstring,energy\n"]
+    last = suffix = None
+    for bits, energy in levels:
+        if energy is not last:  # rows of one level share one Fraction
+            last, suffix = energy, f",{rational_to_json(energy)}\n"
+        parts += (bits, suffix)
+    _emit(args, parts)  # written piece by piece, never joined into one string
     return 0
 
 
@@ -140,7 +145,7 @@ def cmd_landscape(args) -> int:
     instance = _read_instance(args)
     poly = encode_efficient(instance)
     records = dqes.compute_landscape(ising.to_ising(poly))
-    _emit(args, "\n".join(dqes.landscape_csv_rows(records)) + "\n")
+    _emit(args, (row + "\n" for row in dqes.landscape_csv_rows(records)))
     return 0
 
 
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("solve", formatter_class=formatter,
-                       help="exact tour optimum by enumeration")
+                       help="exact tour optimum (Held-Karp)")
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -222,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustively check the penalty choice")
     _add_common(p)
     _add_penalty_flags(p)
-    p.add_argument("--cap", type=int, default=24, help="max full-layout variables")
+    p.add_argument("--cap", type=int, default=24,
+                   help="max full-layout variables (at most 24)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", formatter_class=formatter,
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_penalty_flags(p)
     p.add_argument("--layout", choices=tuple(_LAYOUT_FLAGS), default="efficient")
-    p.add_argument("--cap", type=int, default=24, help="max spin count")
+    p.add_argument("--cap", type=int, default=24, help="max spin count (at most 24)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("landscape", formatter_class=formatter,

@@ -317,9 +317,10 @@ def audit_penalties(instance: ProblemInstance, cap: int = AUDIT_VARIABLE_CAP,
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
     n_vars = instance.node_count ** 2
-    if n_vars > cap:
+    limit = min(cap, AUDIT_VARIABLE_CAP)
+    if n_vars > limit:
         raise SizeCapError(
-            f"full layout needs {n_vars} variables, above the cap of {cap}"
+            f"full layout needs {n_vars} variables, above the cap of {limit}"
         )
     poly = (
         encode_tsp_hamiltonian(instance)

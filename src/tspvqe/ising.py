@@ -82,10 +82,7 @@ class IsingPolynomial:
     def energy_float_vector(self) -> np.ndarray:
         """float64 energies of all 2^n basis states (cached)."""
         if self._float_energies is None:
-            if self.n > SPECTRUM_VARIABLE_CAP:
-                raise SizeCapError(
-                    f"energy vector capped at {SPECTRUM_VARIABLE_CAP} spins, got {self.n}"
-                )
+            _spin_limit(self.n, SPECTRUM_VARIABLE_CAP, "energy vector")
             scale = self.to_int_arrays()[0]
             self._float_energies = self.energy_int_vector().astype(np.float64) / scale
         return self._float_energies
@@ -155,31 +152,55 @@ def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
     return total
 
 
+def _spin_limit(n: int, cap: int, what: str) -> None:
+    """Refuse n spins above ``cap`` or above the hard SPECTRUM_VARIABLE_CAP."""
+    limit = min(cap, SPECTRUM_VARIABLE_CAP)
+    if n > limit:
+        raise SizeCapError(f"{what} capped at {limit} spins, got {n}")
+
+
+def _bitstrings(indices: np.ndarray, n: int) -> list:
+    """Textual bitstrings of basis-state indices (character k is bit k).
+
+    Rendered 4096 rows at a time, so that no temporary buffer outgrows a few
+    tens of KB: buffers of a megabyte or more fragment the C heap of a
+    long-running process.
+    """
+    strings = []
+    for at in range(0, len(indices), 4096):
+        chunk = indices[at:at + 4096].astype("<i8", copy=False)
+        chars = np.unpackbits(
+            chunk.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
+        )
+        chars += ord("0")
+        text = chars.tobytes().decode("ascii")
+        strings += [text[i * n:i * n + n] for i in range(len(chunk))]
+    return strings
+
+
 def ground_states(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     """(ground energy, all minimizing bitstrings in index order)."""
-    if ising.n > cap:
-        raise SizeCapError(f"enumeration capped at {cap} spins, got {ising.n}")
+    _spin_limit(ising.n, cap, "enumeration")
     scale = ising.to_int_arrays()[0]
     ints = ising.energy_int_vector()
     emin = int(ints.min())
-    bitstrings = [
-        layouts.bits_to_string(layouts.index_to_bits(int(z), ising.n))
-        for z in np.flatnonzero(ints == emin)
-    ]
-    return Fraction(emin, scale), bitstrings
+    return Fraction(emin, scale), _bitstrings(np.flatnonzero(ints == emin), ising.n)
 
 
 def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
-    """All 2^n (bitstring, energy) pairs sorted by energy, ties by index."""
-    if ising.n > cap:
-        raise SizeCapError(f"spectrum capped at {cap} spins, got {ising.n}")
+    """All 2^n (bitstring, energy) pairs sorted by energy, ties by index.
+
+    The rows of one energy level share one Fraction object.
+    """
+    _spin_limit(ising.n, cap, "spectrum")
     scale = ising.to_int_arrays()[0]
     ints = ising.energy_int_vector()
     order = np.argsort(ints, kind="stable")
-    return [
-        (
-            layouts.bits_to_string(layouts.index_to_bits(int(z), ising.n)),
-            Fraction(int(ints[z]), scale),
-        )
-        for z in order
-    ]
+    energies = ints[order]
+    bounds = [0, *(np.flatnonzero(np.diff(energies)) + 1).tolist(), len(order)]
+    bitstrings = _bitstrings(order, ising.n)
+    rows = []
+    for start, stop in zip(bounds, bounds[1:]):
+        energy = Fraction(int(energies[start]), scale)
+        rows += [(bits, energy) for bits in bitstrings[start:stop]]
+    return rows

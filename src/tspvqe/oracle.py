@@ -7,9 +7,9 @@ quantum-side results.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import layouts
 from .errors import SizeCapError, ValidationError
@@ -82,38 +82,95 @@ def _tour_cost(instance, order, wrap=True):
     return total
 
 
-def solve_exact_tsp(instance: ProblemInstance, cap: int = EXACT_TSP_NODE_CAP):
-    """Enumerate all tours; return (optimal cost, all optima).
+def _weight_matrix(instance):
+    """(scale, w) with w[u][v] = scale * cost(u+1, v+1) as a Python int.
 
-    Cyclic variants (tsp, hamiltonian_cycle) enumerate orders over 1..N
-    starting at node 1, closed by the wrap edge back to 1.  Hamiltonian paths
-    may start at any node and have no wrap edge, so an undirected path comes
-    back in both directions.  Returns (None, ()) when no valid tour exists.
-    Enumeration is lexicographic, so degenerate optima come back in a fixed
-    order.
+    ``scale`` is the lcm of all edge-cost denominators; w[u][v] is None where
+    the step u -> v has no edge.  Python ints never overflow.
+    """
+    n = instance.node_count
+    scale = lcm(*(c.denominator for _, _, c in instance.edges))
+    w = [[None] * n for _ in range(n)]
+    for u, v, c in instance.ordered_edges():
+        w[u - 1][v - 1] = int(c * scale)
+    return scale, w
+
+
+def solve_exact_tsp(instance: ProblemInstance, cap: int = EXACT_TSP_NODE_CAP):
+    """Exact optimum by Held-Karp; return (optimal cost, all optima).
+
+    Cyclic variants (tsp, hamiltonian_cycle) visit 1..N starting at node 1,
+    closed by the wrap edge back to 1.  Hamiltonian paths may start at any
+    node and have no wrap edge, so an undirected path (like an undirected
+    cycle) comes back in both directions.  Returns (None, ()) when no valid
+    tour exists.
+
+    Costs are scaled to integers by the lcm of their denominators.  A
+    backward table g[mask][last], filled in O(N^2 2^N), holds the cheapest
+    way to finish after visiting ``mask`` and standing at ``last``: back to
+    node 1 for cycles, nothing for paths.  A forward search then extends a
+    prefix only by next nodes that keep it on an optimal tour, trying them in
+    increasing order, so the co-optimal tours come back in the lexicographic
+    order of their visiting sequences (the order a permutation search gives).
+
+    Every co-optimal tour is returned: a graph with many ties (a unit-cost
+    complete graph has (N-1)! optimal cycles) yields output of that size.
     """
     n = instance.node_count
     if n > cap:
         raise SizeCapError(f"exact enumeration capped at {cap} nodes, got {n}")
     if n == 1:
         return Fraction(0), (Tour(order=(1,), cost=Fraction(0), valid=True),)
-    wrap = instance.variant != "hamiltonian_path"
-    if wrap:
-        orders = ((1,) + perm for perm in itertools.permutations(range(2, n + 1)))
-    else:
-        orders = itertools.permutations(range(1, n + 1))
-    best_cost = None
-    best_orders = []
-    for order in orders:
-        cost = _tour_cost(instance, order, wrap=wrap)
-        if cost is None:
+    scale, w = _weight_matrix(instance)
+    cyclic = instance.variant != "hamiltonian_path"
+    full = (1 << n) - 1
+    succ = [[(v, w[u][v]) for v in range(n) if w[u][v] is not None] for u in range(n)]
+    g = [None] * (1 << n)
+    g[full] = [w[last][0] for last in range(n)] if cyclic else [0] * n
+    # supersets have larger masks; cycles only reach masks that hold node 1
+    for mask in range(full - 1, 0, -1):
+        if cyclic and not mask & 1:
             continue
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_orders = [order]
-        elif cost == best_cost:
-            best_orders.append(order)
-    tours = tuple(Tour(order=o, cost=best_cost, valid=True) for o in best_orders)
+        row = [None] * n
+        for last in range(n):
+            if not mask >> last & 1:
+                continue
+            best = None
+            for nxt, cost in succ[last]:
+                if mask >> nxt & 1:
+                    continue
+                rest = g[mask | 1 << nxt][nxt]
+                if rest is not None and (best is None or cost + rest < best):
+                    best = cost + rest
+            row[last] = best
+        g[mask] = row
+
+    starts = (0,) if cyclic else range(n)
+    finishes = [g[1 << s][s] for s in starts if g[1 << s][s] is not None]
+    if not finishes:
+        return None, ()
+    optimum = min(finishes)
+    best_cost = Fraction(optimum, scale)
+    orders = []
+
+    def extend(order, mask, spent):
+        if mask == full:
+            orders.append(tuple(v + 1 for v in order))
+            return
+        last = order[-1]
+        for nxt, cost in succ[last]:
+            if mask >> nxt & 1:
+                continue
+            rest = g[mask | 1 << nxt][nxt]
+            if rest is not None and spent + cost + rest == optimum:
+                order.append(nxt)
+                extend(order, mask | 1 << nxt, spent + cost)
+                order.pop()
+
+    for s in starts:
+        if g[1 << s][s] == optimum:
+            extend([s], 1 << s, 0)
+    tours = tuple(Tour(order=o, cost=best_cost, valid=True) for o in orders)
     return best_cost, tours
 
 

@@ -1,4 +1,6 @@
+import itertools
 import pathlib
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -57,3 +59,38 @@ def _bit_energies(poly):
 @pytest.fixture(scope="session")
 def bit_energies():
     return _bit_energies
+
+
+def _permutation_solve(instance):
+    """(optimal cost, optimal orders) by enumerating every visiting order.
+
+    The exhaustive reference for the Held-Karp oracle: cyclic variants try
+    (1,) + every permutation of 2..N closed by the wrap edge, paths every
+    permutation of 1..N with no wrap edge, in lexicographic order.  Returns
+    (None, []) when no tour exists.
+    """
+    n = instance.node_count
+    wrap = instance.variant != "hamiltonian_path"
+    if wrap:
+        orders = ((1,) + perm for perm in itertools.permutations(range(2, n + 1)))
+    else:
+        orders = itertools.permutations(range(1, n + 1))
+    best_cost, best_orders = None, []
+    for order in orders:
+        steps = zip(order, order[1:] + order[:1] if wrap else order[1:])
+        cost = Fraction(0)
+        for u, v in steps:
+            if not instance.has_edge(u, v):
+                break
+            cost += instance.cost(u, v)
+        else:
+            if best_cost is None or cost < best_cost:
+                best_cost, best_orders = cost, [order]
+            elif cost == best_cost:
+                best_orders.append(order)
+    return best_cost, best_orders
+
+
+@pytest.fixture(scope="session")
+def permutation_solve():
+    return _permutation_solve

@@ -3,7 +3,10 @@ import pathlib
 
 import pytest
 
+from tspvqe import encode_tsp_hamiltonian, energy_of_bitstring, load_instance, to_ising
 from tspvqe.cli import main
+from tspvqe.layouts import bits_to_string, index_to_bits
+from tspvqe.rationals import rational_to_json
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 LANDSCAPE = str(INSTANCE_DIR / "landscape.json")
@@ -108,6 +111,39 @@ class TestSpectrumCsv:
         assert first_bits in ("100001010", "001100010")
         energies = [int(line.split(",")[1]) for line in lines[1:]]
         assert energies == sorted(energies)
+
+    def test_rational_energies_render_per_row(self, tmp_path):
+        # p/q costs make p/q energies; every row must read as if rendered alone
+        doc = {"nodes": 3, "directed": True, "variant": "tsp",
+               "edges": [[u, v, f"{u + 2 * v}/{u + v}"] for u in range(1, 4)
+                         for v in range(1, 4) if u != v],
+               "penalty_a": "7/2", "penalty_b": "1/3"}
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", str(path), "--layout", "full", "-o", str(out)]) == 0
+        ising = to_ising(encode_tsp_hamiltonian(load_instance(path.read_text())))
+        rows = sorted(
+            (energy_of_bitstring(ising, index_to_bits(z, 9)), z) for z in range(512)
+        )
+        expected = "bitstring,energy\n" + "".join(
+            f"{bits_to_string(index_to_bits(z, 9))},{rational_to_json(e)}\n"
+            for e, z in rows
+        )
+        assert "/" in expected
+        assert out.read_bytes() == expected.encode()
+
+    def test_cap_above_hard_limit_exits_3(self, tmp_path, capsys):
+        # N=6 has 25 efficient spins: --cap 30 must not lift the 24-spin limit
+        doc_path = tmp_path / "big.json"
+        edges = [[u, v, 1] for u in range(1, 7) for v in range(u + 1, 7)]
+        doc_path.write_text(json.dumps({
+            "nodes": 6, "directed": False, "variant": "tsp", "edges": edges,
+            "penalty_a": 7, "penalty_b": 1,
+        }))
+        assert main(["spectrum", str(doc_path), "--cap", "30"]) == 3
+        assert main(["audit", str(doc_path), "--cap", "40"]) == 3
+        assert "capped at 24" in capsys.readouterr().err
 
 
 class TestLandscapeCsv:

@@ -8,6 +8,7 @@ from tspvqe import (
     IsingPolynomial,
     ProblemInstance,
     PseudoBooleanPolynomial,
+    SizeCapError,
     ValidationError,
     audit_penalties,
     encode_efficient,
@@ -22,6 +23,7 @@ from tspvqe import (
     validate_bitstring,
 )
 from tspvqe.kernels import enumerate_spin_energies
+from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.oracle import Tour
 
 
@@ -196,6 +198,53 @@ def test_spectrum_tie_break_by_index():
         ("01", Fraction(0)),
         ("11", Fraction(4)),
     ]
+
+
+def _random_ising(rng, n):
+    """Spin form with p/q coefficients from a small set, so levels repeat."""
+    values = [Fraction(p, q) for p in (-2, -1, 1, 3) for q in (2, 3)]
+    return IsingPolynomial(
+        n=n,
+        constant=Fraction(5, 6),
+        fields={i: rng.choice(values) for i in range(n) if rng.random() < 0.7},
+        couplings={(i, j): rng.choice(values) for i in range(n)
+                   for j in range(i + 1, n) if rng.random() < 0.4},
+        variable_order=tuple((1, t) for t in range(1, n + 1)),
+        layout="full",
+        node_count=n,
+    )
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 13])  # 13 spans two 4096-row chunks
+def test_spectrum_rows_match_exact_energies(n):
+    ising = _random_ising(random.Random(n), n)
+    assert ising.to_int_arrays()[0] > 1
+    expected = []
+    for z in range(1 << n):
+        bits = index_to_bits(z, n)
+        expected.append((energy_of_bitstring(ising, bits), z, bits_to_string(bits)))
+    expected.sort()  # by energy, ties by index
+    levels = spectrum(ising)
+    assert levels == [(bits, energy) for energy, _, bits in expected]
+    if n > 2:
+        energies = [e for _, e in levels]
+        assert len(set(energies)) < len(energies)  # degenerate levels present
+
+
+def test_spectrum_refuses_cap_above_hard_limit():
+    ising = IsingPolynomial(n=25, constant=Fraction(0), fields={}, couplings={},
+                            variable_order=(), layout="full", node_count=5)
+    with pytest.raises(SizeCapError):
+        spectrum(ising, cap=40)
+    with pytest.raises(SizeCapError):
+        ground_states(ising, cap=40)
+    assert ising._int_energies is None  # refused before enumerating
+
+
+def test_audit_refuses_cap_above_hard_limit():
+    edges = tuple((u, v, 1) for u in range(1, 6) for v in range(u + 1, 6))
+    with pytest.raises(SizeCapError):
+        audit_penalties(ProblemInstance(5, False, "tsp", edges, 6, 1), cap=40)
 
 
 def test_ground_states_match_oracle(landscape_instance, counterexample_instance):

@@ -117,6 +117,55 @@ class TestSolveExact:
             decoded = {validate_bitstring(inst, "full", bits).order for bits in bitstrings}
             assert decoded == {t.order for t in tours}, inst
 
+    @staticmethod
+    def _random_instance(rng, n, variant, directed, costs, density):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if u != v and (directed or u < v)]
+        draw = {"unit": lambda: 1, "1..3": lambda: rng.randint(1, 3),
+                "1..99": lambda: rng.randint(1, 99),
+                "p/q": lambda: Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7)))}[costs]
+        edges = tuple((u, v, draw()) for u, v in pairs if rng.random() < density)
+        return ProblemInstance(n, directed, variant, edges, 1, 1)
+
+    @pytest.mark.parametrize("variant", ["tsp", "cycle", "path"])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_held_karp_matches_permutation_search(self, variant, directed,
+                                                  permutation_solve):
+        # unit costs tie every tour; sparse graphs often have none
+        rng = random.Random(2024)
+        cases = [(n, costs, density)
+                 for n in range(2, 7)
+                 for costs in ("unit", "1..3", "1..99", "p/q")
+                 for density in (1.0, 0.5)]
+        cases += [(7, "1..3", 1.0), (7, "1..99", 1.0), (7, "unit", 0.4),
+                  (8, "1..99", 0.7), (8, "unit", 0.6)]
+        outcomes = set()
+        for n, costs, density in cases:
+            inst = self._random_instance(rng, n, variant, directed, costs, density)
+            cost, tours = solve_exact_tsp(inst)
+            assert (cost, [t.order for t in tours]) == permutation_solve(inst), inst
+            assert all(t.cost == cost and t.valid for t in tours)
+            outcomes.add(cost is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("variant", ["tsp", "path"])
+    def test_node_cap_solves_without_a_cliff(self, variant):
+        rng = random.Random(13)
+        edges = tuple((u, v, rng.randint(1, 99))
+                      for u in range(1, 14) for v in range(u + 1, 14))
+        inst = ProblemInstance(13, False, variant, edges, 1, 1)
+        cost, tours = solve_exact_tsp(inst)
+        assert tours
+        wrap = variant != "path"
+        for tour in tours:
+            order = tour.order
+            assert sorted(order) == list(range(1, 14))
+            steps = zip(order, order[1:] + order[:1] if wrap else order[1:])
+            assert sum(inst.cost(u, v) for u, v in steps) == tour.cost == cost
+            decoded = validate_bitstring(inst, "full", table_bits(order, 13))
+            assert isinstance(decoded, Tour)
+            assert (decoded.order, decoded.cost) == (order, cost)
+
     def test_node_cap(self):
         inst = ProblemInstance(14, False, "tsp", ((1, 2, 1),), 1, 1)
         with pytest.raises(SizeCapError):
