@@ -1,6 +1,6 @@
 """TSP-to-Ising encodings, penalty audits, MUB landscapes, and VQE simulation."""
 
-from .dqes import LandscapeRecord, best_k, compute_landscape, run_experiment
+from .dqes import Landscape, LandscapeRecord, best_k, compute_landscape, run_experiment
 from .encoder import (
     PseudoBooleanPolynomial,
     audit_penalties,
@@ -40,6 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnsatzConfig",
     "IsingPolynomial",
+    "Landscape",
     "LandscapeRecord",
     "MubInit",
     "MubLibrary",

@@ -144,8 +144,8 @@ def cmd_spectrum(args) -> int:
 def cmd_landscape(args) -> int:
     instance = _read_instance(args)
     poly = encode_efficient(instance)
-    records = dqes.compute_landscape(ising.to_ising(poly))
-    _emit(args, (row + "\n" for row in dqes.landscape_csv_rows(records)))
+    landscape = dqes.compute_landscape(ising.to_ising(poly))
+    _emit(args, dqes.landscape_csv_rows(landscape))
     return 0
 
 

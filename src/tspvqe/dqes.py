@@ -4,12 +4,15 @@ best k as VQE starting points, and run comparison experiments.
 For an n-qubit diagonal Hamiltonian the landscape holds C(n,3) * 72 records:
 all qubit triples (lexicographic) x 9 bases x 8 elements, with the
 non-selected qubits at |0>.  Records keep a deterministic order, so ranks
-and best-k selections are stable across runs and platforms.
+and best-k selections are stable across runs and platforms.  The landscape
+is computed on whole arrays (one energy gather and one contraction per
+Hamiltonian); records are built only when they are read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,10 +30,16 @@ from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, 
 
 LANDSCAPE_QUBIT_CAP = 24
 MODES = ("zeros", "best_mubs", "random")
+_RECORDS_PER_TRIPLE = 72  # 9 bases x 8 elements
 
 # run i of an experiment uses seed*_SEED_STRIDE + 2i for the optimizer and
 # seed*_SEED_STRIDE + 2i + 1 for its random initial state (when applicable)
 _SEED_STRIDE = 100003
+
+# bit k of support m selects the k-th qubit of a triple: (3 bits, 8 supports)
+_SUPPORT_BITS = (np.arange(8) >> np.arange(3)[:, None]) & 1
+# the ",basis,element," cells of one triple's rows, in record order
+_BASIS_ELEMENT_CELLS = tuple(f",{b},{e}," for b in range(9) for e in range(8))
 
 
 @dataclass(frozen=True)
@@ -43,58 +52,87 @@ class LandscapeRecord:
     rank: int
 
 
+@dataclass(frozen=True, eq=False)
+class Landscape(Sequence):
+    """The landscape records of one Hamiltonian, held as read-only arrays.
+
+    ``triples`` is the (C(n,3), 3) table of qubit triples; ``energies`` and
+    ``ranks`` hold one entry per record.  Record i embeds element i % 8 of
+    basis i // 8 % 9 on triple i // 72; indexing builds that
+    ``LandscapeRecord`` on demand, and a slice gives a list of them.
+    """
+
+    triples: np.ndarray
+    energies: np.ndarray
+    ranks: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.triples, self.energies, self.ranks):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    def __getitem__(self, i):
+        picked = range(len(self.energies))[i]
+        if isinstance(picked, range):
+            return [self[j] for j in picked]
+        triple, basis_element = divmod(picked, _RECORDS_PER_TRIPLE)
+        return LandscapeRecord(
+            index=picked,
+            positions=tuple(self.triples[triple].tolist()),
+            basis=basis_element // 8,
+            element=basis_element % 8,
+            energy=float(self.energies[picked]),
+            rank=int(self.ranks[picked]),
+        )
+
+
 def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = LANDSCAPE_QUBIT_CAP):
-    """Energies of all embedded MUB states, in deterministic record order."""
+    """Energies of all embedded MUB states, as a ``Landscape`` in record order.
+
+    ``cap`` can lower the 24-qubit limit but not raise it.
+    """
     n = ising.n
     if n < 3:
         raise ValidationError("partial-DQES needs at least 3 qubits")
+    cap = min(cap, LANDSCAPE_QUBIT_CAP)
     if n > cap:
         raise SizeCapError(f"landscape capped at {cap} qubits, got {n}")
     mubs = mubs or build_mubs_3q()
-    prob_rows = [np.abs(mubs.bases[b]) ** 2 for b in range(9)]  # (8 states, 8 supports)
-    raw = []
-    for positions in itertools.combinations(range(n), 3):
-        support = np.array(
-            [
-                sum(((m >> k) & 1) << positions[k] for k in range(3))
-                for m in range(8)
-            ],
-            dtype=np.int64,
-        )
-        support_energies = ising.energies_at(support)
-        for basis in range(9):
-            energies = prob_rows[basis] @ support_energies
-            for element in range(8):
-                raw.append((positions, basis, element, float(energies[element])))
+    probs = np.abs(np.array(mubs.bases)) ** 2  # (9 bases, 8 elements, 8 supports)
+    triples = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
+    ).reshape(-1, 3)
+    support_energies = ising.energies_at((1 << triples) @ _SUPPORT_BITS)
+    # einsum adds each row's 8 terms in the order of the OpenBLAS 8x8
+    # matrix-vector product per (triple, basis) it replaces, so the energies
+    # keep their float bits there; a plain running sum does not
+    energies = np.einsum("bes,ts->tbe", probs, support_energies).reshape(-1)
     # dense ascending rank on energies rounded to 1e-9 (merges float noise)
-    rounded = np.round([r[3] for r in raw], 9)
-    unique = np.unique(rounded)
-    ranks = np.searchsorted(unique, rounded)
-    return [
-        LandscapeRecord(
-            index=i,
-            positions=r[0],
-            basis=r[1],
-            element=r[2],
-            energy=r[3],
-            rank=int(ranks[i]),
-        )
-        for i, r in enumerate(raw)
-    ]
+    rounded = np.round(energies, 9)
+    ranks = np.searchsorted(np.unique(rounded), rounded)
+    return Landscape(triples, energies, ranks)
 
 
-def best_k(records, k: int):
+def best_k(landscape: Landscape, k: int):
     """The k lowest-energy records; ties keep the deterministic record order."""
-    if not 1 <= k <= len(records):
-        raise ValidationError(f"k must be in 1..{len(records)}, got {k}")
-    return sorted(records, key=lambda r: (r.energy, r.index))[:k]
+    if not 1 <= k <= len(landscape):
+        raise ValidationError(f"k must be in 1..{len(landscape)}, got {k}")
+    return [landscape[i] for i in np.argsort(landscape.energies, kind="stable")[:k]]
 
 
-def landscape_csv_rows(records):
-    yield "index,positions,basis,element,energy"
-    for r in records:
-        pos = "-".join(str(p) for p in r.positions)
-        yield f"{r.index},{pos},{r.basis},{r.element},{r.energy!r}"
+def landscape_csv_rows(landscape: Landscape):
+    """The landscape CSV: the header line, then one 72-line chunk per triple."""
+    yield "index,positions,basis,element,energy\n"
+    for t, triple in enumerate(landscape.triples.tolist()):
+        pos = "-".join(map(str, triple))
+        start = t * _RECORDS_PER_TRIPLE
+        energies = landscape.energies[start:start + _RECORDS_PER_TRIPLE].tolist()
+        yield "".join(
+            f"{start + j},{pos}{cells}{energy!r}\n"
+            for j, (cells, energy) in enumerate(zip(_BASIS_ELEMENT_CELLS, energies))
+        )
 
 
 # -- experiments ---------------------------------------------------------------
@@ -182,10 +220,9 @@ def run_experiment(
     if mode == "zeros":
         inits = [ZerosInit()]
     elif mode == "best_mubs":
-        records = best_k(compute_landscape(ising), k)
         inits = [
             MubInit(positions=r.positions, basis=r.basis, element=r.element)
-            for r in records
+            for r in best_k(compute_landscape(ising), k)
         ]
     else:
         inits = [

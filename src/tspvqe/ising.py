@@ -88,8 +88,15 @@ class IsingPolynomial:
         return self._float_energies
 
     def energies_at(self, indices) -> np.ndarray:
-        """float64 energies at the given basis-state indices."""
-        return self.energy_float_vector()[np.asarray(indices, dtype=np.int64)]
+        """float64 energies at the given basis-state indices.
+
+        Scales only the gathered int64 entries, so the 2^n float64 vector is
+        not built; the bits equal ``energy_float_vector()[indices]``.
+        """
+        _spin_limit(self.n, SPECTRUM_VARIABLE_CAP, "energy vector")
+        scale = self.to_int_arrays()[0]
+        gathered = self.energy_int_vector()[np.asarray(indices, dtype=np.int64)]
+        return gathered.astype(np.float64) / scale
 
     def to_json_dict(self) -> dict:
         return {

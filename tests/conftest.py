@@ -6,7 +6,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from tspvqe import load_instance
+from tspvqe import LandscapeRecord, build_mubs_3q, load_instance
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -94,3 +94,38 @@ def _permutation_solve(instance):
 @pytest.fixture(scope="session")
 def permutation_solve():
     return _permutation_solve
+
+
+def _landscape_reference(ising):
+    """All landscape records of ``ising``, computed record by record.
+
+    The reference for the array-backed landscape: per qubit triple, the 8
+    support indices bit by bit, their energies from the float vector, and
+    one 8x8 probability-matrix product per basis; dense ranks on energies
+    rounded to 1e-9.
+    """
+    mubs = build_mubs_3q()
+    prob_rows = [np.abs(mubs.bases[b]) ** 2 for b in range(9)]
+    vector = ising.energy_float_vector()
+    raw = []
+    for positions in itertools.combinations(range(ising.n), 3):
+        support = [
+            sum(((m >> k) & 1) << positions[k] for k in range(3)) for m in range(8)
+        ]
+        support_energies = vector[np.array(support, dtype=np.int64)]
+        for basis in range(9):
+            energies = prob_rows[basis] @ support_energies
+            for element in range(8):
+                raw.append((positions, basis, element, float(energies[element])))
+    rounded = np.round([r[3] for r in raw], 9)
+    ranks = np.searchsorted(np.unique(rounded), rounded)
+    return [
+        LandscapeRecord(index=i, positions=r[0], basis=r[1], element=r[2],
+                        energy=r[3], rank=int(ranks[i]))
+        for i, r in enumerate(raw)
+    ]
+
+
+@pytest.fixture(scope="session")
+def landscape_reference():
+    return _landscape_reference

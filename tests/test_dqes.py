@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -6,12 +8,16 @@ import pytest
 
 from tspvqe import (
     IsingPolynomial,
+    Landscape,
+    ProblemInstance,
+    SizeCapError,
     ValidationError,
     best_k,
     compute_landscape,
     encode_efficient,
     ground_states,
     run_experiment,
+    suggest_penalties,
     to_ising,
 )
 from tspvqe.dqes import landscape_csv_rows
@@ -37,6 +43,14 @@ def landscape_ising(landscape_instance):
 @pytest.fixture(scope="module")
 def landscape_records(landscape_ising):
     return compute_landscape(landscape_ising)
+
+
+def _seeded_ising_16():
+    """Efficient encoding of a seeded complete 5-node TSP: 16 qubits."""
+    rng = random.Random(16)
+    edges = tuple((u, v, rng.randint(1, 20)) for u in range(1, 6) for v in range(u + 1, 6))
+    raw = ProblemInstance(5, False, "tsp", edges, 1, 1)
+    return to_ising(encode_efficient(raw.with_penalties(*suggest_penalties(raw, "safe"))))
 
 
 class TestLandscape:
@@ -71,6 +85,13 @@ class TestLandscape:
             if bin(z).count("1") <= 3:
                 assert minimum <= energies[z] + 1e-9
 
+    def test_unbiased_bases_tie_at_the_support_mean(self, landscape_records):
+        # |<z|e>|^2 = 1/8 for every element e of bases 1-8, so 64 of the 72
+        # records of a triple score the mean of its 8 support energies
+        energies = landscape_records.energies.reshape(-1, 9, 8)
+        means = energies[:, 0, :].mean(axis=1)
+        assert np.abs(energies[:, 1:, :] - means[:, None, None]).max() < 1e-9
+
     def test_deterministic_order_and_ranks(self, landscape_ising, landscape_records):
         again = compute_landscape(landscape_ising)
         assert [(r.positions, r.basis, r.element) for r in again] == [
@@ -84,6 +105,20 @@ class TestLandscape:
     def test_too_few_qubits_rejected(self):
         with pytest.raises(ValidationError):
             compute_landscape(_trivial_ising(2))
+
+    def test_cap_cannot_exceed_hard_limit(self):
+        ising = _trivial_ising(25)
+        with pytest.raises(SizeCapError, match="landscape capped at 24 qubits, got 25"):
+            compute_landscape(ising, cap=40)
+        with pytest.raises(SizeCapError, match="landscape capped at 5 qubits, got 6"):
+            compute_landscape(_trivial_ising(6), cap=5)
+        assert ising._int_energies is None  # refused before enumerating
+
+    def test_float_vector_not_built(self, landscape_instance):
+        ising = to_ising(encode_efficient(landscape_instance))
+        compute_landscape(ising)
+        assert ising._int_energies is not None
+        assert ising._float_energies is None
 
     def test_energies_match_direct_expectation(self, landscape_ising,
                                                landscape_records):
@@ -101,6 +136,72 @@ class TestLandscape:
             assert record.energy == pytest.approx(
                 expectation(landscape_ising, state), rel=1e-12, abs=1e-12
             )
+
+
+class TestAgainstReference:
+    """The array-backed landscape against the record-by-record reference."""
+
+    @pytest.fixture(scope="class", params=["shipped", "seeded16"])
+    def pair(self, request, landscape_ising, landscape_reference):
+        ising = landscape_ising if request.param == "shipped" else _seeded_ising_16()
+        return compute_landscape(ising), landscape_reference(ising)
+
+    def test_order_energies_and_ranks(self, pair):
+        landscape, reference = pair
+        assert len(landscape) == len(reference)
+        assert [(r.index, r.positions, r.basis, r.element) for r in landscape] == [
+            (r.index, r.positions, r.basis, r.element) for r in reference
+        ]
+        # 2 ulp, not bit equality: the reference's 8x8 products run on the
+        # installed BLAS, whose summation order einsum need not share
+        np.testing.assert_array_max_ulp(
+            landscape.energies, np.array([r.energy for r in reference]), maxulp=2
+        )
+        assert landscape.ranks.tolist() == [r.rank for r in reference]
+
+    def test_best_k_is_energy_then_index_order(self, pair):
+        landscape, _ = pair
+        # the landscape's own records (checked against the reference above):
+        # bases 1-8 tie up to float noise, so the order follows the last bits
+        records = list(landscape)
+        by_energy = sorted(records, key=lambda r: (r.energy, r.index))
+        for k in (1, 10, 25, 72, len(records)):
+            assert best_k(landscape, k) == by_energy[:k]
+
+    def test_csv_matches_per_record_rendering(self, pair):
+        landscape, _ = pair
+        expected = ["index,positions,basis,element,energy"] + [
+            f"{r.index},{'-'.join(str(p) for p in r.positions)},"
+            f"{r.basis},{r.element},{r.energy!r}"
+            for r in landscape
+        ]
+        text = "".join(landscape_csv_rows(landscape))
+        assert text.endswith("\n")
+        assert text.split("\n")[:-1] == expected  # a list: pytest reports the first bad row
+
+
+class TestSequence:
+    def test_protocol(self, landscape_records):
+        landscape = landscape_records
+        assert isinstance(landscape, Landscape)
+        n = len(landscape)
+        last = landscape[-1]
+        assert last == landscape[n - 1]
+        assert (last.index, last.positions, last.basis, last.element) == (n - 1, (6, 7, 8), 8, 7)
+        assert landscape[-n] == landscape[0]
+        assert landscape[70:74] == [landscape[i] for i in range(70, 74)]
+        assert landscape[::-1000] == [landscape[i] for i in range(n - 1, -1, -1000)]
+        assert landscape[n:] == []
+        assert [r.index for r in landscape] == list(range(n))
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                landscape[bad]
+
+    def test_immutable(self, landscape_records):
+        with pytest.raises(ValueError):
+            landscape_records.energies[0] = 0.0
+        with pytest.raises(AttributeError):
+            landscape_records.energies = None
 
 
 class TestBestK:
@@ -132,9 +233,11 @@ class TestBestK:
 
 class TestCsv:
     def test_header_and_row_shape(self, landscape_records):
-        rows = list(landscape_csv_rows(landscape_records[:3]))
-        assert rows[0] == "index,positions,basis,element,energy"
+        rows = list(islice(landscape_csv_rows(landscape_records), 4))
+        assert rows[0] == "index,positions,basis,element,energy\n"
         assert rows[1].startswith("0,0-1-2,0,0,")
+        assert rows[3].startswith("144,0-1-4,0,0,")
+        assert all(chunk.count("\n") == 72 for chunk in rows[1:])
 
 
 class TestExperiments:

@@ -231,6 +231,17 @@ def test_spectrum_rows_match_exact_energies(n):
         assert len(set(energies)) < len(energies)  # degenerate levels present
 
 
+def test_energies_at_equals_float_vector_bits():
+    ising = _random_ising(random.Random(7), 9)
+    assert ising.to_int_arrays()[0] > 1
+    indices = np.random.default_rng(7).integers(0, 1 << 9, size=(40, 8))
+    gathered = ising.energies_at(indices)
+    assert ising._float_energies is None  # gathered without the float vector
+    assert gathered.shape == (40, 8)
+    expected = ising.energy_float_vector()[indices]
+    assert np.array_equal(gathered.view(np.int64), expected.view(np.int64))
+
+
 def test_spectrum_refuses_cap_above_hard_limit():
     ising = IsingPolynomial(n=25, constant=Fraction(0), fields={}, couplings={},
                             variable_order=(), layout="full", node_count=5)
