@@ -26,7 +26,7 @@ from .graph import ProblemInstance
 from .ising import IsingPolynomial, ground_states, to_ising
 from .quantum import build_mubs_3q
 from .rationals import rational_to_json
-from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, run_vqe
+from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, run_lockstep
 
 LANDSCAPE_QUBIT_CAP = 24
 MODES = ("zeros", "best_mubs", "random")
@@ -180,17 +180,8 @@ class ExperimentReport:
         }
 
 
-def _run_one(args):
-    ising, init, ansatz, optimizer, seed, ground, tol = args
-    return run_vqe(
-        ising,
-        init,
-        ansatz=ansatz,
-        optimizer=optimizer,
-        seed=seed,
-        ground_energy=ground,
-        convergence_tol=tol,
-    )
+def _run_part(args):
+    return run_lockstep(*args)
 
 
 def run_experiment(
@@ -210,6 +201,10 @@ def run_experiment(
     """
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
+    if mode == "random" and k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
+    if convergence_tol < 0:
+        raise ValidationError(f"convergence_tol must be >= 0, got {convergence_tol}")
     ising = to_ising(encode_efficient(instance))
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
@@ -229,15 +224,18 @@ def run_experiment(
             RandomInit(seed=seed * _SEED_STRIDE + 2 * i + 1) for i in range(k)
         ]
 
-    jobs = [
-        (ising, init, ansatz, optimizer, seed * _SEED_STRIDE + 2 * i, ground, convergence_tol)
-        for i, init in enumerate(inits)
-    ]
+    starts = [(init, seed * _SEED_STRIDE + 2 * i) for i, init in enumerate(inits)]
     if threads > 1:
+        # one contiguous part of the runs per worker, each run in lockstep
+        size = -(-len(starts) // threads)
+        jobs = [
+            (ising, starts[first:first + size], ansatz, optimizer, ground, convergence_tol)
+            for first in range(0, len(starts), size)
+        ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(_run_one, jobs))
+            traces = [trace for part in pool.map(_run_part, jobs) for trace in part]
     else:
-        traces = [_run_one(job) for job in jobs]
+        traces = run_lockstep(ising, starts, ansatz, optimizer, ground, convergence_tol)
 
     converged = [t for t in traces if t.converged]
     mean_iters = (

@@ -1,33 +1,23 @@
 """Hot numeric kernels: exhaustive energy enumeration and ansatz application.
 
-Energy enumeration is one numpy kernel on every install.  It works in scaled
-int64 arithmetic (the caller supplies coefficients multiplied by a common
-denominator), so results are exact.
-
-The ansatz kernel has a numba ``@njit`` implementation and a pure-numpy
-fallback.  The numpy path is selected automatically when numba is
-unavailable, or explicitly by setting the environment variable
-``TSPVQE_NO_NUMBA=1``.  The numpy ansatz kernel applies each layer as a few
-grouped Ry matmuls and one fused phase vector for its Rz and Rzz gates; the
-numba kernel applies the gates one at a time.  ``perfbench/run.py`` measures
-the kernels end to end.
+Both are numpy kernels, the same on every install.  Energy enumeration works
+in scaled int64 arithmetic (the caller supplies coefficients multiplied by a
+common denominator), so results are exact.  The ansatz kernel applies each
+layer as a few grouped Ry matmuls and one fused phase vector for its Rz and
+Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
+``(R, P)`` parameters applies row r's parameters to row r's state in one call,
+and each row comes out bit for bit as a call on that row alone would give it.
+``perfbench/run.py`` measures the kernels end to end.
 """
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-_force_numpy = os.environ.get("TSPVQE_NO_NUMBA", "") not in ("", "0")
-try:
-    if _force_numpy:
-        raise ImportError("numpy path forced via TSPVQE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# There is no numba kernel.  The flag stays because perfbench/run.py reports
+# it in its environment line.
+HAVE_NUMBA = False
 
 
 # -- numpy ansatz kernel -----------------------------------------------------
@@ -50,7 +40,7 @@ _RY_GROUP = 4
 class _AnsatzPlan(NamedTuple):
     """Index and sign tables of one (n, layers, ring) ansatz shape."""
 
-    ry_groups: tuple  # (low float bit, bit count, angle index, entry code) per matmul
+    ry_groups: tuple  # (low float bit, bit count, index into the flat entry table) per matmul
     phase_angles: np.ndarray  # (layers + 1, terms) index into the padded parameters
     phase_sign: np.ndarray  # +1 for Rz terms, -1 for Rzz terms
     hi_phase: np.ndarray  # (terms, 2^hi) f_t of the terms inside the high qubits, else 0
@@ -93,7 +83,7 @@ def _ansatz_plan(n, layers, ring):
         idx = np.arange(1 << k)
         t = np.arange(k)[:, None, None]
         code = 2 * ((idx[:, None] >> t) & 1) + ((idx[None, :] >> t) & 1)
-        ry_groups.append((bit, k, ry_angles[:, bit:bit + k, None, None], code))
+        ry_groups.append((bit, k, code * (pad + 1) + ry_angles[:, bit:bit + k, None, None]))
         bit += k
 
     terms = [(q,) for q in range(n)] + [(e, (e + 1) % n) for e in range(n_ent)]
@@ -122,92 +112,54 @@ def _ansatz_plan(n, layers, ring):
     )
 
 
-def _apply_ansatz_numpy(psi0, n, layers, ring, params):
+def _apply_ansatz(psi0, n, layers, ring, params):
+    """The ansatz on one state, or row by row on a stack of states.
+
+    Every array carries the leading axes of ``params[..., 0]`` (none for one
+    state), so each row goes through the same matmuls, of the same shapes, as
+    it would alone.
+    """
     plan = _ansatz_plan(n, layers, ring)
-    half = 0.5 * np.append(params, 0.0)
+    batch = params.shape[:-1]
+    half = 0.5 * np.concatenate([params, np.zeros(batch + (1,))], axis=-1)
     cos, sin = np.cos(half), np.sin(half)
-    # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle
-    entries = np.stack([cos, -sin, sin, cos])
-    ry = [entries[code, angles].prod(axis=1) for _, _, angles, code in plan.ry_groups]
+    # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle, flat
+    entries = np.stack([cos, -sin, sin, cos], axis=-2).reshape(batch + (-1,))
+    # the gather leaves a stack's matrices strided; contiguous ones take the
+    # same BLAS path as one state's, so every row gets the same bits
+    ry = [
+        np.ascontiguousarray(entries[..., index].prod(axis=-3))
+        for _, _, index in plan.ry_groups
+    ]
 
-    w = half[plan.phase_angles] * plan.phase_sign
-    coef = np.ones((layers + 1, 1))
+    w = half[..., plan.phase_angles] * plan.phase_sign
+    coef = np.ones(batch + (layers + 1, 1))
     for t in plan.cross_terms:
-        coef = _expand(coef, np.stack([np.cos(w[:, t]), 1j * np.sin(w[:, t])], -1))
-    left = np.exp(1j * (w @ plan.hi_phase))[:, :, None] * coef[:, None, :] * plan.hi_cross
-    right = np.exp(1j * (w @ plan.lo_phase))[:, None, :] * plan.lo_cross
+        coef = _expand(coef, np.stack([np.cos(w[..., t]), 1j * np.sin(w[..., t])], -1))
+    left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
+    right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
 
-    amps = np.array(psi0, dtype=np.complex128)
+    amps = np.array(psi0, dtype=np.complex128, order="C")
     spare = np.empty_like(amps)
     for layer in range(layers + 1):
-        for (bit, k, _, _), mats in zip(plan.ry_groups, ry):
+        for (bit, k, _), mats in zip(plan.ry_groups, ry):
             src, dst = amps.view(np.float64), spare.view(np.float64)
+            mat = mats[..., layer, :, :]
             if bit == 0:
-                np.matmul(src.reshape(-1, 1 << k), mats[layer].T, out=dst.reshape(-1, 1 << k))
+                shape = batch + (-1, 1 << k)
+                np.matmul(src.reshape(shape), mat.swapaxes(-1, -2), out=dst.reshape(shape))
             else:
-                shape = (-1, 1 << k, 1 << bit)
-                np.matmul(mats[layer], src.reshape(shape), out=dst.reshape(shape))
+                shape = batch + (-1, 1 << k, 1 << bit)
+                np.matmul(mat[..., None, :, :], src.reshape(shape), out=dst.reshape(shape))
             amps, spare = spare, amps
-        phased = amps.reshape(left.shape[1], -1)
-        phased *= left[layer] @ right[layer]
+        # the phase vector goes into the spare buffer, so no state-sized temporary
+        shape = batch + (left.shape[-2], -1)
+        np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=spare.reshape(shape))
+        amps *= spare
     return amps
 
 
-# -- numba ansatz kernel -----------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ry_inplace(amps, q, theta):
-        c = np.cos(theta / 2.0)
-        s = np.sin(theta / 2.0)
-        step = 1 << q
-        for base in range(0, amps.shape[0], step << 1):
-            for i in range(base, base + step):
-                a0 = amps[i]
-                a1 = amps[i + step]
-                amps[i] = c * a0 - s * a1
-                amps[i + step] = s * a0 + c * a1
-
-    @njit(cache=True)
-    def _apply_ansatz_numba(psi0, n, layers, ring, params):
-        amps = psi0.astype(np.complex128)
-        dim = amps.shape[0]
-        n_ent = n if ring else n - 1
-        k = 0
-        for _ in range(layers):
-            for q in range(n):
-                _ry_inplace(amps, q, params[k])
-                k += 1
-            for q in range(n):
-                ph0 = np.exp(-1j * params[k] / 2.0)
-                ph1 = np.exp(1j * params[k] / 2.0)
-                for z in range(dim):
-                    amps[z] *= ph1 if (z >> q) & 1 else ph0
-                k += 1
-            for e in range(n_ent):
-                q1 = e
-                q2 = (e + 1) % n
-                ph0 = np.exp(-1j * params[k] / 2.0)
-                ph1 = np.exp(1j * params[k] / 2.0)
-                for z in range(dim):
-                    amps[z] *= ph1 if ((z >> q1) ^ (z >> q2)) & 1 else ph0
-                k += 1
-        for q in range(n):
-            _ry_inplace(amps, q, params[k])
-            k += 1
-        for q in range(n):
-            ph0 = np.exp(-1j * params[k] / 2.0)
-            ph1 = np.exp(1j * params[k] / 2.0)
-            for z in range(dim):
-                amps[z] *= ph1 if (z >> q) & 1 else ph0
-            k += 1
-        return amps
-
-
 # -- entry points ------------------------------------------------------------
-
-_apply_ansatz = _apply_ansatz_numba if HAVE_NUMBA else _apply_ansatz_numpy
 
 
 def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
@@ -242,6 +194,14 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
 
 
 def apply_ansatz_amplitudes(psi0, n, layers, ring, params):
-    """Apply the layered Ry/Rz/Rzz ansatz to a state vector."""
+    """Apply the layered Ry/Rz/Rzz ansatz to a state vector, or to a stack.
+
+    One state ``(2^n,)`` takes parameters ``(P,)``; a stack ``(R, 2^n)`` takes
+    ``(R, P)``, row r's parameters acting on row r's state.  The result has
+    the shape of ``psi0``, and ``psi0`` is not modified.
+    """
     params = np.asarray(params, dtype=np.float64)
-    return _apply_ansatz(np.asarray(psi0, dtype=np.complex128), n, layers, bool(ring), params)
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    if psi0.shape[:-1] != params.shape[:-1]:
+        raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
+    return _apply_ansatz(psi0, n, layers, bool(ring), params)

@@ -18,6 +18,25 @@ best-so-far history):
   the 9-qubit problems here simplex methods plateau around 1e-3 above the
   ground energy within the evaluation budget, while sinusoid descent
   reaches it exactly.
+
+Both are ask/tell generators.  A search yields a tuple of parameter vectors
+whose values it needs before it can go on (rotation descent's two probes,
+the vertices of a new simplex, or a single point), is sent the list of
+their values, and finally returns its ``OptimizeResult``.  Values are
+recorded in request order, so the history is the same as if each vector had
+been evaluated alone.  :func:`optimize` drives one search with a scalar
+objective.
+
+:func:`run_lockstep` drives the independent runs of a VQE batch together.
+Each round it gathers the pending vectors of every live run and evaluates
+them in one ``kernels.apply_ansatz_amplitudes`` call over an ``(R, 2^n)``
+stack of the runs' initial states.  A call holds at most
+``LOCKSTEP_AMPLITUDES`` amplitudes (32 states at 9 qubits), and a group
+holds as many runs as fill a call with two states each (16 at 9 qubits, at
+least one), so at 16 qubits a group is one run and a call one unstacked
+state.  The kernel gives each row the bits a call on it alone would, and each
+expectation is one dot product per row, so a trace does not depend on the
+batch it ran in.  :func:`run_vqe` is a group of one.
 """
 
 from __future__ import annotations
@@ -33,6 +52,10 @@ from .ising import IsingPolynomial
 from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state
 
 ENTANGLERS = ("linear_rzz", "ring_rzz")
+
+# amplitudes per ansatz kernel call in a lockstep group; groups are sized for
+# two pending states per run (a rotation-descent probe pair)
+LOCKSTEP_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,6 +174,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in ("nelder_mead", "rotation_descent"):
             raise ValidationError(f"unknown optimizer method {self.method!r}")
+        if self.max_evals < 1:
+            raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
 
 
 @dataclass
@@ -162,10 +187,9 @@ class OptimizeResult:
 
 
 class _Recorder:
-    """Wraps the objective: counts evaluations, tracks the running best."""
+    """The evaluation count and running best of one search."""
 
-    def __init__(self, objective, max_evals, target, target_tol):
-        self.objective = objective
+    def __init__(self, max_evals, target, target_tol):
         self.max_evals = max_evals
         self.target = target
         self.target_tol = target_tol
@@ -174,20 +198,49 @@ class _Recorder:
         self.best_f = np.inf
         self.history = []
 
-    def __call__(self, x):
-        self.n_evals += 1
-        value = float(self.objective(np.asarray(x, dtype=float)))
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = np.array(x, dtype=float, copy=True)
-        self.history.append(self.best_f)
-        return value
+    def ask(self, *xs):
+        """Yield the vectors ``xs`` as one request and record their values.
+
+        Used as ``values = yield from rec.ask(...)``; the values are recorded
+        in request order, as if evaluated one after the other.
+        """
+        values = yield xs
+        values = [float(value) for value in values]
+        for x, value in zip(xs, values):
+            self.n_evals += 1
+            if value < self.best_f:
+                self.best_f = value
+                self.best_x = np.array(x, dtype=float, copy=True)
+            self.history.append(self.best_f)
+        return values
+
+    @property
+    def left(self) -> int:
+        return self.max_evals - self.n_evals
 
     def exhausted(self, need: int = 1) -> bool:
-        return self.n_evals + need > self.max_evals
+        return self.left < need
 
     def target_hit(self) -> bool:
         return self.target is not None and abs(self.best_f - self.target) <= self.target_tol
+
+
+def _search(x0, config, seed, target, target_tol, restart_points):
+    """The ask/tell form of :func:`optimize`: a generator that yields tuples
+    of parameter vectors, is sent the list of their values, and returns the
+    ``OptimizeResult``."""
+    rec = _Recorder(config.max_evals, target, target_tol)
+    yield from rec.ask(x0)
+    if config.method == "rotation_descent":
+        yield from _rotation_descent(rec, x0, config, seed, restart_points)
+    else:
+        yield from _nelder_mead(rec, x0, config, seed)
+    return OptimizeResult(
+        best_params=rec.best_x,
+        best_value=rec.best_f,
+        history=rec.history,
+        n_evaluations=rec.n_evals,
+    )
 
 
 def optimize(
@@ -205,20 +258,16 @@ def optimize(
     the objective at ``x0``), hence monotone non-increasing.  Given the same
     seed, objective, and config the run is fully deterministic.
     """
-    config = config or OptimizerConfig()
-    x0 = np.asarray(x0, dtype=float)
-    rec = _Recorder(objective, config.max_evals, target, target_tol)
-    rec(x0)
-    if config.method == "rotation_descent":
-        _rotation_descent(rec, x0, config, seed, restart_points)
-    else:
-        _nelder_mead(rec, x0, config, seed)
-    return OptimizeResult(
-        best_params=rec.best_x,
-        best_value=rec.best_f,
-        history=rec.history,
-        n_evaluations=rec.n_evals,
+    search = _search(
+        np.asarray(x0, dtype=float), config or OptimizerConfig(), seed, target, target_tol,
+        restart_points,
     )
+    request = next(search)
+    while True:
+        try:
+            request = search.send([objective(x) for x in request])
+        except StopIteration as done:
+            return done.value
 
 
 def _nelder_mead(rec, x0, config, seed):
@@ -233,15 +282,13 @@ def _nelder_mead(rec, x0, config, seed):
     delta = 1.0 - 1.0 / dim
     rho = config.rho_start
     while not (rec.exhausted() or rec.target_hit()):
+        # the simplex vertices are independent, so they form one request
         xs = [np.array(rec.best_x, copy=True)]
-        fs = [rec.best_f]
-        for i in range(dim):
-            if rec.exhausted():
-                break
+        for i in range(min(dim, rec.left)):
             vertex = xs[0].copy()
             vertex[i] += rho * rng.choice((-1.0, 1.0))
             xs.append(vertex)
-            fs.append(rec(vertex))
+        fs = [rec.best_f] + (yield from rec.ask(*xs[1:]))
         if len(xs) < dim + 1:
             break
         xs = np.array(xs)
@@ -253,10 +300,10 @@ def _nelder_mead(rec, x0, config, seed):
                 break
             centroid = xs[:-1].mean(axis=0)
             reflected = centroid + alpha * (centroid - xs[-1])
-            f_reflected = rec(reflected)
+            [f_reflected] = yield from rec.ask(reflected)
             if f_reflected < fs[0]:
                 expanded = centroid + beta * (reflected - centroid)
-                f_expanded = rec(expanded)
+                [f_expanded] = yield from rec.ask(expanded)
                 if f_expanded < f_reflected:
                     xs[-1], fs[-1] = expanded, f_expanded
                 else:
@@ -268,15 +315,13 @@ def _nelder_mead(rec, x0, config, seed):
                     contracted = centroid + gamma * (reflected - centroid)
                 else:
                     contracted = centroid - gamma * (reflected - centroid)
-                f_contracted = rec(contracted)
+                [f_contracted] = yield from rec.ask(contracted)
                 if f_contracted < min(f_reflected, fs[-1]):
                     xs[-1], fs[-1] = contracted, f_contracted
-                else:
-                    for i in range(1, dim + 1):
-                        if rec.exhausted():
-                            break
-                        xs[i] = xs[0] + delta * (xs[i] - xs[0])
-                        fs[i] = rec(xs[i])
+                elif rec.left:
+                    shrunk = slice(1, 1 + min(dim, rec.left))
+                    xs[shrunk] = xs[0] + delta * (xs[shrunk] - xs[0])
+                    fs[shrunk] = yield from rec.ask(*xs[shrunk])
         # restart around the incumbent with a smaller simplex
         rho = max(rho * 0.5, config.rho_end * 10.0)
 
@@ -287,10 +332,10 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     Each coordinate restriction of a rotation-gate energy is
     a + b*cos(u) + c*sin(u) around the current point; the current value and
     two probes at +/- (pi * rho_start) determine the three coefficients
-    exactly.  Sweeps visit coordinates in a seeded random order; when a
-    sweep stalls (or exceeds the attempt cap while chasing a target) the
-    search restarts from the next suggested restart point, falling back to
-    small jitters of x0.
+    exactly, and are asked for in one request.  Sweeps visit coordinates in
+    a seeded random order; when a sweep stalls (or exceeds the attempt cap
+    while chasing a target) the search restarts from the next suggested
+    restart point, falling back to small jitters of x0.
     """
     dim = len(x0)
     if dim == 0:
@@ -320,7 +365,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
             plus[k] = t0 + probe
             minus = x.copy()
             minus[k] = t0 - probe
-            f_plus, f_minus = rec(plus), rec(minus)
+            f_plus, f_minus = yield from rec.ask(plus, minus)
             attempt_evals += 2
             # fit a + b*cos(u) + c*sin(u) through fx, f(+probe), f(-probe)
             b = (fx - (f_plus + f_minus) / 2.0) / (1.0 - cos_p)
@@ -333,7 +378,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
                 continue
             candidate = x.copy()
             candidate[k] = t0 + u
-            f_candidate = rec(candidate)
+            [f_candidate] = yield from rec.ask(candidate)
             attempt_evals += 1
             if f_candidate <= fx:
                 moved = max(moved, abs(u))
@@ -351,7 +396,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
                 x = x0 + rng.uniform(
                     -config.restart_jitter * np.pi, config.restart_jitter * np.pi, dim
                 )
-            fx = rec(x)
+            [fx] = yield from rec.ask(x)
             attempt_evals = 0
 
 
@@ -435,38 +480,115 @@ def run_vqe(
     Expectations are exact state-vector averages (no sampling noise).  When
     ``ground_energy`` is supplied the run stops as soon as the energy is
     within ``convergence_tol`` (relative) of it; otherwise convergence stays
-    False and the optimizer runs to its own termination.
+    False and the optimizer runs to its own termination.  This is
+    :func:`run_lockstep` with one run.
+    """
+    [trace] = run_lockstep(
+        ising, [(init, seed)], ansatz, optimizer, ground_energy, convergence_tol, mubs
+    )
+    return trace
+
+
+def run_lockstep(
+    ising: IsingPolynomial,
+    starts: Sequence,
+    ansatz: AnsatzConfig | None = None,
+    optimizer: OptimizerConfig | None = None,
+    ground_energy: float | None = None,
+    convergence_tol: float = 1e-6,
+    mubs: MubLibrary | None = None,
+) -> list:
+    """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep.
+
+    Runs go in consecutive groups of at most ``LOCKSTEP_AMPLITUDES / 2^(n+1)``
+    (at least one).  Each trace equals that of :func:`run_vqe` on its own
+    start.
     """
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
     if ansatz.n != ising.n:
         raise ValidationError("ansatz qubit count must match the Hamiltonian")
-    psi0, product_angles = init.build(ising.n, mubs=mubs)
     energy_vector = ising.energy_float_vector()
-    ring = ansatz.entangler == "ring_rzz"
-
-    def objective(theta):
-        amps = kernels.apply_ansatz_amplitudes(
-            psi0.amplitudes, ansatz.n, ansatz.layers, ring, theta
-        )
-        return float((np.abs(amps) ** 2) @ energy_vector)
-
     target_tol = (
         convergence_tol * max(1.0, abs(ground_energy)) if ground_energy is not None else 0.0
     )
-    result = optimize(
-        objective,
-        np.zeros(ansatz.parameter_count),
-        config=optimizer,
-        seed=seed,
-        target=ground_energy,
-        target_tol=target_tol,
-        restart_points=_restart_points(ansatz, product_angles, seed),
+    group_size = max(1, LOCKSTEP_AMPLITUDES >> (ising.n + 1))
+    traces = []
+    for first in range(0, len(starts), group_size):
+        traces += _run_group(
+            starts[first:first + group_size], ansatz, optimizer, energy_vector,
+            ground_energy, target_tol, mubs,
+        )
+    return traces
+
+
+def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, mubs):
+    """The traces of one lockstep group; its states are freed on return."""
+    built = [init.build(ansatz.n, mubs=mubs) for init, _ in group]
+    searches = [
+        _search(
+            np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy, target_tol,
+            _restart_points(ansatz, product_angles, seed),
+        )
+        for (_, seed), (_, product_angles) in zip(group, built)
+    ]
+    # a group of one is not copied into a stack
+    states = (
+        np.stack([psi0.amplitudes for psi0, _ in built]) if len(built) > 1
+        else built[0][0].amplitudes[None]
     )
+    results = _lockstep(searches, states, energy_vector, ansatz)
+    return [
+        _trace(init, seed, psi0, result, ansatz, ground_energy, target_tol)
+        for (init, seed), (psi0, _), result in zip(group, built, results)
+    ]
+
+
+def _lockstep(searches, states, energy_vector, ansatz):
+    """Drive ask/tell searches together; return their results in order.
+
+    Search i starts from row i of ``states``.  Each round evaluates the
+    pending vectors of every live search, in kernel calls of at most
+    ``LOCKSTEP_AMPLITUDES`` amplitudes; a call with one state passes it
+    unstacked.  Each expectation is one dot product per row.
+    """
+    per_call = max(1, LOCKSTEP_AMPLITUDES >> ansatz.n)
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        owners = [i for i, request in pending.items() for _ in request]
+        params = [x for request in pending.values() for x in request]
+        values = []
+        for first in range(0, len(params), per_call):
+            rows = owners[first:first + per_call]
+            if len(rows) == 1:
+                values += _expectations(states[rows[0]], params[first], energy_vector, ansatz)
+            else:
+                theta = np.array(params[first:first + per_call])
+                values += _expectations(states[rows], theta, energy_vector, ansatz)
+        start = 0
+        for i, request in list(pending.items()):
+            try:
+                pending[i] = searches[i].send(values[start:start + len(request)])
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+            start += len(request)
+    return results
+
+
+def _expectations(psi, theta, energy_vector, ansatz) -> list:
+    """Energy of the ansatz state of each row; its arrays die on return."""
+    ring = ansatz.entangler == "ring_rzz"
+    amps = kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta)
+    return [float(row @ energy_vector) for row in np.atleast_2d(np.abs(amps) ** 2)]
+
+
+def _trace(init, seed, psi0, result, ansatz, ground_energy, target_tol) -> VqeTrace:
     final_state = apply_ansatz(ansatz, result.best_params, psi0)
     best_bitstring = "".join(
         str((int(np.argmax(final_state.probabilities())) >> k) & 1)
-        for k in range(ising.n)
+        for k in range(ansatz.n)
     )
     converged = (
         ground_energy is not None

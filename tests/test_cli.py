@@ -175,6 +175,17 @@ class TestVqeCommand:
         assert main(args + ["--no-timestamp", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--max-evals", "0"],
+        ["--max-evals", "-5"],
+        ["--init", "random", "--k", "0"],
+        ["--tol", "-1"],
+    ])
+    def test_meaningless_inputs_exit_2(self, flags, capsys):
+        assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith("error: ")
+
     def test_timestamp_present_by_default(self, tmp_path, capsys):
         assert main(["vqe", LANDSCAPE, "--init", "zeros", "--seed", "2",
                      "--max-evals", "100"]) == 0

@@ -20,7 +20,9 @@ from tspvqe import (
     suggest_penalties,
     to_ising,
 )
-from tspvqe.dqes import landscape_csv_rows
+from tspvqe import kernels
+from tspvqe.dqes import _SEED_STRIDE, landscape_csv_rows
+from tspvqe.vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, run_vqe
 
 
 def _trivial_ising(n):
@@ -45,12 +47,16 @@ def landscape_records(landscape_ising):
     return compute_landscape(landscape_ising)
 
 
-def _seeded_ising_16():
-    """Efficient encoding of a seeded complete 5-node TSP: 16 qubits."""
+def _seeded_instance_16():
+    """A seeded complete 5-node TSP, whose efficient encoding has 16 qubits."""
     rng = random.Random(16)
     edges = tuple((u, v, rng.randint(1, 20)) for u in range(1, 6) for v in range(u + 1, 6))
     raw = ProblemInstance(5, False, "tsp", edges, 1, 1)
-    return to_ising(encode_efficient(raw.with_penalties(*suggest_penalties(raw, "safe"))))
+    return raw.with_penalties(*suggest_penalties(raw, "safe"))
+
+
+def _seeded_ising_16():
+    return to_ising(encode_efficient(_seeded_instance_16()))
 
 
 class TestLandscape:
@@ -273,13 +279,15 @@ class TestExperiments:
         assert a.to_dict() == b.to_dict()
 
     def test_worker_pool_matches_serial(self, landscape_instance):
-        serial = run_experiment(landscape_instance, "best_mubs", k=4, seed=1)
-        pooled = run_experiment(landscape_instance, "best_mubs", k=4, seed=1,
-                                threads=2)
-        a, b = serial.to_dict(), pooled.to_dict()
-        a.pop("config")
-        b.pop("config")  # the config echo records the thread count itself
-        assert a == b
+        short = OptimizerConfig(method="rotation_descent", max_evals=300)
+        for mode, k, optimizer in (("best_mubs", 4, None), ("random", 10, short)):
+            serial = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer)
+            pooled = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer,
+                                    threads=2)
+            a, b = serial.to_dict(), pooled.to_dict()
+            # the config echo records the thread count itself
+            assert a.pop("config") == {**b.pop("config"), "threads": 1}
+            assert a == b, mode
 
     def test_unknown_mode(self, landscape_instance):
         with pytest.raises(ValidationError):
@@ -300,3 +308,90 @@ class TestExperiments:
         assert report.oracle_tours == ()
         assert report.to_dict()["oracle_cost"] is None
         assert report.decoded_tours[0]["valid"] in (True, False)
+
+
+def _independent_traces(instance, report, ansatz, optimizer):
+    """The traces of ``report`` redone one ``run_vqe`` call per run."""
+    ising = to_ising(encode_efficient(instance))
+    if report.mode == "zeros":
+        inits = [ZerosInit()]
+    elif report.mode == "best_mubs":
+        inits = [
+            MubInit(positions=r.positions, basis=r.basis, element=r.element)
+            for r in best_k(compute_landscape(ising), report.k)
+        ]
+    else:
+        inits = [RandomInit(seed=report.seed * _SEED_STRIDE + 2 * i + 1) for i in range(report.k)]
+    return [
+        run_vqe(
+            ising, init, ansatz=ansatz, optimizer=optimizer,
+            seed=report.seed * _SEED_STRIDE + 2 * i,
+            ground_energy=report.ground_energy,
+            convergence_tol=report.convergence_tol,
+        ).to_dict()
+        for i, init in enumerate(inits)
+    ]
+
+
+class TestLockstep:
+    """A batch run in lockstep equals its runs made one at a time."""
+
+    @pytest.mark.parametrize("mode, k, seed, method, layers, entangler", [
+        ("zeros", 1, 0, "rotation_descent", 2, "linear_rzz"),
+        ("best_mubs", 10, 0, "rotation_descent", 2, "linear_rzz"),
+        ("random", 10, 0, "rotation_descent", 2, "linear_rzz"),
+        ("random", 4, 0, "nelder_mead", 2, "linear_rzz"),
+        ("random", 3, 2, "rotation_descent", 3, "ring_rzz"),
+    ])
+    def test_matches_independent_runs(self, landscape_instance, mode, k, seed, method,
+                                      layers, entangler):
+        ansatz = AnsatzConfig(n=9, layers=layers, entangler=entangler)
+        optimizer = OptimizerConfig(method=method, max_evals=300)
+        report = run_experiment(landscape_instance, mode, k=k, seed=seed, ansatz=ansatz,
+                                optimizer=optimizer)
+        assert [t.to_dict() for t in report.traces] == _independent_traces(
+            landscape_instance, report, ansatz, optimizer)
+
+    def test_runs_of_unequal_length(self, landscape_instance):
+        # two runs start at the ground state, two use all but one evaluation
+        optimizer = OptimizerConfig(method="rotation_descent", max_evals=300)
+        report = run_experiment(landscape_instance, "best_mubs", k=10, seed=1,
+                                optimizer=optimizer)
+        lengths = [t.n_evaluations for t in report.traces]
+        assert min(lengths) == 1 and max(lengths) == 299
+        assert [t.to_dict() for t in report.traces] == _independent_traces(
+            landscape_instance, report, AnsatzConfig(n=9), optimizer)
+
+    def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
+        instance = _seeded_instance_16()
+        shapes = []
+        apply = kernels.apply_ansatz_amplitudes
+
+        def recording(psi0, *args):
+            shapes.append(np.shape(psi0))
+            return apply(psi0, *args)
+
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        optimizer = OptimizerConfig(method="rotation_descent", max_evals=20)
+        report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
+        assert set(shapes) == {(1 << 16,)}
+        assert len(shapes) == sum(t.n_evaluations for t in report.traces) + 2
+        assert [t.to_dict() for t in report.traces] == _independent_traces(
+            instance, report, AnsatzConfig(n=16), optimizer)
+
+    def test_nine_qubits_stack_the_batch(self, landscape_instance, monkeypatch):
+        shapes = []
+        apply = kernels.apply_ansatz_amplitudes
+
+        def recording(psi0, *args):
+            shapes.append(np.shape(psi0))
+            return apply(psi0, *args)
+
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        optimizer = OptimizerConfig(method="rotation_descent", max_evals=300)
+        report = run_experiment(landscape_instance, "random", k=10, seed=0, optimizer=optimizer)
+        evaluations = sum(t.n_evaluations for t in report.traces)
+        # all 10 runs fit one group; a round asks at most two states per run
+        assert max(shape[0] for shape in shapes if len(shape) == 2) == 20
+        assert sum(shape[0] if len(shape) == 2 else 1 for shape in shapes) == evaluations + 10
+        assert len(shapes) < evaluations / 5

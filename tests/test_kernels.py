@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tspvqe import PseudoBooleanPolynomial, kernels
+from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import apply_ansatz_amplitudes, enumerate_spin_energies
 from tspvqe.quantum import QuantumState, apply_gate
 
@@ -102,10 +99,11 @@ def _ansatz_gate_by_gate(psi0, n, layers, ring, params):
 
 
 def test_ansatz_paths_agree():
-    """The active kernel against the gate-by-gate reference.
+    """The kernel against the gate-by-gate reference, and stacked against single.
 
     Covers the degenerate rings: at n = 1 the entangler acts on (0, 0) and
-    at n = 2 it repeats the edge (0, 1).
+    at n = 2 it repeats the edge (0, 1).  An (R, 2^n) stack must give each
+    row bit for bit as a call on that row alone.
     """
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 5, 9):
@@ -122,17 +120,21 @@ def test_ansatz_paths_agree():
                 assert np.max(np.abs(active - reference)) < 1e-12, (n, layers, ring)
                 assert np.array_equal(psi0, before)
 
+                for rows in (1, 2, 5, 33):
+                    stack = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+                    thetas = rng.uniform(-np.pi, np.pi, (rows, n_par))
+                    before = stack.copy()
+                    stacked = apply_ansatz_amplitudes(stack, n, layers, ring, thetas)
+                    assert stacked.shape == stack.shape
+                    assert np.array_equal(stack, before)
+                    for r in range(rows):
+                        single = apply_ansatz_amplitudes(stack[r], n, layers, ring, thetas[r])
+                        assert np.array_equal(
+                            stacked[r].view(np.int64), single.view(np.int64)
+                        ), (n, layers, ring, rows, r)
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not active")
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import numpy as np; "
-        "import tspvqe.kernels as k; "
-        "assert not k.HAVE_NUMBA; "
-        "assert k._apply_ansatz is k._apply_ansatz_numpy; "
-        "params = np.array([np.pi, 0.0, 0.0, 0.0]); "
-        "out = k.apply_ansatz_amplitudes(np.array([1.0, 0.0]), 1, 1, False, params); "
-        "assert np.allclose(out, [0.0, 1.0])"
-    )
-    env = dict(os.environ, TSPVQE_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+def test_ansatz_rejects_mismatched_stack():
+    states = np.ones((3, 4), dtype=complex)
+    with pytest.raises(ValueError):
+        apply_ansatz_amplitudes(states, 2, 1, False, np.zeros(9))
