@@ -130,14 +130,7 @@ def cmd_audit(args) -> int:
 def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
     poly = _encode_polynomial(instance, _LAYOUT_FLAGS[args.layout])
-    levels = ising.spectrum(ising.to_ising(poly), cap=args.cap)
-    parts = ["bitstring,energy\n"]
-    last = suffix = None
-    for bits, energy in levels:
-        if energy is not last:  # rows of one level share one Fraction
-            last, suffix = energy, f",{rational_to_json(energy)}\n"
-        parts += (bits, suffix)
-    _emit(args, parts)  # written piece by piece, never joined into one string
+    _emit(args, ising.spectrum_csv_rows(ising.to_ising(poly), cap=args.cap))
     return 0
 
 

@@ -316,6 +316,8 @@ def audit_penalties(instance: ProblemInstance, cap: int = AUDIT_VARIABLE_CAP,
     """
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
+    if cap < 0:
+        raise ValidationError(f"audit cap must be non-negative, got {cap}")
     n_vars = instance.node_count ** 2
     limit = min(cap, AUDIT_VARIABLE_CAP)
     if n_vars > limit:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels, layouts
-from .errors import SizeCapError
+from .errors import SizeCapError, ValidationError
 from .rationals import rational_to_json, scale_to_int64
 
 if TYPE_CHECKING:
@@ -160,28 +161,56 @@ def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
 
 
 def _spin_limit(n: int, cap: int, what: str) -> None:
-    """Refuse n spins above ``cap`` or above the hard SPECTRUM_VARIABLE_CAP."""
+    """Refuse a negative ``cap``, and n spins above it or above SPECTRUM_VARIABLE_CAP."""
+    if cap < 0:
+        raise ValidationError(f"{what} cap must be non-negative, got {cap}")
     limit = min(cap, SPECTRUM_VARIABLE_CAP)
     if n > limit:
         raise SizeCapError(f"{what} capped at {limit} spins, got {n}")
 
 
-def _bitstrings(indices: np.ndarray, n: int) -> list:
-    """Textual bitstrings of basis-state indices (character k is bit k).
+# Rows per rendered block: a block's buffers stay a few hundred KB, because
+# buffers of a megabyte or more fragment the C heap of a long-running process.
+_BLOCK_ROWS = 4096
 
-    Rendered 4096 rows at a time, so that no temporary buffer outgrows a few
-    tens of KB: buffers of a megabyte or more fragment the C heap of a
-    long-running process.
+
+def _render_rows(indices: np.ndarray, n: int, suffixes: list, level_ids) -> str:
+    """Rows ``bitstring + suffixes[level_ids[r]]`` of basis states ``indices``.
+
+    Character k of a bitstring is bit k of its index.  Each row is one
+    record of an n-byte and a widest-suffix-byte field: one ``unpackbits``
+    fills the first fields, one gather from the padded suffix table the
+    second.  When the suffixes differ in length, one mask then cuts each
+    row's padding out of the block.
     """
-    strings = []
-    for at in range(0, len(indices), 4096):
-        chunk = indices[at:at + 4096].astype("<i8", copy=False)
-        chars = np.unpackbits(
-            chunk.view(np.uint8).reshape(-1, 8), axis=1, count=n, bitorder="little"
+    lengths = np.fromiter(map(len, suffixes), np.int64, len(suffixes))
+    width = int(lengths.max())
+    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), f"V{width}")
+    row = np.dtype({"names": ["bits", "suffix"], "formats": [f"V{n}", f"V{width}"],
+                    "offsets": [0, n], "itemsize": n + width})
+    block = np.empty(len(indices), dtype=row)
+    if n:
+        bits = np.unpackbits(
+            indices.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+            axis=1, count=n, bitorder="little",
         )
-        chars += ord("0")
-        text = chars.tobytes().decode("ascii")
-        strings += [text[i * n:i * n + n] for i in range(len(chunk))]
+        bits += ord("0")
+        block["bits"] = bits.view(f"V{n}").ravel()
+    block["suffix"] = table[level_ids]
+    text = block.view(np.uint8)
+    if lengths.min() < width:  # gather each row's keep-mask by its level, too
+        keep = np.arange(n + width) < n + lengths[:, None]
+        text = text[keep.view(f"V{n + width}").ravel()[level_ids].view(bool)]
+    return text.tobytes().decode("ascii")
+
+
+def _bitstrings(indices: np.ndarray, n: int) -> list:
+    """Textual bitstrings of basis-state indices, rendered a block at a time."""
+    strings = []
+    for at in range(0, len(indices), _BLOCK_ROWS):
+        block = indices[at:at + _BLOCK_ROWS]
+        lines = _render_rows(block, n, [b"\n"], np.zeros(len(block), dtype=np.intp))
+        strings += lines.split("\n")[:-1]
     return strings
 
 
@@ -194,20 +223,63 @@ def ground_states(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     return Fraction(emin, scale), _bitstrings(np.flatnonzero(ints == emin), ising.n)
 
 
-def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
-    """All 2^n (bitstring, energy) pairs sorted by energy, ties by index.
+def _energy_suffix(value: int, scale: int) -> bytes:
+    """``,energy`` and a newline, the energy ``value / scale`` written as by
+    ``rational_to_json``."""
+    g = gcd(value, scale)
+    if g == scale:
+        return b",%d\n" % (value // scale)
+    return b",%d/%d\n" % (value // g, scale // g)
 
-    The rows of one energy level share one Fraction object.
+
+def spectrum_csv_rows(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
+    """The spectrum CSV: the header line, then blocks of at most 4096 rows.
+
+    All 2^n rows ``bitstring,energy`` sorted by energy, ties by index.  The
+    cap is checked before the first block is asked for.  Beyond the cached
+    int64 energies, the only full-length array is the sort order, and the
+    text of each energy level is rendered once.
     """
     _spin_limit(ising.n, cap, "spectrum")
     scale = ising.to_int_arrays()[0]
-    ints = ising.energy_int_vector()
-    order = np.argsort(ints, kind="stable")
-    energies = ints[order]
-    bounds = [0, *(np.flatnonzero(np.diff(energies)) + 1).tolist(), len(order)]
-    bitstrings = _bitstrings(order, ising.n)
+    return _spectrum_blocks(ising.n, scale, ising.energy_int_vector())
+
+
+def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
+    yield "bitstring,energy\n"
+    order = np.argsort(ints, kind="stable")  # by energy, ties by index
+    last, suffix = None, None
+    for at in range(0, len(order), _BLOCK_ROWS):
+        indices = order[at:at + _BLOCK_ROWS]
+        energies = ints[indices]
+        starts = np.empty(len(energies), dtype=bool)  # row opens a new level
+        starts[0] = last is None or energies[0] != last
+        np.not_equal(energies[1:], energies[:-1], out=starts[1:])
+        suffixes = [_energy_suffix(v, scale) for v in energies[starts].tolist()]
+        levels = np.cumsum(starts)
+        if starts[0]:
+            levels -= 1
+        else:  # the block opens inside the previous block's last level
+            suffixes.insert(0, suffix)
+        yield _render_rows(indices, n, suffixes, levels)
+        last, suffix = energies[-1], suffixes[-1]
+
+
+def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
+    """All 2^n (bitstring, energy) pairs sorted by energy, ties by index.
+
+    Read back from ``spectrum_csv_rows``; the rows of one energy level share
+    one Fraction object.
+    """
+    blocks = spectrum_csv_rows(ising, cap)
+    next(blocks)  # header
+    levels = {}
     rows = []
-    for start, stop in zip(bounds, bounds[1:]):
-        energy = Fraction(int(energies[start]), scale)
-        rows += [(bits, energy) for bits in bitstrings[start:stop]]
+    for block in blocks:
+        for line in block.splitlines():
+            bits, text = line.split(",")
+            energy = levels.get(text)
+            if energy is None:
+                energy = levels[text] = Fraction(text)
+            rows.append((bits, energy))
     return rows

@@ -98,6 +98,10 @@ class TestAudit:
         }))
         assert main(["audit", str(doc_path)]) == 3
 
+    def test_negative_cap_exits_2(self, capsys):
+        assert main(["audit", COUNTER, "--cap", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
 
 class TestSpectrumCsv:
     def test_efficient_spectrum(self, tmp_path):
@@ -144,6 +148,12 @@ class TestSpectrumCsv:
         assert main(["spectrum", str(doc_path), "--cap", "30"]) == 3
         assert main(["audit", str(doc_path), "--cap", "40"]) == 3
         assert "capped at 24" in capsys.readouterr().err
+
+    def test_negative_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", LANDSCAPE, "--cap", "-1", "-o", str(out)]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()  # refused before the output is opened
 
 
 class TestLandscapeCsv:

@@ -18,6 +18,9 @@ CASES = [
      "counterexample_audit_safe.json"),
     (["encode", "landscape.json", "--layout", "efficient", "--form", "ising"],
      "landscape_efficient_ising.json"),
+    (["spectrum", "landscape.json"], "landscape_spectrum.csv"),
+    (["spectrum", "counterexample.json", "--penalties", "safe"],
+     "counterexample_spectrum_safe.csv"),
 ]
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +23,11 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
+from tspvqe.ising import spectrum_csv_rows
 from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.oracle import Tour
+from tspvqe.rationals import rational_to_json
 
 
 def _poly(n_vars, constant=0, linear=(), quadratic=()):
@@ -229,6 +232,27 @@ def test_spectrum_rows_match_exact_energies(n):
     if n > 2:
         energies = [e for _, e in levels]
         assert len(set(energies)) < len(energies)  # degenerate levels present
+    assert "".join(spectrum_csv_rows(ising)) == "bitstring,energy\n" + "".join(
+        f"{bits},{rational_to_json(energy)}\n" for energy, _, bits in expected
+    )
+
+
+def test_spectrum_csv_peak_memory_per_row():
+    # the 24-spin cap must not be a memory cliff: writing a 20-spin p/q
+    # spectrum into a sink holds the int64 energies, the sort order and one
+    # block, at most 32 B of traced memory per row
+    n = 20
+    ising = _random_ising(random.Random(n), n)
+    ising.to_int_arrays()
+    tracemalloc.start()
+    try:
+        for _ in spectrum_csv_rows(ising):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ising._int_energies is not None  # enumerated while traced
+    assert peak <= 32 << n
 
 
 def test_energies_at_equals_float_vector_bits():
