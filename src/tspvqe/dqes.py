@@ -40,6 +40,9 @@ _SEED_STRIDE = 100003
 _SUPPORT_BITS = (np.arange(8) >> np.arange(3)[:, None]) & 1
 # the ",basis,element," cells of one triple's rows, in record order
 _BASIS_ELEMENT_CELLS = tuple(f",{b},{e}," for b in range(9) for e in range(8))
+# rows rendered at a time by the landscape CSV writer: 14 triples, so that a
+# block's arrays stay below the 0.3 MB that finding the distinct energies takes
+_BLOCK_ROWS = 14 * _RECORDS_PER_TRIPLE
 
 
 @dataclass(frozen=True)
@@ -122,17 +125,50 @@ def best_k(landscape: Landscape, k: int):
     return [landscape[i] for i in np.argsort(landscape.energies, kind="stable")[:k]]
 
 
+def _cell_table(cells):
+    """Byte strings as one ``V<widest>`` array, each padded with zero bytes."""
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(cell.ljust(width, b"\0") for cell in cells), f"V{width}")
+
+
 def landscape_csv_rows(landscape: Landscape):
-    """The landscape CSV: the header line, then one 72-line chunk per triple."""
+    """The landscape CSV: the header line, then one 72-line chunk per triple.
+
+    Row i is ``i,positions,basis,element,energy``, the energy written as its
+    ``repr``.  Each distinct float64 bit pattern is rendered once.  Rows are
+    rendered 14 triples at a time, as one numpy record per row: the index's
+    digits, computed, and a gather from a table of zero-padded cells for
+    each other field.  Dropping the zero bytes (the padding and the index's
+    leading zeros) leaves the text.
+    """
     yield "index,positions,basis,element,energy\n"
-    for t, triple in enumerate(landscape.triples.tolist()):
-        pos = "-".join(map(str, triple))
-        start = t * _RECORDS_PER_TRIPLE
-        energies = landscape.energies[start:start + _RECORDS_PER_TRIPLE].tolist()
-        yield "".join(
-            f"{start + j},{pos}{cells}{energy!r}\n"
-            for j, (cells, energy) in enumerate(zip(_BASIS_ELEMENT_CELLS, energies))
-        )
+    bits = landscape.energies.view(np.int64)
+    patterns = np.unique(bits)
+    tables = [
+        _cell_table([f",{'-'.join(map(str, t))}".encode() for t in landscape.triples.tolist()]),
+        _cell_table([cells.encode() for cells in _BASIS_ELEMENT_CELLS]),
+        _cell_table([f"{e!r}\n".encode() for e in patterns.view(np.float64).tolist()]),
+    ]
+    width = len(str(len(landscape) - 1))
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    row = np.dtype([("index", f"V{width}")] + [(f"f{k}", t.dtype) for k, t in enumerate(tables)])
+    for at in range(0, len(landscape), _BLOCK_ROWS):
+        index = np.arange(at, min(at + _BLOCK_ROWS, len(landscape)))
+        block = np.empty(len(index), dtype=row)
+        high = index[:, None] // powers  # zero exactly on the leading zeros
+        digits = np.where(high > 0, high % 10 + ord("0"), 0).astype(np.uint8)
+        digits[index == 0, -1] = ord("0")
+        block["index"] = digits.view(f"V{width}").ravel()
+        level = np.searchsorted(patterns, bits[at:at + len(index)])
+        ids = (index // _RECORDS_PER_TRIPLE, index % _RECORDS_PER_TRIPLE, level)
+        for k, (table, picked) in enumerate(zip(tables, ids)):
+            block[f"f{k}"] = table[picked]
+        text = block.view(np.uint8).reshape(len(index), -1)
+        keep = text != 0
+        ends = np.cumsum(keep.sum(axis=1))[_RECORDS_PER_TRIPLE - 1::_RECORDS_PER_TRIPLE]
+        rendered = text[keep].tobytes().decode("ascii")
+        for start, end in zip([0] + ends[:-1].tolist(), ends.tolist()):
+            yield rendered[start:end]
 
 
 # -- experiments ---------------------------------------------------------------

@@ -7,6 +7,8 @@ layer as a few grouped Ry matmuls and one fused phase vector for its Rz and
 Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
 ``(R, P)`` parameters applies row r's parameters to row r's state in one call,
 and each row comes out bit for bit as a call on that row alone would give it.
+A call can also run only some stages of the circuit: calls that split the
+stages between them give the bits of one call that runs them all.
 ``perfbench/run.py`` measures the kernels end to end.
 """
 
@@ -33,6 +35,11 @@ HAVE_NUMBA = False
 # every term lies in one half except the entanglers that cross the cut (at
 # most two), and exp(i w f) = cos w + i f sin w for f = +-1, so the phase
 # vector is a complex rank <= 4 product of small per-half tables.
+#
+# A stage is one grouped Ry matmul or one layer's phase vector.  The stages
+# run in order, layer by layer, and each reads only its own parameters, so a
+# state after the first s stages serves every parameter vector that agrees
+# with the one it was made with on the parameters of those stages.
 
 _RY_GROUP = 4
 
@@ -48,6 +55,8 @@ class _AnsatzPlan(NamedTuple):
     cross_terms: tuple  # terms with qubits on both sides of the cut
     hi_cross: np.ndarray  # (2^hi, 2^m) high factor of each subset of crossing terms
     lo_cross: np.ndarray  # (2^m, 2^lo) low factor of each subset
+    stage_count: int  # (layers + 1) * (len(ry_groups) + 1)
+    param_stage: np.ndarray  # (P,) the stage each parameter acts in
 
 
 def _spin_products(n_bits, offset, terms):
@@ -77,18 +86,25 @@ def _ansatz_plan(n, layers, ring):
     ry_angles = np.hstack([np.full((layers + 1, 1), pad), bases + np.arange(n)])
     sizes = [len(part) for part in np.array_split(np.arange(n), -(-n // _RY_GROUP))]
     sizes[0] += 1
+    # stage g of a layer is its Ry group g, the last one its phase vector
+    first_stage = np.arange(layers + 1)[:, None] * (len(sizes) + 1)
+    param_stage = np.empty(pad + 1, dtype=np.intp)  # the pad's entry is dropped
     ry_groups = []
     bit = 0
-    for k in sizes:
+    for g, k in enumerate(sizes):
         idx = np.arange(1 << k)
         t = np.arange(k)[:, None, None]
         code = 2 * ((idx[:, None] >> t) & 1) + ((idx[None, :] >> t) & 1)
         ry_groups.append((bit, k, code * (pad + 1) + ry_angles[:, bit:bit + k, None, None]))
+        param_stage[ry_angles[:, bit:bit + k]] = first_stage + g
         bit += k
 
     terms = [(q,) for q in range(n)] + [(e, (e + 1) % n) for e in range(n_ent)]
     phase_angles = bases + n + np.arange(len(terms))
     phase_angles[-1, n:] = pad  # the closing layer has Rz gates only
+    param_stage[phase_angles] = first_stage + len(sizes)
+    param_stage = param_stage[:pad]
+    param_stage.flags.writeable = False
     lo = n // 2
     hi_f = _spin_products(n - lo, lo, terms)
     lo_f = _spin_products(lo, 0, terms)
@@ -109,15 +125,19 @@ def _ansatz_plan(n, layers, ring):
         cross_terms=cross_terms,
         hi_cross=hi_cross,
         lo_cross=np.ascontiguousarray(lo_cross.T),
+        stage_count=(layers + 1) * (len(sizes) + 1),
+        param_stage=param_stage,
     )
 
 
-def _apply_ansatz(psi0, n, layers, ring, params):
-    """The ansatz on one state, or row by row on a stack of states.
+def _apply_ansatz(psi0, n, layers, ring, params, start, stop):
+    """Stages ``start`` to ``stop - 1``, on one state or row by row on a stack.
 
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
-    it would alone.
+    it would alone.  The tables of every stage are built, whatever ``start``
+    and ``stop`` are, so a stage's tables do not depend on which stages a
+    call runs.
     """
     plan = _ansatz_plan(n, layers, ring)
     batch = params.shape[:-1]
@@ -139,23 +159,30 @@ def _apply_ansatz(psi0, n, layers, ring, params):
     left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
     right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
 
-    amps = np.array(psi0, dtype=np.complex128, order="C")
-    spare = np.empty_like(amps)
-    for layer in range(layers + 1):
-        for (bit, k, _), mats in zip(plan.ry_groups, ry):
-            src, dst = amps.view(np.float64), spare.view(np.float64)
-            mat = mats[..., layer, :, :]
+    # each stage reads amps and writes the other buffer, so psi0 is read in
+    # place and never written
+    amps = psi0
+    buffers = [np.empty_like(psi0), np.empty_like(psi0)]
+    groups = len(plan.ry_groups)
+    for i, stage in enumerate(range(start, stop)):
+        layer, g = divmod(stage, groups + 1)
+        out = buffers[i % 2]
+        if g < groups:
+            bit, k, _ = plan.ry_groups[g]
+            src, dst = amps.view(np.float64), out.view(np.float64)
+            mat = ry[g][..., layer, :, :]
             if bit == 0:
                 shape = batch + (-1, 1 << k)
                 np.matmul(src.reshape(shape), mat.swapaxes(-1, -2), out=dst.reshape(shape))
             else:
                 shape = batch + (-1, 1 << k, 1 << bit)
                 np.matmul(mat[..., None, :, :], src.reshape(shape), out=dst.reshape(shape))
-            amps, spare = spare, amps
-        # the phase vector goes into the spare buffer, so no state-sized temporary
-        shape = batch + (left.shape[-2], -1)
-        np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=spare.reshape(shape))
-        amps *= spare
+        else:
+            # the phase vector goes into the output buffer, so no state-sized temporary
+            shape = batch + (left.shape[-2], -1)
+            np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
+            np.multiply(amps, out, out=out)
+        amps = out
     return amps
 
 
@@ -193,15 +220,37 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
     return energies
 
 
-def apply_ansatz_amplitudes(psi0, n, layers, ring, params):
+def ansatz_stages(n, layers, ring):
+    """``(stage count, stage of each parameter)`` of the ansatz kernel.
+
+    A stage is one grouped Ry matmul or one layer's phase vector; the stages
+    run in order, and parameter p acts in stage ``stages[p]`` alone.  At 16
+    qubits and 2 layers there are 15 stages.  The array is read-only.
+    """
+    plan = _ansatz_plan(n, layers, bool(ring))
+    return plan.stage_count, plan.param_stage
+
+
+def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None):
     """Apply the layered Ry/Rz/Rzz ansatz to a state vector, or to a stack.
 
     One state ``(2^n,)`` takes parameters ``(P,)``; a stack ``(R, 2^n)`` takes
     ``(R, P)``, row r's parameters acting on row r's state.  The result has
     the shape of ``psi0``, and ``psi0`` is not modified.
+
+    ``start`` and ``stop`` run only the stages from ``start`` to ``stop - 1``
+    (see :func:`ansatz_stages`; by default all of them): ``psi0`` is then
+    the state after the first ``start`` stages, and the result the state
+    after the first ``stop``.  Calls that split the stages between them,
+    each with the same parameters on its own stages, give the bits of one
+    call that runs them all.
     """
     params = np.asarray(params, dtype=np.float64)
-    psi0 = np.asarray(psi0, dtype=np.complex128)
+    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
     if psi0.shape[:-1] != params.shape[:-1]:
         raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
-    return _apply_ansatz(psi0, n, layers, bool(ring), params)
+    count, _ = ansatz_stages(n, layers, ring)
+    stop = count if stop is None else stop
+    if not 0 <= start < stop <= count:
+        raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")
+    return _apply_ansatz(psi0, n, layers, bool(ring), params, start, stop)

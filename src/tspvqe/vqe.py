@@ -37,6 +37,14 @@ least one), so at 16 qubits a group is one run and a call one unstacked
 state.  The kernel gives each row the bits a call on it alone would, and each
 expectation is one dot product per row, so a trace does not depend on the
 batch it ran in.  :func:`run_vqe` is a group of one.
+
+Where a call holds one state (14 qubits and up), a run also keeps one
+partly applied state, a prefix: its current point after the ansatz stages
+below the first stage at which the vectors of a request differ.  Rotation
+descent's probe pair and the candidate after it all start from that
+prefix, and the kernel runs only the later stages, with the full call's
+bits.  The prefix is found by comparing parameter vectors, so the searches
+do not know of it.
 """
 
 from __future__ import annotations
@@ -537,35 +545,34 @@ def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_to
         np.stack([psi0.amplitudes for psi0, _ in built]) if len(built) > 1
         else built[0][0].amplitudes[None]
     )
-    results = _lockstep(searches, states, energy_vector, ansatz)
+    results, peaks = _lockstep(searches, states, energy_vector, ansatz)
     return [
-        _trace(init, seed, psi0, result, ansatz, ground_energy, target_tol)
-        for (init, seed), (psi0, _), result in zip(group, built, results)
+        _trace(init, seed, result, peak, ansatz, ground_energy, target_tol)
+        for (init, seed), result, peak in zip(group, results, peaks)
     ]
 
 
 def _lockstep(searches, states, energy_vector, ansatz):
-    """Drive ask/tell searches together; return their results in order.
+    """Drive ask/tell searches together; return their results in order, and
+    for each the basis state of highest probability at its best point.
 
     Search i starts from row i of ``states``.  Each round evaluates the
     pending vectors of every live search, in kernel calls of at most
     ``LOCKSTEP_AMPLITUDES`` amplitudes; a call with one state passes it
-    unstacked.  Each expectation is one dot product per row.
+    unstacked, and starts from the run's ``_Prefix``.  Each state is
+    measured by its run's ``_Tally`` as soon as its kernel call returns.
     """
     per_call = max(1, LOCKSTEP_AMPLITUDES >> ansatz.n)
     results = [None] * len(searches)
+    tallies = [_Tally(energy_vector) for _ in searches]
+    prefixes = [_Prefix(psi0, ansatz) for psi0 in states] if per_call == 1 else None
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
-        owners = [i for i, request in pending.items() for _ in request]
-        params = [x for request in pending.values() for x in request]
-        values = []
-        for first in range(0, len(params), per_call):
-            rows = owners[first:first + per_call]
-            if len(rows) == 1:
-                values += _expectations(states[rows[0]], params[first], energy_vector, ansatz)
-            else:
-                theta = np.array(params[first:first + per_call])
-                values += _expectations(states[rows], theta, energy_vector, ansatz)
+        if prefixes is None:
+            values = _stacked_values(pending, states, tallies, per_call, ansatz)
+        else:
+            values = [value for i, request in pending.items()
+                      for value in prefixes[i].values(request, tallies[i])]
         start = 0
         for i, request in list(pending.items()):
             try:
@@ -574,22 +581,95 @@ def _lockstep(searches, states, energy_vector, ansatz):
                 results[i] = done.value
                 del pending[i]
             start += len(request)
-    return results
+    return results, [tally.peak for tally in tallies]
 
 
-def _expectations(psi, theta, energy_vector, ansatz) -> list:
-    """Energy of the ansatz state of each row; its arrays die on return."""
+def _stacked_values(pending, states, tallies, per_call, ansatz) -> list:
+    """The energies of the pending vectors, in request order, each kernel call
+    a stack of up to ``per_call`` of the runs' initial states."""
+    owners = [i for i, request in pending.items() for _ in request]
+    params = [x for request in pending.values() for x in request]
+    values = []
+    for first in range(0, len(params), per_call):
+        rows = owners[first:first + per_call]
+        if len(rows) == 1:
+            amps = _amplitudes(states[rows[0]], params[first], ansatz)[None]
+        else:
+            amps = _amplitudes(states[rows], np.array(params[first:first + per_call]), ansatz)
+        values += [tallies[i](row) for i, row in zip(rows, np.abs(amps) ** 2)]
+    return values
+
+
+class _Tally:
+    """One run's energy measurements, and its most probable basis state at
+    the first evaluation of lowest energy (the strict ``<`` of ``_Recorder``)."""
+
+    def __init__(self, energy_vector):
+        self.energy_vector = energy_vector
+        self.best = np.inf
+        self.peak = None
+
+    def __call__(self, probabilities) -> float:
+        """The energy of a state's probabilities; one dot product."""
+        value = float(probabilities @ self.energy_vector)
+        if value < self.best:
+            self.best, self.peak = value, int(np.argmax(probabilities))
+        return value
+
+
+def _amplitudes(psi, theta, ansatz, **stages):
     ring = ansatz.entangler == "ring_rzz"
-    amps = kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta)
-    return [float(row @ energy_vector) for row in np.atleast_2d(np.abs(amps) ** 2)]
+    return kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta, **stages)
 
 
-def _trace(init, seed, psi0, result, ansatz, ground_energy, target_tol) -> VqeTrace:
-    final_state = apply_ansatz(ansatz, result.best_params, psi0)
-    best_bitstring = "".join(
-        str((int(np.argmax(final_state.probabilities())) >> k) & 1)
-        for k in range(ansatz.n)
-    )
+class _Prefix:
+    """One run's initial state and its kept prefix, for unstacked calls.
+
+    ``state`` is the ansatz state after the stages below ``stage``, applied
+    with the parameters ``params`` (stage 0: the initial state itself).
+    """
+
+    def __init__(self, psi0, ansatz):
+        self.psi0 = psi0
+        self.ansatz = ansatz
+        self.stage_count, self.param_stage = kernels.ansatz_stages(
+            ansatz.n, ansatz.layers, ansatz.entangler == "ring_rzz"
+        )
+        self._reset()
+
+    def _reset(self):
+        self.params, self.stage, self.state = None, 0, self.psi0
+
+    def _shared(self, a, b) -> int:
+        """The number of leading stages on which ``a`` and ``b`` agree, bit for bit."""
+        differ = self.param_stage[a.view(np.int64) != b.view(np.int64)]
+        return int(differ.min()) if differ.size else self.stage_count
+
+    def values(self, request, tally) -> list:
+        """The energies of the vectors of ``request``, in order.
+
+        Starts from the kept prefix when every vector agrees with it on the
+        stages below it, else from the initial state.  When the vectors
+        first differ past that start, the prefix is first carried forward
+        to there, with the first vector's parameters.  Each state dies once
+        measured, before the next call.
+        """
+        xs = [np.asarray(x, dtype=np.float64) for x in request]
+        if self.stage and min(self._shared(self.params, x) for x in xs) < self.stage:
+            self._reset()
+        split = min((self._shared(xs[0], x) for x in xs[1:]), default=0)
+        if self.stage < split < self.stage_count:
+            self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage, stop=split)
+            # a copy: a search may reuse the memory of the vectors it asked for
+            self.params, self.stage = xs[0].copy(), split
+        return [
+            tally(np.abs(_amplitudes(self.state, x, self.ansatz, start=self.stage)) ** 2)
+            for x in xs
+        ]
+
+
+def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTrace:
+    best_bitstring = "".join(str((peak >> k) & 1) for k in range(ansatz.n))
     converged = (
         ground_energy is not None
         and abs(result.best_value - ground_energy) <= target_tol

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -20,9 +20,19 @@ from tspvqe import (
     suggest_penalties,
     to_ising,
 )
-from tspvqe import kernels
-from tspvqe.dqes import _SEED_STRIDE, landscape_csv_rows
-from tspvqe.vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, run_vqe
+from tspvqe import kernels, vqe
+from tspvqe.dqes import _BASIS_ELEMENT_CELLS, _RECORDS_PER_TRIPLE, _SEED_STRIDE, landscape_csv_rows
+from tspvqe.vqe import (
+    AnsatzConfig,
+    MubInit,
+    OptimizerConfig,
+    RandomInit,
+    ZerosInit,
+    _restart_points,
+    optimize,
+    run_lockstep,
+    run_vqe,
+)
 
 
 def _trivial_ising(n):
@@ -186,6 +196,43 @@ class TestAgainstReference:
         assert text.split("\n")[:-1] == expected  # a list: pytest reports the first bad row
 
 
+def _landscape_rows_per_row(landscape):
+    """The landscape CSV as rendered before the block writer: one f-string per row."""
+    yield "index,positions,basis,element,energy\n"
+    for t, triple in enumerate(landscape.triples.tolist()):
+        pos = "-".join(map(str, triple))
+        start = t * _RECORDS_PER_TRIPLE
+        energies = landscape.energies[start:start + _RECORDS_PER_TRIPLE].tolist()
+        yield "".join(
+            f"{start + j},{pos}{cells}{energy!r}\n"
+            for j, (cells, energy) in enumerate(zip(_BASIS_ELEMENT_CELLS, energies))
+        )
+
+
+def _odd_landscape(n):
+    """A landscape on n qubits whose energies mix signed zeros, infinities,
+    NaN, subnormals and floats of every repr length."""
+    rng = np.random.default_rng(n)
+    triples = np.array(list(combinations(range(n), 3)), dtype=np.int64)
+    odd = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1e16, 123456789.0, 0.1, 1 / 3]
+    count = len(triples) * _RECORDS_PER_TRIPLE
+    energies = np.where(rng.random(count) < 0.3, rng.choice(odd, count),
+                        rng.normal(size=count) * 10.0 ** rng.integers(-8, 9, count))
+    return Landscape(triples, energies, np.zeros(count, dtype=np.int64))
+
+
+@pytest.mark.parametrize("which", ["shipped", "seeded16", "odd3", "odd12"])
+def test_landscape_writer_matches_per_row_rendering(which, landscape_ising):
+    if which.startswith("odd"):
+        landscape = _odd_landscape(int(which[3:]))  # 12: indices of 1-5 digits, qubits of 2
+    else:
+        landscape = compute_landscape(
+            landscape_ising if which == "shipped" else _seeded_ising_16())
+    blocks = list(landscape_csv_rows(landscape))
+    assert "".join(blocks) == "".join(_landscape_rows_per_row(landscape))
+    assert all(block.endswith("\n") for block in blocks)
+
+
 class TestSequence:
     def test_protocol(self, landscape_records):
         landscape = landscape_records
@@ -333,6 +380,32 @@ def _independent_traces(instance, report, ansatz, optimizer):
     ]
 
 
+def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, convergence_tol):
+    """(history, best parameters, best bitstring) of each start, from
+    ``optimize`` with an objective that runs the whole ansatz on every vector."""
+    energy_vector = ising.energy_float_vector()
+    ring = ansatz.entangler == "ring_rzz"
+    out = []
+    for init, seed in starts:
+        psi0, product_angles = init.build(ansatz.n)
+
+        def probabilities(x):
+            amps = kernels.apply_ansatz_amplitudes(psi0.amplitudes, ansatz.n, ansatz.layers,
+                                                   ring, x)
+            return np.abs(amps) ** 2
+
+        result = optimize(
+            lambda x: float(probabilities(x) @ energy_vector),
+            np.zeros(ansatz.parameter_count), optimizer, seed=seed, target=ground_energy,
+            target_tol=convergence_tol * max(1.0, abs(ground_energy)),
+            restart_points=_restart_points(ansatz, product_angles, seed),
+        )
+        peak = int(np.argmax(probabilities(result.best_params)))
+        bits = "".join(str((peak >> k) & 1) for k in range(ansatz.n))
+        out.append((result.history, [float(p) for p in result.best_params], bits))
+    return out
+
+
 class TestLockstep:
     """A batch run in lockstep equals its runs made one at a time."""
 
@@ -364,20 +437,60 @@ class TestLockstep:
 
     def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
         instance = _seeded_instance_16()
-        shapes = []
+        calls = []
         apply = kernels.apply_ansatz_amplitudes
 
-        def recording(psi0, *args):
-            shapes.append(np.shape(psi0))
-            return apply(psi0, *args)
+        def recording(psi0, *args, start=0, stop=None):
+            calls.append((np.shape(psi0), start, stop))
+            return apply(psi0, *args, start=start, stop=stop)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         optimizer = OptimizerConfig(method="rotation_descent", max_evals=20)
         report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
-        assert set(shapes) == {(1 << 16,)}
-        assert len(shapes) == sum(t.n_evaluations for t in report.traces) + 2
+        assert {shape for shape, _, _ in calls} == {(1 << 16,)}
+        # one call to the end per evaluation, none to find the best bitstrings
+        # afterwards; most start from a kept prefix, and fewer calls carry a
+        # prefix forward
+        evaluations = sum(t.n_evaluations for t in report.traces)
+        assert sum(stop is None for _, _, stop in calls) == evaluations
+        assert sum(start > 0 for _, start, stop in calls if stop is None) >= evaluations // 2
+        assert sum(stop is not None for _, _, stop in calls) <= evaluations // 2
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             instance, report, AnsatzConfig(n=16), optimizer)
+
+    def test_sixteen_qubits_match_full_evaluations(self):
+        """Prefix reuse at 16 qubits against whole-ansatz evaluations."""
+        ising = _seeded_ising_16()
+        ground = float(ground_states(ising)[0])
+        best = best_k(compute_landscape(ising), 1)[0]
+        starts = [(MubInit(positions=best.positions, basis=best.basis, element=best.element), 3),
+                  (RandomInit(seed=11), 4)]
+        ansatz = AnsatzConfig(n=16)
+        optimizer = OptimizerConfig(method="rotation_descent", max_evals=40)
+        traces = run_lockstep(ising, starts, ansatz, optimizer, ground, 1e-6)
+        assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
+            _full_kernel_traces(ising, starts, ansatz, optimizer, ground, 1e-6))
+
+    @pytest.mark.parametrize("method, max_evals, layers, entangler", [
+        ("rotation_descent", 700, 2, "linear_rzz"),
+        ("rotation_descent", 500, 3, "ring_rzz"),
+        ("nelder_mead", 300, 2, "linear_rzz"),
+    ])
+    def test_prefix_reuse_matches_full_evaluations(self, landscape_ising, monkeypatch,
+                                                   method, max_evals, layers, entangler):
+        """Prefix reuse forced on at 9 qubits, through sweeps, restarts and simplices.
+
+        With one state per call, as from 14 qubits up, every run keeps a prefix.
+        """
+        monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << 9)
+        ground = float(ground_states(landscape_ising)[0])
+        starts = [(RandomInit(seed=seed + 40), seed) for seed in range(3)] + [(ZerosInit(), 2)]
+        ansatz = AnsatzConfig(n=9, layers=layers, entangler=entangler)
+        optimizer = OptimizerConfig(method=method, max_evals=max_evals)
+        traces = run_lockstep(landscape_ising, starts, ansatz, optimizer, ground, 1e-6)
+        assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
+            _full_kernel_traces(landscape_ising, starts, ansatz, optimizer, ground, 1e-6))
+        assert max(t.n_evaluations for t in traces) > 3 * ansatz.parameter_count  # restarts ran
 
     def test_nine_qubits_stack_the_batch(self, landscape_instance, monkeypatch):
         shapes = []
@@ -393,5 +506,5 @@ class TestLockstep:
         evaluations = sum(t.n_evaluations for t in report.traces)
         # all 10 runs fit one group; a round asks at most two states per run
         assert max(shape[0] for shape in shapes if len(shape) == 2) == 20
-        assert sum(shape[0] if len(shape) == 2 else 1 for shape in shapes) == evaluations + 10
+        assert sum(shape[0] if len(shape) == 2 else 1 for shape in shapes) == evaluations
         assert len(shapes) < evaluations / 5

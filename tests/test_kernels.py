@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tspvqe import PseudoBooleanPolynomial
-from tspvqe.kernels import apply_ansatz_amplitudes, enumerate_spin_energies
+from tspvqe.kernels import ansatz_stages, apply_ansatz_amplitudes, enumerate_spin_energies
 from tspvqe.quantum import QuantumState, apply_gate
 
 
@@ -103,7 +103,8 @@ def test_ansatz_paths_agree():
 
     Covers the degenerate rings: at n = 1 the entangler acts on (0, 0) and
     at n = 2 it repeats the edge (0, 1).  An (R, 2^n) stack must give each
-    row bit for bit as a call on that row alone.
+    row bit for bit as a call on that row alone, and two calls that split the
+    stages at any boundary bit for bit as the full call.
     """
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 5, 9):
@@ -119,6 +120,22 @@ def test_ansatz_paths_agree():
                 reference = _ansatz_gate_by_gate(psi0, n, layers, ring, params)
                 assert np.max(np.abs(active - reference)) < 1e-12, (n, layers, ring)
                 assert np.array_equal(psi0, before)
+
+                count, stages = ansatz_stages(n, layers, ring)
+                assert len(stages) == n_par
+                for stage in range(1, count):
+                    prefix = apply_ansatz_amplitudes(psi0, n, layers, ring, params, stop=stage)
+                    assert np.array_equal(psi0, before)
+                    # parameters of the stages from `stage` on may differ from the first call's
+                    other = np.where(stages >= stage, rng.uniform(-np.pi, np.pi, n_par), params)
+                    prefix_before = prefix.copy()
+                    for theta in (params, other):
+                        resumed = apply_ansatz_amplitudes(prefix, n, layers, ring, theta, start=stage)
+                        whole = apply_ansatz_amplitudes(psi0, n, layers, ring, theta)
+                        assert np.array_equal(
+                            resumed.view(np.int64), whole.view(np.int64)
+                        ), (n, layers, ring, stage)
+                    assert np.array_equal(prefix, prefix_before)
 
                 for rows in (1, 2, 5, 33):
                     stack = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
@@ -138,3 +155,34 @@ def test_ansatz_rejects_mismatched_stack():
     states = np.ones((3, 4), dtype=complex)
     with pytest.raises(ValueError):
         apply_ansatz_amplitudes(states, 2, 1, False, np.zeros(9))
+
+
+def test_stages_follow_the_gate_order():
+    """Stages run layer by layer; within a layer the Ry groups come first.
+
+    Every parameter of a stage belongs to one layer, and the Ry parameters
+    of a layer sit in earlier stages than its Rz and Rzz parameters, which
+    share the layer's one phase stage.
+    """
+    for n, layers, ring in ((1, 1, True), (5, 2, False), (9, 3, True), (16, 2, False)):
+        count, stages = ansatz_stages(n, layers, ring)
+        n_ent = n if ring else n - 1
+        per_layer = 2 * n + n_ent
+        assert stages.flags.writeable is False
+        layer_of = np.minimum(np.arange(len(stages)) // per_layer, layers)
+        per_stage_layer = {(s, l) for s, l in zip(stages.tolist(), layer_of.tolist())}
+        assert len(per_stage_layer) == len(set(stages.tolist())) == count
+        for layer in range(layers + 1):
+            base = layer * per_layer
+            ry = stages[base:base + n]
+            phase = stages[base + n:(base + per_layer if layer < layers else base + 2 * n)]
+            assert ry.max() < phase.min() and len(set(phase.tolist())) == 1
+    assert ansatz_stages(16, 2, False)[0] == 15
+
+
+def test_stage_arguments_are_checked():
+    psi = np.ones(4, dtype=complex) / 2
+    count, _ = ansatz_stages(2, 1, False)
+    for start, stop in ((-1, None), (count, None), (0, 0), (2, 2), (3, 2), (0, count + 1)):
+        with pytest.raises(ValueError):
+            apply_ansatz_amplitudes(psi, 2, 1, False, np.zeros(9), start=start, stop=stop)

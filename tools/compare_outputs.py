@@ -1,0 +1,143 @@
+"""Compare the outputs of fixed tspvqe commands between this tree and a git ref.
+
+Run from the root of a tspvqe checkout::
+
+    python tools/compare_outputs.py REF
+
+Every command of ``commands()`` runs with ``--no-timestamp`` twice on this
+machine: once on the working tree's ``src/`` and once on a temporary
+``git worktree`` of REF (a branch, tag or commit).  Each pair of output files
+is then compared byte for byte.  The floats of the ``vqe`` reports and the
+``landscape`` CSVs depend on the BLAS build and the CPU, so no golden file
+can hold them; two checkouts on one machine can be compared.
+
+The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
+``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
+``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
+``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
+``--max-evals 20``) plus three longer 16-qubit batches, both landscape CSVs,
+and the spectrum CSVs.  The 5-node instances are written by this script, the
+same for both sides.
+
+Prints one line per output that differs or whose command failed, then a
+summary.  Exits 0 when every output is identical, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+SEEDS = range(11)  # 0 to 10
+
+# runs a JSON list of argv lists, read from stdin, through tspvqe.cli.main
+# in one process, and prints their exit codes as a JSON list
+_RUNNER = """\
+import json, sys
+sys.path.insert(0, "src")
+from tspvqe import cli
+print(json.dumps([cli.main(argv) for argv in json.load(sys.stdin)]))
+"""
+
+
+def _write_n5(path, seed):
+    """A seeded complete undirected 5-node TSP with costs 1-20."""
+    rng = random.Random(f"compare-outputs:n5:{seed}")
+    edges = [[u, v, rng.randint(1, 20)] for u in range(1, 6) for v in range(u + 1, 6)]
+    doc = {"nodes": 5, "directed": False, "variant": "tsp", "edges": edges,
+           "penalty_a": 1, "penalty_b": 1}
+    with open(path, "w") as handle:
+        json.dump(doc, handle)
+
+
+def commands(inputs):
+    """(output name, argv without the output flags) of every compared command.
+
+    Writes the 5-node instances into ``inputs``.  Paths of shipped instances
+    are relative to the checkout the command runs in.
+    """
+    landscape, counterexample = "instances/landscape.json", "instances/counterexample.json"
+    out = [
+        ("landscape_landscape.csv", ["landscape", landscape]),
+        ("spectrum_landscape.csv", ["spectrum", landscape]),
+        ("spectrum_counterexample_safe.csv",
+         ["spectrum", counterexample, "--penalties", "safe"]),
+    ]
+    for seed in SEEDS:
+        common = ["--seed", str(seed), "--threads", "1"]
+        paper = common + ["--max-evals", "300"]
+        out += [
+            (f"paper_best_mubs_{seed}.json",
+             ["vqe", landscape, "--init", "best-mubs", "--k", "10"] + paper),
+            (f"paper_random_{seed}.json", ["vqe", landscape, "--init", "random", "--k", "10"] + paper),
+            (f"paper_zeros_{seed}.json", ["vqe", landscape, "--init", "zeros"] + paper),
+        ]
+        n5 = os.path.join(inputs, f"n5_{seed}.json")
+        _write_n5(n5, seed)
+        safe = [n5, "--penalties", "safe"]
+        out += [
+            (f"n5_landscape_{seed}.csv", ["landscape"] + safe),
+            (f"n5_best_mubs_{seed}.json",
+             ["vqe"] + safe + ["--init", "best-mubs", "--k", "2", "--max-evals", "20"] + common),
+        ]
+    n5 = [os.path.join(inputs, "n5_0.json"), "--penalties", "safe", "--threads", "1"]
+    out += [
+        ("n5_spectrum_0.csv", ["spectrum"] + n5[:3]),
+        ("n5_long_0.json", ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--max-evals", "400"]),
+        ("n5_ring3_0.json", ["vqe"] + n5 + ["--init", "random", "--k", "1", "--layers", "3",
+                                           "--entangler", "ring_rzz", "--max-evals", "200"]),
+        ("n5_nelder_mead_0.json",
+         ["vqe"] + n5 + ["--init", "zeros", "--optimizer", "nelder_mead", "--max-evals", "200"]),
+    ]
+    return out
+
+
+def _run(checkout, listed, outdir):
+    """Run the commands in ``checkout``, writing into ``outdir``; their exit codes."""
+    os.makedirs(outdir)
+    argvs = [argv + ["--no-timestamp", "-o", os.path.join(outdir, name)] for name, argv in listed]
+    done = subprocess.run([sys.executable, "-c", _RUNNER], cwd=checkout, input=json.dumps(argvs),
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="git ref to compare the working tree with")
+    args = parser.parse_args(argv)
+    root = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="tspvqe-compare-") as tmp:
+        inputs = os.path.join(tmp, "inputs")
+        os.makedirs(inputs)
+        listed = commands(inputs)
+        ref_tree = os.path.join(tmp, "ref")
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", ref_tree, args.ref],
+                       cwd=root, check=True)
+        try:
+            ref_codes = _run(ref_tree, listed, os.path.join(tmp, "out_ref"))
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", ref_tree], cwd=root,
+                           check=True)
+        codes = _run(root, listed, os.path.join(tmp, "out_tree"))
+        bad = 0
+        for (name, _), ref_code, code in zip(listed, ref_codes, codes):
+            ours, theirs = (os.path.join(tmp, side, name) for side in ("out_tree", "out_ref"))
+            if code or ref_code:
+                print(f"FAILED {name}: exit {code} here, {ref_code} at {args.ref}")
+            elif not filecmp.cmp(ours, theirs, shallow=False):
+                print(f"DIFFERS {name}")
+            else:
+                continue
+            bad += 1
+    print(f"{len(listed) - bad} of {len(listed)} outputs identical to {args.ref}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
