@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ _LAYOUT_FLAGS = {"full": "full", "fixed": "fixed_start_full", "efficient": "effi
 
 
 def _default_threads() -> int:
+    """The worker count of ``$TSPVQE_THREADS``, read when a ``vqe`` command runs."""
     value = os.environ.get("TSPVQE_THREADS", "1")
     try:
         return max(1, int(value))
@@ -161,7 +163,7 @@ def cmd_vqe(args) -> int:
         ansatz=ansatz,
         optimizer=optimizer,
         convergence_tol=args.tol,
-        threads=args.threads,
+        threads=_default_threads() if args.threads is None else args.threads,
     )
     _emit_report(args, "vqe", report.to_dict())
     return 0
@@ -194,6 +196,15 @@ def _add_penalty_flags(parser):
     parser.add_argument("--penalty-b", default=None, help="B for --penalties explicit")
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help, unless the help states it."""
+
+    def _get_help_string(self, action):
+        if "(default:" in (action.help or ""):
+            return action.help
+        return super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tspvqe",
@@ -201,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "MUB energy landscapes, and VQE experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    formatter = argparse.ArgumentDefaultsHelpFormatter
+    formatter = _HelpFormatter
 
     p = sub.add_parser("encode", formatter_class=formatter,
                        help="emit a binary or Ising polynomial")
@@ -256,15 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-end", type=float, default=1e-4)
     p.add_argument("--max-evals", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: $TSPVQE_THREADS or 1)")
     p.set_defaults(func=cmd_vqe)
 
     return parser
 
 
+# one parser per process, built by the first ``main`` call, not at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeCapError as exc:

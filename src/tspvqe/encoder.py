@@ -14,8 +14,9 @@ structure encodes the problem:
   node 1, leaving (N-1)^2 variables; node 1's outgoing and incoming steps
   become linear boundary terms on columns 2 and N.
 
-All coefficients are exact rationals.  For undirected instances every stored
-edge contributes both traversal orientations.
+All coefficients are exact rationals, summed as Python ints over one common
+denominator and made Fractions once per term.  For undirected instances every
+stored edge contributes both traversal orientations.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import ising, layouts, oracle
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
-from .rationals import rational_to_json
+from .rationals import common_scale, rational_to_json
 
 AUDIT_VARIABLE_CAP = 24
 
@@ -101,12 +102,19 @@ class PseudoBooleanPolynomial:
 
 
 class _PolyBuilder:
-    def __init__(self, layout, node_count, variable_order):
+    """Sums terms as Python ints over the common denominator ``scale``.
+
+    Every ``add_*`` takes a coefficient times ``scale``; ``build`` makes one
+    Fraction per nonzero term.
+    """
+
+    def __init__(self, layout, node_count, variable_order, scale):
         self.layout = layout
         self.node_count = node_count
         self.order = variable_order
         self.index = {var: k for k, var in enumerate(variable_order)}
-        self.constant = Fraction(0)
+        self.scale = scale
+        self.constant = 0
         self.linear = {}
         self.quadratic = {}
 
@@ -114,28 +122,27 @@ class _PolyBuilder:
         self.constant += c
 
     def add_linear(self, var, c):
-        self.linear[var] = self.linear.get(var, Fraction(0)) + c
+        self.linear[var] = self.linear.get(var, 0) + c
 
     def add_quadratic(self, a, b, c):
         if self.index[a] > self.index[b]:
             a, b = b, a
-        self.quadratic[(a, b)] = self.quadratic.get((a, b), Fraction(0)) + c
+        self.quadratic[(a, b)] = self.quadratic.get((a, b), 0) + c
 
     def build(self) -> PseudoBooleanPolynomial:
+        scale = self.scale
         return PseudoBooleanPolynomial(
             layout=self.layout,
             node_count=self.node_count,
             variable_order=self.order,
-            constant=self.constant,
-            linear={v: c for v, c in self.linear.items() if c != 0},
-            quadratic={p: c for p, c in self.quadratic.items() if c != 0},
+            constant=Fraction(self.constant, scale),
+            linear={v: Fraction(c, scale) for v, c in self.linear.items() if c},
+            quadratic={p: Fraction(c, scale) for p, c in self.quadratic.items() if c},
         )
 
 
-def _add_one_hot_penalties(builder, instance):
-    """A * [(1 - row sum)^2 + (1 - column sum)^2] for every node and step."""
-    n = instance.node_count
-    a = instance.penalty_a
+def _add_one_hot_penalties(builder, n, a):
+    """a * [(1 - row sum)^2 + (1 - column sum)^2] for every node and step."""
     for v in range(1, n + 1):
         builder.add_constant(a)
         for t in range(1, n + 1):
@@ -160,42 +167,47 @@ def _transition_steps(instance):
     return [(t, t % n + 1) for t in range(1, n + 1)]
 
 
-def _full_builder(instance, layout, costs):
-    """Full-layout penalties, plus B*cost transitions over existing edges if ``costs``."""
+def _encode_full(instance, layout, costs, fixed_start=False):
+    """Full-layout penalties, plus B*cost transitions over existing edges if
+    ``costs``, plus the start-at-node-1 term A*(1 - x_{1,1})^2 if ``fixed_start``."""
     n = instance.node_count
-    builder = _PolyBuilder(layout, n, layouts.full_variable_order(n))
-    _add_one_hot_penalties(builder, instance)
-    weighted = [(u, v, instance.penalty_a) for u, v in instance.missing_ordered_pairs()]
-    if costs:
-        weighted += [(u, v, instance.penalty_b * c) for u, v, c in instance.ordered_edges()]
+    edges = list(instance.ordered_edges()) if costs else []
+    scale, (a, *edge_weights) = common_scale(
+        [instance.penalty_a, *(instance.penalty_b * c for _, _, c in edges)]
+    )
+    builder = _PolyBuilder(layout, n, layouts.full_variable_order(n), scale)
+    _add_one_hot_penalties(builder, n, a)
+    weighted = [(u, v, a) for u, v in instance.missing_ordered_pairs()]
+    weighted += [(u, v, w) for (u, v, _), w in zip(edges, edge_weights)]
     steps = _transition_steps(instance)
     for u, v, w in weighted:
         for t, t_next in steps:
             builder.add_quadratic((u, t), (v, t_next), w)
-    return builder
+    if fixed_start:
+        # (1 - x)^2 = 1 - x for binary x
+        builder.add_constant(a)
+        builder.add_linear((1, 1), -a)
+    return builder.build()
 
 
 def encode_cycle_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Penalty Hamiltonian whose zeros are exactly the valid cycles/paths."""
-    return _full_builder(instance, "full", costs=False).build()
+    return _encode_full(instance, "full", costs=False)
 
 
 def encode_tsp_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Cycle penalties plus cost-weighted transitions over existing edges."""
     if instance.variant != "tsp":
         raise ValidationError("encode_tsp_hamiltonian requires variant=tsp")
-    return _full_builder(instance, "full", costs=True).build()
+    return _encode_full(instance, "full", costs=True)
 
 
 def encode_fixed_start(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Full Hamiltonian plus the start-at-node-1 term A*(1 - x_{1,1})^2."""
     if instance.variant not in ("tsp", "hamiltonian_cycle"):
         raise ValidationError("encode_fixed_start requires variant tsp or hamiltonian_cycle")
-    builder = _full_builder(instance, "fixed_start_full", costs=instance.variant == "tsp")
-    # (1 - x)^2 = 1 - x for binary x
-    builder.add_constant(instance.penalty_a)
-    builder.add_linear((1, 1), -instance.penalty_a)
-    return builder.build()
+    return _encode_full(instance, "fixed_start_full", costs=instance.variant == "tsp",
+                        fixed_start=True)
 
 
 def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
@@ -209,17 +221,21 @@ def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
     for var, value in assignment.items():
         if var not in poly._index:
             raise ValidationError(f"cannot fix unknown variable {var}")
-        if value not in (0, 1):
+        if value not in (0, 1) or isinstance(value, float):
             raise ValidationError(f"variable {var} can be fixed to 0 or 1, not {value!r}")
     order = tuple(var for var in poly.variable_order if var not in assignment)
-    builder = _PolyBuilder(layout, poly.node_count, order)
-    builder.add_constant(poly.constant)
-    for var, c in poly.linear.items():
+    scale, ints = common_scale(
+        [poly.constant, *poly.linear.values(), *poly.quadratic.values()]
+    )
+    split = 1 + len(poly.linear)
+    builder = _PolyBuilder(layout, poly.node_count, order, scale)
+    builder.add_constant(ints[0])
+    for var, c in zip(poly.linear, ints[1:split]):
         if var in assignment:
             builder.add_constant(c * assignment[var])
         else:
             builder.add_linear(var, c)
-    for (a, b), c in poly.quadratic.items():
+    for (a, b), c in zip(poly.quadratic, ints[split:]):
         if a in assignment and b in assignment:
             builder.add_constant(c * assignment[a] * assignment[b])
         elif a in assignment:

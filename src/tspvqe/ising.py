@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
-from .rationals import rational_to_json, scale_to_int64
+from .rationals import common_scale, rational_to_json, scale_to_int64
 
 if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
@@ -114,34 +114,35 @@ class IsingPolynomial:
 
 
 def to_ising(poly: PseudoBooleanPolynomial) -> IsingPolynomial:
-    """Exact spin form of a quadratic pseudo-Boolean polynomial."""
-    constant = poly.constant
-    fields = {}
+    """Exact spin form of a quadratic pseudo-Boolean polynomial.
+
+    Sums Python ints over 4 times the common denominator of ``poly``'s
+    coefficients and makes one Fraction per nonzero term.
+    """
+    scale, ints = common_scale([poly.constant, *poly.linear.values(), *poly.quadratic.values()])
+    split = 1 + len(poly.linear)
+    index_of = poly.index_of
+    constant = 4 * ints[0]
+    fields = [0] * poly.n_vars
     couplings = {}
-
-    def add_field(i, c):
-        fields[i] = fields.get(i, Fraction(0)) + c
-
-    def add_coupling(i, j, c):
-        if i > j:
-            i, j = j, i
-        couplings[(i, j)] = couplings.get((i, j), Fraction(0)) + c
-
-    for var, coef in poly.linear.items():
+    for var, c in zip(poly.linear, ints[1:split]):
         # x = (1 - s)/2
-        constant += coef / 2
-        add_field(poly.index_of(var), -coef / 2)
-    for (a, b), coef in poly.quadratic.items():
+        constant += 2 * c
+        fields[index_of(var)] -= 2 * c
+    for (a, b), c in zip(poly.quadratic, ints[split:]):
         # x_a x_b = (1 - s_a - s_b + s_a s_b)/4
-        constant += coef / 4
-        add_field(poly.index_of(a), -coef / 4)
-        add_field(poly.index_of(b), -coef / 4)
-        add_coupling(poly.index_of(a), poly.index_of(b), coef / 4)
+        i, j = index_of(a), index_of(b)
+        constant += c
+        fields[i] -= c
+        fields[j] -= c
+        pair = (i, j) if i < j else (j, i)
+        couplings[pair] = couplings.get(pair, 0) + c
+    denominator = 4 * scale
     return IsingPolynomial(
         n=poly.n_vars,
-        constant=constant,
-        fields={i: c for i, c in fields.items() if c != 0},
-        couplings={p: c for p, c in couplings.items() if c != 0},
+        constant=Fraction(constant, denominator),
+        fields={i: Fraction(h, denominator) for i, h in enumerate(fields) if h},
+        couplings={p: Fraction(c, denominator) for p, c in couplings.items() if c},
         variable_order=poly.variable_order,
         layout=poly.layout,
         node_count=poly.node_count,

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import layouts
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
-from .rationals import rational_to_json
+from .rationals import common_scale, rational_to_json
 
 EXACT_TSP_NODE_CAP = 13
 
@@ -89,10 +88,11 @@ def _weight_matrix(instance):
     the step u -> v has no edge.  Python ints never overflow.
     """
     n = instance.node_count
-    scale = lcm(*(c.denominator for _, _, c in instance.edges))
+    ordered = list(instance.ordered_edges())
+    scale, ints = common_scale(c for _, _, c in ordered)
     w = [[None] * n for _ in range(n)]
-    for u, v, c in instance.ordered_edges():
-        w[u - 1][v - 1] = int(c * scale)
+    for (u, v, _), c in zip(ordered, ints):
+        w[u - 1][v - 1] = c
     return scale, w
 
 

@@ -42,6 +42,14 @@ def rational_to_json(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
+def common_scale(values):
+    """(scale, ints): the lcm of the denominators of ``values`` (Fractions or
+    ints) and each value times it, as exact Python ints."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def scale_to_int64(constant: Fraction, coefficients):
     """(scale, constant * scale, int64 array of coefficients * scale), exactly.
 
@@ -49,9 +57,7 @@ def scale_to_int64(constant: Fraction, coefficients):
     the scaled |constant| + sum |coefficients| is below 2^62, the bound under
     which the int64 energy kernel is exact.
     """
-    values = [constant, *coefficients]
-    scale = lcm(*(v.denominator for v in values))
-    ints = [int(v * scale) for v in values]
+    scale, ints = common_scale([constant, *coefficients])
     if sum(map(abs, ints)) >= 1 << 62:
         raise ValidationError("coefficients overflow int64 kernels")
     return scale, ints[0], np.array(ints[1:], dtype=np.int64)

@@ -1,12 +1,16 @@
 import itertools
 import pathlib
+from types import SimpleNamespace
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
-from tspvqe import LandscapeRecord, build_mubs_3q, load_instance
+from tspvqe import (
+    IsingPolynomial, LandscapeRecord, PseudoBooleanPolynomial, build_mubs_3q, load_instance,
+)
+from tspvqe.layouts import full_variable_order
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
@@ -129,3 +133,141 @@ def _landscape_reference(ising):
 @pytest.fixture(scope="session")
 def landscape_reference():
     return _landscape_reference
+
+
+class _FractionBuilder:
+    """A polynomial's terms summed in Fraction arithmetic, one addition per term."""
+
+    def __init__(self, order):
+        self.order = order
+        self.index = {var: k for k, var in enumerate(order)}
+        self.constant = Fraction(0)
+        self.linear = {}
+        self.quadratic = {}
+
+    def add_constant(self, c):
+        self.constant += c
+
+    def add_linear(self, var, c):
+        self.linear[var] = self.linear.get(var, Fraction(0)) + c
+
+    def add_quadratic(self, a, b, c):
+        if self.index[a] > self.index[b]:
+            a, b = b, a
+        self.quadratic[(a, b)] = self.quadratic.get((a, b), Fraction(0)) + c
+
+    def build(self, layout, node_count):
+        return PseudoBooleanPolynomial(
+            layout=layout,
+            node_count=node_count,
+            variable_order=self.order,
+            constant=self.constant,
+            linear={v: c for v, c in self.linear.items() if c != 0},
+            quadratic={p: c for p, c in self.quadratic.items() if c != 0},
+        )
+
+
+def _fix_reference(poly, assignment, layout):
+    """``encoder.fix_variables`` in Fraction arithmetic (no argument checks)."""
+    builder = _FractionBuilder(tuple(v for v in poly.variable_order if v not in assignment))
+    builder.add_constant(poly.constant)
+    for var, c in poly.linear.items():
+        if var in assignment:
+            builder.add_constant(c * assignment[var])
+        else:
+            builder.add_linear(var, c)
+    for (a, b), c in poly.quadratic.items():
+        if a in assignment and b in assignment:
+            builder.add_constant(c * assignment[a] * assignment[b])
+        elif a in assignment:
+            builder.add_linear(b, c * assignment[a])
+        elif b in assignment:
+            builder.add_linear(a, c * assignment[b])
+        else:
+            builder.add_quadratic(a, b, c)
+    return builder.build(layout, poly.node_count)
+
+
+def _encode_reference(instance, layout, costs):
+    """The binary form of ``instance`` in Fraction arithmetic, term by term.
+
+    The reference for the encoders: ``layout`` is ``full``,
+    ``fixed_start_full`` or ``efficient`` (row and column 1 of the
+    fixed-start form substituted); ``costs`` adds the B*cost transitions.
+    No variant checks.
+    """
+    n = instance.node_count
+    a, b = instance.penalty_a, instance.penalty_b
+    if layout == "efficient":
+        known = {(1, t): int(t == 1) for t in range(1, n + 1)}
+        known.update({(v, 1): 0 for v in range(2, n + 1)})
+        return _fix_reference(_encode_reference(instance, "fixed_start_full", costs),
+                              known, "efficient")
+    builder = _FractionBuilder(full_variable_order(n))
+    for v in range(1, n + 1):
+        builder.add_constant(a)
+        for t in range(1, n + 1):
+            builder.add_linear((v, t), -a)
+        for t1, t2 in itertools.combinations(range(1, n + 1), 2):
+            builder.add_quadratic((v, t1), (v, t2), 2 * a)
+    for t in range(1, n + 1):
+        builder.add_constant(a)
+        for v in range(1, n + 1):
+            builder.add_linear((v, t), -a)
+        for v1, v2 in itertools.combinations(range(1, n + 1), 2):
+            builder.add_quadratic((v1, t), (v2, t), 2 * a)
+    weighted = [(u, v, a) for u, v in instance.missing_ordered_pairs()]
+    if costs:
+        weighted += [(u, v, b * c) for u, v, c in instance.ordered_edges()]
+    if instance.variant == "hamiltonian_path":
+        steps = [(t, t + 1) for t in range(1, n)]
+    else:
+        steps = [(t, t % n + 1) for t in range(1, n + 1)]
+    for u, v, w in weighted:
+        for t, t_next in steps:
+            builder.add_quadratic((u, t), (v, t_next), w)
+    if layout == "fixed_start_full":
+        builder.add_constant(a)
+        builder.add_linear((1, 1), -a)
+    return builder.build(layout, n)
+
+
+def _to_ising_reference(poly):
+    """``ising.to_ising`` in Fraction arithmetic, one addition per term."""
+    constant = poly.constant
+    fields = {}
+    couplings = {}
+
+    def add_field(i, c):
+        fields[i] = fields.get(i, Fraction(0)) + c
+
+    def add_coupling(i, j, c):
+        if i > j:
+            i, j = j, i
+        couplings[(i, j)] = couplings.get((i, j), Fraction(0)) + c
+
+    for var, coef in poly.linear.items():
+        constant += coef / 2
+        add_field(poly.index_of(var), -coef / 2)
+    for (a, b), coef in poly.quadratic.items():
+        constant += coef / 4
+        add_field(poly.index_of(a), -coef / 4)
+        add_field(poly.index_of(b), -coef / 4)
+        add_coupling(poly.index_of(a), poly.index_of(b), coef / 4)
+    return IsingPolynomial(
+        n=poly.n_vars,
+        constant=constant,
+        fields={i: c for i, c in fields.items() if c != 0},
+        couplings={p: c for p, c in couplings.items() if c != 0},
+        variable_order=poly.variable_order,
+        layout=poly.layout,
+        node_count=poly.node_count,
+    )
+
+
+@pytest.fixture(scope="session")
+def fraction_reference():
+    """The Fraction-arithmetic references: ``encode``, ``fix_variables`` and
+    ``to_ising``, for the encoders and the spin form that sum exact ints."""
+    return SimpleNamespace(encode=_encode_reference, fix_variables=_fix_reference,
+                           to_ising=_to_ising_reference)

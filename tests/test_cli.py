@@ -1,9 +1,12 @@
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
-from tspvqe import encode_tsp_hamiltonian, energy_of_bitstring, load_instance, to_ising
+from tspvqe import (
+    dqes, encode_tsp_hamiltonian, energy_of_bitstring, load_instance, to_ising,
+)
 from tspvqe.cli import main
 from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.rationals import rational_to_json
@@ -203,15 +206,32 @@ class TestVqeCommand:
         assert "timestamp" in doc
 
 
-def test_threads_env_var_sets_default(monkeypatch):
-    from tspvqe.cli import build_parser
+def test_threads_env_var_sets_default(monkeypatch, tmp_path):
+    """``$TSPVQE_THREADS`` is read each time a vqe command runs, though the
+    parser is built once per process; an explicit --threads wins."""
+    seen = []
 
-    monkeypatch.setenv("TSPVQE_THREADS", "3")
-    args = build_parser().parse_args(["vqe", "x.json"])
-    assert args.threads == 3
-    monkeypatch.setenv("TSPVQE_THREADS", "junk")
-    args = build_parser().parse_args(["vqe", "x.json"])
-    assert args.threads == 1
+    def record(*args, threads, **kwargs):
+        seen.append(threads)
+        return SimpleNamespace(to_dict=dict)
+
+    monkeypatch.setattr(dqes, "run_experiment", record)
+    argv = ["vqe", LANDSCAPE, "-o", str(tmp_path / "out.json")]
+    for value in ("3", "junk", "2"):
+        monkeypatch.setenv("TSPVQE_THREADS", value)
+        assert main(argv) == 0
+    assert main(argv + ["--threads", "5"]) == 0
+    monkeypatch.delenv("TSPVQE_THREADS")
+    assert main(argv) == 0
+    assert seen == [3, 1, 2, 5, 1]
+
+
+def test_help_shows_the_threads_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["vqe", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--threads THREADS worker processes (default: $TSPVQE_THREADS or 1)" in text
+    assert "or 1) (default" not in text
 
 
 def test_help_lists_commands(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from tspvqe import (
     fix_variables,
     solve_exact_tsp,
     suggest_penalties,
+    to_ising,
     validate_bitstring,
 )
 from tspvqe.oracle import Tour
+from tspvqe.rationals import common_scale
 
 
 def bits_from_order(order, n):
@@ -248,9 +251,112 @@ class TestFixVariables:
         poly = encode_tsp_hamiltonian(complete4_instance)
         with pytest.raises(ValidationError):
             fix_variables(poly, {(5, 1): 0}, "full")
-        for value in (2, -1, Fraction(1, 2)):
+        for value in (2, -1, Fraction(1, 2), 1.0):
             with pytest.raises(ValidationError):
                 fix_variables(poly, {(1, 1): value}, "full")
+
+
+def _assert_same_ising(ising, reference):
+    assert (ising.n, ising.variable_order, ising.layout, ising.node_count) == (
+        reference.n, reference.variable_order, reference.layout, reference.node_count)
+    assert ising.constant == reference.constant
+    assert ising.fields == reference.fields
+    assert ising.couplings == reference.couplings
+    ours, theirs = ising.to_int_arrays(), reference.to_int_arrays()
+    assert ours[:2] == theirs[:2]  # scale, constant
+    for a, b in zip(ours[2:], theirs[2:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_poly(poly, reference, fraction_reference):
+    assert (poly.layout, poly.node_count, poly.variable_order) == (
+        reference.layout, reference.node_count, reference.variable_order)
+    assert poly.constant == reference.constant
+    assert poly.linear == reference.linear
+    assert poly.quadratic == reference.quadratic
+    _assert_same_ising(to_ising(poly), fraction_reference.to_ising(reference))
+
+
+def _random_rational_polynomial(rng, n):
+    """Coefficients p/q with |p| <= 6 and q in 1..12; some terms are made to
+    cancel in the spin form, and some quadratic pairs come in both orders."""
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+
+    order = tuple((v, t) for v in (1, 2, 3) for t in (1, 2, 3))[:n]
+    quadratic = {}
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.6:
+            pair = (order[i], order[j]) if rng.random() < 0.7 else (order[j], order[i])
+            quadratic[pair] = rational()
+            if rng.random() < 0.2:  # the same spin pair again, often cancelling
+                quadratic[pair[::-1]] = -quadratic[pair] if rng.random() < 0.5 else rational()
+    linear = {}
+    for var in order:
+        roll = rng.random()
+        if roll < 0.3:  # the field of var cancels: L = -(sum of its q) / 2
+            touching = [c for pair, c in quadratic.items() if var in pair]
+            linear[var] = -sum(touching, Fraction(0)) / 2
+        elif roll < 0.8:
+            linear[var] = rational()
+    return PseudoBooleanPolynomial(layout="full", node_count=n, variable_order=order,
+                                   constant=rational(), linear=linear, quadratic=quadratic)
+
+
+def _random_pq_instance(rng, n, variant, directed):
+    """A seeded instance with p/q costs and penalties and some edges missing."""
+    pairs = (itertools.permutations if directed else itertools.combinations)(range(1, n + 1), 2)
+    edges = [(u, v, f"{rng.randint(0, 20)}/{rng.randint(1, 9)}")
+             for u, v in pairs if rng.random() < 0.75]
+    return ProblemInstance(n, directed, variant, tuple(edges),
+                           f"{rng.randint(1, 60)}/{rng.randint(1, 7)}",
+                           f"{rng.randint(1, 9)}/{rng.randint(1, 5)}")
+
+
+class TestExactArithmetic:
+    """The int-summing builder, ``fix_variables`` and ``to_ising`` against the
+    same sums in Fraction arithmetic."""
+
+    def test_common_scale(self):
+        values = [Fraction(-3, 4), Fraction(5, 6), 7, Fraction(0)]
+        assert common_scale(values) == (12, [-9, 10, 84, 0])
+        assert common_scale([]) == (1, [])
+
+    def test_random_polynomials(self, fraction_reference):
+        rng = random.Random(41)
+        dropped = 0
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            poly = _random_rational_polynomial(rng, n)
+            reference = fraction_reference.to_ising(poly)
+            _assert_same_ising(to_ising(poly), reference)
+            touched = {poly.index_of(v) for v in poly.linear}
+            touched.update(poly.index_of(v) for pair in poly.quadratic for v in pair)
+            dropped += len(touched) - len(reference.fields)
+            assignment = {v: rng.randint(0, 1)
+                          for v in rng.sample(poly.variable_order, rng.randint(0, n))}
+            _assert_same_poly(fix_variables(poly, assignment, "reduced"),
+                              fraction_reference.fix_variables(poly, assignment, "reduced"),
+                              fraction_reference)
+        assert dropped > 0  # cancelled fields were produced, and dropped
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("variant", ["tsp", "hamiltonian_cycle", "hamiltonian_path"])
+    def test_encoders_on_pq_instances(self, variant, directed, fraction_reference):
+        rng = random.Random(f"exact:{variant}:{directed}")
+        for n in range(2, 6):
+            for _ in range(2):
+                instance = _random_pq_instance(rng, n, variant, directed)
+                encoded = [(encode_cycle_hamiltonian, "full", False)]
+                if variant == "tsp":
+                    encoded += [(encode_tsp_hamiltonian, "full", True),
+                                (encode_efficient, "efficient", True)]
+                if variant != "hamiltonian_path":
+                    encoded.append((encode_fixed_start, "fixed_start_full", variant == "tsp"))
+                for encoder, layout, costs in encoded:
+                    _assert_same_poly(encoder(instance),
+                                      fraction_reference.encode(instance, layout, costs),
+                                      fraction_reference)
 
 
 class TestPenalties:
