@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,6 +240,8 @@ def run_experiment(
         raise ValidationError(f"k must be at least 1, got {k}")
     if convergence_tol < 0:
         raise ValidationError(f"convergence_tol must be >= 0, got {convergence_tol}")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
     ising = to_ising(encode_efficient(instance))
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
@@ -262,6 +263,8 @@ def run_experiment(
 
     starts = [(init, seed * _SEED_STRIDE + 2 * i) for i, init in enumerate(inits)]
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
+
         # one contiguous part of the runs per worker, each run in lockstep
         size = -(-len(starts) // threads)
         jobs = [

@@ -33,7 +33,14 @@ _SHORT_VARIANT = {"cycle": "hamiltonian_cycle", "path": "hamiltonian_path", "tsp
 _VARIANT_SHORT = {"hamiltonian_cycle": "cycle", "hamiltonian_path": "path", "tsp": "tsp"}
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON ``true`` loads as ``True``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _normalize_variant(variant: str) -> str:
+    if not isinstance(variant, str):
+        raise ValidationError(f"variant must be a string, got {type(variant).__name__}")
     v = _SHORT_VARIANT.get(variant, variant)
     if v not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
@@ -57,7 +64,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         n = self.node_count
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ValidationError(f"node_count must be a positive integer, got {n!r}")
         object.__setattr__(self, "variant", _normalize_variant(self.variant))
         object.__setattr__(self, "penalty_a", parse_rational(self.penalty_a, "penalty_a"))
@@ -74,7 +81,7 @@ class ProblemInstance:
                 u, v, c = edge
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"edge #{i}: expected (u, v, cost)") from exc
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise ValidationError(f"edge #{i}: node ids must be integers")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"edge #{i}: node id out of range 1..{n}: ({u}, {v})")
@@ -174,6 +181,8 @@ def _load_json(text: str) -> ProblemInstance:
     missing = [k for k in ("nodes", "directed", "variant", "edges") if k not in doc]
     if missing:
         raise ParseError(f"missing key(s): {', '.join(missing)}")
+    if not isinstance(doc["directed"], bool):
+        raise ParseError("'directed': expected true or false")
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("'edges': expected a list")
@@ -182,7 +191,7 @@ def _load_json(text: str) -> ProblemInstance:
             raise ParseError(f"'edges'[{i}]: expected [u, v, cost]")
     return ProblemInstance(
         node_count=doc["nodes"],
-        directed=bool(doc["directed"]),
+        directed=doc["directed"],
         variant=doc["variant"],
         edges=tuple((e[0], e[1], e[2]) for e in edges),
         penalty_a=doc.get("penalty_a", 1),

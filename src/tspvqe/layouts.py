@@ -17,8 +17,6 @@ bitstrings are written with variable 0 first.
 
 from .errors import ValidationError
 
-LAYOUTS = ("full", "fixed_start_full", "efficient")
-
 
 def full_variable_order(n):
     return tuple((v, t) for v in range(1, n + 1) for t in range(1, n + 1))
@@ -26,14 +24,6 @@ def full_variable_order(n):
 
 def efficient_variable_order(n):
     return tuple((v, t) for v in range(2, n + 1) for t in range(2, n + 1))
-
-
-def variable_order_for(layout, n):
-    if layout in ("full", "fixed_start_full"):
-        return full_variable_order(n)
-    if layout == "efficient":
-        return efficient_variable_order(n)
-    raise ValidationError(f"unknown layout {layout!r}")
 
 
 def variable_count(layout, n):
@@ -55,14 +45,6 @@ def coerce_bits(bits, expected_length):
             f"bitstring length {len(values)} does not match variable count {expected_length}"
         )
     return values
-
-
-def bits_to_index(bits):
-    """Integer whose bit k is variable k (variable 0 = least significant)."""
-    z = 0
-    for k, b in enumerate(bits):
-        z |= b << k
-    return z
 
 
 def index_to_bits(z, length):

@@ -7,8 +7,6 @@ written with character k acting on qubit k.
 
 from __future__ import annotations
 
-import importlib.resources
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,6 +158,41 @@ def expectation(ising: IsingPolynomial, state: QuantumState) -> float:
 # -- mutually unbiased bases -------------------------------------------------
 
 
+# generator triples of the 9 disjoint commuting classes of the 63
+# non-identity Pauli strings (Lawrence, Brukner and Zeilinger 2002); their
+# common eigenbases are the 9 MUBs, and basis 0 is the computational basis
+_MUB_GENERATORS = (
+    ("ZII", "IZI", "IIZ"),
+    ("XII", "IXI", "IIX"),
+    ("XZI", "ZXZ", "IZY"),
+    ("YIZ", "IXZ", "ZZX"),
+    ("YZZ", "ZXI", "ZIY"),
+    ("XZZ", "ZYI", "ZIX"),
+    ("XIZ", "IYZ", "ZZY"),
+    ("YZI", "ZYZ", "IZX"),
+    ("YII", "IYI", "IIY"),
+)
+
+# a Pauli as x bit | z bit << 1, so that the phase-free product is an XOR
+_PAULI_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+
+
+def _class_operators(generators) -> tuple:
+    """The 7 non-identity products of a generator triple, phase dropped.
+
+    The product of generator subset m (bit i selects generator i) sits at
+    index m - 1.
+    """
+    operators = []
+    for m in range(1, 8):
+        codes = [0, 0, 0]
+        for i, g in enumerate(generators):
+            if (m >> i) & 1:
+                codes = [c ^ _PAULI_CODE[ch] for c, ch in zip(codes, g)]
+        operators.append("".join("IXZY"[c] for c in codes))
+    return tuple(operators)
+
+
 @dataclass(frozen=True)
 class MubLibrary:
     """9 bases x 8 orthonormal 3-qubit states from commuting Pauli classes.
@@ -173,29 +206,18 @@ class MubLibrary:
     operator_classes: tuple
     generators: tuple
 
-    def state(self, basis: int, element: int) -> QuantumState:
-        return QuantumState(self.bases[basis][element], check=False)
-
-
-def _load_class_table():
-    path = importlib.resources.files("tspvqe").joinpath("data/mub_classes_3q.json")
-    return json.loads(path.read_text())
-
 
 @lru_cache(maxsize=1)
 def build_mubs_3q() -> MubLibrary:
-    """Construct the 9 MUBs as common eigenbases of the shipped class table.
+    """Construct the 9 MUBs as common eigenbases of ``_MUB_GENERATORS``.
 
     Each basis element is the rank-1 projector product of (I +/- G_i)/2 over
     the class's three generators; the global phase is fixed by making the
     first nonzero amplitude real positive.
     """
-    table = _load_class_table()
     bases = []
-    classes = []
-    generators = []
-    for entry in table["bases"]:
-        gens = [pauli_matrix(s) for s in entry["generators"]]
+    for triple in _MUB_GENERATORS:
+        gens = [pauli_matrix(s) for s in triple]
         states = []
         for element in range(8):
             proj = np.eye(8, dtype=complex)
@@ -209,10 +231,8 @@ def build_mubs_3q() -> MubLibrary:
             vec = vec * (np.conj(vec[first]) / np.abs(vec[first]))
             states.append(vec)
         bases.append(np.array(states))
-        classes.append(tuple(entry["operators"]))
-        generators.append(tuple(entry["generators"]))
     return MubLibrary(
         bases=tuple(bases),
-        operator_classes=tuple(classes),
-        generators=tuple(generators),
+        operator_classes=tuple(_class_operators(t) for t in _MUB_GENERATORS),
+        generators=_MUB_GENERATORS,
     )

@@ -193,6 +193,8 @@ class TestVqeCommand:
         ["--max-evals", "-5"],
         ["--init", "random", "--k", "0"],
         ["--tol", "-1"],
+        ["--threads", "0"],
+        ["--threads", "-4"],
     ])
     def test_meaningless_inputs_exit_2(self, flags, capsys):
         assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2

@@ -11,6 +11,17 @@ from tspvqe import (
     load_instance,
     save_instance,
 )
+from tspvqe.cli import main
+
+TRIANGLE = "[[1, 2, 1], [2, 3, 1], [1, 3, 1]]"
+# JSON documents whose fields have the wrong type; each must be refused
+BAD_FIELD_TYPES = {
+    "directed_string": '{"nodes": 3, "directed": "false", "variant": "tsp",'
+                       f' "edges": {TRIANGLE}}}',
+    "bool_node_count": '{"nodes": true, "directed": false, "variant": "tsp", "edges": []}',
+    "bool_node_id": '{"nodes": 3, "directed": false, "variant": "tsp", "edges": [[true, 2, 1]]}',
+    "list_variant": f'{{"nodes": 3, "directed": false, "variant": ["tsp"], "edges": {TRIANGLE}}}',
+}
 
 
 def test_load_landscape_json(landscape_instance):
@@ -121,3 +132,37 @@ def test_edge_list_format(counterexample_instance):
     text = save_instance(counterexample_instance, "edge_list")
     assert text.splitlines()[0] == "4 undirected tsp 11 1"
     assert load_instance(text, format="edge_list") == counterexample_instance
+
+
+def test_directed_must_be_a_json_bool():
+    # bool("false") is True, so a string must not pass for the flag
+    with pytest.raises(ParseError, match="'directed': expected true or false"):
+        load_instance(BAD_FIELD_TYPES["directed_string"])
+
+
+def test_bool_node_count_rejected():
+    with pytest.raises(ValidationError, match="node_count must be a positive integer"):
+        load_instance(BAD_FIELD_TYPES["bool_node_count"])
+    with pytest.raises(ValidationError, match="node_count"):
+        ProblemInstance(True, False, "cycle", (), 1, 1)
+
+
+def test_bool_node_id_rejected():
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        load_instance(BAD_FIELD_TYPES["bool_node_id"])
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        ProblemInstance(3, False, "tsp", ((1, True, 1),), 1, 1)
+
+
+def test_non_string_variant_rejected():
+    with pytest.raises(ValidationError, match="variant must be a string, got list"):
+        load_instance(BAD_FIELD_TYPES["list_variant"])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
+def test_bad_field_types_exit_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_FIELD_TYPES[case])
+    assert main(["solve", str(path), "--no-timestamp"]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("error: ")

@@ -58,6 +58,36 @@ class TestMubLibrary:
         assert np.allclose(mubs.bases[0], np.eye(8))
         assert np.allclose(mubs.bases[0][7], np.eye(8)[7])  # |111> is element 7
 
+    def test_element_convention_on_every_basis(self):
+        """<e|G_i|e> = -1 exactly when bit i of element e is set, and
+        ``operator_classes[b][m - 1]`` is the phase-free product of generator
+        subset m (bit i of m selects G_i)."""
+        mubs = build_mubs_3q()
+        for basis, gens, cls in zip(mubs.bases, mubs.generators, mubs.operator_classes):
+            mats = [pauli_matrix(g) for g in gens]
+            for element, state in enumerate(basis):
+                for i, g in enumerate(mats):
+                    expected = -1.0 if (element >> i) & 1 else 1.0
+                    assert abs(np.vdot(state, g @ state) - expected) < 1e-10
+            for m in range(1, 8):
+                product = np.eye(8, dtype=complex)
+                for i, g in enumerate(mats):
+                    if (m >> i) & 1:
+                        product = product @ g
+                operator = pauli_matrix(cls[m - 1])
+                phase = np.vdot(operator, product) / 8
+                assert min(abs(phase - p) for p in (1, -1, 1j, -1j)) < 1e-12
+                assert np.allclose(product, phase * operator, atol=1e-12)
+
+    def test_generator_i_has_its_x_part_on_qubit_i(self):
+        # fixes the order within each triple of bases 1-8, and so which
+        # element index each state gets
+        mubs = build_mubs_3q()
+        assert mubs.generators[0] == ("ZII", "IZI", "IIZ")
+        for gens in mubs.generators[1:]:
+            for i, g in enumerate(gens):
+                assert [ch in "XY" for ch in g] == [q == i for q in range(3)]
+
     def test_states_are_stabilizer_eigenvectors(self):
         mubs = build_mubs_3q()
         for basis, cls in zip(mubs.bases, mubs.operator_classes):
