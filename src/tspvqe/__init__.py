@@ -13,7 +13,7 @@ from .encoder import (
 )
 from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
 from .graph import ProblemInstance, is_complete, load_instance, save_instance
-from .ising import IsingPolynomial, energy_of_bitstring, ground_states, spectrum, to_ising
+from .ising import IsingPolynomial, energy_of_bitstring, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
 from .quantum import (
     MubLibrary,
@@ -78,7 +78,6 @@ __all__ = [
     "run_vqe",
     "save_instance",
     "solve_exact_tsp",
-    "spectrum",
     "suggest_penalties",
     "to_ising",
     "validate_bitstring",

@@ -5,6 +5,10 @@ reads an instance file (JSON or edge-list), is deterministic given its flags
 and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 ``--no-timestamp`` is passed, so reruns can be compared byte for byte.
 
+``audit``, ``spectrum``, ``landscape`` and ``vqe`` share one size cap,
+``layouts.SPIN_CAP`` spins, checked from the node count before anything is
+encoded; ``--cap`` can lower it, not raise it.  ``encode`` is not capped.
+
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 """
 
@@ -18,7 +22,7 @@ import os
 import sys
 import traceback
 
-from . import dqes, ising, oracle
+from . import dqes, ising, layouts, oracle
 from .encoder import (
     audit_penalties,
     encode_cycle_hamiltonian,
@@ -131,13 +135,16 @@ def cmd_audit(args) -> int:
 
 def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
-    poly = _encode_polynomial(instance, _LAYOUT_FLAGS[args.layout])
+    layout = _LAYOUT_FLAGS[args.layout]
+    layouts.check_spins(layouts.variable_count(layout, instance.node_count), "spectrum", args.cap)
+    poly = _encode_polynomial(instance, layout)
     _emit(args, ising.spectrum_csv_rows(ising.to_ising(poly), cap=args.cap))
     return 0
 
 
 def cmd_landscape(args) -> int:
     instance = _read_instance(args)
+    layouts.check_spins(layouts.variable_count("efficient", instance.node_count), "landscape")
     poly = encode_efficient(instance)
     landscape = dqes.compute_landscape(ising.to_ising(poly))
     _emit(args, dqes.landscape_csv_rows(landscape))
@@ -147,7 +154,7 @@ def cmd_landscape(args) -> int:
 def cmd_vqe(args) -> int:
     instance = _read_instance(args)
     mode = {"zeros": "zeros", "best-mubs": "best_mubs", "random": "random"}[args.init]
-    n = (instance.node_count - 1) ** 2
+    n = layouts.variable_count("efficient", instance.node_count)
     ansatz = AnsatzConfig(n=n, layers=args.layers, entangler=args.entangler)
     optimizer = OptimizerConfig(
         method=args.optimizer,
@@ -231,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustively check the penalty choice")
     _add_common(p)
     _add_penalty_flags(p)
-    p.add_argument("--cap", type=int, default=24,
-                   help="max full-layout variables (at most 24)")
+    p.add_argument("--cap", type=int, default=layouts.SPIN_CAP,
+                   help=f"max full-layout variables (at most {layouts.SPIN_CAP})")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", formatter_class=formatter,
@@ -240,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_penalty_flags(p)
     p.add_argument("--layout", choices=tuple(_LAYOUT_FLAGS), default="efficient")
-    p.add_argument("--cap", type=int, default=24, help="max spin count (at most 24)")
+    p.add_argument("--cap", type=int, default=layouts.SPIN_CAP,
+                   help=f"max spin count (at most {layouts.SPIN_CAP})")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("landscape", formatter_class=formatter,

@@ -18,16 +18,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import oracle
+from . import layouts, oracle
 from .encoder import encode_efficient
-from .errors import SizeCapError, ValidationError
+from .errors import ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, ground_states, to_ising
 from .quantum import build_mubs_3q
 from .rationals import rational_to_json
-from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, ZerosInit, run_lockstep
+from .vqe import (
+    ATTEMPT_SWEEPS,
+    RESTART_JITTER,
+    AnsatzConfig,
+    MubInit,
+    OptimizerConfig,
+    RandomInit,
+    ZerosInit,
+    run_lockstep,
+)
 
-LANDSCAPE_QUBIT_CAP = 24
 MODES = ("zeros", "best_mubs", "random")
 _RECORDS_PER_TRIPLE = 72  # 9 bases x 8 elements
 
@@ -90,7 +98,7 @@ class Landscape(Sequence):
         )
 
 
-def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = LANDSCAPE_QUBIT_CAP):
+def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = layouts.SPIN_CAP):
     """Energies of all embedded MUB states, as a ``Landscape`` in record order.
 
     ``cap`` can lower the 24-qubit limit but not raise it.
@@ -98,9 +106,7 @@ def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = LANDSCAPE_QU
     n = ising.n
     if n < 3:
         raise ValidationError("partial-DQES needs at least 3 qubits")
-    cap = min(cap, LANDSCAPE_QUBIT_CAP)
-    if n > cap:
-        raise SizeCapError(f"landscape capped at {cap} qubits, got {n}")
+    layouts.check_spins(n, "landscape", cap)
     mubs = mubs or build_mubs_3q()
     probs = np.abs(np.array(mubs.bases)) ** 2  # (9 bases, 8 elements, 8 supports)
     triples = np.fromiter(
@@ -242,6 +248,7 @@ def run_experiment(
         raise ValidationError(f"convergence_tol must be >= 0, got {convergence_tol}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
+    layouts.check_spins(layouts.variable_count("efficient", instance.node_count), "vqe")
     ising = to_ising(encode_efficient(instance))
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
@@ -313,8 +320,8 @@ def run_experiment(
                 "rho_start": optimizer.rho_start,
                 "rho_end": optimizer.rho_end,
                 "max_evals": optimizer.max_evals,
-                "attempt_sweeps": optimizer.attempt_sweeps,
-                "restart_jitter": optimizer.restart_jitter,
+                "attempt_sweeps": ATTEMPT_SWEEPS,
+                "restart_jitter": RESTART_JITTER,
             },
             "threads": threads,
         },

@@ -27,11 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import ising, layouts, oracle
-from .errors import SizeCapError, ValidationError
+from .errors import ValidationError
 from .graph import ProblemInstance
 from .rationals import common_scale, rational_to_json
-
-AUDIT_VARIABLE_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,7 @@ class AuditReport:
         }
 
 
-def audit_penalties(instance: ProblemInstance, cap: int = AUDIT_VARIABLE_CAP,
+def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP,
                     max_minima_scan: int = 10000) -> AuditReport:
     """Brute-force the full-layout Hamiltonian and judge the penalty choice.
 
@@ -332,14 +330,7 @@ def audit_penalties(instance: ProblemInstance, cap: int = AUDIT_VARIABLE_CAP,
     """
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
-    if cap < 0:
-        raise ValidationError(f"audit cap must be non-negative, got {cap}")
-    n_vars = instance.node_count ** 2
-    limit = min(cap, AUDIT_VARIABLE_CAP)
-    if n_vars > limit:
-        raise SizeCapError(
-            f"full layout needs {n_vars} variables, above the cap of {limit}"
-        )
+    layouts.check_spins(layouts.variable_count("full", instance.node_count), "audit", cap)
     poly = (
         encode_tsp_hamiltonian(instance)
         if instance.variant == "tsp"

@@ -66,6 +66,8 @@ class ProblemInstance:
         n = self.node_count
         if not _is_int(n) or n < 1:
             raise ValidationError(f"node_count must be a positive integer, got {n!r}")
+        if not isinstance(self.directed, bool):
+            raise ValidationError(f"directed must be True or False, got {self.directed!r}")
         object.__setattr__(self, "variant", _normalize_variant(self.variant))
         object.__setattr__(self, "penalty_a", parse_rational(self.penalty_a, "penalty_a"))
         object.__setattr__(self, "penalty_b", parse_rational(self.penalty_b, "penalty_b"))

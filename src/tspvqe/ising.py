@@ -16,13 +16,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels, layouts
-from .errors import SizeCapError, ValidationError
 from .rationals import common_scale, rational_to_json, scale_to_int64
 
 if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
-
-SPECTRUM_VARIABLE_CAP = 24
 
 
 @dataclass
@@ -42,9 +39,6 @@ class IsingPolynomial:
     node_count: int
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _int_energies: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _float_energies: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -69,11 +63,9 @@ class IsingPolynomial:
         return self._arrays
 
     def energy_int_vector(self) -> np.ndarray:
-        """Scaled int64 energies of all 2^n basis states, enumerated once.
-
-        Callers check their own size cap first.
-        """
+        """Scaled int64 energies of all 2^n basis states, enumerated once."""
         if self._int_energies is None:
+            layouts.check_spins(self.n, "energy vector")
             _, const, li, lv, qi, qj, qv = self.to_int_arrays()
             self._int_energies = kernels.enumerate_spin_energies(
                 self.n, const, li, lv, qi, qj, qv
@@ -81,12 +73,9 @@ class IsingPolynomial:
         return self._int_energies
 
     def energy_float_vector(self) -> np.ndarray:
-        """float64 energies of all 2^n basis states (cached)."""
-        if self._float_energies is None:
-            _spin_limit(self.n, SPECTRUM_VARIABLE_CAP, "energy vector")
-            scale = self.to_int_arrays()[0]
-            self._float_energies = self.energy_int_vector().astype(np.float64) / scale
-        return self._float_energies
+        """float64 energies of all 2^n basis states, scaled from the int64 ones."""
+        ints = self.energy_int_vector()
+        return ints.astype(np.float64) / self.to_int_arrays()[0]
 
     def energies_at(self, indices) -> np.ndarray:
         """float64 energies at the given basis-state indices.
@@ -94,10 +83,8 @@ class IsingPolynomial:
         Scales only the gathered int64 entries, so the 2^n float64 vector is
         not built; the bits equal ``energy_float_vector()[indices]``.
         """
-        _spin_limit(self.n, SPECTRUM_VARIABLE_CAP, "energy vector")
-        scale = self.to_int_arrays()[0]
         gathered = self.energy_int_vector()[np.asarray(indices, dtype=np.int64)]
-        return gathered.astype(np.float64) / scale
+        return gathered.astype(np.float64) / self.to_int_arrays()[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,15 +148,6 @@ def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
     return total
 
 
-def _spin_limit(n: int, cap: int, what: str) -> None:
-    """Refuse a negative ``cap``, and n spins above it or above SPECTRUM_VARIABLE_CAP."""
-    if cap < 0:
-        raise ValidationError(f"{what} cap must be non-negative, got {cap}")
-    limit = min(cap, SPECTRUM_VARIABLE_CAP)
-    if n > limit:
-        raise SizeCapError(f"{what} capped at {limit} spins, got {n}")
-
-
 # Rows per rendered block: a block's buffers stay a few hundred KB, because
 # buffers of a megabyte or more fragment the C heap of a long-running process.
 _BLOCK_ROWS = 4096
@@ -215,9 +193,9 @@ def _bitstrings(indices: np.ndarray, n: int) -> list:
     return strings
 
 
-def ground_states(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
+def ground_states(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
     """(ground energy, all minimizing bitstrings in index order)."""
-    _spin_limit(ising.n, cap, "enumeration")
+    layouts.check_spins(ising.n, "enumeration", cap)
     scale = ising.to_int_arrays()[0]
     ints = ising.energy_int_vector()
     emin = int(ints.min())
@@ -233,7 +211,7 @@ def _energy_suffix(value: int, scale: int) -> bytes:
     return b",%d/%d\n" % (value // g, scale // g)
 
 
-def spectrum_csv_rows(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
+def spectrum_csv_rows(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
     """The spectrum CSV: the header line, then blocks of at most 4096 rows.
 
     All 2^n rows ``bitstring,energy`` sorted by energy, ties by index.  The
@@ -241,7 +219,7 @@ def spectrum_csv_rows(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
     int64 energies, the only full-length array is the sort order, and the
     text of each energy level is rendered once.
     """
-    _spin_limit(ising.n, cap, "spectrum")
+    layouts.check_spins(ising.n, "spectrum", cap)
     scale = ising.to_int_arrays()[0]
     return _spectrum_blocks(ising.n, scale, ising.energy_int_vector())
 
@@ -264,23 +242,3 @@ def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
             suffixes.insert(0, suffix)
         yield _render_rows(indices, n, suffixes, levels)
         last, suffix = energies[-1], suffixes[-1]
-
-
-def spectrum(ising: IsingPolynomial, cap: int = SPECTRUM_VARIABLE_CAP):
-    """All 2^n (bitstring, energy) pairs sorted by energy, ties by index.
-
-    Read back from ``spectrum_csv_rows``; the rows of one energy level share
-    one Fraction object.
-    """
-    blocks = spectrum_csv_rows(ising, cap)
-    next(blocks)  # header
-    levels = {}
-    rows = []
-    for block in blocks:
-        for line in block.splitlines():
-            bits, text = line.split(",")
-            energy = levels.get(text)
-            if energy is None:
-                energy = levels[text] = Fraction(text)
-            rows.append((bits, energy))
-    return rows

@@ -13,9 +13,15 @@ layouts map table cells to bit positions:
 
 Bit k of a basis-state index z is variable k of the layout order; textual
 bitstrings are written with variable 0 first.
+
+Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
+spin (and one qubit) each.  Entry points that take an instance check
+``variable_count`` with ``check_spins`` before they encode anything.
 """
 
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
+
+SPIN_CAP = 24  # 2^24 basis states: 128 MiB of int64 energies, 256 MiB of amplitudes
 
 
 def full_variable_order(n):
@@ -28,6 +34,18 @@ def efficient_variable_order(n):
 
 def variable_count(layout, n):
     return n * n if layout in ("full", "fixed_start_full") else (n - 1) * (n - 1)
+
+
+def check_spins(n, what, cap=SPIN_CAP):
+    """Refuse a negative ``cap``, and ``n`` spins above ``cap`` or ``SPIN_CAP``.
+
+    ``cap`` can lower the limit but not raise it.
+    """
+    if cap < 0:
+        raise ValidationError(f"{what} cap must be non-negative, got {cap}")
+    limit = min(cap, SPIN_CAP)
+    if n > limit:
+        raise SizeCapError(f"{what} capped at {limit} qubits, got {n}")
 
 
 def coerce_bits(bits, expected_length):

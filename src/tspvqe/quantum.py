@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .ising import IsingPolynomial
+from .layouts import SPIN_CAP
 
 NORM_TOL = 1e-10
-MAX_QUBITS = 24
 
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -37,8 +37,8 @@ class QuantumState:
         if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
             raise ValidationError("amplitude vector length must be a power of two")
         self.n = int(amps.size).bit_length() - 1
-        if self.n > MAX_QUBITS:
-            raise ValidationError(f"dense states are capped at {MAX_QUBITS} qubits")
+        if self.n > SPIN_CAP:
+            raise ValidationError(f"dense states are capped at {SPIN_CAP} qubits")
         if check and abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
             raise ValidationError("state is not normalized")
         self.amplitudes = amps

@@ -161,6 +161,13 @@ class MubInit:
 
 # -- optimizers ---------------------------------------------------------------
 
+# sweeps per rotation-descent attempt while chasing a target, after which the
+# search restarts from the next restart point
+ATTEMPT_SWEEPS = 1
+# half-width, in units of pi, of the uniform jitter around x0 that a restart
+# falls back to once the restart points are used up
+RESTART_JITTER = 0.02
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -168,16 +175,13 @@ class OptimizerConfig:
 
     ``rho_start`` scales the initial simplex (and, times pi, the sinusoid
     probe offset); ``rho_end`` is the resolution at which a descent is
-    considered finished.  ``attempt_sweeps`` caps each rotation-descent
-    attempt, after which the search restarts from the next restart point.
+    considered finished.
     """
 
     method: str = "nelder_mead"
     rho_start: float = 0.5
     rho_end: float = 1e-4
     max_evals: int = 2000
-    attempt_sweeps: int = 1
-    restart_jitter: float = 0.02
 
     def __post_init__(self):
         if self.method not in ("nelder_mead", "rotation_descent"):
@@ -356,7 +360,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     probe = np.pi * config.rho_start
     cos_p, sin_p = np.cos(probe), np.sin(probe)
     queue = [np.asarray(p, dtype=float) for p in (restart_points or [])]
-    attempt_cap = max(1, config.attempt_sweeps) * 3 * dim
+    attempt_cap = ATTEMPT_SWEEPS * 3 * dim
 
     x = np.array(x0, copy=True)
     fx = rec.best_f
@@ -401,9 +405,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
             if queue:
                 x = queue.pop(0)
             else:
-                x = x0 + rng.uniform(
-                    -config.restart_jitter * np.pi, config.restart_jitter * np.pi, dim
-                )
+                x = x0 + rng.uniform(-RESTART_JITTER * np.pi, RESTART_JITTER * np.pi, dim)
             [fx] = yield from rec.ask(x)
             attempt_evals = 0
 

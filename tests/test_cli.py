@@ -1,11 +1,12 @@
 import json
 import pathlib
+import time
 from types import SimpleNamespace
 
 import pytest
 
 from tspvqe import (
-    dqes, encode_tsp_hamiltonian, energy_of_bitstring, load_instance, to_ising,
+    dqes, encode_tsp_hamiltonian, encoder, energy_of_bitstring, load_instance, to_ising,
 )
 from tspvqe.cli import main
 from tspvqe.layouts import bits_to_string, index_to_bits
@@ -157,6 +158,30 @@ class TestSpectrumCsv:
         assert main(["spectrum", LANDSCAPE, "--cap", "-1", "-o", str(out)]) == 2
         assert "non-negative" in capsys.readouterr().err
         assert not out.exists()  # refused before the output is opened
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum"], ["spectrum", "--layout", "full"], ["landscape"], ["vqe"], ["audit"],
+])
+def test_huge_instance_refused_before_encoding(command, tmp_path, monkeypatch, capsys):
+    # 100,000 nodes need about 10^10 spins: the cap is checked from the node
+    # count, so no command may reach the encoders
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nodes": 100_000, "directed": False, "variant": "tsp",
+                                "edges": []}))
+
+    def encode(*args, **kwargs):
+        raise AssertionError("encoded before the spin cap was checked")
+
+    monkeypatch.setattr(encoder, "_encode_full", encode)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main([command[0], str(path), *command[1:], "--no-timestamp", "-o", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 3, capsys.readouterr().err
+    assert elapsed < 1.0
+    assert "capped at 24 qubits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestLandscapeCsv:

@@ -130,11 +130,18 @@ class TestLandscape:
             compute_landscape(_trivial_ising(6), cap=5)
         assert ising._int_energies is None  # refused before enumerating
 
+    def test_negative_cap_is_a_validation_error(self):
+        ising = _trivial_ising(9)
+        with pytest.raises(ValidationError, match="landscape cap must be non-negative, got -1"):
+            compute_landscape(ising, cap=-1)
+        assert ising._int_energies is None
+
     def test_float_vector_not_built(self, landscape_instance):
         ising = to_ising(encode_efficient(landscape_instance))
         compute_landscape(ising)
         assert ising._int_energies is not None
-        assert ising._float_energies is None
+        assert not any(isinstance(value, np.ndarray) and value.dtype == np.float64
+                       for value in vars(ising).values())  # no float energies kept
 
     def test_energies_match_direct_expectation(self, landscape_ising,
                                                landscape_records):

@@ -140,6 +140,18 @@ def test_directed_must_be_a_json_bool():
         load_instance(BAD_FIELD_TYPES["directed_string"])
 
 
+def test_directed_must_be_a_bool():
+    # "no" is truthy: the instance would keep (2, 1) as a directed edge and
+    # save a file that load_instance refuses
+    with pytest.raises(ValidationError, match="directed must be True or False"):
+        ProblemInstance(3, "no", "tsp", ((2, 1, 1),), 1, 1)
+    with pytest.raises(ValidationError, match="directed"):
+        ProblemInstance(3, 0, "tsp", ((2, 1, 1),), 1, 1)
+    for directed in (False, True):
+        inst = ProblemInstance(3, directed, "tsp", ((2, 1, 1),), 1, 1)
+        assert load_instance(save_instance(inst)) == inst
+
+
 def test_bool_node_count_rejected():
     with pytest.raises(ValidationError, match="node_count must be a positive integer"):
         load_instance(BAD_FIELD_TYPES["bool_node_count"])

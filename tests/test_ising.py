@@ -18,7 +18,6 @@ from tspvqe import (
     energy_of_bitstring,
     ground_states,
     solve_exact_tsp,
-    spectrum,
     suggest_penalties,
     to_ising,
     validate_bitstring,
@@ -175,12 +174,9 @@ def test_randomized_differential_binary_vs_ising():
 
 def test_spectrum_ground_structure(landscape_instance):
     ising = to_ising(encode_efficient(landscape_instance))
-    levels = spectrum(ising)
-    assert len(levels) == 512
-    energies = [e for _, e in levels]
-    assert energies == sorted(energies)
-    ground = [bits for bits, e in levels if e == levels[0][1]]
-    assert levels[0][1] == 13  # constant retained: ground energy = B * cost
+    assert len(ising.energy_int_vector()) == 512
+    energy, ground = ground_states(ising)
+    assert energy == 13  # constant retained: ground energy = B * cost
     assert len(ground) == 2
     tours = set()
     for bits in ground:
@@ -194,13 +190,8 @@ def test_spectrum_tie_break_by_index():
     # 4*x0*x1 vanishes unless both bits are set: the zero level is threefold
     # degenerate and must come back in index order 00, 10, 01
     poly = _poly(2, quadratic=[(0, 1, 4)])
-    levels = spectrum(to_ising(poly))
-    assert levels == [
-        ("00", Fraction(0)),
-        ("10", Fraction(0)),
-        ("01", Fraction(0)),
-        ("11", Fraction(4)),
-    ]
+    rows = "".join(spectrum_csv_rows(to_ising(poly)))
+    assert rows == "bitstring,energy\n00,0\n10,0\n01,0\n11,4\n"
 
 
 def _random_ising(rng, n):
@@ -227,11 +218,8 @@ def test_spectrum_rows_match_exact_energies(n):
         bits = index_to_bits(z, n)
         expected.append((energy_of_bitstring(ising, bits), z, bits_to_string(bits)))
     expected.sort()  # by energy, ties by index
-    levels = spectrum(ising)
-    assert levels == [(bits, energy) for energy, _, bits in expected]
-    if n > 2:
-        energies = [e for _, e in levels]
-        assert len(set(energies)) < len(energies)  # degenerate levels present
+    if n > 2:  # degenerate levels present
+        assert len(np.unique(ising.energy_int_vector())) < 1 << n
     assert "".join(spectrum_csv_rows(ising)) == "bitstring,energy\n" + "".join(
         f"{bits},{rational_to_json(energy)}\n" for energy, _, bits in expected
     )
@@ -260,7 +248,6 @@ def test_energies_at_equals_float_vector_bits():
     assert ising.to_int_arrays()[0] > 1
     indices = np.random.default_rng(7).integers(0, 1 << 9, size=(40, 8))
     gathered = ising.energies_at(indices)
-    assert ising._float_energies is None  # gathered without the float vector
     assert gathered.shape == (40, 8)
     expected = ising.energy_float_vector()[indices]
     assert np.array_equal(gathered.view(np.int64), expected.view(np.int64))
@@ -270,7 +257,7 @@ def test_spectrum_refuses_cap_above_hard_limit():
     ising = IsingPolynomial(n=25, constant=Fraction(0), fields={}, couplings={},
                             variable_order=(), layout="full", node_count=5)
     with pytest.raises(SizeCapError):
-        spectrum(ising, cap=40)
+        spectrum_csv_rows(ising, cap=40)
     with pytest.raises(SizeCapError):
         ground_states(ising, cap=40)
     assert ising._int_energies is None  # refused before enumerating

@@ -9,9 +9,9 @@ from tspvqe import (
     build_mubs_3q,
     embed_state,
     encode_efficient,
+    energy_of_bitstring,
     expectation,
     ground_states,
-    spectrum,
     to_ising,
 )
 from tspvqe.quantum import QuantumState, basis_state, pauli_matrix, zero_state
@@ -133,10 +133,9 @@ def landscape_ising(landscape_instance):
 
 class TestExpectation:
     def test_basis_state_energy(self, landscape_ising):
-        levels = dict(spectrum(landscape_ising))
         state = basis_state(9, 161)  # bits 100001010 -> index 161
         assert expectation(landscape_ising, state) == pytest.approx(
-            float(levels["100001010"]), abs=1e-12
+            float(energy_of_bitstring(landscape_ising, "100001010")), abs=1e-12
         )
 
     def test_uniform_ground_mixture(self, landscape_ising):

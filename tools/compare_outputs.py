@@ -20,13 +20,16 @@ and the spectrum CSVs.  Then the exact-rational outputs: ``encode`` in all
 three layouts, binary and Ising; ``audit`` under file, lucas and safe
 penalties; ``solve``; and the full-layout ``spectrum``, on both shipped
 instances and on a seeded 4-node instance with p/q costs for each of the six
-variant x direction cases.  The generated instances are written by this
-script, the same for both sides.
+variant x direction cases.  Last, the commands that must be refused: a seeded
+complete 6-node instance is above the 24-spin cap (25 efficient spins, 36
+full) for ``spectrum`` in both layouts, ``landscape``, ``vqe`` and ``audit``,
+and ``spectrum --cap -1`` is refused as invalid.  The generated instances are
+written by this script, the same for both sides.
 
 A command that both sides refuse with the same exit code (a path audit, an
-efficient encoding of a non-tsp instance) counts as identical.  Prints one
-line per output that differs or whose command failed, then a summary.  Exits
-0 when every output is identical, 1 otherwise.
+efficient encoding of a non-tsp instance, an instance above the cap) counts
+as identical.  Prints one line per output that differs or whose command
+failed, then a summary.  Exits 0 when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ print(json.dumps([cli.main(argv) for argv in json.load(sys.stdin)]))
 """
 
 
-def _write_n5(path, seed):
-    """A seeded complete undirected 5-node TSP with costs 1-20."""
-    rng = random.Random(f"compare-outputs:n5:{seed}")
-    edges = [[u, v, rng.randint(1, 20)] for u in range(1, 6) for v in range(u + 1, 6)]
-    doc = {"nodes": 5, "directed": False, "variant": "tsp", "edges": edges,
+def _write_complete(path, nodes, seed):
+    """A seeded complete undirected TSP with costs 1-20."""
+    rng = random.Random(f"compare-outputs:n{nodes}:{seed}")
+    edges = [[u, v, rng.randint(1, 20)]
+             for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1)]
+    doc = {"nodes": nodes, "directed": False, "variant": "tsp", "edges": edges,
            "penalty_a": 1, "penalty_b": 1}
     with open(path, "w") as handle:
         json.dump(doc, handle)
@@ -99,7 +103,7 @@ def commands(inputs):
             (f"paper_zeros_{seed}.json", ["vqe", landscape, "--init", "zeros"] + paper),
         ]
         n5 = os.path.join(inputs, f"n5_{seed}.json")
-        _write_n5(n5, seed)
+        _write_complete(n5, 5, seed)
         safe = [n5, "--penalties", "safe"]
         out += [
             (f"n5_landscape_{seed}.csv", ["landscape"] + safe),
@@ -131,6 +135,16 @@ def commands(inputs):
             (f"solve_{stem}.json", ["solve", path]),
             (f"spectrum_{stem}_full.csv", ["spectrum", path, "--layout", "full"]),
         ]
+    n6 = os.path.join(inputs, "n6_0.json")
+    _write_complete(n6, 6, 0)
+    out += [
+        ("n6_spectrum_0.csv", ["spectrum", n6]),
+        ("n6_spectrum_full_0.csv", ["spectrum", n6, "--layout", "full"]),
+        ("n6_landscape_0.csv", ["landscape", n6]),
+        ("n6_vqe_0.json", ["vqe", n6, "--threads", "1"]),
+        ("n6_audit_0.json", ["audit", n6]),
+        ("n6_spectrum_negative_cap_0.csv", ["spectrum", n6, "--cap", "-1"]),
+    ]
     return out
 
 
