@@ -7,7 +7,8 @@ and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 
 ``audit``, ``spectrum``, ``landscape`` and ``vqe`` share one size cap,
 ``layouts.SPIN_CAP`` spins, checked from the node count before anything is
-encoded; ``--cap`` can lower it, not raise it.  ``encode`` is not capped.
+encoded; ``--cap`` can lower it, not raise it.  ``encode`` stops at
+``layouts.TERM_CAP`` terms, checked the same way.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 """
@@ -101,7 +102,9 @@ def _encode_polynomial(instance, layout):
 
 def cmd_encode(args) -> int:
     instance = _read_instance(args)
-    poly = _encode_polynomial(instance, _LAYOUT_FLAGS[args.layout])
+    layout = _LAYOUT_FLAGS[args.layout]
+    layouts.check_terms(layout, instance.node_count)
+    poly = _encode_polynomial(instance, layout)
     if args.form == "binary":
         payload = poly.to_json_dict()
         payload["n_variables"] = poly.n_vars

@@ -22,7 +22,7 @@ from . import layouts, oracle
 from .encoder import encode_efficient
 from .errors import ValidationError
 from .graph import ProblemInstance
-from .ising import IsingPolynomial, ground_states, to_ising
+from .ising import IsingPolynomial, to_ising
 from .quantum import build_mubs_3q
 from .rationals import rational_to_json
 from .vqe import (
@@ -252,7 +252,8 @@ def run_experiment(
     ising = to_ising(encode_efficient(instance))
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
-    ground_exact, _ = ground_states(ising)
+    # the minimum of the cached energies; no ground bitstring is rendered
+    ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
     ground = float(ground_exact)
     oracle_cost, oracle_tours = oracle.solve_exact_tsp(instance)
 

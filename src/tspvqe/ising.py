@@ -224,9 +224,22 @@ def spectrum_csv_rows(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
     return _spectrum_blocks(ising.n, scale, ising.energy_int_vector())
 
 
+def _energy_order(ints: np.ndarray) -> np.ndarray:
+    """Basis-state indices sorted by energy, ties by index.
+
+    Energies spanning fewer than 2^16 values are sorted as uint16 offsets
+    from the minimum, for which numpy's stable sort is a radix sort; the
+    order is the same.  The span cannot overflow int64: every |E| < 2^62.
+    """
+    low = ints.min()
+    if int(ints.max()) - int(low) < 1 << 16:
+        return np.argsort((ints - low).astype(np.uint16), kind="stable")
+    return np.argsort(ints, kind="stable")
+
+
 def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
     yield "bitstring,energy\n"
-    order = np.argsort(ints, kind="stable")  # by energy, ties by index
+    order = _energy_order(ints)
     last, suffix = None, None
     for at in range(0, len(order), _BLOCK_ROWS):
         indices = order[at:at + _BLOCK_ROWS]

@@ -8,7 +8,9 @@ Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
 ``(R, P)`` parameters applies row r's parameters to row r's state in one call,
 and each row comes out bit for bit as a call on that row alone would give it.
 A call can also run only some stages of the circuit: calls that split the
-stages between them give the bits of one call that runs them all.
+stages between them give the bits of one call that runs them all.  A call
+allocates two state-sized arrays for its stages to write in turn, unless the
+caller lends it a pair to reuse.
 ``perfbench/run.py`` measures the kernels end to end.
 """
 
@@ -130,14 +132,15 @@ def _ansatz_plan(n, layers, ring):
     )
 
 
-def _apply_ansatz(psi0, n, layers, ring, params, start, stop):
+def _apply_ansatz(psi0, n, layers, ring, params, start, stop, buffers):
     """Stages ``start`` to ``stop - 1``, on one state or row by row on a stack.
 
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
     it would alone.  The tables of every stage are built, whatever ``start``
     and ``stop`` are, so a stage's tables do not depend on which stages a
-    call runs.
+    call runs.  The stages write ``buffers`` in turn, two fresh arrays when
+    it is None.
     """
     plan = _ansatz_plan(n, layers, ring)
     batch = params.shape[:-1]
@@ -162,7 +165,8 @@ def _apply_ansatz(psi0, n, layers, ring, params, start, stop):
     # each stage reads amps and writes the other buffer, so psi0 is read in
     # place and never written
     amps = psi0
-    buffers = [np.empty_like(psi0), np.empty_like(psi0)]
+    if buffers is None:
+        buffers = (np.empty_like(psi0), np.empty_like(psi0))
     groups = len(plan.ry_groups)
     for i, stage in enumerate(range(start, stop)):
         layer, g = divmod(stage, groups + 1)
@@ -231,7 +235,24 @@ def ansatz_stages(n, layers, ring):
     return plan.stage_count, plan.param_stage
 
 
-def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None):
+def _check_buffers(psi0, buffers):
+    """Refuse a ``buffers`` pair the stages cannot ping-pong through."""
+    if len(buffers) != 2:
+        raise ValueError(f"buffers must be a pair, got {len(buffers)}")
+    for buffer in buffers:
+        if not (isinstance(buffer, np.ndarray) and buffer.dtype == np.complex128
+                and buffer.shape == psi0.shape and buffer.flags.c_contiguous):
+            raise ValueError(
+                f"each buffer must be a C-contiguous complex128 array of shape {psi0.shape}"
+            )
+        # contiguous arrays share memory exactly when their extents overlap
+        if np.may_share_memory(buffer, psi0):
+            raise ValueError("a buffer shares memory with the input state")
+    if np.may_share_memory(*buffers):
+        raise ValueError("the two buffers share memory")
+
+
+def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, buffers=None):
     """Apply the layered Ry/Rz/Rzz ansatz to a state vector, or to a stack.
 
     One state ``(2^n,)`` takes parameters ``(P,)``; a stack ``(R, 2^n)`` takes
@@ -244,6 +265,12 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None):
     after the first ``stop``.  Calls that split the stages between them,
     each with the same parameters on its own stages, give the bits of one
     call that runs them all.
+
+    ``buffers``, a pair ``(a, b)`` of distinct C-contiguous complex128 arrays
+    of ``psi0``'s shape that share no memory with it, lets calls reuse their
+    state memory: the stages write ``a`` and ``b`` in turn, and the result is
+    the one the last stage wrote, not a new array.  The bits are those of a
+    call without it.  ``None`` allocates two state-sized arrays per call.
     """
     params = np.asarray(params, dtype=np.float64)
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
@@ -253,4 +280,6 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None):
     stop = count if stop is None else stop
     if not 0 <= start < stop <= count:
         raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")
-    return _apply_ansatz(psi0, n, layers, bool(ring), params, start, stop)
+    if buffers is not None:
+        _check_buffers(psi0, buffers)
+    return _apply_ansatz(psi0, n, layers, bool(ring), params, start, stop, buffers)

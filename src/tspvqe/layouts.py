@@ -17,11 +17,15 @@ bitstrings are written with variable 0 first.
 Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
 spin (and one qubit) each.  Entry points that take an instance check
 ``variable_count`` with ``check_spins`` before they encode anything.
+Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
+count with ``check_terms``.
 """
 
 from .errors import SizeCapError, ValidationError
 
 SPIN_CAP = 24  # 2^24 basis states: 128 MiB of int64 energies, 256 MiB of amplitudes
+# full layout up to 40 nodes: about 3 s and 200 MB to encode and write
+TERM_CAP = 1 << 17
 
 
 def full_variable_order(n):
@@ -46,6 +50,27 @@ def check_spins(n, what, cap=SPIN_CAP):
     limit = min(cap, SPIN_CAP)
     if n > limit:
         raise SizeCapError(f"{what} capped at {limit} qubits, got {n}")
+
+
+def term_bound(layout, n):
+    """An upper bound on the linear and quadratic terms of an ``n``-node encoding.
+
+    Its m x m table (m = n, or n - 1 for ``efficient``) has m^2 linear terms,
+    m^2 (m - 1) one-hot pairs within rows and columns, and at most
+    m^2 (m - 1) transition pairs: m (m - 1) ordered node pairs at m steps.
+    Complete graphs reach it in the full layouts.
+    """
+    m = n if layout in ("full", "fixed_start_full") else n - 1
+    return m * m * (2 * m - 1)
+
+
+def check_terms(layout, n):
+    """Refuse an ``n``-node encoding in ``layout`` that may exceed ``TERM_CAP`` terms."""
+    bound = term_bound(layout, n)
+    if bound > TERM_CAP:
+        raise SizeCapError(
+            f"encode capped at {TERM_CAP} terms, got up to {bound} ({layout} layout, {n} nodes)"
+        )
 
 
 def coerce_bits(bits, expected_length):

@@ -44,7 +44,11 @@ below the first stage at which the vectors of a request differ.  Rotation
 descent's probe pair and the candidate after it all start from that
 prefix, and the kernel runs only the later stages, with the full call's
 bits.  The prefix is found by comparing parameter vectors, so the searches
-do not know of it.
+do not know of it.  Such a run also owns three state buffers for its
+lifetime, the prefix and a free pair: every kernel call writes into the
+pair, and each state's probabilities go into the float64 view of the pair's
+other buffer.  So no evaluation allocates a state-sized array, and since
+only where results are written changes, the bits do not.
 """
 
 from __future__ import annotations
@@ -619,16 +623,19 @@ class _Tally:
         return value
 
 
-def _amplitudes(psi, theta, ansatz, **stages):
+def _amplitudes(psi, theta, ansatz, **options):
     ring = ansatz.entangler == "ring_rzz"
-    return kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta, **stages)
+    return kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta, **options)
 
 
 class _Prefix:
     """One run's initial state and its kept prefix, for unstacked calls.
 
     ``state`` is the ansatz state after the stages below ``stage``, applied
-    with the parameters ``params`` (stage 0: the initial state itself).
+    with the parameters ``params`` (stage 0: the initial state itself).  The
+    run owns three state buffers for its lifetime: every kernel call writes
+    into the two that do not hold ``state``, and a carried prefix becomes
+    ``state`` in place.
     """
 
     def __init__(self, psi0, ansatz):
@@ -637,10 +644,15 @@ class _Prefix:
         self.stage_count, self.param_stage = kernels.ansatz_stages(
             ansatz.n, ansatz.layers, ansatz.entangler == "ring_rzz"
         )
+        self._buffers = [np.empty(psi0.shape, dtype=np.complex128) for _ in range(3)]
         self._reset()
 
     def _reset(self):
         self.params, self.stage, self.state = None, 0, self.psi0
+
+    def _free(self) -> tuple:
+        """The two buffers that do not hold ``state``."""
+        return tuple(b for b in self._buffers if b is not self.state)[:2]
 
     def _shared(self, a, b) -> int:
         """The number of leading stages on which ``a`` and ``b`` agree, bit for bit."""
@@ -653,21 +665,29 @@ class _Prefix:
         Starts from the kept prefix when every vector agrees with it on the
         stages below it, else from the initial state.  When the vectors
         first differ past that start, the prefix is first carried forward
-        to there, with the first vector's parameters.  Each state dies once
-        measured, before the next call.
+        to there, with the first vector's parameters.  Each state is
+        measured before the next call overwrites it: its probabilities go
+        into the float64 view of the free buffer the kernel did not return.
         """
         xs = [np.asarray(x, dtype=np.float64) for x in request]
         if self.stage and min(self._shared(self.params, x) for x in xs) < self.stage:
             self._reset()
         split = min((self._shared(xs[0], x) for x in xs[1:]), default=0)
         if self.stage < split < self.stage_count:
-            self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage, stop=split)
+            self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage,
+                                     stop=split, buffers=self._free())
             # a copy: a search may reuse the memory of the vectors it asked for
             self.params, self.stage = xs[0].copy(), split
-        return [
-            tally(np.abs(_amplitudes(self.state, x, self.ansatz, start=self.stage)) ** 2)
-            for x in xs
-        ]
+        free = self._free()
+        values = []
+        for x in xs:
+            amps = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free)
+            idle = free[1] if amps is free[0] else free[0]
+            probabilities = idle.view(np.float64)[:amps.size]
+            np.abs(amps, out=probabilities)
+            np.square(probabilities, out=probabilities)
+            values.append(tally(probabilities))
+        return values
 
 
 def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTrace:

@@ -184,6 +184,28 @@ def test_huge_instance_refused_before_encoding(command, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("layout", ["full", "fixed", "efficient"])
+def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypatch, capsys):
+    # 100,000 nodes would write about 2 * 10^15 terms: refused from the node
+    # count with exit 3, not after building runs out of memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nodes": 100_000, "directed": False, "variant": "tsp",
+                                "edges": []}))
+
+    def encode(*args, **kwargs):
+        raise AssertionError("encoded before the term cap was checked")
+
+    monkeypatch.setattr(encoder, "_encode_full", encode)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main(["encode", str(path), "--layout", layout, "--no-timestamp", "-o", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 3, capsys.readouterr().err
+    assert elapsed < 1.0
+    assert "encode capped at 131072 terms" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestLandscapeCsv:
     def test_landscape_rows(self, tmp_path):
         out = tmp_path / "landscape.csv"

@@ -311,6 +311,18 @@ class TestExperiments:
         assert decoded["valid"] is True
         assert decoded["cost"] == 13
 
+    def test_ground_energy_renders_no_bitstrings(self, landscape_instance, monkeypatch):
+        from tspvqe import ising
+
+        def render(*args):
+            raise AssertionError("ground bitstrings rendered")
+
+        monkeypatch.setattr(ising, "_bitstrings", render)
+        optimizer = OptimizerConfig(method="rotation_descent", max_evals=5)
+        report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
+        assert report.ground_energy_exact == 13
+        assert report.ground_energy == 13.0
+
     def test_best_mubs_small_batch(self, landscape_instance):
         # k=2 picks the two exact ground states; both converge instantly
         report = run_experiment(landscape_instance, "best_mubs", k=2, seed=0)
@@ -444,17 +456,21 @@ class TestLockstep:
 
     def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
         instance = _seeded_instance_16()
-        calls = []
+        calls, lent = [], []
         apply = kernels.apply_ansatz_amplitudes
 
-        def recording(psi0, *args, start=0, stop=None):
+        def recording(psi0, *args, start=0, stop=None, buffers=None):
             calls.append((np.shape(psi0), start, stop))
-            return apply(psi0, *args, start=start, stop=stop)
+            lent.append(buffers)
+            return apply(psi0, *args, start=start, stop=stop, buffers=buffers)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         optimizer = OptimizerConfig(method="rotation_descent", max_evals=20)
         report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
         assert {shape for shape, _, _ in calls} == {(1 << 16,)}
+        # every call writes into its run's own pair of buffers, three per run
+        assert all(pair is not None for pair in lent)
+        assert len({id(b) for pair in lent for b in pair}) <= 3 * len(report.traces)
         # one call to the end per evaluation, none to find the best bitstrings
         # afterwards; most start from a kept prefix, and fewer calls carry a
         # prefix forward

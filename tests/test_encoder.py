@@ -21,6 +21,7 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
+from tspvqe.layouts import TERM_CAP, term_bound
 from tspvqe.oracle import Tour
 from tspvqe.rationals import common_scale
 
@@ -434,3 +435,31 @@ def test_lucas_fixture_matches_counterexample_condition(counterexample_instance)
     # A=11 strictly exceeds B*max(c)=10, i.e. the weak condition is satisfied
     a, b = counterexample_instance.penalty_a, counterexample_instance.penalty_b
     assert 0 < b * counterexample_instance.max_cost() < a
+
+
+def test_term_bound_holds_for_every_encoder():
+    """``layouts.term_bound`` is never below the terms an encoder writes, and
+    a complete graph of 3 nodes or more reaches it in the full layout (at 2,
+    the wrap step repeats the transition pairs)."""
+    rng = random.Random(17)
+    for n in (2, 3, 4, 5, 7):
+        for variant, directed in itertools.product(("tsp", "cycle", "path"), (False, True)):
+            pairs = (itertools.permutations if directed else itertools.combinations)(
+                range(1, n + 1), 2)
+            complete = variant == "tsp" and not directed
+            edges = tuple((u, v, rng.randint(1, 9)) for u, v in pairs
+                          if complete or rng.random() < 0.7)
+            inst = ProblemInstance(n, directed, variant, edges, 5, 1)
+            encoders = [("full", encode_cycle_hamiltonian)]
+            if variant == "tsp":
+                encoders += [("full", encode_tsp_hamiltonian), ("efficient", encode_efficient)]
+            if variant != "path":
+                encoders.append(("fixed_start_full", encode_fixed_start))
+            for layout, encode in encoders:
+                poly = encode(inst)
+                terms = len(poly.linear) + len(poly.quadratic)
+                assert terms <= term_bound(layout, n), (n, variant, directed, layout)
+                if complete and encode is encode_tsp_hamiltonian and n > 2:
+                    assert terms == term_bound(layout, n)
+    assert term_bound("full", 40) <= TERM_CAP < term_bound("full", 41)
+    assert term_bound("efficient", 41) <= TERM_CAP < term_bound("efficient", 42)

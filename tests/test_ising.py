@@ -22,7 +22,7 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
-from tspvqe.ising import spectrum_csv_rows
+from tspvqe.ising import _energy_order, spectrum_csv_rows
 from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.oracle import Tour
@@ -241,6 +241,21 @@ def test_spectrum_csv_peak_memory_per_row():
         tracemalloc.stop()
     assert ising._int_energies is not None  # enumerated while traced
     assert peak <= 32 << n
+
+
+@pytest.mark.parametrize("low, span", [
+    (-7, 1), (-12345, 1000), (1 - (1 << 62), 1000), (0, (1 << 16) - 1),
+    (0, 1 << 16), (-5, 1 << 40), (1 - (1 << 62), (1 << 63) - 2),
+])
+def test_energy_order_is_by_energy_then_index(low, span):
+    # spans below 2^16 take the uint16 radix sort, wider ones the int64 sort;
+    # both must give the stable order, ties (many here) by index
+    rng = np.random.default_rng(span % 997)
+    levels = low + np.concatenate([[0, span], rng.integers(0, span, 30, endpoint=True)])
+    ints = levels[rng.integers(0, len(levels), 5000)]
+    order = _energy_order(ints)
+    assert np.array_equal(order, np.lexsort((np.arange(len(ints)), ints)))
+    assert np.array_equal(order, np.argsort(ints, kind="stable"))
 
 
 def test_energies_at_equals_float_vector_bits():

@@ -186,3 +186,44 @@ def test_stage_arguments_are_checked():
     for start, stop in ((-1, None), (count, None), (0, 0), (2, 2), (3, 2), (0, count + 1)):
         with pytest.raises(ValueError):
             apply_ansatz_amplitudes(psi, 2, 1, False, np.zeros(9), start=start, stop=stop)
+
+
+def test_buffers_give_the_bits_of_fresh_arrays():
+    """Every start/stop split, run through a lent pair, matches the call
+    without one bit for bit; the result is one of the pair, and neither
+    psi0 nor what the buffers held before is read into it."""
+    rng = np.random.default_rng(11)
+    for n, layers, ring in ((5, 2, True), (9, 1, False), (14, 2, False)):
+        count, stages = ansatz_stages(n, layers, ring)
+        params = rng.uniform(-np.pi, np.pi, len(stages))
+        psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        before = psi0.copy()
+        pair = (np.full_like(psi0, np.nan), np.full_like(psi0, np.nan))
+        for start in range(count):
+            for stop in range(start + 1, count + 1):
+                fresh = apply_ansatz_amplitudes(psi0, n, layers, ring, params, start, stop)
+                lent = apply_ansatz_amplitudes(psi0, n, layers, ring, params, start, stop,
+                                               buffers=pair)
+                assert lent is pair[(stop - start - 1) % 2], (n, start, stop)
+                assert np.array_equal(lent.view(np.int64), fresh.view(np.int64)), (n, start, stop)
+                assert np.array_equal(psi0.view(np.int64), before.view(np.int64))
+
+
+def test_buffers_are_checked():
+    n = 3
+    psi = np.ones(1 << n, dtype=complex)
+    params = np.zeros(ansatz_stages(n, 1, False)[1].size)
+    wide = np.empty(2 << n, dtype=complex)
+    ok = np.empty_like(psi)
+    bad = [
+        (psi, ok),  # aliases psi0
+        (wide[:1 << n], wide[4:4 + (1 << n)]),  # the two overlap
+        (ok, ok),  # the same array twice
+        (np.empty(1 << n, dtype=complex), np.empty((1, 1 << n), dtype=complex)),  # shape
+        (wide[::2], np.empty_like(psi)),  # not contiguous
+        (np.empty(1 << n, dtype=np.complex64), np.empty_like(psi)),  # dtype
+        (np.empty_like(psi),),  # not a pair
+    ]
+    for buffers in bad:
+        with pytest.raises(ValueError):
+            apply_ansatz_amplitudes(psi, n, 1, False, params, buffers=buffers)

@@ -195,3 +195,44 @@ class TestRunVqe:
                         optimizer=OptimizerConfig(method="nelder_mead", max_evals=300))
         assert trace.energies[0] == pytest.approx(66.0, abs=1e-12)
         assert trace.final_energy <= 66.0
+
+
+def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
+    """From 14 qubits up every kernel call of a run writes into the run's
+    own three buffers, and the trace is that of calls that allocate."""
+    import random
+    from fractions import Fraction
+
+    from tspvqe import IsingPolynomial, kernels
+
+    n = 14
+    rng = random.Random(14)
+    values = [Fraction(p, q) for p in (-3, -1, 2, 5) for q in (1, 4)]
+    ising = IsingPolynomial(
+        n=n,
+        constant=Fraction(1, 3),
+        fields={i: rng.choice(values) for i in range(n)},
+        couplings={(i, i + 1): rng.choice(values) for i in range(n - 1)},
+        variable_order=tuple((1, t) for t in range(1, n + 1)),
+        layout="full",
+        node_count=n,
+    )
+    original = kernels.apply_ansatz_amplitudes
+    lent = []
+
+    def recording(*args, **kwargs):
+        lent.append(kwargs.get("buffers"))
+        return original(*args, **kwargs)
+
+    def allocating(*args, buffers=None, **kwargs):
+        return original(*args, **kwargs)
+
+    optimizer = OptimizerConfig(method="rotation_descent", max_evals=25)
+    traces = {}
+    for name, kernel in (("lent", recording), ("fresh", allocating)):
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", kernel)
+        traces[name] = run_vqe(ising, RandomInit(seed=5), seed=3, optimizer=optimizer)
+    assert len(lent) > traces["lent"].n_evaluations  # prefixes were carried too
+    assert all(pair is not None for pair in lent)
+    assert len({id(b) for pair in lent for b in pair}) == 3
+    assert traces["lent"].to_dict() == traces["fresh"].to_dict()

@@ -15,8 +15,10 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
 ``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
-``--max-evals 20``) plus three longer 16-qubit batches, both landscape CSVs,
-and the spectrum CSVs.  Then the exact-rational outputs: ``encode`` in all
+``--max-evals 20``) plus four longer 16-qubit batches, both landscape CSVs,
+and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
+stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
+write in turn ends on either one.  Then the exact-rational outputs: ``encode`` in all
 three layouts, binary and Ising; ``audit`` under file, lucas and safe
 penalties; ``solve``; and the full-layout ``spectrum``, on both shipped
 instances and on a seeded 4-node instance with p/q costs for each of the six
@@ -116,6 +118,8 @@ def commands(inputs):
         ("n5_long_0.json", ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--max-evals", "400"]),
         ("n5_ring3_0.json", ["vqe"] + n5 + ["--init", "random", "--k", "1", "--layers", "3",
                                            "--entangler", "ring_rzz", "--max-evals", "200"]),
+        ("n5_layers1_0.json",
+         ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--layers", "1", "--max-evals", "200"]),
         ("n5_nelder_mead_0.json",
          ["vqe"] + n5 + ["--init", "zeros", "--optimizer", "nelder_mead", "--max-evals", "200"]),
     ]
