@@ -8,7 +8,9 @@ and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 ``audit``, ``spectrum``, ``landscape`` and ``vqe`` share one size cap,
 ``layouts.SPIN_CAP`` spins, checked from the node count before anything is
 encoded; ``--cap`` can lower it, not raise it.  ``encode`` stops at
-``layouts.TERM_CAP`` terms, checked the same way.
+``layouts.TERM_CAP`` terms, checked the same way, and ``vqe --layers`` at
+``layouts.LAYER_CAP``.  ``--penalty-a`` and ``--penalty-b`` need
+``--penalties explicit``.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 """
@@ -61,16 +63,16 @@ def _read_instance(args):
 
 def _apply_penalties(instance, args):
     mode = getattr(args, "penalties", "file")
+    given = getattr(args, "penalty_a", None), getattr(args, "penalty_b", None)
+    if mode == "explicit":
+        if None in given:
+            raise ValidationError("--penalties explicit needs --penalty-a and --penalty-b")
+        return instance.with_penalties(*given)
+    if given != (None, None):
+        raise ValidationError("--penalty-a and --penalty-b need --penalties explicit")
     if mode == "file":
         return instance
-    if mode in ("lucas", "safe"):
-        a, b = suggest_penalties(instance, mode)
-        return instance.with_penalties(a, b)
-    if mode == "explicit":
-        if args.penalty_a is None or args.penalty_b is None:
-            raise ValidationError("--penalties explicit needs --penalty-a and --penalty-b")
-        return instance.with_penalties(args.penalty_a, args.penalty_b)
-    raise ValidationError(f"unknown penalty mode {mode!r}")
+    return instance.with_penalties(*suggest_penalties(instance, mode))
 
 
 def _emit(args, chunks):

@@ -6,7 +6,8 @@ all qubit triples (lexicographic) x 9 bases x 8 elements, with the
 non-selected qubits at |0>.  Records keep a deterministic order, so ranks
 and best-k selections are stable across runs and platforms.  The landscape
 is computed on whole arrays (one energy gather and one contraction per
-Hamiltonian); records are built only when they are read.
+Hamiltonian); records are built only when they are read.  The CSV is
+rendered by ``ising.render_rows``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import layouts, oracle
 from .encoder import encode_efficient
 from .errors import ValidationError
 from .graph import ProblemInstance
-from .ising import IsingPolynomial, to_ising
+from .ising import IsingPolynomial, cell_table, render_rows, to_ising
 from .quantum import build_mubs_3q
 from .rationals import rational_to_json
 from .vqe import (
@@ -130,48 +131,36 @@ def best_k(landscape: Landscape, k: int):
     return [landscape[i] for i in np.argsort(landscape.energies, kind="stable")[:k]]
 
 
-def _cell_table(cells):
-    """Byte strings as one ``V<widest>`` array, each padded with zero bytes."""
-    width = max(map(len, cells))
-    return np.frombuffer(b"".join(cell.ljust(width, b"\0") for cell in cells), f"V{width}")
-
-
 def landscape_csv_rows(landscape: Landscape):
     """The landscape CSV: the header line, then one 72-line chunk per triple.
 
     Row i is ``i,positions,basis,element,energy``, the energy written as its
     ``repr``.  Each distinct float64 bit pattern is rendered once.  Rows are
-    rendered 14 triples at a time, as one numpy record per row: the index's
-    digits, computed, and a gather from a table of zero-padded cells for
-    each other field.  Dropping the zero bytes (the padding and the index's
-    leading zeros) leaves the text.
+    rendered 14 triples at a time by ``ising.render_rows``: the index's
+    digits, computed with leading zero bytes, and a gather from a table of
+    zero-padded cells for each other field.
     """
     yield "index,positions,basis,element,energy\n"
     bits = landscape.energies.view(np.int64)
     patterns = np.unique(bits)
     tables = [
-        _cell_table([f",{'-'.join(map(str, t))}".encode() for t in landscape.triples.tolist()]),
-        _cell_table([cells.encode() for cells in _BASIS_ELEMENT_CELLS]),
-        _cell_table([f"{e!r}\n".encode() for e in patterns.view(np.float64).tolist()]),
+        cell_table([f",{'-'.join(map(str, t))}".encode() for t in landscape.triples.tolist()]),
+        cell_table([cells.encode() for cells in _BASIS_ELEMENT_CELLS]),
+        cell_table([f"{e!r}\n".encode() for e in patterns.view(np.float64).tolist()]),
     ]
     width = len(str(len(landscape) - 1))
     powers = 10 ** np.arange(width - 1, -1, -1)
-    row = np.dtype([("index", f"V{width}")] + [(f"f{k}", t.dtype) for k, t in enumerate(tables)])
     for at in range(0, len(landscape), _BLOCK_ROWS):
         index = np.arange(at, min(at + _BLOCK_ROWS, len(landscape)))
-        block = np.empty(len(index), dtype=row)
         high = index[:, None] // powers  # zero exactly on the leading zeros
         digits = np.where(high > 0, high % 10 + ord("0"), 0).astype(np.uint8)
         digits[index == 0, -1] = ord("0")
-        block["index"] = digits.view(f"V{width}").ravel()
         level = np.searchsorted(patterns, bits[at:at + len(index)])
         ids = (index // _RECORDS_PER_TRIPLE, index % _RECORDS_PER_TRIPLE, level)
-        for k, (table, picked) in enumerate(zip(tables, ids)):
-            block[f"f{k}"] = table[picked]
-        text = block.view(np.uint8).reshape(len(index), -1)
-        keep = text != 0
-        ends = np.cumsum(keep.sum(axis=1))[_RECORDS_PER_TRIPLE - 1::_RECORDS_PER_TRIPLE]
-        rendered = text[keep].tobytes().decode("ascii")
+        rendered = render_rows([digits.view(f"V{width}").ravel()]
+                               + [table[picked] for table, picked in zip(tables, ids)])
+        newlines = np.frombuffer(rendered.encode(), np.uint8) == ord("\n")
+        ends = np.flatnonzero(newlines)[_RECORDS_PER_TRIPLE - 1::_RECORDS_PER_TRIPLE] + 1
         for start, end in zip([0] + ends[:-1].tolist(), ends.tolist()):
             yield rendered[start:end]
 

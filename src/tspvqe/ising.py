@@ -4,6 +4,9 @@ The transform substitutes x = (1 - s)/2 and keeps the constant term, so the
 Ising ground energy equals the optimal Hamiltonian value (for safe penalties
 that is B times the optimal tour cost).  Spin convention: s = +1 is bit 0,
 matching the Pauli-Z eigenvalue of |0>.
+
+``render_rows`` is the one block text renderer: the spectrum CSV, the ground
+bitstrings and the landscape CSV of ``dqes`` are written by it.
 """
 
 from __future__ import annotations
@@ -153,33 +156,43 @@ def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
 _BLOCK_ROWS = 4096
 
 
-def _render_rows(indices: np.ndarray, n: int, suffixes: list, level_ids) -> str:
-    """Rows ``bitstring + suffixes[level_ids[r]]`` of basis states ``indices``.
+def cell_table(cells) -> np.ndarray:
+    """Byte strings as one ``V<widest>`` array, each padded with zero bytes."""
+    width = max(map(len, cells))
+    return np.frombuffer(b"".join(cell.ljust(width, b"\0") for cell in cells), f"V{width}")
 
-    Character k of a bitstring is bit k of its index.  Each row is one
-    record of an n-byte and a widest-suffix-byte field: one ``unpackbits``
-    fills the first fields, one gather from the padded suffix table the
-    second.  When the suffixes differ in length, one mask then cuts each
-    row's padding out of the block.
+
+def bit_cells(indices: np.ndarray, n: int) -> np.ndarray:
+    """The n-character bitstrings of basis states ``indices`` as ``V<n>`` cells.
+
+    Character k is bit k of the index.  At n = 0 each cell is one zero byte,
+    which ``render_rows`` drops.
     """
-    lengths = np.fromiter(map(len, suffixes), np.int64, len(suffixes))
-    width = int(lengths.max())
-    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), f"V{width}")
-    row = np.dtype({"names": ["bits", "suffix"], "formats": [f"V{n}", f"V{width}"],
-                    "offsets": [0, n], "itemsize": n + width})
-    block = np.empty(len(indices), dtype=row)
-    if n:
-        bits = np.unpackbits(
-            indices.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
-            axis=1, count=n, bitorder="little",
-        )
-        bits += ord("0")
-        block["bits"] = bits.view(f"V{n}").ravel()
-    block["suffix"] = table[level_ids]
+    if not n:
+        return np.zeros(len(indices), dtype="V1")
+    bits = np.unpackbits(
+        indices.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+        axis=1, count=n, bitorder="little",
+    )
+    bits += ord("0")
+    return bits.view(f"V{n}").ravel()
+
+
+def render_rows(columns) -> str:
+    """The text of equal-length arrays of ``V`` cells, row by row.
+
+    Each row is one record with one field per column; dropping every zero
+    byte (the cells' padding) leaves the text.  A block without padding,
+    such as a spectrum block inside one suffix width, skips that compaction.
+    """
+    row = np.dtype([(f"f{k}", column.dtype) for k, column in enumerate(columns)])
+    block = np.empty(len(columns[0]), dtype=row)
+    for k, column in enumerate(columns):
+        block[f"f{k}"] = column
     text = block.view(np.uint8)
-    if lengths.min() < width:  # gather each row's keep-mask by its level, too
-        keep = np.arange(n + width) < n + lengths[:, None]
-        text = text[keep.view(f"V{n + width}").ravel()[level_ids].view(bool)]
+    keep = text != 0
+    if not keep.all():
+        text = text[keep]
     return text.tobytes().decode("ascii")
 
 
@@ -188,8 +201,8 @@ def _bitstrings(indices: np.ndarray, n: int) -> list:
     strings = []
     for at in range(0, len(indices), _BLOCK_ROWS):
         block = indices[at:at + _BLOCK_ROWS]
-        lines = _render_rows(block, n, [b"\n"], np.zeros(len(block), dtype=np.intp))
-        strings += lines.split("\n")[:-1]
+        newlines = np.frombuffer(b"\n" * len(block), "V1")
+        strings += render_rows([bit_cells(block, n), newlines]).split("\n")[:-1]
     return strings
 
 
@@ -253,5 +266,5 @@ def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
             levels -= 1
         else:  # the block opens inside the previous block's last level
             suffixes.insert(0, suffix)
-        yield _render_rows(indices, n, suffixes, levels)
+        yield render_rows([bit_cells(indices, n), cell_table(suffixes)[levels]])
         last, suffix = energies[-1], suffixes[-1]

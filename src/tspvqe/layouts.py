@@ -18,7 +18,7 @@ Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
 spin (and one qubit) each.  Entry points that take an instance check
 ``variable_count`` with ``check_spins`` before they encode anything.
 Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
-count with ``check_terms``.
+count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
 """
 
 from .errors import SizeCapError, ValidationError
@@ -26,6 +26,7 @@ from .errors import SizeCapError, ValidationError
 SPIN_CAP = 24  # 2^24 basis states: 128 MiB of int64 energies, 256 MiB of amplitudes
 # full layout up to 40 nodes: about 3 s and 200 MB to encode and write
 TERM_CAP = 1 << 17
+LAYER_CAP = 64  # ansatz gather indices: 64 KB per layer at 16 qubits, 4 MB here
 
 
 def full_variable_order(n):

@@ -70,17 +70,6 @@ class ViolationReport:
         return {"valid": False, "violations": [v.to_dict() for v in self.violations]}
 
 
-def _tour_cost(instance, order, wrap=True):
-    total = Fraction(0)
-    steps = len(order) if wrap else len(order) - 1
-    for i in range(steps):
-        u, v = order[i], order[(i + 1) % len(order)]
-        if not instance.has_edge(u, v):
-            return None
-        total += instance.cost(u, v)
-    return total
-
-
 def _weight_matrix(instance):
     """(scale, w) with w[u][v] = scale * cost(u+1, v+1) as a Python int.
 
@@ -200,17 +189,17 @@ def validate_bitstring(instance: ProblemInstance, layout: str, bits):
     )
     wrap = instance.variant != "hamiltonian_path"
     steps = n if wrap else n - 1
+    cost = Fraction(0)
     for i in range(steps):
         u, v = order[i], order[(i + 1) % n]
-        if not instance.has_edge(u, v):
-            violations.append(
-                Violation(kind="missing_edge", step=i + 1, edge=(u, v))
-            )
+        if instance.has_edge(u, v):
+            cost += instance.cost(u, v)
+        else:
+            violations.append(Violation(kind="missing_edge", step=i + 1, edge=(u, v)))
     if violations:
         return ViolationReport(violations=tuple(violations))
     if wrap:
         # canonical rotation: cyclic tours start at node 1
         start = order.index(1)
         order = order[start:] + order[:start]
-    cost = _tour_cost(instance, order, wrap=wrap)
     return Tour(order=order, cost=cost, valid=True)

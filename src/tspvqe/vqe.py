@@ -58,8 +58,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import kernels
-from .errors import ValidationError
+from . import kernels, layouts
+from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
 from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state
 
@@ -83,6 +83,8 @@ class AnsatzConfig:
             raise ValidationError(f"unknown entangler {self.entangler!r}")
         if self.layers < 1:
             raise ValidationError("ansatz needs at least one layer")
+        if self.layers > layouts.LAYER_CAP:
+            raise SizeCapError(f"ansatz capped at {layouts.LAYER_CAP} layers, got {self.layers}")
 
     @property
     def entangler_count(self) -> int:

@@ -48,6 +48,16 @@ class TestEncode:
                                   "--form", "binary"])
         assert doc["penalty_a"] == 41
 
+    @pytest.mark.parametrize("flags", [
+        ["--penalty-a", "999"],
+        ["--penalties", "lucas", "--penalty-a", "999"],
+    ])
+    def test_penalty_values_need_explicit_mode(self, flags, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["encode", COUNTER, "-o", str(out)] + flags) == 2
+        assert "need --penalties explicit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -247,6 +257,12 @@ class TestVqeCommand:
         assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2
         err = capsys.readouterr()
         assert err.out == "" and err.err.startswith("error: ")
+
+    def test_layers_above_cap_exit_3(self, capsys):
+        start = time.perf_counter()
+        assert main(["vqe", LANDSCAPE, "--layers", "1000000"]) == 3
+        assert time.perf_counter() - start < 1
+        assert "ansatz capped at 64 layers" in capsys.readouterr().err
 
     def test_timestamp_present_by_default(self, tmp_path, capsys):
         assert main(["vqe", LANDSCAPE, "--init", "zeros", "--seed", "2",

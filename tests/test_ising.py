@@ -22,7 +22,7 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
-from tspvqe.ising import _energy_order, spectrum_csv_rows
+from tspvqe.ising import _energy_order, bit_cells, cell_table, render_rows, spectrum_csv_rows
 from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.oracle import Tour
@@ -295,3 +295,29 @@ def test_ground_states_match_oracle(landscape_instance, counterexample_instance)
         decoded = {validate_bitstring(fixed, "efficient", bits).order
                    for bits in bitstrings}
         assert decoded == {t.order for t in tours}
+
+
+def test_ground_states_of_zero_spins():
+    assert ground_states(to_ising(_poly(0, constant=3))) == (3, [""])
+
+
+def test_ground_states_of_a_flat_form_cross_blocks():
+    # all 8192 states of a 13-spin form without terms tie: two 4096-row blocks
+    energy, bitstrings = ground_states(to_ising(_poly(13)))
+    assert energy == 0
+    assert bitstrings == [bits_to_string(index_to_bits(z, 13)) for z in range(1 << 13)]
+
+
+@pytest.mark.parametrize("cells", [
+    [b"ab", b"cd", b"ef"],  # one width: nothing to drop
+    [b",7\n", b",-1/3\n", b"x", b",12\n"],  # mixed widths
+])
+def test_render_rows_drops_only_the_padding(cells):
+    rng = np.random.default_rng(len(cells))
+    indices = rng.integers(0, 1 << 9, 50)
+    picked = rng.integers(0, len(cells), 50)
+    text = render_rows([bit_cells(indices, 9), cell_table(cells)[picked]])
+    assert text == "".join(
+        bits_to_string(index_to_bits(int(z), 9)) + cells[c].decode()
+        for z, c in zip(indices, picked)
+    )

@@ -49,12 +49,20 @@ import tempfile
 SEEDS = range(11)  # 0 to 10
 
 # runs a JSON list of argv lists, read from stdin, through tspvqe.cli.main
-# in one process, and prints their exit codes as a JSON list
+# in one process, and prints their exit codes as a JSON list; an argparse
+# refusal counts as its SystemExit code, so later commands still run
 _RUNNER = """\
 import json, sys
 sys.path.insert(0, "src")
 from tspvqe import cli
-print(json.dumps([cli.main(argv) for argv in json.load(sys.stdin)]))
+
+def run(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+print(json.dumps([run(argv) for argv in json.load(sys.stdin)]))
 """
 
 
