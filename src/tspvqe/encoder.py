@@ -14,48 +14,86 @@ structure encodes the problem:
   node 1, leaving (N-1)^2 variables; node 1's outgoing and incoming steps
   become linear boundary terms on columns 2 and N.
 
-All coefficients are exact rationals, summed as Python ints over one common
-denominator and made Fractions once per term.  For undirected instances every
-stored edge contributes both traversal orientations.
+All coefficients are exact rationals: the encoders and ``fix_variables`` sum
+Python ints over one common denominator and hand them to the polynomial as
+its numerators, so no Fraction is made per term unless a coefficient is read
+as one.  For undirected instances every stored edge contributes both
+traversal orientations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import ising, layouts, oracle
 from .errors import ValidationError
 from .graph import ProblemInstance
-from .rationals import common_scale, rational_to_json
+from .rationals import common_scale, fraction_terms, rational_to_json, scale_terms
 
 
-@dataclass(frozen=True)
 class PseudoBooleanPolynomial:
-    """constant + sum a_i x_i + sum q_ij x_i x_j over named binary variables."""
+    """constant + sum a_i x_i + sum q_ij x_i x_j over named binary variables.
 
-    layout: str
-    node_count: int
-    variable_order: tuple
-    constant: Fraction
-    linear: dict
-    quadratic: dict
-    _index: dict = field(init=False, repr=False, compare=False)
+    The coefficients are held as exact Python-int numerators over one
+    positive ``denominator``: ``constant_numerator``, ``linear_numerators``
+    ({var: int}) and ``quadratic_numerators`` ({(a, b): int}), zero terms
+    dropped.  ``constant``, ``linear`` and ``quadratic`` are the same
+    coefficients as Fractions, built on first read.  The constructor takes
+    Fractions or ints; ``from_numerators`` takes the numerators as they are.
+    Immutable by convention.
+    """
 
-    def __post_init__(self):
-        index = {var: k for k, var in enumerate(self.variable_order)}
-        for var in self.linear:
-            if var not in index:
+    def __init__(self, layout, node_count, variable_order, constant, linear, quadratic):
+        denominator, constant_numerator, (linear_numerators, quadratic_numerators) = (
+            scale_terms(constant, linear, quadratic))
+        self._init(layout, node_count, variable_order, denominator, constant_numerator,
+                   linear_numerators, quadratic_numerators)
+        for var in linear:
+            if var not in self._index:
                 raise ValidationError(f"linear term on unknown variable {var}")
-        for pair in self.quadratic:
+        for pair in quadratic:
             a, b = pair
             if a == b:
                 raise ValidationError(f"quadratic term on repeated variable {a}")
-            if a not in index or b not in index:
+            if a not in self._index or b not in self._index:
                 raise ValidationError(f"quadratic term on unknown variables {pair}")
-        object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def from_numerators(cls, layout, node_count, variable_order, denominator, constant,
+                        linear, quadratic) -> PseudoBooleanPolynomial:
+        """The polynomial of coefficients ``numerator / denominator``.  The
+        dicts are kept as given: nonzero ints on pairs of distinct variables
+        of ``variable_order``."""
+        poly = cls.__new__(cls)
+        poly._init(layout, node_count, variable_order, denominator, constant, linear, quadratic)
+        return poly
+
+    def _init(self, layout, node_count, variable_order, denominator, constant, linear,
+              quadratic):
+        self.layout = layout
+        self.node_count = node_count
+        self.variable_order = variable_order
+        self.denominator = denominator
+        self.constant_numerator = constant
+        self.linear_numerators = linear
+        self.quadratic_numerators = quadratic
+        self._index = {var: k for k, var in enumerate(variable_order)}
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(self.constant_numerator, self.denominator)
+
+    @cached_property
+    def linear(self) -> dict:
+        return fraction_terms(self.linear_numerators, self.denominator)
+
+    @cached_property
+    def quadratic(self) -> dict:
+        return fraction_terms(self.quadratic_numerators, self.denominator)
 
     @property
     def n_vars(self) -> int:
@@ -67,14 +105,15 @@ class PseudoBooleanPolynomial:
     def evaluate(self, bits) -> Fraction:
         """Exact value at a 0/1 assignment given in variable order."""
         bits = layouts.coerce_bits(bits, self.n_vars)
-        total = self.constant
-        for var, coef in self.linear.items():
-            if bits[self._index[var]]:
-                total += coef
-        for (a, b), coef in self.quadratic.items():
-            if bits[self._index[a]] and bits[self._index[b]]:
-                total += coef
-        return total
+        index = self._index
+        total = self.constant_numerator
+        for var, c in self.linear_numerators.items():
+            if bits[index[var]]:
+                total += c
+        for (a, b), c in self.quadratic_numerators.items():
+            if bits[index[a]] and bits[index[b]]:
+                total += c
+        return Fraction(total, self.denominator)
 
     def evaluate_table(self, table) -> Fraction:
         """Exact value at an assignment given as a {(v, t): 0/1} mapping."""
@@ -102,8 +141,8 @@ class PseudoBooleanPolynomial:
 class _PolyBuilder:
     """Sums terms as Python ints over the common denominator ``scale``.
 
-    Every ``add_*`` takes a coefficient times ``scale``; ``build`` makes one
-    Fraction per nonzero term.
+    Every ``add_*`` takes a coefficient times ``scale``; ``build`` hands the
+    nonzero sums over as the polynomial's numerators.
     """
 
     def __init__(self, layout, node_count, variable_order, scale):
@@ -128,14 +167,10 @@ class _PolyBuilder:
         self.quadratic[(a, b)] = self.quadratic.get((a, b), 0) + c
 
     def build(self) -> PseudoBooleanPolynomial:
-        scale = self.scale
-        return PseudoBooleanPolynomial(
-            layout=self.layout,
-            node_count=self.node_count,
-            variable_order=self.order,
-            constant=Fraction(self.constant, scale),
-            linear={v: Fraction(c, scale) for v, c in self.linear.items() if c},
-            quadratic={p: Fraction(c, scale) for p, c in self.quadratic.items() if c},
+        return PseudoBooleanPolynomial.from_numerators(
+            self.layout, self.node_count, self.order, self.scale, self.constant,
+            {v: c for v, c in self.linear.items() if c},
+            {p: c for p, c in self.quadratic.items() if c},
         )
 
 
@@ -222,18 +257,14 @@ def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
         if value not in (0, 1) or isinstance(value, float):
             raise ValidationError(f"variable {var} can be fixed to 0 or 1, not {value!r}")
     order = tuple(var for var in poly.variable_order if var not in assignment)
-    scale, ints = common_scale(
-        [poly.constant, *poly.linear.values(), *poly.quadratic.values()]
-    )
-    split = 1 + len(poly.linear)
-    builder = _PolyBuilder(layout, poly.node_count, order, scale)
-    builder.add_constant(ints[0])
-    for var, c in zip(poly.linear, ints[1:split]):
+    builder = _PolyBuilder(layout, poly.node_count, order, poly.denominator)
+    builder.add_constant(poly.constant_numerator)
+    for var, c in poly.linear_numerators.items():
         if var in assignment:
             builder.add_constant(c * assignment[var])
         else:
             builder.add_linear(var, c)
-    for (a, b), c in zip(poly.quadratic, ints[split:]):
+    for (a, b), c in poly.quadratic_numerators.items():
         if a in assignment and b in assignment:
             builder.add_constant(c * assignment[a] * assignment[b])
         elif a in assignment:

@@ -3,7 +3,9 @@
 The transform substitutes x = (1 - s)/2 and keeps the constant term, so the
 Ising ground energy equals the optimal Hamiltonian value (for safe penalties
 that is B times the optimal tour cost).  Spin convention: s = +1 is bit 0,
-matching the Pauli-Z eigenvalue of |0>.
+matching the Pauli-Z eigenvalue of |0>.  It reads the binary form's integer
+numerators and sums ints over 4 times its denominator; ``to_int_arrays``
+reduces those by one gcd to the int64 kernels' scale.
 
 ``render_rows`` is the one block text renderer: the spectrum CSV, the ground
 bitstrings and the landscape CSV of ``dqes`` are written by it.
@@ -11,48 +13,88 @@ bitstrings and the landscape CSV of ``dqes`` are written by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import kernels, layouts
-from .rationals import common_scale, rational_to_json, scale_to_int64
+from .rationals import fraction_terms, rational_to_json, scale_terms, scale_to_int64
 
 if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
 
 
-@dataclass
 class IsingPolynomial:
     """constant + sum h_i s_i + sum J_ij s_i s_j over spins s in {-1,+1}.
 
-    Diagonal as an operator in the computational basis; immutable by
-    convention after construction.
+    Diagonal as an operator in the computational basis.  The coefficients
+    are held as exact Python-int numerators over one positive
+    ``denominator``: ``constant_numerator``, ``field_numerators`` ({i: int})
+    and ``coupling_numerators`` ({(i, j): int}), zero terms dropped.
+    ``constant``, ``fields`` and ``couplings`` are the same coefficients as
+    Fractions, built on first read.  The constructor takes Fractions or
+    ints; ``from_numerators`` takes the numerators as they are.  Immutable
+    by convention.
     """
 
-    n: int
-    constant: Fraction
-    fields: dict
-    couplings: dict
-    variable_order: tuple
-    layout: str
-    node_count: int
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _int_energies: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, n, constant, fields, couplings, variable_order, layout, node_count):
+        denominator, constant_numerator, (field_numerators, coupling_numerators) = (
+            scale_terms(constant, fields, couplings))
+        self._init(n, denominator, constant_numerator, field_numerators, coupling_numerators,
+                   variable_order, layout, node_count)
+
+    @classmethod
+    def from_numerators(cls, n, denominator, constant, fields, couplings, variable_order,
+                        layout, node_count) -> IsingPolynomial:
+        """The form of coefficients ``numerator / denominator``; the dicts are
+        kept as given (nonzero ints)."""
+        ising = cls.__new__(cls)
+        ising._init(n, denominator, constant, fields, couplings, variable_order, layout,
+                    node_count)
+        return ising
+
+    def _init(self, n, denominator, constant, fields, couplings, variable_order, layout,
+              node_count):
+        self.n = n
+        self.denominator = denominator
+        self.constant_numerator = constant
+        self.field_numerators = fields
+        self.coupling_numerators = couplings
+        self.variable_order = variable_order
+        self.layout = layout
+        self.node_count = node_count
+        self._arrays = None
+        self._int_energies = None
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(self.constant_numerator, self.denominator)
+
+    @cached_property
+    def fields(self) -> dict:
+        return fraction_terms(self.field_numerators, self.denominator)
+
+    @cached_property
+    def couplings(self) -> dict:
+        return fraction_terms(self.coupling_numerators, self.denominator)
 
     def to_int_arrays(self):
-        """(scale, const, field spins, field values, coupling i, j, values) in int64."""
+        """(scale, const, field spins, field values, coupling i, j, values) in int64.
+
+        ``scale`` is the least common denominator of the coefficients: the
+        numerators are divided by their gcd with ``denominator``, then
+        bounded by ``rationals.scale_to_int64``.
+        """
         if self._arrays is None:
-            spins = sorted(self.fields)
-            pairs = sorted(self.couplings)
+            fields, couplings = self.field_numerators, self.coupling_numerators
+            spins = sorted(fields)
+            pairs = sorted(couplings)
             scale, const, values = scale_to_int64(
-                self.constant,
-                [self.fields[i] for i in spins] + [self.couplings[p] for p in pairs],
+                self.denominator, self.constant_numerator,
+                [fields[i] for i in spins] + [couplings[p] for p in pairs],
             )
             self._arrays = (
                 scale,
@@ -106,20 +148,18 @@ class IsingPolynomial:
 def to_ising(poly: PseudoBooleanPolynomial) -> IsingPolynomial:
     """Exact spin form of a quadratic pseudo-Boolean polynomial.
 
-    Sums Python ints over 4 times the common denominator of ``poly``'s
-    coefficients and makes one Fraction per nonzero term.
+    Sums Python ints over 4 times ``poly.denominator``, read from its
+    numerators, and hands the nonzero sums over as the spin form's.
     """
-    scale, ints = common_scale([poly.constant, *poly.linear.values(), *poly.quadratic.values()])
-    split = 1 + len(poly.linear)
     index_of = poly.index_of
-    constant = 4 * ints[0]
+    constant = 4 * poly.constant_numerator
     fields = [0] * poly.n_vars
     couplings = {}
-    for var, c in zip(poly.linear, ints[1:split]):
+    for var, c in poly.linear_numerators.items():
         # x = (1 - s)/2
         constant += 2 * c
         fields[index_of(var)] -= 2 * c
-    for (a, b), c in zip(poly.quadratic, ints[split:]):
+    for (a, b), c in poly.quadratic_numerators.items():
         # x_a x_b = (1 - s_a - s_b + s_a s_b)/4
         i, j = index_of(a), index_of(b)
         constant += c
@@ -127,15 +167,11 @@ def to_ising(poly: PseudoBooleanPolynomial) -> IsingPolynomial:
         fields[j] -= c
         pair = (i, j) if i < j else (j, i)
         couplings[pair] = couplings.get(pair, 0) + c
-    denominator = 4 * scale
-    return IsingPolynomial(
-        n=poly.n_vars,
-        constant=Fraction(constant, denominator),
-        fields={i: Fraction(h, denominator) for i, h in enumerate(fields) if h},
-        couplings={p: Fraction(c, denominator) for p, c in couplings.items() if c},
-        variable_order=poly.variable_order,
-        layout=poly.layout,
-        node_count=poly.node_count,
+    return IsingPolynomial.from_numerators(
+        poly.n_vars, 4 * poly.denominator, constant,
+        {i: h for i, h in enumerate(fields) if h},
+        {p: c for p, c in couplings.items() if c},
+        poly.variable_order, poly.layout, poly.node_count,
     )
 
 
@@ -143,12 +179,12 @@ def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
     """Exact classical energy with s_i = 1 - 2*bit_i."""
     bits = layouts.coerce_bits(bits, ising.n)
     spins = [1 - 2 * b for b in bits]
-    total = ising.constant
-    for i, h in ising.fields.items():
+    total = ising.constant_numerator
+    for i, h in ising.field_numerators.items():
         total += h * spins[i]
-    for (i, j), c in ising.couplings.items():
+    for (i, j), c in ising.coupling_numerators.items():
         total += c * spins[i] * spins[j]
-    return total
+    return Fraction(total, ising.denominator)
 
 
 # Rows per rendered block: a block's buffers stay a few hundred KB, because

@@ -44,15 +44,18 @@ below the first stage at which the vectors of a request differ.  Rotation
 descent's probe pair and the candidate after it all start from that
 prefix, and the kernel runs only the later stages, with the full call's
 bits.  The prefix is found by comparing parameter vectors, so the searches
-do not know of it.  Such a run also owns three state buffers for its
-lifetime, the prefix and a free pair: every kernel call writes into the
-pair, and each state's probabilities go into the float64 view of the pair's
-other buffer.  So no evaluation allocates a state-sized array, and since
-only where results are written changes, the bits do not.
+do not know of it.  Such a run also keeps three state buffers, the prefix
+and a free pair: every kernel call writes into the pair, and each state's
+probabilities go into the float64 view of the pair's other buffer.  A group
+is then one run, so the runs of a batch go one after another, and all of
+them use the same three buffers, allocated once per batch.  So no
+evaluation allocates a state-sized array, and since only where results are
+written changes, the bits do not.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -529,16 +532,32 @@ def run_lockstep(
         convergence_tol * max(1.0, abs(ground_energy)) if ground_energy is not None else 0.0
     )
     group_size = max(1, LOCKSTEP_AMPLITUDES >> (ising.n + 1))
+    # where a kernel call holds one state, a group is one run: the runs go
+    # one at a time, each with its prefix in the same three buffers
+    buffers = _state_buffers(ising.n) if LOCKSTEP_AMPLITUDES >> ising.n <= 1 else None
     traces = []
     for first in range(0, len(starts), group_size):
         traces += _run_group(
             starts[first:first + group_size], ansatz, optimizer, energy_vector,
-            ground_energy, target_tol, mubs,
+            ground_energy, target_tol, mubs, buffers,
         )
     return traces
 
 
-def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, mubs):
+def _state_buffers(n) -> list:
+    """Three 2^n-amplitude complex128 arrays in one anonymous memory map.
+
+    Not from the C heap: a batch's buffers outlive many smaller allocations,
+    and freed there they left holes that later commands' arrays did not fit
+    (the seed-1 ``vqe-n5`` benchmark's peak memory grew by 1.8-2.7 MB).  The
+    map goes back to the system whole once no array uses it.
+    """
+    block = np.frombuffer(mmap.mmap(-1, 3 * 16 * (1 << n)), dtype=np.complex128)
+    return list(block.reshape(3, 1 << n))
+
+
+def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, mubs,
+               buffers):
     """The traces of one lockstep group; its states are freed on return."""
     built = [init.build(ansatz.n, mubs=mubs) for init, _ in group]
     searches = [
@@ -553,27 +572,29 @@ def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_to
         np.stack([psi0.amplitudes for psi0, _ in built]) if len(built) > 1
         else built[0][0].amplitudes[None]
     )
-    results, peaks = _lockstep(searches, states, energy_vector, ansatz)
+    results, peaks = _lockstep(searches, states, energy_vector, ansatz, buffers)
     return [
         _trace(init, seed, result, peak, ansatz, ground_energy, target_tol)
         for (init, seed), result, peak in zip(group, results, peaks)
     ]
 
 
-def _lockstep(searches, states, energy_vector, ansatz):
+def _lockstep(searches, states, energy_vector, ansatz, buffers):
     """Drive ask/tell searches together; return their results in order, and
     for each the basis state of highest probability at its best point.
 
     Search i starts from row i of ``states``.  Each round evaluates the
     pending vectors of every live search, in kernel calls of at most
     ``LOCKSTEP_AMPLITUDES`` amplitudes; a call with one state passes it
-    unstacked, and starts from the run's ``_Prefix``.  Each state is
+    unstacked, and starts from the run's ``_Prefix``, which writes into
+    ``buffers``: the batch's three state-sized arrays where a call holds one
+    state (then ``states`` has one row), else None.  Each state is
     measured by its run's ``_Tally`` as soon as its kernel call returns.
     """
     per_call = max(1, LOCKSTEP_AMPLITUDES >> ansatz.n)
     results = [None] * len(searches)
     tallies = [_Tally(energy_vector) for _ in searches]
-    prefixes = [_Prefix(psi0, ansatz) for psi0 in states] if per_call == 1 else None
+    prefixes = None if buffers is None else [_Prefix(psi0, ansatz, buffers) for psi0 in states]
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
         if prefixes is None:
@@ -635,18 +656,18 @@ class _Prefix:
 
     ``state`` is the ansatz state after the stages below ``stage``, applied
     with the parameters ``params`` (stage 0: the initial state itself).  The
-    run owns three state buffers for its lifetime: every kernel call writes
-    into the two that do not hold ``state``, and a carried prefix becomes
-    ``state`` in place.
+    run writes into the three state buffers of its batch, ``buffers``: every
+    kernel call writes into the two that do not hold ``state``, and a carried
+    prefix becomes ``state`` in place.
     """
 
-    def __init__(self, psi0, ansatz):
+    def __init__(self, psi0, ansatz, buffers):
         self.psi0 = psi0
         self.ansatz = ansatz
         self.stage_count, self.param_stage = kernels.ansatz_stages(
             ansatz.n, ansatz.layers, ansatz.entangler == "ring_rzz"
         )
-        self._buffers = [np.empty(psi0.shape, dtype=np.complex128) for _ in range(3)]
+        self._buffers = buffers
         self._reset()
 
     def _reset(self):

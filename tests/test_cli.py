@@ -1,6 +1,8 @@
 import json
 import pathlib
+import sys
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +11,7 @@ from tspvqe import (
     dqes, encode_tsp_hamiltonian, encoder, energy_of_bitstring, load_instance, to_ising,
 )
 from tspvqe.cli import main
-from tspvqe.layouts import bits_to_string, index_to_bits
+from tspvqe.layouts import bits_to_string, index_to_bits, term_bound
 from tspvqe.rationals import rational_to_json
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -214,6 +216,36 @@ def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypa
     assert elapsed < 1.0
     assert "encode capped at 131072 terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["audit", COUNTER],
+    ["spectrum", LANDSCAPE, "--layout", "full"],
+    ["spectrum", LANDSCAPE, "--layout", "efficient"],
+    ["landscape", LANDSCAPE],
+])
+def test_commands_make_no_fraction_per_term(args, tmp_path):
+    """From the encoder to the int64 kernels the coefficients stay scaled
+    ints: these commands make fewer Fractions than the terms of a 4-node
+    full layout.  Parsing, the oracle and the report make the few they do."""
+    constructors = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results, Python 3.12 on
+        constructors.add(Fraction._from_coprime_ints.__func__.__code__)
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code in constructors:
+            made += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        code = main(args + ["--no-timestamp", "-o", str(tmp_path / "out")])
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    assert 0 < made < term_bound("full", 4)
 
 
 class TestLandscapeCsv:

@@ -102,6 +102,32 @@ def test_int64_guard_just_below_bound_is_exact():
         assert floats[z] == float(exact)
 
 
+def test_int64_guard_applies_after_the_gcd_reduction():
+    """The 2^62 bound holds for the numerators over the least common
+    denominator, not over 4 times the encoder's: a 2-node tsp with A = B =
+    2^58 sums to 2^63 over 4 and to 2^61 reduced by 4, and is enumerated
+    exactly; with A = B = 2^59 the reduced sum reaches 2^62 and is refused."""
+    def spin_form(penalty):
+        poly = encode_tsp_hamiltonian(
+            ProblemInstance(2, False, "tsp", ((1, 2, 1),), penalty, penalty))
+        ising = to_ising(poly)
+        assert (poly.denominator, ising.denominator) == (1, 4)
+        numerators = [ising.constant_numerator, *ising.field_numerators.values(),
+                      *ising.coupling_numerators.values()]
+        return poly, ising, sum(map(abs, numerators))
+
+    poly, ising, unreduced = spin_form(2**58)
+    assert unreduced == 2**63
+    scale, const, _, lv, _, _, qv = ising.to_int_arrays()
+    assert scale == 1
+    assert abs(const) + int(np.abs(lv).sum()) + int(np.abs(qv).sum()) == 2**61
+    ints = ising.energy_int_vector()
+    for z in range(1 << poly.n_vars):
+        assert int(ints[z]) == poly.evaluate(index_to_bits(z, poly.n_vars))
+    with pytest.raises(ValidationError):
+        spin_form(2**59)[1].to_int_arrays()
+
+
 def test_same_row_and_column_couplings_are_half_a(complete4_instance):
     # one-hot squares expand to A/2 spin couplings inside a row and a column;
     # transition terms never touch same-node or same-step pairs, so these

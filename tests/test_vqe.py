@@ -198,12 +198,14 @@ class TestRunVqe:
 
 
 def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
-    """From 14 qubits up every kernel call of a run writes into the run's
-    own three buffers, and the trace is that of calls that allocate."""
+    """From 14 qubits up every kernel call of a batch writes into one set of
+    three buffers, run after run, and each trace is that of the run made
+    alone with calls that allocate."""
     import random
     from fractions import Fraction
 
     from tspvqe import IsingPolynomial, kernels
+    from tspvqe.vqe import run_lockstep
 
     n = 14
     rng = random.Random(14)
@@ -218,7 +220,7 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
         node_count=n,
     )
     original = kernels.apply_ansatz_amplitudes
-    lent = []
+    lent = []  # holds the buffers, so no two of them share an id
 
     def recording(*args, **kwargs):
         lent.append(kwargs.get("buffers"))
@@ -228,11 +230,12 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
         return original(*args, **kwargs)
 
     optimizer = OptimizerConfig(method="rotation_descent", max_evals=25)
-    traces = {}
-    for name, kernel in (("lent", recording), ("fresh", allocating)):
-        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", kernel)
-        traces[name] = run_vqe(ising, RandomInit(seed=5), seed=3, optimizer=optimizer)
-    assert len(lent) > traces["lent"].n_evaluations  # prefixes were carried too
+    starts = [(RandomInit(seed=5), 3), (RandomInit(seed=8), 4)]
+    monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+    batch = run_lockstep(ising, starts, optimizer=optimizer)
+    monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", allocating)
+    alone = [run_vqe(ising, init, seed=seed, optimizer=optimizer) for init, seed in starts]
+    assert len(lent) > sum(t.n_evaluations for t in batch)  # prefixes were carried too
     assert all(pair is not None for pair in lent)
     assert len({id(b) for pair in lent for b in pair}) == 3
-    assert traces["lent"].to_dict() == traces["fresh"].to_dict()
+    assert [t.to_dict() for t in batch] == [t.to_dict() for t in alone]

@@ -9,7 +9,12 @@ machine: once on the working tree's ``src/`` and once on a temporary
 ``git worktree`` of REF (a branch, tag or commit).  Each pair of output files
 is then compared byte for byte.  The floats of the ``vqe`` reports and the
 ``landscape`` CSVs depend on the BLAS build and the CPU, so no golden file
-can hold them; two checkouts on one machine can be compared.
+can hold them; two checkouts on one machine can be compared.  At 16 qubits
+they depend on the OpenBLAS thread count too: the kernel's amplitudes do
+not, but each expectation is a BLAS dot over 2^16 entries whose sum order
+follows the threads, and a random-start 16-qubit report differs between
+``OPENBLAS_NUM_THREADS=1`` and two threads.  Both sides run in this
+process's environment, so they are compared under one setting.
 
 The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
