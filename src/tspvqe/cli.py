@@ -76,12 +76,22 @@ def _apply_penalties(instance, args):
 
 
 def _emit(args, chunks):
-    """Write the strings of ``chunks``, in order, to the output."""
+    """Write the byte strings of ``chunks``, in order, to the output.
+
+    Standard output is written through its binary buffer, after the text
+    layer is flushed, so no chunk is decoded and encoded again; a stream
+    without one (``io.StringIO``) is given the decoded text.
+    """
     if args.output and args.output != "-":
-        with open(args.output, "w") as handle:
+        with open(args.output, "wb") as handle:
             handle.writelines(chunks)
+        return
+    sys.stdout.flush()
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
     else:
-        sys.stdout.writelines(chunks)
+        binary.writelines(chunks)
 
 
 def _emit_report(args, command: str, payload: dict):
@@ -89,7 +99,7 @@ def _emit_report(args, command: str, payload: dict):
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc.update(payload)
-    _emit(args, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    _emit(args, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _encode_polynomial(instance, layout):

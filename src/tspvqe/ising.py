@@ -8,7 +8,8 @@ numerators and sums ints over 4 times its denominator; ``to_int_arrays``
 reduces those by one gcd to the int64 kernels' scale.
 
 ``render_rows`` is the one block text renderer: the spectrum CSV, the ground
-bitstrings and the landscape CSV of ``dqes`` are written by it.
+bitstrings and the landscape CSV of ``dqes`` are written by it, as ASCII
+bytes that go to the output as they are.
 """
 
 from __future__ import annotations
@@ -214,22 +215,32 @@ def bit_cells(indices: np.ndarray, n: int) -> np.ndarray:
     return bits.view(f"V{n}").ravel()
 
 
-def render_rows(columns) -> str:
-    """The text of equal-length arrays of ``V`` cells, row by row.
+def join_cells(columns) -> np.ndarray:
+    """Equal-length arrays of ``V`` cells laid side by side, as one ``V`` array.
 
-    Each row is one record with one field per column; dropping every zero
-    byte (the cells' padding) leaves the text.  A block without padding,
-    such as a spectrum block inside one suffix width, skips that compaction.
+    Cell k of the result holds cell k of every column in turn, padding
+    included; each column may be a broadcast view.
     """
     row = np.dtype([(f"f{k}", column.dtype) for k, column in enumerate(columns)])
     block = np.empty(len(columns[0]), dtype=row)
     for k, column in enumerate(columns):
         block[f"f{k}"] = column
-    text = block.view(np.uint8)
+    return block.view(f"V{row.itemsize}")
+
+
+def render_rows(columns) -> bytes:
+    """The ASCII text of equal-length arrays of ``V`` cells, row by row.
+
+    Each row is one record with one field per column (``join_cells``);
+    dropping every zero byte (the cells' padding) leaves the text.  A block
+    without padding, such as a spectrum block inside one suffix width, skips
+    that compaction.
+    """
+    text = join_cells(columns).view(np.uint8)
     keep = text != 0
     if not keep.all():
         text = text[keep]
-    return text.tobytes().decode("ascii")
+    return text.tobytes()
 
 
 def _bitstrings(indices: np.ndarray, n: int) -> list:
@@ -238,7 +249,7 @@ def _bitstrings(indices: np.ndarray, n: int) -> list:
     for at in range(0, len(indices), _BLOCK_ROWS):
         block = indices[at:at + _BLOCK_ROWS]
         newlines = np.frombuffer(b"\n" * len(block), "V1")
-        strings += render_rows([bit_cells(block, n), newlines]).split("\n")[:-1]
+        strings += render_rows([bit_cells(block, n), newlines]).decode().split("\n")[:-1]
     return strings
 
 
@@ -261,7 +272,8 @@ def _energy_suffix(value: int, scale: int) -> bytes:
 
 
 def spectrum_csv_rows(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
-    """The spectrum CSV: the header line, then blocks of at most 4096 rows.
+    """The spectrum CSV as bytes: the header line, then blocks of at most
+    4096 rows.
 
     All 2^n rows ``bitstring,energy`` sorted by energy, ties by index.  The
     cap is checked before the first block is asked for.  Beyond the cached
@@ -287,7 +299,7 @@ def _energy_order(ints: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
-    yield "bitstring,energy\n"
+    yield b"bitstring,energy\n"
     order = _energy_order(ints)
     last, suffix = None, None
     for at in range(0, len(order), _BLOCK_ROWS):

@@ -422,35 +422,27 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
 # -- restart-point construction ----------------------------------------------
 
 
-def _snap_point(config: AnsatzConfig, product_angles, bits) -> np.ndarray:
+def _restart_points(config, product_angles, seed, count=16):
     """Parameters steering a product state ``Ry(a)Rz(b)|0>`` per qubit onto
-    the computational basis state ``bits``.
+    computational basis states: the one nearest the start (unless the start
+    is ``|0...0>``), then ``count`` seeded random ones.
 
     Layer 1's Rz undoes the azimuthal angle, layer 2's Ry rotates each qubit
     to the requested pole; everything else stays zero.  Needs layers >= 2.
     """
-    n = config.n
-    x = np.zeros(config.parameter_count)
-    per_layer = 2 * n + config.entangler_count
-    for q in range(n):
-        alpha, beta = product_angles[q]
-        x[n + q] = -beta
-        x[per_layer + q] = (np.pi - alpha) if bits[q] else -alpha
-    return x
-
-
-def _restart_points(config, product_angles, seed, count=16):
     if config.layers < 2:
         return []
+    n = config.n
     rng = np.random.default_rng([seed, 0x5EED])
-    angles = product_angles if product_angles is not None else np.zeros((config.n, 2))
-    points = []
+    alpha, beta = (product_angles if product_angles is not None else np.zeros((n, 2))).T
+    bits = [rng.integers(0, 2, n) for _ in range(count)]
     if product_angles is not None and np.any(product_angles):
-        nearest = (np.sin(angles[:, 0] / 2.0) ** 2 > 0.5).astype(int)
-        points.append(_snap_point(config, angles, nearest))
-    for _ in range(count):
-        points.append(_snap_point(config, angles, rng.integers(0, 2, config.n)))
-    return points
+        bits.insert(0, np.sin(alpha / 2.0) ** 2 > 0.5)
+    points = np.zeros((len(bits), config.parameter_count))
+    points[:, n:2 * n] = -beta
+    per_layer = 2 * n + config.entangler_count
+    points[:, per_layer:per_layer + n] = np.where(np.reshape(bits, (-1, n)), np.pi - alpha, -alpha)
+    return list(points)
 
 
 # -- the VQE loop --------------------------------------------------------------

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -7,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import tspvqe
 from tspvqe import (
     dqes, encode_tsp_hamiltonian, encoder, energy_of_bitstring, load_instance, to_ising,
 )
@@ -338,3 +343,39 @@ def test_help_lists_commands(capsys):
     text = capsys.readouterr().out
     for cmd in ("encode", "solve", "audit", "spectrum", "landscape", "vqe"):
         assert cmd in text
+
+
+# prints a line that the text layer holds back, then runs one command twice
+# into standard output: with no -o, then with -o -
+_STDOUT_RUNNER = """\
+import sys
+from tspvqe.cli import main
+sys.stdout.reconfigure(write_through=False)
+print("first line")
+argv = sys.argv[1:]
+sys.exit(main(argv) or main(argv + ["-o", "-"]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", LANDSCAPE], ["landscape", LANDSCAPE], ["solve", LANDSCAPE],
+])
+def test_stdout_gets_the_bytes_of_the_output_file(command, tmp_path):
+    # standard output is written through its binary buffer, in order after
+    # the text layer's pending output; a real process, not a captured stream
+    out = tmp_path / "out"
+    assert main(command + ["--no-timestamp", "-o", str(out)]) == 0
+    src = str(pathlib.Path(tspvqe.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _STDOUT_RUNNER, *command, "--no-timestamp"],
+                          capture_output=True, env=env, check=True)
+    assert done.stdout == b"first line\n" + 2 * out.read_bytes()
+
+
+def test_text_only_stdout_gets_the_decoded_text(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["landscape", LANDSCAPE, "-o", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as stream:
+        assert main(["landscape", LANDSCAPE]) == 0
+    assert stream.getvalue() == out.read_text()

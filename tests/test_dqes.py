@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -198,7 +199,7 @@ class TestAgainstReference:
             f"{r.basis},{r.element},{r.energy!r}"
             for r in landscape
         ]
-        text = "".join(landscape_csv_rows(landscape))
+        text = b"".join(landscape_csv_rows(landscape)).decode()
         assert text.endswith("\n")
         assert text.split("\n")[:-1] == expected  # a list: pytest reports the first bad row
 
@@ -236,8 +237,8 @@ def test_landscape_writer_matches_per_row_rendering(which, landscape_ising):
         landscape = compute_landscape(
             landscape_ising if which == "shipped" else _seeded_ising_16())
     blocks = list(landscape_csv_rows(landscape))
-    assert "".join(blocks) == "".join(_landscape_rows_per_row(landscape))
-    assert all(block.endswith("\n") for block in blocks)
+    assert b"".join(blocks) == "".join(_landscape_rows_per_row(landscape)).encode()
+    assert all(block.endswith(b"\n") for block in blocks)
 
 
 class TestSequence:
@@ -293,11 +294,11 @@ class TestBestK:
 
 class TestCsv:
     def test_header_and_row_shape(self, landscape_records):
-        rows = list(islice(landscape_csv_rows(landscape_records), 4))
-        assert rows[0] == "index,positions,basis,element,energy\n"
-        assert rows[1].startswith("0,0-1-2,0,0,")
-        assert rows[3].startswith("144,0-1-4,0,0,")
-        assert all(chunk.count("\n") == 72 for chunk in rows[1:])
+        chunks = list(landscape_csv_rows(landscape_records))
+        assert chunks[0] == b"index,positions,basis,element,energy\n"
+        assert chunks[1].startswith(b"0,0-1-2,0,0,")
+        assert all(chunk.endswith(b"\n") for chunk in chunks)
+        assert b"".join(chunks) == "".join(_landscape_rows_per_row(landscape_records)).encode()
 
 
 class TestExperiments:
@@ -531,3 +532,20 @@ class TestLockstep:
         assert max(shape[0] for shape in shapes if len(shape) == 2) == 20
         assert sum(shape[0] if len(shape) == 2 else 1 for shape in shapes) == evaluations
         assert len(shapes) < evaluations / 5
+
+
+def test_landscape_csv_peak_memory_per_record():
+    # the writer holds a sorted copy of the energies' bits while it finds the
+    # distinct ones, then one block and tables per triple or per distinct
+    # energy: at most 12 B of traced memory per record at 20 qubits, so no
+    # further table of the whole run fits
+    landscape = compute_landscape(_trivial_ising(20))
+    assert len(landscape) == 82_080
+    tracemalloc.start()
+    try:
+        for _ in landscape_csv_rows(landscape):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * len(landscape)

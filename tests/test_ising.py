@@ -216,8 +216,8 @@ def test_spectrum_tie_break_by_index():
     # 4*x0*x1 vanishes unless both bits are set: the zero level is threefold
     # degenerate and must come back in index order 00, 10, 01
     poly = _poly(2, quadratic=[(0, 1, 4)])
-    rows = "".join(spectrum_csv_rows(to_ising(poly)))
-    assert rows == "bitstring,energy\n00,0\n10,0\n01,0\n11,4\n"
+    rows = b"".join(spectrum_csv_rows(to_ising(poly)))
+    assert rows == b"bitstring,energy\n00,0\n10,0\n01,0\n11,4\n"
 
 
 def _random_ising(rng, n):
@@ -246,9 +246,9 @@ def test_spectrum_rows_match_exact_energies(n):
     expected.sort()  # by energy, ties by index
     if n > 2:  # degenerate levels present
         assert len(np.unique(ising.energy_int_vector())) < 1 << n
-    assert "".join(spectrum_csv_rows(ising)) == "bitstring,energy\n" + "".join(
+    assert b"".join(spectrum_csv_rows(ising)) == ("bitstring,energy\n" + "".join(
         f"{bits},{rational_to_json(energy)}\n" for energy, _, bits in expected
-    )
+    )).encode()
 
 
 def test_spectrum_csv_peak_memory_per_row():
@@ -343,7 +343,7 @@ def test_render_rows_drops_only_the_padding(cells):
     indices = rng.integers(0, 1 << 9, 50)
     picked = rng.integers(0, len(cells), 50)
     text = render_rows([bit_cells(indices, 9), cell_table(cells)[picked]])
-    assert text == "".join(
-        bits_to_string(index_to_bits(int(z), 9)) + cells[c].decode()
+    assert text == b"".join(
+        bits_to_string(index_to_bits(int(z), 9)).encode() + cells[c]
         for z, c in zip(indices, picked)
     )

@@ -14,6 +14,7 @@ from tspvqe import (
     run_vqe,
     to_ising,
 )
+from tspvqe import vqe
 from tspvqe.quantum import QuantumState
 
 
@@ -239,3 +240,46 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
     assert all(pair is not None for pair in lent)
     assert len({id(b) for pair in lent for b in pair}) == 3
     assert [t.to_dict() for t in batch] == [t.to_dict() for t in alone]
+
+
+def _restart_points_per_qubit(config, product_angles, seed, count=16):
+    """The restart points as built before they were filled by whole columns:
+    one loop over the qubits per point, the same seeded draws in order."""
+    if config.layers < 2:
+        return []
+    n = config.n
+    rng = np.random.default_rng([seed, 0x5EED])
+    angles = product_angles if product_angles is not None else np.zeros((n, 2))
+    draws = [rng.integers(0, 2, n) for _ in range(count)]
+    if product_angles is not None and np.any(product_angles):
+        draws.insert(0, (np.sin(angles[:, 0] / 2.0) ** 2 > 0.5).astype(int))
+    points = []
+    for bits in draws:
+        x = np.zeros(config.parameter_count)
+        per_layer = 2 * n + config.entangler_count
+        for q in range(n):
+            alpha, beta = angles[q]
+            x[n + q] = -beta
+            x[per_layer + q] = (np.pi - alpha) if bits[q] else -alpha
+        points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("init, layers, entangler", [
+    (ZerosInit(), 2, "linear_rzz"),
+    (RandomInit(seed=7), 2, "linear_rzz"),
+    (RandomInit(seed=8), 3, "ring_rzz"),
+    (MubInit(positions=(0, 2, 4), basis=3, element=5), 2, "linear_rzz"),
+    (RandomInit(seed=9), 1, "linear_rzz"),
+])
+def test_restart_points_match_the_per_qubit_construction(init, layers, entangler):
+    # every restart point keeps its bits, signed zeros included
+    config = AnsatzConfig(n=9, layers=layers, entangler=entangler)
+    _, product_angles = init.build(config.n)
+    for seed in (0, 1, 12345):
+        points = vqe._restart_points(config, product_angles, seed)
+        expected = _restart_points_per_qubit(config, product_angles, seed)
+        assert len(points) == len(expected) == (0 if layers < 2 else 16 + (
+            product_angles is not None and bool(np.any(product_angles))))
+        for got, want in zip(points, expected):
+            assert got.tobytes() == want.tobytes()

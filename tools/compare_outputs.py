@@ -31,7 +31,10 @@ variant x direction cases.  Last, the commands that must be refused: a seeded
 complete 6-node instance is above the 24-spin cap (25 efficient spins, 36
 full) for ``spectrum`` in both layouts, ``landscape``, ``vqe`` and ``audit``,
 and ``spectrum --cap -1`` is refused as invalid.  The generated instances are
-written by this script, the same for both sides.
+written by this script, the same for both sides.  Three commands of the
+list, a spectrum, a 16-qubit landscape and an audit, also run once more each
+without ``-o``, in a process of their own, and their standard output is
+compared in the same way.
 
 A command that both sides refuse with the same exit code (a path audit, an
 efficient encoding of a non-tsp instance, an instance above the cap) counts
@@ -69,6 +72,17 @@ def run(argv):
 
 print(json.dumps([run(argv) for argv in json.load(sys.stdin)]))
 """
+
+# runs one command through tspvqe.cli.main, writing to standard output
+_STDOUT_RUNNER = """\
+import sys
+sys.path.insert(0, "src")
+from tspvqe import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+# outputs of commands() also compared as written to standard output
+STDOUT_NAMES = ("spectrum_landscape.csv", "n5_landscape_0.csv", "audit_counterexample_file.json")
 
 
 def _write_complete(path, nodes, seed):
@@ -166,12 +180,25 @@ def commands(inputs):
 
 
 def _run(checkout, listed, outdir):
-    """Run the commands in ``checkout``, writing into ``outdir``; their exit codes."""
+    """Run the commands in ``checkout``, writing into ``outdir``; their exit codes.
+
+    The commands named in ``STDOUT_NAMES`` then run again, writing to
+    standard output; it goes to ``stdout_<name>``, and their exit codes
+    follow.
+    """
     os.makedirs(outdir)
     argvs = [argv + ["--no-timestamp", "-o", os.path.join(outdir, name)] for name, argv in listed]
     done = subprocess.run([sys.executable, "-c", _RUNNER], cwd=checkout, input=json.dumps(argvs),
                           capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    codes = json.loads(done.stdout.splitlines()[-1])
+    for name, argv in listed:
+        if name in STDOUT_NAMES:
+            with open(os.path.join(outdir, f"stdout_{name}"), "wb") as handle:
+                done = subprocess.run(
+                    [sys.executable, "-c", _STDOUT_RUNNER, *argv, "--no-timestamp"],
+                    cwd=checkout, stdout=handle, stderr=subprocess.DEVNULL)
+            codes.append(done.returncode)
+    return codes
 
 
 def main(argv=None) -> int:
@@ -183,6 +210,8 @@ def main(argv=None) -> int:
         inputs = os.path.join(tmp, "inputs")
         os.makedirs(inputs)
         listed = commands(inputs)
+        names = [name for name, _ in listed]
+        names += [f"stdout_{name}" for name in names if name in STDOUT_NAMES]
         ref_tree = os.path.join(tmp, "ref")
         subprocess.run(["git", "worktree", "add", "--detach", "--quiet", ref_tree, args.ref],
                        cwd=root, check=True)
@@ -193,7 +222,7 @@ def main(argv=None) -> int:
                            check=True)
         codes = _run(root, listed, os.path.join(tmp, "out_tree"))
         bad = refused = 0
-        for (name, _), ref_code, code in zip(listed, ref_codes, codes):
+        for name, ref_code, code in zip(names, ref_codes, codes):
             ours, theirs = (os.path.join(tmp, side, name) for side in ("out_tree", "out_ref"))
             if code and code == ref_code:
                 refused += 1
@@ -205,7 +234,7 @@ def main(argv=None) -> int:
             else:
                 continue
             bad += 1
-    print(f"{len(listed) - bad} of {len(listed)} outputs identical to {args.ref}"
+    print(f"{len(names) - bad} of {len(names)} outputs identical to {args.ref}"
           f" ({refused} commands refused alike by both)")
     return 1 if bad else 0
 
