@@ -15,14 +15,7 @@ from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
 from .graph import ProblemInstance, is_complete, load_instance, save_instance
 from .ising import IsingPolynomial, energy_of_bitstring, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
-from .quantum import (
-    MubLibrary,
-    QuantumState,
-    apply_gate,
-    build_mubs_3q,
-    embed_state,
-    expectation,
-)
+from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state, expectation
 from .vqe import (
     AnsatzConfig,
     MubInit,
@@ -57,7 +50,6 @@ __all__ = [
     "VqeTrace",
     "ZerosInit",
     "apply_ansatz",
-    "apply_gate",
     "audit_penalties",
     "best_k",
     "build_mubs_3q",

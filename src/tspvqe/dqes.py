@@ -100,7 +100,7 @@ class Landscape(Sequence):
         )
 
 
-def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = layouts.SPIN_CAP):
+def compute_landscape(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
     """Energies of all embedded MUB states, as a ``Landscape`` in record order.
 
     ``cap`` can lower the 24-qubit limit but not raise it.
@@ -109,8 +109,7 @@ def compute_landscape(ising: IsingPolynomial, mubs=None, cap: int = layouts.SPIN
     if n < 3:
         raise ValidationError("partial-DQES needs at least 3 qubits")
     layouts.check_spins(n, "landscape", cap)
-    mubs = mubs or build_mubs_3q()
-    probs = np.abs(np.array(mubs.bases)) ** 2  # (9 bases, 8 elements, 8 supports)
+    probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (9 bases, 8 elements, 8 supports)
     triples = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
     ).reshape(-1, 3)
@@ -292,7 +291,8 @@ def run_experiment(
             (ising, starts[first:first + size], ansatz, optimizer, ground, convergence_tol)
             for first in range(0, len(starts), size)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # one worker per part: a fork-started pool forks all its workers at once
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             traces = [trace for part in pool.map(_run_part, jobs) for trace in part]
     else:
         traces = run_lockstep(ising, starts, ansatz, optimizer, ground, convergence_tol)

@@ -1,4 +1,4 @@
-"""Dense state vectors, gates, 3-qubit MUBs, and diagonal expectations.
+"""Dense state vectors, 3-qubit MUBs, and diagonal expectations.
 
 Basis convention: bit k of a state index is qubit k (bit 0 least
 significant), matching the encoder's variable order.  Pauli strings are
@@ -22,8 +22,6 @@ _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _PAULI = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
 
 
@@ -47,77 +45,12 @@ class QuantumState:
         return np.abs(self.amplitudes) ** 2
 
 
-def zero_state(n: int) -> QuantumState:
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    return QuantumState(amps, check=False)
-
-
-def basis_state(n: int, index: int) -> QuantumState:
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[index] = 1.0
-    return QuantumState(amps, check=False)
-
-
 def pauli_matrix(string: str) -> np.ndarray:
     """Dense matrix of a Pauli string (char k acts on qubit k)."""
     m = np.array([[1.0 + 0j]])
     for ch in reversed(string):
         m = np.kron(m, _PAULI[ch])
     return m
-
-
-def _single_qubit(name, angle):
-    if name == "H":
-        return _H
-    if name == "S":
-        return _S
-    if name == "X":
-        return _X
-    if name == "Ry":
-        c, s = np.cos(angle / 2), np.sin(angle / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if name == "Rz":
-        return np.array(
-            [[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]], dtype=complex
-        )
-    return None
-
-
-def _two_qubit(name, angle):
-    if name == "CX":
-        m = np.eye(4, dtype=complex)
-        # control = first qubit argument, target = second
-        m[[2, 3]] = m[[3, 2]]
-        return m
-    if name == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if name == "Rzz":
-        ph = np.exp(np.array([-1, 1, 1, -1]) * 1j * angle / 2)
-        return np.diag(ph)
-    return None
-
-
-def apply_gate(state: QuantumState, name: str, qubits, angle: float | None = None) -> QuantumState:
-    """Apply a named gate; returns a new state (the input is not mutated)."""
-    qubits = [qubits] if isinstance(qubits, int) else list(qubits)
-    n = state.n
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValidationError(f"qubit index {q} out of range for {n} qubits")
-    if len(set(qubits)) != len(qubits):
-        raise ValidationError("gate qubits must be distinct")
-    mat = _single_qubit(name, angle) if len(qubits) == 1 else _two_qubit(name, angle)
-    if mat is None:
-        raise ValidationError(f"unknown gate {name!r} on {len(qubits)} qubit(s)")
-    tensor = state.amplitudes.reshape((2,) * n)
-    # axis n-1-q carries qubit q; tensordot over the gate's input axes
-    axes = [n - 1 - q for q in qubits]
-    k = len(qubits)
-    gate = mat.reshape((2,) * (2 * k))
-    moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-    moved = np.moveaxis(moved, list(range(k)), axes)
-    return QuantumState(moved.reshape(-1), check=False)
 
 
 def embed_state(local, positions, n: int) -> QuantumState:

@@ -64,7 +64,7 @@ import numpy as np
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
-from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state
+from .quantum import QuantumState, build_mubs_3q, embed_state
 
 ENTANGLERS = ("linear_rzz", "ring_rzz")
 
@@ -103,14 +103,7 @@ def apply_ansatz(config: AnsatzConfig, params, state: QuantumState) -> QuantumSt
         raise ValidationError(
             f"expected {config.parameter_count} parameters, got {len(params)}"
         )
-    amps = kernels.apply_ansatz_amplitudes(
-        state.amplitudes,
-        config.n,
-        config.layers,
-        config.entangler == "ring_rzz",
-        params,
-    )
-    return QuantumState(amps, check=False)
+    return QuantumState(_amplitudes(state.amplitudes, params, config), check=False)
 
 
 # -- initial states ----------------------------------------------------------
@@ -123,7 +116,7 @@ class ZerosInit:
     def label(self) -> str:
         return "zeros"
 
-    def build(self, n: int, mubs: MubLibrary | None = None):
+    def build(self, n: int):
         amps = np.zeros(1 << n, dtype=complex)
         amps[0] = 1.0
         return QuantumState(amps, check=False), np.zeros((n, 2))
@@ -138,7 +131,7 @@ class RandomInit:
     def label(self) -> str:
         return f"random({self.seed})"
 
-    def build(self, n: int, mubs: MubLibrary | None = None):
+    def build(self, n: int):
         rng = np.random.default_rng(self.seed)
         angles = rng.uniform(0.0, 2.0 * np.pi, (n, 2))
         amps = np.array([1.0 + 0j])
@@ -162,9 +155,8 @@ class MubInit:
         pos = "-".join(str(p) for p in self.positions)
         return f"mub(basis={self.basis},element={self.element},positions={pos})"
 
-    def build(self, n: int, mubs: MubLibrary | None = None):
-        mubs = mubs or build_mubs_3q()
-        local = mubs.bases[self.basis][self.element]
+    def build(self, n: int):
+        local = build_mubs_3q().bases[self.basis][self.element]
         return embed_state(local, self.positions, n), None
 
 
@@ -484,7 +476,6 @@ def run_vqe(
     seed: int = 0,
     ground_energy: float | None = None,
     convergence_tol: float = 1e-6,
-    mubs: MubLibrary | None = None,
 ) -> VqeTrace:
     """Minimize the expectation of a diagonal Hamiltonian from a given state.
 
@@ -495,7 +486,7 @@ def run_vqe(
     :func:`run_lockstep` with one run.
     """
     [trace] = run_lockstep(
-        ising, [(init, seed)], ansatz, optimizer, ground_energy, convergence_tol, mubs
+        ising, [(init, seed)], ansatz, optimizer, ground_energy, convergence_tol
     )
     return trace
 
@@ -507,7 +498,6 @@ def run_lockstep(
     optimizer: OptimizerConfig | None = None,
     ground_energy: float | None = None,
     convergence_tol: float = 1e-6,
-    mubs: MubLibrary | None = None,
 ) -> list:
     """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep.
 
@@ -531,7 +521,7 @@ def run_lockstep(
     for first in range(0, len(starts), group_size):
         traces += _run_group(
             starts[first:first + group_size], ansatz, optimizer, energy_vector,
-            ground_energy, target_tol, mubs, buffers,
+            ground_energy, target_tol, buffers,
         )
     return traces
 
@@ -548,10 +538,9 @@ def _state_buffers(n) -> list:
     return list(block.reshape(3, 1 << n))
 
 
-def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, mubs,
-               buffers):
+def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, buffers):
     """The traces of one lockstep group; its states are freed on return."""
-    built = [init.build(ansatz.n, mubs=mubs) for init, _ in group]
+    built = [init.build(ansatz.n) for init, _ in group]
     searches = [
         _search(
             np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy, target_tol,
@@ -706,7 +695,6 @@ class _Prefix:
 
 
 def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTrace:
-    best_bitstring = "".join(str((peak >> k) & 1) for k in range(ansatz.n))
     converged = (
         ground_energy is not None
         and abs(result.best_value - ground_energy) <= target_tol
@@ -723,7 +711,7 @@ def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTr
         energies=list(result.history),
         final_energy=result.best_value,
         final_parameters=[float(p) for p in result.best_params],
-        best_bitstring=best_bitstring,
+        best_bitstring=layouts.bits_to_string(layouts.index_to_bits(peak, ansatz.n)),
         converged=converged,
         n_evaluations=result.n_evaluations,
         iterations_to_convergence=iterations,

@@ -356,6 +356,37 @@ class TestExperiments:
             assert a.pop("config") == {**b.pop("config"), "threads": 1}
             assert a == b, mode
 
+    def test_worker_pool_starts_one_worker_per_part(self, landscape_instance, monkeypatch):
+        """A pool forks all of its workers at once, so it is sized to the
+        parts of the batch, not to the requested thread count."""
+        import concurrent.futures
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        short = OptimizerConfig(method="rotation_descent", max_evals=5)
+        for mode, k, threads, workers in (("zeros", 1, 4, 1), ("random", 10, 6, 5)):
+            pooled = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short,
+                                    threads=threads)
+            assert sizes.pop() == workers, mode
+            assert pooled.to_dict()["config"]["threads"] == threads
+            serial = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short)
+            assert pooled.traces == serial.traces, mode
+        assert sizes == []
+
     def test_unknown_mode(self, landscape_instance):
         with pytest.raises(ValidationError):
             run_experiment(landscape_instance, "everything")

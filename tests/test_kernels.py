@@ -5,7 +5,6 @@ import pytest
 
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import ansatz_stages, apply_ansatz_amplitudes, enumerate_spin_energies
-from tspvqe.quantum import QuantumState, apply_gate
 
 
 def _random_form(rng, n):
@@ -75,27 +74,89 @@ def test_spin_energies_against_scalar_reference():
                 assert out[z] == _reference_spin_energy(z, n, *form), (n, z)
 
 
+# reference gates on plain amplitude arrays: bit k of an index is qubit k,
+# carried by axis n - 1 - k of the (2,) * n tensor
+
+
+def _ry(angle):
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _rz(angle):
+    return np.array([[np.exp(-1j * angle / 2), 0], [0, np.exp(1j * angle / 2)]], dtype=complex)
+
+
+def _rzz(angle):
+    return np.diag(np.exp(np.array([-1, 1, 1, -1]) * 1j * angle / 2))
+
+
+def _apply_gate(amps, matrix, qubits):
+    """A new array: ``amps`` after the gate ``matrix`` on the distinct ``qubits``."""
+    n = int(amps.size).bit_length() - 1
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    gate = matrix.reshape((2,) * (2 * k))
+    moved = np.tensordot(gate, amps.reshape((2,) * n), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(moved, list(range(k)), axes).reshape(-1)
+
+
 def _ansatz_gate_by_gate(psi0, n, layers, ring, params):
-    """The layered ansatz built one gate at a time from quantum.apply_gate."""
+    """The layered ansatz built one reference gate at a time."""
     angles = iter(params)
-    state = QuantumState(psi0, check=False)
 
     def rotations(state):
-        for name in ("Ry", "Rz"):
+        for gate in (_ry, _rz):
             for q in range(n):
-                state = apply_gate(state, name, q, next(angles))
+                state = _apply_gate(state, gate(next(angles)), (q,))
         return state
 
+    state = psi0
     for _ in range(layers):
         state = rotations(state)
         for e in range(n if ring else n - 1):
             q1, q2, theta = e, (e + 1) % n, next(angles)
             if q1 == q2:
                 # n = 1 ring: Rzz on (0, 0) sees parity 0, a global phase
-                state = QuantumState(state.amplitudes * np.exp(-0.5j * theta), check=False)
+                state = state * np.exp(-0.5j * theta)
             else:
-                state = apply_gate(state, "Rzz", (q1, q2), theta)
-    return rotations(state).amplitudes
+                state = _apply_gate(state, _rzz(theta), (q1, q2))
+    return rotations(state)
+
+
+def test_reference_ry_at_zero_is_identity():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps /= np.linalg.norm(amps)
+    assert np.allclose(_apply_gate(amps, _ry(0.0), (1,)), amps)
+
+
+def test_reference_qubit_order():
+    # Ry(pi) takes qubit 1 of |00> to |1>: bit 1 set, index 2
+    zero = np.array([1, 0, 0, 0], dtype=complex)
+    assert np.allclose(_apply_gate(zero, _ry(np.pi), (1,)), [0, 0, 1, 0])
+
+
+def test_reference_gates_leave_their_input():
+    amps = np.array([1, 0, 0, 0], dtype=complex)
+    for gate, qubits in ((_ry, (0,)), (_rz, (1,)), (_rzz, (0, 1))):
+        _apply_gate(amps, gate(0.7), qubits)
+        assert np.array_equal(amps, [1, 0, 0, 0]), gate
+
+
+def test_reference_circuit_preserves_norm():
+    rng = np.random.default_rng(23)
+    state = np.zeros(1 << 5, dtype=complex)
+    state[0] = 1.0
+    for _ in range(200):
+        angle = float(rng.uniform(0, 2 * np.pi))
+        if rng.random() < 0.6:
+            gate = (_ry, _rz)[rng.integers(2)]
+            state = _apply_gate(state, gate(angle), (int(rng.integers(5)),))
+        else:
+            q1 = int(rng.integers(5))
+            state = _apply_gate(state, _rzz(angle), (q1, int((q1 + 1 + rng.integers(4)) % 5)))
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 def test_ansatz_paths_agree():

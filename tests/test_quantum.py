@@ -5,7 +5,6 @@ import pytest
 
 from tspvqe import (
     ValidationError,
-    apply_gate,
     build_mubs_3q,
     embed_state,
     encode_efficient,
@@ -14,7 +13,7 @@ from tspvqe import (
     ground_states,
     to_ising,
 )
-from tspvqe.quantum import QuantumState, basis_state, pauli_matrix, zero_state
+from tspvqe.quantum import QuantumState, pauli_matrix
 
 
 class TestMubLibrary:
@@ -133,7 +132,9 @@ def landscape_ising(landscape_instance):
 
 class TestExpectation:
     def test_basis_state_energy(self, landscape_ising):
-        state = basis_state(9, 161)  # bits 100001010 -> index 161
+        amps = np.zeros(512, dtype=complex)
+        amps[161] = 1.0  # bits 100001010 -> index 161
+        state = QuantumState(amps)
         assert expectation(landscape_ising, state) == pytest.approx(
             float(energy_of_bitstring(landscape_ising, "100001010")), abs=1e-12
         )
@@ -165,7 +166,7 @@ class TestExpectation:
 
     def test_size_mismatch(self, landscape_ising):
         with pytest.raises(ValidationError):
-            expectation(landscape_ising, zero_state(4))
+            expectation(landscape_ising, QuantumState(np.eye(16, dtype=complex)[0]))
 
     def test_linear_in_the_hamiltonian(self, landscape_ising):
         from fractions import Fraction
@@ -219,49 +220,3 @@ class TestExpectation:
         values = [expectation(landscape_ising, s) for s in states]
         assert min(values) - 1e-9 <= mixture_energy <= max(values) + 1e-9
 
-
-class TestGates:
-    def test_hadamard(self):
-        state = apply_gate(zero_state(1), "H", 0)
-        assert np.allclose(state.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-
-    def test_ry_zero_is_identity(self):
-        rng = np.random.default_rng(11)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        state = QuantumState(amps)
-        after = apply_gate(state, "Ry", 1, angle=0.0)
-        assert np.allclose(after.amplitudes, amps)
-
-    def test_input_state_not_mutated(self):
-        state = zero_state(2)
-        before = state.amplitudes.copy()
-        apply_gate(state, "X", 0)
-        assert np.array_equal(state.amplitudes, before)
-
-    def test_cx_action(self):
-        # control qubit 0 set -> target qubit 1 flips
-        state = apply_gate(zero_state(2), "X", 0)
-        state = apply_gate(state, "CX", (0, 1))
-        assert abs(state.amplitudes[3] - 1.0) < 1e-12
-        # control clear -> nothing happens
-        state = apply_gate(zero_state(2), "CX", (0, 1))
-        assert abs(state.amplitudes[0] - 1.0) < 1e-12
-
-    def test_random_circuit_preserves_norm(self):
-        rng = np.random.default_rng(23)
-        state = zero_state(5)
-        single = ["H", "S", "X", "Ry", "Rz"]
-        double = ["CX", "CZ", "Rzz"]
-        for _ in range(200):
-            if rng.random() < 0.6:
-                name = single[rng.integers(len(single))]
-                qubits = int(rng.integers(5))
-            else:
-                name = double[rng.integers(len(double))]
-                q1 = int(rng.integers(5))
-                q2 = int((q1 + 1 + rng.integers(4)) % 5)
-                qubits = (q1, q2)
-            angle = float(rng.uniform(0, 2 * np.pi)) if name.startswith("R") else None
-            state = apply_gate(state, name, qubits, angle=angle)
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10

@@ -20,8 +20,9 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
 ``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
-``--max-evals 20``) plus four longer 16-qubit batches, both landscape CSVs,
-and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
+``--max-evals 20``) plus four longer 16-qubit batches, the seed-0 ``paper-n4``
+best-MUB batch once more on two worker processes (``--threads 2``), both
+landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
 stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
 write in turn ends on either one.  Then the exact-rational outputs: ``encode`` in all
 three layouts, binary and Ising; ``audit`` under file, lucas and safe
@@ -149,6 +150,10 @@ def commands(inputs):
          ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--layers", "1", "--max-evals", "200"]),
         ("n5_nelder_mead_0.json",
          ["vqe"] + n5 + ["--init", "zeros", "--optimizer", "nelder_mead", "--max-evals", "200"]),
+        # the process-pool path: two workers, one part of the batch each
+        ("paper_best_mubs_threads2_0.json",
+         ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
+          "--seed", "0", "--threads", "2"]),
     ]
     exact = [landscape, counterexample]
     for variant, directed in itertools.product(("tsp", "cycle", "path"), (False, True)):
