@@ -5,12 +5,15 @@ reads an instance file (JSON or edge-list), is deterministic given its flags
 and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 ``--no-timestamp`` is passed, so reruns can be compared byte for byte.
 
-``audit``, ``spectrum``, ``landscape`` and ``vqe`` share one size cap,
-``layouts.SPIN_CAP`` spins, checked from the node count before anything is
-encoded; ``--cap`` can lower it, not raise it.  ``encode`` stops at
+Every command that takes a ``--layout`` hands the layout to
+``encoder.encode``, and ``audit``, ``spectrum``, ``landscape`` and ``vqe``
+get their Ising form from ``encoder.spin_form``, which refuses an instance
+above ``layouts.SPIN_CAP`` spins from its node count before anything is
+encoded; ``--cap`` can lower that cap, not raise it.  ``encode`` stops at
 ``layouts.TERM_CAP`` terms, checked the same way, and ``vqe --layers`` at
 ``layouts.LAYER_CAP``.  ``--penalty-a`` and ``--penalty-b`` need
-``--penalties explicit``.
+``--penalties explicit``.  Reports are strict JSON: a non-finite float is
+refused, not written.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 """
@@ -26,14 +29,7 @@ import sys
 import traceback
 
 from . import dqes, ising, layouts, oracle
-from .encoder import (
-    audit_penalties,
-    encode_cycle_hamiltonian,
-    encode_efficient,
-    encode_fixed_start,
-    encode_tsp_hamiltonian,
-    suggest_penalties,
-)
+from .encoder import audit_penalties, encode, spin_form, suggest_penalties
 from .errors import SizeCapError, TspVqeError, ValidationError
 from .graph import load_instance
 from .rationals import rational_to_json
@@ -99,24 +95,15 @@ def _emit_report(args, command: str, payload: dict):
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc.update(payload)
-    _emit(args, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
-
-
-def _encode_polynomial(instance, layout):
-    if layout == "full":
-        if instance.variant == "tsp":
-            return encode_tsp_hamiltonian(instance)
-        return encode_cycle_hamiltonian(instance)
-    if layout == "fixed_start_full":
-        return encode_fixed_start(instance)
-    return encode_efficient(instance)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    _emit(args, [(text + "\n").encode()])
 
 
 def cmd_encode(args) -> int:
     instance = _read_instance(args)
     layout = _LAYOUT_FLAGS[args.layout]
     layouts.check_terms(layout, instance.node_count)
-    poly = _encode_polynomial(instance, layout)
+    poly = encode(instance, layout)
     if args.form == "binary":
         payload = poly.to_json_dict()
         payload["n_variables"] = poly.n_vars
@@ -150,18 +137,14 @@ def cmd_audit(args) -> int:
 
 def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
-    layout = _LAYOUT_FLAGS[args.layout]
-    layouts.check_spins(layouts.variable_count(layout, instance.node_count), "spectrum", args.cap)
-    poly = _encode_polynomial(instance, layout)
-    _emit(args, ising.spectrum_csv_rows(ising.to_ising(poly), cap=args.cap))
+    form = spin_form(instance, _LAYOUT_FLAGS[args.layout], "spectrum", args.cap)
+    _emit(args, ising.spectrum_csv_rows(form, cap=args.cap))
     return 0
 
 
 def cmd_landscape(args) -> int:
     instance = _read_instance(args)
-    layouts.check_spins(layouts.variable_count("efficient", instance.node_count), "landscape")
-    poly = encode_efficient(instance)
-    landscape = dqes.compute_landscape(ising.to_ising(poly))
+    landscape = dqes.compute_landscape(spin_form(instance, "efficient", "landscape"))
     _emit(args, dqes.landscape_csv_rows(landscape))
     return 0
 

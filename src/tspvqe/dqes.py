@@ -13,6 +13,7 @@ rendered as bytes by ``ising.render_rows``.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import layouts, oracle
-from .encoder import encode_efficient
+from .encoder import spin_form
 from .errors import ValidationError
 from .graph import ProblemInstance
-from .ising import IsingPolynomial, cell_table, join_cells, render_rows, to_ising
+from .ising import IsingPolynomial, cell_table, join_cells, render_rows
 from .quantum import build_mubs_3q
 from .rationals import rational_to_json
 from .vqe import (
@@ -249,6 +250,9 @@ def run_experiment(
 ) -> ExperimentReport:
     """Encode (efficient layout), run a VQE batch, certify against the oracle.
 
+    Runs are decoded in the Ising form's own layout.  A negative seed or a
+    non-finite ``convergence_tol`` is refused before anything is encoded.
+
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).
     """
@@ -256,12 +260,13 @@ def run_experiment(
         raise ValidationError(f"unknown experiment mode {mode!r}")
     if mode == "random" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
-    if convergence_tol < 0:
-        raise ValidationError(f"convergence_tol must be >= 0, got {convergence_tol}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if not 0 <= convergence_tol < math.inf:
+        raise ValidationError(f"convergence_tol must be finite and >= 0, got {convergence_tol}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    layouts.check_spins(layouts.variable_count("efficient", instance.node_count), "vqe")
-    ising = to_ising(encode_efficient(instance))
+    ising = spin_form(instance, "efficient", "vqe")
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
     # the minimum of the cached energies; no ground bitstring is rendered
@@ -304,7 +309,7 @@ def run_experiment(
         else None
     )
     decoded = [
-        oracle.validate_bitstring(instance, "efficient", t.best_bitstring).to_dict()
+        oracle.validate_bitstring(instance, ising.layout, t.best_bitstring).to_dict()
         for t in traces
     ]
     return ExperimentReport(

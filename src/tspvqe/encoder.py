@@ -10,9 +10,13 @@ structure encodes the problem:
   transition terms over existing edges.
 * ``encode_fixed_start``       -- additionally pins node 1 to step 1.
 * ``encode_efficient``         -- derived from the fixed-start form by
-  ``fix_variables``, which substitutes out the known row and column of
-  node 1, leaving (N-1)^2 variables; node 1's outgoing and incoming steps
-  become linear boundary terms on columns 2 and N.
+  ``fix_variables``, which substitutes out ``layouts.implied_cells`` (the
+  row and column of node 1), leaving (N-1)^2 variables; node 1's outgoing
+  and incoming steps become linear boundary terms on columns 2 and N.
+
+``encode(instance, layout)`` is the one place that picks the encoder of a
+layout, and ``spin_form`` the one path from an instance to its Ising form:
+it refuses an instance above the spin cap from its node count, then encodes.
 
 All coefficients are exact rationals: the encoders and ``fix_variables`` sum
 Python ints over one common denominator and hand them to the polynomial as
@@ -33,6 +37,8 @@ from . import ising, layouts, oracle
 from .errors import ValidationError
 from .graph import ProblemInstance
 from .rationals import common_scale, fraction_terms, rational_to_json, scale_terms
+
+MAX_MINIMA_SCAN = 10_000  # minimizers an audit decodes while it looks for a valid tour
 
 
 class PseudoBooleanPolynomial:
@@ -288,9 +294,29 @@ def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     n = instance.node_count
     if n < 2:
         raise ValidationError("encode_efficient requires at least 2 nodes")
-    known = {(1, t): int(t == 1) for t in range(1, n + 1)}
-    known.update({(v, 1): 0 for v in range(2, n + 1)})
-    return fix_variables(encode_fixed_start(instance), known, "efficient")
+    return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), "efficient")
+
+
+def encode(instance: ProblemInstance, layout: str) -> PseudoBooleanPolynomial:
+    """The penalty polynomial of ``instance`` in ``layout``; ``full`` is the
+    TSP Hamiltonian for tsp instances and the cycle Hamiltonian otherwise."""
+    if layout == "full":
+        if instance.variant == "tsp":
+            return encode_tsp_hamiltonian(instance)
+        return encode_cycle_hamiltonian(instance)
+    if layout == "fixed_start_full":
+        return encode_fixed_start(instance)
+    if layout == "efficient":
+        return encode_efficient(instance)
+    raise ValidationError(f"unknown layout {layout!r}")
+
+
+def spin_form(instance: ProblemInstance, layout: str, what: str,
+              cap: int = layouts.SPIN_CAP) -> ising.IsingPolynomial:
+    """The Ising form of ``encode(instance, layout)``, refused first as
+    ``what`` by ``layouts.check_spins`` from the node count and ``cap``."""
+    layouts.check_spins(layouts.variable_count(layout, instance.node_count), what, cap)
+    return ising.to_ising(encode(instance, layout))
 
 
 def suggest_penalties(instance: ProblemInstance, mode: str = "safe"):
@@ -351,41 +377,35 @@ class AuditReport:
         }
 
 
-def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP,
-                    max_minima_scan: int = 10000) -> AuditReport:
+def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP) -> AuditReport:
     """Brute-force the full-layout Hamiltonian and judge the penalty choice.
 
     Reports the global minimum, whether any minimizing assignment decodes to
-    a valid tour, the best valid tour value, and whether the two closed-form
-    penalty conditions hold.
+    a valid tour (the first ``MAX_MINIMA_SCAN`` minima are decoded), the
+    best valid tour value, and whether the two closed-form penalty
+    conditions hold.
     """
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
-    layouts.check_spins(layouts.variable_count("full", instance.node_count), "audit", cap)
-    poly = (
-        encode_tsp_hamiltonian(instance)
-        if instance.variant == "tsp"
-        else encode_cycle_hamiltonian(instance)
-    )
-    spin_form = ising.to_ising(poly)
-    scale = spin_form.to_int_arrays()[0]
-    energies = spin_form.energy_int_vector()
+    form = spin_form(instance, "full", "audit", cap)
+    scale = form.to_int_arrays()[0]
+    energies = form.energy_int_vector()
     emin = int(energies.min())
     argmins = np.flatnonzero(energies == emin)
     minimum_tour = None
     minimum_violations = ()
     scanned = 0
-    for z in argmins[:max_minima_scan]:
+    for z in argmins[:MAX_MINIMA_SCAN]:
         scanned += 1
         decoded = oracle.validate_bitstring(
-            instance, "full", layouts.index_to_bits(int(z), poly.n_vars)
+            instance, form.layout, layouts.index_to_bits(int(z), form.n)
         )
         if isinstance(decoded, oracle.Tour) and decoded.valid:
             minimum_tour = decoded.order
             break
         if scanned == 1:
             minimum_violations = decoded.violations
-    first_bits = layouts.index_to_bits(int(argmins[0]), poly.n_vars)
+    first_bits = layouts.index_to_bits(int(argmins[0]), form.n)
     optimal_cost, tours = oracle.solve_exact_tsp(instance)
     if optimal_cost is None:
         best_valid = None
@@ -403,7 +423,7 @@ def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP,
         lucas_ok = safe_ok = None
     return AuditReport(
         node_count=instance.node_count,
-        n_variables=poly.n_vars,
+        n_variables=form.n,
         penalty_a=instance.penalty_a,
         penalty_b=instance.penalty_b,
         minimum_energy=Fraction(emin, scale),

@@ -10,13 +10,16 @@ layouts map table cells to bit positions:
   a start-at-node-1 penalty term.
 * ``efficient``        -- v in 2..N, t in 2..N; bit = (v-2)*(N-1) + (t-2).
   Row 1 and column 1 are implied: node 1 sits at step 1 and nowhere else.
+  ``implied_cells`` is the one statement of those cells: the encoder
+  substitutes them out and ``bits_to_table`` puts them back.
 
 Bit k of a basis-state index z is variable k of the layout order; textual
 bitstrings are written with variable 0 first.
 
 Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
-spin (and one qubit) each.  Entry points that take an instance check
-``variable_count`` with ``check_spins`` before they encode anything.
+spin (and one qubit) each.  ``encoder.spin_form``, the one path from an
+instance to its spins, checks ``variable_count`` with ``check_spins``
+before it encodes anything.  An unknown layout is a ``ValidationError``.
 Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
 count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
 """
@@ -33,12 +36,22 @@ def full_variable_order(n):
     return tuple((v, t) for v in range(1, n + 1) for t in range(1, n + 1))
 
 
-def efficient_variable_order(n):
-    return tuple((v, t) for v in range(2, n + 1) for t in range(2, n + 1))
+def implied_cells(n):
+    """The cells the efficient layout does not store, {(v, t): 0/1}: row 1
+    and column 1, with node 1 at step 1 and nowhere else."""
+    others = range(2, n + 1)
+    return {(1, 1): 1, **{(1, t): 0 for t in others}, **{(v, 1): 0 for v in others}}
+
+
+def _side(layout, n):
+    """The side of the stored table: n, or n - 1 for ``efficient``."""
+    if layout not in ("full", "fixed_start_full", "efficient"):
+        raise ValidationError(f"unknown layout {layout!r}")
+    return n - (layout == "efficient")
 
 
 def variable_count(layout, n):
-    return n * n if layout in ("full", "fixed_start_full") else (n - 1) * (n - 1)
+    return _side(layout, n) ** 2
 
 
 def check_spins(n, what, cap=SPIN_CAP):
@@ -61,7 +74,7 @@ def term_bound(layout, n):
     m^2 (m - 1) transition pairs: m (m - 1) ordered node pairs at m steps.
     Complete graphs reach it in the full layouts.
     """
-    m = n if layout in ("full", "fixed_start_full") else n - 1
+    m = _side(layout, n)
     return m * m * (2 * m - 1)
 
 
@@ -102,21 +115,10 @@ def bits_to_string(bits):
 def bits_to_table(bits, layout, n):
     """Expand layout bits into the full table {(v, t): 0/1}, v,t in 1..N.
 
-    Efficient layouts are completed with the implied row 1 / column 1
-    (node 1 fixed at step 1).
+    The bits fill the stored cells in full-layout order; the efficient
+    layout's other cells come from ``implied_cells``.
     """
     bits = coerce_bits(bits, variable_count(layout, n))
-    table = {}
-    if layout in ("full", "fixed_start_full"):
-        for k, (v, t) in enumerate(full_variable_order(n)):
-            table[(v, t)] = bits[k]
-    elif layout == "efficient":
-        for t in range(1, n + 1):
-            table[(1, t)] = 1 if t == 1 else 0
-        for v in range(2, n + 1):
-            table[(v, 1)] = 0
-        for k, (v, t) in enumerate(efficient_variable_order(n)):
-            table[(v, t)] = bits[k]
-    else:
-        raise ValidationError(f"unknown layout {layout!r}")
+    table = implied_cells(n) if layout == "efficient" else {}
+    table.update(zip((cell for cell in full_variable_order(n) if cell not in table), bits))
     return table

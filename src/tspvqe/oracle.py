@@ -85,14 +85,14 @@ def _weight_matrix(instance):
     return scale, w
 
 
-def solve_exact_tsp(instance: ProblemInstance, cap: int = EXACT_TSP_NODE_CAP):
+def solve_exact_tsp(instance: ProblemInstance):
     """Exact optimum by Held-Karp; return (optimal cost, all optima).
 
     Cyclic variants (tsp, hamiltonian_cycle) visit 1..N starting at node 1,
     closed by the wrap edge back to 1.  Hamiltonian paths may start at any
     node and have no wrap edge, so an undirected path (like an undirected
     cycle) comes back in both directions.  Returns (None, ()) when no valid
-    tour exists.
+    tour exists; refuses more than ``EXACT_TSP_NODE_CAP`` nodes.
 
     Costs are scaled to integers by the lcm of their denominators.  A
     backward table g[mask][last], filled in O(N^2 2^N), holds the cheapest
@@ -106,8 +106,8 @@ def solve_exact_tsp(instance: ProblemInstance, cap: int = EXACT_TSP_NODE_CAP):
     complete graph has (N-1)! optimal cycles) yields output of that size.
     """
     n = instance.node_count
-    if n > cap:
-        raise SizeCapError(f"exact enumeration capped at {cap} nodes, got {n}")
+    if n > EXACT_TSP_NODE_CAP:
+        raise SizeCapError(f"exact enumeration capped at {EXACT_TSP_NODE_CAP} nodes, got {n}")
     if n == 1:
         return Fraction(0), (Tour(order=(1,), cost=Fraction(0), valid=True),)
     scale, w = _weight_matrix(instance)

@@ -55,6 +55,7 @@ written changes, the bits do not.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -176,7 +177,7 @@ class OptimizerConfig:
 
     ``rho_start`` scales the initial simplex (and, times pi, the sinusoid
     probe offset); ``rho_end`` is the resolution at which a descent is
-    considered finished.
+    considered finished.  Both must be finite.
     """
 
     method: str = "nelder_mead"
@@ -189,6 +190,9 @@ class OptimizerConfig:
             raise ValidationError(f"unknown optimizer method {self.method!r}")
         if self.max_evals < 1:
             raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
+        for name in ("rho_start", "rho_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import pytest
 
 import tspvqe
 from tspvqe import (
-    dqes, encode_tsp_hamiltonian, encoder, energy_of_bitstring, load_instance, to_ising,
+    cli, dqes, encode_tsp_hamiltonian, encoder, energy_of_bitstring, load_instance, to_ising,
 )
 from tspvqe.cli import main
 from tspvqe.layouts import bits_to_string, index_to_bits, term_bound
@@ -295,6 +295,21 @@ class TestVqeCommand:
         err = capsys.readouterr()
         assert err.out == "" and err.err.startswith("error: ")
 
+    @pytest.mark.parametrize("init", ["zeros", "best-mubs", "random"])
+    def test_negative_seed_exits_2(self, init, capsys):
+        assert main(["vqe", LANDSCAPE, "--no-timestamp", "--init", init, "--seed", "-1"]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("optimizer", ["rotation_descent", "nelder_mead"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--tol", "--rho-start", "--rho-end"])
+    def test_non_finite_floats_exit_2(self, flag, value, optimizer, capsys):
+        flags = [flag, value, "--optimizer", optimizer, "--max-evals", "20"]
+        assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err.startswith("error: ") and "finite" in err.err
+
     def test_layers_above_cap_exit_3(self, capsys):
         start = time.perf_counter()
         assert main(["vqe", LANDSCAPE, "--layers", "1000000"]) == 3
@@ -326,6 +341,12 @@ def test_threads_env_var_sets_default(monkeypatch, tmp_path):
     monkeypatch.delenv("TSPVQE_THREADS")
     assert main(argv) == 0
     assert seen == [3, 1, 2, 5, 1]
+
+
+def test_reports_are_strict_json(tmp_path):
+    args = SimpleNamespace(output=str(tmp_path / "out.json"), no_timestamp=True)
+    with pytest.raises(ValueError):
+        cli._emit_report(args, "vqe", {"convergence_tol": float("nan")})
 
 
 def test_help_shows_the_threads_default(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,10 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
-from tspvqe.layouts import TERM_CAP, term_bound
+from tspvqe.encoder import encode, spin_form
+from tspvqe.layouts import (
+    SPIN_CAP, TERM_CAP, bits_to_table, implied_cells, term_bound, variable_count,
+)
 from tspvqe.oracle import Tour
 from tspvqe.rationals import common_scale
 
@@ -463,3 +467,74 @@ def test_term_bound_holds_for_every_encoder():
                     assert terms == term_bound(layout, n)
     assert term_bound("full", 40) <= TERM_CAP < term_bound("full", 41)
     assert term_bound("efficient", 41) <= TERM_CAP < term_bound("efficient", 42)
+
+
+LAYOUTS = ("full", "fixed_start_full", "efficient")
+
+
+def _public_encoder(instance, layout):
+    if layout == "full":
+        return encode_tsp_hamiltonian if instance.variant == "tsp" else encode_cycle_hamiltonian
+    return encode_fixed_start if layout == "fixed_start_full" else encode_efficient
+
+
+def _json_or_refusal(fn, *args):
+    try:
+        return fn(*args).to_json_dict()
+    except ValidationError as exc:
+        return f"refused: {exc}"
+
+
+class TestLayoutOwner:
+    """``encode`` is the one choice of encoder per layout, ``spin_form`` the
+    one path to the spins, and ``implied_cells`` the one statement of the
+    cells the efficient layout does not store."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("variant", ["tsp", "hamiltonian_cycle", "hamiltonian_path"])
+    def test_encode_is_the_public_encoder_of_its_layout(self, variant, directed):
+        rng = random.Random(f"layout-owner:{variant}:{directed}")
+        outcomes = set()
+        for n in range(1, 6):
+            instance = _random_pq_instance(rng, n, variant, directed)
+            for layout in LAYOUTS:
+                ours = _json_or_refusal(encode, instance, layout)
+                assert ours == _json_or_refusal(_public_encoder(instance, layout), instance)
+                if variable_count(layout, n) > SPIN_CAP:
+                    with pytest.raises(SizeCapError):
+                        spin_form(instance, layout, "test")
+                elif isinstance(ours, dict):
+                    form = spin_form(instance, layout, "test")
+                    assert form.to_json_dict() == to_ising(encode(instance, layout)).to_json_dict()
+                    assert form.layout == layout
+                    assert form.n == variable_count(layout, n)
+                else:
+                    with pytest.raises(ValidationError, match=re.escape(ours[len("refused: "):])):
+                        spin_form(instance, layout, "test")
+                outcomes.add(isinstance(ours, dict))
+        assert outcomes == {True, False}  # both encodings and refusals were compared
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bits_to_table_merges_the_implied_cells(self, layout):
+        rng = random.Random(f"bits-to-table:{layout}")
+        for n in range(2, 6):
+            poly = encode(_random_pq_instance(rng, n, "tsp", False), layout)
+            for _ in range(20):
+                bits = [rng.randint(0, 1) for _ in range(poly.n_vars)]
+                expected = implied_cells(n) if layout == "efficient" else {}
+                expected.update(zip(poly.variable_order, bits))
+                assert bits_to_table(bits, layout, n) == expected
+
+    def test_implied_cells(self):
+        assert implied_cells(1) == {(1, 1): 1}
+        assert implied_cells(3) == {(1, 1): 1, (1, 2): 0, (1, 3): 0, (2, 1): 0, (3, 1): 0}
+
+    def test_unknown_layout_is_refused(self, landscape_instance):
+        message = "unknown layout 'fixed'"
+        for call in (lambda: encode(landscape_instance, "fixed"),
+                     lambda: spin_form(landscape_instance, "fixed", "test"),
+                     lambda: variable_count("fixed", 4),
+                     lambda: term_bound("fixed", 4),
+                     lambda: bits_to_table("0" * 9, "fixed", 4)):
+            with pytest.raises(ValidationError, match=message):
+                call()

@@ -26,13 +26,15 @@ landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 
 stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
 write in turn ends on either one.  Then the exact-rational outputs: ``encode`` in all
 three layouts, binary and Ising; ``audit`` under file, lucas and safe
-penalties; ``solve``; and the full-layout ``spectrum``, on both shipped
-instances and on a seeded 4-node instance with p/q costs for each of the six
-variant x direction cases.  Last, the commands that must be refused: a seeded
-complete 6-node instance is above the 24-spin cap (25 efficient spins, 36
-full) for ``spectrum`` in both layouts, ``landscape``, ``vqe`` and ``audit``,
-and ``spectrum --cap -1`` is refused as invalid.  The generated instances are
-written by this script, the same for both sides.  Three commands of the
+penalties; ``solve``; ``spectrum`` in all three layouts; and ``landscape``,
+on both shipped instances and on a seeded 4-node instance with p/q costs for
+each of the six variant x direction cases, so every branch of
+``encoder.encode`` and every refusal of a non-tsp instance is compared.
+Last, the commands that must be refused: a seeded complete 6-node instance
+is above the 24-spin cap (25 efficient spins, 36 full) for ``spectrum`` in
+both layouts, ``landscape``, ``vqe`` and ``audit``, and ``spectrum --cap -1``
+is refused as invalid.  The generated instances are written by this script,
+the same for both sides.  Three commands of the
 list, a spectrum, a 16-qubit landscape and an audit, also run once more each
 without ``-o``, in a process of their own, and their standard output is
 compared in the same way.
@@ -167,10 +169,10 @@ def commands(inputs):
         for penalties in ("file", "lucas", "safe"):
             out.append((f"audit_{stem}_{penalties}.json",
                         ["audit", path, "--penalties", penalties]))
-        out += [
-            (f"solve_{stem}.json", ["solve", path]),
-            (f"spectrum_{stem}_full.csv", ["spectrum", path, "--layout", "full"]),
-        ]
+        out.append((f"solve_{stem}.json", ["solve", path]))
+        for layout in ("full", "fixed", "efficient"):
+            out.append((f"spectrum_{stem}_{layout}.csv", ["spectrum", path, "--layout", layout]))
+        out.append((f"landscape_{stem}_exact.csv", ["landscape", path]))
     n6 = os.path.join(inputs, "n6_0.json")
     _write_complete(n6, 6, 0)
     out += [
