@@ -5,12 +5,16 @@ reads an instance file (JSON or edge-list), is deterministic given its flags
 and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 ``--no-timestamp`` is passed, so reruns can be compared byte for byte.
 
-Every command that takes a ``--layout`` hands the layout to
-``encoder.encode``, and ``audit``, ``spectrum``, ``landscape`` and ``vqe``
-get their Ising form from ``encoder.spin_form``, which refuses an instance
-above ``layouts.SPIN_CAP`` spins from its node count before anything is
-encoded; ``--cap`` can lower that cap, not raise it.  ``encode`` stops at
-``layouts.TERM_CAP`` terms, checked the same way, and ``vqe --layers`` at
+The commands pass their flags through; the library makes the decisions.
+``landscape`` and ``vqe`` encode in ``dqes.LAYOUT``, ``encode`` and
+``spectrum`` in their ``--layout``, ``audit`` in the full one.  The
+``--init``, ``--entangler`` and ``--optimizer`` choices are ``dqes.MODES``,
+``vqe.ENTANGLERS`` and ``vqe.METHODS``, each first entry the default.
+``audit``, ``spectrum``, ``landscape`` and ``vqe`` get their Ising form
+from ``encoder.spin_form``, which refuses an instance above
+``layouts.SPIN_CAP`` spins from its node count before anything is encoded;
+``--cap`` is passed there once and can lower that cap, not raise it.
+``encode`` stops at ``layouts.TERM_CAP`` terms, ``vqe --layers`` at
 ``layouts.LAYER_CAP``.  ``--penalty-a`` and ``--penalty-b`` need
 ``--penalties explicit``.  Reports are strict JSON: a non-finite float is
 refused, not written.
@@ -33,7 +37,7 @@ from .encoder import audit_penalties, encode, spin_form, suggest_penalties
 from .errors import SizeCapError, TspVqeError, ValidationError
 from .graph import load_instance
 from .rationals import rational_to_json
-from .vqe import AnsatzConfig, OptimizerConfig
+from .vqe import ENTANGLERS, METHODS, OptimizerConfig
 
 _LAYOUT_FLAGS = {"full": "full", "fixed": "fixed_start_full", "efficient": "efficient"}
 
@@ -138,36 +142,24 @@ def cmd_audit(args) -> int:
 def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
     form = spin_form(instance, _LAYOUT_FLAGS[args.layout], "spectrum", args.cap)
-    _emit(args, ising.spectrum_csv_rows(form, cap=args.cap))
+    _emit(args, ising.spectrum_csv_rows(form))
     return 0
 
 
 def cmd_landscape(args) -> int:
     instance = _read_instance(args)
-    landscape = dqes.compute_landscape(spin_form(instance, "efficient", "landscape"))
+    landscape = dqes.compute_landscape(spin_form(instance, dqes.LAYOUT, "landscape"))
     _emit(args, dqes.landscape_csv_rows(landscape))
     return 0
 
 
 def cmd_vqe(args) -> int:
     instance = _read_instance(args)
-    mode = {"zeros": "zeros", "best-mubs": "best_mubs", "random": "random"}[args.init]
-    n = layouts.variable_count("efficient", instance.node_count)
-    ansatz = AnsatzConfig(n=n, layers=args.layers, entangler=args.entangler)
-    optimizer = OptimizerConfig(
-        method=args.optimizer,
-        rho_start=args.rho_start,
-        rho_end=args.rho_end,
-        max_evals=args.max_evals,
-    )
+    optimizer = OptimizerConfig(method=args.optimizer, rho_start=args.rho_start,
+                                rho_end=args.rho_end, max_evals=args.max_evals)
     report = dqes.run_experiment(
-        instance,
-        mode,
-        k=args.k,
-        seed=args.seed,
-        ansatz=ansatz,
-        optimizer=optimizer,
-        convergence_tol=args.tol,
+        instance, args.init, k=args.k, seed=args.seed, layers=args.layers,
+        entangler=args.entangler, optimizer=optimizer, convergence_tol=args.tol,
         threads=_default_threads() if args.threads is None else args.threads,
     )
     _emit_report(args, "vqe", report.to_dict())
@@ -259,16 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a VQE experiment batch")
     _add_common(p)
     _add_penalty_flags(p)
-    p.add_argument("--init", choices=("zeros", "best-mubs", "random"), default="zeros")
+    # best-mubs is read as the mode best_mubs
+    p.add_argument("--init", choices=dqes.MODES, default=dqes.MODES[0],
+                   type=lambda value: value.replace("-", "_"))
     p.add_argument("--k", type=int, default=10, help="batch size for best-mubs/random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--entangler", choices=("linear_rzz", "ring_rzz"), default="linear_rzz")
-    p.add_argument(
-        "--optimizer",
-        choices=("rotation_descent", "nelder_mead"),
-        default="rotation_descent",
-    )
+    p.add_argument("--entangler", choices=ENTANGLERS, default=ENTANGLERS[0])
+    p.add_argument("--optimizer", choices=METHODS, default=METHODS[0])
     p.add_argument("--rho-start", type=float, default=0.5)
     p.add_argument("--rho-end", type=float, default=1e-4)
     p.add_argument("--max-evals", type=int, default=2000)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +39,7 @@ from .vqe import (
 )
 
 MODES = ("zeros", "best_mubs", "random")
+LAYOUT = "efficient"  # of an experiment's Ising form, landscape and ansatz
 _RECORDS_PER_TRIPLE = 72  # 9 bases x 8 elements
 
 # run i of an experiment uses seed*_SEED_STRIDE + 2i for the optimizer and
@@ -101,15 +102,16 @@ class Landscape(Sequence):
         )
 
 
-def compute_landscape(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
+def compute_landscape(ising: IsingPolynomial):
     """Energies of all embedded MUB states, as a ``Landscape`` in record order.
 
-    ``cap`` can lower the 24-qubit limit but not raise it.
+    A form above ``layouts.SPIN_CAP`` spins is refused before its C(n,3)
+    qubit triples are built.
     """
     n = ising.n
     if n < 3:
         raise ValidationError("partial-DQES needs at least 3 qubits")
-    layouts.check_spins(n, "landscape", cap)
+    layouts.check_spins(n, "landscape")
     probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (9 bases, 8 elements, 8 supports)
     triples = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
@@ -243,19 +245,24 @@ def run_experiment(
     mode: str,
     k: int = 10,
     seed: int = 0,
-    ansatz: AnsatzConfig | None = None,
+    layers: int = 2,
+    entangler: str = "linear_rzz",
     optimizer: OptimizerConfig | None = None,
     convergence_tol: float = 1e-6,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Encode (efficient layout), run a VQE batch, certify against the oracle.
+    """Encode in ``LAYOUT``, run a VQE batch, certify against the oracle.
 
-    Runs are decoded in the Ising form's own layout.  A negative seed or a
+    The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
+    of ``LAYOUT``, counted from the node count.  Runs are decoded in the
+    Ising form's own layout.  An invalid ansatz, a negative seed or a
     non-finite ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).
     """
+    n = layouts.variable_count(LAYOUT, instance.node_count)
+    ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
     if mode == "random" and k < 1:
@@ -266,8 +273,7 @@ def run_experiment(
         raise ValidationError(f"convergence_tol must be finite and >= 0, got {convergence_tol}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
-    ising = spin_form(instance, "efficient", "vqe")
-    ansatz = ansatz or AnsatzConfig(n=ising.n)
+    ising = spin_form(instance, LAYOUT, "vqe")
     optimizer = optimizer or OptimizerConfig(method="rotation_descent")
     # the minimum of the cached energies; no ground bitstring is rendered
     ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
@@ -328,20 +334,9 @@ def run_experiment(
         mean_iterations_to_convergence=mean_iters,
         decoded_tours=decoded,
         config={
-            "ansatz": {
-                "n": ansatz.n,
-                "layers": ansatz.layers,
-                "entangler": ansatz.entangler,
-                "parameter_count": ansatz.parameter_count,
-            },
-            "optimizer": {
-                "method": optimizer.method,
-                "rho_start": optimizer.rho_start,
-                "rho_end": optimizer.rho_end,
-                "max_evals": optimizer.max_evals,
-                "attempt_sweeps": ATTEMPT_SWEEPS,
-                "restart_jitter": RESTART_JITTER,
-            },
+            "ansatz": {**asdict(ansatz), "parameter_count": ansatz.parameter_count},
+            "optimizer": {**asdict(optimizer), "attempt_sweeps": ATTEMPT_SWEEPS,
+                          "restart_jitter": RESTART_JITTER},
             "threads": threads,
         },
     )

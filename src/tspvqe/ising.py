@@ -7,6 +7,9 @@ matching the Pauli-Z eigenvalue of |0>.  It reads the binary form's integer
 numerators and sums ints over 4 times its denominator; ``to_int_arrays``
 reduces those by one gcd to the int64 kernels' scale.
 
+Every 2^n step goes through ``energy_int_vector``, which refuses a form
+above ``layouts.SPIN_CAP`` spins before it allocates anything.
+
 ``render_rows`` is the one block text renderer: the spectrum CSV, the ground
 bitstrings and the landscape CSV of ``dqes`` are written by it, as ASCII
 bytes that go to the output as they are.
@@ -253,11 +256,10 @@ def _bitstrings(indices: np.ndarray, n: int) -> list:
     return strings
 
 
-def ground_states(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
+def ground_states(ising: IsingPolynomial):
     """(ground energy, all minimizing bitstrings in index order)."""
-    layouts.check_spins(ising.n, "enumeration", cap)
-    scale = ising.to_int_arrays()[0]
     ints = ising.energy_int_vector()
+    scale = ising.to_int_arrays()[0]
     emin = int(ints.min())
     return Fraction(emin, scale), _bitstrings(np.flatnonzero(ints == emin), ising.n)
 
@@ -271,18 +273,18 @@ def _energy_suffix(value: int, scale: int) -> bytes:
     return b",%d/%d\n" % (value // g, scale // g)
 
 
-def spectrum_csv_rows(ising: IsingPolynomial, cap: int = layouts.SPIN_CAP):
+def spectrum_csv_rows(ising: IsingPolynomial):
     """The spectrum CSV as bytes: the header line, then blocks of at most
     4096 rows.
 
     All 2^n rows ``bitstring,energy`` sorted by energy, ties by index.  The
-    cap is checked before the first block is asked for.  Beyond the cached
-    int64 energies, the only full-length array is the sort order, and the
-    text of each energy level is rendered once.
+    energies are enumerated, and a form above the spin cap refused, before
+    the first block is asked for.  Beyond the cached int64 energies, the
+    only full-length array is the sort order, and the text of each energy
+    level is rendered once.
     """
-    layouts.check_spins(ising.n, "spectrum", cap)
-    scale = ising.to_int_arrays()[0]
-    return _spectrum_blocks(ising.n, scale, ising.energy_int_vector())
+    ints = ising.energy_int_vector()
+    return _spectrum_blocks(ising.n, ising.to_int_arrays()[0], ints)
 
 
 def _energy_order(ints: np.ndarray) -> np.ndarray:

@@ -68,6 +68,8 @@ from .ising import IsingPolynomial
 from .quantum import QuantumState, build_mubs_3q, embed_state
 
 ENTANGLERS = ("linear_rzz", "ring_rzz")
+# the optimizer methods, the VQE default first
+METHODS = ("rotation_descent", "nelder_mead")
 
 # amplitudes per ansatz kernel call in a lockstep group; groups are sized for
 # two pending states per run (a rotation-descent probe pair)
@@ -91,8 +93,13 @@ class AnsatzConfig:
             raise SizeCapError(f"ansatz capped at {layouts.LAYER_CAP} layers, got {self.layers}")
 
     @property
+    def ring(self) -> bool:
+        """Whether the entangler chain closes into a ring: n entanglers, not n - 1."""
+        return self.entangler == "ring_rzz"
+
+    @property
     def entangler_count(self) -> int:
-        return self.n if self.entangler == "ring_rzz" else self.n - 1
+        return self.n if self.ring else self.n - 1
 
     @property
     def parameter_count(self) -> int:
@@ -177,7 +184,8 @@ class OptimizerConfig:
 
     ``rho_start`` scales the initial simplex (and, times pi, the sinusoid
     probe offset); ``rho_end`` is the resolution at which a descent is
-    considered finished.  Both must be finite.
+    considered finished.  Both must be finite and positive, and
+    ``rotation_descent`` needs ``rho_start`` below 1.
     """
 
     method: str = "nelder_mead"
@@ -186,13 +194,17 @@ class OptimizerConfig:
     max_evals: int = 2000
 
     def __post_init__(self):
-        if self.method not in ("nelder_mead", "rotation_descent"):
+        if self.method not in METHODS:
             raise ValidationError(f"unknown optimizer method {self.method!r}")
         if self.max_evals < 1:
             raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
         for name in ("rho_start", "rho_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and positive, got {value}")
+        if self.method == "rotation_descent" and self.rho_start >= 1:
+            raise ValidationError("rotation_descent needs rho_start in (0, 1); "
+                                  "the probe offset is pi * rho_start")
 
 
 @dataclass
@@ -357,10 +369,6 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     dim = len(x0)
     if dim == 0:
         return
-    if not 0.0 < config.rho_start < 1.0:
-        raise ValidationError(
-            "rotation_descent needs rho_start in (0, 1); the probe offset is pi * rho_start"
-        )
     rng = np.random.default_rng(seed)
     probe = np.pi * config.rho_start
     cos_p, sin_p = np.cos(probe), np.sin(probe)
@@ -632,8 +640,8 @@ class _Tally:
 
 
 def _amplitudes(psi, theta, ansatz, **options):
-    ring = ansatz.entangler == "ring_rzz"
-    return kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ring, theta, **options)
+    return kernels.apply_ansatz_amplitudes(psi, ansatz.n, ansatz.layers, ansatz.ring, theta,
+                                           **options)
 
 
 class _Prefix:
@@ -650,8 +658,7 @@ class _Prefix:
         self.psi0 = psi0
         self.ansatz = ansatz
         self.stage_count, self.param_stage = kernels.ansatz_stages(
-            ansatz.n, ansatz.layers, ansatz.entangler == "ring_rzz"
-        )
+            ansatz.n, ansatz.layers, ansatz.ring)
         self._buffers = buffers
         self._reset()
 

@@ -310,6 +310,38 @@ class TestVqeCommand:
         err = capsys.readouterr()
         assert err.out == "" and err.err.startswith("error: ") and "finite" in err.err
 
+    def test_rotation_probe_refused_before_encoding(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with a refused optimizer")
+
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        monkeypatch.setattr(dqes, "compute_landscape", unreachable)
+        assert main(["vqe", LANDSCAPE, "--init", "best-mubs", "--rho-start", "1.5"]) == 2
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == ("error: rotation_descent needs rho_start in (0, 1); "
+                           "the probe offset is pi * rho_start\n")
+
+    @pytest.mark.parametrize("flag", ["--rho-start", "--rho-end"])
+    def test_zero_simplex_and_resolution_exit_2(self, flag, capsys):
+        argv = ["vqe", LANDSCAPE, "--no-timestamp", "--optimizer", "nelder_mead", flag, "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr()
+        name = flag[2:].replace("-", "_")
+        assert err.out == "" and err.err == f"error: {name} must be finite and positive, got 0.0\n"
+
+    def test_choices_are_the_library_tuples(self):
+        parser = cli.build_parser()
+        [commands] = parser._subparsers._group_actions
+        options = commands.choices["vqe"]._option_string_actions
+        assert options["--init"].choices is dqes.MODES
+        assert options["--entangler"].choices is tspvqe.vqe.ENTANGLERS
+        assert options["--optimizer"].choices is tspvqe.vqe.METHODS
+        args = parser.parse_args(["vqe", LANDSCAPE])
+        assert (args.init, args.entangler, args.optimizer) == (
+            "zeros", "linear_rzz", "rotation_descent")
+        assert parser.parse_args(["vqe", LANDSCAPE, "--init", "best-mubs"]).init == "best_mubs"
+
     def test_layers_above_cap_exit_3(self, capsys):
         start = time.perf_counter()
         assert main(["vqe", LANDSCAPE, "--layers", "1000000"]) == 3

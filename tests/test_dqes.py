@@ -124,18 +124,11 @@ class TestLandscape:
             compute_landscape(_trivial_ising(2))
 
     def test_cap_cannot_exceed_hard_limit(self):
+        # its own check, before the C(n,3) triples, not the enumeration's
         ising = _trivial_ising(25)
         with pytest.raises(SizeCapError, match="landscape capped at 24 qubits, got 25"):
-            compute_landscape(ising, cap=40)
-        with pytest.raises(SizeCapError, match="landscape capped at 5 qubits, got 6"):
-            compute_landscape(_trivial_ising(6), cap=5)
+            compute_landscape(ising)
         assert ising._int_energies is None  # refused before enumerating
-
-    def test_negative_cap_is_a_validation_error(self):
-        ising = _trivial_ising(9)
-        with pytest.raises(ValidationError, match="landscape cap must be non-negative, got -1"):
-            compute_landscape(ising, cap=-1)
-        assert ising._int_energies is None
 
     def test_float_vector_not_built(self, landscape_instance):
         ising = to_ising(encode_efficient(landscape_instance))
@@ -435,14 +428,13 @@ def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, converg
     """(history, best parameters, best bitstring) of each start, from
     ``optimize`` with an objective that runs the whole ansatz on every vector."""
     energy_vector = ising.energy_float_vector()
-    ring = ansatz.entangler == "ring_rzz"
     out = []
     for init, seed in starts:
         psi0, product_angles = init.build(ansatz.n)
 
         def probabilities(x):
             amps = kernels.apply_ansatz_amplitudes(psi0.amplitudes, ansatz.n, ansatz.layers,
-                                                   ring, x)
+                                                   ansatz.ring, x)
             return np.abs(amps) ** 2
 
         result = optimize(
@@ -469,12 +461,12 @@ class TestLockstep:
     ])
     def test_matches_independent_runs(self, landscape_instance, mode, k, seed, method,
                                       layers, entangler):
-        ansatz = AnsatzConfig(n=9, layers=layers, entangler=entangler)
         optimizer = OptimizerConfig(method=method, max_evals=300)
-        report = run_experiment(landscape_instance, mode, k=k, seed=seed, ansatz=ansatz,
-                                optimizer=optimizer)
+        report = run_experiment(landscape_instance, mode, k=k, seed=seed, layers=layers,
+                                entangler=entangler, optimizer=optimizer)
         assert [t.to_dict() for t in report.traces] == _independent_traces(
-            landscape_instance, report, ansatz, optimizer)
+            landscape_instance, report, AnsatzConfig(n=9, layers=layers, entangler=entangler),
+            optimizer)
 
     def test_runs_of_unequal_length(self, landscape_instance):
         # two runs start at the ground state, two use all but one evaluation

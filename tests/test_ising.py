@@ -12,6 +12,7 @@ from tspvqe import (
     SizeCapError,
     ValidationError,
     audit_penalties,
+    compute_landscape,
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
@@ -294,14 +295,25 @@ def test_energies_at_equals_float_vector_bits():
     assert np.array_equal(gathered.view(np.int64), expected.view(np.int64))
 
 
-def test_spectrum_refuses_cap_above_hard_limit():
-    ising = IsingPolynomial(n=25, constant=Fraction(0), fields={}, couplings={},
-                            variable_order=(), layout="full", node_count=5)
-    with pytest.raises(SizeCapError):
-        spectrum_csv_rows(ising, cap=40)
-    with pytest.raises(SizeCapError):
-        ground_states(ising, cap=40)
-    assert ising._int_energies is None  # refused before enumerating
+def test_forms_above_the_spin_cap_refused_at_the_call():
+    """Every 2^n step refuses a 25-spin form when called, before it builds
+    anything of its size: the one check in ``energy_int_vector`` (the
+    landscape's own check comes before its qubit triples)."""
+    ising = IsingPolynomial(n=25, constant=Fraction(0), fields={0: Fraction(1)},
+                            couplings={(0, 24): Fraction(1)}, variable_order=(),
+                            layout="full", node_count=5)
+    steps = (ising.energy_int_vector, lambda: spectrum_csv_rows(ising),
+             lambda: ground_states(ising), lambda: compute_landscape(ising))
+    tracemalloc.start()
+    try:
+        for step in steps:
+            with pytest.raises(SizeCapError, match="capped at 24 qubits, got 25"):
+                step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert ising._int_energies is None
 
 
 def test_audit_refuses_cap_above_hard_limit():

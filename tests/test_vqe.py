@@ -6,6 +6,7 @@ from tspvqe import (
     MubInit,
     OptimizerConfig,
     RandomInit,
+    ValidationError,
     ZerosInit,
     apply_ansatz,
     encode_efficient,
@@ -111,6 +112,19 @@ class TestOptimize:
 
         optimize(f, np.zeros(8), OptimizerConfig(max_evals=100), seed=0)
         assert len(calls) <= 100
+
+    @pytest.mark.parametrize("method", ["rotation_descent", "nelder_mead"])
+    @pytest.mark.parametrize("name", ["rho_start", "rho_end"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_config_refuses_non_positive_rho(self, method, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
+            OptimizerConfig(method=method, **{name: value})
+
+    def test_config_refuses_rotation_probe_of_pi_or_more(self):
+        for rho_start in (1.0, 1.5):
+            with pytest.raises(ValidationError, match=r"needs rho_start in \(0, 1\)"):
+                OptimizerConfig(method="rotation_descent", rho_start=rho_start)
+        OptimizerConfig(method="nelder_mead", rho_start=1.5)  # a wide simplex is fine
 
 
 class TestRunVqe:
