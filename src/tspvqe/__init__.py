@@ -12,21 +12,11 @@ from .encoder import (
     suggest_penalties,
 )
 from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
-from .graph import ProblemInstance, is_complete, load_instance, save_instance
-from .ising import IsingPolynomial, energy_of_bitstring, ground_states, to_ising
+from .graph import ProblemInstance, load_instance, save_instance
+from .ising import IsingPolynomial, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
 from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state, expectation
-from .vqe import (
-    AnsatzConfig,
-    MubInit,
-    OptimizerConfig,
-    RandomInit,
-    VqeTrace,
-    ZerosInit,
-    apply_ansatz,
-    optimize,
-    run_vqe,
-)
+from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, VqeTrace, ZerosInit
 
 __version__ = "0.1.0"
 
@@ -49,7 +39,6 @@ __all__ = [
     "ValidationError",
     "VqeTrace",
     "ZerosInit",
-    "apply_ansatz",
     "audit_penalties",
     "best_k",
     "build_mubs_3q",
@@ -60,14 +49,10 @@ __all__ = [
     "encode_fixed_start",
     "encode_tsp_hamiltonian",
     "fix_variables",
-    "energy_of_bitstring",
     "expectation",
     "ground_states",
-    "is_complete",
     "load_instance",
-    "optimize",
     "run_experiment",
-    "run_vqe",
     "save_instance",
     "solve_exact_tsp",
     "suggest_penalties",

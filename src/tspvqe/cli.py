@@ -8,8 +8,9 @@ and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 The commands pass their flags through; the library makes the decisions.
 ``landscape`` and ``vqe`` encode in ``dqes.LAYOUT``, ``encode`` and
 ``spectrum`` in their ``--layout``, ``audit`` in the full one.  The
-``--init``, ``--entangler`` and ``--optimizer`` choices are ``dqes.MODES``,
-``vqe.ENTANGLERS`` and ``vqe.METHODS``, each first entry the default.
+``--init`` and ``--entangler`` choices are ``dqes.MODES`` and
+``vqe.ENTANGLERS``, each first entry the default.  ``vqe`` runs rotation
+descent, set by ``--rho-start``, ``--rho-end`` and ``--max-evals``.
 ``audit``, ``spectrum``, ``landscape`` and ``vqe`` get their Ising form
 from ``encoder.spin_form``, which refuses an instance above
 ``layouts.SPIN_CAP`` spins from its node count before anything is encoded;
@@ -20,6 +21,9 @@ from ``encoder.spin_form``, which refuses an instance above
 refused, not written.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
+An instance or ``-o`` path that cannot be opened exits 2.  When the reader
+of standard output closes it early (``tspvqe landscape ... | head``), the
+rest of the output is dropped and the command exits 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .encoder import audit_penalties, encode, spin_form, suggest_penalties
 from .errors import SizeCapError, TspVqeError, ValidationError
 from .graph import load_instance
 from .rationals import rational_to_json
-from .vqe import ENTANGLERS, METHODS, OptimizerConfig
+from .vqe import ENTANGLERS, OptimizerConfig
 
 _LAYOUT_FLAGS = {"full": "full", "fixed": "fixed_start_full", "efficient": "efficient"}
 
@@ -56,7 +60,7 @@ def _read_instance(args):
     fmt = args.format
     if fmt == "auto":
         fmt = "edge_list" if path.endswith((".txt", ".edges", ".edgelist")) else "json"
-    with open(path, "rb") as handle:
+    with _open(path, "rb") as handle:
         instance = load_instance(handle, format=fmt)
     return _apply_penalties(instance, args)
 
@@ -75,15 +79,25 @@ def _apply_penalties(instance, args):
     return instance.with_penalties(*suggest_penalties(instance, mode))
 
 
+def _open(path, mode):
+    """``open``, with a path that cannot be opened refused as input (exit 2)."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _emit(args, chunks):
     """Write the byte strings of ``chunks``, in order, to the output.
 
     Standard output is written through its binary buffer, after the text
     layer is flushed, so no chunk is decoded and encoded again; a stream
-    without one (``io.StringIO``) is given the decoded text.
+    without one (``io.StringIO``) is given the decoded text.  The buffer is
+    flushed before the command returns, so a reader that closed the pipe is
+    noticed by ``main``, not at interpreter exit.
     """
     if args.output and args.output != "-":
-        with open(args.output, "wb") as handle:
+        with _open(args.output, "wb") as handle:
             handle.writelines(chunks)
         return
     sys.stdout.flush()
@@ -92,6 +106,7 @@ def _emit(args, chunks):
         sys.stdout.writelines(chunk.decode() for chunk in chunks)
     else:
         binary.writelines(chunks)
+        binary.flush()
 
 
 def _emit_report(args, command: str, payload: dict):
@@ -155,8 +170,8 @@ def cmd_landscape(args) -> int:
 
 def cmd_vqe(args) -> int:
     instance = _read_instance(args)
-    optimizer = OptimizerConfig(method=args.optimizer, rho_start=args.rho_start,
-                                rho_end=args.rho_end, max_evals=args.max_evals)
+    optimizer = OptimizerConfig(rho_start=args.rho_start, rho_end=args.rho_end,
+                                max_evals=args.max_evals)
     report = dqes.run_experiment(
         instance, args.init, k=args.k, seed=args.seed, layers=args.layers,
         entangler=args.entangler, optimizer=optimizer, convergence_tol=args.tol,
@@ -258,10 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--entangler", choices=ENTANGLERS, default=ENTANGLERS[0])
-    p.add_argument("--optimizer", choices=METHODS, default=METHODS[0])
-    p.add_argument("--rho-start", type=float, default=0.5)
-    p.add_argument("--rho-end", type=float, default=1e-4)
-    p.add_argument("--max-evals", type=int, default=2000)
+    p.add_argument("--rho-start", type=float, default=0.5,
+                   help="rotation probe offset, pi * RHO_START, in (0, 1)")
+    p.add_argument("--rho-end", type=float, default=1e-4,
+                   help="resolution: a sweep whose largest step is below it restarts")
+    p.add_argument("--max-evals", type=int, default=2000, help="most energy evaluations per run")
     p.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
     p.add_argument("--threads", type=int, default=None,
                    help="worker processes (default: $TSPVQE_THREADS or 1)")
@@ -281,9 +297,16 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, TspVqeError, FileNotFoundError) as exc:
+    except TspVqeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed standard output: send what is left, and the flush
+        # at exit, to the null device (the SIGPIPE note of the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except Exception:
         traceback.print_exc()
         return 1

@@ -274,7 +274,7 @@ def run_experiment(
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     ising = spin_form(instance, LAYOUT, "vqe")
-    optimizer = optimizer or OptimizerConfig(method="rotation_descent")
+    optimizer = optimizer or OptimizerConfig()
     # the minimum of the cached energies; no ground bitstring is rendered
     ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
     ground = float(ground_exact)
@@ -335,8 +335,9 @@ def run_experiment(
         decoded_tours=decoded,
         config={
             "ansatz": {**asdict(ansatz), "parameter_count": ansatz.parameter_count},
-            "optimizer": {**asdict(optimizer), "attempt_sweeps": ATTEMPT_SWEEPS,
-                          "restart_jitter": RESTART_JITTER},
+            # a report names its optimizer; rotation descent is the only one
+            "optimizer": {"method": "rotation_descent", **asdict(optimizer),
+                          "attempt_sweeps": ATTEMPT_SWEEPS, "restart_jitter": RESTART_JITTER},
             "threads": threads,
         },
     )

@@ -137,13 +137,6 @@ class ProblemInstance:
         return replace(self, penalty_a=penalty_a, penalty_b=penalty_b)
 
 
-def is_complete(instance: ProblemInstance) -> bool:
-    """True iff every pair of distinct nodes is joined by an edge."""
-    n = instance.node_count
-    expected = n * (n - 1) if instance.directed else n * (n - 1) // 2
-    return len(instance.edges) == expected
-
-
 # -- loading ---------------------------------------------------------------
 
 

@@ -179,18 +179,6 @@ def to_ising(poly: PseudoBooleanPolynomial) -> IsingPolynomial:
     )
 
 
-def energy_of_bitstring(ising: IsingPolynomial, bits) -> Fraction:
-    """Exact classical energy with s_i = 1 - 2*bit_i."""
-    bits = layouts.coerce_bits(bits, ising.n)
-    spins = [1 - 2 * b for b in bits]
-    total = ising.constant_numerator
-    for i, h in ising.field_numerators.items():
-        total += h * spins[i]
-    for (i, j), c in ising.coupling_numerators.items():
-        total += c * spins[i] * spins[j]
-    return Fraction(total, ising.denominator)
-
-
 # Rows per rendered block: a block's buffers stay a few hundred KB, because
 # buffers of a megabyte or more fragment the C heap of a long-running process.
 _BLOCK_ROWS = 4096

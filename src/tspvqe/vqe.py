@@ -1,4 +1,4 @@
-"""Variational loop: layered ansatz, derivative-free optimizers, traces.
+"""Variational loop: layered ansatz, rotation-descent optimizer, traces.
 
 The ansatz alternates per-qubit Ry/Rz rotations with parameterized Rzz
 entanglers and closes with a final rotation layer.  Every gate is the
@@ -6,26 +6,20 @@ exponential of a generator scaled by theta/2, so the circuit is the
 identity at theta = 0 and the first trace entry is always the initial
 state's energy.
 
-Two derivative-free optimizers share one contract (initial step rho_start,
-terminal resolution rho_end, evaluation cap, deterministic given a seed,
-best-so-far history):
+The optimizer is rotation descent: exact sequential minimization of the
+one-parameter sinusoids that rotation-gate circuits produce, with seeded
+sweep orders and deterministic restart points (Nakanishi, Fujii & Todo,
+Phys. Rev. Research 2, 043158, 2020).  On the 9-qubit problems here simplex
+methods plateau above the ground energy within the evaluation budget, while
+sinusoid descent reaches it exactly.  A run is deterministic given its seed,
+stops at its evaluation cap, and records the best-so-far energy after every
+evaluation.
 
-* ``nelder_mead``     -- adaptive simplex reflection with seeded restarts;
-  the general-purpose default of :func:`optimize`.
-* ``rotation_descent`` -- exact sequential minimization of the one-parameter
-  sinusoids that rotation-gate circuits produce, with seeded sweep orders
-  and deterministic restart points.  This is the default for VQE runs: on
-  the 9-qubit problems here simplex methods plateau around 1e-3 above the
-  ground energy within the evaluation budget, while sinusoid descent
-  reaches it exactly.
-
-Both are ask/tell generators.  A search yields a tuple of parameter vectors
-whose values it needs before it can go on (rotation descent's two probes,
-the vertices of a new simplex, or a single point), is sent the list of
-their values, and finally returns its ``OptimizeResult``.  Values are
-recorded in request order, so the history is the same as if each vector had
-been evaluated alone.  :func:`optimize` drives one search with a scalar
-objective.
+The search is an ask/tell generator.  It yields a tuple of parameter vectors
+whose values it needs before it can go on (the two probes of a coordinate,
+or a single point), is sent the list of their values, and finally returns
+its ``OptimizeResult``.  Values are recorded in request order, so the
+history is the same as if each vector had been evaluated alone.
 
 :func:`run_lockstep` drives the independent runs of a VQE batch together.
 Each round it gathers the pending vectors of every live run and evaluates
@@ -36,7 +30,7 @@ holds as many runs as fill a call with two states each (16 at 9 qubits, at
 least one), so at 16 qubits a group is one run and a call one unstacked
 state.  The kernel gives each row the bits a call on it alone would, and each
 expectation is one dot product per row, so a trace does not depend on the
-batch it ran in.  :func:`run_vqe` is a group of one.
+batch it ran in.
 
 Where a call holds one state (14 qubits and up), a run also keeps one
 partly applied state, a prefix: its current point after the ansatz stages
@@ -58,7 +52,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,8 +62,6 @@ from .ising import IsingPolynomial
 from .quantum import QuantumState, build_mubs_3q, embed_state
 
 ENTANGLERS = ("linear_rzz", "ring_rzz")
-# the optimizer methods, the VQE default first
-METHODS = ("rotation_descent", "nelder_mead")
 
 # amplitudes per ansatz kernel call in a lockstep group; groups are sized for
 # two pending states per run (a rotation-descent probe pair)
@@ -104,14 +96,6 @@ class AnsatzConfig:
     @property
     def parameter_count(self) -> int:
         return self.layers * (2 * self.n + self.entangler_count) + 2 * self.n
-
-
-def apply_ansatz(config: AnsatzConfig, params, state: QuantumState) -> QuantumState:
-    if len(params) != config.parameter_count:
-        raise ValidationError(
-            f"expected {config.parameter_count} parameters, got {len(params)}"
-        )
-    return QuantumState(_amplitudes(state.amplitudes, params, config), check=False)
 
 
 # -- initial states ----------------------------------------------------------
@@ -168,7 +152,7 @@ class MubInit:
         return embed_state(local, self.positions, n), None
 
 
-# -- optimizers ---------------------------------------------------------------
+# -- the optimizer ------------------------------------------------------------
 
 # sweeps per rotation-descent attempt while chasing a target, after which the
 # search restarts from the next restart point
@@ -180,29 +164,26 @@ RESTART_JITTER = 0.02
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Shared contract for the derivative-free optimizers.
+    """The rotation-descent settings of one run.
 
-    ``rho_start`` scales the initial simplex (and, times pi, the sinusoid
-    probe offset); ``rho_end`` is the resolution at which a descent is
-    considered finished.  Both must be finite and positive, and
-    ``rotation_descent`` needs ``rho_start`` below 1.
+    ``rho_start`` sets the probe offset, pi * ``rho_start``, and must lie in
+    (0, 1).  ``rho_end`` is the resolution: a sweep whose largest step is
+    below it has stalled, and a step below ``rho_end / 1000`` is not taken.
+    It must be finite and positive.  ``max_evals`` caps the evaluations.
     """
 
-    method: str = "nelder_mead"
     rho_start: float = 0.5
     rho_end: float = 1e-4
     max_evals: int = 2000
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown optimizer method {self.method!r}")
         if self.max_evals < 1:
             raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
         for name in ("rho_start", "rho_end"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
-        if self.method == "rotation_descent" and self.rho_start >= 1:
+        if self.rho_start >= 1:
             raise ValidationError("rotation_descent needs rho_start in (0, 1); "
                                   "the probe offset is pi * rho_start")
 
@@ -243,116 +224,28 @@ class _Recorder:
             self.history.append(self.best_f)
         return values
 
-    @property
-    def left(self) -> int:
-        return self.max_evals - self.n_evals
-
-    def exhausted(self, need: int = 1) -> bool:
-        return self.left < need
-
-    def target_hit(self) -> bool:
-        return self.target is not None and abs(self.best_f - self.target) <= self.target_tol
+    def done(self) -> bool:
+        """Whether the search stops: fewer evaluations left than the three of
+        a coordinate step, or the best value within ``target_tol`` of the
+        target."""
+        return self.max_evals - self.n_evals < 3 or (
+            self.target is not None and abs(self.best_f - self.target) <= self.target_tol)
 
 
 def _search(x0, config, seed, target, target_tol, restart_points):
-    """The ask/tell form of :func:`optimize`: a generator that yields tuples
-    of parameter vectors, is sent the list of their values, and returns the
-    ``OptimizeResult``."""
+    """One rotation-descent run from ``x0``: a generator that yields tuples of
+    parameter vectors, is sent the list of their values, and returns the
+    ``OptimizeResult``.  ``history`` is the best-so-far value after every
+    evaluation (entry 0 is the value at ``x0``), so it never increases."""
     rec = _Recorder(config.max_evals, target, target_tol)
     yield from rec.ask(x0)
-    if config.method == "rotation_descent":
-        yield from _rotation_descent(rec, x0, config, seed, restart_points)
-    else:
-        yield from _nelder_mead(rec, x0, config, seed)
+    yield from _rotation_descent(rec, x0, config, seed, restart_points)
     return OptimizeResult(
         best_params=rec.best_x,
         best_value=rec.best_f,
         history=rec.history,
         n_evaluations=rec.n_evals,
     )
-
-
-def optimize(
-    objective: Callable,
-    x0,
-    config: OptimizerConfig | None = None,
-    seed: int = 0,
-    target: float | None = None,
-    target_tol: float = 0.0,
-    restart_points: Sequence | None = None,
-) -> OptimizeResult:
-    """Minimize a black-box objective under the shared optimizer contract.
-
-    ``history`` is the best-so-far value after every evaluation (entry 0 is
-    the objective at ``x0``), hence monotone non-increasing.  Given the same
-    seed, objective, and config the run is fully deterministic.
-    """
-    search = _search(
-        np.asarray(x0, dtype=float), config or OptimizerConfig(), seed, target, target_tol,
-        restart_points,
-    )
-    request = next(search)
-    while True:
-        try:
-            request = search.send([objective(x) for x in request])
-        except StopIteration as done:
-            return done.value
-
-
-def _nelder_mead(rec, x0, config, seed):
-    """Adaptive simplex reflection with seeded axis signs and restarts."""
-    dim = len(x0)
-    if dim == 0:
-        return
-    rng = np.random.default_rng(seed)
-    alpha = 1.0
-    beta = 1.0 + 2.0 / dim
-    gamma = 0.75 - 1.0 / (2.0 * dim)
-    delta = 1.0 - 1.0 / dim
-    rho = config.rho_start
-    while not (rec.exhausted() or rec.target_hit()):
-        # the simplex vertices are independent, so they form one request
-        xs = [np.array(rec.best_x, copy=True)]
-        for i in range(min(dim, rec.left)):
-            vertex = xs[0].copy()
-            vertex[i] += rho * rng.choice((-1.0, 1.0))
-            xs.append(vertex)
-        fs = [rec.best_f] + (yield from rec.ask(*xs[1:]))
-        if len(xs) < dim + 1:
-            break
-        xs = np.array(xs)
-        fs = np.array(fs)
-        while not (rec.exhausted(need=2) or rec.target_hit()):
-            order = np.argsort(fs, kind="stable")
-            xs, fs = xs[order], fs[order]
-            if np.max(np.abs(xs[1:] - xs[0])) < config.rho_end:
-                break
-            centroid = xs[:-1].mean(axis=0)
-            reflected = centroid + alpha * (centroid - xs[-1])
-            [f_reflected] = yield from rec.ask(reflected)
-            if f_reflected < fs[0]:
-                expanded = centroid + beta * (reflected - centroid)
-                [f_expanded] = yield from rec.ask(expanded)
-                if f_expanded < f_reflected:
-                    xs[-1], fs[-1] = expanded, f_expanded
-                else:
-                    xs[-1], fs[-1] = reflected, f_reflected
-            elif f_reflected < fs[-2]:
-                xs[-1], fs[-1] = reflected, f_reflected
-            else:
-                if f_reflected < fs[-1]:
-                    contracted = centroid + gamma * (reflected - centroid)
-                else:
-                    contracted = centroid - gamma * (reflected - centroid)
-                [f_contracted] = yield from rec.ask(contracted)
-                if f_contracted < min(f_reflected, fs[-1]):
-                    xs[-1], fs[-1] = contracted, f_contracted
-                elif rec.left:
-                    shrunk = slice(1, 1 + min(dim, rec.left))
-                    xs[shrunk] = xs[0] + delta * (xs[shrunk] - xs[0])
-                    fs[shrunk] = yield from rec.ask(*xs[shrunk])
-        # restart around the incumbent with a smaller simplex
-        rho = max(rho * 0.5, config.rho_end * 10.0)
 
 
 def _rotation_descent(rec, x0, config, seed, restart_points):
@@ -378,12 +271,12 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     x = np.array(x0, copy=True)
     fx = rec.best_f
     attempt_evals = 0
-    while not (rec.exhausted(need=3) or rec.target_hit()):
+    while not rec.done():
         order = rng.permutation(dim)
         f_sweep_start = fx
         moved = 0.0
         for k in order:
-            if rec.exhausted(need=3) or rec.target_hit():
+            if rec.done():
                 break
             t0 = x[k]
             plus = x.copy()
@@ -408,7 +301,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
             if f_candidate <= fx:
                 moved = max(moved, abs(u))
                 x, fx = candidate, f_candidate
-        if rec.exhausted(need=3) or rec.target_hit():
+        if rec.done():
             break
         stalled = (f_sweep_start - fx) < 1e-12 or moved < config.rho_end
         # the attempt cap only cuts slow attempts when chasing a known target;
@@ -480,29 +373,6 @@ class VqeTrace:
         }
 
 
-def run_vqe(
-    ising: IsingPolynomial,
-    init,
-    ansatz: AnsatzConfig | None = None,
-    optimizer: OptimizerConfig | None = None,
-    seed: int = 0,
-    ground_energy: float | None = None,
-    convergence_tol: float = 1e-6,
-) -> VqeTrace:
-    """Minimize the expectation of a diagonal Hamiltonian from a given state.
-
-    Expectations are exact state-vector averages (no sampling noise).  When
-    ``ground_energy`` is supplied the run stops as soon as the energy is
-    within ``convergence_tol`` (relative) of it; otherwise convergence stays
-    False and the optimizer runs to its own termination.  This is
-    :func:`run_lockstep` with one run.
-    """
-    [trace] = run_lockstep(
-        ising, [(init, seed)], ansatz, optimizer, ground_energy, convergence_tol
-    )
-    return trace
-
-
 def run_lockstep(
     ising: IsingPolynomial,
     starts: Sequence,
@@ -514,11 +384,14 @@ def run_lockstep(
     """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep.
 
     Runs go in consecutive groups of at most ``LOCKSTEP_AMPLITUDES / 2^(n+1)``
-    (at least one).  Each trace equals that of :func:`run_vqe` on its own
-    start.
+    (at least one).  Each trace equals that of a batch of its start alone.
+    Expectations are exact state-vector averages (no sampling noise).  When
+    ``ground_energy`` is given a run stops as soon as its energy is within
+    ``convergence_tol`` (relative) of it; otherwise convergence stays False
+    and each run goes until it runs out of evaluations.
     """
     ansatz = ansatz or AnsatzConfig(n=ising.n)
-    optimizer = optimizer or OptimizerConfig(method="rotation_descent")
+    optimizer = optimizer or OptimizerConfig()
     if ansatz.n != ising.n:
         raise ValidationError("ansatz qubit count must match the Hamiltonian")
     energy_vector = ising.energy_float_vector()

@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from reference import optimize, run_vqe
 from tspvqe import (
     IsingPolynomial,
     Landscape,
@@ -30,9 +31,7 @@ from tspvqe.vqe import (
     RandomInit,
     ZerosInit,
     _restart_points,
-    optimize,
     run_lockstep,
-    run_vqe,
 )
 
 
@@ -312,10 +311,18 @@ class TestExperiments:
             raise AssertionError("ground bitstrings rendered")
 
         monkeypatch.setattr(ising, "_bitstrings", render)
-        optimizer = OptimizerConfig(method="rotation_descent", max_evals=5)
+        optimizer = OptimizerConfig(max_evals=5)
         report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
         assert report.ground_energy_exact == 13
         assert report.ground_energy == 13.0
+
+    def test_report_names_the_optimizer(self, landscape_instance):
+        optimizer = OptimizerConfig(max_evals=5)
+        report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
+        assert report.to_dict()["config"]["optimizer"] == {
+            "method": "rotation_descent", "rho_start": 0.5, "rho_end": 1e-4, "max_evals": 5,
+            "attempt_sweeps": 1, "restart_jitter": 0.02,
+        }
 
     def test_best_mubs_small_batch(self, landscape_instance):
         # k=2 picks the two exact ground states; both converge instantly
@@ -339,7 +346,7 @@ class TestExperiments:
         assert a.to_dict() == b.to_dict()
 
     def test_worker_pool_matches_serial(self, landscape_instance):
-        short = OptimizerConfig(method="rotation_descent", max_evals=300)
+        short = OptimizerConfig(max_evals=300)
         for mode, k, optimizer in (("best_mubs", 4, None), ("random", 10, short)):
             serial = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer)
             pooled = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer,
@@ -370,7 +377,7 @@ class TestExperiments:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        short = OptimizerConfig(method="rotation_descent", max_evals=5)
+        short = OptimizerConfig(max_evals=5)
         for mode, k, threads, workers in (("zeros", 1, 4, 1), ("random", 10, 6, 5)):
             pooled = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short,
                                     threads=threads)
@@ -393,7 +400,7 @@ class TestExperiments:
                                ((1, 2, 1), (2, 3, 1), (3, 4, 1)), 5, 1)
         report = run_experiment(
             inst, "zeros", seed=0,
-            optimizer=OptimizerConfig(method="rotation_descent", max_evals=300),
+            optimizer=OptimizerConfig(max_evals=300),
         )
         assert report.oracle_cost is None
         assert report.oracle_tours == ()
@@ -452,16 +459,15 @@ def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, converg
 class TestLockstep:
     """A batch run in lockstep equals its runs made one at a time."""
 
-    @pytest.mark.parametrize("mode, k, seed, method, layers, entangler", [
-        ("zeros", 1, 0, "rotation_descent", 2, "linear_rzz"),
-        ("best_mubs", 10, 0, "rotation_descent", 2, "linear_rzz"),
-        ("random", 10, 0, "rotation_descent", 2, "linear_rzz"),
-        ("random", 4, 0, "nelder_mead", 2, "linear_rzz"),
-        ("random", 3, 2, "rotation_descent", 3, "ring_rzz"),
+    @pytest.mark.parametrize("mode, k, seed, layers, entangler", [
+        ("zeros", 1, 0, 2, "linear_rzz"),
+        ("best_mubs", 10, 0, 2, "linear_rzz"),
+        ("random", 10, 0, 2, "linear_rzz"),
+        ("random", 3, 2, 3, "ring_rzz"),
     ])
-    def test_matches_independent_runs(self, landscape_instance, mode, k, seed, method,
-                                      layers, entangler):
-        optimizer = OptimizerConfig(method=method, max_evals=300)
+    def test_matches_independent_runs(self, landscape_instance, mode, k, seed, layers,
+                                      entangler):
+        optimizer = OptimizerConfig(max_evals=300)
         report = run_experiment(landscape_instance, mode, k=k, seed=seed, layers=layers,
                                 entangler=entangler, optimizer=optimizer)
         assert [t.to_dict() for t in report.traces] == _independent_traces(
@@ -470,7 +476,7 @@ class TestLockstep:
 
     def test_runs_of_unequal_length(self, landscape_instance):
         # two runs start at the ground state, two use all but one evaluation
-        optimizer = OptimizerConfig(method="rotation_descent", max_evals=300)
+        optimizer = OptimizerConfig(max_evals=300)
         report = run_experiment(landscape_instance, "best_mubs", k=10, seed=1,
                                 optimizer=optimizer)
         lengths = [t.n_evaluations for t in report.traces]
@@ -489,7 +495,7 @@ class TestLockstep:
             return apply(psi0, *args, start=start, stop=stop, buffers=buffers)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
-        optimizer = OptimizerConfig(method="rotation_descent", max_evals=20)
+        optimizer = OptimizerConfig(max_evals=20)
         report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
         assert {shape for shape, _, _ in calls} == {(1 << 16,)}
         # every call writes into its run's own pair of buffers, three per run
@@ -513,19 +519,18 @@ class TestLockstep:
         starts = [(MubInit(positions=best.positions, basis=best.basis, element=best.element), 3),
                   (RandomInit(seed=11), 4)]
         ansatz = AnsatzConfig(n=16)
-        optimizer = OptimizerConfig(method="rotation_descent", max_evals=40)
+        optimizer = OptimizerConfig(max_evals=40)
         traces = run_lockstep(ising, starts, ansatz, optimizer, ground, 1e-6)
         assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
             _full_kernel_traces(ising, starts, ansatz, optimizer, ground, 1e-6))
 
-    @pytest.mark.parametrize("method, max_evals, layers, entangler", [
-        ("rotation_descent", 700, 2, "linear_rzz"),
-        ("rotation_descent", 500, 3, "ring_rzz"),
-        ("nelder_mead", 300, 2, "linear_rzz"),
+    @pytest.mark.parametrize("max_evals, layers, entangler", [
+        (700, 2, "linear_rzz"),
+        (500, 3, "ring_rzz"),
     ])
     def test_prefix_reuse_matches_full_evaluations(self, landscape_ising, monkeypatch,
-                                                   method, max_evals, layers, entangler):
-        """Prefix reuse forced on at 9 qubits, through sweeps, restarts and simplices.
+                                                   max_evals, layers, entangler):
+        """Prefix reuse forced on at 9 qubits, through sweeps and restarts.
 
         With one state per call, as from 14 qubits up, every run keeps a prefix.
         """
@@ -533,7 +538,7 @@ class TestLockstep:
         ground = float(ground_states(landscape_ising)[0])
         starts = [(RandomInit(seed=seed + 40), seed) for seed in range(3)] + [(ZerosInit(), 2)]
         ansatz = AnsatzConfig(n=9, layers=layers, entangler=entangler)
-        optimizer = OptimizerConfig(method=method, max_evals=max_evals)
+        optimizer = OptimizerConfig(max_evals=max_evals)
         traces = run_lockstep(landscape_ising, starts, ansatz, optimizer, ground, 1e-6)
         assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
             _full_kernel_traces(landscape_ising, starts, ansatz, optimizer, ground, 1e-6))
@@ -548,7 +553,7 @@ class TestLockstep:
             return apply(psi0, *args)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
-        optimizer = OptimizerConfig(method="rotation_descent", max_evals=300)
+        optimizer = OptimizerConfig(max_evals=300)
         report = run_experiment(landscape_instance, "random", k=10, seed=0, optimizer=optimizer)
         evaluations = sum(t.n_evaluations for t in report.traces)
         # all 10 runs fit one group; a round asks at most two states per run

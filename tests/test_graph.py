@@ -7,7 +7,6 @@ from tspvqe import (
     ParseError,
     ProblemInstance,
     ValidationError,
-    is_complete,
     load_instance,
     save_instance,
 )
@@ -89,13 +88,6 @@ def test_rational_costs():
     assert inst.penalty_a == Fraction(5, 2)
 
 
-def test_is_complete(complete4_instance, counterexample_instance):
-    assert is_complete(complete4_instance)
-    assert not is_complete(counterexample_instance)
-    trivial = ProblemInstance(1, False, "cycle", (), 1, 1)
-    assert is_complete(trivial)
-
-
 def _random_instance(rng):
     n = rng.randint(1, 6)
     directed = rng.random() < 0.5
@@ -117,15 +109,6 @@ def test_save_load_round_trip():
         for fmt in ("json", "edge_list"):
             again = load_instance(save_instance(inst, fmt), format=fmt)
             assert again == inst
-
-
-def test_is_complete_matches_count_formula():
-    rng = random.Random(11)
-    for _ in range(40):
-        inst = _random_instance(rng)
-        n = inst.node_count
-        expected = n * (n - 1) if inst.directed else n * (n - 1) // 2
-        assert is_complete(inst) == (len(inst.edges) == expected)
 
 
 def test_edge_list_format(counterexample_instance):

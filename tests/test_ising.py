@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import energy_of_bitstring
 from tspvqe import (
     IsingPolynomial,
     ProblemInstance,
@@ -16,7 +17,6 @@ from tspvqe import (
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
-    energy_of_bitstring,
     ground_states,
     solve_exact_tsp,
     suggest_penalties,

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import energy_of_bitstring
 from tspvqe import (
     ValidationError,
     build_mubs_3q,
     embed_state,
     encode_efficient,
-    energy_of_bitstring,
     expectation,
     ground_states,
     to_ising,

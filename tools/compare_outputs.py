@@ -20,7 +20,9 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
 ``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
-``--max-evals 20``) plus four longer 16-qubit batches, the seed-0 ``paper-n4``
+``--max-evals 20``) plus four longer 16-qubit batches (best-MUB at 400
+evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB at 1 layer, and
+zeros-initialized at 200 evaluations), the seed-0 ``paper-n4``
 best-MUB batch once more on two worker processes (``--threads 2``), both
 landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
 stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
@@ -150,8 +152,7 @@ def commands(inputs):
                                            "--entangler", "ring_rzz", "--max-evals", "200"]),
         ("n5_layers1_0.json",
          ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--layers", "1", "--max-evals", "200"]),
-        ("n5_nelder_mead_0.json",
-         ["vqe"] + n5 + ["--init", "zeros", "--optimizer", "nelder_mead", "--max-evals", "200"]),
+        ("n5_zeros_0.json", ["vqe"] + n5 + ["--init", "zeros", "--max-evals", "200"]),
         # the process-pool path: two workers, one part of the batch each
         ("paper_best_mubs_threads2_0.json",
          ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
