@@ -21,9 +21,11 @@ from ``encoder.spin_form``, which refuses an instance above
 refused, not written.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
-An instance or ``-o`` path that cannot be opened exits 2.  When the reader
-of standard output closes it early (``tspvqe landscape ... | head``), the
-rest of the output is dropped and the command exits 1, without a traceback.
+An instance or ``-o`` path that cannot be opened exits 2; the ``-o`` path
+is tried before the command does any work, without truncating it.  When
+the reader of standard output closes it early (``tspvqe landscape ... |
+head``), the rest of the output is dropped and the command exits 1,
+without a traceback.
 """
 
 from __future__ import annotations
@@ -85,6 +87,20 @@ def _open(path, mode):
         return open(path, mode)
     except OSError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def _check_output(path):
+    """Refuse an ``-o`` path that does not open for writing, before any work.
+
+    It is opened for appending, so an existing file keeps its bytes, and a
+    file the check made is removed again.
+    """
+    if not path or path == "-":
+        return
+    existed = os.path.lexists(path)
+    _open(path, "ab").close()
+    if not existed:
+        os.remove(path)
 
 
 def _emit(args, chunks):
@@ -189,7 +205,7 @@ def _add_common(parser):
         default="auto",
         help="instance file format (default: by extension)",
     )
-    parser.add_argument("-o", "--output", default="-", help="output path (default stdout)")
+    parser.add_argument("-o", "--output", default="-", help="output path (default: stdout)")
     parser.add_argument(
         "--no-timestamp",
         action="store_true",
@@ -293,6 +309,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,11 +18,12 @@ structure encodes the problem:
 layout, and ``spin_form`` the one path from an instance to its Ising form:
 it refuses an instance above the spin cap from its node count, then encodes.
 
-All coefficients are exact rationals: the encoders and ``fix_variables`` sum
-Python ints over one common denominator and hand them to the polynomial as
-its numerators, so no Fraction is made per term unless a coefficient is read
-as one.  For undirected instances every stored edge contributes both
-traversal orientations.
+All coefficients are exact rationals.  A polynomial is a
+``rationals.ExactPolynomial``: one ``numerators`` dict keyed by sorted
+tuples of variable indices, over one denominator.  The encoders and
+``fix_variables`` sum Python ints into it, so no Fraction is made per term
+unless a coefficient is read as one.  For undirected instances every stored
+edge contributes both traversal orientations.
 """
 
 from __future__ import annotations
@@ -36,70 +37,41 @@ import numpy as np
 from . import ising, layouts, oracle
 from .errors import ValidationError
 from .graph import ProblemInstance
-from .rationals import common_scale, fraction_terms, rational_to_json, scale_terms
+from .rationals import ExactPolynomial, common_scale, exact_terms, rational_to_json
 
 MAX_MINIMA_SCAN = 10_000  # minimizers an audit decodes while it looks for a valid tour
 
 
-class PseudoBooleanPolynomial:
+class PseudoBooleanPolynomial(ExactPolynomial):
     """constant + sum a_i x_i + sum q_ij x_i x_j over named binary variables.
 
-    The coefficients are held as exact Python-int numerators over one
-    positive ``denominator``: ``constant_numerator``, ``linear_numerators``
-    ({var: int}) and ``quadratic_numerators`` ({(a, b): int}), zero terms
-    dropped.  ``constant``, ``linear`` and ``quadratic`` are the same
-    coefficients as Fractions, built on first read.  The constructor takes
-    Fractions or ints; ``from_numerators`` takes the numerators as they are.
-    Immutable by convention.
+    The ``ExactPolynomial`` whose indices are positions in
+    ``variable_order``.  ``linear`` ({var: Fraction}) and ``quadratic``
+    ({(a, b): Fraction}, a before b in the order) are its terms as
+    Fractions, built on first read.  The constructor takes Fractions or
+    ints; a pair given in both orders is one summed term.
     """
 
     def __init__(self, layout, node_count, variable_order, constant, linear, quadratic):
-        denominator, constant_numerator, (linear_numerators, quadratic_numerators) = (
-            scale_terms(constant, linear, quadratic))
-        self._init(layout, node_count, variable_order, denominator, constant_numerator,
-                   linear_numerators, quadratic_numerators)
-        for var in linear:
-            if var not in self._index:
-                raise ValidationError(f"linear term on unknown variable {var}")
-        for pair in quadratic:
-            a, b = pair
-            if a == b:
-                raise ValidationError(f"quadratic term on repeated variable {a}")
-            if a not in self._index or b not in self._index:
-                raise ValidationError(f"quadratic term on unknown variables {pair}")
-
-    @classmethod
-    def from_numerators(cls, layout, node_count, variable_order, denominator, constant,
-                        linear, quadratic) -> PseudoBooleanPolynomial:
-        """The polynomial of coefficients ``numerator / denominator``.  The
-        dicts are kept as given: nonzero ints on pairs of distinct variables
-        of ``variable_order``."""
-        poly = cls.__new__(cls)
-        poly._init(layout, node_count, variable_order, denominator, constant, linear, quadratic)
-        return poly
-
-    def _init(self, layout, node_count, variable_order, denominator, constant, linear,
-              quadratic):
         self.layout = layout
         self.node_count = node_count
         self.variable_order = variable_order
-        self.denominator = denominator
-        self.constant_numerator = constant
-        self.linear_numerators = linear
-        self.quadratic_numerators = quadratic
-        self._index = {var: k for k, var in enumerate(variable_order)}
+        self.denominator, self.numerators = exact_terms(
+            self._index, constant, linear, quadratic)
 
     @cached_property
-    def constant(self) -> Fraction:
-        return Fraction(self.constant_numerator, self.denominator)
+    def _index(self) -> dict:
+        return {var: k for k, var in enumerate(self.variable_order)}
 
     @cached_property
     def linear(self) -> dict:
-        return fraction_terms(self.linear_numerators, self.denominator)
+        order = self.variable_order
+        return {order[i]: c for (i,), c in self.fractions(1).items()}
 
     @cached_property
     def quadratic(self) -> dict:
-        return fraction_terms(self.quadratic_numerators, self.denominator)
+        order = self.variable_order
+        return {(order[i], order[j]): c for (i, j), c in self.fractions(2).items()}
 
     @property
     def n_vars(self) -> int:
@@ -111,14 +83,7 @@ class PseudoBooleanPolynomial:
     def evaluate(self, bits) -> Fraction:
         """Exact value at a 0/1 assignment given in variable order."""
         bits = layouts.coerce_bits(bits, self.n_vars)
-        index = self._index
-        total = self.constant_numerator
-        for var, c in self.linear_numerators.items():
-            if bits[index[var]]:
-                total += c
-        for (a, b), c in self.quadratic_numerators.items():
-            if bits[index[a]] and bits[index[b]]:
-                total += c
+        total = sum(c for key, c in self.numerators.items() if all(bits[i] for i in key))
         return Fraction(total, self.denominator)
 
     def evaluate_table(self, table) -> Fraction:
@@ -127,75 +92,51 @@ class PseudoBooleanPolynomial:
         return self.evaluate(bits)
 
     def to_json_dict(self) -> dict:
+        order = self.variable_order
         return {
             "layout": self.layout,
             "constant": rational_to_json(self.constant),
-            "linear": [
-                [list(var), rational_to_json(coef)]
-                for var, coef in sorted(self.linear.items(), key=lambda it: self._index[it[0]])
-            ],
-            "quadratic": [
-                [list(a), list(b), rational_to_json(coef)]
-                for (a, b), coef in sorted(
-                    self.quadratic.items(),
-                    key=lambda it: (self._index[it[0][0]], self._index[it[0][1]]),
-                )
-            ],
+            "linear": [[list(order[i]), rational_to_json(c)]
+                       for (i,), c in self.fractions(1).items()],
+            "quadratic": [[list(order[i]), list(order[j]), rational_to_json(c)]
+                          for (i, j), c in self.fractions(2).items()],
         }
 
 
 class _PolyBuilder:
-    """Sums terms as Python ints over the common denominator ``scale``.
+    """Sums terms as Python ints, keyed by sorted variable indices."""
 
-    Every ``add_*`` takes a coefficient times ``scale``; ``build`` hands the
-    nonzero sums over as the polynomial's numerators.
-    """
-
-    def __init__(self, layout, node_count, variable_order, scale):
-        self.layout = layout
-        self.node_count = node_count
-        self.order = variable_order
+    def __init__(self, variable_order):
         self.index = {var: k for k, var in enumerate(variable_order)}
-        self.scale = scale
-        self.constant = 0
-        self.linear = {}
-        self.quadratic = {}
+        self.sums = {}
 
-    def add_constant(self, c):
-        self.constant += c
-
-    def add_linear(self, var, c):
-        self.linear[var] = self.linear.get(var, 0) + c
-
-    def add_quadratic(self, a, b, c):
-        if self.index[a] > self.index[b]:
-            a, b = b, a
-        self.quadratic[(a, b)] = self.quadratic.get((a, b), 0) + c
-
-    def build(self) -> PseudoBooleanPolynomial:
-        return PseudoBooleanPolynomial.from_numerators(
-            self.layout, self.node_count, self.order, self.scale, self.constant,
-            {v: c for v, c in self.linear.items() if c},
-            {p: c for p, c in self.quadratic.items() if c},
-        )
+    def add(self, c, *variables):
+        """Add ``c`` times the product of ``variables``: none, one, or two distinct ones."""
+        index = self.index
+        if len(variables) == 2:
+            i, j = index[variables[0]], index[variables[1]]
+            key = (i, j) if i < j else (j, i)
+        else:
+            key = (index[variables[0]],) if variables else ()
+        self.sums[key] = self.sums.get(key, 0) + c
 
 
 def _add_one_hot_penalties(builder, n, a):
     """a * [(1 - row sum)^2 + (1 - column sum)^2] for every node and step."""
     for v in range(1, n + 1):
-        builder.add_constant(a)
+        builder.add(a)
         for t in range(1, n + 1):
-            builder.add_linear((v, t), -a)
+            builder.add(-a, (v, t))
         for t1 in range(1, n + 1):
             for t2 in range(t1 + 1, n + 1):
-                builder.add_quadratic((v, t1), (v, t2), 2 * a)
+                builder.add(2 * a, (v, t1), (v, t2))
     for t in range(1, n + 1):
-        builder.add_constant(a)
+        builder.add(a)
         for v in range(1, n + 1):
-            builder.add_linear((v, t), -a)
+            builder.add(-a, (v, t))
         for v1 in range(1, n + 1):
             for v2 in range(v1 + 1, n + 1):
-                builder.add_quadratic((v1, t), (v2, t), 2 * a)
+                builder.add(2 * a, (v1, t), (v2, t))
 
 
 def _transition_steps(instance):
@@ -214,19 +155,21 @@ def _encode_full(instance, layout, costs, fixed_start=False):
     scale, (a, *edge_weights) = common_scale(
         [instance.penalty_a, *(instance.penalty_b * c for _, _, c in edges)]
     )
-    builder = _PolyBuilder(layout, n, layouts.full_variable_order(n), scale)
+    order = layouts.full_variable_order(n)
+    builder = _PolyBuilder(order)
     _add_one_hot_penalties(builder, n, a)
     weighted = [(u, v, a) for u, v in instance.missing_ordered_pairs()]
     weighted += [(u, v, w) for (u, v, _), w in zip(edges, edge_weights)]
     steps = _transition_steps(instance)
     for u, v, w in weighted:
         for t, t_next in steps:
-            builder.add_quadratic((u, t), (v, t_next), w)
+            builder.add(w, (u, t), (v, t_next))
     if fixed_start:
         # (1 - x)^2 = 1 - x for binary x
-        builder.add_constant(a)
-        builder.add_linear((1, 1), -a)
-    return builder.build()
+        builder.add(a)
+        builder.add(-a, (1, 1))
+    return PseudoBooleanPolynomial.of(scale, builder.sums, layout=layout, node_count=n,
+                                      variable_order=order)
 
 
 def encode_cycle_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
@@ -257,29 +200,28 @@ def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
     ``layout``, takes at every assignment of them the value ``poly`` takes
     at the completed assignment.
     """
+    fixed = {}
     for var, value in assignment.items():
         if var not in poly._index:
             raise ValidationError(f"cannot fix unknown variable {var}")
-        if value not in (0, 1) or isinstance(value, float):
+        if not layouts.is_bit(value):
             raise ValidationError(f"variable {var} can be fixed to 0 or 1, not {value!r}")
-    order = tuple(var for var in poly.variable_order if var not in assignment)
-    builder = _PolyBuilder(layout, poly.node_count, order, poly.denominator)
-    builder.add_constant(poly.constant_numerator)
-    for var, c in poly.linear_numerators.items():
-        if var in assignment:
-            builder.add_constant(c * assignment[var])
-        else:
-            builder.add_linear(var, c)
-    for (a, b), c in poly.quadratic_numerators.items():
-        if a in assignment and b in assignment:
-            builder.add_constant(c * assignment[a] * assignment[b])
-        elif a in assignment:
-            builder.add_linear(b, c * assignment[a])
-        elif b in assignment:
-            builder.add_linear(a, c * assignment[b])
-        else:
-            builder.add_quadratic(a, b, c)
-    return builder.build()
+        fixed[poly.index_of(var)] = value
+    kept = [k for k in range(poly.n_vars) if k not in fixed]
+    position = {k: at for at, k in enumerate(kept)}
+    sums = {}
+    for key, c in poly.numerators.items():
+        rest = []
+        for i in key:
+            if i in fixed:
+                c *= fixed[i]
+            else:
+                rest.append(position[i])
+        key = tuple(rest)
+        sums[key] = sums.get(key, 0) + c
+    return PseudoBooleanPolynomial.of(
+        poly.denominator, sums, layout=layout, node_count=poly.node_count,
+        variable_order=tuple(poly.variable_order[k] for k in kept))
 
 
 def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:

@@ -3,9 +3,11 @@
 The transform substitutes x = (1 - s)/2 and keeps the constant term, so the
 Ising ground energy equals the optimal Hamiltonian value (for safe penalties
 that is B times the optimal tour cost).  Spin convention: s = +1 is bit 0,
-matching the Pauli-Z eigenvalue of |0>.  It reads the binary form's integer
-numerators and sums ints over 4 times its denominator; ``to_int_arrays``
-reduces those by one gcd to the int64 kernels' scale.
+matching the Pauli-Z eigenvalue of |0>.  Both forms are
+``rationals.ExactPolynomial`` cores.  The transform walks the binary form's
+``numerators`` dict and sums ints over 4 times its denominator into the
+spin form's, keyed by the same indices; ``to_int_arrays`` reduces those by
+one gcd to the int64 kernels' scale.
 
 Every 2^n step goes through ``energy_int_vector``, which refuses a form
 above ``layouts.SPIN_CAP`` spins before it allocates anything.
@@ -25,80 +27,62 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels, layouts
-from .rationals import fraction_terms, rational_to_json, scale_terms, scale_to_int64
+from .rationals import ExactPolynomial, exact_terms, rational_to_json, scale_to_int64
 
 if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
 
 
-class IsingPolynomial:
+class IsingPolynomial(ExactPolynomial):
     """constant + sum h_i s_i + sum J_ij s_i s_j over spins s in {-1,+1}.
 
-    Diagonal as an operator in the computational basis.  The coefficients
-    are held as exact Python-int numerators over one positive
-    ``denominator``: ``constant_numerator``, ``field_numerators`` ({i: int})
-    and ``coupling_numerators`` ({(i, j): int}), zero terms dropped.
-    ``constant``, ``fields`` and ``couplings`` are the same coefficients as
-    Fractions, built on first read.  The constructor takes Fractions or
-    ints; ``from_numerators`` takes the numerators as they are.  Immutable
-    by convention.
+    Diagonal as an operator in the computational basis.  The
+    ``ExactPolynomial`` over spins 0..n-1: ``fields`` ({i: Fraction}) and
+    ``couplings`` ({(i, j): Fraction}, i < j) are its terms as Fractions,
+    built on first read.  The constructor takes Fractions or ints; a
+    coupling given as (j, i) is stored as (i, j).
     """
 
+    _arrays = None  # to_int_arrays(), filled on first call
+    _int_energies = None  # energy_int_vector(), filled on first call
+
     def __init__(self, n, constant, fields, couplings, variable_order, layout, node_count):
-        denominator, constant_numerator, (field_numerators, coupling_numerators) = (
-            scale_terms(constant, fields, couplings))
-        self._init(n, denominator, constant_numerator, field_numerators, coupling_numerators,
-                   variable_order, layout, node_count)
-
-    @classmethod
-    def from_numerators(cls, n, denominator, constant, fields, couplings, variable_order,
-                        layout, node_count) -> IsingPolynomial:
-        """The form of coefficients ``numerator / denominator``; the dicts are
-        kept as given (nonzero ints)."""
-        ising = cls.__new__(cls)
-        ising._init(n, denominator, constant, fields, couplings, variable_order, layout,
-                    node_count)
-        return ising
-
-    def _init(self, n, denominator, constant, fields, couplings, variable_order, layout,
-              node_count):
         self.n = n
-        self.denominator = denominator
-        self.constant_numerator = constant
-        self.field_numerators = fields
-        self.coupling_numerators = couplings
         self.variable_order = variable_order
         self.layout = layout
         self.node_count = node_count
-        self._arrays = None
-        self._int_energies = None
-
-    @cached_property
-    def constant(self) -> Fraction:
-        return Fraction(self.constant_numerator, self.denominator)
+        self.denominator, self.numerators = exact_terms(
+            {i: i for i in range(n)}, constant, fields, couplings)
 
     @cached_property
     def fields(self) -> dict:
-        return fraction_terms(self.field_numerators, self.denominator)
+        return {i: h for (i,), h in self.fractions(1).items()}
 
     @cached_property
     def couplings(self) -> dict:
-        return fraction_terms(self.coupling_numerators, self.denominator)
+        return self.fractions(2)
 
     def to_int_arrays(self):
         """(scale, const, field spins, field values, coupling i, j, values) in int64.
 
         ``scale`` is the least common denominator of the coefficients: the
         numerators are divided by their gcd with ``denominator``, then
-        bounded by ``rationals.scale_to_int64``.
+        bounded by ``rationals.scale_to_int64``.  Fields and couplings come
+        in key order.
         """
         if self._arrays is None:
-            fields, couplings = self.field_numerators, self.coupling_numerators
-            spins = sorted(fields)
-            pairs = sorted(couplings)
+            numerators = self.numerators
+            spins, pairs = [], []
+            for key in numerators:
+                if len(key) == 2:
+                    pairs.append(key)
+                elif key:
+                    spins.append(key[0])
+            spins.sort()
+            pairs.sort()
             scale, const, values = scale_to_int64(
-                self.denominator, self.constant_numerator,
-                [fields[i] for i in spins] + [couplings[p] for p in pairs],
+                self.denominator, numerators.get((), 0),
+                [numerators[(i,)] for i in spins] + [numerators[p] for p in pairs],
             )
             self._arrays = (
                 scale,
@@ -139,43 +123,39 @@ class IsingPolynomial:
         return {
             "n": self.n,
             "constant": rational_to_json(self.constant),
-            "fields": [
-                [int(i), rational_to_json(h)] for i, h in sorted(self.fields.items())
-            ],
-            "couplings": [
-                [int(i), int(j), rational_to_json(c)]
-                for (i, j), c in sorted(self.couplings.items())
-            ],
+            "fields": [[i, rational_to_json(h)] for (i,), h in self.fractions(1).items()],
+            "couplings": [[i, j, rational_to_json(c)] for (i, j), c in self.fractions(2).items()],
         }
 
 
 def to_ising(poly: PseudoBooleanPolynomial) -> IsingPolynomial:
     """Exact spin form of a quadratic pseudo-Boolean polynomial.
 
-    Sums Python ints over 4 times ``poly.denominator``, read from its
-    numerators, and hands the nonzero sums over as the spin form's.
+    Walks ``poly.numerators`` and sums Python ints over 4 times its
+    denominator; a product x_i x_j gives the coupling of the same key.
     """
-    index_of = poly.index_of
-    constant = 4 * poly.constant_numerator
+    constant = 0
     fields = [0] * poly.n_vars
-    couplings = {}
-    for var, c in poly.linear_numerators.items():
-        # x = (1 - s)/2
-        constant += 2 * c
-        fields[index_of(var)] -= 2 * c
-    for (a, b), c in poly.quadratic_numerators.items():
-        # x_a x_b = (1 - s_a - s_b + s_a s_b)/4
-        i, j = index_of(a), index_of(b)
-        constant += c
-        fields[i] -= c
-        fields[j] -= c
-        pair = (i, j) if i < j else (j, i)
-        couplings[pair] = couplings.get(pair, 0) + c
-    return IsingPolynomial.from_numerators(
-        poly.n_vars, 4 * poly.denominator, constant,
-        {i: h for i, h in enumerate(fields) if h},
-        {p: c for p, c in couplings.items() if c},
-        poly.variable_order, poly.layout, poly.node_count,
+    sums = {}
+    for key, c in poly.numerators.items():
+        if len(key) == 2:
+            # x_i x_j = (1 - s_i - s_j + s_i s_j)/4
+            i, j = key
+            constant += c
+            fields[i] -= c
+            fields[j] -= c
+            sums[key] = c
+        elif key:
+            # x = (1 - s)/2
+            constant += 2 * c
+            fields[key[0]] -= 2 * c
+        else:
+            constant += 4 * c
+    sums[()] = constant
+    sums.update(((i,), h) for i, h in enumerate(fields))
+    return IsingPolynomial.of(
+        4 * poly.denominator, sums, n=poly.n_vars, variable_order=poly.variable_order,
+        layout=poly.layout, node_count=poly.node_count,
     )
 
 

@@ -87,16 +87,22 @@ def check_terms(layout, n):
         )
 
 
+def is_bit(value):
+    """Whether ``value`` is 0 or 1 and not a float: 0.9 is not read as 0."""
+    return not isinstance(value, float) and value in (0, 1)
+
+
 def coerce_bits(bits, expected_length):
-    """Accept a '0101' string or an int sequence; return a tuple of 0/1."""
+    """Accept a '0101' string or a sequence of 0/1 ints; return a tuple of 0/1."""
     if isinstance(bits, str):
         if not all(ch in "01" for ch in bits):
             raise ValidationError(f"bitstring may contain only 0/1: {bits!r}")
         values = tuple(int(ch) for ch in bits)
     else:
-        values = tuple(int(b) for b in bits)
-        if not all(b in (0, 1) for b in values):
-            raise ValidationError("bit values must be 0 or 1")
+        values = tuple(bits)
+        if not all(map(is_bit, values)):
+            raise ValidationError("bit values must be 0 or 1, not floats")
+        values = tuple(map(int, values))
     if len(values) != expected_length:
         raise ValidationError(
             f"bitstring length {len(values)} does not match variable count {expected_length}"

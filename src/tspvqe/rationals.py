@@ -1,14 +1,21 @@
-"""Exact rational parsing, serialization and scaling.
+"""Exact rational parsing, serialization and scaling, and the exact polynomial core.
 
-Costs and penalties are parsed to `fractions.Fraction`.  Polynomial
-coefficients are held as exact Python-int numerators over one common
-denominator (``scale_terms``), so binary/Ising equivalence checks are
-bit-exact and no Fraction is made per term unless a coefficient is read as
-one.  JSON carries rationals as plain integers when integral and as "p/q"
-strings otherwise; decimal strings like "1.5" are accepted on input.
+Costs and penalties are parsed to `fractions.Fraction`.  JSON carries
+rationals as plain integers when integral and as "p/q" strings otherwise;
+decimal strings like "1.5" are accepted on input.
+
+``ExactPolynomial`` is the core of the binary and the spin form.  It holds
+one ``numerators`` dict over one positive ``denominator``: each key is a
+sorted tuple of at most two distinct variable indices, ``()`` for the
+constant, and each value a nonzero Python int.  ``exact_terms`` builds
+and checks that dict from Fraction or int coefficients; the encoders and
+transforms sum ints into it directly.  So binary/Ising equivalence checks
+are bit-exact, and no Fraction is made per term unless a coefficient is read
+as one.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -52,21 +59,56 @@ def common_scale(values):
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def scale_terms(constant, *terms):
-    """(denominator, constant numerator, one {key: numerator} dict per
-    mapping of ``terms``): a constant and term coefficients (Fractions or
-    ints) over their common denominator, zero terms dropped, order kept."""
-    scale, ints = common_scale([constant, *(c for t in terms for c in t.values())])
-    numerators, at = [], 1
-    for t in terms:
-        numerators.append({k: c for k, c in zip(t, ints[at:at + len(t)]) if c})
-        at += len(t)
-    return scale, ints[0], numerators
+def exact_terms(index, constant, linear, quadratic):
+    """(denominator, numerators) of constant + sum linear[v] v + sum
+    quadratic[(a, b)] a b, coefficients Fractions or ints.
+
+    ``index`` maps each variable to its position, the key ``numerators``
+    uses.  A pair given in both orders is one term, summed; zero terms are
+    dropped.  Raises ``ValidationError`` for a variable outside ``index`` or
+    a pair of one variable with itself.
+    """
+    keys = []
+    for var in linear:
+        if var not in index:
+            raise ValidationError(f"linear term on unknown variable {var}")
+        keys.append((index[var],))
+    for pair in quadratic:
+        a, b = pair
+        if a == b:
+            raise ValidationError(f"quadratic term on repeated variable {a}")
+        if a not in index or b not in index:
+            raise ValidationError(f"quadratic term on unknown variables {pair}")
+        keys.append(tuple(sorted((index[a], index[b]))))
+    scale, ints = common_scale([constant, *linear.values(), *quadratic.values()])
+    sums = {(): ints[0]}
+    for key, c in zip(keys, ints[1:]):
+        sums[key] = sums.get(key, 0) + c
+    return scale, {key: c for key, c in sums.items() if c}
 
 
-def fraction_terms(numerators: dict, denominator: int) -> dict:
-    """{key: Fraction(numerator, denominator)}, in the order of ``numerators``."""
-    return {k: Fraction(c, denominator) for k, c in numerators.items()}
+class ExactPolynomial:
+    """The core of both forms: ``numerators`` over ``denominator``, keyed as
+    ``exact_terms`` keys them.  Immutable by convention."""
+
+    @classmethod
+    def of(cls, denominator, sums, **names):
+        """A ``cls`` of coefficients ``sums[key] / denominator``, the keys taken
+        as they are and zero sums dropped; ``names`` are its other attributes."""
+        poly = cls.__new__(cls)
+        vars(poly).update(names, denominator=denominator,
+                          numerators={key: c for key, c in sums.items() if c})
+        return poly
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(self.numerators.get((), 0), self.denominator)
+
+    def fractions(self, degree) -> dict:
+        """{key: Fraction} of the terms of ``degree`` variables, in key order."""
+        d = self.denominator
+        return {key: Fraction(c, d) for key, c in sorted(self.numerators.items())
+                if len(key) == degree}
 
 
 def scale_to_int64(denominator: int, constant: int, numerators):

@@ -17,11 +17,11 @@ def energy_of_bitstring(ising, bits) -> Fraction:
     """Exact classical energy with s_i = 1 - 2*bit_i."""
     bits = layouts.coerce_bits(bits, ising.n)
     spins = [1 - 2 * b for b in bits]
-    total = ising.constant_numerator
-    for i, h in ising.field_numerators.items():
-        total += h * spins[i]
-    for (i, j), c in ising.coupling_numerators.items():
-        total += c * spins[i] * spins[j]
+    total = 0
+    for key, c in ising.numerators.items():
+        for i in key:
+            c *= spins[i]
+        total += c
     return Fraction(total, ising.denominator)
 
 

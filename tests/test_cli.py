@@ -84,6 +84,27 @@ class TestEncode:
         assert err.out == "" and err.err.startswith("error: ") and "Traceback" not in err.err
 
 
+@pytest.mark.parametrize("command", [["vqe", "--max-evals", "20"], ["landscape"]])
+def test_output_path_checked_before_any_work(command, tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(dqes, "run_experiment", unreachable)
+    monkeypatch.setattr(cli, "spin_form", unreachable)
+    assert main([command[0], LANDSCAPE, *command[1:], "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("error: ") and "Is a directory" in err.err
+    # the check neither truncates an existing file nor leaves a new one behind
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_bytes(b"earlier output\n")
+    for out in (kept, new):
+        assert main([command[0], str(bad), *command[1:], "-o", str(out)]) == 2
+    assert kept.read_bytes() == b"earlier output\n"
+    assert not new.exists()
+
+
 class TestSolve:
     def test_landscape(self, tmp_path):
         doc = run_json(tmp_path, ["solve", LANDSCAPE])
@@ -394,6 +415,16 @@ def test_help_shows_the_threads_default(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "--threads THREADS worker processes (default: $TSPVQE_THREADS or 1)" in text
     assert "or 1) (default" not in text
+
+
+def test_help_states_each_default_once(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    for command in ("encode", "solve", "audit", "spectrum", "landscape", "vqe"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        assert "output path (default: stdout)" in " ".join(lines)
+        assert [line for line in lines if line.count("(default") > 1] == []
 
 
 def test_help_lists_commands(capsys):

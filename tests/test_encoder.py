@@ -24,7 +24,7 @@ from tspvqe import (
 )
 from tspvqe.encoder import encode, spin_form
 from tspvqe.layouts import (
-    SPIN_CAP, TERM_CAP, bits_to_table, implied_cells, term_bound, variable_count,
+    SPIN_CAP, TERM_CAP, bits_to_table, coerce_bits, implied_cells, term_bound, variable_count,
 )
 from tspvqe.oracle import Tour
 from tspvqe.rationals import common_scale
@@ -259,6 +259,31 @@ class TestFixVariables:
         for value in (2, -1, Fraction(1, 2), 1.0):
             with pytest.raises(ValidationError):
                 fix_variables(poly, {(1, 1): value}, "full")
+
+
+def test_float_bits_are_refused_not_truncated(landscape_instance):
+    # a float is refused, not truncated: nine 0.9s are not the empty table
+    poly = encode_efficient(landscape_instance)
+    for call in (lambda: validate_bitstring(landscape_instance, "efficient", [0.9] * 9),
+                 lambda: poly.evaluate([0.9] * 9),
+                 lambda: coerce_bits([1.7, 0.2], 2),
+                 lambda: coerce_bits([1.0, 0], 2),
+                 lambda: coerce_bits(np.array([1.0, 0.0]), 2)):
+        with pytest.raises(ValidationError, match="not floats"):
+            call()
+    assert coerce_bits([True, np.int64(0), Fraction(1)], 3) == (1, 0, 1)
+    assert coerce_bits(np.array([0, 1]), 2) == (0, 1)
+
+
+def test_pair_in_both_orders_is_one_summed_term():
+    order = ((1, 1), (1, 2))
+    poly = PseudoBooleanPolynomial(
+        layout="full", node_count=2, variable_order=order, constant=0, linear={},
+        quadratic={(order[0], order[1]): 2, (order[1], order[0]): Fraction(1, 2)})
+    assert poly.quadratic == {order: Fraction(5, 2)}
+    assert poly.numerators == {(0, 1): 5}
+    assert poly.to_json_dict()["quadratic"] == [[[1, 1], [1, 2], "5/2"]]
+    assert poly.evaluate([1, 1]) == Fraction(5, 2)
 
 
 def _assert_same_ising(ising, reference):

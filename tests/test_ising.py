@@ -113,9 +113,7 @@ def test_int64_guard_applies_after_the_gcd_reduction():
             ProblemInstance(2, False, "tsp", ((1, 2, 1),), penalty, penalty))
         ising = to_ising(poly)
         assert (poly.denominator, ising.denominator) == (1, 4)
-        numerators = [ising.constant_numerator, *ising.field_numerators.values(),
-                      *ising.coupling_numerators.values()]
-        return poly, ising, sum(map(abs, numerators))
+        return poly, ising, sum(map(abs, ising.numerators.values()))
 
     poly, ising, unreduced = spin_form(2**58)
     assert unreduced == 2**63
@@ -211,6 +209,38 @@ def test_spectrum_ground_structure(landscape_instance):
         assert isinstance(decoded, Tour)
         tours.add(decoded.order)
     assert tours == {(1, 2, 4, 3), (1, 3, 4, 2)}
+
+
+def _two_spins(fields=None, couplings=None):
+    return IsingPolynomial(n=2, constant=0, fields=fields or {}, couplings=couplings or {},
+                           variable_order=((1, 1), (1, 2)), layout="full", node_count=2)
+
+
+@pytest.mark.parametrize("linear, quadratic, fields, couplings, message", [
+    ({}, {((1, 1), (1, 1)): 1}, {}, {(0, 0): 1}, "quadratic term on repeated variable"),
+    ({(5, 5): 1}, {}, {5: 1}, {}, "linear term on unknown variable"),
+    ({(0, 0): 1}, {}, {-1: 1}, {}, "linear term on unknown variable"),
+    ({}, {((1, 1), (9, 9)): 1}, {}, {(0, 2): 1}, "quadratic term on unknown variables"),
+    ({}, {((0, 0), (1, 2)): 1}, {}, {(-1, 1): 1}, "quadratic term on unknown variables"),
+])
+def test_both_forms_refuse_bad_term_keys(linear, quadratic, fields, couplings, message):
+    # s0 s0 is no coupling (s0^2 = 1), and -1 and 5 name no spin of two:
+    # each is refused at construction, as the binary form refuses its keys
+    with pytest.raises(ValidationError, match=message):
+        PseudoBooleanPolynomial(layout="full", node_count=2, variable_order=((1, 1), (1, 2)),
+                                constant=0, linear=linear, quadratic=quadratic)
+    with pytest.raises(ValidationError, match=message):
+        _two_spins(fields, couplings)
+
+
+def test_coupling_keys_are_stored_sorted():
+    ising = _two_spins({1: 1}, {(1, 0): Fraction(1, 2)})
+    assert ising.numerators == {(1,): 2, (0, 1): 1}
+    assert ising.couplings == {(0, 1): Fraction(1, 2)}
+    doc = ising.to_json_dict()
+    assert doc["fields"] == [[1, 1]] and doc["couplings"] == [[0, 1, "1/2"]]
+    assert _two_spins(couplings={(0, 1): 1, (1, 0): -1}).numerators == {}
+    assert ising.energy_int_vector().tolist() == [3, 1, -3, -1]  # 2 s1 + s0 s1, scale 2
 
 
 def test_spectrum_tie_break_by_index():

@@ -22,9 +22,10 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
 ``--max-evals 20``) plus four longer 16-qubit batches (best-MUB at 400
 evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB at 1 layer, and
-zeros-initialized at 200 evaluations), the seed-0 ``paper-n4``
-best-MUB batch once more on two worker processes (``--threads 2``), both
-landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
+zeros-initialized at 200 evaluations) and the seed-0 instance's ``encode``
+in the full and efficient layouts, binary and Ising (25 and 16 variables),
+the seed-0 ``paper-n4`` best-MUB batch once more on two worker processes
+(``--threads 2``), both landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
 stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
 write in turn ends on either one.  Then the exact-rational outputs: ``encode`` in all
 three layouts, binary and Ising; ``audit`` under file, lucas and safe
@@ -153,6 +154,10 @@ def commands(inputs):
         ("n5_layers1_0.json",
          ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--layers", "1", "--max-evals", "200"]),
         ("n5_zeros_0.json", ["vqe"] + n5 + ["--init", "zeros", "--max-evals", "200"]),
+        # the encodings themselves, at 25 (full) and 16 (efficient) variables
+        *((f"n5_encode_{layout}_{form}_0.json",
+           ["encode"] + n5[:3] + ["--layout", layout, "--form", form])
+          for layout, form in itertools.product(("full", "efficient"), ("binary", "ising"))),
         # the process-pool path: two workers, one part of the batch each
         ("paper_best_mubs_threads2_0.json",
          ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
