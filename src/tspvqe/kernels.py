@@ -5,12 +5,20 @@ in scaled int64 arithmetic (the caller supplies coefficients multiplied by a
 common denominator), so results are exact.  The ansatz kernel applies each
 layer as a few grouped Ry matmuls and one fused phase vector for its Rz and
 Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
-``(R, P)`` parameters applies row r's parameters to row r's state in one call,
-and each row comes out bit for bit as a call on that row alone would give it.
+``(R, P)`` parameters applies row r's parameters to row r's state in one call.
 A call can also run only some stages of the circuit: calls that split the
 stages between them give the bits of one call that runs them all.  A call
 allocates two state-sized arrays for its stages to write in turn, unless the
 caller lends it a pair to reuse.
+
+A stage whose parameters are all zero (+0.0 or -0.0) in every row of a call
+is skipped.  At zero angle a stage's Ry matrix is the identity with signed
+zeros off the diagonal and its phase vector is exactly 1 (its imaginary part
+a signed zero), so running it could only change the sign of zero amplitudes:
+every nonzero amplitude and every probability keeps its bits.  A stack skips
+a stage only when it is the identity for every row, so a row of a stack
+equals (under ``==``) the same row called alone, and its ``|a|^2`` are the
+same bits; only the sign of its zero amplitudes can differ.
 ``perfbench/run.py`` measures the kernels end to end.
 """
 
@@ -139,8 +147,9 @@ def _apply_ansatz(psi0, n, layers, ring, params, start, stop, buffers):
     state), so each row goes through the same matmuls, of the same shapes, as
     it would alone.  The tables of every stage are built, whatever ``start``
     and ``stop`` are, so a stage's tables do not depend on which stages a
-    call runs.  The stages write ``buffers`` in turn, two fresh arrays when
-    it is None.
+    call runs.  The stages that run, those with a nonzero parameter in some
+    row, write ``buffers`` in turn, two fresh arrays when it is None; when
+    none runs, ``psi0`` is copied into the first.
     """
     plan = _ansatz_plan(n, layers, ring)
     batch = params.shape[:-1]
@@ -162,13 +171,19 @@ def _apply_ansatz(psi0, n, layers, ring, params, start, stop, buffers):
     left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
     right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
 
+    # a stage whose parameters are all zero in every row is the identity, up
+    # to the sign of zero amplitudes, and is skipped
+    moving = (params != 0).reshape(-1, params.shape[-1]).any(axis=0)
+    runs = np.zeros(plan.stage_count, dtype=bool)
+    runs[plan.param_stage[moving]] = True
+
     # each stage reads amps and writes the other buffer, so psi0 is read in
     # place and never written
     amps = psi0
     if buffers is None:
         buffers = (np.empty_like(psi0), np.empty_like(psi0))
     groups = len(plan.ry_groups)
-    for i, stage in enumerate(range(start, stop)):
+    for i, stage in enumerate([stage for stage in range(start, stop) if runs[stage]]):
         layer, g = divmod(stage, groups + 1)
         out = buffers[i % 2]
         if g < groups:
@@ -187,6 +202,9 @@ def _apply_ansatz(psi0, n, layers, ring, params, start, stop, buffers):
             np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
             np.multiply(amps, out, out=out)
         amps = out
+    if amps is psi0:
+        np.copyto(buffers[0], psi0)
+        amps = buffers[0]
     return amps
 
 
@@ -266,17 +284,29 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     each with the same parameters on its own stages, give the bits of one
     call that runs them all.
 
+    A stage whose parameters are all +-0.0 in every row is the identity and
+    is skipped.  So the rows of a stack equal, under ``==``, what calls on
+    each row alone give, and their ``|a|^2`` are the same bits; the sign of
+    a zero amplitude can differ where a row sat out a stage another row ran.
+    Parameters other than ``P`` per state are refused with ``ValueError``.
+
     ``buffers``, a pair ``(a, b)`` of distinct C-contiguous complex128 arrays
     of ``psi0``'s shape that share no memory with it, lets calls reuse their
-    state memory: the stages write ``a`` and ``b`` in turn, and the result is
-    the one the last stage wrote, not a new array.  The bits are those of a
-    call without it.  ``None`` allocates two state-sized arrays per call.
+    state memory: the stages that run write ``a`` and ``b`` in turn, and the
+    result is the one the last of them wrote (``a`` after 1, 3, ... stages,
+    ``b`` after 2, 4, ...), not a new array.  A call that runs no stage
+    copies ``psi0`` into ``a`` and returns it, and writes no other array.
+    The bits are those of a call without ``buffers``.  ``None`` allocates two
+    state-sized arrays per call, and the result is never ``psi0`` itself.
     """
     params = np.asarray(params, dtype=np.float64)
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
     if psi0.shape[:-1] != params.shape[:-1]:
         raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
-    count, _ = ansatz_stages(n, layers, ring)
+    count, param_stage = ansatz_stages(n, layers, ring)
+    if params.shape[-1:] != param_stage.shape:
+        raise ValueError(f"the ansatz takes {param_stage.size} parameters per state, "
+                         f"got parameters of shape {params.shape}")
     stop = count if stop is None else stop
     if not 0 <= start < stop <= count:
         raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")

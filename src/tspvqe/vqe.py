@@ -28,9 +28,12 @@ stack of the runs' initial states.  A call holds at most
 ``LOCKSTEP_AMPLITUDES`` amplitudes (32 states at 9 qubits), and a group
 holds as many runs as fill a call with two states each (16 at 9 qubits, at
 least one), so at 16 qubits a group is one run and a call one unstacked
-state.  The kernel gives each row the bits a call on it alone would, and each
-expectation is one dot product per row, so a trace does not depend on the
-batch it ran in.
+state.  The kernel skips the stages whose parameters are zero in every row
+(they are the identity), so a stack may run a stage that a row's run alone
+would skip.  The row's amplitudes can then differ only in the sign of
+zeros: they are equal under ``==``, and their probabilities are the same
+bits.  Each expectation is one dot product per row of probabilities, so a
+trace does not depend on the batch it ran in.
 
 Where a call holds one state (14 qubits and up), a run also keeps one
 partly applied state, a prefix: its current point after the ansatz stages
@@ -524,7 +527,11 @@ class _Prefix:
     with the parameters ``params`` (stage 0: the initial state itself).  The
     run writes into the three state buffers of its batch, ``buffers``: every
     kernel call writes into the two that do not hold ``state``, and a carried
-    prefix becomes ``state`` in place.
+    prefix becomes ``state`` in place.  A call whose stages are all at zero
+    angle runs none of them and returns a copy of its input in the first
+    free buffer.  Every call is on one state, so the kernel skips a stage
+    exactly when a call on the whole ansatz would: the split calls give the
+    bits of one full call.
     """
 
     def __init__(self, psi0, ansatz, buffers):

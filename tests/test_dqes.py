@@ -484,6 +484,48 @@ class TestLockstep:
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             landscape_instance, report, AnsatzConfig(n=9), optimizer)
 
+    @pytest.mark.parametrize("mode", ["best_mubs", "zeros"])
+    def test_short_batches_run_stages_their_runs_skip(self, landscape_instance,
+                                                      landscape_ising, monkeypatch, mode):
+        """At 30 evaluations a run has moved few of its parameters, so a
+        stacked call runs stages that are the identity for some of its rows
+        and that the row's run alone skips.  Each trace is still the one of
+        its run alone."""
+        calls = []
+        apply = kernels.apply_ansatz_amplitudes
+
+        def recording(psi0, n, layers, ring, params, **options):
+            calls.append((n, layers, ring, np.array(params)))
+            return apply(psi0, n, layers, ring, params, **options)
+
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        optimizer = OptimizerConfig(max_evals=30)
+        if mode == "best_mubs":
+            report = run_experiment(landscape_instance, mode, k=10, seed=0,
+                                    optimizer=optimizer)
+            traces = [t.to_dict() for t in report.traces]
+            monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
+            alone = _independent_traces(landscape_instance, report, AnsatzConfig(n=9),
+                                        optimizer)
+        else:
+            ground = float(ground_states(landscape_ising)[0])
+            starts = [(ZerosInit(), seed) for seed in range(4)]
+            traces = [t.to_dict() for t in run_lockstep(landscape_ising, starts, None,
+                                                        optimizer, ground)]
+            monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
+            alone = [run_vqe(landscape_ising, init, optimizer=optimizer, seed=seed,
+                             ground_energy=ground).to_dict() for init, seed in starts]
+        assert traces == alone
+
+        def partly_idle(n, layers, ring, params):
+            if params.ndim < 2:
+                return False
+            _, stages = kernels.ansatz_stages(n, layers, ring)
+            moved = [set(stages[row != 0].tolist()) for row in params]
+            return set.union(*moved) != set.intersection(*moved)
+
+        assert any(partly_idle(*call) for call in calls)
+
     def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
         instance = _seeded_instance_16()
         calls, lent = [], []

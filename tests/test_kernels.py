@@ -163,9 +163,10 @@ def test_ansatz_paths_agree():
     """The kernel against the gate-by-gate reference, and stacked against single.
 
     Covers the degenerate rings: at n = 1 the entangler acts on (0, 0) and
-    at n = 2 it repeats the edge (0, 1).  An (R, 2^n) stack must give each
-    row bit for bit as a call on that row alone, and two calls that split the
-    stages at any boundary bit for bit as the full call.
+    at n = 2 it repeats the edge (0, 1).  With random parameters every row
+    runs every stage, so an (R, 2^n) stack must give each row bit for bit as
+    a call on that row alone, and two calls that split the stages at any
+    boundary bit for bit as the full call.
     """
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 5, 9):
@@ -218,6 +219,83 @@ def test_ansatz_rejects_mismatched_stack():
         apply_ansatz_amplitudes(states, 2, 1, False, np.zeros(9))
 
 
+def test_ansatz_rejects_a_wrong_parameter_count():
+    # n = 2, one linear layer: 9 parameters; a 10th would take the place of
+    # the zero angle of the real/imaginary bit
+    psi = np.ones(4, dtype=complex) / 2
+    for params in (np.full(10, 0.3), np.full(8, 0.3), np.zeros(0), np.float64(0.3),
+                   np.full((1, 10), 0.3)):
+        states = psi if params.ndim < 2 else psi[None]
+        with pytest.raises(ValueError, match="9 parameters"):
+            apply_ansatz_amplitudes(states, 2, 1, False, params)
+
+
+def _zero_stages(params, stages, zeroed, sign=1.0):
+    """``params`` with every parameter of the stages in ``zeroed`` set to ``sign * 0.0``."""
+    return np.where(np.isin(stages, list(zeroed)), sign * 0.0, params)
+
+
+def test_zero_stages_are_skipped_exactly():
+    """Stages whose parameters are all zero are skipped, and the result is
+    still the circuit's: every split of the stages matches the gate-by-gate
+    reference, with the parameters of the stages outside the split zeroed.
+
+    In a 2-row stack whose other row moves every stage, those stages run
+    for both rows; the row's amplitudes then equal (under ==) those of the
+    row alone, and its probabilities are the same bits.
+    """
+    rng = np.random.default_rng(5)
+    for n in range(1, 10):
+        for layers in (1, 2, 3):
+            for ring in (False, True):
+                count, stages = ansatz_stages(n, layers, ring)
+                psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                psi0 /= np.linalg.norm(psi0)
+                random = rng.uniform(-np.pi, np.pi, len(stages))
+                subsets = [(), range(count)] + [
+                    np.flatnonzero(rng.random(count) < 0.5) for _ in range(2)]
+                for zeroed in subsets:
+                    sign = rng.choice([-1.0, 1.0])
+                    params = _zero_stages(random, stages, zeroed, sign)
+                    key = (n, layers, ring, tuple(zeroed))
+                    whole = apply_ansatz_amplitudes(psi0, n, layers, ring, params)
+                    reference = _ansatz_gate_by_gate(psi0, n, layers, ring, params)
+                    assert np.max(np.abs(whole - reference)) < 1e-12, key
+                    for split in range(1, count):
+                        prefix = apply_ansatz_amplitudes(psi0, n, layers, ring, params, stop=split)
+                        resumed = apply_ansatz_amplitudes(prefix, n, layers, ring, params,
+                                                          start=split)
+                        later = _zero_stages(params, stages, range(split, count))
+                        head = _ansatz_gate_by_gate(psi0, n, layers, ring, later)
+                        assert np.max(np.abs(prefix - head)) < 1e-12, (key, split)
+                        assert np.array_equal(resumed.view(np.int64), whole.view(np.int64))
+
+                    stack = np.stack([psi0, rng.normal(size=1 << n) + 0j])
+                    rows = apply_ansatz_amplitudes(stack, n, layers, ring,
+                                                   np.stack([params, random]))
+                    assert np.array_equal(rows[0], whole), key
+                    other = apply_ansatz_amplitudes(stack[1], n, layers, ring, random)
+                    assert np.array_equal(rows[1].view(np.int64), other.view(np.int64)), key
+                    assert np.array_equal((np.abs(rows[0]) ** 2).view(np.int64),
+                                          (np.abs(whole) ** 2).view(np.int64)), key
+
+
+def test_negative_zero_counts_as_zero():
+    rng = np.random.default_rng(8)
+    n, layers, ring = 5, 1, True
+    count, stages = ansatz_stages(n, layers, ring)
+    assert count % 2 == 0  # all stages run would leave the result in pair[1]
+    psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    pair = (np.full_like(psi0, np.nan), np.full_like(psi0, np.nan))
+    out = apply_ansatz_amplitudes(psi0, n, layers, ring, np.full(len(stages), -0.0),
+                                  buffers=pair)
+    assert out is pair[0]
+    assert np.array_equal(out.view(np.int64), psi0.view(np.int64))
+    params = _zero_stages(rng.uniform(-np.pi, np.pi, len(stages)), stages, range(1, count), -1.0)
+    out = apply_ansatz_amplitudes(psi0, n, layers, ring, params, buffers=pair)
+    assert out is pair[0]  # stage 0 alone ran
+
+
 def test_stages_follow_the_gate_order():
     """Stages run layer by layer; within a layer the Ry groups come first.
 
@@ -267,6 +345,34 @@ def test_buffers_give_the_bits_of_fresh_arrays():
                                                buffers=pair)
                 assert lent is pair[(stop - start - 1) % 2], (n, start, stop)
                 assert np.array_equal(lent.view(np.int64), fresh.view(np.int64)), (n, start, stop)
+                assert np.array_equal(psi0.view(np.int64), before.view(np.int64))
+
+
+def test_the_result_is_in_the_buffer_the_last_run_stage_wrote():
+    """With r of the stages from start to stop run, the result is buffer
+    ``(r - 1) % 2`` of the pair; a call that runs no stage copies ``psi0``
+    into buffer 0, and writes neither ``psi0`` nor buffer 1.  Without a
+    pair, such a call returns a new array, never ``psi0``."""
+    rng = np.random.default_rng(13)
+    n, layers, ring = 6, 2, False
+    count, stages = ansatz_stages(n, layers, ring)
+    psi0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    before = psi0.copy()
+    for zeroed in ((), range(count), (0, 2, 3), np.flatnonzero(rng.random(count) < 0.5)):
+        params = _zero_stages(rng.uniform(-np.pi, np.pi, len(stages)), stages, zeroed)
+        for start in range(count):
+            for stop in range(start + 1, count + 1):
+                ran = sum(stage not in zeroed for stage in range(start, stop))
+                pair = (np.full_like(psi0, np.nan), np.full_like(psi0, np.nan))
+                out = apply_ansatz_amplitudes(psi0, n, layers, ring, params, start, stop,
+                                              buffers=pair)
+                assert out is pair[max(ran - 1, 0) % 2], (zeroed, start, stop)
+                fresh = apply_ansatz_amplitudes(psi0, n, layers, ring, params, start, stop)
+                assert fresh is not psi0
+                assert np.array_equal(out.view(np.int64), fresh.view(np.int64))
+                if ran == 0:
+                    assert np.array_equal(out.view(np.int64), psi0.view(np.int64))
+                    assert np.isnan(pair[1]).all()
                 assert np.array_equal(psi0.view(np.int64), before.view(np.int64))
 
 

@@ -14,7 +14,11 @@ they depend on the OpenBLAS thread count too: the kernel's amplitudes do
 not, but each expectation is a BLAS dot over 2^16 entries whose sum order
 follows the threads, and a random-start 16-qubit report differs between
 ``OPENBLAS_NUM_THREADS=1`` and two threads.  Both sides run in this
-process's environment, so they are compared under one setting.
+process's environment, so they are compared under one setting.  Which BLAS
+calls a run makes depends on its parameters too, since the ansatz kernel
+skips the stages that are the identity, so a change to the kernel is
+compared under both settings: once as is and once with
+``OPENBLAS_NUM_THREADS=1`` (the CI job runs both).
 
 The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
