@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -240,6 +241,14 @@ def _run_part(args):
     return run_lockstep(*args)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     instance: ProblemInstance,
     mode: str,
@@ -259,7 +268,9 @@ def run_experiment(
     non-finite ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
-    ``random`` (k seeded product states).
+    ``random`` (k seeded product states).  ``threads`` above 1 splits the runs
+    into that many contiguous parts, run by at most as many worker processes
+    as this process has CPUs; the traces are the same for every split.
     """
     n = layouts.variable_count(LAYOUT, instance.node_count)
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
@@ -302,8 +313,9 @@ def run_experiment(
             (ising, starts[first:first + size], ansatz, optimizer, ground, convergence_tol)
             for first in range(0, len(starts), size)
         ]
-        # one worker per part: a fork-started pool forks all its workers at once
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+        # a fork-started pool forks all its workers at once, so it starts no
+        # more of them than there are parts or CPUs to run them on
+        with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
             traces = [trace for part in pool.map(_run_part, jobs) for trace in part]
     else:
         traces = run_lockstep(ising, starts, ansatz, optimizer, ground, convergence_tol)

@@ -19,6 +19,9 @@ every nonzero amplitude and every probability keeps its bits.  A stack skips
 a stage only when it is the identity for every row, so a row of a stack
 equals (under ``==``) the same row called alone, and its ``|a|^2`` are the
 same bits; only the sign of its zero amplitudes can differ.
+:func:`stages_run` is that rule, and a call builds only the tables of the
+stages it runs, each the same array, with the same layout, as in a call that
+runs every stage, so which stages run changes no bit of the others.
 ``perfbench/run.py`` measures the kernels end to end.
 """
 
@@ -140,51 +143,50 @@ def _ansatz_plan(n, layers, ring):
     )
 
 
-def _apply_ansatz(psi0, n, layers, ring, params, start, stop, buffers):
-    """Stages ``start`` to ``stop - 1``, on one state or row by row on a stack.
+def _apply_ansatz(psi0, n, layers, ring, params, stages, buffers):
+    """The ``stages`` (ascending), on one state or row by row on a stack.
 
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
-    it would alone.  The tables of every stage are built, whatever ``start``
-    and ``stop`` are, so a stage's tables do not depend on which stages a
-    call runs.  The stages that run, those with a nonzero parameter in some
-    row, write ``buffers`` in turn, two fresh arrays when it is None; when
-    none runs, ``psi0`` is copied into the first.
+    it would alone.  Only the tables the stages read are built: a Ry group's
+    table, for every layer, when a stage of that group runs, and the phase
+    tables of every layer when a phase stage runs.  A table is the same array,
+    of the same layout, whichever stages a call runs, so the bits of a stage
+    do not depend on them.  The stages write ``buffers`` in turn, two fresh
+    arrays when it is None; when ``stages`` is empty, ``psi0`` is copied into
+    the first.
     """
     plan = _ansatz_plan(n, layers, ring)
+    groups = len(plan.ry_groups)
+    run = [divmod(stage, groups + 1) for stage in stages]  # (layer, group) each
+    ry_moved = {g for _, g in run if g < groups}
     batch = params.shape[:-1]
-    half = 0.5 * np.concatenate([params, np.zeros(batch + (1,))], axis=-1)
-    cos, sin = np.cos(half), np.sin(half)
-    # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle, flat
-    entries = np.stack([cos, -sin, sin, cos], axis=-2).reshape(batch + (-1,))
-    # the gather leaves a stack's matrices strided; contiguous ones take the
-    # same BLAS path as one state's, so every row gets the same bits
-    ry = [
-        np.ascontiguousarray(entries[..., index].prod(axis=-3))
-        for _, _, index in plan.ry_groups
-    ]
-
-    w = half[..., plan.phase_angles] * plan.phase_sign
-    coef = np.ones(batch + (layers + 1, 1))
-    for t in plan.cross_terms:
-        coef = _expand(coef, np.stack([np.cos(w[..., t]), 1j * np.sin(w[..., t])], -1))
-    left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
-    right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
-
-    # a stage whose parameters are all zero in every row is the identity, up
-    # to the sign of zero amplitudes, and is skipped
-    moving = (params != 0).reshape(-1, params.shape[-1]).any(axis=0)
-    runs = np.zeros(plan.stage_count, dtype=bool)
-    runs[plan.param_stage[moving]] = True
+    if run:
+        half = 0.5 * np.concatenate([params, np.zeros(batch + (1,))], axis=-1)
+    if ry_moved:
+        cos, sin = np.cos(half), np.sin(half)
+        # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle, flat
+        entries = np.stack([cos, -sin, sin, cos], axis=-2).reshape(batch + (-1,))
+        # the gather leaves a stack's matrices strided; contiguous ones take the
+        # same BLAS path as one state's, so every row gets the same bits
+        ry = {
+            g: np.ascontiguousarray(entries[..., plan.ry_groups[g][2]].prod(axis=-3))
+            for g in ry_moved
+        }
+    if any(g == groups for _, g in run):
+        w = half[..., plan.phase_angles] * plan.phase_sign
+        coef = np.ones(batch + (layers + 1, 1))
+        for t in plan.cross_terms:
+            coef = _expand(coef, np.stack([np.cos(w[..., t]), 1j * np.sin(w[..., t])], -1))
+        left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
+        right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
 
     # each stage reads amps and writes the other buffer, so psi0 is read in
     # place and never written
     amps = psi0
     if buffers is None:
         buffers = (np.empty_like(psi0), np.empty_like(psi0))
-    groups = len(plan.ry_groups)
-    for i, stage in enumerate([stage for stage in range(start, stop) if runs[stage]]):
-        layer, g = divmod(stage, groups + 1)
+    for i, (layer, g) in enumerate(run):
         out = buffers[i % 2]
         if g < groups:
             bit, k, _ = plan.ry_groups[g]
@@ -253,6 +255,28 @@ def ansatz_stages(n, layers, ring):
     return plan.stage_count, plan.param_stage
 
 
+def stages_run(n, layers, ring, params, start=0, stop=None):
+    """The stages from ``start`` to ``stop - 1`` that a kernel call with
+    ``params``, ``(P,)`` or ``(R, P)``, runs, ascending.
+
+    A stage runs when one of its parameters is nonzero in some row; one whose
+    parameters are all +0.0 or -0.0 in every row is the identity and is
+    skipped.  A wrong parameter count or a range outside the ansatz's stages
+    is refused with ``ValueError``.
+    """
+    count, param_stage = ansatz_stages(n, layers, ring)
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape[-1:] != param_stage.shape:
+        raise ValueError(f"the ansatz takes {param_stage.size} parameters per state, "
+                         f"got parameters of shape {params.shape}")
+    stop = count if stop is None else stop
+    if not 0 <= start < stop <= count:
+        raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")
+    runs = np.zeros(count, dtype=bool)
+    runs[param_stage[(params != 0).reshape(-1, param_stage.size).any(axis=0)]] = True
+    return (np.flatnonzero(runs[start:stop]) + start).tolist()
+
+
 def _check_buffers(psi0, buffers):
     """Refuse a ``buffers`` pair the stages cannot ping-pong through."""
     if len(buffers) != 2:
@@ -285,7 +309,7 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     call that runs them all.
 
     A stage whose parameters are all +-0.0 in every row is the identity and
-    is skipped.  So the rows of a stack equal, under ``==``, what calls on
+    is skipped (:func:`stages_run` lists the stages a call runs).  So the rows of a stack equal, under ``==``, what calls on
     each row alone give, and their ``|a|^2`` are the same bits; the sign of
     a zero amplitude can differ where a row sat out a stage another row ran.
     Parameters other than ``P`` per state are refused with ``ValueError``.
@@ -303,13 +327,7 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
     if psi0.shape[:-1] != params.shape[:-1]:
         raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
-    count, param_stage = ansatz_stages(n, layers, ring)
-    if params.shape[-1:] != param_stage.shape:
-        raise ValueError(f"the ansatz takes {param_stage.size} parameters per state, "
-                         f"got parameters of shape {params.shape}")
-    stop = count if stop is None else stop
-    if not 0 <= start < stop <= count:
-        raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")
+    stages = stages_run(n, layers, ring, params, start, stop)
     if buffers is not None:
         _check_buffers(psi0, buffers)
-    return _apply_ansatz(psi0, n, layers, bool(ring), params, start, stop, buffers)
+    return _apply_ansatz(psi0, n, layers, bool(ring), params, stages, buffers)

@@ -41,7 +41,8 @@ below the first stage at which the vectors of a request differ.  Rotation
 descent's probe pair and the candidate after it all start from that
 prefix, and the kernel runs only the later stages, with the full call's
 bits.  The prefix is found by comparing parameter vectors, so the searches
-do not know of it.  Such a run also keeps three state buffers, the prefix
+do not know of it.  Carrying it over stages that are all at zero angle
+needs no kernel call.  Such a run also keeps three state buffers, the prefix
 and a free pair: every kernel call writes into the pair, and each state's
 probabilities go into the float64 view of the pair's other buffer.  A group
 is then one run, so the runs of a batch go one after another, and all of
@@ -527,11 +528,12 @@ class _Prefix:
     with the parameters ``params`` (stage 0: the initial state itself).  The
     run writes into the three state buffers of its batch, ``buffers``: every
     kernel call writes into the two that do not hold ``state``, and a carried
-    prefix becomes ``state`` in place.  A call whose stages are all at zero
-    angle runs none of them and returns a copy of its input in the first
-    free buffer.  Every call is on one state, so the kernel skips a stage
-    exactly when a call on the whole ansatz would: the split calls give the
-    bits of one full call.
+    prefix becomes ``state`` in place.  A carry whose stages are all at zero
+    angle (``kernels.stages_run`` finds none to run) moves ``stage`` and
+    ``params`` forward without a kernel call: the call would only have
+    copied ``state``.  Every call is on one state, so the kernel skips a
+    stage exactly when a call on the whole ansatz would: the split calls
+    give the bits of one full call.
     """
 
     def __init__(self, psi0, ansatz, buffers):
@@ -569,8 +571,11 @@ class _Prefix:
             self._reset()
         split = min((self._shared(xs[0], x) for x in xs[1:]), default=0)
         if self.stage < split < self.stage_count:
-            self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage,
-                                     stop=split, buffers=self._free())
+            # a carry that runs no stage would only copy the state
+            if kernels.stages_run(self.ansatz.n, self.ansatz.layers, self.ansatz.ring, xs[0],
+                                  self.stage, split):
+                self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage,
+                                         stop=split, buffers=self._free())
             # a copy: a search may reuse the memory of the vectors it asked for
             self.params, self.stage = xs[0].copy(), split
         free = self._free()

@@ -293,6 +293,45 @@ class TestCsv:
         assert b"".join(chunks) == "".join(_landscape_rows_per_row(landscape_records)).encode()
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool with one that maps in this process and
+    records its ``max_workers``, so no worker process is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def _show_cpus(monkeypatch, count, affinity=True):
+    """Show this process ``count`` CPUs: as its affinity set, or, on a
+    platform without one, as the CPU count (``None``: unknown)."""
+    import os
+
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2 * count)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 class TestExperiments:
     def test_zeros_mode(self, landscape_instance):
         report = run_experiment(landscape_instance, "zeros", seed=0)
@@ -356,36 +395,40 @@ class TestExperiments:
             assert a.pop("config") == {**b.pop("config"), "threads": 1}
             assert a == b, mode
 
-    def test_worker_pool_starts_one_worker_per_part(self, landscape_instance, monkeypatch):
+    def test_worker_pool_starts_one_worker_per_part(self, landscape_instance, monkeypatch,
+                                                    in_process_pool):
         """A pool forks all of its workers at once, so it is sized to the
         parts of the batch, not to the requested thread count."""
-        import concurrent.futures
-
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        _show_cpus(monkeypatch, 64)
         short = OptimizerConfig(max_evals=5)
         for mode, k, threads, workers in (("zeros", 1, 4, 1), ("random", 10, 6, 5)):
             pooled = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short,
                                     threads=threads)
-            assert sizes.pop() == workers, mode
+            assert in_process_pool.pop() == workers, mode
             assert pooled.to_dict()["config"]["threads"] == threads
             serial = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short)
             assert pooled.traces == serial.traces, mode
-        assert sizes == []
+        assert in_process_pool == []
+
+    @pytest.mark.parametrize("cpus, affinity, workers", [
+        (2, True, 2), (3, False, 3), (None, False, 1), (64, True, 40),
+    ])
+    def test_worker_pool_starts_no_more_workers_than_cpus(self, landscape_instance,
+                                                         monkeypatch, in_process_pool,
+                                                         cpus, affinity, workers):
+        """Any thread count splits a random batch into at most k parts, and
+        the pool runs them on no more workers than the CPUs this process may
+        use: its affinity set where the platform has one, else the CPU count
+        (one when that is unknown).  The report does not change."""
+        _show_cpus(monkeypatch, cpus, affinity)
+        short = OptimizerConfig(max_evals=4)
+        pooled = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short,
+                                threads=10_000)
+        assert in_process_pool == [workers]
+        serial = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short)
+        a, b = serial.to_dict(), pooled.to_dict()
+        assert a.pop("config") == {**b.pop("config"), "threads": 1}
+        assert a == b
 
     def test_unknown_mode(self, landscape_instance):
         with pytest.raises(ValidationError):
@@ -552,6 +595,36 @@ class TestLockstep:
         assert sum(stop is not None for _, _, stop in calls) <= evaluations // 2
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             instance, report, AnsatzConfig(n=16), optimizer)
+
+    @pytest.mark.parametrize("mode, qubits, max_evals", [
+        ("best_mubs", 16, 100),
+        ("random", 9, 60),
+        ("zeros", 9, 200),
+    ])
+    def test_prefix_carries_run_a_stage(self, landscape_instance, monkeypatch, mode, qubits,
+                                        max_evals):
+        """A carry whose stages are all at zero angle would only copy the
+        state, so the prefix moves forward without a kernel call: every call
+        that carries a prefix (``stop`` given) runs a stage.  Each trace is
+        that of its run alone; at 9 qubits prefix reuse is forced on, and the
+        runs alone go in stacked calls that keep no prefix."""
+        instance = _seeded_instance_16() if qubits == 16 else landscape_instance
+        calls = []
+        apply = kernels.apply_ansatz_amplitudes
+
+        def recording(psi0, n, layers, ring, params, start=0, stop=None, buffers=None):
+            if stop is not None:
+                calls.append(kernels.stages_run(n, layers, ring, params, start, stop))
+            return apply(psi0, n, layers, ring, params, start, stop, buffers)
+
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
+        optimizer = OptimizerConfig(max_evals=max_evals)
+        report = run_experiment(instance, mode, k=2, seed=1, optimizer=optimizer)
+        monkeypatch.undo()
+        assert calls and all(calls)
+        assert [t.to_dict() for t in report.traces] == _independent_traces(
+            instance, report, AnsatzConfig(n=qubits), optimizer)
 
     def test_sixteen_qubits_match_full_evaluations(self):
         """Prefix reuse at 16 qubits against whole-ansatz evaluations."""

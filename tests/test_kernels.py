@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from tspvqe import PseudoBooleanPolynomial
-from tspvqe.kernels import ansatz_stages, apply_ansatz_amplitudes, enumerate_spin_energies
+from tspvqe.kernels import (
+    ansatz_stages,
+    apply_ansatz_amplitudes,
+    enumerate_spin_energies,
+    stages_run,
+)
 
 
 def _random_form(rng, n):
@@ -394,3 +399,90 @@ def test_buffers_are_checked():
     for buffers in bad:
         with pytest.raises(ValueError):
             apply_ansatz_amplitudes(psi, n, 1, False, params, buffers=buffers)
+
+
+def _stage_groups(n, layers, ring):
+    """Each stage's index within its layer: its Ry group, or the group count
+    for the layer's phase stage; and that group count."""
+    count, _ = ansatz_stages(n, layers, ring)
+    width = count // (layers + 1)
+    return np.arange(count) % width, width - 1
+
+
+def test_stages_run_lists_the_moved_stages():
+    rng = np.random.default_rng(17)
+    for n, layers, ring in ((1, 1, True), (4, 2, False), (9, 3, True)):
+        count, stages = ansatz_stages(n, layers, ring)
+        zeroed = np.flatnonzero(rng.random(count) < 0.5)
+        params = _zero_stages(rng.uniform(-np.pi, np.pi, len(stages)), stages, zeroed, -1.0)
+        moved = [s for s in range(count) if s not in zeroed]
+        assert stages_run(n, layers, ring, params) == moved
+        assert stages_run(n, layers, ring, np.zeros(len(stages))) == []
+        for start in range(count):
+            for stop in range(start + 1, count + 1):
+                expected = [s for s in moved if start <= s < stop]
+                assert stages_run(n, layers, ring, params, start, stop) == expected
+                # in a stack, a stage runs when one row moves it
+                stack = np.stack([params, np.zeros(len(stages))])
+                assert stages_run(n, layers, ring, stack, start, stop) == expected
+        for bad in (np.zeros(len(stages) + 1), np.zeros((2, len(stages) - 1))):
+            with pytest.raises(ValueError, match="parameters"):
+                stages_run(n, layers, ring, bad)
+        for start, stop in ((-1, None), (count, None), (1, 1), (0, count + 1)):
+            with pytest.raises(ValueError, match="range"):
+                stages_run(n, layers, ring, params, start, stop)
+
+
+def _check_stack(n, layers, ring, psi0, thetas, key):
+    """A stack's call against each row alone, every split and the reference,
+    and its result in the buffer the rule ``(r - 1) % 2`` names."""
+    count, _ = ansatz_stages(n, layers, ring)
+    whole = apply_ansatz_amplitudes(psi0, n, layers, ring, thetas)
+    for r, (state, theta) in enumerate(zip(psi0, thetas)):
+        alone = apply_ansatz_amplitudes(state, n, layers, ring, theta)
+        assert np.array_equal(whole[r], alone), (key, r)
+        assert np.array_equal((np.abs(whole[r]) ** 2).view(np.int64),
+                              (np.abs(alone) ** 2).view(np.int64)), (key, r)
+        reference = _ansatz_gate_by_gate(state, n, layers, ring, theta)
+        assert np.max(np.abs(whole[r] - reference)) < 1e-12, (key, r)
+    pair = (np.full_like(psi0, np.nan), np.full_like(psi0, np.nan))
+    for split in range(1, count):
+        prefix = apply_ansatz_amplitudes(psi0, n, layers, ring, thetas, stop=split)
+        resumed = apply_ansatz_amplitudes(prefix, n, layers, ring, thetas, start=split,
+                                          buffers=pair)
+        ran = len(stages_run(n, layers, ring, thetas, split))
+        assert resumed is pair[max(ran - 1, 0) % 2], (key, split)
+        assert np.array_equal(resumed.view(np.int64), whole.view(np.int64)), (key, split)
+
+
+def test_tables_are_built_for_the_stages_that_run():
+    """Only the tables of the stages that run are built: a Ry group's for
+    every layer when one of its stages runs, the phase tables of every layer
+    when a phase stage runs.  Stacks whose rows all leave the same Ry group,
+    every Ry group or every phase stage at zero, and stacks whose rows move
+    disjoint groups, give each row the bits of the row alone (its amplitudes
+    under ==, its |a|^2 bit for bit), the whole call's bits at every split,
+    and the gate-by-gate reference's amplitudes to 1e-12."""
+    rng = np.random.default_rng(19)
+    for n in range(1, 10):
+        for layers in (1, 2, 3):
+            for ring in (False, True):
+                count, stages = ansatz_stages(n, layers, ring)
+                group_of, groups = _stage_groups(n, layers, ring)
+                rows = 3
+                psi0 = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+                psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+                random = rng.uniform(-np.pi, np.pi, (rows, len(stages)))
+                still = [group_of == g for g in range(groups + 1)] + [group_of < groups]
+                for zeroed in still:
+                    thetas = np.stack([
+                        _zero_stages(row, stages, np.flatnonzero(zeroed), rng.choice([-1.0, 1.0]))
+                        for row in random])
+                    assert stages_run(n, layers, ring, thetas) == np.flatnonzero(~zeroed).tolist()
+                    _check_stack(n, layers, ring, psi0, thetas, (n, layers, ring, zeroed))
+                # row r moves the groups g with g % rows == r, in every layer
+                thetas = np.stack([
+                    _zero_stages(row, stages, np.flatnonzero(group_of % rows != r))
+                    for r, row in enumerate(random)])
+                assert stages_run(n, layers, ring, thetas) == list(range(count))
+                _check_stack(n, layers, ring, psi0, thetas, (n, layers, ring, "disjoint"))
