@@ -10,7 +10,8 @@ The commands pass their flags through; the library makes the decisions.
 ``spectrum`` in their ``--layout``, ``audit`` in the full one.  The
 ``--init`` and ``--entangler`` choices are ``dqes.MODES`` and
 ``vqe.ENTANGLERS``, each first entry the default.  ``vqe`` runs rotation
-descent, set by ``--rho-start``, ``--rho-end`` and ``--max-evals``.
+descent, set by ``--rho-start``, ``--rho-end`` and ``--max-evals``;
+``--threads`` only caps the worker count ``dqes.run_experiment`` picks.
 ``audit``, ``spectrum``, ``landscape`` and ``vqe`` get their Ising form
 from ``encoder.spin_form``, which refuses an instance above
 ``layouts.SPIN_CAP`` spins from its node count before anything is encoded;
@@ -46,15 +47,6 @@ from .rationals import rational_to_json
 from .vqe import ENTANGLERS, OptimizerConfig
 
 _LAYOUT_FLAGS = {"full": "full", "fixed": "fixed_start_full", "efficient": "efficient"}
-
-
-def _default_threads() -> int:
-    """The worker count of ``$TSPVQE_THREADS``, read when a ``vqe`` command runs."""
-    value = os.environ.get("TSPVQE_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _read_instance(args):
@@ -191,7 +183,7 @@ def cmd_vqe(args) -> int:
     report = dqes.run_experiment(
         instance, args.init, k=args.k, seed=args.seed, layers=args.layers,
         entangler=args.entangler, optimizer=optimizer, convergence_tol=args.tol,
-        threads=_default_threads() if args.threads is None else args.threads,
+        threads=args.threads,
     )
     _emit_report(args, "vqe", report.to_dict())
     return 0
@@ -295,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resolution: a sweep whose largest step is below it restarts")
     p.add_argument("--max-evals", type=int, default=2000, help="most energy evaluations per run")
     p.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: $TSPVQE_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="most worker processes, one per CPU at most, none from 14 qubits up")
     p.set_defaults(func=cmd_vqe)
 
     return parser

@@ -12,6 +12,7 @@ rendered as bytes by ``ising.render_rows``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -36,6 +37,7 @@ from .vqe import (
     OptimizerConfig,
     RandomInit,
     ZerosInit,
+    one_state_per_call,
     run_lockstep,
 )
 
@@ -237,10 +239,6 @@ class ExperimentReport:
         }
 
 
-def _run_part(args):
-    return run_lockstep(*args)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set, where the platform
     has one, else the machine's count."""
@@ -264,19 +262,20 @@ def run_experiment(
 
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Runs are decoded in the
-    Ising form's own layout.  An invalid ansatz, a negative seed or a
+    Ising form's own layout.  An invalid ansatz or ``k``, a negative seed or a
     non-finite ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
-    ``random`` (k seeded product states).  ``threads`` above 1 splits the runs
-    into that many contiguous parts, run by at most as many worker processes
-    as this process has CPUs; the traces are the same for every split.
+    ``random`` (k seeded product states).  ``threads`` caps the worker
+    processes: from 14 qubits up (one state per kernel call) the batch runs
+    here, on BLAS threads, else in ``min(threads, usable CPUs, runs)``
+    contiguous parts, a worker each from two up; the traces are the same.
     """
     n = layouts.variable_count(LAYOUT, instance.node_count)
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
-    if mode == "random" and k < 1:
+    if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
@@ -304,21 +303,21 @@ def run_experiment(
         ]
 
     starts = [(init, seed * _SEED_STRIDE + 2 * i) for i, init in enumerate(inits)]
-    if threads > 1:
+    run = functools.partial(run_lockstep, ising, ansatz=ansatz, optimizer=optimizer,
+                            ground_energy=ground, convergence_tol=convergence_tol)
+    # a forked worker keeps every BLAS thread it inherits, so a batch whose
+    # kernel calls run on BLAS threads stays in this process
+    workers = 1 if one_state_per_call(n) else min(threads, _usable_cpus(), len(starts))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
 
         # one contiguous part of the runs per worker, each run in lockstep
-        size = -(-len(starts) // threads)
-        jobs = [
-            (ising, starts[first:first + size], ansatz, optimizer, ground, convergence_tol)
-            for first in range(0, len(starts), size)
-        ]
-        # a fork-started pool forks all its workers at once, so it starts no
-        # more of them than there are parts or CPUs to run them on
-        with ProcessPoolExecutor(max_workers=min(len(jobs), _usable_cpus())) as pool:
-            traces = [trace for part in pool.map(_run_part, jobs) for trace in part]
+        size = -(-len(starts) // workers)
+        parts = [starts[first:first + size] for first in range(0, len(starts), size)]
+        with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+            traces = [trace for part in pool.map(run, parts) for trace in part]
     else:
-        traces = run_lockstep(ising, starts, ansatz, optimizer, ground, convergence_tol)
+        traces = run(starts)
 
     converged = [t for t in traces if t.converged]
     mean_iters = (

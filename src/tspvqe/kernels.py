@@ -309,9 +309,10 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     call that runs them all.
 
     A stage whose parameters are all +-0.0 in every row is the identity and
-    is skipped (:func:`stages_run` lists the stages a call runs).  So the rows of a stack equal, under ``==``, what calls on
-    each row alone give, and their ``|a|^2`` are the same bits; the sign of
-    a zero amplitude can differ where a row sat out a stage another row ran.
+    is skipped (:func:`stages_run` lists the stages a call runs).  So the
+    rows of a stack equal, under ``==``, what calls on each row alone give,
+    and their ``|a|^2`` are the same bits; the sign of a zero amplitude can
+    differ where a row sat out a stage another row ran.
     Parameters other than ``P`` per state are refused with ``ValueError``.
 
     ``buffers``, a pair ``(a, b)`` of distinct C-contiguous complex128 arrays

@@ -72,6 +72,11 @@ ENTANGLERS = ("linear_rzz", "ring_rzz")
 LOCKSTEP_AMPLITUDES = 1 << 14
 
 
+def one_state_per_call(n: int) -> bool:
+    """Whether an ansatz kernel call on ``n`` qubits holds one state (from 14 qubits up)."""
+    return LOCKSTEP_AMPLITUDES >> n <= 1
+
+
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the variational circuit."""
@@ -405,7 +410,7 @@ def run_lockstep(
     group_size = max(1, LOCKSTEP_AMPLITUDES >> (ising.n + 1))
     # where a kernel call holds one state, a group is one run: the runs go
     # one at a time, each with its prefix in the same three buffers
-    buffers = _state_buffers(ising.n) if LOCKSTEP_AMPLITUDES >> ising.n <= 1 else None
+    buffers = _state_buffers(ising.n) if one_state_per_call(ising.n) else None
     traces = []
     for first in range(0, len(starts), group_size):
         traces += _run_group(

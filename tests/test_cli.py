@@ -383,26 +383,6 @@ class TestVqeCommand:
         assert "timestamp" in doc
 
 
-def test_threads_env_var_sets_default(monkeypatch, tmp_path):
-    """``$TSPVQE_THREADS`` is read each time a vqe command runs, though the
-    parser is built once per process; an explicit --threads wins."""
-    seen = []
-
-    def record(*args, threads, **kwargs):
-        seen.append(threads)
-        return SimpleNamespace(to_dict=dict)
-
-    monkeypatch.setattr(dqes, "run_experiment", record)
-    argv = ["vqe", LANDSCAPE, "-o", str(tmp_path / "out.json")]
-    for value in ("3", "junk", "2"):
-        monkeypatch.setenv("TSPVQE_THREADS", value)
-        assert main(argv) == 0
-    assert main(argv + ["--threads", "5"]) == 0
-    monkeypatch.delenv("TSPVQE_THREADS")
-    assert main(argv) == 0
-    assert seen == [3, 1, 2, 5, 1]
-
-
 def test_reports_are_strict_json(tmp_path):
     args = SimpleNamespace(output=str(tmp_path / "out.json"), no_timestamp=True)
     with pytest.raises(ValueError):
@@ -413,8 +393,9 @@ def test_help_shows_the_threads_default(capsys):
     with pytest.raises(SystemExit):
         main(["vqe", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert "--threads THREADS worker processes (default: $TSPVQE_THREADS or 1)" in text
-    assert "or 1) (default" not in text
+    assert ("--threads THREADS most worker processes, one per CPU at most, none from 14 "
+            "qubits up (default: 1)") in text
+    assert "(default: 1) (default" not in text
 
 
 def test_help_states_each_default_once(capsys, monkeypatch):

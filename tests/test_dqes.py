@@ -296,14 +296,15 @@ class TestCsv:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replace the process pool with one that maps in this process and
-    records its ``max_workers``, so no worker process is started."""
+    records, per pool, its ``max_workers`` and the number of parts it maps,
+    so no worker process is started."""
     import concurrent.futures
 
     sizes = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -312,6 +313,8 @@ def in_process_pool(monkeypatch):
             return False
 
         def map(self, fn, jobs):
+            jobs = list(jobs)
+            sizes.append((self.max_workers, len(jobs)))
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -398,13 +401,15 @@ class TestExperiments:
     def test_worker_pool_starts_one_worker_per_part(self, landscape_instance, monkeypatch,
                                                     in_process_pool):
         """A pool forks all of its workers at once, so it is sized to the
-        parts of the batch, not to the requested thread count."""
+        parts of the batch, not to the requested thread count; a batch of
+        one run is one part and starts no pool."""
         _show_cpus(monkeypatch, 64)
         short = OptimizerConfig(max_evals=5)
-        for mode, k, threads, workers in (("zeros", 1, 4, 1), ("random", 10, 6, 5)):
+        for mode, k, threads, pools in (("zeros", 1, 4, []), ("random", 10, 6, [(5, 5)])):
             pooled = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short,
                                     threads=threads)
-            assert in_process_pool.pop() == workers, mode
+            assert in_process_pool == pools, mode
+            in_process_pool.clear()
             assert pooled.to_dict()["config"]["threads"] == threads
             serial = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short)
             assert pooled.traces == serial.traces, mode
@@ -417,15 +422,44 @@ class TestExperiments:
                                                          monkeypatch, in_process_pool,
                                                          cpus, affinity, workers):
         """Any thread count splits a random batch into at most k parts, and
-        the pool runs them on no more workers than the CPUs this process may
-        use: its affinity set where the platform has one, else the CPU count
-        (one when that is unknown).  The report does not change."""
+        no more parts than the CPUs this process may use: its affinity set
+        where the platform has one, else the CPU count (one when that is
+        unknown, and one part starts no pool).  Each part has a worker of its
+        own, and the report does not change."""
         _show_cpus(monkeypatch, cpus, affinity)
         short = OptimizerConfig(max_evals=4)
         pooled = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short,
                                 threads=10_000)
-        assert in_process_pool == [workers]
+        assert in_process_pool == ([(workers, workers)] if workers > 1 else [])
         serial = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short)
+        a, b = serial.to_dict(), pooled.to_dict()
+        assert a.pop("config") == {**b.pop("config"), "threads": 1}
+        assert a == b
+
+    def test_batch_is_cut_into_no_more_parts_than_cpus(self, landscape_instance,
+                                                       monkeypatch, in_process_pool):
+        """A batch is cut into as many parts as workers run it, not into one
+        per requested thread: a random k=10 batch at ``threads=10`` on 2 CPUs
+        runs 2 parts of 5, and its report is the serial one."""
+        _show_cpus(monkeypatch, 2)
+        short = OptimizerConfig(max_evals=5)
+        pooled = run_experiment(landscape_instance, "random", k=10, seed=4, optimizer=short,
+                                threads=10)
+        assert in_process_pool == [(2, 2)]
+        serial = run_experiment(landscape_instance, "random", k=10, seed=4, optimizer=short)
+        a, b = serial.to_dict(), pooled.to_dict()
+        assert a.pop("config") == {**b.pop("config"), "threads": 1}
+        assert a == b
+
+    def test_sixteen_qubits_start_no_pool(self, monkeypatch, in_process_pool):
+        """A kernel call on 16 qubits holds one state and runs on BLAS
+        threads, so any thread count runs the batch in this process."""
+        _show_cpus(monkeypatch, 64)
+        instance = _seeded_instance_16()
+        short = OptimizerConfig(max_evals=5)
+        pooled = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short, threads=2)
+        assert in_process_pool == []
+        serial = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short)
         a, b = serial.to_dict(), pooled.to_dict()
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
@@ -433,6 +467,19 @@ class TestExperiments:
     def test_unknown_mode(self, landscape_instance):
         with pytest.raises(ValidationError):
             run_experiment(landscape_instance, "everything")
+
+    @pytest.mark.parametrize("mode", ["best_mubs", "random"])
+    def test_batch_below_one_run_refused_before_encoding(self, landscape_instance,
+                                                         monkeypatch, mode):
+        from tspvqe import dqes
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with a refused k")
+
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        monkeypatch.setattr(dqes, "compute_landscape", unreachable)
+        with pytest.raises(ValidationError, match="k must be at least 1, got 0"):
+            run_experiment(landscape_instance, mode, k=0)
 
     def test_instance_without_valid_tour(self):
         # the Hamiltonian minimum is still defined; the oracle reports no tour

@@ -29,11 +29,14 @@ evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB at 1 layer, and
 zeros-initialized at 200 evaluations) and the seed-0 instance's ``encode``
 in the full and efficient layouts, binary and Ising (25 and 16 variables),
 the seed-0 ``paper-n4`` best-MUB batch once more on two worker processes
-(``--threads 2``), both landscape CSVs and the spectrum CSVs.  The 16-qubit batches run circuits of 15, 20 and 10
-stages (2, 3 and 1 layers), so the pair of buffers a run's kernel calls
-write in turn ends on either one.  Then the exact-rational outputs: ``encode`` in all
-three layouts, binary and Ising; ``audit`` under file, lucas and safe
-penalties; ``solve``; ``spectrum`` in all three layouts; and ``landscape``,
+(``--threads 2``), the seed-0 16-qubit best-MUB batch once more at
+``--threads 2`` (which runs in one process, since a 16-qubit kernel call
+holds one state), both landscape CSVs and the spectrum CSVs.  The 16-qubit
+batches run circuits of 15, 20 and 10 stages (2, 3 and 1 layers), so the
+pair of buffers a run's kernel calls write in turn ends on either one.
+Then the exact-rational outputs: ``encode`` in all three layouts, binary and
+Ising; ``audit`` under file, lucas and safe penalties; ``solve``;
+``spectrum`` in all three layouts; and ``landscape``,
 on both shipped instances and on a seeded 4-node instance with p/q costs for
 each of the six variant x direction cases, so every branch of
 ``encoder.encode`` and every refusal of a non-tsp instance is compared.
@@ -166,6 +169,10 @@ def commands(inputs):
         ("paper_best_mubs_threads2_0.json",
          ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
           "--seed", "0", "--threads", "2"]),
+        # at 16 qubits the same request runs in this process, on BLAS threads
+        ("n5_threads2_0.json",
+         ["vqe"] + n5[:3] + ["--init", "best-mubs", "--k", "2", "--max-evals", "20",
+                             "--seed", "0", "--threads", "2"]),
     ]
     exact = [landscape, counterexample]
     for variant, directed in itertools.product(("tsp", "cycle", "path"), (False, True)):
