@@ -262,8 +262,9 @@ def run_experiment(
 
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Runs are decoded in the
-    Ising form's own layout.  An invalid ansatz or ``k``, a negative seed or a
-    non-finite ``convergence_tol`` is refused before anything is encoded.
+    Ising form's own layout.  An invalid ansatz or ``k`` (for ``best_mubs``,
+    one outside 1..C(n,3) * 72, the landscape's records), a negative seed or
+    a non-finite ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -277,6 +278,12 @@ def run_experiment(
         raise ValidationError(f"unknown experiment mode {mode!r}")
     if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
+    if mode == "best_mubs":
+        if n < 3:
+            raise ValidationError(f"partial-DQES needs at least 3 qubits, got {n}")
+        records = math.comb(n, 3) * _RECORDS_PER_TRIPLE
+        if k > records:
+            raise ValidationError(f"k must be in 1..{records}, got {k}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if not 0 <= convergence_tol < math.inf:

@@ -11,6 +11,13 @@ stages between them give the bits of one call that runs them all.  A call
 allocates two state-sized arrays for its stages to write in turn, unless the
 caller lends it a pair to reuse.
 
+One state can also be passed on its *held* qubits alone, as 2^h amplitudes
+with every other qubit exactly |0>.  Each stage holds the qubits of the one
+before and those its Ry gates turn by a nonzero angle, so the held set after
+a stage depends only on the input's and on the parameters of the stages run
+up to it, and split calls still give the bits of the whole call.  Held on
+every qubit, a call is the one on the full state, bit for bit.
+
 A stage whose parameters are all zero (+0.0 or -0.0) in every row of a call
 is skipped.  At zero angle a stage's Ry matrix is the identity with signed
 zeros off the diagonal and its phase vector is exactly 1 (its imaginary part
@@ -40,7 +47,8 @@ HAVE_NUMBA = False
 # The numpy ansatz kernel fuses each layer.  Ry gates on different qubits
 # commute, so the Ry gates of up to _RY_GROUP consecutive qubits are applied
 # as one real matmul by the kron of their 2x2 matrices, on the float64 view
-# of the state (bit 0 of that view is real/imaginary, bit 1 + q is qubit q).
+# of the state (bit 0 of that view is real/imaginary, bit 1 + i is held
+# qubit i).
 # The layer's Rz and Rzz gates are diagonal and commute too; their product is
 # exp(i phi(z)) with phi(z) = sum_t w_t f_t(z), f_t a product of spins
 # s_q = 2 b_q - 1 and w_t = theta_t / 2 (negated for Rzz, whose phase uses
@@ -48,6 +56,12 @@ HAVE_NUMBA = False
 # every term lies in one half except the entanglers that cross the cut (at
 # most two), and exp(i w f) = cos w + i f sin w for f = +-1, so the phase
 # vector is a complex rank <= 4 product of small per-half tables.
+#
+# A state is stored on its *held* qubits, ascending, and every other qubit
+# is exactly |0>: a qubit outside the set has spin -1 in every term, which
+# folds into the term's sign, and its Ry factor is the identity at zero angle.
+# A Ry stage that moves a qubit outside the set first adds it: the qubit is
+# |0>, so the stage's matmul reads only the matrix columns with its bit 0.
 #
 # A stage is one grouped Ry matmul or one layer's phase vector.  The stages
 # run in order, layer by layer, and each reads only its own parameters, so a
@@ -58,22 +72,26 @@ _RY_GROUP = 4
 
 
 class _AnsatzPlan(NamedTuple):
-    """Index and sign tables of one (n, layers, ring) ansatz shape."""
+    """Index and sign tables of one (n, layers, ring) ansatz shape on one held set."""
 
-    ry_groups: tuple  # (low float bit, bit count, index into the flat entry table) per matmul
+    # per Ry group: (low float bit, bit count, index into the flat entry table)
+    # per matmul, or None when the group holds no qubit
+    ry_groups: tuple
     phase_angles: np.ndarray  # (layers + 1, terms) index into the padded parameters
-    phase_sign: np.ndarray  # +1 for Rz terms, -1 for Rzz terms
+    phase_sign: np.ndarray  # +1 for Rz terms, -1 for Rzz terms, times -1 per qubit not held
     hi_phase: np.ndarray  # (terms, 2^hi) f_t of the terms inside the high qubits, else 0
     lo_phase: np.ndarray  # (terms, 2^lo) the same for the low qubits
-    cross_terms: tuple  # terms with qubits on both sides of the cut
+    cross_terms: tuple  # terms with held qubits on both sides of the cut
     hi_cross: np.ndarray  # (2^hi, 2^m) high factor of each subset of crossing terms
     lo_cross: np.ndarray  # (2^m, 2^lo) low factor of each subset
     stage_count: int  # (layers + 1) * (len(ry_groups) + 1)
     param_stage: np.ndarray  # (P,) the stage each parameter acts in
+    ry_stage: np.ndarray  # (layers + 1, n) the stage of the Ry gate on each qubit
+    ry_index: np.ndarray  # (layers + 1, n) its parameter
 
 
 def _spin_products(n_bits, offset, terms):
-    """Product of s_q = 2 b_q - 1 over each term's qubits in [offset, offset + n_bits)."""
+    """Product of s_q = 2 b_q - 1 over each term's bits in [offset, offset + n_bits)."""
     z = np.arange(1 << n_bits)
     out = np.ones((1 << n_bits, len(terms)))
     for t, qubits in enumerate(terms):
@@ -88,126 +106,173 @@ def _expand(acc, pair):
     return (acc[..., :, None] * pair[..., None, :]).reshape(*acc.shape[:-1], -1)
 
 
-@lru_cache(maxsize=None)
-def _ansatz_plan(n, layers, ring):
+@lru_cache(maxsize=128)
+def _ansatz_plan(n, layers, ring, held):
+    """The tables of the ansatz on a state held on ``held``, ascending qubits.
+
+    The stages and the stage of each parameter are the same on every held
+    set; on all n qubits every table is the one of the full state.
+    """
     n_ent = n if ring else n - 1
     per_layer = 2 * n + n_ent
     pad = layers * per_layer + 2 * n  # index of the zero angle appended to params
     bases = np.arange(layers + 1)[:, None] * per_layer
+    position = {q: i for i, q in enumerate(held)}
 
     # float-view bit 0 (real/imaginary) takes the zero angle: an identity factor
-    ry_angles = np.hstack([np.full((layers + 1, 1), pad), bases + np.arange(n)])
-    sizes = [len(part) for part in np.array_split(np.arange(n), -(-n // _RY_GROUP))]
-    sizes[0] += 1
+    ry_angles = np.hstack([np.full((layers + 1, 1), pad), bases + np.array(held, dtype=int)])
+    parts = np.array_split(np.arange(n), -(-n // _RY_GROUP))
     # stage g of a layer is its Ry group g, the last one its phase vector
-    first_stage = np.arange(layers + 1)[:, None] * (len(sizes) + 1)
+    first_stage = np.arange(layers + 1)[:, None] * (len(parts) + 1)
     param_stage = np.empty(pad + 1, dtype=np.intp)  # the pad's entry is dropped
     ry_groups = []
-    bit = 0
-    for g, k in enumerate(sizes):
+    for g, part in enumerate(parts):
+        param_stage[bases + part] = first_stage + g
+        members = [position[q] for q in part.tolist() if q in position]
+        if g == 0:
+            bit, k = 0, len(members) + 1
+        elif members:
+            bit, k = 1 + members[0], len(members)
+        else:
+            ry_groups.append(None)
+            continue
         idx = np.arange(1 << k)
         t = np.arange(k)[:, None, None]
         code = 2 * ((idx[:, None] >> t) & 1) + ((idx[None, :] >> t) & 1)
         ry_groups.append((bit, k, code * (pad + 1) + ry_angles[:, bit:bit + k, None, None]))
-        param_stage[ry_angles[:, bit:bit + k]] = first_stage + g
-        bit += k
 
     terms = [(q,) for q in range(n)] + [(e, (e + 1) % n) for e in range(n_ent)]
     phase_angles = bases + n + np.arange(len(terms))
     phase_angles[-1, n:] = pad  # the closing layer has Rz gates only
-    param_stage[phase_angles] = first_stage + len(sizes)
+    param_stage[phase_angles] = first_stage + len(parts)
     param_stage = param_stage[:pad]
     param_stage.flags.writeable = False
-    lo = n // 2
-    hi_f = _spin_products(n - lo, lo, terms)
-    lo_f = _spin_products(lo, 0, terms)
-    in_hi = np.array([min(qs) >= lo for qs in terms])
-    in_lo = np.array([max(qs) < lo for qs in terms])
+    # each term on the held bits; a qubit outside them has spin -1
+    held_terms = [[position[q] for q in qs if q in position] for qs in terms]
+    outside = [len(qs) - len(bits) for qs, bits in zip(terms, held_terms)]
+    h = len(held)
+    lo = h // 2
+    hi_f = _spin_products(h - lo, lo, held_terms)
+    lo_f = _spin_products(lo, 0, held_terms)
+    in_hi = np.array([min(bits, default=lo) >= lo for bits in held_terms])
+    in_lo = np.array([bool(bits) and max(bits) < lo for bits in held_terms])
     cross_terms = tuple(np.flatnonzero(~(in_hi | in_lo)))
-    hi_cross = np.ones((1 << (n - lo), 1))
+    hi_cross = np.ones((1 << (h - lo), 1))
     lo_cross = np.ones((1 << lo, 1))
     for t in cross_terms:
         hi_cross = _expand(hi_cross, np.stack([np.ones_like(hi_f[:, t]), hi_f[:, t]], -1))
         lo_cross = _expand(lo_cross, np.stack([np.ones_like(lo_f[:, t]), lo_f[:, t]], -1))
+    ry_index = bases + np.arange(n)
     return _AnsatzPlan(
         ry_groups=tuple(ry_groups),
         phase_angles=phase_angles,
-        phase_sign=np.array([1.0] * n + [-1.0] * n_ent),
+        phase_sign=np.array([1.0] * n + [-1.0] * n_ent) * (-1.0) ** np.array(outside),
         hi_phase=np.ascontiguousarray((hi_f * in_hi).T),
         lo_phase=np.ascontiguousarray((lo_f * in_lo).T),
         cross_terms=cross_terms,
         hi_cross=hi_cross,
         lo_cross=np.ascontiguousarray(lo_cross.T),
-        stage_count=(layers + 1) * (len(sizes) + 1),
+        stage_count=(layers + 1) * (len(parts) + 1),
         param_stage=param_stage,
+        ry_stage=param_stage[ry_index],
+        ry_index=ry_index,
     )
 
 
-def _apply_ansatz(psi0, n, layers, ring, params, stages, buffers):
+@lru_cache(maxsize=1024)
+def _qubits(mask):
+    """The qubits of a bit mask, ascending."""
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+def _phase_tables(plan, half, batch):
+    """Each layer's phase vector as the two factors of one matmul."""
+    w = half[..., plan.phase_angles] * plan.phase_sign
+    coef = np.ones(batch + (plan.phase_angles.shape[0], 1))
+    for t in plan.cross_terms:
+        coef = _expand(coef, np.stack([np.cos(w[..., t]), 1j * np.sin(w[..., t])], -1))
+    left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
+    right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
+    return left, right
+
+
+def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
     """The ``stages`` (ascending), on one state or row by row on a stack.
 
+    ``held_at`` holds the held set of ``psi0`` and then the one after each
+    stage; a stack holds every qubit.
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
     it would alone.  Only the tables the stages read are built: a Ry group's
-    table, for every layer, when a stage of that group runs, and the phase
-    tables of every layer when a phase stage runs.  A table is the same array,
-    of the same layout, whichever stages a call runs, so the bits of a stage
-    do not depend on them.  The stages write ``buffers`` in turn, two fresh
-    arrays when it is None; when ``stages`` is empty, ``psi0`` is copied into
-    the first.
+    table, for every layer, per held set it runs on, and the phase tables of
+    every layer per held set a phase stage runs on.  A table is the same
+    array, of the same layout, whichever stages a call runs, so the bits of a
+    stage do not depend on them.  The stages write ``buffers`` in turn (their
+    leading entries where the state is smaller), two fresh arrays when it is
+    None; when ``stages`` is empty, ``psi0`` is copied into the first.
     """
-    plan = _ansatz_plan(n, layers, ring)
-    groups = len(plan.ry_groups)
+    groups = (n + _RY_GROUP - 1) // _RY_GROUP
     run = [divmod(stage, groups + 1) for stage in stages]  # (layer, group) each
-    ry_moved = {g for _, g in run if g < groups}
     batch = params.shape[:-1]
     if run:
         half = 0.5 * np.concatenate([params, np.zeros(batch + (1,))], axis=-1)
-    if ry_moved:
+    plans = {held: _ansatz_plan(n, layers, ring, held) for held in set(held_at[1:])}
+    ry_sets = {(g, held) for (_, g), held in zip(run, held_at[1:]) if g < groups}
+    if ry_sets:
         cos, sin = np.cos(half), np.sin(half)
         # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle, flat
         entries = np.stack([cos, -sin, sin, cos], axis=-2).reshape(batch + (-1,))
         # the gather leaves a stack's matrices strided; contiguous ones take the
         # same BLAS path as one state's, so every row gets the same bits
         ry = {
-            g: np.ascontiguousarray(entries[..., plan.ry_groups[g][2]].prod(axis=-3))
-            for g in ry_moved
+            (g, held): np.ascontiguousarray(
+                entries[..., plans[held].ry_groups[g][2]].prod(axis=-3))
+            for g, held in ry_sets
         }
-    if any(g == groups for _, g in run):
-        w = half[..., plan.phase_angles] * plan.phase_sign
-        coef = np.ones(batch + (layers + 1, 1))
-        for t in plan.cross_terms:
-            coef = _expand(coef, np.stack([np.cos(w[..., t]), 1j * np.sin(w[..., t])], -1))
-        left = np.exp(1j * (w @ plan.hi_phase))[..., None] * coef[..., None, :] * plan.hi_cross
-        right = np.exp(1j * (w @ plan.lo_phase))[..., None, :] * plan.lo_cross
+    phase_sets = {held for (_, g), held in zip(run, held_at[1:]) if g == groups}
+    phase = {held: _phase_tables(plans[held], half, batch) for held in phase_sets}
 
     # each stage reads amps and writes the other buffer, so psi0 is read in
     # place and never written
-    amps = psi0
+    size = 1 << len(held_at[-1])
     if buffers is None:
-        buffers = (np.empty_like(psi0), np.empty_like(psi0))
+        buffers = (np.empty(batch + (size,), complex), np.empty(batch + (size,), complex))
+    amps = psi0
     for i, (layer, g) in enumerate(run):
-        out = buffers[i % 2]
+        before, held = held_at[i], held_at[i + 1]
+        out = _leading(buffers[i % 2], 1 << len(held))
         if g < groups:
-            bit, k, _ = plan.ry_groups[g]
+            bit, k, _ = plans[held].ry_groups[g]
+            mat = ry[g, held][..., layer, :, :]
+            k_in = k - (len(held) - len(before))
+            if k_in < k:
+                # the qubits the stage adds are |0> before it: their bits of the
+                # matmul's input are 0
+                added = sum(1 << (1 + p - bit) for p, q in enumerate(held) if q not in before)
+                mat = mat[..., np.flatnonzero((np.arange(1 << k) & added) == 0)]
             src, dst = amps.view(np.float64), out.view(np.float64)
-            mat = ry[g][..., layer, :, :]
             if bit == 0:
-                shape = batch + (-1, 1 << k)
-                np.matmul(src.reshape(shape), mat.swapaxes(-1, -2), out=dst.reshape(shape))
+                np.matmul(src.reshape(batch + (-1, 1 << k_in)), mat.swapaxes(-1, -2),
+                          out=dst.reshape(batch + (-1, 1 << k)))
             else:
-                shape = batch + (-1, 1 << k, 1 << bit)
-                np.matmul(mat[..., None, :, :], src.reshape(shape), out=dst.reshape(shape))
+                np.matmul(mat[..., None, :, :], src.reshape(batch + (-1, 1 << k_in, 1 << bit)),
+                          out=dst.reshape(batch + (-1, 1 << k, 1 << bit)))
         else:
             # the phase vector goes into the output buffer, so no state-sized temporary
+            left, right = phase[held]
             shape = batch + (left.shape[-2], -1)
             np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
             np.multiply(amps, out, out=out)
         amps = out
     if amps is psi0:
-        np.copyto(buffers[0], psi0)
-        amps = buffers[0]
+        amps = _leading(buffers[0], size)
+        np.copyto(amps, psi0)
     return amps
+
+
+def _leading(buffer, size):
+    """``buffer``, or a view of its first ``size`` entries when it is longer."""
+    return buffer if buffer.shape[-1] == size else buffer[..., :size]
 
 
 # -- entry points ------------------------------------------------------------
@@ -251,7 +316,7 @@ def ansatz_stages(n, layers, ring):
     run in order, and parameter p acts in stage ``stages[p]`` alone.  At 16
     qubits and 2 layers there are 15 stages.  The array is read-only.
     """
-    plan = _ansatz_plan(n, layers, bool(ring))
+    plan = _ansatz_plan(n, layers, bool(ring), tuple(range(n)))
     return plan.stage_count, plan.param_stage
 
 
@@ -277,15 +342,72 @@ def stages_run(n, layers, ring, params, start=0, stop=None):
     return (np.flatnonzero(runs[start:stop]) + start).tolist()
 
 
-def _check_buffers(psi0, buffers):
+def support(amplitudes):
+    """The qubits on which a state is not exactly |0>, ascending: those set in
+    the index of some nonzero amplitude."""
+    return _qubits(int(np.bitwise_or.reduce(np.flatnonzero(amplitudes), initial=0)))
+
+
+def basis_indices(held):
+    """The basis index, over all qubits, of each amplitude of a state held on
+    ``held`` (ascending qubits): bit i of an amplitude's index is qubit
+    ``held[i]``, and every other qubit is 0.  The indices ascend."""
+    idx = np.zeros(1 << len(held), dtype=np.int64)
+    for i, q in enumerate(held):
+        idx[1 << i:2 << i] = idx[:1 << i] + (1 << q)
+    return idx
+
+
+def held_qubits(n, layers, ring, params, held, start=0, stop=None):
+    """The held set after the stages from ``start`` to ``stop - 1`` of a call
+    on one state held on ``held``: ``held`` and every qubit that a Ry gate of
+    those stages turns by a nonzero angle, ascending.  Arguments are checked
+    as by :func:`stages_run`."""
+    stages = stages_run(n, layers, ring, params, start, stop)
+    return _held_after(n, layers, bool(ring), np.asarray(params, dtype=np.float64),
+                       tuple(held), stages)[-1]
+
+
+def _held_after(n, layers, ring, params, held, stages):
+    """``held``, then the held set after each of ``stages``."""
+    if len(held) == n:
+        return [held] * (len(stages) + 1)
+    plan = _ansatz_plan(n, layers, ring, tuple(range(n)))
+    # per stage, the bit mask of the qubits its Ry gates turn by a nonzero angle
+    moves = np.zeros(plan.stage_count, dtype=np.int64)
+    turned = params[plan.ry_index] != 0
+    np.bitwise_or.at(moves, plan.ry_stage[turned], np.left_shift(1, np.nonzero(turned)[1]))
+    mask = sum(1 << q for q in held)
+    out = [held]
+    for stage in stages:
+        mask |= int(moves[stage])
+        out.append(_qubits(mask))
+    return out
+
+
+def _check_held(psi0, params, n, held):
+    """``held`` as a tuple; refuse one that is not ascending qubits of the
+    ansatz, or that ``psi0`` and ``params`` do not fit as one state."""
+    held = tuple(int(q) for q in held)
+    if list(held) != sorted(set(held)) or not all(0 <= q < n for q in held):
+        raise ValueError(f"held must be ascending distinct qubits of 0..{n - 1}, got {held}")
+    if params.ndim != 1 or psi0.shape != (1 << len(held),):
+        raise ValueError(f"a state held on {len(held)} qubits is one array of "
+                         f"{1 << len(held)} amplitudes, got {psi0.shape}")
+    return held
+
+
+def _check_buffers(psi0, buffers, size):
     """Refuse a ``buffers`` pair the stages cannot ping-pong through."""
     if len(buffers) != 2:
         raise ValueError(f"buffers must be a pair, got {len(buffers)}")
     for buffer in buffers:
         if not (isinstance(buffer, np.ndarray) and buffer.dtype == np.complex128
-                and buffer.shape == psi0.shape and buffer.flags.c_contiguous):
+                and buffer.shape[:-1] == psi0.shape[:-1] and buffer.ndim == psi0.ndim
+                and buffer.shape[-1] >= size and buffer.flags.c_contiguous):
             raise ValueError(
-                f"each buffer must be a C-contiguous complex128 array of shape {psi0.shape}"
+                f"each buffer must be a C-contiguous complex128 array of shape "
+                f"{psi0.shape[:-1] + (size,)} or longer in its last axis"
             )
         # contiguous arrays share memory exactly when their extents overlap
         if np.may_share_memory(buffer, psi0):
@@ -294,12 +416,21 @@ def _check_buffers(psi0, buffers):
         raise ValueError("the two buffers share memory")
 
 
-def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, buffers=None):
+def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, buffers=None,
+                            held=None):
     """Apply the layered Ry/Rz/Rzz ansatz to a state vector, or to a stack.
 
     One state ``(2^n,)`` takes parameters ``(P,)``; a stack ``(R, 2^n)`` takes
     ``(R, P)``, row r's parameters acting on row r's state.  The result has
-    the shape of ``psi0``, and ``psi0`` is not modified.
+    the shape of ``psi0`` (but see ``held``), and ``psi0`` is not modified.
+
+    ``held``, ascending qubits, passes one state on those qubits alone: an
+    array of ``2^len(held)`` amplitudes, bit i of whose index is qubit
+    ``held[i]``, with every other qubit exactly |0> (``basis_indices`` maps
+    it into the full state).  The result is the state held on
+    :func:`held_qubits` of the same arguments: ``held`` and the qubits that
+    the stages run turn by a nonzero Ry angle.  Held on every qubit, the
+    result has the bits of a call without ``held``.
 
     ``start`` and ``stop`` run only the stages from ``start`` to ``stop - 1``
     (see :func:`ansatz_stages`; by default all of them): ``psi0`` is then
@@ -316,19 +447,27 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     Parameters other than ``P`` per state are refused with ``ValueError``.
 
     ``buffers``, a pair ``(a, b)`` of distinct C-contiguous complex128 arrays
-    of ``psi0``'s shape that share no memory with it, lets calls reuse their
-    state memory: the stages that run write ``a`` and ``b`` in turn, and the
-    result is the one the last of them wrote (``a`` after 1, 3, ... stages,
-    ``b`` after 2, 4, ...), not a new array.  A call that runs no stage
-    copies ``psi0`` into ``a`` and returns it, and writes no other array.
-    The bits are those of a call without ``buffers``.  ``None`` allocates two
-    state-sized arrays per call, and the result is never ``psi0`` itself.
+    of ``psi0``'s leading shape, at least the result's length in the last
+    axis, that share no memory with it, lets calls reuse their state memory:
+    the stages that run write ``a`` and ``b`` in turn (their leading entries
+    where the state is shorter), and the result is the one the last of them
+    wrote (``a`` after 1, 3, ... stages, ``b`` after 2, 4, ...), not a new
+    array: that buffer itself when it has the result's length, else a view
+    of its leading entries.  A call that runs no stage copies ``psi0`` into
+    ``a`` and returns it, and writes no other array.  The bits are those of
+    a call without ``buffers``.  ``None`` allocates two state-sized arrays
+    per call, and the result is never ``psi0`` itself.
     """
     params = np.asarray(params, dtype=np.float64)
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    if psi0.shape[:-1] != params.shape[:-1]:
-        raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
     stages = stages_run(n, layers, ring, params, start, stop)
+    if held is None:
+        if psi0.shape[:-1] != params.shape[:-1]:
+            raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
+        held = tuple(range(n))
+    else:
+        held = _check_held(psi0, params, n, held)
+    held_at = _held_after(n, layers, bool(ring), params, held, stages)
     if buffers is not None:
-        _check_buffers(psi0, buffers)
-    return _apply_ansatz(psi0, n, layers, bool(ring), params, stages, buffers)
+        _check_buffers(psi0, buffers, 1 << len(held_at[-1]))
+    return _apply_ansatz(psi0, n, layers, bool(ring), params, stages, held_at, buffers)

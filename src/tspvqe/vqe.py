@@ -42,13 +42,21 @@ descent's probe pair and the candidate after it all start from that
 prefix, and the kernel runs only the later stages, with the full call's
 bits.  The prefix is found by comparing parameter vectors, so the searches
 do not know of it.  Carrying it over stages that are all at zero angle
-needs no kernel call.  Such a run also keeps three state buffers, the prefix
-and a free pair: every kernel call writes into the pair, and each state's
-probabilities go into the float64 view of the pair's other buffer.  A group
-is then one run, so the runs of a batch go one after another, and all of
-them use the same three buffers, allocated once per batch.  So no
-evaluation allocates a state-sized array, and since only where results are
-written changes, the bits do not.
+needs no kernel call.  Such a run holds its states on the qubits they can
+occupy (the kernel's held set: the initial state's support and every qubit
+a Ry gate has turned by a nonzero angle), as 2^h amplitudes, every other
+qubit exactly |0>: a best-MUB start holds at most 3 of its qubits, a zeros
+start none, a random start all of them.  Each state is measured with the
+energies of its held subspace, gathered once per held set in the run, and
+its most probable basis index is mapped back to all n qubits.  The run
+also keeps three state buffers, the prefix and a free pair, and uses their
+leading 2^h entries: every kernel call writes into the pair, and each
+state's probabilities go into the float64 view of the pair's other buffer.
+A group is then one run, so the runs of a batch go one after another, and
+all of them use the same three buffers, allocated once per batch.  So no
+evaluation allocates a state-sized array.  Stacked calls (13 qubits and
+below) hold every qubit, as a random start does, and so keep the bits of
+the kernel on full states.
 """
 
 from __future__ import annotations
@@ -512,12 +520,22 @@ class _Tally:
         self.energy_vector = energy_vector
         self.best = np.inf
         self.peak = None
+        self._subspaces = {}  # held qubits -> (their energies, basis index of each)
 
-    def __call__(self, probabilities) -> float:
-        """The energy of a state's probabilities; one dot product."""
-        value = float(probabilities @ self.energy_vector)
+    def __call__(self, probabilities, held=None) -> float:
+        """The energy of a state's probabilities; one dot product.  A state
+        held on ``held`` (a ``kernels`` held set) short of every qubit is
+        measured with the energies of its subspace, cached per held set."""
+        energies, index = self.energy_vector, None
+        if probabilities.size < energies.size:
+            if held not in self._subspaces:
+                index = kernels.basis_indices(held)
+                self._subspaces[held] = energies[index], index
+            energies, index = self._subspaces[held]
+        value = float(probabilities @ energies)
         if value < self.best:
-            self.best, self.peak = value, int(np.argmax(probabilities))
+            peak = int(np.argmax(probabilities))
+            self.best, self.peak = value, peak if index is None else int(index[peak])
         return value
 
 
@@ -530,36 +548,46 @@ class _Prefix:
     """One run's initial state and its kept prefix, for unstacked calls.
 
     ``state`` is the ansatz state after the stages below ``stage``, applied
-    with the parameters ``params`` (stage 0: the initial state itself).  The
-    run writes into the three state buffers of its batch, ``buffers``: every
-    kernel call writes into the two that do not hold ``state``, and a carried
-    prefix becomes ``state`` in place.  A carry whose stages are all at zero
-    angle (``kernels.stages_run`` finds none to run) moves ``stage`` and
-    ``params`` forward without a kernel call: the call would only have
-    copied ``state``.  Every call is on one state, so the kernel skips a
-    stage exactly when a call on the whole ansatz would: the split calls
-    give the bits of one full call.
+    with the parameters ``params`` (stage 0: the initial state itself), held
+    on the qubits ``held`` (see ``kernels.apply_ansatz_amplitudes``): the
+    initial state's support and the qubits those stages turn.  The run
+    writes into the leading entries of the three state buffers of its batch,
+    ``buffers``: every kernel call writes into the two that do not hold
+    ``state``, and a carried prefix becomes ``state`` in place.  A carry
+    whose stages are all at zero angle (``kernels.stages_run`` finds none to
+    run) moves ``stage`` and ``params`` forward without a kernel call: the
+    call would only have copied ``state``.  Every call is on one state, so
+    the kernel skips a stage and adds a qubit exactly when a call on the
+    whole ansatz would: the split calls give the bits of one full call.
     """
 
     def __init__(self, psi0, ansatz, buffers):
-        self.psi0 = psi0
         self.ansatz = ansatz
+        self.support = kernels.support(psi0)
+        # a state on every qubit is read where it is, not copied
+        self.psi0 = (psi0 if len(self.support) == ansatz.n
+                     else psi0[kernels.basis_indices(self.support)])
         self.stage_count, self.param_stage = kernels.ansatz_stages(
             ansatz.n, ansatz.layers, ansatz.ring)
         self._buffers = buffers
         self._reset()
 
     def _reset(self):
-        self.params, self.stage, self.state = None, 0, self.psi0
+        self.params, self.stage, self.state, self.held = None, 0, self.psi0, self.support
 
     def _free(self) -> tuple:
         """The two buffers that do not hold ``state``."""
-        return tuple(b for b in self._buffers if b is not self.state)[:2]
+        return tuple(b for b in self._buffers if not np.may_share_memory(b, self.state))[:2]
 
     def _shared(self, a, b) -> int:
         """The number of leading stages on which ``a`` and ``b`` agree, bit for bit."""
         differ = self.param_stage[a.view(np.int64) != b.view(np.int64)]
         return int(differ.min()) if differ.size else self.stage_count
+
+    def _held_by(self, x, stop=None) -> tuple:
+        """The held set after the stages from ``stage`` to ``stop - 1`` with ``x``."""
+        n, layers, ring = self.ansatz.n, self.ansatz.layers, self.ansatz.ring
+        return kernels.held_qubits(n, layers, ring, x, self.held, self.stage, stop)
 
     def values(self, request, tally) -> list:
         """The energies of the vectors of ``request``, in order.
@@ -580,18 +608,20 @@ class _Prefix:
             if kernels.stages_run(self.ansatz.n, self.ansatz.layers, self.ansatz.ring, xs[0],
                                   self.stage, split):
                 self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage,
-                                         stop=split, buffers=self._free())
+                                         stop=split, buffers=self._free(), held=self.held)
+                self.held = self._held_by(xs[0], split)
             # a copy: a search may reuse the memory of the vectors it asked for
             self.params, self.stage = xs[0].copy(), split
         free = self._free()
         values = []
         for x in xs:
-            amps = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free)
-            idle = free[1] if amps is free[0] else free[0]
+            amps = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free,
+                               held=self.held)
+            idle = free[1] if np.may_share_memory(amps, free[0]) else free[0]
             probabilities = idle.view(np.float64)[:amps.size]
             np.abs(amps, out=probabilities)
             np.square(probabilities, out=probabilities)
-            values.append(tally(probabilities))
+            values.append(tally(probabilities, self._held_by(x)))
         return values
 
 

@@ -468,18 +468,32 @@ class TestExperiments:
         with pytest.raises(ValidationError):
             run_experiment(landscape_instance, "everything")
 
-    @pytest.mark.parametrize("mode", ["best_mubs", "random"])
+    @pytest.mark.parametrize("mode, nodes, k, message", [
+        pytest.param("best_mubs", 4, 0, "k must be at least 1, got 0", id="best_mubs"),
+        pytest.param("random", 4, 0, "k must be at least 1, got 0", id="random"),
+        # C(9, 3) * 72 = 6048 landscape records at 4 nodes
+        pytest.param("best_mubs", 4, 6049, r"k must be in 1\.\.6048, got 6049",
+                     id="best_mubs-above-the-landscape"),
+        # 2 nodes: one qubit, no qubit triple
+        pytest.param("best_mubs", 2, 1, "needs at least 3 qubits, got 1",
+                     id="best_mubs-below-3-qubits"),
+    ])
     def test_batch_below_one_run_refused_before_encoding(self, landscape_instance,
-                                                         monkeypatch, mode):
-        from tspvqe import dqes
+                                                         monkeypatch, mode, nodes, k, message):
+        """A ``k`` outside the runs a mode can make is refused before the
+        instance is encoded or a landscape built: best-MUB starts take 1 to
+        C(n, 3) * 72, none below 3 qubits."""
+        from tspvqe import ProblemInstance, dqes
 
         def unreachable(*args, **kwargs):
             raise AssertionError("reached with a refused k")
 
+        instance = (landscape_instance if nodes == 4
+                    else ProblemInstance(2, False, "tsp", ((1, 2, 1),), 5, 1))
         monkeypatch.setattr(dqes, "spin_form", unreachable)
         monkeypatch.setattr(dqes, "compute_landscape", unreachable)
-        with pytest.raises(ValidationError, match="k must be at least 1, got 0"):
-            run_experiment(landscape_instance, mode, k=0)
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(instance, mode, k=k)
 
     def test_instance_without_valid_tour(self):
         # the Hamiltonian minimum is still defined; the oracle reports no tour
@@ -523,24 +537,37 @@ def _independent_traces(instance, report, ansatz, optimizer):
 
 def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, convergence_tol):
     """(history, best parameters, best bitstring) of each start, from
-    ``optimize`` with an objective that runs the whole ansatz on every vector."""
+    ``optimize`` with an objective that runs the whole ansatz on every vector,
+    held on the start's support as the batch holds it."""
     energy_vector = ising.energy_float_vector()
     out = []
     for init, seed in starts:
         psi0, product_angles = init.build(ansatz.n)
+        support = kernels.support(psi0.amplitudes)
+        held0 = psi0.amplitudes[kernels.basis_indices(support)]
 
-        def probabilities(x):
-            amps = kernels.apply_ansatz_amplitudes(psi0.amplitudes, ansatz.n, ansatz.layers,
-                                                   ansatz.ring, x)
-            return np.abs(amps) ** 2
+        def measured(x):
+            """The probabilities after the whole ansatz, their energies, and
+            the basis index of each."""
+            amps = kernels.apply_ansatz_amplitudes(held0, ansatz.n, ansatz.layers, ansatz.ring,
+                                                   x, held=support)
+            held = kernels.held_qubits(ansatz.n, ansatz.layers, ansatz.ring, x, support)
+            index = kernels.basis_indices(held)
+            # the full vector itself where every qubit is held, as a run reads it
+            energies = energy_vector if len(held) == ansatz.n else energy_vector[index]
+            return np.abs(amps) ** 2, energies, index
+
+        def energy(x):
+            probabilities, energies, _ = measured(x)
+            return float(probabilities @ energies)
 
         result = optimize(
-            lambda x: float(probabilities(x) @ energy_vector),
-            np.zeros(ansatz.parameter_count), optimizer, seed=seed, target=ground_energy,
+            energy, np.zeros(ansatz.parameter_count), optimizer, seed=seed, target=ground_energy,
             target_tol=convergence_tol * max(1.0, abs(ground_energy)),
             restart_points=_restart_points(ansatz, product_angles, seed),
         )
-        peak = int(np.argmax(probabilities(result.best_params)))
+        probabilities, _, index = measured(result.best_params)
+        peak = int(index[np.argmax(probabilities)])
         bits = "".join(str((peak >> k) & 1) for k in range(ansatz.n))
         out.append((result.history, [float(p) for p in result.best_params], bits))
     return out
@@ -617,19 +644,24 @@ class TestLockstep:
         assert any(partly_idle(*call) for call in calls)
 
     def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
+        """A best-MUB start at 16 qubits holds 3 of them, and the short runs
+        of the seeded instance turn at most two more: every call holds at
+        most 2^5 amplitudes, in and out."""
         instance = _seeded_instance_16()
         calls, lent = [], []
         apply = kernels.apply_ansatz_amplitudes
 
-        def recording(psi0, *args, start=0, stop=None, buffers=None):
-            calls.append((np.shape(psi0), start, stop))
+        def recording(psi0, *args, start=0, stop=None, buffers=None, held=None):
+            out = apply(psi0, *args, start=start, stop=stop, buffers=buffers, held=held)
+            calls.append((np.shape(psi0), start, stop, out.size, held))
             lent.append(buffers)
-            return apply(psi0, *args, start=start, stop=stop, buffers=buffers)
+            return out
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         optimizer = OptimizerConfig(max_evals=20)
         report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
-        assert {shape for shape, _, _ in calls} == {(1 << 16,)}
+        assert all(held is not None and shape == (1 << len(held),) and shape[0] <= out <= 1 << 5
+                   for shape, _, _, out, held in calls)
         # every call writes into its run's own pair of buffers, three per run
         assert all(pair is not None for pair in lent)
         assert len({id(b) for pair in lent for b in pair}) <= 3 * len(report.traces)
@@ -637,9 +669,9 @@ class TestLockstep:
         # afterwards; most start from a kept prefix, and fewer calls carry a
         # prefix forward
         evaluations = sum(t.n_evaluations for t in report.traces)
-        assert sum(stop is None for _, _, stop in calls) == evaluations
-        assert sum(start > 0 for _, start, stop in calls if stop is None) >= evaluations // 2
-        assert sum(stop is not None for _, _, stop in calls) <= evaluations // 2
+        assert sum(stop is None for _, _, stop, _, _ in calls) == evaluations
+        assert sum(start > 0 for _, start, stop, _, _ in calls if stop is None) >= evaluations // 2
+        assert sum(stop is not None for _, _, stop, _, _ in calls) <= evaluations // 2
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             instance, report, AnsatzConfig(n=16), optimizer)
 
@@ -653,22 +685,24 @@ class TestLockstep:
         """A carry whose stages are all at zero angle would only copy the
         state, so the prefix moves forward without a kernel call: every call
         that carries a prefix (``stop`` given) runs a stage.  Each trace is
-        that of its run alone; at 9 qubits prefix reuse is forced on, and the
-        runs alone go in stacked calls that keep no prefix."""
+        that of its run alone; at 9 qubits prefix reuse is forced on, for the
+        runs alone too, since a run that keeps a prefix holds its start's
+        support, and a stacked call every qubit."""
         instance = _seeded_instance_16() if qubits == 16 else landscape_instance
         calls = []
         apply = kernels.apply_ansatz_amplitudes
 
-        def recording(psi0, n, layers, ring, params, start=0, stop=None, buffers=None):
+        def recording(psi0, n, layers, ring, params, start=0, stop=None, buffers=None,
+                      held=None):
             if stop is not None:
                 calls.append(kernels.stages_run(n, layers, ring, params, start, stop))
-            return apply(psi0, n, layers, ring, params, start, stop, buffers)
+            return apply(psi0, n, layers, ring, params, start, stop, buffers, held)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
         optimizer = OptimizerConfig(max_evals=max_evals)
         report = run_experiment(instance, mode, k=2, seed=1, optimizer=optimizer)
-        monkeypatch.undo()
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
         assert calls and all(calls)
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             instance, report, AnsatzConfig(n=qubits), optimizer)

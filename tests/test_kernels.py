@@ -7,8 +7,11 @@ from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
     ansatz_stages,
     apply_ansatz_amplitudes,
+    basis_indices,
     enumerate_spin_energies,
+    held_qubits,
     stages_run,
+    support,
 )
 
 
@@ -486,3 +489,134 @@ def test_tables_are_built_for_the_stages_that_run():
                     for r, row in enumerate(random)])
                 assert stages_run(n, layers, ring, thetas) == list(range(count))
                 _check_stack(n, layers, ring, psi0, thetas, (n, layers, ring, "disjoint"))
+
+
+def _turned(n, layers, ring, params, start, stop):
+    """The qubits that a Ry gate of the stages from ``start`` to ``stop - 1``
+    turns by a nonzero angle, read off the parameter layout."""
+    count, stages = ansatz_stages(n, layers, ring)
+    per_layer = 2 * n + (n if ring else n - 1)
+    return {q for layer in range(layers + 1) for q in range(n)
+            if params[layer * per_layer + q] != 0
+            and start <= stages[layer * per_layer + q] < stop}
+
+
+def _spread(held_state, held, n):
+    """The full state of one held on ``held``."""
+    full = np.zeros(1 << n, dtype=complex)
+    full[basis_indices(held)] = held_state
+    return full
+
+
+def test_basis_indices_and_support():
+    assert basis_indices(()).tolist() == [0]
+    assert basis_indices((1, 4)).tolist() == [0, 2, 16, 18]
+    assert basis_indices(tuple(range(5))).tolist() == list(range(32))
+    state = np.zeros(1 << 6, dtype=complex)
+    assert support(state) == ()
+    state[0] = 1
+    assert support(state) == ()
+    state[0b100100] = -0.5j
+    assert support(state) == (2, 5)
+    state[0b000011] = 1e-300
+    assert support(state) == (0, 1, 2, 5)
+
+
+def test_held_qubits_match_the_dense_kernel():
+    """A state held on part of its qubits, every other one |0>, against the
+    dense kernel on the full state: the amplitudes agree to 1e-12, the dense
+    state is exactly zero off the output's held set, and that set is the
+    input's plus the qubits turned in the stages that run.  Held on every
+    qubit a call has the bits of a call without ``held``, and every
+    start/stop split of a held call gives the whole call's bits.  Half the
+    parameters are exact zeros, so Ry stages run that leave some of their
+    qubits at |0>, and whole stages are skipped."""
+    rng = np.random.default_rng(29)
+    for n in range(1, 10):
+        for layers in (1, 2, 3):
+            for ring in (False, True):
+                count, stages = ansatz_stages(n, layers, ring)
+                width = int(rng.integers(1, n)) if n > 1 else 0
+                partial = tuple(sorted(rng.choice(n, width, replace=False).tolist()))
+                for held in ((), partial, tuple(range(n))):
+                    key = (n, layers, ring, held)
+                    params = rng.uniform(-np.pi, np.pi, len(stages))
+                    params[rng.random(len(stages)) < 0.5] = rng.choice([-0.0, 0.0])
+                    psi0 = rng.normal(size=1 << len(held)) + 1j * rng.normal(size=1 << len(held))
+                    psi0 /= np.linalg.norm(psi0)
+                    full = _spread(psi0, held, n)
+                    assert support(full) == held
+                    dense = apply_ansatz_amplitudes(full, n, layers, ring, params)
+                    out = apply_ansatz_amplitudes(psi0, n, layers, ring, params, held=held)
+                    after = held_qubits(n, layers, ring, params, held)
+                    assert after == tuple(sorted(set(held) | _turned(n, layers, ring, params,
+                                                                      0, count))), key
+                    assert out.shape == (1 << len(after),), key
+                    assert np.max(np.abs(_spread(out, after, n) - dense)) < 1e-12, key
+                    assert not np.any(np.delete(dense, basis_indices(after))), key
+                    if len(held) == n:
+                        assert np.array_equal(out.view(np.int64), dense.view(np.int64)), key
+                    pairs = ([(a, b) for a in range(count) for b in range(a + 1, count + 1)]
+                             if held == partial else [(s, count) for s in range(count)])
+                    for start, stop in pairs:
+                        mid, head = held, psi0
+                        if start:
+                            mid = held_qubits(n, layers, ring, params, held, 0, start)
+                            head = apply_ansatz_amplitudes(psi0, n, layers, ring, params, 0, start,
+                                                           held=held)
+                        assert head.shape == (1 << len(mid),)
+                        part = apply_ansatz_amplitudes(head, n, layers, ring, params, start, stop,
+                                                       held=mid)
+                        late = held_qubits(n, layers, ring, params, mid, start, stop)
+                        assert late == tuple(sorted(set(mid) | _turned(n, layers, ring, params,
+                                                                        start, stop)))
+                        rest = (apply_ansatz_amplitudes(part, n, layers, ring, params, stop,
+                                                        held=late) if stop < count else part)
+                        assert np.array_equal(rest.view(np.int64), out.view(np.int64)), (key, start,
+                                                                                         stop)
+
+
+def test_held_calls_write_the_leading_entries_of_their_buffers():
+    """Buffers longer than the state: the stages write their leading entries,
+    and the result is a view of the first entries of the one the last stage
+    wrote, with the bits of a call without buffers."""
+    rng = np.random.default_rng(31)
+    n, layers, ring = 7, 2, True
+    count, stages = ansatz_stages(n, layers, ring)
+    params = np.zeros(len(stages))
+    params[[3, n + 1, 2 * n + 2 + (2 * n + n) + 5]] = rng.uniform(-np.pi, np.pi, 3)
+    held = (1, 2)
+    psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+    for start in range(count):
+        for stop in range(start + 1, count + 1):
+            mid = held_qubits(n, layers, ring, params, held, 0, start) if start else held
+            state = _spread(psi0, held, n)[basis_indices(mid)]
+            pair = (np.full(1 << n, np.nan, complex), np.full(1 << n, np.nan, complex))
+            lent = apply_ansatz_amplitudes(state, n, layers, ring, params, start, stop,
+                                           buffers=pair, held=mid)
+            fresh = apply_ansatz_amplitudes(state, n, layers, ring, params, start, stop, held=mid)
+            ran = len(stages_run(n, layers, ring, params, start, stop))
+            written = pair[max(ran - 1, 0) % 2]
+            assert lent.size == fresh.size == 1 << len(held_qubits(n, layers, ring, params, mid,
+                                                                   start, stop))
+            assert np.shares_memory(lent, written) and lent.ctypes.data == written.ctypes.data
+            assert np.array_equal(lent.view(np.int64), fresh.view(np.int64)), (start, stop)
+            assert np.isnan(written[lent.size:]).all()
+
+
+def test_held_arguments_are_checked():
+    n, layers, ring = 4, 1, False
+    params = np.zeros(ansatz_stages(n, layers, ring)[1].size)
+    state = np.ones(4, dtype=complex)
+    for held in ((2, 1), (1, 1), (0, 4), (-1, 0)):
+        with pytest.raises(ValueError, match="ascending"):
+            apply_ansatz_amplitudes(state, n, layers, ring, params, held=held)
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_ansatz_amplitudes(np.ones(8, dtype=complex), n, layers, ring, params, held=(0, 1))
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_ansatz_amplitudes(state[None], n, layers, ring, params[None], held=(0, 1))
+    with pytest.raises(ValueError):
+        # buffers shorter than the result
+        apply_ansatz_amplitudes(state, n, layers, ring, np.full(params.size, 0.5),
+                                buffers=(np.empty(4, complex), np.empty(4, complex)),
+                                held=(0, 1))

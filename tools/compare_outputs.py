@@ -11,8 +11,10 @@ is then compared byte for byte.  The floats of the ``vqe`` reports and the
 ``landscape`` CSVs depend on the BLAS build and the CPU, so no golden file
 can hold them; two checkouts on one machine can be compared.  At 16 qubits
 they depend on the OpenBLAS thread count too: the kernel's amplitudes do
-not, but each expectation is a BLAS dot over 2^16 entries whose sum order
-follows the threads, and a random-start 16-qubit report differs between
+not, but each expectation is a BLAS dot over the 2^h entries of the h
+qubits the state holds (all 16 from a random start, 3 to about 11 from a
+best-MUB or zeros start), whose sum order follows the threads, and a
+random-start 16-qubit report differs between
 ``OPENBLAS_NUM_THREADS=1`` and two threads.  Both sides run in this
 process's environment, so they are compared under one setting.  Which BLAS
 calls a run makes depends on its parameters too, since the ansatz kernel
@@ -24,9 +26,10 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
 ``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
-``--max-evals 20``) plus four longer 16-qubit batches (best-MUB at 400
-evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB at 1 layer, and
-zeros-initialized at 200 evaluations) and the seed-0 instance's ``encode``
+``--max-evals 20``) plus five longer 16-qubit batches (best-MUB at 400
+evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB ``ring_rzz`` at
+3 layers, whose held qubits meet the ring's crossing entanglers, best-MUB
+at 1 layer, and zeros-initialized at 200 evaluations) and the seed-0 instance's ``encode``
 in the full and efficient layouts, binary and Ising (25 and 16 variables),
 the seed-0 ``paper-n4`` best-MUB batch once more on two worker processes
 (``--threads 2``), the seed-0 16-qubit best-MUB batch once more at
@@ -158,6 +161,10 @@ def commands(inputs):
         ("n5_long_0.json", ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--max-evals", "400"]),
         ("n5_ring3_0.json", ["vqe"] + n5 + ["--init", "random", "--k", "1", "--layers", "3",
                                            "--entangler", "ring_rzz", "--max-evals", "200"]),
+        # a sparse start on the ring: the kernel's held qubits take crossing terms
+        ("n5_best_mubs_ring3_0.json",
+         ["vqe"] + n5 + ["--init", "best-mubs", "--k", "1", "--layers", "3",
+                         "--entangler", "ring_rzz", "--max-evals", "150"]),
         ("n5_layers1_0.json",
          ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--layers", "1", "--max-evals", "200"]),
         ("n5_zeros_0.json", ["vqe"] + n5 + ["--init", "zeros", "--max-evals", "200"]),
