@@ -105,6 +105,20 @@ class Landscape(Sequence):
         )
 
 
+def landscape_size(n: int) -> int:
+    """The record count of the landscape on ``n`` qubits, C(n,3) * 72; the
+    landscape needs at least 3 qubits."""
+    if n < 3:
+        raise ValidationError(f"partial-DQES needs at least 3 qubits, got {n}")
+    return math.comb(n, 3) * _RECORDS_PER_TRIPLE
+
+
+def _check_k(k: int, records: int):
+    """Refuse a best-MUB ``k`` outside the ``records`` of its landscape."""
+    if not 1 <= k <= records:
+        raise ValidationError(f"k must be in 1..{records}, got {k}")
+
+
 def compute_landscape(ising: IsingPolynomial):
     """Energies of all embedded MUB states, as a ``Landscape`` in record order.
 
@@ -112,8 +126,7 @@ def compute_landscape(ising: IsingPolynomial):
     qubit triples are built.
     """
     n = ising.n
-    if n < 3:
-        raise ValidationError("partial-DQES needs at least 3 qubits")
+    landscape_size(n)
     layouts.check_spins(n, "landscape")
     probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (9 bases, 8 elements, 8 supports)
     triples = np.fromiter(
@@ -132,8 +145,7 @@ def compute_landscape(ising: IsingPolynomial):
 
 def best_k(landscape: Landscape, k: int):
     """The k lowest-energy records; ties keep the deterministic record order."""
-    if not 1 <= k <= len(landscape):
-        raise ValidationError(f"k must be in 1..{len(landscape)}, got {k}")
+    _check_k(k, len(landscape))
     return [landscape[i] for i in np.argsort(landscape.energies, kind="stable")[:k]]
 
 
@@ -279,11 +291,7 @@ def run_experiment(
     if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if mode == "best_mubs":
-        if n < 3:
-            raise ValidationError(f"partial-DQES needs at least 3 qubits, got {n}")
-        records = math.comb(n, 3) * _RECORDS_PER_TRIPLE
-        if k > records:
-            raise ValidationError(f"k must be in 1..{records}, got {k}")
+        _check_k(k, landscape_size(n))
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if not 0 <= convergence_tol < math.inf:

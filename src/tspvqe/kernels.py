@@ -15,8 +15,9 @@ One state can also be passed on its *held* qubits alone, as 2^h amplitudes
 with every other qubit exactly |0>.  Each stage holds the qubits of the one
 before and those its Ry gates turn by a nonzero angle, so the held set after
 a stage depends only on the input's and on the parameters of the stages run
-up to it, and split calls still give the bits of the whole call.  Held on
-every qubit, a call is the one on the full state, bit for bit.
+up to it, and split calls still give the bits of the whole call.  Such a
+call returns the held set it ends on with the state.  Held on every qubit, a
+call is the one on the full state, bit for bit.
 
 A stage whose parameters are all zero (+0.0 or -0.0) in every row of a call
 is skipped.  At zero angle a stage's Ry matrix is the identity with signed
@@ -200,14 +201,18 @@ def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
     """The ``stages`` (ascending), on one state or row by row on a stack.
 
     ``held_at`` holds the held set of ``psi0`` and then the one after each
-    stage; a stack holds every qubit.
+    stage; a stack holds every qubit.  The stages that end on one held set
+    form a segment and run on its plan; only the first of them can add
+    qubits, and held on every qubit a call is one segment.
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
-    it would alone.  Only the tables the stages read are built: a Ry group's
-    table, for every layer, per held set it runs on, and the phase tables of
-    every layer per held set a phase stage runs on.  A table is the same
-    array, of the same layout, whichever stages a call runs, so the bits of a
-    stage do not depend on them.  The stages write ``buffers`` in turn (their
+    it would alone.  Only the tables the stages read are built, per segment:
+    a Ry group's table, for every layer, and the phase tables of every layer.
+    A table is the same array, of the same layout, whichever stages a call
+    runs, so the bits of a stage do not depend on them.  Every table is built
+    before the state buffers are allocated (built between the stages
+    instead, the 9-qubit stacks of the ``paper-n4`` benchmark ran 6-10%
+    slower on a 2-core VM).  The stages write ``buffers`` in turn (their
     leading entries where the state is smaller), two fresh arrays when it is
     None; when ``stages`` is empty, ``psi0`` is copied into the first.
     """
@@ -216,21 +221,24 @@ def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
     batch = params.shape[:-1]
     if run:
         half = 0.5 * np.concatenate([params, np.zeros(batch + (1,))], axis=-1)
-    plans = {held: _ansatz_plan(n, layers, ring, held) for held in set(held_at[1:])}
-    ry_sets = {(g, held) for (_, g), held in zip(run, held_at[1:]) if g < groups}
-    if ry_sets:
+    if any(g < groups for _, g in run):
         cos, sin = np.cos(half), np.sin(half)
         # entry 2 * row_bit + col_bit of [[c, -s], [s, c]] for every angle, flat
         entries = np.stack([cos, -sin, sin, cos], axis=-2).reshape(batch + (-1,))
+    # where a segment starts after the first; held on every qubit, none does
+    starts = [] if len(held_at[0]) == n else [
+        i for i in range(1, len(run)) if held_at[i + 1] != held_at[i]]
+    segments = []  # (first stage, end, plan, Ry tables, phase tables) each
+    for first, end in zip([0] + starts, starts + [len(run)]) if run else ():
+        plan = _ansatz_plan(n, layers, ring, held_at[end])
+        segment = run[first:end]
         # the gather leaves a stack's matrices strided; contiguous ones take the
         # same BLAS path as one state's, so every row gets the same bits
-        ry = {
-            (g, held): np.ascontiguousarray(
-                entries[..., plans[held].ry_groups[g][2]].prod(axis=-3))
-            for g, held in ry_sets
-        }
-    phase_sets = {held for (_, g), held in zip(run, held_at[1:]) if g == groups}
-    phase = {held: _phase_tables(plans[held], half, batch) for held in phase_sets}
+        ry = {g: np.ascontiguousarray(entries[..., plan.ry_groups[g][2]].prod(axis=-3))
+              for g in {g for _, g in segment if g < groups}}
+        phase = (_phase_tables(plan, half, batch) if any(g == groups for _, g in segment)
+                 else None)
+        segments.append((first, end, plan, ry, phase))
 
     # each stage reads amps and writes the other buffer, so psi0 is read in
     # place and never written
@@ -238,32 +246,35 @@ def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
     if buffers is None:
         buffers = (np.empty(batch + (size,), complex), np.empty(batch + (size,), complex))
     amps = psi0
-    for i, (layer, g) in enumerate(run):
-        before, held = held_at[i], held_at[i + 1]
-        out = _leading(buffers[i % 2], 1 << len(held))
-        if g < groups:
-            bit, k, _ = plans[held].ry_groups[g]
-            mat = ry[g, held][..., layer, :, :]
-            k_in = k - (len(held) - len(before))
-            if k_in < k:
-                # the qubits the stage adds are |0> before it: their bits of the
-                # matmul's input are 0
-                added = sum(1 << (1 + p - bit) for p, q in enumerate(held) if q not in before)
-                mat = mat[..., np.flatnonzero((np.arange(1 << k) & added) == 0)]
-            src, dst = amps.view(np.float64), out.view(np.float64)
-            if bit == 0:
-                np.matmul(src.reshape(batch + (-1, 1 << k_in)), mat.swapaxes(-1, -2),
-                          out=dst.reshape(batch + (-1, 1 << k)))
+    for first, end, plan, ry, phase in segments:
+        before, held = held_at[first], held_at[end]
+        pair = (_leading(buffers[first % 2], 1 << len(held)),
+                _leading(buffers[1 - first % 2], 1 << len(held)))
+        for i, (layer, g) in enumerate(run[first:end]):
+            out = pair[i % 2]
+            if g < groups:
+                bit, k, _ = plan.ry_groups[g]
+                mat, k_in = ry[g][..., layer, :, :], k
+                if i == 0 and len(held) > len(before):
+                    # the qubits the stage adds are |0> before it: the matmul
+                    # reads only the matrix columns with their bits 0
+                    added = sum(1 << (1 + p - bit) for p, q in enumerate(held) if q not in before)
+                    mat = mat[..., np.flatnonzero((np.arange(1 << k) & added) == 0)]
+                    k_in = k - (len(held) - len(before))
+                src, dst = amps.view(np.float64), out.view(np.float64)
+                if bit == 0:
+                    np.matmul(src.reshape(batch + (-1, 1 << k_in)), mat.swapaxes(-1, -2),
+                              out=dst.reshape(batch + (-1, 1 << k)))
+                else:
+                    np.matmul(mat[..., None, :, :], src.reshape(batch + (-1, 1 << k_in, 1 << bit)),
+                              out=dst.reshape(batch + (-1, 1 << k, 1 << bit)))
             else:
-                np.matmul(mat[..., None, :, :], src.reshape(batch + (-1, 1 << k_in, 1 << bit)),
-                          out=dst.reshape(batch + (-1, 1 << k, 1 << bit)))
-        else:
-            # the phase vector goes into the output buffer, so no state-sized temporary
-            left, right = phase[held]
-            shape = batch + (left.shape[-2], -1)
-            np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
-            np.multiply(amps, out, out=out)
-        amps = out
+                # the phase vector goes into the output buffer, so no state-sized temporary
+                left, right = phase
+                shape = batch + (left.shape[-2], -1)
+                np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
+                np.multiply(amps, out, out=out)
+            amps = out
     if amps is psi0:
         amps = _leading(buffers[0], size)
         np.copyto(amps, psi0)
@@ -358,16 +369,6 @@ def basis_indices(held):
     return idx
 
 
-def held_qubits(n, layers, ring, params, held, start=0, stop=None):
-    """The held set after the stages from ``start`` to ``stop - 1`` of a call
-    on one state held on ``held``: ``held`` and every qubit that a Ry gate of
-    those stages turns by a nonzero angle, ascending.  Arguments are checked
-    as by :func:`stages_run`."""
-    stages = stages_run(n, layers, ring, params, start, stop)
-    return _held_after(n, layers, bool(ring), np.asarray(params, dtype=np.float64),
-                       tuple(held), stages)[-1]
-
-
 def _held_after(n, layers, ring, params, held, stages):
     """``held``, then the held set after each of ``stages``."""
     if len(held) == n:
@@ -427,10 +428,10 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     ``held``, ascending qubits, passes one state on those qubits alone: an
     array of ``2^len(held)`` amplitudes, bit i of whose index is qubit
     ``held[i]``, with every other qubit exactly |0> (``basis_indices`` maps
-    it into the full state).  The result is the state held on
-    :func:`held_qubits` of the same arguments: ``held`` and the qubits that
-    the stages run turn by a nonzero Ry angle.  Held on every qubit, the
-    result has the bits of a call without ``held``.
+    it into the full state).  The call then returns a pair, the state and
+    the qubits it is held on: ``held`` and those that the stages run turn by
+    a nonzero Ry angle, ascending.  Held on every qubit, the state has the
+    bits of a call without ``held``.
 
     ``start`` and ``stop`` run only the stages from ``start`` to ``stop - 1``
     (see :func:`ansatz_stages`; by default all of them): ``psi0`` is then
@@ -464,10 +465,11 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     if held is None:
         if psi0.shape[:-1] != params.shape[:-1]:
             raise ValueError(f"states {psi0.shape} do not match parameters {params.shape}")
-        held = tuple(range(n))
+        held_at = [tuple(range(n))] * (len(stages) + 1)
     else:
-        held = _check_held(psi0, params, n, held)
-    held_at = _held_after(n, layers, bool(ring), params, held, stages)
+        held_at = _held_after(n, layers, bool(ring), params, _check_held(psi0, params, n, held),
+                              stages)
     if buffers is not None:
         _check_buffers(psi0, buffers, 1 << len(held_at[-1]))
-    return _apply_ansatz(psi0, n, layers, bool(ring), params, stages, held_at, buffers)
+    amps = _apply_ansatz(psi0, n, layers, bool(ring), params, stages, held_at, buffers)
+    return amps if held is None else (amps, held_at[-1])

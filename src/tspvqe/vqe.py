@@ -584,11 +584,6 @@ class _Prefix:
         differ = self.param_stage[a.view(np.int64) != b.view(np.int64)]
         return int(differ.min()) if differ.size else self.stage_count
 
-    def _held_by(self, x, stop=None) -> tuple:
-        """The held set after the stages from ``stage`` to ``stop - 1`` with ``x``."""
-        n, layers, ring = self.ansatz.n, self.ansatz.layers, self.ansatz.ring
-        return kernels.held_qubits(n, layers, ring, x, self.held, self.stage, stop)
-
     def values(self, request, tally) -> list:
         """The energies of the vectors of ``request``, in order.
 
@@ -607,21 +602,21 @@ class _Prefix:
             # a carry that runs no stage would only copy the state
             if kernels.stages_run(self.ansatz.n, self.ansatz.layers, self.ansatz.ring, xs[0],
                                   self.stage, split):
-                self.state = _amplitudes(self.state, xs[0], self.ansatz, start=self.stage,
-                                         stop=split, buffers=self._free(), held=self.held)
-                self.held = self._held_by(xs[0], split)
+                self.state, self.held = _amplitudes(self.state, xs[0], self.ansatz,
+                                                    start=self.stage, stop=split,
+                                                    buffers=self._free(), held=self.held)
             # a copy: a search may reuse the memory of the vectors it asked for
             self.params, self.stage = xs[0].copy(), split
         free = self._free()
         values = []
         for x in xs:
-            amps = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free,
-                               held=self.held)
+            amps, held = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free,
+                                     held=self.held)
             idle = free[1] if np.may_share_memory(amps, free[0]) else free[0]
             probabilities = idle.view(np.float64)[:amps.size]
             np.abs(amps, out=probabilities)
             np.square(probabilities, out=probabilities)
-            values.append(tally(probabilities, self._held_by(x)))
+            values.append(tally(probabilities, held))
         return values
 
 

@@ -549,9 +549,8 @@ def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, converg
         def measured(x):
             """The probabilities after the whole ansatz, their energies, and
             the basis index of each."""
-            amps = kernels.apply_ansatz_amplitudes(held0, ansatz.n, ansatz.layers, ansatz.ring,
-                                                   x, held=support)
-            held = kernels.held_qubits(ansatz.n, ansatz.layers, ansatz.ring, x, support)
+            amps, held = kernels.apply_ansatz_amplitudes(held0, ansatz.n, ansatz.layers,
+                                                         ansatz.ring, x, held=support)
             index = kernels.basis_indices(held)
             # the full vector itself where every qubit is held, as a run reads it
             energies = energy_vector if len(held) == ansatz.n else energy_vector[index]
@@ -653,7 +652,7 @@ class TestLockstep:
 
         def recording(psi0, *args, start=0, stop=None, buffers=None, held=None):
             out = apply(psi0, *args, start=start, stop=stop, buffers=buffers, held=held)
-            calls.append((np.shape(psi0), start, stop, out.size, held))
+            calls.append((np.shape(psi0), start, stop, out[0].size, held))
             lent.append(buffers)
             return out
 
@@ -685,25 +684,39 @@ class TestLockstep:
         """A carry whose stages are all at zero angle would only copy the
         state, so the prefix moves forward without a kernel call: every call
         that carries a prefix (``stop`` given) runs a stage.  Each trace is
-        that of its run alone; at 9 qubits prefix reuse is forced on, for the
-        runs alone too, since a run that keeps a prefix holds its start's
-        support, and a stacked call every qubit."""
+        that of its run alone; at 9 qubits prefix reuse is forced on, and the
+        runs alone go in stacked calls that keep no prefix and hold every
+        qubit, as a random start does.  A zeros start holds fewer, and its
+        smaller matmuls round differently: its run alone keeps a prefix too,
+        and its energies are those of the dense kernel to 1e-12."""
         instance = _seeded_instance_16() if qubits == 16 else landscape_instance
-        calls = []
+        calls, evaluated = [], []
         apply = kernels.apply_ansatz_amplitudes
 
         def recording(psi0, n, layers, ring, params, start=0, stop=None, buffers=None,
                       held=None):
             if stop is not None:
                 calls.append(kernels.stages_run(n, layers, ring, params, start, stop))
+            else:
+                evaluated.append(np.array(params))
             return apply(psi0, n, layers, ring, params, start, stop, buffers, held)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
         optimizer = OptimizerConfig(max_evals=max_evals)
         report = run_experiment(instance, mode, k=2, seed=1, optimizer=optimizer)
-        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
+        monkeypatch.undo()
         assert calls and all(calls)
+        if mode == "zeros":
+            monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
+            ansatz = AnsatzConfig(n=qubits)
+            zeros = ZerosInit().build(qubits)[0].amplitudes
+            energy_vector = to_ising(encode_efficient(instance)).energy_float_vector()
+            dense = [float(np.abs(apply(zeros, qubits, ansatz.layers, ansatz.ring, x)) ** 2
+                           @ energy_vector) for x in evaluated]
+            (trace,) = report.traces
+            np.testing.assert_allclose(trace.energies, np.minimum.accumulate(dense),
+                                       rtol=1e-12, atol=0)
         assert [t.to_dict() for t in report.traces] == _independent_traces(
             instance, report, AnsatzConfig(n=qubits), optimizer)
 
