@@ -3,10 +3,10 @@ best k as VQE starting points, and run comparison experiments.
 
 For an n-qubit diagonal Hamiltonian the landscape holds C(n,3) * 72 records:
 all qubit triples (lexicographic) x 9 bases x 8 elements, with the
-non-selected qubits at |0>.  Records keep a deterministic order, so ranks
-and best-k selections are stable across runs and platforms.  The landscape
-is computed on whole arrays (one energy gather and one contraction per
-Hamiltonian); records are built only when they are read.  The CSV is
+non-selected qubits at |0>.  Each energy is an exact rational, computed
+from integer keys with no float contraction, so ranks and best-k
+selections follow the exact (energy, record index) order on every
+platform.  Records are built only when they are read.  The CSV is
 rendered as bytes by ``ising.render_rows``.
 """
 
@@ -27,7 +27,6 @@ from .encoder import spin_form
 from .errors import ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows
-from .quantum import build_mubs_3q
 from .rationals import rational_to_json
 from .vqe import (
     ATTEMPT_SWEEPS,
@@ -122,31 +121,36 @@ def _check_k(k: int, records: int):
 def compute_landscape(ising: IsingPolynomial):
     """Energies of all embedded MUB states, as a ``Landscape`` in record order.
 
-    A form above ``layouts.SPIN_CAP`` spins is refused before its C(n,3)
-    qubit triples are built.
+    Each energy is its key over 8 x scale, correctly rounded.  The key is 8
+    x E of support state e for basis 0 element e, and the sum of the
+    triple's 8 support energies for bases 1-8 (the scaled ints of
+    ``energy_int_vector``); ranks are the keys' dense ranks.  Keys are int64
+    while 8 x scale and each support energy are below 2^50 (keys below 2^53
+    divide exactly), else Python ints.  A form above ``layouts.SPIN_CAP``
+    spins is refused before its C(n,3) qubit triples are built.
     """
     n = ising.n
     landscape_size(n)
     layouts.check_spins(n, "landscape")
-    probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (9 bases, 8 elements, 8 supports)
     triples = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
     ).reshape(-1, 3)
-    support_energies = ising.energies_at((1 << triples) @ _SUPPORT_BITS)
-    # einsum adds each row's 8 terms in the order of the OpenBLAS 8x8
-    # matrix-vector product per (triple, basis) it replaces, so the energies
-    # keep their float bits there; a plain running sum does not
-    energies = np.einsum("bes,ts->tbe", probs, support_energies).reshape(-1)
-    # dense ascending rank on energies rounded to 1e-9 (merges float noise)
-    rounded = np.round(energies, 9)
-    ranks = np.searchsorted(np.unique(rounded), rounded)
-    return Landscape(triples, energies, ranks)
+    denominator = 8 * ising.to_int_arrays()[0]  # of every key
+    support = ising.energy_int_vector()[(1 << triples) @ _SUPPORT_BITS]  # (triples, 8)
+    if max(denominator, int(np.abs(support).max())) >= 1 << 50:
+        support = support.astype(object)
+    keys = np.empty((len(triples), 9, 8), dtype=support.dtype)
+    keys[:, 0] = 8 * support
+    keys[:, 1:] = support.sum(axis=1)[:, None, None]
+    keys = keys.reshape(-1)
+    ranks = np.searchsorted(_distinct(keys), keys)
+    return Landscape(triples, (keys / denominator).astype(np.float64, copy=False), ranks)
 
 
 def best_k(landscape: Landscape, k: int):
-    """The k lowest-energy records; ties keep the deterministic record order."""
+    """The k lowest-energy records, in exact (energy, record index) order."""
     _check_k(k, len(landscape))
-    return [landscape[i] for i in np.argsort(landscape.energies, kind="stable")[:k]]
+    return [landscape[i] for i in np.argsort(landscape.ranks, kind="stable")[:k]]
 
 
 def _index_cells():
@@ -164,7 +168,7 @@ def _index_cells():
 
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of ``values``, ascending: the ``np.unique`` of
-    an int64 array, in a quarter of its time with numpy 2.4."""
+    an int64 or Python-int array, in a quarter of its time with numpy 2.4."""
     ordered = np.sort(values)
     keep = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])

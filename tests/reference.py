@@ -1,15 +1,16 @@
 """Plain references the tests hold the package to.
 
 Each one is the straightforward form of something the package computes
-another way: an exact rational energy, one search driven by a scalar
-objective, one VQE run on its own.
+another way: an exact rational energy, the exact energies of the DQES
+landscape, one search driven by a scalar objective, one VQE run on its own.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from tspvqe import layouts
+from tspvqe import build_mubs_3q, layouts
 from tspvqe.vqe import OptimizerConfig, _search, run_lockstep
 
 
@@ -23,6 +24,31 @@ def energy_of_bitstring(ising, bits) -> Fraction:
             c *= spins[i]
         total += c
     return Fraction(total, ising.denominator)
+
+
+def landscape_fractions(ising) -> list:
+    """The exact energy of every DQES landscape record of ``ising``, in
+    record order (triples lexicographic, then basis, then element).
+
+    Each record weighs its triple's 8 support states, with the other qubits
+    at 0, by the squared MUB amplitudes rounded to eighths (0 or 1 in basis
+    0, 1/8 in bases 1-8), and their energies from ``energy_of_bitstring``.
+    """
+    probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (basis, element, support)
+    eighths = np.rint(8 * probs).astype(int)
+    assert np.abs(probs - eighths / 8).max() < 1e-12
+    rows = [tuple(row) for row in eighths.reshape(-1, 8).tolist()]
+    energies = []
+    for positions in combinations(range(ising.n), 3):
+        support = []
+        for m in range(8):
+            bits = [0] * ising.n
+            for k, q in enumerate(positions):
+                bits[q] = (m >> k) & 1
+            support.append(energy_of_bitstring(ising, bits))
+        weighed = {row: sum(w * e for w, e in zip(row, support)) / 8 for row in set(rows)}
+        energies += [weighed[row] for row in rows]
+    return energies
 
 
 def optimize(objective, x0, config=None, seed=0, target=None, target_tol=0.0,

@@ -12,8 +12,17 @@ from types import SimpleNamespace
 import pytest
 
 import tspvqe
-from reference import energy_of_bitstring
-from tspvqe import cli, dqes, encode_tsp_hamiltonian, encoder, load_instance, to_ising
+from reference import energy_of_bitstring, landscape_fractions
+from tspvqe import (
+    MubInit,
+    cli,
+    dqes,
+    encode_efficient,
+    encode_tsp_hamiltonian,
+    encoder,
+    load_instance,
+    to_ising,
+)
 from tspvqe.cli import main
 from tspvqe.layouts import bits_to_string, index_to_bits, term_bound
 from tspvqe.rationals import rational_to_json
@@ -311,6 +320,24 @@ class TestVqeCommand:
         assert main(args + ["--no-timestamp", "-o", str(a)]) == 0
         assert main(args + ["--no-timestamp", "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_best_mub_starts_are_the_exact_first_ten(self, tmp_path):
+        # at A = 2^55 the support energies pass 2^50, so the landscape keys
+        # are Python ints; float energies at that size tie records apart
+        a = 2**55
+        doc = run_json(tmp_path, ["vqe", LANDSCAPE, "--init", "best-mubs", "--k", "10",
+                                  "--penalties", "explicit", "--penalty-a", str(a),
+                                  "--penalty-b", "1", "--max-evals", "20"])
+        with open(LANDSCAPE, "rb") as handle:
+            instance = load_instance(handle).with_penalties(Fraction(a), Fraction(1))
+        ising = to_ising(encode_efficient(instance))
+        exact = landscape_fractions(ising)
+        first = sorted(range(len(exact)), key=lambda i: (exact[i], i))[:10]
+        records = [dqes.compute_landscape(ising)[i] for i in first]
+        assert [t["init"] for t in doc["traces"]] == [
+            MubInit(positions=r.positions, basis=r.basis, element=r.element).label()
+            for r in records
+        ]
 
     @pytest.mark.parametrize("flags", [
         ["--max-evals", "0"],

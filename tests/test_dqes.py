@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from reference import optimize, run_vqe
+from reference import landscape_fractions, optimize, run_vqe
 from tspvqe import (
     IsingPolynomial,
     Landscape,
@@ -57,12 +57,18 @@ def landscape_records(landscape_ising):
     return compute_landscape(landscape_ising)
 
 
+def _seeded_instance(nodes, seed):
+    """A seeded complete TSP with costs 1-20 and safe penalties."""
+    rng = random.Random(seed)
+    edges = tuple((u, v, rng.randint(1, 20))
+                  for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1))
+    raw = ProblemInstance(nodes, False, "tsp", edges, 1, 1)
+    return raw.with_penalties(*suggest_penalties(raw, "safe"))
+
+
 def _seeded_instance_16():
     """A seeded complete 5-node TSP, whose efficient encoding has 16 qubits."""
-    rng = random.Random(16)
-    edges = tuple((u, v, rng.randint(1, 20)) for u in range(1, 6) for v in range(u + 1, 6))
-    raw = ProblemInstance(5, False, "tsp", edges, 1, 1)
-    return raw.with_penalties(*suggest_penalties(raw, "safe"))
+    return _seeded_instance(5, 16)
 
 
 def _seeded_ising_16():
@@ -103,10 +109,10 @@ class TestLandscape:
 
     def test_unbiased_bases_tie_at_the_support_mean(self, landscape_records):
         # |<z|e>|^2 = 1/8 for every element e of bases 1-8, so 64 of the 72
-        # records of a triple score the mean of its 8 support energies
+        # records of a triple score the mean of its 8 support energies, exactly
         energies = landscape_records.energies.reshape(-1, 9, 8)
-        means = energies[:, 0, :].mean(axis=1)
-        assert np.abs(energies[:, 1:, :] - means[:, None, None]).max() < 1e-9
+        means = [float(sum(map(Fraction, support)) / 8) for support in energies[:, 0].tolist()]
+        assert (energies[:, 1:, :] == np.array(means)[:, None, None]).all()
 
     def test_deterministic_order_and_ranks(self, landscape_ising, landscape_records):
         again = compute_landscape(landscape_ising)
@@ -116,7 +122,7 @@ class TestLandscape:
         assert [r.energy for r in again] == [r.energy for r in landscape_records]
         ranks = {r.rank for r in landscape_records}
         assert min(ranks) == 0
-        assert max(ranks) == len(set(np.round([r.energy for r in landscape_records], 9))) - 1
+        assert max(ranks) == len(set(landscape_fractions(landscape_ising))) - 1
 
     def test_too_few_qubits_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,8 +174,8 @@ class TestAgainstReference:
         assert [(r.index, r.positions, r.basis, r.element) for r in landscape] == [
             (r.index, r.positions, r.basis, r.element) for r in reference
         ]
-        # 2 ulp, not bit equality: the reference's 8x8 products run on the
-        # installed BLAS, whose summation order einsum need not share
+        # 2 ulp, not bit equality: the landscape's energies are exact, the
+        # reference's come from 8x8 float products on the installed BLAS
         np.testing.assert_array_max_ulp(
             landscape.energies, np.array([r.energy for r in reference]), maxulp=2
         )
@@ -178,7 +184,7 @@ class TestAgainstReference:
     def test_best_k_is_energy_then_index_order(self, pair):
         landscape, _ = pair
         # the landscape's own records (checked against the reference above):
-        # bases 1-8 tie up to float noise, so the order follows the last bits
+        # their energies are exact, so bases 1-8 of a triple tie exactly
         records = list(landscape)
         by_energy = sorted(records, key=lambda r: (r.energy, r.index))
         for k in (1, 10, 25, 72, len(records)):
@@ -194,6 +200,51 @@ class TestAgainstReference:
         text = b"".join(landscape_csv_rows(landscape)).decode()
         assert text.endswith("\n")
         assert text.split("\n")[:-1] == expected  # a list: pytest reports the first bad row
+
+
+def _exact_case_ising(case, landscape_instance):
+    """The Ising form of a ``TestExact`` case: the shipped instance at its
+    own penalties or at A = 2^55, B = 1, or a seeded complete TSP."""
+    if case.startswith("shipped"):
+        if case == "shipped_a2^55":
+            landscape_instance = landscape_instance.with_penalties(Fraction(2**55), Fraction(1))
+        return to_ising(encode_efficient(landscape_instance))
+    nodes, seed = map(int, case[1:].split("_"))
+    return to_ising(encode_efficient(_seeded_instance(nodes, seed)))
+
+
+@pytest.mark.parametrize("case", ["shipped", "shipped_a2^55", "n4_1", "n4_2", "n4_3", "n5_16"])
+def test_landscape_is_exact(case, landscape_instance):
+    # at A = 2^55 the support energies pass 2^50, so the keys are Python ints
+    ising = _exact_case_ising(case, landscape_instance)
+    landscape, exact = compute_landscape(ising), landscape_fractions(ising)
+    # each energy is its exact value, correctly rounded
+    assert landscape.energies.tolist() == [float(e) for e in exact]
+    # ranks are the dense ranks of the exact energies
+    level = {e: rank for rank, e in enumerate(sorted(set(exact)))}
+    assert landscape.ranks.tolist() == [level[e] for e in exact]
+    # best_k follows the exact (energy, record index) order
+    order = sorted(range(len(exact)), key=lambda i: (exact[i], i))
+    assert [r.index for r in best_k(landscape, len(landscape))] == order
+
+
+@pytest.mark.parametrize("constant,field", [
+    (2**59, 1), (2**61 + 3, 1), (Fraction(27109050873723844, 3), Fraction(1, 3)),
+], ids=["2^59", "2^61+3", "c/3"])
+def test_keys_beyond_the_int64_rule_stay_exact(constant, field):
+    # E = constant + field * s_0: records 1, 3, 5 and 7 (basis 0, qubit 0
+    # set) score constant - field and all others more.  float64 cannot tell
+    # these apart; 8 x E overflows int64 at 2^61; and at scale 3 an int64
+    # key converted to float64 before the division rounds twice
+    ising = IsingPolynomial(n=3, constant=constant, fields={0: field}, couplings={},
+                            variable_order=((1, 1), (1, 2), (1, 3)), layout="full",
+                            node_count=3)
+    landscape = compute_landscape(ising)
+    assert [(r.index, r.energy) for r in best_k(landscape, 3)] == [
+        (i, float(constant - field)) for i in (1, 3, 5)]
+    assert landscape.energies.tolist() == [float(e) for e in landscape_fractions(ising)]
+    assert landscape.ranks.tolist()[:8] == [2, 0, 2, 0, 2, 0, 2, 0]
+    assert set(landscape.ranks.tolist()[8:]) == {1}
 
 
 def _landscape_rows_per_row(landscape):

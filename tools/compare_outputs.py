@@ -7,9 +7,11 @@ Run from the root of a tspvqe checkout::
 Every command of ``commands()`` runs with ``--no-timestamp`` twice on this
 machine: once on the working tree's ``src/`` and once on a temporary
 ``git worktree`` of REF (a branch, tag or commit).  Each pair of output files
-is then compared byte for byte.  The floats of the ``vqe`` reports and the
-``landscape`` CSVs depend on the BLAS build and the CPU, so no golden file
-can hold them; two checkouts on one machine can be compared.  At 16 qubits
+is then compared byte for byte.  The floats of the ``vqe`` reports depend
+on the BLAS build and the CPU, so no golden file can hold them; two
+checkouts on one machine can be compared.  (The ``landscape`` CSVs make no
+BLAS call: their energies are exact keys correctly rounded, and the shipped
+instance's CSV is a golden file too.)  At 16 qubits
 they depend on the OpenBLAS thread count too: the kernel's amplitudes do
 not, but each expectation is a BLAS dot over the 2^h entries of the h
 qubits the state holds (all 16 from a random start, 3 to about 11 from a
@@ -24,7 +26,9 @@ compared under both settings: once as is and once with
 
 The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
-``--max-evals 300``), seeded 5-node instances (16 qubits) run as the
+``--max-evals 300``), that instance's ``landscape`` and seed-0 best-MUB
+batch once more at penalty A = 2^55 (whose landscape keys pass 2^50, so
+they are summed as Python ints), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
 ``--max-evals 20``) plus five longer 16-qubit batches (best-MUB at 400
 evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB ``ring_rzz`` at
@@ -132,8 +136,13 @@ def commands(inputs):
     are relative to the checkout the command runs in.
     """
     landscape, counterexample = "instances/landscape.json", "instances/counterexample.json"
+    huge = ["--penalties", "explicit", "--penalty-a", str(2**55), "--penalty-b", "1"]
     out = [
         ("landscape_landscape.csv", ["landscape", landscape]),
+        ("landscape_landscape_a2p55.csv", ["landscape", landscape] + huge),
+        ("paper_best_mubs_a2p55_0.json",
+         ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
+          "--seed", "0", "--threads", "1"] + huge),
         ("spectrum_landscape.csv", ["spectrum", landscape]),
         ("spectrum_counterexample_safe.csv",
          ["spectrum", counterexample, "--penalties", "safe"]),
