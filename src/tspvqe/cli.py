@@ -7,7 +7,8 @@ and seed, and emits JSON or CSV.  Reports carry a timestamp unless
 
 The commands pass their flags through; the library makes the decisions.
 ``landscape`` and ``vqe`` encode in ``dqes.LAYOUT``, ``encode`` and
-``spectrum`` in their ``--layout``, ``audit`` in the full one.  The
+``spectrum`` in their ``--layout``, whose choices are the flags of the
+``layouts.LAYOUTS`` rows, ``audit`` in the full one.  The
 ``--init`` and ``--entangler`` choices are ``dqes.MODES`` and
 ``vqe.ENTANGLERS``, each first entry the default.  ``vqe`` runs rotation
 descent, set by ``--rho-start``, ``--rho-end`` and ``--max-evals``;
@@ -46,7 +47,7 @@ from .graph import load_instance
 from .rationals import rational_to_json
 from .vqe import ENTANGLERS, OptimizerConfig
 
-_LAYOUT_FLAGS = {"full": "full", "fixed": "fixed_start_full", "efficient": "efficient"}
+_LAYOUT_FLAGS = {row.flag: row.name for row in layouts.LAYOUTS}
 
 
 def _read_instance(args):

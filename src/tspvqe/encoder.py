@@ -14,9 +14,10 @@ structure encodes the problem:
   row and column of node 1), leaving (N-1)^2 variables; node 1's outgoing
   and incoming steps become linear boundary terms on columns 2 and N.
 
-``encode(instance, layout)`` is the one place that picks the encoder of a
-layout, and ``spin_form`` the one path from an instance to its Ising form:
-it refuses an instance above the spin cap from its node count, then encodes.
+``encode(instance, layout)`` is the one place that picks an encoder, from
+the layout's row of ``layouts.LAYOUTS``, and ``spin_form`` the one path
+from an instance to its Ising form: it refuses an instance above the spin
+cap from its node count, then encodes.
 
 All coefficients are exact rationals.  A polynomial is a
 ``rationals.ExactPolynomial``: one ``numerators`` dict keyed by sorted
@@ -186,10 +187,8 @@ def encode_tsp_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial
 
 def encode_fixed_start(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Full Hamiltonian plus the start-at-node-1 term A*(1 - x_{1,1})^2."""
-    if instance.variant not in ("tsp", "hamiltonian_cycle"):
-        raise ValidationError("encode_fixed_start requires variant tsp or hamiltonian_cycle")
-    return _encode_full(instance, "fixed_start_full", costs=instance.variant == "tsp",
-                        fixed_start=True)
+    layout = layouts.lookup("fixed_start_full", instance.variant).name
+    return _encode_full(instance, layout, costs=instance.variant == "tsp", fixed_start=True)
 
 
 def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
@@ -231,26 +230,22 @@ def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     ``fix_variables``: node 1's boundary steps 1 -> 2 and N -> 1 become
     linear terms on columns 2 and N.
     """
-    if instance.variant != "tsp":
-        raise ValidationError("encode_efficient requires variant=tsp")
+    layout = layouts.lookup("efficient", instance.variant).name
     n = instance.node_count
     if n < 2:
         raise ValidationError("encode_efficient requires at least 2 nodes")
-    return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), "efficient")
+    return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), layout)
 
 
 def encode(instance: ProblemInstance, layout: str) -> PseudoBooleanPolynomial:
-    """The penalty polynomial of ``instance`` in ``layout``; ``full`` is the
-    TSP Hamiltonian for tsp instances and the cycle Hamiltonian otherwise."""
-    if layout == "full":
-        if instance.variant == "tsp":
-            return encode_tsp_hamiltonian(instance)
-        return encode_cycle_hamiltonian(instance)
-    if layout == "fixed_start_full":
-        return encode_fixed_start(instance)
-    if layout == "efficient":
-        return encode_efficient(instance)
-    raise ValidationError(f"unknown layout {layout!r}")
+    """The penalty polynomial of ``instance`` in ``layout``, by its row: if
+    unpinned, the TSP Hamiltonian for tsp instances, else the cycle one."""
+    row = layouts.lookup(layout, instance.variant)
+    if row.pinned:
+        return encode_efficient(instance) if row.implied else encode_fixed_start(instance)
+    if instance.variant == "tsp":
+        return encode_tsp_hamiltonian(instance)
+    return encode_cycle_hamiltonian(instance)
 
 
 def spin_form(instance: ProblemInstance, layout: str, what: str,

@@ -1,7 +1,7 @@
 """Variable layouts shared by the encoders, the oracle, and the CLI.
 
 A table assignment x[v][t] says node v is visited at time step t.  Three
-layouts map table cells to bit positions:
+layouts, the rows of ``LAYOUTS``, map table cells to bit positions:
 
 * ``full``             -- v in 1..N, t in 1..N; bit = (v-1)*N + (t-1).
   Step N+1 is identified with step 1 (cycle wrap), so the wrap column is
@@ -19,10 +19,13 @@ bitstrings are written with variable 0 first.
 Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
 spin (and one qubit) each.  ``encoder.spin_form``, the one path from an
 instance to its spins, checks ``variable_count`` with ``check_spins``
-before it encodes anything.  An unknown layout is a ``ValidationError``.
-Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
-count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
+before it encodes anything.  ``lookup`` gives a layout's row, refusing an
+unknown layout or a variant the layout does not encode.  Writing an
+encoding out stops at ``TERM_CAP`` terms, checked from the node count
+with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
 """
+
+from typing import NamedTuple
 
 from .errors import SizeCapError, ValidationError
 
@@ -43,15 +46,34 @@ def implied_cells(n):
     return {(1, 1): 1, **{(1, t): 0 for t in others}, **{(v, 1): 0 for v in others}}
 
 
-def _side(layout, n):
-    """The side of the stored table: n, or n - 1 for ``efficient``."""
-    if layout not in ("full", "fixed_start_full", "efficient"):
-        raise ValidationError(f"unknown layout {layout!r}")
-    return n - (layout == "efficient")
+class Layout(NamedTuple):
+    name: str
+    flag: str  # the CLI's --layout value
+    variants: tuple  # the instance variants it encodes
+    pinned: bool  # node 1 sits at step 1
+    implied: bool  # row 1 and column 1 are not stored: see implied_cells
+
+
+# the one statement of what the layouts differ in; the encoders, the decoder and the CLI read it
+LAYOUTS = (
+    Layout("full", "full", ("tsp", "hamiltonian_cycle", "hamiltonian_path"), False, False),
+    Layout("fixed_start_full", "fixed", ("tsp", "hamiltonian_cycle"), True, False),
+    Layout("efficient", "efficient", ("tsp",), True, True),
+)
+
+
+def lookup(name, variant=None):
+    """The row of layout ``name``, refusing an unknown name or a ``variant`` it does not encode."""
+    for row in LAYOUTS:
+        if row.name == name:
+            if variant is not None and variant not in row.variants:
+                raise ValidationError(f"the {name} layout does not encode {variant} instances")
+            return row
+    raise ValidationError(f"unknown layout {name!r}")
 
 
 def variable_count(layout, n):
-    return _side(layout, n) ** 2
+    return (n - lookup(layout).implied) ** 2
 
 
 def check_spins(n, what, cap=SPIN_CAP):
@@ -69,12 +91,12 @@ def check_spins(n, what, cap=SPIN_CAP):
 def term_bound(layout, n):
     """An upper bound on the linear and quadratic terms of an ``n``-node encoding.
 
-    Its m x m table (m = n, or n - 1 for ``efficient``) has m^2 linear terms,
-    m^2 (m - 1) one-hot pairs within rows and columns, and at most
-    m^2 (m - 1) transition pairs: m (m - 1) ordered node pairs at m steps.
-    Complete graphs reach it in the full layouts.
+    Its m x m table (m = n, or n - 1 with row 1 and column 1 implied) has
+    m^2 linear terms, m^2 (m - 1) one-hot pairs within rows and columns,
+    and at most m^2 (m - 1) transition pairs: m (m - 1) ordered node pairs
+    at m steps.  Complete graphs reach it in the full layouts.
     """
-    m = _side(layout, n)
+    m = n - lookup(layout).implied
     return m * m * (2 * m - 1)
 
 
@@ -121,10 +143,10 @@ def bits_to_string(bits):
 def bits_to_table(bits, layout, n):
     """Expand layout bits into the full table {(v, t): 0/1}, v,t in 1..N.
 
-    The bits fill the stored cells in full-layout order; the efficient
-    layout's other cells come from ``implied_cells``.
+    The bits fill the stored cells in full-layout order; the other cells of
+    a layout with row 1 and column 1 implied come from ``implied_cells``.
     """
     bits = coerce_bits(bits, variable_count(layout, n))
-    table = implied_cells(n) if layout == "efficient" else {}
+    table = implied_cells(n) if lookup(layout).implied else {}
     table.update(zip((cell for cell in full_variable_order(n) if cell not in table), bits))
     return table

@@ -188,7 +188,7 @@ def validate_bitstring(instance: ProblemInstance, layout: str, bits):
         next(v for v in range(1, n + 1) if table[(v, t)]) for t in range(1, n + 1)
     )
     wrap = instance.variant != "hamiltonian_path"
-    steps = n if wrap else n - 1
+    steps = n if wrap and n > 1 else n - 1  # a one-node cycle has no step
     cost = Fraction(0)
     for i in range(steps):
         u, v = order[i], order[(i + 1) % n]

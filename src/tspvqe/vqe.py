@@ -96,6 +96,8 @@ class AnsatzConfig:
     def __post_init__(self):
         if self.entangler not in ENTANGLERS:
             raise ValidationError(f"unknown entangler {self.entangler!r}")
+        if self.ring and self.n < 3:  # a smaller ring repeats a pair, or pairs a qubit with itself
+            raise ValidationError(f"ring_rzz needs at least 3 qubits, got {self.n}")
         if self.layers < 1:
             raise ValidationError("ansatz needs at least one layer")
         if self.layers > layouts.LAYER_CAP:

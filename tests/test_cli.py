@@ -20,6 +20,7 @@ from tspvqe import (
     encode_efficient,
     encode_tsp_hamiltonian,
     encoder,
+    layouts,
     load_instance,
     to_ising,
 )
@@ -162,6 +163,17 @@ class TestAudit:
         assert main(["audit", COUNTER, "--cap", "-1"]) == 2
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["tsp", "cycle"])
+    def test_one_node_minimum_is_the_tour(self, variant, tmp_path):
+        doc_path = tmp_path / "one.json"
+        doc_path.write_text(json.dumps(
+            {"nodes": 1, "directed": False, "variant": variant, "edges": []}))
+        doc = run_json(tmp_path, ["audit", str(doc_path)])
+        assert doc["minimum_energy"] == 0
+        assert doc["minimum_is_valid_tour"] is True
+        assert doc["minimum_tour"] == [1]
+        assert doc["minimum_violations"] == []
+
 
 class TestSpectrumCsv:
     def test_efficient_spectrum(self, tmp_path):
@@ -240,7 +252,7 @@ def test_huge_instance_refused_before_encoding(command, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("layout", ["full", "fixed", "efficient"])
+@pytest.mark.parametrize("layout", [row.flag for row in layouts.LAYOUTS])
 def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypatch, capsys):
     # 100,000 nodes would write about 2 * 10^15 terms: refused from the node
     # count with exit 3, not after building runs out of memory
@@ -260,6 +272,41 @@ def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypa
     assert elapsed < 1.0
     assert "encode capped at 131072 terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("variant", ["tsp", "hamiltonian_cycle", "hamiltonian_path"])
+def test_layout_refusals_name_the_layout_and_the_variant(variant, directed, tmp_path, capsys):
+    """Every command that encodes serves the variants of its layout's row and
+    refuses the others with exit 2, naming the layout and the variant."""
+    edges = [[u, v, u + v] for u in range(1, 5) for v in range(1, 5)
+             if u < v or directed and u > v]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"nodes": 4, "directed": directed, "variant": variant,
+                                "edges": edges, "penalty_a": 50, "penalty_b": 1}))
+    commands = [([command, "--layout", row.flag], row) for command in ("encode", "spectrum")
+                for row in layouts.LAYOUTS]
+    commands += [(["landscape"], layouts.lookup(dqes.LAYOUT)),
+                 (["vqe", "--max-evals", "20"], layouts.lookup(dqes.LAYOUT))]
+    for (command, *flags), row in commands:
+        argv = [command, str(path), *flags, "--no-timestamp", "-o", str(tmp_path / "out")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        if variant in row.variants:
+            assert code == 0, (argv, err)
+        else:
+            assert code == 2, (argv, err)
+            assert err.startswith("error: ") and row.name in err and variant in err, err
+
+
+def test_layout_choices_are_the_table_flags():
+    parser = cli.build_parser()
+    [commands] = parser._subparsers._group_actions
+    for command in ("encode", "spectrum"):
+        option = commands.choices[command]._option_string_actions["--layout"]
+        assert option.choices == ("full", "fixed", "efficient")
+        assert option.choices == tuple(row.flag for row in layouts.LAYOUTS)
+        assert option.default == "efficient"
 
 
 @pytest.mark.parametrize("args", [
@@ -396,6 +443,19 @@ class TestVqeCommand:
         args = parser.parse_args(["vqe", LANDSCAPE])
         assert (args.init, args.entangler) == ("zeros", "linear_rzz")
         assert parser.parse_args(["vqe", LANDSCAPE, "--init", "best-mubs"]).init == "best_mubs"
+
+    def test_ring_below_3_qubits_refused_before_encoding(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with a refused ansatz")
+
+        # 2 nodes: one efficient qubit, whose ring would pair qubit 0 with itself
+        doc_path = tmp_path / "two.json"
+        doc_path.write_text(json.dumps({"nodes": 2, "directed": False, "variant": "tsp",
+                                        "edges": [[1, 2, 3]]}))
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        assert main(["vqe", str(doc_path), "--entangler", "ring_rzz"]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err == "error: ring_rzz needs at least 3 qubits, got 1\n"
 
     def test_layers_above_cap_exit_3(self, capsys):
         start = time.perf_counter()

@@ -24,7 +24,8 @@ from tspvqe import (
 )
 from tspvqe.encoder import encode, spin_form
 from tspvqe.layouts import (
-    SPIN_CAP, TERM_CAP, bits_to_table, coerce_bits, implied_cells, term_bound, variable_count,
+    LAYOUTS, SPIN_CAP, TERM_CAP, bits_to_table, coerce_bits, implied_cells, lookup, term_bound,
+    variable_count,
 )
 from tspvqe.oracle import Tour
 from tspvqe.rationals import common_scale
@@ -479,28 +480,22 @@ def test_term_bound_holds_for_every_encoder():
             edges = tuple((u, v, rng.randint(1, 9)) for u, v in pairs
                           if complete or rng.random() < 0.7)
             inst = ProblemInstance(n, directed, variant, edges, 5, 1)
-            encoders = [("full", encode_cycle_hamiltonian)]
-            if variant == "tsp":
-                encoders += [("full", encode_tsp_hamiltonian), ("efficient", encode_efficient)]
-            if variant != "path":
-                encoders.append(("fixed_start_full", encode_fixed_start))
-            for layout, encode in encoders:
-                poly = encode(inst)
+            polys = [(row, encode(inst, row.name)) for row in LAYOUTS
+                     if inst.variant in row.variants]
+            polys.append((lookup("full"), encode_cycle_hamiltonian(inst)))
+            for row, poly in polys:
                 terms = len(poly.linear) + len(poly.quadratic)
-                assert terms <= term_bound(layout, n), (n, variant, directed, layout)
-                if complete and encode is encode_tsp_hamiltonian and n > 2:
-                    assert terms == term_bound(layout, n)
+                assert terms <= term_bound(row.name, n), (n, variant, directed, row.name)
+                if complete and poly is polys[0][1] and n > 2:  # the full TSP Hamiltonian
+                    assert terms == term_bound(row.name, n)
     assert term_bound("full", 40) <= TERM_CAP < term_bound("full", 41)
     assert term_bound("efficient", 41) <= TERM_CAP < term_bound("efficient", 42)
-
-
-LAYOUTS = ("full", "fixed_start_full", "efficient")
 
 
 def _public_encoder(instance, layout):
     if layout == "full":
         return encode_tsp_hamiltonian if instance.variant == "tsp" else encode_cycle_hamiltonian
-    return encode_fixed_start if layout == "fixed_start_full" else encode_efficient
+    return {"fixed_start_full": encode_fixed_start, "efficient": encode_efficient}[layout]
 
 
 def _json_or_refusal(fn, *args):
@@ -522,7 +517,7 @@ class TestLayoutOwner:
         outcomes = set()
         for n in range(1, 6):
             instance = _random_pq_instance(rng, n, variant, directed)
-            for layout in LAYOUTS:
+            for layout in (row.name for row in LAYOUTS):
                 ours = _json_or_refusal(encode, instance, layout)
                 assert ours == _json_or_refusal(_public_encoder(instance, layout), instance)
                 if variable_count(layout, n) > SPIN_CAP:
@@ -539,14 +534,14 @@ class TestLayoutOwner:
                 outcomes.add(isinstance(ours, dict))
         assert outcomes == {True, False}  # both encodings and refusals were compared
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("layout", [row.name for row in LAYOUTS])
     def test_bits_to_table_merges_the_implied_cells(self, layout):
         rng = random.Random(f"bits-to-table:{layout}")
         for n in range(2, 6):
             poly = encode(_random_pq_instance(rng, n, "tsp", False), layout)
             for _ in range(20):
                 bits = [rng.randint(0, 1) for _ in range(poly.n_vars)]
-                expected = implied_cells(n) if layout == "efficient" else {}
+                expected = implied_cells(n) if lookup(layout).implied else {}
                 expected.update(zip(poly.variable_order, bits))
                 assert bits_to_table(bits, layout, n) == expected
 
@@ -556,7 +551,9 @@ class TestLayoutOwner:
 
     def test_unknown_layout_is_refused(self, landscape_instance):
         message = "unknown layout 'fixed'"
-        for call in (lambda: encode(landscape_instance, "fixed"),
+        for call in (lambda: lookup("fixed"),
+                     lambda: lookup("fixed", "tsp"),
+                     lambda: encode(landscape_instance, "fixed"),
                      lambda: spin_form(landscape_instance, "fixed", "test"),
                      lambda: variable_count("fixed", 4),
                      lambda: term_bound("fixed", 4),

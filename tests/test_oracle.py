@@ -226,6 +226,13 @@ class TestValidateBitstring:
             landscape_instance, "efficient", "001100010"
         ).order == (1, 3, 4, 2)
 
+    @pytest.mark.parametrize("variant", ["tsp", "hamiltonian_cycle", "hamiltonian_path"])
+    @pytest.mark.parametrize("layout", ["full", "fixed_start_full"])
+    def test_one_node_tour_has_no_step(self, variant, layout):
+        # a one-node cycle has no wrap step (1, 1) to check
+        one = ProblemInstance(1, False, variant, (), 1, 1)
+        assert validate_bitstring(one, layout, "1") == Tour((1,), 0, True)
+
     def test_empty_efficient_assignment(self, landscape_instance):
         report = validate_bitstring(landscape_instance, "efficient", "0" * 9)
         assert isinstance(report, ViolationReport)

@@ -28,6 +28,14 @@ class TestAnsatz:
         assert AnsatzConfig(n=9, layers=2).parameter_count == 2 * 26 + 18
         assert AnsatzConfig(n=4, layers=1, entangler="ring_rzz").parameter_count == 20
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ring_below_3_qubits_refused(self, n):
+        # its entanglers would pair a qubit with itself, or act on (0, 1) twice
+        with pytest.raises(ValidationError, match=f"ring_rzz needs at least 3 qubits, got {n}"):
+            AnsatzConfig(n=n, entangler="ring_rzz")
+        assert AnsatzConfig(n=n).entangler_count == n - 1
+        assert AnsatzConfig(n=3, entangler="ring_rzz").entangler_count == 3
+
     def test_identity_at_zero(self):
         rng = np.random.default_rng(3)
         config = AnsatzConfig(n=5, layers=2)

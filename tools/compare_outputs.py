@@ -45,8 +45,8 @@ Then the exact-rational outputs: ``encode`` in all three layouts, binary and
 Ising; ``audit`` under file, lucas and safe penalties; ``solve``;
 ``spectrum`` in all three layouts; and ``landscape``,
 on both shipped instances and on a seeded 4-node instance with p/q costs for
-each of the six variant x direction cases, so every branch of
-``encoder.encode`` and every refusal of a non-tsp instance is compared.
+each of the six variant x direction cases, so every row of
+``layouts.LAYOUTS`` and every variant it refuses is compared.
 Last, the commands that must be refused: a seeded complete 6-node instance
 is above the 24-spin cap (25 efficient spins, 36 full) for ``spectrum`` in
 both layouts, ``landscape``, ``vqe`` and ``audit``, and ``spectrum --cap -1``
