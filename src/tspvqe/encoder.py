@@ -233,7 +233,7 @@ def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     layout = layouts.lookup("efficient", instance.variant).name
     n = instance.node_count
     if n < 2:
-        raise ValidationError("encode_efficient requires at least 2 nodes")
+        raise ValidationError(f"the efficient layout needs at least 2 nodes, got {n}")
     return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), layout)
 
 

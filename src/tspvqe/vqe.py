@@ -24,7 +24,8 @@ history is the same as if each vector had been evaluated alone.
 :func:`run_lockstep` drives the independent runs of a VQE batch together.
 Each round it gathers the pending vectors of every live run and evaluates
 them in one ``kernels.apply_ansatz_amplitudes`` call over an ``(R, 2^n)``
-stack of the runs' initial states.  A call holds at most
+stack of the runs' initial states, each spread into its row from the qubits
+its init builds it on.  A call holds at most
 ``LOCKSTEP_AMPLITUDES`` amplitudes (32 states at 9 qubits), and a group
 holds as many runs as fill a call with two states each (16 at 9 qubits, at
 least one), so at 16 qubits a group is one run and a call one unstacked
@@ -43,26 +44,29 @@ prefix, and the kernel runs only the later stages, with the full call's
 bits.  The prefix is found by comparing parameter vectors, so the searches
 do not know of it.  Carrying it over stages that are all at zero angle
 needs no kernel call.  Such a run holds its states on the qubits they can
-occupy (the kernel's held set: the initial state's support and every qubit
-a Ry gate has turned by a nonzero angle), as 2^h amplitudes, every other
-qubit exactly |0>: a best-MUB start holds at most 3 of its qubits, a zeros
-start none, a random start all of them.  Each state is measured with the
-energies of its held subspace, gathered once per held set in the run, and
-its most probable basis index is mapped back to all n qubits.  The run
-also keeps three state buffers, the prefix and a free pair, and uses their
-leading 2^h entries: every kernel call writes into the pair, and each
-state's probabilities go into the float64 view of the pair's other buffer.
-A group is then one run, so the runs of a batch go one after another, and
-all of them use the same three buffers, allocated once per batch.  So no
-evaluation allocates a state-sized array.  Stacked calls (13 qubits and
-below) hold every qubit, as a random start does, and so keep the bits of
-the kernel on full states.
+occupy (the kernel's held set: the qubits its init builds the start on and
+every qubit a Ry gate has turned by a nonzero angle), as 2^h amplitudes,
+every other qubit exactly |0>: a best-MUB start holds at most 3 of its
+qubits, a zeros start none, a random start all of them.  The kernel takes
+the start as its init builds it, never as a full state.  Each state is
+measured with the energies of its held subspace, gathered once per held set
+in the run, and its most probable basis index is mapped back to all n
+qubits.  The run also keeps three state buffers, the prefix and a free
+pair, and uses their leading 2^h entries: every kernel call writes into the
+pair, and each state's probabilities go into the float64 view of the pair's
+other buffer.  A group is then one run, so the runs of a batch go one after
+another, and all of them use the same three buffers, allocated once per
+batch.  So no evaluation allocates a state-sized array, and of the starts
+only a random one is state-sized.  Stacked calls (13 qubits and below) hold
+every qubit, as a random start does, and so keep the bits of the kernel on
+full states.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,7 +75,7 @@ import numpy as np
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
-from .quantum import QuantumState, build_mubs_3q, embed_state
+from .quantum import build_mubs_3q
 
 ENTANGLERS = ("linear_rzz", "ring_rzz")
 
@@ -118,24 +122,29 @@ class AnsatzConfig:
 
 
 # -- initial states ----------------------------------------------------------
+#
+# ``build(n)`` returns a start as ``(held, amplitudes, product_angles)``: the
+# state on the ascending qubits ``held`` alone, as 2^len(held) amplitudes
+# (bit i of an index is qubit ``held[i]``, every other qubit exactly |0>;
+# ``kernels.basis_indices`` maps them into the full state), and the per-qubit
+# (alpha, beta) angles of a product start, or None.
 
 
 @dataclass(frozen=True)
 class ZerosInit:
-    """The all-zero computational state."""
+    """The all-zero computational state: no qubit held, one amplitude."""
 
     def label(self) -> str:
         return "zeros"
 
     def build(self, n: int):
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        return QuantumState(amps, check=False), np.zeros((n, 2))
+        return (), np.ones(1, dtype=complex), np.zeros((n, 2))
 
 
 @dataclass(frozen=True)
 class RandomInit:
-    """Product of per-qubit Ry(alpha)Rz(beta) rotations with seeded angles."""
+    """Product of per-qubit Ry(alpha)Rz(beta) rotations with seeded angles,
+    held on every qubit."""
 
     seed: int
 
@@ -151,24 +160,49 @@ class RandomInit:
             qubit = np.array([np.cos(alpha / 2), np.sin(alpha / 2)], dtype=complex)
             qubit *= np.exp(np.array([-1j * beta / 2, 1j * beta / 2]))
             amps = np.kron(qubit, amps)  # qubit q lands on bit q
-        return QuantumState(amps), angles
+        return tuple(range(n)), amps, angles
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class MubInit:
-    """A 3-qubit MUB basis element embedded at the given qubit positions."""
+    """Element ``element`` (0-7) of 3-qubit MUB ``basis`` (0-8) on the qubits
+    ``positions``, three distinct and ascending; every other qubit is |0>.
+
+    The start is held on the positions its 8 amplitudes occupy: a basis-0
+    element only on the qubits it sets."""
 
     positions: tuple
     basis: int
     element: int
+
+    def __post_init__(self):
+        for name, count in (("basis", 9), ("element", 8)):
+            value = getattr(self, name)
+            if not (_is_int(value) and 0 <= value < count):
+                raise ValidationError(f"MUB {name} must be an int in 0..{count - 1}, "
+                                      f"got {value!r}")
+        positions = tuple(self.positions)
+        if not (len(positions) == 3 and all(map(_is_int, positions))
+                and 0 <= positions[0] < positions[1] < positions[2]):
+            raise ValidationError(f"MUB positions must be three distinct ascending qubits, "
+                                  f"got {positions}")
 
     def label(self) -> str:
         pos = "-".join(str(p) for p in self.positions)
         return f"mub(basis={self.basis},element={self.element},positions={pos})"
 
     def build(self, n: int):
+        if self.positions[-1] >= n:
+            raise ValidationError(f"positions {tuple(self.positions)} out of range "
+                                  f"for {n} qubits")
         local = build_mubs_3q().bases[self.basis][self.element]
-        return embed_state(local, self.positions, n), None
+        occupied = kernels.support(local)
+        held = tuple(int(self.positions[i]) for i in occupied)
+        return held, local[kernels.basis_indices(occupied)], None
 
 
 # -- the optimizer ------------------------------------------------------------
@@ -450,36 +484,39 @@ def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_to
             np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy, target_tol,
             _restart_points(ansatz, product_angles, seed),
         )
-        for (_, seed), (_, product_angles) in zip(group, built)
+        for (_, seed), (_, _, product_angles) in zip(group, built)
     ]
-    # a group of one is not copied into a stack
-    states = (
-        np.stack([psi0.amplitudes for psi0, _ in built]) if len(built) > 1
-        else built[0][0].amplitudes[None]
-    )
-    results, peaks = _lockstep(searches, states, energy_vector, ansatz, buffers)
+    starts = [(held, amps) for held, amps, _ in built]
+    results, peaks = _lockstep(searches, starts, energy_vector, ansatz, buffers)
     return [
         _trace(init, seed, result, peak, ansatz, ground_energy, target_tol)
         for (init, seed), result, peak in zip(group, results, peaks)
     ]
 
 
-def _lockstep(searches, states, energy_vector, ansatz, buffers):
+def _lockstep(searches, starts, energy_vector, ansatz, buffers):
     """Drive ask/tell searches together; return their results in order, and
     for each the basis state of highest probability at its best point.
 
-    Search i starts from row i of ``states``.  Each round evaluates the
-    pending vectors of every live search, in kernel calls of at most
-    ``LOCKSTEP_AMPLITUDES`` amplitudes; a call with one state passes it
-    unstacked, and starts from the run's ``_Prefix``, which writes into
-    ``buffers``: the batch's three state-sized arrays where a call holds one
-    state (then ``states`` has one row), else None.  Each state is
-    measured by its run's ``_Tally`` as soon as its kernel call returns.
+    Search i starts from ``starts[i]``, ``(held, amplitudes)`` as its init
+    builds it.  Each round evaluates the pending vectors of every live
+    search, in kernel calls of at most ``LOCKSTEP_AMPLITUDES`` amplitudes.
+    ``buffers`` is the batch's three state-sized arrays where a call holds
+    one state, and then every call starts from the run's ``_Prefix``, which
+    writes into them.  Else it is None, and the calls take stacks of rows
+    of one ``(R, 2^n)`` array, each start spread into its row.  Each state
+    is measured by its run's ``_Tally`` as soon as its kernel call returns.
     """
     per_call = max(1, LOCKSTEP_AMPLITUDES >> ansatz.n)
     results = [None] * len(searches)
     tallies = [_Tally(energy_vector) for _ in searches]
-    prefixes = None if buffers is None else [_Prefix(psi0, ansatz, buffers) for psi0 in states]
+    if buffers is None:
+        prefixes = None
+        states = np.zeros((len(starts), 1 << ansatz.n), dtype=complex)
+        for row, (held, amps) in zip(states, starts):
+            row[kernels.basis_indices(held)] = amps
+    else:
+        prefixes = [_Prefix(held, amps, ansatz, buffers) for held, amps in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
         if prefixes is None:
@@ -549,33 +586,31 @@ def _amplitudes(psi, theta, ansatz, **options):
 class _Prefix:
     """One run's initial state and its kept prefix, for unstacked calls.
 
-    ``state`` is the ansatz state after the stages below ``stage``, applied
-    with the parameters ``params`` (stage 0: the initial state itself), held
-    on the qubits ``held`` (see ``kernels.apply_ansatz_amplitudes``): the
-    initial state's support and the qubits those stages turn.  The run
-    writes into the leading entries of the three state buffers of its batch,
-    ``buffers``: every kernel call writes into the two that do not hold
-    ``state``, and a carried prefix becomes ``state`` in place.  A carry
-    whose stages are all at zero angle (``kernels.stages_run`` finds none to
-    run) moves ``stage`` and ``params`` forward without a kernel call: the
-    call would only have copied ``state``.  Every call is on one state, so
-    the kernel skips a stage and adds a qubit exactly when a call on the
-    whole ansatz would: the split calls give the bits of one full call.
+    The initial state is ``psi0`` held on the qubits ``held0``, as an init
+    builds it.  ``state`` is the ansatz state after the stages below
+    ``stage``, applied with the parameters ``params`` (stage 0: the initial
+    state itself), held on the qubits ``held`` (see
+    ``kernels.apply_ansatz_amplitudes``): ``held0`` and the qubits those
+    stages turn.  The run writes into the leading entries of the three
+    state buffers of its batch, ``buffers``: every kernel call writes into
+    the two that do not hold ``state``, and a carried prefix becomes
+    ``state`` in place.  A carry whose stages are all at zero angle
+    (``kernels.stages_run`` finds none to run) moves ``stage`` and
+    ``params`` forward without a kernel call: the call would only have
+    copied ``state``.  Every call is on one state, so the kernel skips a
+    stage and adds a qubit exactly when a call on the whole ansatz would:
+    the split calls give the bits of one full call.
     """
 
-    def __init__(self, psi0, ansatz, buffers):
-        self.ansatz = ansatz
-        self.support = kernels.support(psi0)
-        # a state on every qubit is read where it is, not copied
-        self.psi0 = (psi0 if len(self.support) == ansatz.n
-                     else psi0[kernels.basis_indices(self.support)])
+    def __init__(self, held0, psi0, ansatz, buffers):
+        self.ansatz, self.held0, self.psi0 = ansatz, held0, psi0
         self.stage_count, self.param_stage = kernels.ansatz_stages(
             ansatz.n, ansatz.layers, ansatz.ring)
         self._buffers = buffers
         self._reset()
 
     def _reset(self):
-        self.params, self.stage, self.state, self.held = None, 0, self.psi0, self.support
+        self.params, self.stage, self.state, self.held = None, 0, self.psi0, self.held0
 
     def _free(self) -> tuple:
         """The two buffers that do not hold ``state``."""

@@ -299,6 +299,17 @@ def test_layout_refusals_name_the_layout_and_the_variant(variant, directed, tmp_
             assert err.startswith("error: ") and row.name in err and variant in err, err
 
 
+@pytest.mark.parametrize("command", ["landscape", "vqe"])
+def test_one_node_refusal_names_the_efficient_layout(command, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"nodes": 1, "directed": False, "variant": "tsp", "edges": []}))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--no-timestamp", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the efficient layout needs at least 2 nodes, got 1\n")
+    assert not out.exists()
+
+
 def test_layout_choices_are_the_table_flags():
     parser = cli.build_parser()
     [commands] = parser._subparsers._group_actions

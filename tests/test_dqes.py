@@ -589,13 +589,11 @@ def _independent_traces(instance, report, ansatz, optimizer):
 def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, convergence_tol):
     """(history, best parameters, best bitstring) of each start, from
     ``optimize`` with an objective that runs the whole ansatz on every vector,
-    held on the start's support as the batch holds it."""
+    held on the qubits its init builds the start on, as the batch holds it."""
     energy_vector = ising.energy_float_vector()
     out = []
     for init, seed in starts:
-        psi0, product_angles = init.build(ansatz.n)
-        support = kernels.support(psi0.amplitudes)
-        held0 = psi0.amplitudes[kernels.basis_indices(support)]
+        support, held0, product_angles = init.build(ansatz.n)
 
         def measured(x):
             """The probabilities after the whole ansatz, their energies, and
@@ -761,7 +759,9 @@ class TestLockstep:
         if mode == "zeros":
             monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
             ansatz = AnsatzConfig(n=qubits)
-            zeros = ZerosInit().build(qubits)[0].amplitudes
+            held, amps, _ = ZerosInit().build(qubits)
+            zeros = np.zeros(1 << qubits, dtype=complex)
+            zeros[kernels.basis_indices(held)] = amps
             energy_vector = to_ising(encode_efficient(instance)).energy_float_vector()
             dense = [float(np.abs(apply(zeros, qubits, ansatz.layers, ansatz.ring, x)) ** 2
                            @ energy_vector) for x in evaluated]
@@ -776,7 +776,9 @@ class TestLockstep:
         ising = _seeded_ising_16()
         ground = float(ground_states(ising)[0])
         best = best_k(compute_landscape(ising), 1)[0]
+        # no CLI batch reaches a bases 1-8 start at 16 qubits: add one
         starts = [(MubInit(positions=best.positions, basis=best.basis, element=best.element), 3),
+                  (MubInit(positions=best.positions, basis=5, element=2), 5),
                   (RandomInit(seed=11), 4)]
         ansatz = AnsatzConfig(n=16)
         optimizer = OptimizerConfig(max_evals=40)

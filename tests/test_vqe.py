@@ -9,11 +9,13 @@ from tspvqe import (
     RandomInit,
     ValidationError,
     ZerosInit,
+    build_mubs_3q,
+    embed_state,
     encode_efficient,
     ground_states,
     to_ising,
 )
-from tspvqe import vqe
+from tspvqe import kernels, vqe
 from tspvqe.kernels import apply_ansatz_amplitudes
 
 
@@ -162,10 +164,12 @@ class TestRunVqe:
         assert a.best_bitstring == b.best_bitstring
 
     def test_random_init_first_energy_matches_state(self, landscape_ising):
-        from tspvqe.quantum import expectation
+        from tspvqe.quantum import QuantumState, expectation
 
         init = RandomInit(seed=123)
-        state, _ = init.build(9)
+        held, amps, _ = init.build(9)
+        assert held == tuple(range(9))
+        state = QuantumState(amps)
         trace = run_vqe(landscape_ising, init, seed=0,
                         optimizer=OptimizerConfig(max_evals=30))
         assert trace.energies[0] == pytest.approx(
@@ -268,7 +272,7 @@ def _restart_points_per_qubit(config, product_angles, seed, count=16):
 def test_restart_points_match_the_per_qubit_construction(init, layers, entangler):
     # every restart point keeps its bits, signed zeros included
     config = AnsatzConfig(n=9, layers=layers, entangler=entangler)
-    _, product_angles = init.build(config.n)
+    *_, product_angles = init.build(config.n)
     for seed in (0, 1, 12345):
         points = vqe._restart_points(config, product_angles, seed)
         expected = _restart_points_per_qubit(config, product_angles, seed)
@@ -276,3 +280,65 @@ def test_restart_points_match_the_per_qubit_construction(init, layers, entangler
             product_angles is not None and bool(np.any(product_angles))))
         for got, want in zip(points, expected):
             assert got.tobytes() == want.tobytes()
+
+
+class TestInitBuild:
+    """Each init builds its start held on the qubits it occupies."""
+
+    @staticmethod
+    def _check_held_build(init, n, dense):
+        """The start spread with ``basis_indices`` has the bits of ``dense``,
+        and is held on exactly the support of ``dense``."""
+        held, amps, _ = init.build(n)
+        spread = np.zeros(1 << n, dtype=complex)
+        spread[kernels.basis_indices(held)] = amps
+        assert spread.tobytes() == dense.tobytes()
+        assert held == kernels.support(dense)
+
+    @pytest.mark.parametrize("n, positions", [(9, (1, 4, 6)), (16, (0, 7, 15))])
+    def test_mub_starts_match_the_dense_embedding(self, n, positions):
+        mubs = build_mubs_3q()
+        for basis in range(9):
+            for element in range(8):
+                init = MubInit(positions=positions, basis=basis, element=element)
+                held, amps, product_angles = init.build(n)
+                assert amps.size <= 8 and product_angles is None
+                self._check_held_build(
+                    init, n, embed_state(mubs.bases[basis][element], positions, n).amplitudes)
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_zeros_and_random_starts_match_the_dense_build(self, n):
+        zeros = np.zeros(1 << n, dtype=complex)
+        zeros[0] = 1
+        assert ZerosInit().build(n)[1].size == 1
+        self._check_held_build(ZerosInit(), n, zeros)
+        # the product state amplitude by amplitude, qubit 0's factor first
+        angles = RandomInit(seed=17).build(n)[2]
+        product = np.ones(1 << n, dtype=complex)
+        bits = np.arange(1 << n)
+        for q, (alpha, beta) in enumerate(angles):
+            qubit = np.array([np.cos(alpha / 2), np.sin(alpha / 2)], dtype=complex)
+            qubit *= np.exp(np.array([-1j * beta / 2, 1j * beta / 2]))
+            product = qubit[(bits >> q) & 1] * product
+        self._check_held_build(RandomInit(seed=17), n, product)
+
+    @pytest.mark.parametrize("field, value", [
+        ("basis", -1), ("basis", 9), ("basis", 1.0), ("element", -1), ("element", 8),
+        ("element", True),
+    ])
+    def test_mub_refuses_a_basis_or_element_out_of_range(self, field, value):
+        fields = {"positions": (0, 1, 2), "basis": 0, "element": 0, field: value}
+        with pytest.raises(ValidationError, match=f"MUB {field} must be an int in 0..[78]"):
+            MubInit(**fields)
+
+    @pytest.mark.parametrize("positions", [(2, 1, 0), (0, 0, 1), (0, 1), (0, 1, 2, 3),
+                                           (-1, 0, 1), (0, 1.0, 2)])
+    def test_mub_refuses_positions_not_three_ascending_qubits(self, positions):
+        with pytest.raises(ValidationError, match="three distinct ascending qubits"):
+            MubInit(positions=positions, basis=0, element=0)
+
+    def test_mub_refuses_positions_past_the_last_qubit(self):
+        init = MubInit(positions=(0, 1, 9), basis=0, element=0)
+        with pytest.raises(ValidationError, match=r"out of range for 9 qubits"):
+            init.build(9)
+        assert init.build(10)[0] == ()

@@ -28,7 +28,9 @@ The list: the ``vqe`` batches of the benchmark's ``paper-n4`` workload on
 ``instances/landscape.json`` (best-MUB and random, k=10, and zeros, at
 ``--max-evals 300``), that instance's ``landscape`` and seed-0 best-MUB
 batch once more at penalty A = 2^55 (whose landscape keys pass 2^50, so
-they are summed as Python ints), seeded 5-node instances (16 qubits) run as the
+they are summed as Python ints), its best-MUB batch of k=160 at
+``--max-evals 20`` (records 151 to 159 are the only starts of any listed
+command in MUB bases 1-8), seeded 5-node instances (16 qubits) run as the
 ``vqe-n5`` workload runs them (landscape, then a best-MUB batch of k=2 at
 ``--max-evals 20``) plus five longer 16-qubit batches (best-MUB at 400
 evaluations, random-start ``ring_rzz`` at 3 layers, best-MUB ``ring_rzz`` at
@@ -143,6 +145,9 @@ def commands(inputs):
         ("paper_best_mubs_a2p55_0.json",
          ["vqe", landscape, "--init", "best-mubs", "--k", "10", "--max-evals", "300",
           "--seed", "0", "--threads", "1"] + huge),
+        # the only starts in MUB bases 1-8: records 151-159 of the best 160
+        ("paper_best_mubs_k160.json",
+         ["vqe", landscape, "--init", "best-mubs", "--k", "160", "--max-evals", "20"]),
         ("spectrum_landscape.csv", ["spectrum", landscape]),
         ("spectrum_counterexample_safe.csv",
          ["spectrum", counterexample, "--penalties", "safe"]),
