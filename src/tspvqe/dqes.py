@@ -278,9 +278,10 @@ def run_experiment(
 
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Runs are decoded in the
-    Ising form's own layout.  An invalid ansatz or ``k`` (for ``best_mubs``,
-    one outside 1..C(n,3) * 72, the landscape's records), a negative seed or
-    a non-finite ``convergence_tol`` is refused before anything is encoded.
+    Ising form's own layout.  An instance too small for ``LAYOUT`` (one
+    node), an invalid ansatz or ``k`` (for ``best_mubs``, one outside
+    1..C(n,3) * 72, the landscape's records), a negative seed or a
+    non-finite ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -288,6 +289,7 @@ def run_experiment(
     here, on BLAS threads, else in ``min(threads, usable CPUs, runs)``
     contiguous parts, a worker each from two up; the traces are the same.
     """
+    layouts.lookup(LAYOUT, nodes=instance.node_count)
     n = layouts.variable_count(LAYOUT, instance.node_count)
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:

@@ -230,10 +230,8 @@ def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     ``fix_variables``: node 1's boundary steps 1 -> 2 and N -> 1 become
     linear terms on columns 2 and N.
     """
-    layout = layouts.lookup("efficient", instance.variant).name
     n = instance.node_count
-    if n < 2:
-        raise ValidationError(f"the efficient layout needs at least 2 nodes, got {n}")
+    layout = layouts.lookup("efficient", instance.variant, n).name
     return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), layout)
 
 

@@ -20,9 +20,9 @@ Every exhaustive or state-vector step stops at ``SPIN_CAP`` variables, one
 spin (and one qubit) each.  ``encoder.spin_form``, the one path from an
 instance to its spins, checks ``variable_count`` with ``check_spins``
 before it encodes anything.  ``lookup`` gives a layout's row, refusing an
-unknown layout or a variant the layout does not encode.  Writing an
-encoding out stops at ``TERM_CAP`` terms, checked from the node count
-with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
+unknown layout, a variant it does not encode or too few nodes for a cell.
+Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
+count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers.
 """
 
 from typing import NamedTuple
@@ -62,12 +62,15 @@ LAYOUTS = (
 )
 
 
-def lookup(name, variant=None):
-    """The row of layout ``name``, refusing an unknown name or a ``variant`` it does not encode."""
+def lookup(name, variant=None, nodes=None):
+    """The row of layout ``name``, refusing an unknown name, a ``variant`` it
+    does not encode, or ``nodes`` (a node count) that leaves it no variable."""
     for row in LAYOUTS:
         if row.name == name:
             if variant is not None and variant not in row.variants:
                 raise ValidationError(f"the {name} layout does not encode {variant} instances")
+            if row.implied and nodes == 1:  # its one cell, (1, 1), is implied
+                raise ValidationError(f"the {name} layout needs at least 2 nodes, got 1")
             return row
     raise ValidationError(f"unknown layout {name!r}")
 

@@ -21,20 +21,20 @@ or a single point), is sent the list of their values, and finally returns
 its ``OptimizeResult``.  Values are recorded in request order, so the
 history is the same as if each vector had been evaluated alone.
 
-:func:`run_lockstep` drives the independent runs of a VQE batch together.
-Each round it gathers the pending vectors of every live run and evaluates
-them in one ``kernels.apply_ansatz_amplitudes`` call over an ``(R, 2^n)``
-stack of the runs' initial states, each spread into its row from the qubits
-its init builds it on.  A call holds at most
-``LOCKSTEP_AMPLITUDES`` amplitudes (32 states at 9 qubits), and a group
-holds as many runs as fill a call with two states each (16 at 9 qubits, at
-least one), so at 16 qubits a group is one run and a call one unstacked
-state.  The kernel skips the stages whose parameters are zero in every row
-(they are the identity), so a stack may run a stage that a row's run alone
-would skip.  The row's amplitudes can then differ only in the sign of
-zeros: they are equal under ``==``, and their probabilities are the same
-bits.  Each expectation is one dot product per row of probabilities, so a
-trace does not depend on the batch it ran in.
+:func:`run_lockstep` drives the independent runs of a VQE batch together,
+in groups: the runs whose two-vector requests (a probe pair) fill one
+kernel call of at most ``LOCKSTEP_AMPLITUDES`` amplitudes (16 runs at 9
+qubits, one from 13 qubits up).  Below 14 qubits each round is one
+``kernels.apply_ansatz_amplitudes`` call on the pending vectors of every
+live run of the group, over an ``(R, 2^n)`` stack of the runs' initial
+states, each spread into its row from the qubits its init builds it on.
+From 14 qubits up a call holds one state (below).  The kernel skips the
+stages whose parameters are zero in every row (they are the identity), so a
+stack may run a stage that a row's run alone would skip.  The row's
+amplitudes can then differ only in the sign of zeros: they are equal under
+``==``, and their probabilities are the same bits; a stack of one row gives
+that row's bits.  Each expectation is one dot product per row of
+probabilities, so a trace does not depend on the batch it ran in.
 
 Where a call holds one state (14 qubits and up), a run also keeps one
 partly applied state, a prefix: its current point after the ansatz stages
@@ -89,6 +89,10 @@ def one_state_per_call(n: int) -> bool:
     return LOCKSTEP_AMPLITUDES >> n <= 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the variational circuit."""
@@ -98,6 +102,12 @@ class AnsatzConfig:
     entangler: str = "linear_rzz"
 
     def __post_init__(self):
+        for name in ("n", "layers"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(f"ansatz {name} must be an int, got {value!r}")
+        if self.n < 1:
+            raise ValidationError(f"ansatz needs at least one qubit, got {self.n}")
         if self.entangler not in ENTANGLERS:
             raise ValidationError(f"unknown entangler {self.entangler!r}")
         if self.ring and self.n < 3:  # a smaller ring repeats a pair, or pairs a qubit with itself
@@ -118,7 +128,9 @@ class AnsatzConfig:
 
     @property
     def parameter_count(self) -> int:
-        return self.layers * (2 * self.n + self.entangler_count) + 2 * self.n
+        """The parameters the ansatz kernel takes per state: the length of its
+        plan's stage of each parameter (``kernels.ansatz_stages``)."""
+        return kernels.ansatz_stages(self.n, self.layers, self.ring)[1].size
 
 
 # -- initial states ----------------------------------------------------------
@@ -161,10 +173,6 @@ class RandomInit:
             qubit *= np.exp(np.array([-1j * beta / 2, 1j * beta / 2]))
             amps = np.kron(qubit, amps)  # qubit q lands on bit q
         return tuple(range(n)), amps, angles
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -437,7 +445,8 @@ def run_lockstep(
     """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep.
 
     Runs go in consecutive groups of at most ``LOCKSTEP_AMPLITUDES / 2^(n+1)``
-    (at least one).  Each trace equals that of a batch of its start alone.
+    (at least one), whose two-vector requests fill one kernel call; below 14
+    qubits each round is one call.  Each trace equals that of its start alone.
     Expectations are exact state-vector averages (no sampling noise).  When
     ``ground_energy`` is given a run stops as soon as its energy is within
     ``convergence_tol`` (relative) of it; otherwise convergence stays False
@@ -477,50 +486,32 @@ def _state_buffers(n) -> list:
 
 
 def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, buffers):
-    """The traces of one lockstep group; its states are freed on return."""
-    built = [init.build(ansatz.n) for init, _ in group]
-    searches = [
-        _search(
-            np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy, target_tol,
-            _restart_points(ansatz, product_angles, seed),
-        )
-        for (_, seed), (_, _, product_angles) in zip(group, built)
-    ]
-    starts = [(held, amps) for held, amps, _ in built]
-    results, peaks = _lockstep(searches, starts, energy_vector, ansatz, buffers)
-    return [
-        _trace(init, seed, result, peak, ansatz, ground_energy, target_tol)
-        for (init, seed), result, peak in zip(group, results, peaks)
-    ]
+    """The traces of one lockstep group; its states are freed on return.
 
-
-def _lockstep(searches, starts, energy_vector, ansatz, buffers):
-    """Drive ask/tell searches together; return their results in order, and
-    for each the basis state of highest probability at its best point.
-
-    Search i starts from ``starts[i]``, ``(held, amplitudes)`` as its init
-    builds it.  Each round evaluates the pending vectors of every live
-    search, in kernel calls of at most ``LOCKSTEP_AMPLITUDES`` amplitudes.
+    Each round evaluates the pending vectors of every live search.
     ``buffers`` is the batch's three state-sized arrays where a call holds
     one state, and then every call starts from the run's ``_Prefix``, which
-    writes into them.  Else it is None, and the calls take stacks of rows
-    of one ``(R, 2^n)`` array, each start spread into its row.  Each state
-    is measured by its run's ``_Tally`` as soon as its kernel call returns.
+    writes into them.  Else it is None, each start is spread into its row of
+    one ``(R, 2^n)`` array, and a round is one kernel call on a stack of
+    those rows.  Each state is measured by its run's ``_Tally`` as soon as
+    its kernel call returns.
     """
-    per_call = max(1, LOCKSTEP_AMPLITUDES >> ansatz.n)
-    results = [None] * len(searches)
-    tallies = [_Tally(energy_vector) for _ in searches]
+    built = [init.build(ansatz.n) for init, _ in group]
+    searches = [_search(np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy,
+                        target_tol, _restart_points(ansatz, product_angles, seed))
+                for (_, seed), (_, _, product_angles) in zip(group, built)]
+    tallies = [_Tally(energy_vector) for _ in group]
     if buffers is None:
-        prefixes = None
-        states = np.zeros((len(starts), 1 << ansatz.n), dtype=complex)
-        for row, (held, amps) in zip(states, starts):
+        states = np.zeros((len(group), 1 << ansatz.n), dtype=complex)
+        for row, (held, amps, _) in zip(states, built):
             row[kernels.basis_indices(held)] = amps
     else:
-        prefixes = [_Prefix(held, amps, ansatz, buffers) for held, amps in starts]
+        prefixes = [_Prefix(held, amps, ansatz, buffers) for held, amps, _ in built]
+    traces = [None] * len(group)
     pending = {i: next(search) for i, search in enumerate(searches)}
     while pending:
-        if prefixes is None:
-            values = _stacked_values(pending, states, tallies, per_call, ansatz)
+        if buffers is None:
+            values = _stacked_values(pending, states, tallies, ansatz)
         else:
             values = [value for i, request in pending.items()
                       for value in prefixes[i].values(request, tallies[i])]
@@ -529,26 +520,20 @@ def _lockstep(searches, starts, energy_vector, ansatz, buffers):
             try:
                 pending[i] = searches[i].send(values[start:start + len(request)])
             except StopIteration as done:
-                results[i] = done.value
+                traces[i] = _trace(*group[i], done.value, tallies[i].peak, ansatz,
+                                   ground_energy, target_tol)
                 del pending[i]
             start += len(request)
-    return results, [tally.peak for tally in tallies]
+    return traces
 
 
-def _stacked_values(pending, states, tallies, per_call, ansatz) -> list:
-    """The energies of the pending vectors, in request order, each kernel call
-    a stack of up to ``per_call`` of the runs' initial states."""
+def _stacked_values(pending, states, tallies, ansatz) -> list:
+    """The energies of the pending vectors, in request order, from one kernel
+    call on the stack of their runs' initial states."""
     owners = [i for i, request in pending.items() for _ in request]
-    params = [x for request in pending.values() for x in request]
-    values = []
-    for first in range(0, len(params), per_call):
-        rows = owners[first:first + per_call]
-        if len(rows) == 1:
-            amps = _amplitudes(states[rows[0]], params[first], ansatz)[None]
-        else:
-            amps = _amplitudes(states[rows], np.array(params[first:first + per_call]), ansatz)
-        values += [tallies[i](row) for i, row in zip(rows, np.abs(amps) ** 2)]
-    return values
+    params = np.array([x for request in pending.values() for x in request])
+    amps = _amplitudes(states[owners], params, ansatz)
+    return [tallies[i](row) for i, row in zip(owners, np.abs(amps) ** 2)]
 
 
 class _Tally:

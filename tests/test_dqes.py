@@ -387,6 +387,12 @@ def _show_cpus(monkeypatch, count, affinity=True):
 
 
 class TestExperiments:
+    def test_one_node_is_refused_before_its_ansatz(self):
+        # the efficient layout leaves one node no qubit, so no ansatz is built
+        one = ProblemInstance(1, False, "tsp", (), 1, 1)
+        with pytest.raises(ValidationError, match="^the efficient layout needs at least 2 nodes"):
+            run_experiment(one, "zeros", layers=0)
+
     def test_zeros_mode(self, landscape_instance):
         report = run_experiment(landscape_instance, "zeros", seed=0)
         assert report.n_runs == 1
@@ -822,6 +828,56 @@ class TestLockstep:
         assert max(shape[0] for shape in shapes if len(shape) == 2) == 20
         assert sum(shape[0] if len(shape) == 2 else 1 for shape in shapes) == evaluations
         assert len(shapes) < evaluations / 5
+
+
+    @pytest.mark.parametrize("k", [16, 17])
+    def test_one_kernel_call_per_stacked_round(self, landscape_ising, landscape_records,
+                                               monkeypatch, k):
+        """At 9 qubits each round of a group is one kernel call on a stack of
+        exactly that round's pending vectors.  16 runs fill a group, whose
+        rounds hold up to 32 vectors; a 17th run goes in a group of its own."""
+        log = []  # the vector count of each request, then ("call", rows) of each call
+        apply, search = kernels.apply_ansatz_amplitudes, vqe._search
+
+        def recording(psi0, *args, **options):
+            log.append(("call", len(psi0) if np.ndim(psi0) == 2 else 1))
+            return apply(psi0, *args, **options)
+
+        def logged(*args):
+            inner = search(*args)
+            request = next(inner)
+            while True:
+                log.append(len(request))
+                try:
+                    request = inner.send((yield request))
+                except StopIteration as done:
+                    return done.value
+
+        monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        monkeypatch.setattr(vqe, "_search", logged)
+        starts = [(MubInit(r.positions, r.basis, r.element), seed)
+                  for seed, r in enumerate(best_k(landscape_records, k))]
+        traces = run_lockstep(landscape_ising, starts, optimizer=OptimizerConfig(max_evals=60))
+        # a round's requests are all asked before its call; the searches ask
+        # nothing after the last call
+        rounds, asked = [], 0
+        for entry in log:
+            if isinstance(entry, tuple):
+                rounds.append((asked, entry[1]))
+                asked = 0
+            else:
+                asked += entry
+        assert asked == 0
+        assert all(asked == rows for asked, rows in rounds)
+        rows = [rows for _, rows in rounds]
+        assert sum(rows) == sum(t.n_evaluations for t in traces)
+        # the first 16 runs' starting points, then their probe pairs: a full call
+        assert rows[:2] == [16, 32] and max(rows) == vqe.LOCKSTEP_AMPLITUDES >> 9
+        if k == 17:  # then the last run alone: its start, then one or two vectors a round
+            last = np.cumsum(rows[::-1])
+            alone = int(np.searchsorted(last, traces[-1].n_evaluations)) + 1
+            assert last[alone - 1] == traces[-1].n_evaluations
+            assert rows[-alone] == 1 and max(rows[-alone:]) == 2
 
 
 def test_landscape_csv_peak_memory_per_record():

@@ -244,7 +244,8 @@ class TestFixVariables:
                 quadratic={(order[i], order[j]): rational()
                            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5},
             )
-            assignment = {v: rng.randint(0, 1) for v in rng.sample(order, rng.randint(1, min(3, n)))}
+            assignment = {v: rng.randint(0, 1)
+                          for v in rng.sample(order, rng.randint(1, min(3, n)))}
             reduced = fix_variables(poly, assignment, "reduced")
             assert reduced.layout == "reduced"
             assert reduced.variable_order == tuple(v for v in order if v not in assignment)
@@ -560,3 +561,12 @@ class TestLayoutOwner:
                      lambda: bits_to_table("0" * 9, "fixed", 4)):
             with pytest.raises(ValidationError, match=message):
                 call()
+
+    def test_one_node_is_refused_where_it_leaves_no_variable(self):
+        # row 1 and column 1 are the one cell of a one-node table
+        with pytest.raises(ValidationError,
+                           match="^the efficient layout needs at least 2 nodes, got 1$"):
+            lookup("efficient", nodes=1)
+        assert [lookup(row.name, nodes=1) for row in LAYOUTS if not row.implied] == [
+            row for row in LAYOUTS if not row.implied]
+        assert [lookup(row.name, nodes=2) for row in LAYOUTS] == list(LAYOUTS)

@@ -199,7 +199,8 @@ def test_ansatz_paths_agree():
                     other = np.where(stages >= stage, rng.uniform(-np.pi, np.pi, n_par), params)
                     prefix_before = prefix.copy()
                     for theta in (params, other):
-                        resumed = apply_ansatz_amplitudes(prefix, n, layers, ring, theta, start=stage)
+                        resumed = apply_ansatz_amplitudes(prefix, n, layers, ring, theta,
+                                                          start=stage)
                         whole = apply_ansatz_amplitudes(psi0, n, layers, ring, theta)
                         assert np.array_equal(
                             resumed.view(np.int64), whole.view(np.int64)

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -27,8 +30,28 @@ def landscape_ising(landscape_instance):
 class TestAnsatz:
     def test_parameter_count(self):
         # per layer: 2n rotations + entanglers; plus a final rotation layer
+        for n, layers, entangler in itertools.product([3, 4, 9, 16], [1, 2, 3], vqe.ENTANGLERS):
+            entanglers = n if entangler == "ring_rzz" else n - 1
+            config = AnsatzConfig(n=n, layers=layers, entangler=entangler)
+            assert config.parameter_count == layers * (2 * n + entanglers) + 2 * n
         assert AnsatzConfig(n=9, layers=2).parameter_count == 2 * 26 + 18
         assert AnsatzConfig(n=4, layers=1, entangler="ring_rzz").parameter_count == 20
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 0, "ansatz needs at least one qubit, got 0"),
+        ("n", -3, "ansatz needs at least one qubit, got -3"),
+        ("n", 1.5, "ansatz n must be an int, got 1.5"),
+        ("n", True, "ansatz n must be an int, got True"),
+        ("layers", 1.5, "ansatz layers must be an int, got 1.5"),
+        ("layers", True, "ansatz layers must be an int, got True"),
+    ], ids=["n=0", "n=-3", "n=1.5", "n=True", "layers=1.5", "layers=True"])
+    def test_impossible_shapes_refused(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AnsatzConfig(**{"n": 4, field: value})
+
+    def test_numpy_ints_accepted(self):
+        config = AnsatzConfig(n=np.int64(4), layers=np.int64(2))
+        assert config.parameter_count == AnsatzConfig(n=4, layers=2).parameter_count
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_ring_below_3_qubits_refused(self, n):

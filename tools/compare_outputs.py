@@ -158,7 +158,8 @@ def commands(inputs):
         out += [
             (f"paper_best_mubs_{seed}.json",
              ["vqe", landscape, "--init", "best-mubs", "--k", "10"] + paper),
-            (f"paper_random_{seed}.json", ["vqe", landscape, "--init", "random", "--k", "10"] + paper),
+            (f"paper_random_{seed}.json",
+             ["vqe", landscape, "--init", "random", "--k", "10"] + paper),
             (f"paper_zeros_{seed}.json", ["vqe", landscape, "--init", "zeros"] + paper),
         ]
         n5 = os.path.join(inputs, f"n5_{seed}.json")
@@ -172,7 +173,8 @@ def commands(inputs):
     n5 = [os.path.join(inputs, "n5_0.json"), "--penalties", "safe", "--threads", "1"]
     out += [
         ("n5_spectrum_0.csv", ["spectrum"] + n5[:3]),
-        ("n5_long_0.json", ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--max-evals", "400"]),
+        ("n5_long_0.json",
+         ["vqe"] + n5 + ["--init", "best-mubs", "--k", "2", "--max-evals", "400"]),
         ("n5_ring3_0.json", ["vqe"] + n5 + ["--init", "random", "--k", "1", "--layers", "3",
                                            "--entangler", "ring_rzz", "--max-evals", "200"]),
         # a sparse start on the ring: the kernel's held qubits take crossing terms
