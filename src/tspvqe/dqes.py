@@ -3,11 +3,14 @@ best k as VQE starting points, and run comparison experiments.
 
 For an n-qubit diagonal Hamiltonian the landscape holds C(n,3) * 72 records:
 all qubit triples (lexicographic) x 9 bases x 8 elements, with the
-non-selected qubits at |0>.  Each energy is an exact rational, computed
-from integer keys with no float contraction, so ranks and best-k
-selections follow the exact (energy, record index) order on every
-platform.  Records are built only when they are read.  The CSV is
-rendered as bytes by ``ising.render_rows``.
+non-selected qubits at |0>.  Every element of bases 1-8 has overlap 1/8 with
+each of its triple's 8 support states, so the 64 records of bases 1-8 of a
+triple share one energy, and the landscape is held as one row of nine
+entries per triple: the 8 elements of basis 0, then that shared one.  Each
+energy is an exact rational, computed from integer keys with no float
+contraction, so ranks and best-k selections follow the exact (energy,
+record index) order on every platform.  Records are built only when they
+are read.  The CSV is rendered as bytes by ``ising.render_rows``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .vqe import (
     OptimizerConfig,
     RandomInit,
     ZerosInit,
+    _is_int,
     one_state_per_call,
     run_lockstep,
 )
@@ -50,6 +54,9 @@ _SEED_STRIDE = 100003
 
 # bit k of support m selects the k-th qubit of a triple: (3 bits, 8 supports)
 _SUPPORT_BITS = (np.arange(8) >> np.arange(3)[:, None]) & 1
+# the table column of each of a triple's 72 records: element e of basis 0 is
+# column e, and the 64 records of bases 1-8 are column 8
+_RECORD_COLUMN = np.minimum(np.arange(_RECORDS_PER_TRIPLE), 8)
 # the ",basis,element," cells of one triple's rows, in record order
 _BASIS_ELEMENT_CELLS = tuple(f",{b},{e}," for b in range(9) for e in range(8))
 # rows rendered at a time by the landscape CSV writer: it divides 10^4, so the
@@ -70,37 +77,45 @@ class LandscapeRecord:
 
 @dataclass(frozen=True, eq=False)
 class Landscape(Sequence):
-    """The landscape records of one Hamiltonian, held as read-only arrays.
+    """The landscape records of one Hamiltonian, held as read-only tables.
 
-    ``triples`` is the (C(n,3), 3) table of qubit triples; ``energies`` and
-    ``ranks`` hold one entry per record.  Record i embeds element i % 8 of
-    basis i // 8 % 9 on triple i // 72; indexing builds that
-    ``LandscapeRecord`` on demand, and a slice gives a list of them.
+    ``triples`` is the (C(n,3), 3) table of qubit triples.  ``energy_table``
+    and ``rank_table`` are (C(n,3), 9) tables of the energies and their dense
+    ranks: column e < 8 of row t is element e of basis 0 on triple t, and
+    column 8 stands for the 64 records of bases 1-8 on it, which share one
+    energy.  Record i embeds element i % 8 of basis i // 8 % 9 on triple
+    i // 72; indexing builds that ``LandscapeRecord`` on demand, and a slice
+    gives a list of them.
     """
 
     triples: np.ndarray
-    energies: np.ndarray
-    ranks: np.ndarray
+    energy_table: np.ndarray
+    rank_table: np.ndarray
 
     def __post_init__(self):
-        for array in (self.triples, self.energies, self.ranks):
+        shape = (len(self.triples), 9)
+        if not self.energy_table.shape == self.rank_table.shape == shape:
+            raise ValidationError(f"landscape tables must have shape {shape}, got "
+                                  f"{self.energy_table.shape} and {self.rank_table.shape}")
+        for array in (self.triples, self.energy_table, self.rank_table):
             array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.energies)
+        return len(self.triples) * _RECORDS_PER_TRIPLE
 
     def __getitem__(self, i):
-        picked = range(len(self.energies))[i]
+        picked = range(len(self))[i]
         if isinstance(picked, range):
             return [self[j] for j in picked]
         triple, basis_element = divmod(picked, _RECORDS_PER_TRIPLE)
+        column = _RECORD_COLUMN[basis_element]
         return LandscapeRecord(
             index=picked,
             positions=tuple(self.triples[triple].tolist()),
             basis=basis_element // 8,
             element=basis_element % 8,
-            energy=float(self.energies[picked]),
-            rank=int(self.ranks[picked]),
+            energy=float(self.energy_table[triple, column]),
+            rank=int(self.rank_table[triple, column]),
         )
 
 
@@ -113,21 +128,26 @@ def landscape_size(n: int) -> int:
 
 
 def _check_k(k: int, records: int):
-    """Refuse a best-MUB ``k`` outside the ``records`` of its landscape."""
+    """Refuse a best-MUB ``k`` that is not an int in 1..``records``, the
+    records of its landscape."""
+    if not _is_int(k):
+        raise ValidationError(f"k must be an int, got {k!r}")
     if not 1 <= k <= records:
         raise ValidationError(f"k must be in 1..{records}, got {k}")
 
 
 def compute_landscape(ising: IsingPolynomial):
-    """Energies of all embedded MUB states, as a ``Landscape`` in record order.
+    """Energies of all embedded MUB states, as a ``Landscape`` of one row of
+    nine entries per triple.
 
     Each energy is its key over 8 x scale, correctly rounded.  The key is 8
-    x E of support state e for basis 0 element e, and the sum of the
-    triple's 8 support energies for bases 1-8 (the scaled ints of
-    ``energy_int_vector``); ranks are the keys' dense ranks.  Keys are int64
-    while 8 x scale and each support energy are below 2^50 (keys below 2^53
-    divide exactly), else Python ints.  A form above ``layouts.SPIN_CAP``
-    spins is refused before its C(n,3) qubit triples are built.
+    x E of support state e for basis 0 element e (column e), and the sum of
+    the triple's 8 support energies for bases 1-8 (column 8), from the
+    scaled ints of ``energy_int_vector``; ranks are the dense ranks of the
+    9 x C(n,3) keys.  Keys are int64 while 8 x scale and each support energy
+    are below 2^50 (keys below 2^53 divide exactly), else Python ints.  A
+    form above ``layouts.SPIN_CAP`` spins is refused before its C(n,3) qubit
+    triples are built.
     """
     n = ising.n
     landscape_size(n)
@@ -139,18 +159,29 @@ def compute_landscape(ising: IsingPolynomial):
     support = ising.energy_int_vector()[(1 << triples) @ _SUPPORT_BITS]  # (triples, 8)
     if max(denominator, int(np.abs(support).max())) >= 1 << 50:
         support = support.astype(object)
-    keys = np.empty((len(triples), 9, 8), dtype=support.dtype)
-    keys[:, 0] = 8 * support
-    keys[:, 1:] = support.sum(axis=1)[:, None, None]
-    keys = keys.reshape(-1)
-    ranks = np.searchsorted(_distinct(keys), keys)
+    keys = np.empty((len(triples), 9), dtype=support.dtype)
+    keys[:, :8] = 8 * support
+    keys[:, 8] = support.sum(axis=1)
+    ranks = np.searchsorted(_distinct(keys.reshape(-1)), keys)
     return Landscape(triples, (keys / denominator).astype(np.float64, copy=False), ranks)
 
 
 def best_k(landscape: Landscape, k: int):
-    """The k lowest-energy records, in exact (energy, record index) order."""
+    """The k lowest-energy records, in exact (energy, record index) order.
+
+    The table's entries in stable rank order give that order: the records
+    of an entry are contiguous, and the 64 of a triple's column 8 come after
+    its basis-0 ones.  Each column-8 entry is expanded into its 64 records
+    until there are k.
+    """
     _check_k(k, len(landscape))
-    return [landscape[i] for i in np.argsort(landscape.ranks, kind="stable")[:k]]
+    # every entry holds at least one record, so the first k entries hold the k
+    entries = np.argsort(landscape.rank_table, axis=None, kind="stable")[:k]
+    triple, column = np.divmod(entries, 9)
+    first = (triple * _RECORDS_PER_TRIPLE + column).tolist()
+    records = itertools.chain.from_iterable(
+        range(f, f + (64 if c == 8 else 1)) for f, c in zip(first, column.tolist()))
+    return [landscape[i] for i in itertools.islice(records, k)]
 
 
 def _index_cells():
@@ -184,12 +215,15 @@ def landscape_csv_rows(landscape: Landscape):
     digits (a block lies inside one run of 10^4 indices, so the digits above
     them are one cell), the positions (each triple's cell, repeated 72
     times), the basis and element (one period of 72 cells, repeated) and the
-    energy, whose ``repr`` is rendered once per distinct float64 bit pattern.
+    energy, whose ``repr`` is rendered once per distinct float64 bit pattern
+    of the energy table, and whose cells are expanded from the table one
+    block at a time.
     """
     yield b"index,positions,basis,element,energy\n"
-    bits = landscape.energies.view(np.int64)
-    patterns = _distinct(bits)
-    energy_cells = cell_table([b"%r\n" % e for e in patterns.view(np.float64).tolist()])
+    bits = landscape.energy_table.view(np.int64)
+    patterns = _distinct(bits.reshape(-1))
+    energy_cells = cell_table([b"%r\n" % e for e in patterns.view(np.float64).tolist()])[
+        np.searchsorted(patterns, bits)]  # (triples, 9), the cells of the energy table
     triples = landscape.triples
     qubits = range(int(triples.max(initial=0)) + 1)
     first, other = (cell_table([b"%s%d" % (sep, q) for q in qubits]) for sep in (b",", b"-"))
@@ -203,11 +237,11 @@ def landscape_csv_rows(landscape: Landscape):
         index = [bare[low:low + rows]] if not high else [
             np.broadcast_to(cell_table([b"%d" % high]), (rows,)), padded[low:low + rows]]
         triple, phase = divmod(at, _RECORDS_PER_TRIPLE)
-        spanned = -(-(phase + rows) // _RECORDS_PER_TRIPLE)
-        positions = np.repeat(position_cells[triple:triple + spanned], _RECORDS_PER_TRIPLE)
-        level = np.searchsorted(patterns, bits[at:at + rows])
-        yield render_rows(index + [positions[phase:phase + rows],
-                                   basis_cells[phase:phase + rows], energy_cells[level]])
+        spanned = slice(triple, triple - (-(phase + rows) // _RECORDS_PER_TRIPLE))
+        positions = np.repeat(position_cells[spanned], _RECORDS_PER_TRIPLE)
+        energies = energy_cells[spanned, _RECORD_COLUMN].reshape(-1)
+        yield render_rows(index + [positions[phase:phase + rows], basis_cells[phase:phase + rows],
+                                   energies[phase:phase + rows]])
 
 
 # -- experiments ---------------------------------------------------------------
@@ -279,9 +313,10 @@ def run_experiment(
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Runs are decoded in the
     Ising form's own layout.  An instance too small for ``LAYOUT`` (one
-    node), an invalid ansatz or ``k`` (for ``best_mubs``, one outside
-    1..C(n,3) * 72, the landscape's records), a negative seed or a
-    non-finite ``convergence_tol`` is refused before anything is encoded.
+    node), an invalid ansatz, a ``k`` or ``seed`` that is not an int, a
+    ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
+    landscape's records), a negative seed or a non-finite
+    ``convergence_tol`` is refused before anything is encoded.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -294,6 +329,10 @@ def run_experiment(
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
+    for name, value in (("k", k), ("seed", seed)):
+        if not _is_int(value):
+            raise ValidationError(f"{name} must be an int, got {value!r}")
+    k, seed = int(k), int(seed)  # a numpy int would reach the report
     if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if mode == "best_mubs":

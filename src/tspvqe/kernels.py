@@ -164,6 +164,8 @@ def _ansatz_plan(n, layers, ring, held):
         hi_cross = _expand(hi_cross, np.stack([np.ones_like(hi_f[:, t]), hi_f[:, t]], -1))
         lo_cross = _expand(lo_cross, np.stack([np.ones_like(lo_f[:, t]), lo_f[:, t]], -1))
     ry_index = bases + np.arange(n)
+    for table in (phase_angles, ry_index):
+        table.flags.writeable = False
     return _AnsatzPlan(
         ry_groups=tuple(ry_groups),
         phase_angles=phase_angles,
@@ -329,6 +331,14 @@ def ansatz_stages(n, layers, ring):
     """
     plan = _ansatz_plan(n, layers, bool(ring), tuple(range(n)))
     return plan.stage_count, plan.param_stage
+
+
+def ansatz_rotations(n, layers, ring):
+    """``(ry, rz)``: the parameter of the Ry gate and of the Rz gate on each
+    qubit, per layer, as read-only ``(layers + 1, n)`` index arrays; row
+    ``layers`` is the closing rotation layer."""
+    plan = _ansatz_plan(n, layers, bool(ring), tuple(range(n)))
+    return plan.ry_index, plan.phase_angles[:, :n]
 
 
 def stages_run(n, layers, ring, params, start=0, stop=None):

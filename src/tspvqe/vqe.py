@@ -123,10 +123,6 @@ class AnsatzConfig:
         return self.entangler == "ring_rzz"
 
     @property
-    def entangler_count(self) -> int:
-        return self.n if self.ring else self.n - 1
-
-    @property
     def parameter_count(self) -> int:
         """The parameters the ansatz kernel takes per state: the length of its
         plan's stage of each parameter (``kernels.ansatz_stages``)."""
@@ -386,7 +382,8 @@ def _restart_points(config, product_angles, seed, count=16):
     is ``|0...0>``), then ``count`` seeded random ones.
 
     Layer 1's Rz undoes the azimuthal angle, layer 2's Ry rotates each qubit
-    to the requested pole; everything else stays zero.  Needs layers >= 2.
+    to the requested pole (their parameters as ``kernels.ansatz_rotations``
+    places them); everything else stays zero.  Needs layers >= 2.
     """
     if config.layers < 2:
         return []
@@ -396,10 +393,10 @@ def _restart_points(config, product_angles, seed, count=16):
     bits = [rng.integers(0, 2, n) for _ in range(count)]
     if product_angles is not None and np.any(product_angles):
         bits.insert(0, np.sin(alpha / 2.0) ** 2 > 0.5)
+    ry, rz = kernels.ansatz_rotations(n, config.layers, config.ring)
     points = np.zeros((len(bits), config.parameter_count))
-    points[:, n:2 * n] = -beta
-    per_layer = 2 * n + config.entangler_count
-    points[:, per_layer:per_layer + n] = np.where(np.reshape(bits, (-1, n)), np.pi - alpha, -alpha)
+    points[:, rz[0]] = -beta
+    points[:, ry[1]] = np.where(np.reshape(bits, (-1, n)), np.pi - alpha, -alpha)
     return list(points)
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -110,7 +111,7 @@ class TestLandscape:
     def test_unbiased_bases_tie_at_the_support_mean(self, landscape_records):
         # |<z|e>|^2 = 1/8 for every element e of bases 1-8, so 64 of the 72
         # records of a triple score the mean of its 8 support energies, exactly
-        energies = landscape_records.energies.reshape(-1, 9, 8)
+        energies = np.array([r.energy for r in landscape_records]).reshape(-1, 9, 8)
         means = [float(sum(map(Fraction, support)) / 8) for support in energies[:, 0].tolist()]
         assert (energies[:, 1:, :] == np.array(means)[:, None, None]).all()
 
@@ -177,9 +178,9 @@ class TestAgainstReference:
         # 2 ulp, not bit equality: the landscape's energies are exact, the
         # reference's come from 8x8 float products on the installed BLAS
         np.testing.assert_array_max_ulp(
-            landscape.energies, np.array([r.energy for r in reference]), maxulp=2
-        )
-        assert landscape.ranks.tolist() == [r.rank for r in reference]
+            np.array([r.energy for r in landscape]), np.array([r.energy for r in reference]),
+            maxulp=2)
+        assert [r.rank for r in landscape] == [r.rank for r in reference]
 
     def test_best_k_is_energy_then_index_order(self, pair):
         landscape, _ = pair
@@ -219,41 +220,73 @@ def test_landscape_is_exact(case, landscape_instance):
     ising = _exact_case_ising(case, landscape_instance)
     landscape, exact = compute_landscape(ising), landscape_fractions(ising)
     # each energy is its exact value, correctly rounded
-    assert landscape.energies.tolist() == [float(e) for e in exact]
+    assert [r.energy for r in landscape] == [float(e) for e in exact]
     # ranks are the dense ranks of the exact energies
     level = {e: rank for rank, e in enumerate(sorted(set(exact)))}
-    assert landscape.ranks.tolist() == [level[e] for e in exact]
+    assert [r.rank for r in landscape] == [level[e] for e in exact]
     # best_k follows the exact (energy, record index) order
     order = sorted(range(len(exact)), key=lambda i: (exact[i], i))
     assert [r.index for r in best_k(landscape, len(landscape))] == order
 
 
-@pytest.mark.parametrize("constant,field", [
-    (2**59, 1), (2**61 + 3, 1), (Fraction(27109050873723844, 3), Fraction(1, 3)),
-], ids=["2^59", "2^61+3", "c/3"])
+_BEYOND_INT64 = {"2^59": (2**59, 1), "2^61+3": (2**61 + 3, 1),
+                 "c/3": (Fraction(27109050873723844, 3), Fraction(1, 3))}
+
+
+def _one_field_ising(constant, field):
+    """E = constant + field * s_0 on 3 spins."""
+    return IsingPolynomial(n=3, constant=constant, fields={0: field}, couplings={},
+                           variable_order=((1, 1), (1, 2), (1, 3)), layout="full",
+                           node_count=3)
+
+
+@pytest.mark.parametrize("constant,field", list(_BEYOND_INT64.values()), ids=list(_BEYOND_INT64))
 def test_keys_beyond_the_int64_rule_stay_exact(constant, field):
     # E = constant + field * s_0: records 1, 3, 5 and 7 (basis 0, qubit 0
     # set) score constant - field and all others more.  float64 cannot tell
     # these apart; 8 x E overflows int64 at 2^61; and at scale 3 an int64
     # key converted to float64 before the division rounds twice
-    ising = IsingPolynomial(n=3, constant=constant, fields={0: field}, couplings={},
-                            variable_order=((1, 1), (1, 2), (1, 3)), layout="full",
-                            node_count=3)
+    ising = _one_field_ising(constant, field)
     landscape = compute_landscape(ising)
     assert [(r.index, r.energy) for r in best_k(landscape, 3)] == [
         (i, float(constant - field)) for i in (1, 3, 5)]
-    assert landscape.energies.tolist() == [float(e) for e in landscape_fractions(ising)]
-    assert landscape.ranks.tolist()[:8] == [2, 0, 2, 0, 2, 0, 2, 0]
-    assert set(landscape.ranks.tolist()[8:]) == {1}
+    assert [r.energy for r in landscape] == [float(e) for e in landscape_fractions(ising)]
+    ranks = [r.rank for r in landscape]
+    assert ranks[:8] == [2, 0, 2, 0, 2, 0, 2, 0]
+    assert set(ranks[8:]) == {1}
+
+
+@pytest.mark.parametrize("case", ["shipped", "shipped_a2^55", "n4_1", "n4_2", "n4_3", "n5_16",
+                                  *_BEYOND_INT64])
+def test_no_superposition_record_before_its_triples_best_basis_state(case, landscape_instance):
+    # a record of bases 1-8 scores the mean of its triple's 8 support
+    # energies, basis 0 each one of them, and the mean is at least the least
+    ising = (_one_field_ising(*_BEYOND_INT64[case]) if case in _BEYOND_INT64
+             else _exact_case_ising(case, landscape_instance))
+    landscape = compute_landscape(ising)
+    ranks = landscape.rank_table
+    assert (ranks[:, :8].min(axis=1) <= ranks[:, 8]).all()
+    seen = set()  # triples whose best basis-0 record is listed
+    for record in best_k(landscape, len(landscape)):
+        triple = record.index // _RECORDS_PER_TRIPLE
+        assert record.basis == 0 or triple in seen
+        seen.add(triple)
+
+
+def test_best_basis_states_fill_the_shipped_top_151(landscape_records):
+    top = best_k(landscape_records, 152)
+    assert {r.basis for r in top[:151]} == {0}
+    assert top[151].basis > 0
 
 
 def _landscape_rows_per_row(landscape):
     """The landscape CSV as rendered before the block writer: one f-string per row."""
     yield "index,positions,basis,element,energy\n"
-    for t, triple in enumerate(landscape.triples.tolist()):
+    for t, (triple, row) in enumerate(zip(landscape.triples.tolist(),
+                                          landscape.energy_table.tolist())):
         pos = "-".join(map(str, triple))
         start = t * _RECORDS_PER_TRIPLE
-        energies = landscape.energies[start:start + _RECORDS_PER_TRIPLE].tolist()
+        energies = row[:8] + row[8:] * 64  # basis 0, then the 64 records of bases 1-8
         yield "".join(
             f"{start + j},{pos}{cells}{energy!r}\n"
             for j, (cells, energy) in enumerate(zip(_BASIS_ELEMENT_CELLS, energies))
@@ -261,15 +294,15 @@ def _landscape_rows_per_row(landscape):
 
 
 def _odd_landscape(n):
-    """A landscape on n qubits whose energies mix signed zeros, infinities,
-    NaN, subnormals and floats of every repr length."""
+    """A landscape on n qubits whose energy table mixes signed zeros,
+    infinities, NaN, subnormals and floats of every repr length."""
     rng = np.random.default_rng(n)
     triples = np.array(list(combinations(range(n), 3)), dtype=np.int64)
     odd = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1e16, 123456789.0, 0.1, 1 / 3]
-    count = len(triples) * _RECORDS_PER_TRIPLE
-    energies = np.where(rng.random(count) < 0.3, rng.choice(odd, count),
-                        rng.normal(size=count) * 10.0 ** rng.integers(-8, 9, count))
-    return Landscape(triples, energies, np.zeros(count, dtype=np.int64))
+    shape = (len(triples), 9)
+    energies = np.where(rng.random(shape) < 0.3, rng.choice(odd, shape),
+                        rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape))
+    return Landscape(triples, energies, np.zeros(shape, dtype=np.int64))
 
 
 @pytest.mark.parametrize("which", ["shipped", "seeded16", "odd3", "odd12"])
@@ -301,11 +334,24 @@ class TestSequence:
             with pytest.raises(IndexError):
                 landscape[bad]
 
+    def test_constructor_takes_nine_column_tables(self, landscape_records):
+        triples = landscape_records.triples
+        rebuilt = Landscape(triples, landscape_records.energy_table.copy(),
+                            landscape_records.rank_table.copy())
+        assert list(rebuilt) == list(landscape_records)
+        # one entry per record is the shape of neither table
+        energies = np.array([r.energy for r in landscape_records])
+        ranks = np.array([r.rank for r in landscape_records])
+        with pytest.raises(ValidationError, match=r"shape \(84, 9\), got \(6048,\)"):
+            Landscape(triples, energies, ranks)
+
     def test_immutable(self, landscape_records):
-        with pytest.raises(ValueError):
-            landscape_records.energies[0] = 0.0
         with pytest.raises(AttributeError):
-            landscape_records.energies = None
+            landscape_records.energy_table = None
+        for table in (landscape_records.triples, landscape_records.energy_table,
+                      landscape_records.rank_table):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestBestK:
@@ -333,6 +379,14 @@ class TestBestK:
             best_k(landscape_records, 0)
         with pytest.raises(ValidationError):
             best_k(landscape_records, 6049)
+
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
+    def test_k_that_is_not_an_int_refused(self, landscape_records, k):
+        with pytest.raises(ValidationError, match=f"k must be an int, got {k!r}"):
+            best_k(landscape_records, k)
+
+    def test_numpy_int_k_accepted(self, landscape_records):
+        assert best_k(landscape_records, np.int64(3)) == best_k(landscape_records, 3)
 
 
 class TestCsv:
@@ -551,6 +605,29 @@ class TestExperiments:
         monkeypatch.setattr(dqes, "compute_landscape", unreachable)
         with pytest.raises(ValidationError, match=message):
             run_experiment(instance, mode, k=k)
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("seed", 1.5), ("k", True), ("seed", True),
+    ], ids=["k-float", "seed-float", "k-bool", "seed-bool"])
+    def test_k_or_seed_not_an_int_refused_before_encoding(self, landscape_instance,
+                                                          monkeypatch, name, value):
+        from tspvqe import dqes
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"reached with {name}={value!r}")
+
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        with pytest.raises(ValidationError, match=f"{name} must be an int, got {value!r}"):
+            run_experiment(landscape_instance, "best_mubs", **{name: value})
+
+    def test_numpy_int_k_and_seed_run(self, landscape_instance):
+        # and the report holds plain ints, so it can be written as JSON
+        optimizer = OptimizerConfig(max_evals=20)
+        report = run_experiment(landscape_instance, "best_mubs", k=np.int64(2),
+                                seed=np.int64(1), optimizer=optimizer)
+        expected = run_experiment(landscape_instance, "best_mubs", k=2, seed=1,
+                                  optimizer=optimizer)
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
     def test_instance_without_valid_tour(self):
         # the Hamiltonian minimum is still defined; the oracle reports no tour
@@ -878,6 +955,23 @@ class TestLockstep:
             alone = int(np.searchsorted(last, traces[-1].n_evaluations)) + 1
             assert last[alone - 1] == traces[-1].n_evaluations
             assert rows[-alone] == 1 and max(rows[-alone:]) == 2
+
+
+def test_landscape_and_best_k_peak_memory_per_record():
+    # the landscape is a (C(n,3), 9) table and best_k sorts its entries, so
+    # neither builds an array of one entry per record: at most 10 B of traced
+    # memory per record at 20 qubits, once the energies are enumerated
+    ising = _trivial_ising(20)
+    ising.energy_int_vector()
+    tracemalloc.start()
+    try:
+        landscape = compute_landscape(ising)
+        top = best_k(landscape, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(landscape) == 82_080 and len(top) == 10
+    assert peak <= 10 * len(landscape)
 
 
 def test_landscape_csv_peak_memory_per_record():

@@ -5,6 +5,7 @@ import pytest
 
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
+    ansatz_rotations,
     ansatz_stages,
     apply_ansatz_amplitudes,
     basis_indices,
@@ -325,6 +326,18 @@ def test_stages_follow_the_gate_order():
             phase = stages[base + n:(base + per_layer if layer < layers else base + 2 * n)]
             assert ry.max() < phase.min() and len(set(phase.tolist())) == 1
     assert ansatz_stages(16, 2, False)[0] == 15
+
+
+def test_rotations_follow_the_parameter_layout():
+    """Layer l holds its Ry parameters at l * per_layer + q and its Rz at
+    l * per_layer + n + q, the closing layer too; the arrays are read-only."""
+    for n, layers, ring in ((1, 1, True), (5, 2, False), (9, 3, True), (16, 2, False)):
+        ry, rz = ansatz_rotations(n, layers, ring)
+        per_layer = 2 * n + (n if ring else n - 1)
+        base = np.arange(layers + 1)[:, None] * per_layer + np.arange(n)
+        assert ry.tolist() == base.tolist() and rz.tolist() == (base + n).tolist()
+        assert rz.max() < ansatz_stages(n, layers, ring)[1].size
+        assert not ry.flags.writeable and not rz.flags.writeable
 
 
 def test_stage_arguments_are_checked():

@@ -58,8 +58,9 @@ class TestAnsatz:
         # its entanglers would pair a qubit with itself, or act on (0, 1) twice
         with pytest.raises(ValidationError, match=f"ring_rzz needs at least 3 qubits, got {n}"):
             AnsatzConfig(n=n, entangler="ring_rzz")
-        assert AnsatzConfig(n=n).entangler_count == n - 1
-        assert AnsatzConfig(n=3, entangler="ring_rzz").entangler_count == 3
+        # a linear chain has n - 1 entanglers per layer, a ring n
+        assert AnsatzConfig(n=n).parameter_count == 2 * (2 * n + n - 1) + 2 * n
+        assert AnsatzConfig(n=3, entangler="ring_rzz").parameter_count == 2 * (2 * 3 + 3) + 2 * 3
 
     def test_identity_at_zero(self):
         rng = np.random.default_rng(3)
@@ -276,7 +277,7 @@ def _restart_points_per_qubit(config, product_angles, seed, count=16):
     points = []
     for bits in draws:
         x = np.zeros(config.parameter_count)
-        per_layer = 2 * n + config.entangler_count
+        per_layer = 2 * n + (n if config.ring else n - 1)
         for q in range(n):
             alpha, beta = angles[q]
             x[n + q] = -beta
