@@ -15,7 +15,7 @@ from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
 from .graph import ProblemInstance, load_instance, save_instance
 from .ising import IsingPolynomial, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
-from .quantum import MubLibrary, QuantumState, build_mubs_3q, embed_state, expectation
+from .quantum import MubLibrary, build_mubs_3q
 from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, VqeTrace, ZerosInit
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "ParseError",
     "ProblemInstance",
     "PseudoBooleanPolynomial",
-    "QuantumState",
     "RandomInit",
     "SizeCapError",
     "Tour",
@@ -43,13 +42,11 @@ __all__ = [
     "best_k",
     "build_mubs_3q",
     "compute_landscape",
-    "embed_state",
     "encode_cycle_hamiltonian",
     "encode_efficient",
     "encode_fixed_start",
     "encode_tsp_hamiltonian",
     "fix_variables",
-    "expectation",
     "ground_states",
     "load_instance",
     "run_experiment",

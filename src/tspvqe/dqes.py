@@ -40,6 +40,7 @@ from .vqe import (
     RandomInit,
     ZerosInit,
     _is_int,
+    _is_real,
     one_state_per_call,
     run_lockstep,
 )
@@ -313,10 +314,12 @@ def run_experiment(
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Runs are decoded in the
     Ising form's own layout.  An instance too small for ``LAYOUT`` (one
-    node), an invalid ansatz, a ``k`` or ``seed`` that is not an int, a
-    ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
-    landscape's records), a negative seed or a non-finite
-    ``convergence_tol`` is refused before anything is encoded.
+    node), an invalid ansatz, a ``k``, ``seed`` or ``threads`` that is not an
+    int, a ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
+    landscape's records), a negative seed, a ``threads`` below 1 or a
+    ``convergence_tol`` that is not a finite real >= 0 is refused before
+    anything is encoded.  Numbers are stored as plain ints and floats, so
+    the report can be written as JSON.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -329,10 +332,13 @@ def run_experiment(
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
-    for name, value in (("k", k), ("seed", seed)):
+    for name, value in (("k", k), ("seed", seed), ("threads", threads)):
         if not _is_int(value):
             raise ValidationError(f"{name} must be an int, got {value!r}")
-    k, seed = int(k), int(seed)  # a numpy int would reach the report
+    if not _is_real(convergence_tol):
+        raise ValidationError(f"convergence_tol must be a real number, got {convergence_tol!r}")
+    # a numpy number would reach the report
+    k, seed, threads, convergence_tol = int(k), int(seed), int(threads), float(convergence_tol)
     if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if mode == "best_mubs":

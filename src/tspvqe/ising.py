@@ -110,15 +110,6 @@ class IsingPolynomial(ExactPolynomial):
         ints = self.energy_int_vector()
         return ints.astype(np.float64) / self.to_int_arrays()[0]
 
-    def energies_at(self, indices) -> np.ndarray:
-        """float64 energies at the given basis-state indices.
-
-        Scales only the gathered int64 entries, so the 2^n float64 vector is
-        not built; the bits equal ``energy_float_vector()[indices]``.
-        """
-        gathered = self.energy_int_vector()[np.asarray(indices, dtype=np.int64)]
-        return gathered.astype(np.float64) / self.to_int_arrays()[0]
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import layouts
-from .errors import SizeCapError, ValidationError
+from .errors import SizeCapError
 from .graph import ProblemInstance
 from .rationals import common_scale, rational_to_json
 

@@ -1,8 +1,10 @@
-"""Dense state vectors, 3-qubit MUBs, and diagonal expectations.
+"""The nine 3-qubit mutually unbiased bases, built from their Pauli classes.
 
-Basis convention: bit k of a state index is qubit k (bit 0 least
-significant), matching the encoder's variable order.  Pauli strings are
-written with character k acting on qubit k.
+The DQES landscape scores them and the VQE MUB starts are built from them;
+a state is held and measured only in ``vqe``.  Basis convention: bit k of a
+state index is qubit k (bit 0 least significant), matching the encoder's
+variable order.  Pauli strings are written with character k acting on
+qubit k.
 """
 
 from __future__ import annotations
@@ -12,37 +14,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
-from .ising import IsingPolynomial
-from .layouts import SPIN_CAP
-
-NORM_TOL = 1e-10
-
 _I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = {"I": _I, "X": _X, "Y": _Y, "Z": _Z}
-
-
-class QuantumState:
-    """A unit-norm amplitude vector over n qubits."""
-
-    __slots__ = ("n", "amplitudes")
-
-    def __init__(self, amplitudes, check: bool = True):
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size == 0 or amps.size & (amps.size - 1):
-            raise ValidationError("amplitude vector length must be a power of two")
-        self.n = int(amps.size).bit_length() - 1
-        if self.n > SPIN_CAP:
-            raise ValidationError(f"dense states are capped at {SPIN_CAP} qubits")
-        if check and abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValidationError("state is not normalized")
-        self.amplitudes = amps
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def pauli_matrix(string: str) -> np.ndarray:
@@ -51,44 +27,6 @@ def pauli_matrix(string: str) -> np.ndarray:
     for ch in reversed(string):
         m = np.kron(m, _PAULI[ch])
     return m
-
-
-def embed_state(local, positions, n: int) -> QuantumState:
-    """Place a small state on the given qubits; all other qubits stay |0>."""
-    amps = local.amplitudes if isinstance(local, QuantumState) else np.asarray(local, complex)
-    k = int(amps.size).bit_length() - 1
-    positions = list(positions)
-    if len(positions) != k or len(set(positions)) != k:
-        raise ValidationError(f"need {k} distinct positions, got {positions}")
-    if any(not 0 <= p < n for p in positions):
-        raise ValidationError(f"positions {positions} out of range for {n} qubits")
-    out = np.zeros(1 << n, dtype=complex)
-    for m in range(1 << k):
-        z = 0
-        for bit_pos, p in enumerate(positions):
-            if (m >> bit_pos) & 1:
-                z |= 1 << p
-        out[z] = amps[m]
-    return QuantumState(out)
-
-
-def expectation(ising: IsingPolynomial, state: QuantumState) -> float:
-    """<state| H |state> for a diagonal Ising Hamiltonian.
-
-    Classical energies are exact; only the probability-weighted
-    accumulation is floating point.  Zero amplitudes are skipped.
-    """
-    if ising.n != state.n:
-        raise ValidationError(
-            f"Hamiltonian has {ising.n} spins but state has {state.n} qubits"
-        )
-    probs = state.probabilities()
-    support = np.flatnonzero(probs > 0.0)
-    energies = ising.energies_at(support)
-    return float(probs[support] @ energies)
-
-
-# -- mutually unbiased bases -------------------------------------------------
 
 
 # generator triples of the 9 disjoint commuting classes of the 63

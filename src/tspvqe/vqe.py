@@ -60,6 +60,12 @@ batch.  So no evaluation allocates a state-sized array, and of the starts
 only a random one is state-sized.  Stacked calls (13 qubits and below) hold
 every qubit, as a random start does, and so keep the bits of the kernel on
 full states.
+
+A state exists only here, as the amplitudes of the qubits it holds, and
+``_Tally`` is the package's one expectation: the dot product of a state's
+probabilities with the energies of its held subspace (all 2^n for a
+stacked row).  ``quantum`` holds only the MUB table the starts are built
+from.
 """
 
 from __future__ import annotations
@@ -93,6 +99,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the variational circuit."""
@@ -106,6 +116,7 @@ class AnsatzConfig:
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValidationError(f"ansatz {name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy int would reach the report
         if self.n < 1:
             raise ValidationError(f"ansatz needs at least one qubit, got {self.n}")
         if self.entangler not in ENTANGLERS:
@@ -227,6 +238,7 @@ class OptimizerConfig:
     (0, 1).  ``rho_end`` is the resolution: a sweep whose largest step is
     below it has stalled, and a step below ``rho_end / 1000`` is not taken.
     It must be finite and positive.  ``max_evals`` caps the evaluations.
+    Each is stored as a plain ``int`` or ``float``, as the report writes it.
     """
 
     rho_start: float = 0.5
@@ -234,12 +246,19 @@ class OptimizerConfig:
     max_evals: int = 2000
 
     def __post_init__(self):
+        if not _is_int(self.max_evals):
+            raise ValidationError(f"max_evals must be an int, got {self.max_evals!r}")
+        object.__setattr__(self, "max_evals", int(self.max_evals))
         if self.max_evals < 1:
             raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
         for name in ("rho_start", "rho_end"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name} must be finite and positive, got {value}")
+            object.__setattr__(self, name, value)
         if self.rho_start >= 1:
             raise ValidationError("rotation_descent needs rho_start in (0, 1); "
                                   "the probe offset is pi * rho_start")

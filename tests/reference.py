@@ -1,10 +1,12 @@
 """Plain references the tests hold the package to.
 
 Each one is the straightforward form of something the package computes
-another way: an exact rational energy, the exact energies of the DQES
+another way: an exact rational energy, a state spread from its held qubits
+onto all of them, its expectation, the exact energies of the DQES
 landscape, one search driven by a scalar objective, one VQE run on its own.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,6 +26,34 @@ def energy_of_bitstring(ising, bits) -> Fraction:
             c *= spins[i]
         total += c
     return Fraction(total, ising.denominator)
+
+
+def spread(amplitudes, held, n) -> np.ndarray:
+    """The 2^n amplitudes of a state held on the distinct qubits ``held``:
+    bit i of an index into ``amplitudes`` is qubit ``held[i]``, and every
+    other qubit is |0>."""
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    assert amplitudes.size == 1 << len(held) and len(set(held)) == len(held)
+    assert all(0 <= q < n for q in held)
+    local = np.arange(amplitudes.size)
+    index = np.zeros(amplitudes.size, dtype=np.int64)
+    for i, q in enumerate(held):
+        index |= ((local >> i) & 1) << q
+    full = np.zeros(1 << n, dtype=complex)
+    full[index] = amplitudes
+    return full
+
+
+def expectation(ising, amplitudes) -> float:
+    """<psi| H |psi> of a state given as all 2^n amplitudes: each nonzero
+    probability times the exact energy of its basis state, summed with
+    ``math.fsum``."""
+    probabilities = np.abs(np.asarray(amplitudes)) ** 2
+    assert probabilities.size == 1 << ising.n
+    return math.fsum(
+        float(p) * float(energy_of_bitstring(ising, layouts.index_to_bits(z, ising.n)))
+        for z, p in enumerate(probabilities.tolist()) if p
+    )
 
 
 def landscape_fractions(ising) -> list:

@@ -8,7 +8,6 @@ built-in exhaustive oracles or carry the stated tolerance.
 import json
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from reference import run_vqe
 from tspvqe import (
     ProblemInstance,
     audit_penalties,
-    best_k,
     build_mubs_3q,
     compute_landscape,
     encode_efficient,

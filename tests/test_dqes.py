@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from reference import landscape_fractions, optimize, run_vqe
+from reference import expectation, landscape_fractions, optimize, run_vqe, spread
 from tspvqe import (
     IsingPolynomial,
     Landscape,
@@ -16,6 +17,7 @@ from tspvqe import (
     SizeCapError,
     ValidationError,
     best_k,
+    build_mubs_3q,
     compute_landscape,
     encode_efficient,
     ground_states,
@@ -145,17 +147,12 @@ class TestLandscape:
 
     def test_energies_match_direct_expectation(self, landscape_ising,
                                                landscape_records):
-        # differential check against the state-vector expectation route
-        from tspvqe import build_mubs_3q, embed_state
-        from tspvqe.quantum import expectation
-
+        # differential check against the reference state-vector expectation
         mubs = build_mubs_3q()
         rng = np.random.default_rng(41)
         for i in rng.choice(len(landscape_records), size=60, replace=False):
             record = landscape_records[i]
-            state = embed_state(
-                mubs.bases[record.basis][record.element], record.positions, 9
-            )
+            state = spread(mubs.bases[record.basis][record.element], record.positions, 9)
             assert record.energy == pytest.approx(
                 expectation(landscape_ising, state), rel=1e-12, abs=1e-12
             )
@@ -619,6 +616,34 @@ class TestExperiments:
         monkeypatch.setattr(dqes, "spin_form", unreachable)
         with pytest.raises(ValidationError, match=f"{name} must be an int, got {value!r}"):
             run_experiment(landscape_instance, "best_mubs", **{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("threads", 2.5, "threads must be an int, got 2.5"),
+        # a float of 3 or more would reach range() as its step
+        ("threads", 3.0, "threads must be an int, got 3.0"),
+        ("threads", True, "threads must be an int, got True"),
+        ("convergence_tol", True, "convergence_tol must be a real number, got True"),
+        ("convergence_tol", "1e-6", "convergence_tol must be a real number, got '1e-6'"),
+    ], ids=["threads-float", "threads-float-3", "threads-bool", "tol-bool", "tol-str"])
+    def test_threads_or_tol_of_another_type_refused_before_encoding(
+            self, landscape_instance, monkeypatch, name, value, message):
+        from tspvqe import dqes
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"reached with {name}={value!r}")
+
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_experiment(landscape_instance, "random", k=3, **{name: value})
+
+    def test_numpy_threads_and_tol_run(self, landscape_instance):
+        # and the report holds a plain int and float, so it can be written as JSON
+        optimizer = OptimizerConfig(max_evals=20)
+        report = run_experiment(landscape_instance, "zeros", optimizer=optimizer,
+                                threads=np.int64(1), convergence_tol=np.float32(1e-6))
+        expected = run_experiment(landscape_instance, "zeros", optimizer=optimizer, threads=1,
+                                  convergence_tol=float(np.float32(1e-6)))
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
     def test_numpy_int_k_and_seed_run(self, landscape_instance):
         # and the report holds plain ints, so it can be written as JSON

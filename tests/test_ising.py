@@ -315,16 +315,6 @@ def test_energy_order_is_by_energy_then_index(low, span):
     assert np.array_equal(order, np.argsort(ints, kind="stable"))
 
 
-def test_energies_at_equals_float_vector_bits():
-    ising = _random_ising(random.Random(7), 9)
-    assert ising.to_int_arrays()[0] > 1
-    indices = np.random.default_rng(7).integers(0, 1 << 9, size=(40, 8))
-    gathered = ising.energies_at(indices)
-    assert gathered.shape == (40, 8)
-    expected = ising.energy_float_vector()[indices]
-    assert np.array_equal(gathered.view(np.int64), expected.view(np.int64))
-
-
 def test_forms_above_the_spin_cap_refused_at_the_call():
     """Every 2^n step refuses a 25-spin form when called, before it builds
     anything of its size: the one check in ``energy_int_vector`` (the

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import spread
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
     ansatz_rotations,
@@ -514,13 +515,6 @@ def _turned(n, layers, ring, params, start, stop):
             and start <= stages[layer * per_layer + q] < stop}
 
 
-def _spread(held_state, held, n):
-    """The full state of one held on ``held``."""
-    full = np.zeros(1 << n, dtype=complex)
-    full[basis_indices(held)] = held_state
-    return full
-
-
 def test_basis_indices_and_support():
     assert basis_indices(()).tolist() == [0]
     assert basis_indices((1, 4)).tolist() == [0, 2, 16, 18]
@@ -557,7 +551,7 @@ def test_held_qubits_match_the_dense_kernel():
                     params[rng.random(len(stages)) < 0.5] = rng.choice([-0.0, 0.0])
                     psi0 = rng.normal(size=1 << len(held)) + 1j * rng.normal(size=1 << len(held))
                     psi0 /= np.linalg.norm(psi0)
-                    full = _spread(psi0, held, n)
+                    full = spread(psi0, held, n)
                     assert support(full) == held
                     dense = apply_ansatz_amplitudes(full, n, layers, ring, params)
                     out, after = apply_ansatz_amplitudes(psi0, n, layers, ring, params,
@@ -565,7 +559,7 @@ def test_held_qubits_match_the_dense_kernel():
                     assert after == tuple(sorted(set(held) | _turned(n, layers, ring, params,
                                                                       0, count))), key
                     assert out.shape == (1 << len(after),), key
-                    assert np.max(np.abs(_spread(out, after, n) - dense)) < 1e-12, key
+                    assert np.max(np.abs(spread(out, after, n) - dense)) < 1e-12, key
                     assert not np.any(np.delete(dense, basis_indices(after))), key
                     if len(held) == n:
                         assert np.array_equal(out.view(np.int64), dense.view(np.int64)), key
@@ -604,7 +598,7 @@ def test_held_calls_write_the_leading_entries_of_their_buffers():
         for stop in range(start + 1, count + 1):
             mid = apply_ansatz_amplitudes(psi0, n, layers, ring, params, 0, start,
                                           held=held)[1] if start else held
-            state = _spread(psi0, held, n)[basis_indices(mid)]
+            state = spread(psi0, held, n)[basis_indices(mid)]
             pair = (np.full(1 << n, np.nan, complex), np.full(1 << n, np.nan, complex))
             lent, after = apply_ansatz_amplitudes(state, n, layers, ring, params, start, stop,
                                                   buffers=pair, held=mid)

@@ -1,19 +1,23 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from reference import energy_of_bitstring
+from reference import energy_of_bitstring, expectation, spread
 from tspvqe import (
+    AnsatzConfig,
+    IsingPolynomial,
+    MubInit,
     ValidationError,
+    ZerosInit,
     build_mubs_3q,
-    embed_state,
     encode_efficient,
-    expectation,
     ground_states,
     to_ising,
 )
-from tspvqe.quantum import QuantumState, pauli_matrix
+from tspvqe.quantum import pauli_matrix
+from tspvqe.vqe import _Tally, run_lockstep
 
 
 class TestMubLibrary:
@@ -100,29 +104,33 @@ class TestMubLibrary:
 
 
 class TestEmbed:
+    """A MUB start as ``MubInit.build`` holds it: on the triple's qubits it
+    occupies, every other qubit |0>."""
+
     def test_low_positions(self):
-        mubs = build_mubs_3q()
-        state = embed_state(mubs.bases[0][7], (0, 1, 2), 9)
-        assert abs(state.amplitudes[7] - 1.0) < 1e-12
+        held, amps, _ = MubInit(positions=(0, 1, 2), basis=0, element=7).build(9)
+        assert held == (0, 1, 2)
+        assert abs(amps[7] - 1.0) < 1e-12
+        assert abs(spread(amps, held, 9)[7] - 1.0) < 1e-12
 
     def test_spread_positions(self):
-        mubs = build_mubs_3q()
-        state = embed_state(mubs.bases[0][7], (2, 5, 8), 9)
-        assert abs(state.amplitudes[2 ** 2 + 2 ** 5 + 2 ** 8] - 1.0) < 1e-12
+        held, amps, _ = MubInit(positions=(2, 5, 8), basis=0, element=7).build(9)
+        assert held == (2, 5, 8)
+        assert abs(spread(amps, held, 9)[2 ** 2 + 2 ** 5 + 2 ** 8] - 1.0) < 1e-12
 
     def test_support_at_most_eight(self):
-        mubs = build_mubs_3q()
         for basis in range(9):
             for element in range(8):
-                state = embed_state(mubs.bases[basis][element], (1, 4, 6), 9)
-                assert np.count_nonzero(state.amplitudes) <= 8
+                init = MubInit(positions=(1, 4, 6), basis=basis, element=element)
+                held, amps, _ = init.build(9)
+                assert amps.size <= 8
+                assert np.count_nonzero(spread(amps, held, 9)) <= 8
 
     def test_position_errors(self):
-        mubs = build_mubs_3q()
         with pytest.raises(ValidationError):
-            embed_state(mubs.bases[0][0], (0, 0, 1), 9)
+            MubInit(positions=(0, 0, 1), basis=0, element=0)
         with pytest.raises(ValidationError):
-            embed_state(mubs.bases[0][0], (0, 1, 9), 9)
+            MubInit(positions=(0, 1, 9), basis=0, element=0).build(9)
 
 
 @pytest.fixture(scope="module")
@@ -130,49 +138,74 @@ def landscape_ising(landscape_instance):
     return to_ising(encode_efficient(landscape_instance))
 
 
+def _measure(ising, amplitudes, held):
+    """The energy and peak basis index ``vqe._Tally`` gives a state held on
+    ``held``, and the same for its spread onto all n qubits."""
+    energies = ising.energy_float_vector()
+    probabilities = np.abs(np.asarray(amplitudes)) ** 2
+    results = []
+    for probs, on in ((probabilities, held),
+                      (np.abs(spread(amplitudes, held, ising.n)) ** 2, None)):
+        tally = _Tally(energies)
+        results.append((tally(probs, on), tally.peak))
+    return results
+
+
+def _random_state(rng, size):
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return amps / np.linalg.norm(amps)
+
+
+# held on part of the 9 qubits, and on all of them
+_HELD = ((0, 5, 7), (1, 2, 4, 6, 8), tuple(range(9)))
+
+
 class TestExpectation:
+    """The one expectation the program runs, ``vqe._Tally``, on a state held
+    on part of its qubits and on the same state spread onto all of them."""
+
     def test_basis_state_energy(self, landscape_ising):
-        amps = np.zeros(512, dtype=complex)
-        amps[161] = 1.0  # bits 100001010 -> index 161
-        state = QuantumState(amps)
-        assert expectation(landscape_ising, state) == pytest.approx(
-            float(energy_of_bitstring(landscape_ising, "100001010")), abs=1e-12
-        )
+        # bits 100001010: qubits 0, 5 and 7 set, index 161
+        exact = float(energy_of_bitstring(landscape_ising, "100001010"))
+        amps = np.zeros(8, dtype=complex)
+        amps[7] = 1.0
+        for value, peak in _measure(landscape_ising, amps, (0, 5, 7)):
+            assert value == pytest.approx(exact, abs=1e-12)
+            assert peak == 161
 
     def test_uniform_ground_mixture(self, landscape_ising):
         energy, bitstrings = ground_states(landscape_ising)
-        indices = [int(bits[::-1], 2) for bits in bitstrings]
-        amps = np.zeros(512, dtype=complex)
-        amps[indices] = 1.0 / np.sqrt(2)
-        assert expectation(landscape_ising, QuantumState(amps)) == pytest.approx(
-            float(energy), abs=1e-9
-        )
+        held = tuple(q for q in range(9) if any(bits[q] == "1" for bits in bitstrings))
+        amps = np.zeros(1 << len(held), dtype=complex)
+        for bits in bitstrings:
+            amps[sum(1 << i for i, q in enumerate(held) if bits[q] == "1")] = 1 / np.sqrt(2)
+        for value, _ in _measure(landscape_ising, amps, held):
+            assert value == pytest.approx(float(energy), abs=1e-9)
 
     def test_uniform_superposition_is_spectrum_mean(self, landscape_ising):
-        mean = float(np.mean(landscape_ising.energy_float_vector()))
-        amps = np.full(512, 1.0 / np.sqrt(512), dtype=complex)
-        assert expectation(landscape_ising, QuantumState(amps)) == pytest.approx(
-            mean, rel=1e-12
-        )
+        for held in _HELD:
+            amps = np.full(1 << len(held), 1 / np.sqrt(1 << len(held)), dtype=complex)
+            states = np.flatnonzero(spread(amps, held, 9))
+            mean = sum(energy_of_bitstring(landscape_ising, [(z >> q) & 1 for q in range(9)])
+                       for z in states) / len(states)
+            for value, _ in _measure(landscape_ising, amps, held):
+                assert value == pytest.approx(float(mean), rel=1e-12)
 
     def test_bounds(self, landscape_ising):
         energies = landscape_ising.energy_float_vector()
         rng = np.random.default_rng(5)
         for _ in range(20):
-            amps = rng.normal(size=512) + 1j * rng.normal(size=512)
-            amps /= np.linalg.norm(amps)
-            value = expectation(landscape_ising, QuantumState(amps))
-            assert energies.min() - 1e-9 <= value <= energies.max() + 1e-9
+            for held in _HELD:
+                for value, _ in _measure(landscape_ising, _random_state(rng, 1 << len(held)),
+                                         held):
+                    assert energies.min() - 1e-9 <= value <= energies.max() + 1e-9
 
     def test_size_mismatch(self, landscape_ising):
-        with pytest.raises(ValidationError):
-            expectation(landscape_ising, QuantumState(np.eye(16, dtype=complex)[0]))
+        # the program refuses an ansatz whose states have another qubit count
+        with pytest.raises(ValidationError, match="ansatz qubit count must match"):
+            run_lockstep(landscape_ising, [(ZerosInit(), 0)], ansatz=AnsatzConfig(n=4))
 
     def test_linear_in_the_hamiltonian(self, landscape_ising):
-        from fractions import Fraction
-
-        from tspvqe import IsingPolynomial
-
         rng = np.random.default_rng(31)
         other = IsingPolynomial(
             n=9,
@@ -198,25 +231,34 @@ class TestExpectation:
             layout="efficient",
             node_count=4,
         )
-        amps = rng.normal(size=512) + 1j * rng.normal(size=512)
-        amps /= np.linalg.norm(amps)
-        state = QuantumState(amps)
-        assert expectation(combined, state) == pytest.approx(
-            expectation(landscape_ising, state) + expectation(other, state), rel=1e-10
-        )
+        for held in _HELD:
+            amps = _random_state(rng, 1 << len(held))
+            for whole, first, second in zip(
+                    *(_measure(h, amps, held) for h in (combined, landscape_ising, other))):
+                assert whole[0] == pytest.approx(first[0] + second[0], rel=1e-10)
 
     def test_convex_over_mixtures(self, landscape_ising):
         # a probabilistic mixture's energy is the weighted state energies
+        energies = landscape_ising.energy_float_vector()
         rng = np.random.default_rng(37)
-        states = []
-        for _ in range(3):
-            amps = rng.normal(size=512) + 1j * rng.normal(size=512)
-            amps /= np.linalg.norm(amps)
-            states.append(QuantumState(amps))
         weights = np.array([0.5, 0.3, 0.2])
-        mixture_energy = sum(
-            w * expectation(landscape_ising, s) for w, s in zip(weights, states)
-        )
-        values = [expectation(landscape_ising, s) for s in states]
-        assert min(values) - 1e-9 <= mixture_energy <= max(values) + 1e-9
+        for held in _HELD:
+            probabilities = np.abs([_random_state(rng, 1 << len(held)) for _ in weights]) ** 2
+            spread_out = np.array([spread(p, held, 9).real for p in probabilities])
+            for probs, on in ((probabilities, held), (spread_out, None)):
+                values = [_Tally(energies)(p, on) for p in probs]
+                mixture_energy = _Tally(energies)(weights @ probs, on)
+                assert mixture_energy == pytest.approx(float(weights @ values), rel=1e-12)
+                assert min(values) - 1e-9 <= mixture_energy <= max(values) + 1e-9
 
+    def test_held_state_matches_its_spread(self, landscape_ising):
+        # and both match the reference, exact energies summed with fsum
+        rng = np.random.default_rng(43)
+        for held in _HELD + ((), (3,), (0, 8)):
+            for _ in range(5):
+                amps = _random_state(rng, 1 << len(held))
+                (value, peak), (full_value, full_peak) = _measure(landscape_ising, amps, held)
+                assert abs(value - full_value) <= 1e-12
+                assert peak == full_peak
+                assert value == pytest.approx(
+                    expectation(landscape_ising, spread(amps, held, 9)), rel=1e-12)

@@ -1,10 +1,11 @@
 import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 
-from reference import optimize, run_vqe
+from reference import expectation, optimize, run_vqe, spread
 from tspvqe import (
     AnsatzConfig,
     MubInit,
@@ -13,9 +14,9 @@ from tspvqe import (
     ValidationError,
     ZerosInit,
     build_mubs_3q,
-    embed_state,
     encode_efficient,
     ground_states,
+    run_experiment,
     to_ising,
 )
 from tspvqe import kernels, vqe
@@ -50,8 +51,11 @@ class TestAnsatz:
             AnsatzConfig(**{"n": 4, field: value})
 
     def test_numpy_ints_accepted(self):
+        # and stored as plain ints, as the report writes them
         config = AnsatzConfig(n=np.int64(4), layers=np.int64(2))
         assert config.parameter_count == AnsatzConfig(n=4, layers=2).parameter_count
+        assert (type(config.n), type(config.layers)) == (int, int)
+        assert config == AnsatzConfig(n=4, layers=2)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_ring_below_3_qubits_refused(self, n):
@@ -141,6 +145,44 @@ class TestOptimize:
             with pytest.raises(ValidationError, match=r"needs rho_start in \(0, 1\)"):
                 OptimizerConfig(rho_start=rho_start)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_evals", 2.5, "max_evals must be an int, got 2.5"),
+        ("max_evals", True, "max_evals must be an int, got True"),
+        ("max_evals", "5", "max_evals must be an int, got '5'"),
+        ("rho_start", True, "rho_start must be a real number, got True"),
+        ("rho_end", True, "rho_end must be a real number, got True"),
+        ("rho_end", "1e-4", "rho_end must be a real number, got '1e-4'"),
+    ], ids=["max_evals=2.5", "max_evals=True", "max_evals-str", "rho_start=True",
+            "rho_end=True", "rho_end-str"])
+    def test_config_refuses_values_of_another_type(self, name, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            OptimizerConfig(**{name: value})
+
+    def test_config_stores_plain_numbers(self):
+        config = OptimizerConfig(rho_start=np.float32(0.25), rho_end=np.float32(1e-4),
+                                 max_evals=np.int64(5))
+        assert [type(v) for v in (config.rho_start, config.rho_end, config.max_evals)] == [
+            float, float, int]
+        assert config == OptimizerConfig(0.25, float(np.float32(1e-4)), 5)
+        assert type(OptimizerConfig(rho_end=1).rho_end) is float
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("layers", np.int64(2)), ("max_evals", np.int64(5)), ("rho_end", np.float32(1e-4)),
+], ids=["layers", "max_evals", "rho_end"])
+def test_numpy_settings_reach_the_report_as_plain_numbers(landscape_instance, setting, value):
+    """A numpy ansatz or optimizer setting runs the whole experiment, and its
+    report is written as JSON as that of the plain number."""
+    plain = value.item()
+
+    def report(v):
+        settings = {"max_evals": 5, "rho_end": 1e-4, setting: v}
+        layers = settings.pop("layers", 2)
+        return run_experiment(landscape_instance, "zeros", layers=layers,
+                              optimizer=OptimizerConfig(**settings)).to_dict()
+
+    assert json.dumps(report(value)) == json.dumps(report(plain))
+
 
 class TestRunVqe:
     def test_trace_starts_at_initial_energy(self, landscape_ising):
@@ -188,16 +230,13 @@ class TestRunVqe:
         assert a.best_bitstring == b.best_bitstring
 
     def test_random_init_first_energy_matches_state(self, landscape_ising):
-        from tspvqe.quantum import QuantumState, expectation
-
         init = RandomInit(seed=123)
         held, amps, _ = init.build(9)
         assert held == tuple(range(9))
-        state = QuantumState(amps)
         trace = run_vqe(landscape_ising, init, seed=0,
                         optimizer=OptimizerConfig(max_evals=30))
         assert trace.energies[0] == pytest.approx(
-            expectation(landscape_ising, state), rel=1e-12
+            expectation(landscape_ising, spread(amps, held, 9)), rel=1e-12
         )
 
     def test_constant_hamiltonian_gives_flat_trace(self):
@@ -311,12 +350,10 @@ class TestInitBuild:
 
     @staticmethod
     def _check_held_build(init, n, dense):
-        """The start spread with ``basis_indices`` has the bits of ``dense``,
-        and is held on exactly the support of ``dense``."""
+        """The start spread onto all n qubits has the bits of ``dense``, and
+        is held on exactly the support of ``dense``."""
         held, amps, _ = init.build(n)
-        spread = np.zeros(1 << n, dtype=complex)
-        spread[kernels.basis_indices(held)] = amps
-        assert spread.tobytes() == dense.tobytes()
+        assert spread(amps, held, n).tobytes() == dense.tobytes()
         assert held == kernels.support(dense)
 
     @pytest.mark.parametrize("n, positions", [(9, (1, 4, 6)), (16, (0, 7, 15))])
@@ -328,7 +365,7 @@ class TestInitBuild:
                 held, amps, product_angles = init.build(n)
                 assert amps.size <= 8 and product_angles is None
                 self._check_held_build(
-                    init, n, embed_state(mubs.bases[basis][element], positions, n).amplitudes)
+                    init, n, spread(mubs.bases[basis][element], positions, n))
 
     @pytest.mark.parametrize("n", [9, 16])
     def test_zeros_and_random_starts_match_the_dense_build(self, n):
