@@ -15,7 +15,7 @@ from .errors import ParseError, SizeCapError, TspVqeError, ValidationError
 from .graph import ProblemInstance, load_instance, save_instance
 from .ising import IsingPolynomial, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
-from .quantum import MubLibrary, build_mubs_3q
+from .quantum import build_mubs_3q
 from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, VqeTrace, ZerosInit
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "Landscape",
     "LandscapeRecord",
     "MubInit",
-    "MubLibrary",
     "OptimizerConfig",
     "ParseError",
     "ProblemInstance",

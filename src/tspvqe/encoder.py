@@ -81,17 +81,6 @@ class PseudoBooleanPolynomial(ExactPolynomial):
     def index_of(self, var) -> int:
         return self._index[var]
 
-    def evaluate(self, bits) -> Fraction:
-        """Exact value at a 0/1 assignment given in variable order."""
-        bits = layouts.coerce_bits(bits, self.n_vars)
-        total = sum(c for key, c in self.numerators.items() if all(bits[i] for i in key))
-        return Fraction(total, self.denominator)
-
-    def evaluate_table(self, table) -> Fraction:
-        """Exact value at an assignment given as a {(v, t): 0/1} mapping."""
-        bits = [table[var] for var in self.variable_order]
-        return self.evaluate(bits)
-
     def to_json_dict(self) -> dict:
         order = self.variable_order
         return {

@@ -363,12 +363,6 @@ def stages_run(n, layers, ring, params, start=0, stop=None):
     return (np.flatnonzero(runs[start:stop]) + start).tolist()
 
 
-def support(amplitudes):
-    """The qubits on which a state is not exactly |0>, ascending: those set in
-    the index of some nonzero amplitude."""
-    return _qubits(int(np.bitwise_or.reduce(np.flatnonzero(amplitudes), initial=0)))
-
-
 def basis_indices(held):
     """The basis index, over all qubits, of each amplitude of a state held on
     ``held`` (ascending qubits): bit i of an amplitude's index is qubit

@@ -187,8 +187,8 @@ class MubInit:
     """Element ``element`` (0-7) of 3-qubit MUB ``basis`` (0-8) on the qubits
     ``positions``, three distinct and ascending; every other qubit is |0>.
 
-    The start is held on the positions its 8 amplitudes occupy: a basis-0
-    element only on the qubits it sets."""
+    The start is held on the qubits it occupies, read from the record: all
+    three positions in bases 1-8, and in basis 0 those its element sets."""
 
     positions: tuple
     basis: int
@@ -214,10 +214,10 @@ class MubInit:
         if self.positions[-1] >= n:
             raise ValidationError(f"positions {tuple(self.positions)} out of range "
                                   f"for {n} qubits")
-        local = build_mubs_3q().bases[self.basis][self.element]
-        occupied = kernels.support(local)
+        occupied = tuple(i for i in range(3) if self.basis or self.element >> i & 1)
         held = tuple(int(self.positions[i]) for i in occupied)
-        return held, local[kernels.basis_indices(occupied)], None
+        amplitudes = build_mubs_3q()[self.basis, self.element, kernels.basis_indices(occupied)]
+        return held, amplitudes, None
 
 
 # -- the optimizer ------------------------------------------------------------

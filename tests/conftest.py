@@ -109,7 +109,7 @@ def _landscape_reference(ising):
     rounded to 1e-9.
     """
     mubs = build_mubs_3q()
-    prob_rows = [np.abs(mubs.bases[b]) ** 2 for b in range(9)]
+    prob_rows = [np.abs(mubs[b]) ** 2 for b in range(9)]
     vector = ising.energy_float_vector()
     raw = []
     for positions in itertools.combinations(range(ising.n), 3):

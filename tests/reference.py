@@ -1,8 +1,10 @@
 """Plain references the tests hold the package to.
 
 Each one is the straightforward form of something the package computes
-another way: an exact rational energy, a state spread from its held qubits
-onto all of them, its expectation, the exact energies of the DQES
+another way: an exact rational energy, a polynomial's exact value at bits
+or at a cell table, a state spread from its held qubits onto all of them,
+the qubits it occupies, its expectation, the Pauli classes and the 3-qubit
+MUBs built as projector products, the exact energies of the DQES
 landscape, one search driven by a scalar objective, one VQE run on its own.
 """
 
@@ -13,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from tspvqe import build_mubs_3q, layouts
+from tspvqe.quantum import _MUB_GENERATORS
 from tspvqe.vqe import OptimizerConfig, _search, run_lockstep
 
 
@@ -26,6 +29,20 @@ def energy_of_bitstring(ising, bits) -> Fraction:
             c *= spins[i]
         total += c
     return Fraction(total, ising.denominator)
+
+
+def evaluate(poly, bits) -> Fraction:
+    """Exact value of a pseudo-Boolean polynomial at a 0/1 assignment given
+    in variable order."""
+    bits = layouts.coerce_bits(bits, poly.n_vars)
+    total = sum(c for key, c in poly.numerators.items() if all(bits[i] for i in key))
+    return Fraction(total, poly.denominator)
+
+
+def evaluate_table(poly, table) -> Fraction:
+    """Exact value of ``poly`` at an assignment given as a {(v, t): 0/1}
+    mapping."""
+    return evaluate(poly, [table[var] for var in poly.variable_order])
 
 
 def spread(amplitudes, held, n) -> np.ndarray:
@@ -44,6 +61,13 @@ def spread(amplitudes, held, n) -> np.ndarray:
     return full
 
 
+def support(amplitudes) -> tuple:
+    """The qubits on which a state is not exactly |0>, ascending: those set in
+    the index of some nonzero amplitude."""
+    mask = int(np.bitwise_or.reduce(np.flatnonzero(amplitudes), initial=0))
+    return tuple(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
 def expectation(ising, amplitudes) -> float:
     """<psi| H |psi> of a state given as all 2^n amplitudes: each nonzero
     probability times the exact energy of its basis state, summed with
@@ -56,6 +80,68 @@ def expectation(ising, amplitudes) -> float:
     )
 
 
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+# a Pauli as x bit | z bit << 1, so that the phase-free product is an XOR
+_PAULI_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+
+
+def pauli_matrix(string: str) -> np.ndarray:
+    """Dense matrix of a Pauli string (char k acts on qubit k)."""
+    m = np.array([[1.0 + 0j]])
+    for ch in reversed(string):
+        m = np.kron(m, _PAULI[ch])
+    return m
+
+
+def class_operators(generators) -> tuple:
+    """The 7 non-identity products of a generator triple, phase dropped.
+
+    The product of generator subset m (bit i selects generator i) sits at
+    index m - 1.
+    """
+    operators = []
+    for m in range(1, 8):
+        codes = [0, 0, 0]
+        for i, g in enumerate(generators):
+            if (m >> i) & 1:
+                codes = [c ^ _PAULI_CODE[ch] for c, ch in zip(codes, g)]
+        operators.append("".join("IXZY"[c] for c in codes))
+    return tuple(operators)
+
+
+def projector_mubs() -> np.ndarray:
+    """The 9 MUBs as common eigenbases of ``quantum._MUB_GENERATORS``, a
+    (9, 8, 8) array with element e of basis b at ``[b, e]``.
+
+    Each element is a column of the rank-1 projector product of
+    (I +/- G_i)/2 over the basis's three generators, minus where bit i of
+    the element is set, normalised, with its first nonzero amplitude made
+    real positive.
+    """
+    bases = []
+    for triple in _MUB_GENERATORS:
+        gens = [pauli_matrix(s) for s in triple]
+        states = []
+        for element in range(8):
+            proj = np.eye(8, dtype=complex)
+            for i, g in enumerate(gens):
+                sign = -1.0 if (element >> i) & 1 else 1.0
+                proj = proj @ (np.eye(8) + sign * g) / 2.0
+            column = int(np.argmax(np.abs(np.diag(proj)).real))
+            vec = proj[:, column]
+            vec = vec / np.linalg.norm(vec)
+            first = int(np.flatnonzero(np.abs(vec) > 1e-9)[0])
+            vec = vec * (np.conj(vec[first]) / np.abs(vec[first]))
+            states.append(vec)
+        bases.append(states)
+    return np.array(bases)
+
+
 def landscape_fractions(ising) -> list:
     """The exact energy of every DQES landscape record of ``ising``, in
     record order (triples lexicographic, then basis, then element).
@@ -64,7 +150,7 @@ def landscape_fractions(ising) -> list:
     at 0, by the squared MUB amplitudes rounded to eighths (0 or 1 in basis
     0, 1/8 in bases 1-8), and their energies from ``energy_of_bitstring``.
     """
-    probs = np.abs(np.array(build_mubs_3q().bases)) ** 2  # (basis, element, support)
+    probs = np.abs(build_mubs_3q()) ** 2  # (basis, element, support)
     eighths = np.rint(8 * probs).astype(int)
     assert np.abs(probs - eighths / 8).max() < 1e-12
     rows = [tuple(row) for row in eighths.reshape(-1, 8).tolist()]

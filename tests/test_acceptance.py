@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from reference import run_vqe
+from reference import evaluate, evaluate_table, run_vqe
 from tspvqe import (
     ProblemInstance,
     audit_penalties,
@@ -113,7 +113,7 @@ def test_04_qubit_reduction(landscape_instance):
                 for t in range(2, n + 1):
                     table[(v, t)] = bits[k]
                     k += 1
-            assert efficient.evaluate(bits) == fixed.evaluate_table(table)
+            assert evaluate(efficient, bits) == evaluate_table(fixed, table)
 
 
 def test_05_ising_equivalence(landscape_instance, bit_energies):
@@ -146,14 +146,14 @@ def test_07_mub_properties():
     with _Timer(7, 1, "9 bases x 8 states; orthonormal within, overlap^2 = 1/8 "
                       "across"):
         mubs = build_mubs_3q()
-        assert len(mubs.bases) == 9
-        for basis in mubs.bases:
+        assert len(mubs) == 9
+        for basis in mubs:
             assert basis.shape == (8, 8)
             gram = basis.conj() @ basis.T
             assert np.max(np.abs(gram - np.eye(8))) < 1e-10
         for b1 in range(9):
             for b2 in range(b1 + 1, 9):
-                overlap = np.abs(mubs.bases[b1].conj() @ mubs.bases[b2].T) ** 2
+                overlap = np.abs(mubs[b1].conj() @ mubs[b2].T) ** 2
                 assert np.max(np.abs(overlap - 0.125)) < 1e-10
 
 

@@ -152,7 +152,7 @@ class TestLandscape:
         rng = np.random.default_rng(41)
         for i in rng.choice(len(landscape_records), size=60, replace=False):
             record = landscape_records[i]
-            state = spread(mubs.bases[record.basis][record.element], record.positions, 9)
+            state = spread(mubs[record.basis, record.element], record.positions, 9)
             assert record.energy == pytest.approx(
                 expectation(landscape_ising, state), rel=1e-12, abs=1e-12
             )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import evaluate, evaluate_table
 from tspvqe import (
     ProblemInstance,
     PseudoBooleanPolynomial,
@@ -22,6 +23,7 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
+from tspvqe import layouts
 from tspvqe.encoder import encode, spin_form
 from tspvqe.layouts import (
     LAYOUTS, SPIN_CAP, TERM_CAP, bits_to_table, coerce_bits, implied_cells, lookup, term_bound,
@@ -53,12 +55,12 @@ class TestCycleHamiltonian:
     def test_valid_cycle_has_zero_energy(self, directed_cycle_instance):
         poly = encode_cycle_hamiltonian(directed_cycle_instance)
         # t=1..4 visits 2, 1, 4, 3
-        assert poly.evaluate(bits_from_order([2, 1, 4, 3], 4)) == 0
+        assert evaluate(poly, bits_from_order([2, 1, 4, 3], 4)) == 0
 
     def test_all_zero_assignment(self, directed_cycle_instance):
         # four empty rows + four empty columns, each squared term contributes A
         poly = encode_cycle_hamiltonian(directed_cycle_instance)
-        assert poly.evaluate([0] * 16) == 8
+        assert evaluate(poly, [0] * 16) == 8
 
     def test_zero_set_is_exactly_the_valid_cycles(self, directed_cycle_instance,
                                                   counterexample_instance, bit_energies):
@@ -90,7 +92,7 @@ class TestCycleHamiltonian:
             ((2, 1, 0), (1, 4, 0), (4, 3, 0), (2, 3, 0)), 1, 1,
         )
         poly = encode_cycle_hamiltonian(instance)
-        assert poly.evaluate(bits_from_order([2, 1, 4, 3], 4)) == 0
+        assert evaluate(poly, bits_from_order([2, 1, 4, 3], 4)) == 0
         energies, _ = bit_energies(poly)
         assert int((energies == 0).sum()) == 1
 
@@ -101,9 +103,9 @@ class TestCycleHamiltonian:
         cycle = ProblemInstance(3, False, "hamiltonian_cycle",
                                 ((1, 2, 0), (2, 3, 0)), 1, 1)
         bits = bits_from_order([1, 2, 3], 3)
-        assert encode_cycle_hamiltonian(path).evaluate(bits) == 0
+        assert evaluate(encode_cycle_hamiltonian(path), bits) == 0
         # the cycle form pays A for the missing wrap edge (3,1)
-        assert encode_cycle_hamiltonian(cycle).evaluate(bits) == 1
+        assert evaluate(encode_cycle_hamiltonian(cycle), bits) == 1
 
 
 class TestTspHamiltonian:
@@ -113,15 +115,15 @@ class TestTspHamiltonian:
         cost, tours = solve_exact_tsp(complete4_instance)
         assert cost == 11
         poly = encode_tsp_hamiltonian(complete4_instance)
-        value = poly.evaluate(bits_from_order([3, 1, 4, 2], 4))
+        value = evaluate(poly, bits_from_order([3, 1, 4, 2], 4))
         assert value == complete4_instance.penalty_b * 11
 
     def test_counterexample_invalid_minimum(self, counterexample_instance):
         poly = encode_tsp_hamiltonian(counterexample_instance)
         # path 1-2-3-4 wraps over the missing edge (4,1): 3*B + A = 14
-        assert poly.evaluate(bits_from_order([1, 2, 3, 4], 4)) == 14
+        assert evaluate(poly, bits_from_order([1, 2, 3, 4], 4)) == 14
         # valid cycle 1-2-4-3-1 costs 1+10+1+10 = 22
-        assert poly.evaluate(bits_from_order([1, 2, 4, 3], 4)) == 22
+        assert evaluate(poly, bits_from_order([1, 2, 4, 3], 4)) == 22
 
     def test_requires_tsp_variant(self, directed_cycle_instance):
         with pytest.raises(ValidationError):
@@ -133,13 +135,13 @@ class TestFixedStart:
         tsp = encode_tsp_hamiltonian(complete4_instance)
         fixed = encode_fixed_start(complete4_instance)
         bits = bits_from_order([1, 4, 2, 3], 4)  # starts at node 1
-        assert fixed.evaluate(bits) == tsp.evaluate(bits)
+        assert evaluate(fixed, bits) == evaluate(tsp, bits)
 
     def test_start_term_costs_a_when_violated(self, complete4_instance):
         tsp = encode_tsp_hamiltonian(complete4_instance)
         fixed = encode_fixed_start(complete4_instance)
         bits = bits_from_order([3, 1, 4, 2], 4)  # same cycle, shifted start
-        assert fixed.evaluate(bits) == tsp.evaluate(bits) + complete4_instance.penalty_a
+        assert evaluate(fixed, bits) == evaluate(tsp, bits) + complete4_instance.penalty_a
 
     def test_exhaustive_minimum_unchanged(self, counterexample_instance, bit_energies):
         # fixing the start only removes rotational redundancy
@@ -159,7 +161,7 @@ class TestEfficient:
         poly = encode_efficient(landscape_instance)
         table = {(v, t): 0 for v in range(2, 5) for t in range(2, 5)}
         table[(2, 2)] = table[(4, 3)] = table[(3, 4)] = 1
-        assert poly.evaluate_table(table) == landscape_instance.penalty_b * 13
+        assert evaluate_table(poly, table) == landscape_instance.penalty_b * 13
 
     def _completed_full_table(self, bits9, n):
         table = {(1, t): (1 if t == 1 else 0) for t in range(1, n + 1)}
@@ -183,7 +185,7 @@ class TestEfficient:
             for z in range(1 << eff.n_vars):
                 bits = [(z >> k) & 1 for k in range(eff.n_vars)]
                 completed = self._completed_full_table(bits, n)
-                assert eff.evaluate(bits) == fixed.evaluate_table(completed)
+                assert evaluate(eff, bits) == evaluate_table(fixed, completed)
 
     def test_master_equivalence_random_n5(self):
         rng = random.Random(17)
@@ -198,7 +200,7 @@ class TestEfficient:
         for _ in range(300):
             bits = [rng.randint(0, 1) for _ in range(16)]
             completed = self._completed_full_table(bits, 5)
-            assert eff.evaluate(bits) == fixed.evaluate_table(completed)
+            assert evaluate(eff, bits) == evaluate_table(fixed, completed)
 
     def test_master_equivalence_directed(self):
         rng = random.Random(23)
@@ -212,17 +214,17 @@ class TestEfficient:
         for z in range(1 << 9):
             bits = [(z >> k) & 1 for k in range(9)]
             completed = self._completed_full_table(bits, 4)
-            assert eff.evaluate(bits) == fixed.evaluate_table(completed)
+            assert evaluate(eff, bits) == evaluate_table(fixed, completed)
 
     def test_two_node_instance(self):
         instance = ProblemInstance(2, False, "tsp", ((1, 2, 3),), 7, 1)
         eff = encode_efficient(instance)
         assert eff.n_vars == 1
         # x_{2,2}=1 is the tour 1-2-1 with both traversals of the edge
-        assert eff.evaluate([1]) == 6
+        assert evaluate(eff, [1]) == 6
         fixed = encode_fixed_start(instance)
         table = {(1, 1): 1, (1, 2): 0, (2, 1): 0, (2, 2): 1}
-        assert fixed.evaluate_table(table) == 6
+        assert evaluate_table(fixed, table) == 6
 
 
 class TestFixVariables:
@@ -252,7 +254,7 @@ class TestFixVariables:
             for z in range(1 << reduced.n_vars):
                 bits = [(z >> k) & 1 for k in range(reduced.n_vars)]
                 table = {**dict(zip(reduced.variable_order, bits)), **assignment}
-                assert reduced.evaluate(bits) == poly.evaluate_table(table)
+                assert evaluate(reduced, bits) == evaluate_table(poly, table)
 
     def test_rejects_unknown_variable_and_bad_value(self, complete4_instance):
         poly = encode_tsp_hamiltonian(complete4_instance)
@@ -267,7 +269,7 @@ def test_float_bits_are_refused_not_truncated(landscape_instance):
     # a float is refused, not truncated: nine 0.9s are not the empty table
     poly = encode_efficient(landscape_instance)
     for call in (lambda: validate_bitstring(landscape_instance, "efficient", [0.9] * 9),
-                 lambda: poly.evaluate([0.9] * 9),
+                 lambda: evaluate(poly, [0.9] * 9),
                  lambda: coerce_bits([1.7, 0.2], 2),
                  lambda: coerce_bits([1.0, 0], 2),
                  lambda: coerce_bits(np.array([1.0, 0.0]), 2)):
@@ -285,7 +287,7 @@ def test_pair_in_both_orders_is_one_summed_term():
     assert poly.quadratic == {order: Fraction(5, 2)}
     assert poly.numerators == {(0, 1): 5}
     assert poly.to_json_dict()["quadratic"] == [[[1, 1], [1, 2], "5/2"]]
-    assert poly.evaluate([1, 1]) == Fraction(5, 2)
+    assert evaluate(poly, [1, 1]) == Fraction(5, 2)
 
 
 def _assert_same_ising(ising, reference):
@@ -491,6 +493,28 @@ def test_term_bound_holds_for_every_encoder():
                     assert terms == term_bound(row.name, n)
     assert term_bound("full", 40) <= TERM_CAP < term_bound("full", 41)
     assert term_bound("efficient", 41) <= TERM_CAP < term_bound("efficient", 42)
+
+
+class TestCapBoundaries:
+    """The size caps let their own limit through and refuse one above it,
+    checked directly so that no capped-size work runs."""
+
+    def test_spins_at_the_cap_pass_and_one_above_is_refused(self):
+        layouts.check_spins(SPIN_CAP, "test")
+        layouts.check_spins(5, "test", cap=5)
+        with pytest.raises(SizeCapError, match=f"capped at {SPIN_CAP} qubits, got {SPIN_CAP + 1}"):
+            layouts.check_spins(SPIN_CAP + 1, "test")
+        with pytest.raises(SizeCapError, match="capped at 5 qubits, got 6"):
+            layouts.check_spins(6, "test", cap=5)
+
+    def test_terms_at_the_cap_pass_and_one_node_above_is_refused(self, monkeypatch):
+        monkeypatch.setattr(layouts, "TERM_CAP", term_bound("full", 40))
+        layouts.check_terms("full", 40)
+        with pytest.raises(SizeCapError, match=f"got up to {term_bound('full', 41)} "):
+            layouts.check_terms("full", 41)
+        monkeypatch.setattr(layouts, "TERM_CAP", term_bound("full", 40) - 1)
+        with pytest.raises(SizeCapError):
+            layouts.check_terms("full", 40)
 
 
 def _public_encoder(instance, layout):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import spread
+from reference import spread, support
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
     ansatz_rotations,
@@ -12,7 +12,6 @@ from tspvqe.kernels import (
     basis_indices,
     enumerate_spin_energies,
     stages_run,
-    support,
 )
 
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reference import energy_of_bitstring, expectation, spread
+from reference import (
+    class_operators,
+    energy_of_bitstring,
+    expectation,
+    pauli_matrix,
+    projector_mubs,
+    spread,
+)
 from tspvqe import (
     AnsatzConfig,
     IsingPolynomial,
@@ -16,36 +23,53 @@ from tspvqe import (
     ground_states,
     to_ising,
 )
-from tspvqe.quantum import pauli_matrix
+from tspvqe.quantum import _MUB_GENERATORS
 from tspvqe.vqe import _Tally, run_lockstep
+
+
+_CLASSES = tuple(class_operators(triple) for triple in _MUB_GENERATORS)
 
 
 class TestMubLibrary:
     def test_shape(self):
         mubs = build_mubs_3q()
-        assert len(mubs.bases) == 9
-        assert all(basis.shape == (8, 8) for basis in mubs.bases)
-        assert len(mubs.operator_classes) == 9
+        assert mubs.shape == (9, 8, 8) and mubs.dtype == np.complex128
+        assert len(_CLASSES) == 9
+
+    def test_matches_the_projector_reference_bit_for_bit(self):
+        """Every amplitude of the closed-form table has the bits of the
+        projector-product build, signed zeros included."""
+        mubs, reference = build_mubs_3q(), projector_mubs()
+        for part in ("real", "imag"):
+            got = getattr(mubs, part).view(np.uint64)
+            want = getattr(reference, part).view(np.uint64)
+            assert got.tobytes() == want.tobytes(), part
+
+    def test_table_is_read_only(self):
+        mubs = build_mubs_3q()
+        before = mubs[1, 0, 0]
+        with pytest.raises(ValueError):
+            mubs[1, 0, 0] = 0
+        with pytest.raises(ValueError):
+            mubs[1][0, 0] = 0
+        assert build_mubs_3q() is mubs and mubs[1, 0, 0] == before
 
     def test_classes_partition_the_nonidentity_paulis(self):
-        mubs = build_mubs_3q()
         seen = set()
-        for cls in mubs.operator_classes:
+        for cls in _CLASSES:
             assert len(cls) == 7
             seen.update(cls)
         assert len(seen) == 63
         assert "III" not in seen
 
     def test_classes_commute_internally(self):
-        mubs = build_mubs_3q()
-        for cls in mubs.operator_classes:
+        for cls in _CLASSES:
             for s1, s2 in itertools.combinations(cls, 2):
                 m1, m2 = pauli_matrix(s1), pauli_matrix(s2)
                 assert np.allclose(m1 @ m2, m2 @ m1)
 
     def test_within_basis_orthonormal(self):
-        mubs = build_mubs_3q()
-        for basis in mubs.bases:
+        for basis in build_mubs_3q():
             gram = basis.conj() @ basis.T
             assert np.max(np.abs(gram - np.eye(8))) < 1e-10
 
@@ -53,20 +77,19 @@ class TestMubLibrary:
         mubs = build_mubs_3q()
         for b1 in range(9):
             for b2 in range(b1 + 1, 9):
-                overlap = np.abs(mubs.bases[b1].conj() @ mubs.bases[b2].T) ** 2
+                overlap = np.abs(mubs[b1].conj() @ mubs[b2].T) ** 2
                 assert np.max(np.abs(overlap - 0.125)) < 1e-10
 
     def test_basis_zero_is_computational(self):
         mubs = build_mubs_3q()
-        assert np.allclose(mubs.bases[0], np.eye(8))
-        assert np.allclose(mubs.bases[0][7], np.eye(8)[7])  # |111> is element 7
+        assert mubs[0].tobytes() == np.eye(8, dtype=complex).tobytes()
+        assert np.array_equal(mubs[0][7], np.eye(8)[7])  # |111> is element 7
 
     def test_element_convention_on_every_basis(self):
-        """<e|G_i|e> = -1 exactly when bit i of element e is set, and
-        ``operator_classes[b][m - 1]`` is the phase-free product of generator
-        subset m (bit i of m selects G_i)."""
-        mubs = build_mubs_3q()
-        for basis, gens, cls in zip(mubs.bases, mubs.generators, mubs.operator_classes):
+        """<e|G_i|e> = -1 exactly when bit i of element e is set, and class
+        operator m - 1 is the phase-free product of generator subset m (bit
+        i of m selects G_i)."""
+        for basis, gens, cls in zip(build_mubs_3q(), _MUB_GENERATORS, _CLASSES):
             mats = [pauli_matrix(g) for g in gens]
             for element, state in enumerate(basis):
                 for i, g in enumerate(mats):
@@ -85,15 +108,13 @@ class TestMubLibrary:
     def test_generator_i_has_its_x_part_on_qubit_i(self):
         # fixes the order within each triple of bases 1-8, and so which
         # element index each state gets
-        mubs = build_mubs_3q()
-        assert mubs.generators[0] == ("ZII", "IZI", "IIZ")
-        for gens in mubs.generators[1:]:
+        assert _MUB_GENERATORS[0] == ("ZII", "IZI", "IIZ")
+        for gens in _MUB_GENERATORS[1:]:
             for i, g in enumerate(gens):
                 assert [ch in "XY" for ch in g] == [q == i for q in range(3)]
 
     def test_states_are_stabilizer_eigenvectors(self):
-        mubs = build_mubs_3q()
-        for basis, cls in zip(mubs.bases, mubs.operator_classes):
+        for basis, cls in zip(build_mubs_3q(), _CLASSES):
             mats = [pauli_matrix(s) for s in cls]
             for state in basis:
                 for m in mats:
