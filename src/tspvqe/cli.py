@@ -20,7 +20,8 @@ from ``encoder.spin_form``, which refuses an instance above
 ``encode`` stops at ``layouts.TERM_CAP`` terms, ``vqe --layers`` at
 ``layouts.LAYER_CAP``.  ``--penalty-a`` and ``--penalty-b`` need
 ``--penalties explicit``.  Reports are strict JSON: a non-finite float is
-refused, not written.
+refused, not written.  A report is its dataclass's fields, written through
+``json_default``.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 An instance or ``-o`` path that cannot be opened exits 2; the ``-o`` path
@@ -33,12 +34,14 @@ without a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import functools
 import json
 import os
 import sys
 import traceback
+from fractions import Fraction
 
 from . import dqes, ising, layouts, oracle
 from .encoder import audit_penalties, encode, spin_form, suggest_penalties
@@ -118,12 +121,27 @@ def _emit(args, chunks):
         binary.flush()
 
 
+def json_default(value):
+    """The JSON form of a value ``json.dumps`` cannot write itself.
+
+    A Fraction is written by ``rational_to_json``, and a dataclass instance
+    as the dict of its fields, shallow (the field values are written in
+    turn).  Anything else raises ``TypeError``, so a numpy integer cannot
+    reach a report.
+    """
+    if isinstance(value, Fraction):
+        return rational_to_json(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_report(args, command: str, payload: dict):
     doc = {"command": command}
     if not args.no_timestamp:
         doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     doc.update(payload)
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=json_default)
     _emit(args, [(text + "\n").encode()])
 
 
@@ -138,8 +156,8 @@ def cmd_encode(args) -> int:
     else:
         payload = ising.to_ising(poly).to_json_dict()
         payload["layout"] = poly.layout
-    payload["penalty_a"] = rational_to_json(instance.penalty_a)
-    payload["penalty_b"] = rational_to_json(instance.penalty_b)
+    payload["penalty_a"] = instance.penalty_a
+    payload["penalty_b"] = instance.penalty_b
     _emit_report(args, "encode", payload)
     return 0
 
@@ -147,19 +165,15 @@ def cmd_encode(args) -> int:
 def cmd_solve(args) -> int:
     instance = _read_instance(args)
     cost, tours = oracle.solve_exact_tsp(instance)
-    payload = {
-        "optimal_cost": rational_to_json(cost) if cost is not None else None,
-        "tours": [t.to_dict() for t in tours],
-        "tour_count": len(tours),
-    }
-    _emit_report(args, "solve", payload)
+    _emit_report(args, "solve", {"optimal_cost": cost, "tours": tours,
+                                 "tour_count": len(tours)})
     return 0
 
 
 def cmd_audit(args) -> int:
     instance = _read_instance(args)
     report = audit_penalties(instance, cap=args.cap)
-    _emit_report(args, "audit", report.to_dict())
+    _emit_report(args, "audit", vars(report))
     return 0
 
 
@@ -186,7 +200,7 @@ def cmd_vqe(args) -> int:
         entangler=args.entangler, optimizer=optimizer, convergence_tol=args.tol,
         threads=args.threads,
     )
-    _emit_report(args, "vqe", report.to_dict())
+    _emit_report(args, "vqe", vars(report))
     return 0
 
 

@@ -30,7 +30,6 @@ from .encoder import spin_form
 from .errors import ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows
-from .rationals import rational_to_json
 from .vqe import (
     ATTEMPT_SWEEPS,
     RESTART_JITTER,
@@ -250,7 +249,12 @@ def landscape_csv_rows(landscape: Landscape):
 
 @dataclass
 class ExperimentReport:
-    """VQE batch results plus the classical ground truth they are judged by."""
+    """VQE batch results plus the classical ground truth they are judged by.
+
+    ``oracle_tours`` holds the visiting orders of the optimal tours, and
+    ``decoded_tours`` the decoding of each trace's best bitstring, a
+    ``Tour`` or a ``ViolationReport``.
+    """
 
     mode: str
     k: int
@@ -267,27 +271,6 @@ class ExperimentReport:
     mean_iterations_to_convergence: float | None
     decoded_tours: list
     config: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "k": self.k,
-            "seed": self.seed,
-            "n_qubits": self.n_qubits,
-            "ground_energy": self.ground_energy,
-            "ground_energy_exact": rational_to_json(self.ground_energy_exact),
-            "oracle_cost": (
-                rational_to_json(self.oracle_cost) if self.oracle_cost is not None else None
-            ),
-            "oracle_tours": [list(t.order) for t in self.oracle_tours],
-            "convergence_tol": self.convergence_tol,
-            "converged_count": self.converged_count,
-            "n_runs": self.n_runs,
-            "mean_iterations_to_convergence": self.mean_iterations_to_convergence,
-            "decoded_tours": self.decoded_tours,
-            "config": self.config,
-            "traces": [t.to_dict() for t in self.traces],
-        }
 
 
 def _usable_cpus() -> int:
@@ -391,10 +374,6 @@ def run_experiment(
         if converged
         else None
     )
-    decoded = [
-        oracle.validate_bitstring(instance, ising.layout, t.best_bitstring).to_dict()
-        for t in traces
-    ]
     return ExperimentReport(
         mode=mode,
         k=len(inits),
@@ -403,13 +382,14 @@ def run_experiment(
         ground_energy=ground,
         ground_energy_exact=ground_exact,
         oracle_cost=oracle_cost,
-        oracle_tours=oracle_tours,
+        oracle_tours=tuple(t.order for t in oracle_tours),
         convergence_tol=convergence_tol,
         traces=traces,
         converged_count=len(converged),
         n_runs=len(traces),
         mean_iterations_to_convergence=mean_iters,
-        decoded_tours=decoded,
+        decoded_tours=[oracle.validate_bitstring(instance, ising.layout, t.best_bitstring)
+                       for t in traces],
         config={
             "ansatz": {**asdict(ansatz), "parameter_count": ansatz.parameter_count},
             # a report names its optimizer; rotation descent is the only one

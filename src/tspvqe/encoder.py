@@ -277,29 +277,6 @@ class AuditReport:
     safe_condition_satisfied: bool | None
     minima_scanned: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "n_variables": self.n_variables,
-            "penalty_a": rational_to_json(self.penalty_a),
-            "penalty_b": rational_to_json(self.penalty_b),
-            "minimum_energy": rational_to_json(self.minimum_energy),
-            "minimum_bitstring": self.minimum_bitstring,
-            "minimum_count": self.minimum_count,
-            "minimum_is_valid_tour": self.minimum_is_valid_tour,
-            "minimum_tour": list(self.minimum_tour) if self.minimum_tour else None,
-            "minimum_violations": [v.to_dict() for v in self.minimum_violations],
-            "best_valid_energy": (
-                rational_to_json(self.best_valid_energy)
-                if self.best_valid_energy is not None
-                else None
-            ),
-            "best_valid_tours": [list(t) for t in self.best_valid_tours],
-            "lucas_condition_satisfied": self.lucas_condition_satisfied,
-            "safe_condition_satisfied": self.safe_condition_satisfied,
-            "minima_scanned": self.minima_scanned,
-        }
-
 
 def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP) -> AuditReport:
     """Brute-force the full-layout Hamiltonian and judge the penalty choice.
@@ -324,7 +301,7 @@ def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP) -> A
         decoded = oracle.validate_bitstring(
             instance, form.layout, layouts.index_to_bits(int(z), form.n)
         )
-        if isinstance(decoded, oracle.Tour) and decoded.valid:
+        if decoded.valid:
             minimum_tour = decoded.order
             break
         if scanned == 1:

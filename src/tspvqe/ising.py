@@ -68,7 +68,7 @@ class IsingPolynomial(ExactPolynomial):
         ``scale`` is the least common denominator of the coefficients: the
         numerators are divided by their gcd with ``denominator``, then
         bounded by ``rationals.scale_to_int64``.  Fields and couplings come
-        in key order.
+        in key order.  The arrays are read-only.
         """
         if self._arrays is None:
             numerators = self.numerators
@@ -93,16 +93,20 @@ class IsingPolynomial(ExactPolynomial):
                 np.array([j for _, j in pairs], dtype=np.int64),
                 values[len(spins):],
             )
+            for array in self._arrays[2:]:
+                array.flags.writeable = False
         return self._arrays
 
     def energy_int_vector(self) -> np.ndarray:
-        """Scaled int64 energies of all 2^n basis states, enumerated once."""
+        """Scaled int64 energies of all 2^n basis states, enumerated once; the
+        array is read-only."""
         if self._int_energies is None:
             layouts.check_spins(self.n, "energy vector")
             _, const, li, lv, qi, qj, qv = self.to_int_arrays()
             self._int_energies = kernels.enumerate_spin_energies(
                 self.n, const, li, lv, qi, qj, qv
             )
+            self._int_energies.flags.writeable = False
         return self._int_energies
 
     def energy_float_vector(self) -> np.ndarray:

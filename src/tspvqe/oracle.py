@@ -7,13 +7,13 @@ quantum-side results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import layouts
 from .errors import SizeCapError
 from .graph import ProblemInstance
-from .rationals import common_scale, rational_to_json
+from .rationals import common_scale
 
 EXACT_TSP_NODE_CAP = 13
 
@@ -26,13 +26,6 @@ class Tour:
     cost: Fraction
     valid: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "cost": rational_to_json(self.cost),
-            "valid": self.valid,
-        }
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -43,31 +36,24 @@ class Violation:
     step: int | None = None
     edge: tuple | None = None
     count: int | None = None
+    message: str = field(init=False)
 
-    def describe(self) -> str:
+    def __post_init__(self):
         if self.kind == "row_not_one_hot":
-            return f"node {self.node} is visited {self.count} times"
-        if self.kind == "column_not_one_hot":
-            return f"step {self.step} has {self.count} nodes"
-        return f"step {self.step} uses missing edge {self.edge}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "node": self.node,
-            "step": self.step,
-            "edge": list(self.edge) if self.edge else None,
-            "count": self.count,
-            "message": self.describe(),
-        }
+            message = f"node {self.node} is visited {self.count} times"
+        elif self.kind == "column_not_one_hot":
+            message = f"step {self.step} has {self.count} nodes"
+        else:
+            message = f"step {self.step} uses missing edge {self.edge}"
+        object.__setattr__(self, "message", message)
 
 
 @dataclass(frozen=True)
 class ViolationReport:
-    violations: tuple
+    """The broken constraints of a bitstring that is not a tour."""
 
-    def to_dict(self) -> dict:
-        return {"valid": False, "violations": [v.to_dict() for v in self.violations]}
+    violations: tuple
+    valid: bool = field(default=False, init=False)
 
 
 def _weight_matrix(instance):

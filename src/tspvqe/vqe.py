@@ -426,7 +426,7 @@ def _restart_points(config, product_angles, seed, count=16):
 class VqeTrace:
     """Per-run record: best-so-far energy after every evaluation."""
 
-    initial_label: str
+    init: str
     seed: int
     energies: list
     final_energy: float
@@ -435,19 +435,6 @@ class VqeTrace:
     converged: bool
     n_evaluations: int
     iterations_to_convergence: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "init": self.initial_label,
-            "seed": self.seed,
-            "energies": self.energies,
-            "final_energy": self.final_energy,
-            "final_parameters": self.final_parameters,
-            "best_bitstring": self.best_bitstring,
-            "converged": self.converged,
-            "n_evaluations": self.n_evaluations,
-            "iterations_to_convergence": self.iterations_to_convergence,
-        }
 
 
 def run_lockstep(
@@ -670,7 +657,7 @@ def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTr
         )
         iterations = int(hits[0])
     return VqeTrace(
-        initial_label=init.label(),
+        init=init.label(),
         seed=seed,
         energies=list(result.history),
         final_energy=result.best_value,

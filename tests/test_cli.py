@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import tspvqe
@@ -22,7 +24,9 @@ from tspvqe import (
     encoder,
     layouts,
     load_instance,
+    oracle,
     to_ising,
+    vqe,
 )
 from tspvqe.cli import main
 from tspvqe.layouts import bits_to_string, index_to_bits, term_bound
@@ -479,6 +483,53 @@ class TestVqeCommand:
                      "--max-evals", "100"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "timestamp" in doc
+
+
+def _field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+class TestReportKeys:
+    """A report's JSON keys are its dataclass's field names, at every level."""
+
+    def test_solve(self, tmp_path):
+        doc = run_json(tmp_path, ["solve", LANDSCAPE])
+        assert set(doc) == {"command", "optimal_cost", "tours", "tour_count"}
+        assert doc["tours"]
+        assert all(set(tour) == _field_names(oracle.Tour) for tour in doc["tours"])
+
+    def test_audit(self, tmp_path):
+        doc = run_json(tmp_path, ["audit", COUNTER])
+        assert set(doc) == {"command"} | _field_names(encoder.AuditReport)
+        assert doc["minimum_violations"]
+        assert all(set(v) == _field_names(oracle.Violation) for v in doc["minimum_violations"])
+
+    def test_vqe(self, tmp_path):
+        # best-MUB starts decode to tours, random starts at 10 evaluations do not
+        decoded = []
+        for init, max_evals in (("best-mubs", "20"), ("random", "10")):
+            doc = run_json(tmp_path, ["vqe", LANDSCAPE, "--init", init, "--k", "2",
+                                      "--max-evals", max_evals])
+            assert set(doc) == {"command"} | _field_names(dqes.ExperimentReport)
+            assert all(set(trace) == _field_names(vqe.VqeTrace) for trace in doc["traces"])
+            decoded += doc["decoded_tours"]
+        tours = [d for d in decoded if d["valid"]]
+        reports = [d for d in decoded if not d["valid"]]
+        assert tours and reports
+        assert all(set(tour) == _field_names(oracle.Tour) for tour in tours)
+        assert all(set(report) == _field_names(oracle.ViolationReport) for report in reports)
+        assert all(set(v) == _field_names(oracle.Violation)
+                   for report in reports for v in report["violations"])
+
+    def test_json_default(self):
+        assert cli.json_default(Fraction(3, 2)) == "3/2"
+        assert cli.json_default(Fraction(4)) == 4
+        # shallow: the field values are left for json.dumps to write in turn
+        tour = oracle.Tour(order=(1, 2), cost=Fraction(1, 2), valid=True)
+        assert cli.json_default(tour) == {"order": (1, 2), "cost": Fraction(1, 2), "valid": True}
+        for value in (np.int64(1), object(), oracle.Tour):
+            with pytest.raises(TypeError):
+                cli.json_default(value)
 
 
 def test_reports_are_strict_json(tmp_path):

@@ -25,7 +25,7 @@ from tspvqe import (
     suggest_penalties,
     to_ising,
 )
-from tspvqe import kernels, vqe
+from tspvqe import cli, kernels, vqe
 from tspvqe.dqes import _BASIS_ELEMENT_CELLS, _RECORDS_PER_TRIPLE, _SEED_STRIDE, landscape_csv_rows
 from tspvqe.vqe import (
     AnsatzConfig,
@@ -451,8 +451,8 @@ class TestExperiments:
         assert report.oracle_cost == 13
         assert report.ground_energy == pytest.approx(13.0)
         decoded = report.decoded_tours[0]
-        assert decoded["valid"] is True
-        assert decoded["cost"] == 13
+        assert decoded.valid is True
+        assert decoded.cost == 13
 
     def test_ground_energy_renders_no_bitstrings(self, landscape_instance, monkeypatch):
         from tspvqe import ising
@@ -469,7 +469,7 @@ class TestExperiments:
     def test_report_names_the_optimizer(self, landscape_instance):
         optimizer = OptimizerConfig(max_evals=5)
         report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
-        assert report.to_dict()["config"]["optimizer"] == {
+        assert report.config["optimizer"] == {
             "method": "rotation_descent", "rho_start": 0.5, "rho_end": 1e-4, "max_evals": 5,
             "attempt_sweeps": 1, "restart_jitter": 0.02,
         }
@@ -479,21 +479,21 @@ class TestExperiments:
         report = run_experiment(landscape_instance, "best_mubs", k=2, seed=0)
         assert report.converged_count == 2
         assert report.mean_iterations_to_convergence == 0.0
-        assert {tuple(d["order"]) for d in report.decoded_tours} == {
+        assert {d.order for d in report.decoded_tours} == {
             (1, 2, 4, 3), (1, 3, 4, 2),
         }
 
     def test_random_mode_runs(self, landscape_instance):
         report = run_experiment(landscape_instance, "random", k=2, seed=0)
         assert report.n_runs == 2
-        labels = [t.initial_label for t in report.traces]
+        labels = [t.init for t in report.traces]
         assert all(lbl.startswith("random(") for lbl in labels)
         assert len(set(labels)) == 2
 
     def test_determinism(self, landscape_instance):
         a = run_experiment(landscape_instance, "best_mubs", k=3, seed=4)
         b = run_experiment(landscape_instance, "best_mubs", k=3, seed=4)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
 
     def test_worker_pool_matches_serial(self, landscape_instance):
         short = OptimizerConfig(max_evals=300)
@@ -501,7 +501,7 @@ class TestExperiments:
             serial = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer)
             pooled = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer,
                                     threads=2)
-            a, b = serial.to_dict(), pooled.to_dict()
+            a, b = dict(vars(serial)), dict(vars(pooled))
             # the config echo records the thread count itself
             assert a.pop("config") == {**b.pop("config"), "threads": 1}
             assert a == b, mode
@@ -518,7 +518,7 @@ class TestExperiments:
                                     threads=threads)
             assert in_process_pool == pools, mode
             in_process_pool.clear()
-            assert pooled.to_dict()["config"]["threads"] == threads
+            assert pooled.config["threads"] == threads
             serial = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short)
             assert pooled.traces == serial.traces, mode
         assert in_process_pool == []
@@ -540,7 +540,7 @@ class TestExperiments:
                                 threads=10_000)
         assert in_process_pool == ([(workers, workers)] if workers > 1 else [])
         serial = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short)
-        a, b = serial.to_dict(), pooled.to_dict()
+        a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
 
@@ -555,7 +555,7 @@ class TestExperiments:
                                 threads=10)
         assert in_process_pool == [(2, 2)]
         serial = run_experiment(landscape_instance, "random", k=10, seed=4, optimizer=short)
-        a, b = serial.to_dict(), pooled.to_dict()
+        a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
 
@@ -568,7 +568,7 @@ class TestExperiments:
         pooled = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short, threads=2)
         assert in_process_pool == []
         serial = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short)
-        a, b = serial.to_dict(), pooled.to_dict()
+        a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
 
@@ -643,7 +643,8 @@ class TestExperiments:
                                 threads=np.int64(1), convergence_tol=np.float32(1e-6))
         expected = run_experiment(landscape_instance, "zeros", optimizer=optimizer, threads=1,
                                   convergence_tol=float(np.float32(1e-6)))
-        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert (json.dumps(report, default=cli.json_default)
+                == json.dumps(expected, default=cli.json_default))
 
     def test_numpy_int_k_and_seed_run(self, landscape_instance):
         # and the report holds plain ints, so it can be written as JSON
@@ -652,7 +653,8 @@ class TestExperiments:
                                 seed=np.int64(1), optimizer=optimizer)
         expected = run_experiment(landscape_instance, "best_mubs", k=2, seed=1,
                                   optimizer=optimizer)
-        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert (json.dumps(report, default=cli.json_default)
+                == json.dumps(expected, default=cli.json_default))
 
     def test_instance_without_valid_tour(self):
         # the Hamiltonian minimum is still defined; the oracle reports no tour
@@ -667,8 +669,8 @@ class TestExperiments:
         )
         assert report.oracle_cost is None
         assert report.oracle_tours == ()
-        assert report.to_dict()["oracle_cost"] is None
-        assert report.decoded_tours[0]["valid"] in (True, False)
+        assert json.loads(json.dumps(report, default=cli.json_default))["oracle_cost"] is None
+        assert report.decoded_tours[0].valid in (True, False)
 
 
 def _independent_traces(instance, report, ansatz, optimizer):
@@ -689,7 +691,7 @@ def _independent_traces(instance, report, ansatz, optimizer):
             seed=report.seed * _SEED_STRIDE + 2 * i,
             ground_energy=report.ground_energy,
             convergence_tol=report.convergence_tol,
-        ).to_dict()
+        )
         for i, init in enumerate(inits)
     ]
 
@@ -743,7 +745,7 @@ class TestLockstep:
         optimizer = OptimizerConfig(max_evals=300)
         report = run_experiment(landscape_instance, mode, k=k, seed=seed, layers=layers,
                                 entangler=entangler, optimizer=optimizer)
-        assert [t.to_dict() for t in report.traces] == _independent_traces(
+        assert report.traces == _independent_traces(
             landscape_instance, report, AnsatzConfig(n=9, layers=layers, entangler=entangler),
             optimizer)
 
@@ -754,7 +756,7 @@ class TestLockstep:
                                 optimizer=optimizer)
         lengths = [t.n_evaluations for t in report.traces]
         assert min(lengths) == 1 and max(lengths) == 299
-        assert [t.to_dict() for t in report.traces] == _independent_traces(
+        assert report.traces == _independent_traces(
             landscape_instance, report, AnsatzConfig(n=9), optimizer)
 
     @pytest.mark.parametrize("mode", ["best_mubs", "zeros"])
@@ -776,18 +778,17 @@ class TestLockstep:
         if mode == "best_mubs":
             report = run_experiment(landscape_instance, mode, k=10, seed=0,
                                     optimizer=optimizer)
-            traces = [t.to_dict() for t in report.traces]
+            traces = report.traces
             monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
             alone = _independent_traces(landscape_instance, report, AnsatzConfig(n=9),
                                         optimizer)
         else:
             ground = float(ground_states(landscape_ising)[0])
             starts = [(ZerosInit(), seed) for seed in range(4)]
-            traces = [t.to_dict() for t in run_lockstep(landscape_ising, starts, None,
-                                                        optimizer, ground)]
+            traces = run_lockstep(landscape_ising, starts, None, optimizer, ground)
             monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
             alone = [run_vqe(landscape_ising, init, optimizer=optimizer, seed=seed,
-                             ground_energy=ground).to_dict() for init, seed in starts]
+                             ground_energy=ground) for init, seed in starts]
         assert traces == alone
 
         def partly_idle(n, layers, ring, params):
@@ -828,7 +829,7 @@ class TestLockstep:
         assert sum(stop is None for _, _, stop, _, _ in calls) == evaluations
         assert sum(start > 0 for _, start, stop, _, _ in calls if stop is None) >= evaluations // 2
         assert sum(stop is not None for _, _, stop, _, _ in calls) <= evaluations // 2
-        assert [t.to_dict() for t in report.traces] == _independent_traces(
+        assert report.traces == _independent_traces(
             instance, report, AnsatzConfig(n=16), optimizer)
 
     @pytest.mark.parametrize("mode, qubits, max_evals", [
@@ -876,7 +877,7 @@ class TestLockstep:
             (trace,) = report.traces
             np.testing.assert_allclose(trace.energies, np.minimum.accumulate(dense),
                                        rtol=1e-12, atol=0)
-        assert [t.to_dict() for t in report.traces] == _independent_traces(
+        assert report.traces == _independent_traces(
             instance, report, AnsatzConfig(n=qubits), optimizer)
 
     def test_sixteen_qubits_match_full_evaluations(self):

@@ -13,6 +13,7 @@ from tspvqe import (
     SizeCapError,
     ValidationError,
     audit_penalties,
+    best_k,
     compute_landscape,
     encode_efficient,
     encode_fixed_start,
@@ -353,6 +354,19 @@ def test_ground_states_match_oracle(landscape_instance, counterexample_instance)
         decoded = {validate_bitstring(fixed, "efficient", bits).order
                    for bits in bitstrings}
         assert decoded == {t.order for t in tours}
+
+
+def test_cached_arrays_are_read_only(landscape_instance):
+    """A write into the cached energies or coefficient arrays is refused, so
+    no caller can change what later ``ground_states`` and landscapes read."""
+    ising = to_ising(encode_efficient(landscape_instance))
+    with pytest.raises(ValueError, match="read-only"):
+        ising.energy_int_vector()[:] = -5
+    for array in ising.to_int_arrays()[2:]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0
+    assert ground_states(ising)[0] == 13
+    assert best_k(compute_landscape(ising), 1)[0].energy == 13.0
 
 
 def test_ground_states_of_zero_spins():

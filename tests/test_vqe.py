@@ -19,7 +19,7 @@ from tspvqe import (
     run_experiment,
     to_ising,
 )
-from tspvqe import kernels, vqe
+from tspvqe import cli, kernels, vqe
 from tspvqe.kernels import apply_ansatz_amplitudes
 
 
@@ -124,6 +124,24 @@ class TestOptimize:
                 probe[k] += offset
                 assert trig(probe) >= result.best_value - 1e-9
 
+    def test_restart_jitters_x0_by_the_seeded_draw(self):
+        """On a flat objective with no restart points the first sweep stalls,
+        and the search restarts at x0 plus a uniform draw in +/- pi *
+        RESTART_JITTER, drawn after that sweep's coordinate order."""
+        x0 = np.array([0.5, -1.0, 2.0, 0.25])
+        seed = 7
+        search = vqe._search(x0, OptimizerConfig(), seed, None, 0.0, None)
+        requests = [next(search)]
+        while len(requests) == 1 or len(requests[-1]) == 2:
+            requests.append(search.send([5.0] * len(requests[-1])))
+        # x0, one probe pair per coordinate, then the restart
+        assert len(requests) == 2 + len(x0)
+        rng = np.random.default_rng(seed)
+        rng.permutation(len(x0))
+        jitter = rng.uniform(-vqe.RESTART_JITTER * np.pi, vqe.RESTART_JITTER * np.pi, len(x0))
+        [restart] = requests[-1]
+        np.testing.assert_array_equal(restart, x0 + jitter)
+
     def test_respects_eval_cap(self):
         calls = []
 
@@ -179,9 +197,10 @@ def test_numpy_settings_reach_the_report_as_plain_numbers(landscape_instance, se
         settings = {"max_evals": 5, "rho_end": 1e-4, setting: v}
         layers = settings.pop("layers", 2)
         return run_experiment(landscape_instance, "zeros", layers=layers,
-                              optimizer=OptimizerConfig(**settings)).to_dict()
+                              optimizer=OptimizerConfig(**settings))
 
-    assert json.dumps(report(value)) == json.dumps(report(plain))
+    assert (json.dumps(report(value), default=cli.json_default)
+            == json.dumps(report(plain), default=cli.json_default))
 
 
 class TestRunVqe:
@@ -299,7 +318,7 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
     assert len(lent) > sum(t.n_evaluations for t in batch)  # prefixes were carried too
     assert all(pair is not None for pair in lent)
     assert len({id(b) for pair in lent for b in pair}) == 3
-    assert [t.to_dict() for t in batch] == [t.to_dict() for t in alone]
+    assert batch == alone
 
 
 def _restart_points_per_qubit(config, product_angles, seed, count=16):
