@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import layouts, oracle
+from . import kernels, layouts, oracle
 from .encoder import spin_form
 from .errors import ValidationError
 from .graph import ProblemInstance
@@ -40,8 +40,8 @@ from .vqe import (
     ZerosInit,
     _is_int,
     _is_real,
-    one_state_per_call,
     run_lockstep,
+    runs_alone,
 )
 
 MODES = ("zeros", "best_mubs", "random")
@@ -52,8 +52,6 @@ _RECORDS_PER_TRIPLE = 72  # 9 bases x 8 elements
 # seed*_SEED_STRIDE + 2i + 1 for its random initial state (when applicable)
 _SEED_STRIDE = 100003
 
-# bit k of support m selects the k-th qubit of a triple: (3 bits, 8 supports)
-_SUPPORT_BITS = (np.arange(8) >> np.arange(3)[:, None]) & 1
 # the table column of each of a triple's 72 records: element e of basis 0 is
 # column e, and the 64 records of bases 1-8 are column 8
 _RECORD_COLUMN = np.minimum(np.arange(_RECORDS_PER_TRIPLE), 8)
@@ -142,11 +140,13 @@ def compute_landscape(ising: IsingPolynomial):
 
     Each energy is its key over 8 x scale, correctly rounded.  The key is 8
     x E of support state e for basis 0 element e (column e), and the sum of
-    the triple's 8 support energies for bases 1-8 (column 8), from the
-    scaled ints of ``energy_int_vector``; ranks are the dense ranks of the
-    9 x C(n,3) keys.  Keys are int64 while 8 x scale and each support energy
-    are below 2^50 (keys below 2^53 divide exactly), else Python ints.  A
-    form above ``layouts.SPIN_CAP`` spins is refused before its C(n,3) qubit
+    the triple's 8 support energies for bases 1-8 (column 8); ranks are the
+    dense ranks of the 9 x C(n,3) keys.  The support energies are scaled
+    ints from the coefficients of ``to_int_arrays``, each triple's 8 by the
+    enumeration kernel's recurrence on its 3 spins alone, so no 2^n vector
+    is built.  Keys are int64 while 8 x scale and each support energy are
+    below 2^50 (keys below 2^53 divide exactly), else Python ints.  A form
+    above ``layouts.SPIN_CAP`` spins is refused before its C(n,3) qubit
     triples are built.
     """
     n = ising.n
@@ -155,8 +155,10 @@ def compute_landscape(ising: IsingPolynomial):
     triples = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
     ).reshape(-1, 3)
-    denominator = 8 * ising.to_int_arrays()[0]  # of every key
-    support = ising.energy_int_vector()[(1 << triples) @ _SUPPORT_BITS]  # (triples, 8)
+    scale, *coefficients = ising.to_int_arrays()
+    denominator = 8 * scale  # of every key
+    # (triples, 8): support m sets qubit k of its triple for each bit k of m
+    support = kernels.enumerate_spin_energies(n, *coefficients, spins=triples)
     if max(denominator, int(np.abs(support).max())) >= 1 << 50:
         support = support.astype(object)
     keys = np.empty((len(triples), 9), dtype=support.dtype)
@@ -306,8 +308,8 @@ def run_experiment(
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
-    processes: from 14 qubits up (one state per kernel call) the batch runs
-    here, on BLAS threads, else in ``min(threads, usable CPUs, runs)``
+    processes: from 14 qubits up (``runs_alone``: one run at a time) the
+    batch runs here, on BLAS threads, else in ``min(threads, usable CPUs, runs)``
     contiguous parts, a worker each from two up; the traces are the same.
     """
     layouts.lookup(LAYOUT, nodes=instance.node_count)
@@ -356,7 +358,7 @@ def run_experiment(
                             ground_energy=ground, convergence_tol=convergence_tol)
     # a forked worker keeps every BLAS thread it inherits, so a batch whose
     # kernel calls run on BLAS threads stays in this process
-    workers = 1 if one_state_per_call(n) else min(threads, _usable_cpus(), len(starts))
+    workers = 1 if runs_alone(n) else min(threads, _usable_cpus(), len(starts))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only this branch pays its import
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .rationals import parse_rational, rational_to_json
+from .rationals import RATIONAL_DIGITS, parse_rational, rational_to_json
 
 VARIANTS = ("hamiltonian_cycle", "hamiltonian_path", "tsp")
 
@@ -171,6 +171,8 @@ def _load_json(text: str) -> ProblemInstance:
         doc = json.loads(text, parse_float=str)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's int-to-str digit limit
+        raise ParseError(f"a number has more than {RATIONAL_DIGITS} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
     missing = [k for k in ("nodes", "directed", "variant", "edges") if k not in doc]

@@ -2,22 +2,26 @@
 
 Both are numpy kernels, the same on every install.  Energy enumeration works
 in scaled int64 arithmetic (the caller supplies coefficients multiplied by a
-common denominator), so results are exact.  The ansatz kernel applies each
-layer as a few grouped Ry matmuls and one fused phase vector for its Rz and
-Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
+common denominator), so results are exact; it gives all 2^n energies, or
+those of the 2^m states of each row of a few spins.  The ansatz kernel
+applies each layer as a few grouped Ry matmuls and one fused phase vector
+for its Rz and Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
 ``(R, P)`` parameters applies row r's parameters to row r's state in one call.
 A call can also run only some stages of the circuit: calls that split the
 stages between them give the bits of one call that runs them all.  A call
 allocates two state-sized arrays for its stages to write in turn, unless the
 caller lends it a pair to reuse.
 
-One state can also be passed on its *held* qubits alone, as 2^h amplitudes
-with every other qubit exactly |0>.  Each stage holds the qubits of the one
-before and those its Ry gates turn by a nonzero angle, so the held set after
-a stage depends only on the input's and on the parameters of the stages run
-up to it, and split calls still give the bits of the whole call.  Such a
-call returns the held set it ends on with the state.  Held on every qubit, a
-call is the one on the full state, bit for bit.
+A state, or a stack of them, can also be passed on its *held* qubits alone,
+as 2^h amplitudes with every other qubit exactly |0>.  Each stage holds the
+qubits of the one before and those its Ry gates turn by a nonzero angle, so
+the held set after a stage depends only on the input's and on the
+parameters of the stages run up to it, and split calls still give the bits
+of the whole call.  Such a call returns the held set it ends on with the
+state.  Held on every qubit, a call is the one on the full state, bit for
+bit.  A held stack runs only when its rows hold the same qubits after every
+stage, so each row runs the matmuls it would run alone; else the call is
+refused with ``CallRefused``.
 
 A stage whose parameters are all zero (+0.0 or -0.0) in every row of a call
 is skipped.  At zero angle a stage's Ry matrix is the identity with signed
@@ -203,12 +207,14 @@ def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
     """The ``stages`` (ascending), on one state or row by row on a stack.
 
     ``held_at`` holds the held set of ``psi0`` and then the one after each
-    stage; a stack holds every qubit.  The stages that end on one held set
-    form a segment and run on its plan; only the first of them can add
-    qubits, and held on every qubit a call is one segment.
+    stage, the same for every row of a stack.  The stages that end on one
+    held set form a segment and run on its plan; only the first of them can
+    add qubits, and held on every qubit a call is one segment.
     Every array carries the leading axes of ``params[..., 0]`` (none for one
     state), so each row goes through the same matmuls, of the same shapes, as
-    it would alone.  Only the tables the stages read are built, per segment:
+    it would alone; a phase stage on rows of one amplitude multiplies them
+    row by row, as numpy's path for one element differs from a longer
+    loop's.  Only the tables the stages read are built, per segment:
     a Ry group's table, for every layer, and the phase tables of every layer.
     A table is the same array, of the same layout, whichever stages a call
     runs, so the bits of a stage do not depend on them.  Every table is built
@@ -275,7 +281,13 @@ def _apply_ansatz(psi0, n, layers, ring, params, stages, held_at, buffers):
                 left, right = phase
                 shape = batch + (left.shape[-2], -1)
                 np.matmul(left[..., layer, :, :], right[..., layer, :, :], out=out.reshape(shape))
-                np.multiply(amps, out, out=out)
+                if batch and out.shape[-1] == 1:
+                    # numpy multiplies one complex in place on another path than
+                    # a longer loop, with other bits: each row as it would alone
+                    for row in np.ndindex(batch):
+                        np.multiply(amps[row], out[row], out=out[row])
+                else:
+                    np.multiply(amps, out, out=out)
             amps = out
     if amps is psi0:
         amps = _leading(buffers[0], size)
@@ -291,7 +303,14 @@ def _leading(buffer, size):
 # -- entry points ------------------------------------------------------------
 
 
-def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
+class CallRefused(ValueError):
+    """An ansatz kernel call refused before any work because its states do
+    not fit it: the rows of a held stack would hold different qubits after
+    a stage, or the buffers lent are shorter than the result.  The rows can
+    go one per call, or into longer buffers."""
+
+
+def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval, spins=None):
     """Scaled-int Ising energies of all 2^n spin assignments (s = 1 - 2*bit).
 
     A doubling recurrence in O(2^n) int64 additions and no memory beyond the
@@ -299,6 +318,12 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
     spin k changes the energy by 2 G_k[z], where
     G_k[z] = -h_k - sum_{j != k} J_jk s_j(z), so E[z + 2^k] = E[z] + 2 G_k[z].
     G_k doubles the same way: G_k[z + 2^j] = G_k[z] + 2 J_jk for j < k.
+
+    ``spins``, a ``(T, m)`` array of distinct spins per row, runs the same
+    recurrence on each row's spins alone: the result is ``(T, 2^m)``, and
+    entry z of row t is the energy of the state whose spin ``spins[t, k]``
+    is -1 for each bit k of z, every other spin +1.  So the energies of a
+    few spins' states need no 2^n vector.
 
     Exact as long as |const| + sum |h| + sum |J| < 2^62, the bound that
     ``rationals.scale_to_int64`` enforces: every E and G_k lies within that
@@ -310,16 +335,20 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval):
     coupling = np.zeros((n, n), dtype=np.int64)
     np.add.at(coupling, (qi, qj), qval)
     np.add.at(coupling, (qj, qi), qval)
-    energies = np.empty(1 << n, dtype=np.int64)
+    # one column per row of ``spins``: entry [z, t] is state z of row t
+    columns = np.arange(n)[:, None] if spins is None else np.asarray(spins, dtype=np.int64).T
+    gain = (-(h + coupling.sum(axis=1)))[columns]  # G_k at the all +1 state
+    twice = 2 * coupling[columns[:, None], columns[None, :]]
+    energies = np.empty((1 << len(columns), columns.shape[1]), dtype=np.int64)
     energies[0] = np.int64(const) + h.sum() + qval.sum()
-    for k in range(n):
+    for k in range(len(columns)):
         flip = energies[1 << k:2 << k]  # holds G_k, then the energies it leads to
-        flip[0] = -(h[k] + coupling[k].sum())
+        flip[0] = gain[k]
         for j in range(k):
-            np.add(flip[:1 << j], 2 * coupling[j, k], out=flip[1 << j:2 << j])
+            np.add(flip[:1 << j], twice[j, k], out=flip[1 << j:2 << j])
         flip *= 2
         flip += energies[:1 << k]
-    return energies
+    return energies[:, 0] if spins is None else energies.T
 
 
 def ansatz_stages(n, layers, ring):
@@ -358,9 +387,8 @@ def stages_run(n, layers, ring, params, start=0, stop=None):
     stop = count if stop is None else stop
     if not 0 <= start < stop <= count:
         raise ValueError(f"stages {start} to {stop} are not a range within 0..{count}")
-    runs = np.zeros(count, dtype=bool)
-    runs[param_stage[(params != 0).reshape(-1, param_stage.size).any(axis=0)]] = True
-    return (np.flatnonzero(runs[start:stop]) + start).tolist()
+    moved = params != 0 if params.ndim == 1 else params.reshape(-1, param_stage.size).any(axis=0)
+    return sorted({stage for stage in param_stage[moved].tolist() if start <= stage < stop})
 
 
 def basis_indices(held):
@@ -373,47 +401,63 @@ def basis_indices(held):
     return idx
 
 
-def _held_after(n, layers, ring, params, held, stages):
-    """``held``, then the held set after each of ``stages``."""
-    if len(held) == n:
-        return [held] * (len(stages) + 1)
+@lru_cache(maxsize=16)
+def _ry_moves(n, layers, ring):
+    """``(P, stage count)``: ``1 << q`` in the stage column of each Ry
+    parameter on qubit q, 0 elsewhere.  Read-only."""
     plan = _ansatz_plan(n, layers, ring, tuple(range(n)))
-    # per stage, the bit mask of the qubits its Ry gates turn by a nonzero angle
-    moves = np.zeros(plan.stage_count, dtype=np.int64)
-    turned = params[plan.ry_index] != 0
-    np.bitwise_or.at(moves, plan.ry_stage[turned], np.left_shift(1, np.nonzero(turned)[1]))
-    mask = sum(1 << q for q in held)
-    out = [held]
-    for stage in stages:
-        mask |= int(moves[stage])
-        out.append(_qubits(mask))
-    return out
+    moves = np.zeros((plan.param_stage.size, plan.stage_count), dtype=np.int64)
+    moves[plan.ry_index, plan.ry_stage] = np.left_shift(1, np.arange(n))
+    moves.flags.writeable = False
+    return moves
+
+
+def _held_after(n, layers, ring, params, held, stages):
+    """``held``, then the held set after each of ``stages``; for a stack, its
+    rows' common one, or None when they differ after one of the stages."""
+    if len(held) == n or not stages:
+        return [held] * (len(stages) + 1)
+    # per row, the bit mask of the qubits held after each stage from the
+    # first to the last of ``stages``: a stage that is not run turns none
+    rows = params.reshape(-1, params.shape[-1])
+    first = stages[0]
+    masks = np.bitwise_or.accumulate(
+        ((rows != 0) @ _ry_moves(n, layers, ring))[:, first:stages[-1] + 1], axis=1)
+    top, *others = (masks | sum(1 << q for q in held)).tolist()
+    if any(row != top for row in others):
+        return None
+    return [held] + [_qubits(top[stage - first]) for stage in stages]
 
 
 def _check_held(psi0, params, n, held):
     """``held`` as a tuple; refuse one that is not ascending qubits of the
-    ansatz, or that ``psi0`` and ``params`` do not fit as one state."""
+    ansatz, or states ``psi0`` that are not held on it, one per row of
+    ``params``."""
     held = tuple(int(q) for q in held)
     if list(held) != sorted(set(held)) or not all(0 <= q < n for q in held):
         raise ValueError(f"held must be ascending distinct qubits of 0..{n - 1}, got {held}")
-    if params.ndim != 1 or psi0.shape != (1 << len(held),):
-        raise ValueError(f"a state held on {len(held)} qubits is one array of "
-                         f"{1 << len(held)} amplitudes, got {psi0.shape}")
+    if psi0.shape != params.shape[:-1] + (1 << len(held),):
+        raise ValueError(f"a state held on {len(held)} qubits is {1 << len(held)} amplitudes; "
+                         f"states {psi0.shape} do not match parameters {params.shape}")
     return held
 
 
 def _check_buffers(psi0, buffers, size):
-    """Refuse a ``buffers`` pair the stages cannot ping-pong through."""
+    """Refuse a ``buffers`` pair the stages cannot ping-pong through, with
+    ``CallRefused`` when it is only too short for the result."""
     if len(buffers) != 2:
         raise ValueError(f"buffers must be a pair, got {len(buffers)}")
     for buffer in buffers:
         if not (isinstance(buffer, np.ndarray) and buffer.dtype == np.complex128
                 and buffer.shape[:-1] == psi0.shape[:-1] and buffer.ndim == psi0.ndim
-                and buffer.shape[-1] >= size and buffer.flags.c_contiguous):
+                and buffer.flags.c_contiguous):
             raise ValueError(
                 f"each buffer must be a C-contiguous complex128 array of shape "
                 f"{psi0.shape[:-1] + (size,)} or longer in its last axis"
             )
+        if buffer.shape[-1] < size:
+            raise CallRefused(f"the result holds {size} amplitudes per state, more than the "
+                              f"{buffer.shape[-1]} of the buffers lent")
         # contiguous arrays share memory exactly when their extents overlap
         if np.may_share_memory(buffer, psi0):
             raise ValueError("a buffer shares memory with the input state")
@@ -429,13 +473,17 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     ``(R, P)``, row r's parameters acting on row r's state.  The result has
     the shape of ``psi0`` (but see ``held``), and ``psi0`` is not modified.
 
-    ``held``, ascending qubits, passes one state on those qubits alone: an
+    ``held``, ascending qubits, passes states on those qubits alone: each an
     array of ``2^len(held)`` amplitudes, bit i of whose index is qubit
     ``held[i]``, with every other qubit exactly |0> (``basis_indices`` maps
-    it into the full state).  The call then returns a pair, the state and
-    the qubits it is held on: ``held`` and those that the stages run turn by
-    a nonzero Ry angle, ascending.  Held on every qubit, the state has the
-    bits of a call without ``held``.
+    it into the full state), one state or an ``(R, 2^len(held))`` stack.
+    The call then returns a pair, the states and the qubits they are held
+    on: ``held`` and those that the stages run turn by a nonzero Ry angle,
+    ascending.  Held on every qubit, the state has the bits of a call
+    without ``held``.  A stack whose rows would hold different qubits after
+    a stage the call runs (one row turns a qubit by a nonzero angle that
+    another leaves at |0>) is refused with ``CallRefused`` before any work:
+    its rows would not run the matmuls they run alone.
 
     ``start`` and ``stop`` run only the stages from ``start`` to ``stop - 1``
     (see :func:`ansatz_stages`; by default all of them): ``psi0`` is then
@@ -461,7 +509,8 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     of its leading entries.  A call that runs no stage copies ``psi0`` into
     ``a`` and returns it, and writes no other array.  The bits are those of
     a call without ``buffers``.  ``None`` allocates two state-sized arrays
-    per call, and the result is never ``psi0`` itself.
+    per call, and the result is never ``psi0`` itself.  Buffers shorter
+    than the result are refused with ``CallRefused``, before any work.
     """
     params = np.asarray(params, dtype=np.float64)
     psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
@@ -473,6 +522,9 @@ def apply_ansatz_amplitudes(psi0, n, layers, ring, params, start=0, stop=None, b
     else:
         held_at = _held_after(n, layers, bool(ring), params, _check_held(psi0, params, n, held),
                               stages)
+        if held_at is None:
+            raise CallRefused("the rows of a held stack would hold different qubits after "
+                              "a stage the call runs")
     if buffers is not None:
         _check_buffers(psi0, buffers, 1 << len(held_at[-1]))
     amps = _apply_ansatz(psi0, n, layers, bool(ring), params, stages, held_at, buffers)

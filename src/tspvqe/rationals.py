@@ -14,6 +14,7 @@ are bit-exact, and no Fraction is made per term unless a coefficient is read
 as one.
 """
 
+import re
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -22,26 +23,62 @@ import numpy as np
 
 from .errors import ValidationError
 
+# The most decimal digits a parsed rational's numerator or denominator may
+# have: Python's default limit on int-to-str conversion, so every accepted
+# value can be written back out
+RATIONAL_DIGITS = 4300
+_DIGIT_LIMIT = 10 ** RATIONAL_DIGITS
+# a decimal in Fraction's syntax with an exponent: (mantissa, exponent digits)
+_DECIMAL = re.compile(r"([-+]?[0-9_]*(?:\.[0-9_]*)?)[eE][-+]?([0-9]+(?:_[0-9]+)*)")
+
+
+def _bounded(text: str, context) -> str:
+    """``text``, refused when its decimal exponent alone is beyond 2 x
+    ``RATIONAL_DIGITS`` on a mantissa with a nonzero digit, so that the
+    power of ten is never expanded: the mantissa, at most
+    ``RATIONAL_DIGITS`` digits (Python reads no longer one), cannot bring
+    such a number within the cap.  On a zero mantissa that exponent is
+    dropped: zero times any power of ten is zero."""
+    match = _DECIMAL.fullmatch(text)
+    if match:
+        digits, bound = match[2].replace("_", "").lstrip("0"), 2 * RATIONAL_DIGITS
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            if re.search("[1-9]", match[1]):
+                raise _too_many_digits(context)
+            return match[1]
+    return text
+
 
 def parse_rational(value, context="value") -> Fraction:
     """Convert an int, string, float, or Fraction to an exact Fraction.
 
     Floats are parsed through their shortest decimal repr, so a JSON file
     read with ``parse_float=str`` and a float passed directly give the
-    same result.
+    same result.  A value whose numerator or denominator has more than
+    ``RATIONAL_DIGITS`` digits is refused with ``ValidationError``; a text
+    whose decimal exponent alone puts it past that cap is refused before
+    the power of ten is expanded.
     """
     if isinstance(value, bool):
         raise ValidationError(f"{context}: expected a number, got a bool")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float):
-        value = repr(value)
-    if isinstance(value, str):
+        result = Fraction(value)
+    elif isinstance(value, (float, str)):
+        text = repr(value) if isinstance(value, float) else value.strip()
         try:
-            return Fraction(value.strip())
+            result = Fraction(_bounded(text, context))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{context}: bad rational {value!r}") from exc
-    raise ValidationError(f"{context}: expected a number, got {type(value).__name__}")
+    else:
+        raise ValidationError(f"{context}: expected a number, got {type(value).__name__}")
+    if abs(result.numerator) >= _DIGIT_LIMIT or result.denominator >= _DIGIT_LIMIT:
+        raise _too_many_digits(context)
+    return result
+
+
+def _too_many_digits(context) -> ValidationError:
+    return ValidationError(f"{context}: a rational's numerator and denominator may have at "
+                           f"most {RATIONAL_DIGITS} digits")
 
 
 def rational_to_json(value: Fraction):

@@ -28,7 +28,7 @@ qubits, one from 13 qubits up).  Below 14 qubits each round is one
 ``kernels.apply_ansatz_amplitudes`` call on the pending vectors of every
 live run of the group, over an ``(R, 2^n)`` stack of the runs' initial
 states, each spread into its row from the qubits its init builds it on.
-From 14 qubits up a call holds one state (below).  The kernel skips the
+From 14 qubits up each run goes alone (below).  The kernel skips the
 stages whose parameters are zero in every row (they are the identity), so a
 stack may run a stage that a row's run alone would skip.  The row's
 amplitudes can then differ only in the sign of zeros: they are equal under
@@ -36,7 +36,7 @@ amplitudes can then differ only in the sign of zeros: they are equal under
 that row's bits.  Each expectation is one dot product per row of
 probabilities, so a trace does not depend on the batch it ran in.
 
-Where a call holds one state (14 qubits and up), a run also keeps one
+Where the runs go alone (14 qubits and up), a run also keeps one
 partly applied state, a prefix: its current point after the ansatz stages
 below the first stage at which the vectors of a request differ.  Rotation
 descent's probe pair and the candidate after it all start from that
@@ -54,10 +54,15 @@ in the run, and its most probable basis index is mapped back to all n
 qubits.  The run also keeps three state buffers, the prefix and a free
 pair, and uses their leading 2^h entries: every kernel call writes into the
 pair, and each state's probabilities go into the float64 view of the pair's
-other buffer.  A group is then one run, so the runs of a batch go one after
-another, and all of them use the same three buffers, allocated once per
-batch.  So no evaluation allocates a state-sized array, and of the starts
-only a random one is state-sized.  Stacked calls (13 qubits and below) hold
+other buffer.  Each request is one kernel call while it fits one: a probe
+pair whose two states together hold at most ``LOCKSTEP_AMPLITUDES``
+amplitudes goes in one stacked call, from two copies of the prefix laid in
+a fourth buffer, unless the kernel refuses it because its rows would hold
+different qubits after some stage; else the vectors go one per call.  A
+group is one run, so the runs of a batch go one after another, and all of
+them use the same four buffers, allocated once per batch.  So no
+evaluation allocates a state-sized array, and of the starts only a random
+one is state-sized.  Stacked calls (13 qubits and below) hold
 every qubit, as a random start does, and so keep the bits of the kernel on
 full states.
 
@@ -90,8 +95,10 @@ ENTANGLERS = ("linear_rzz", "ring_rzz")
 LOCKSTEP_AMPLITUDES = 1 << 14
 
 
-def one_state_per_call(n: int) -> bool:
-    """Whether an ansatz kernel call on ``n`` qubits holds one state (from 14 qubits up)."""
+def runs_alone(n: int) -> bool:
+    """Whether the runs of a lockstep batch on ``n`` qubits go one at a time,
+    each from its kept prefix (from 14 qubits up, where a probe pair on
+    every qubit no longer fits one kernel call)."""
     return LOCKSTEP_AMPLITUDES >> n <= 1
 
 
@@ -341,7 +348,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     rng = np.random.default_rng(seed)
     probe = np.pi * config.rho_start
     cos_p, sin_p = np.cos(probe), np.sin(probe)
-    queue = [np.asarray(p, dtype=float) for p in (restart_points or [])]
+    queue = iter(restart_points or ())
     attempt_cap = ATTEMPT_SWEEPS * 3 * dim
 
     x = np.array(x0, copy=True)
@@ -384,10 +391,11 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
         # without one, attempts run until they genuinely stall
         capped = rec.target is not None and attempt_evals >= attempt_cap
         if stalled or capped:
-            if queue:
-                x = queue.pop(0)
-            else:
+            x = next(queue, None)
+            if x is None:
                 x = x0 + rng.uniform(-RESTART_JITTER * np.pi, RESTART_JITTER * np.pi, dim)
+            else:
+                x = np.asarray(x, dtype=float)
             [fx] = yield from rec.ask(x)
             attempt_evals = 0
 
@@ -417,6 +425,13 @@ def _restart_points(config, product_angles, seed, count=16):
     points[:, rz[0]] = -beta
     points[:, ry[1]] = np.where(np.reshape(bits, (-1, n)), np.pi - alpha, -alpha)
     return list(points)
+
+
+def _restarts(config, product_angles, seed):
+    """The restart points of ``_restart_points``, built when the first one
+    is asked for: a run that never restarts builds none.  They draw from
+    their own generator, so when they are built changes none of them."""
+    yield from _restart_points(config, product_angles, seed)
 
 
 # -- the VQE loop --------------------------------------------------------------
@@ -449,7 +464,8 @@ def run_lockstep(
 
     Runs go in consecutive groups of at most ``LOCKSTEP_AMPLITUDES / 2^(n+1)``
     (at least one), whose two-vector requests fill one kernel call; below 14
-    qubits each round is one call.  Each trace equals that of its start alone.
+    qubits each round is one call, and from 14 qubits up each request of a
+    run while it fits one.  Each trace equals that of its start alone.
     Expectations are exact state-vector averages (no sampling noise).  When
     ``ground_energy`` is given a run stops as soon as its energy is within
     ``convergence_tol`` (relative) of it; otherwise convergence stays False
@@ -464,9 +480,9 @@ def run_lockstep(
         convergence_tol * max(1.0, abs(ground_energy)) if ground_energy is not None else 0.0
     )
     group_size = max(1, LOCKSTEP_AMPLITUDES >> (ising.n + 1))
-    # where a kernel call holds one state, a group is one run: the runs go
-    # one at a time, each with its prefix in the same three buffers
-    buffers = _state_buffers(ising.n) if one_state_per_call(ising.n) else None
+    # from 14 qubits up a group is one run: the runs go one at a time, each
+    # with its prefix in the same buffers
+    buffers = _state_buffers(ising.n) if runs_alone(ising.n) else None
     traces = []
     for first in range(0, len(starts), group_size):
         traces += _run_group(
@@ -477,31 +493,34 @@ def run_lockstep(
 
 
 def _state_buffers(n) -> list:
-    """Three 2^n-amplitude complex128 arrays in one anonymous memory map.
+    """Three 2^n-amplitude complex128 arrays, then one of
+    ``LOCKSTEP_AMPLITUDES``, where a probe pair's stacked call takes its
+    input, in one anonymous memory map.
 
     Not from the C heap: a batch's buffers outlive many smaller allocations,
     and freed there they left holes that later commands' arrays did not fit
     (the seed-1 ``vqe-n5`` benchmark's peak memory grew by 1.8-2.7 MB).  The
     map goes back to the system whole once no array uses it.
     """
-    block = np.frombuffer(mmap.mmap(-1, 3 * 16 * (1 << n)), dtype=np.complex128)
-    return list(block.reshape(3, 1 << n))
+    size = 3 << n
+    block = np.frombuffer(mmap.mmap(-1, 16 * (size + LOCKSTEP_AMPLITUDES)), dtype=np.complex128)
+    return list(block[:size].reshape(3, 1 << n)) + [block[size:]]
 
 
 def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, buffers):
     """The traces of one lockstep group; its states are freed on return.
 
     Each round evaluates the pending vectors of every live search.
-    ``buffers`` is the batch's three state-sized arrays where a call holds
-    one state, and then every call starts from the run's ``_Prefix``, which
-    writes into them.  Else it is None, each start is spread into its row of
+    ``buffers`` is the batch's state buffers (``_state_buffers``) where the
+    runs go alone, and then every call starts from the run's ``_Prefix``,
+    which writes into them.  Else it is None, each start is spread into its row of
     one ``(R, 2^n)`` array, and a round is one kernel call on a stack of
     those rows.  Each state is measured by its run's ``_Tally`` as soon as
     its kernel call returns.
     """
     built = [init.build(ansatz.n) for init, _ in group]
     searches = [_search(np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy,
-                        target_tol, _restart_points(ansatz, product_angles, seed))
+                        target_tol, _restarts(ansatz, product_angles, seed))
                 for (_, seed), (_, _, product_angles) in zip(group, built)]
     tallies = [_Tally(energy_vector) for _ in group]
     if buffers is None:
@@ -572,29 +591,31 @@ def _amplitudes(psi, theta, ansatz, **options):
 
 
 class _Prefix:
-    """One run's initial state and its kept prefix, for unstacked calls.
+    """One run's initial state and its kept prefix, for calls on held states.
 
     The initial state is ``psi0`` held on the qubits ``held0``, as an init
     builds it.  ``state`` is the ansatz state after the stages below
     ``stage``, applied with the parameters ``params`` (stage 0: the initial
     state itself), held on the qubits ``held`` (see
     ``kernels.apply_ansatz_amplitudes``): ``held0`` and the qubits those
-    stages turn.  The run writes into the leading entries of the three
-    state buffers of its batch, ``buffers``: every kernel call writes into
-    the two that do not hold ``state``, and a carried prefix becomes
-    ``state`` in place.  A carry whose stages are all at zero angle
-    (``kernels.stages_run`` finds none to run) moves ``stage`` and
-    ``params`` forward without a kernel call: the call would only have
-    copied ``state``.  Every call is on one state, so the kernel skips a
-    stage and adds a qubit exactly when a call on the whole ansatz would:
-    the split calls give the bits of one full call.
+    stages turn.  The run writes into the leading entries of its batch's
+    state buffers, ``buffers`` (``_state_buffers``): every kernel call
+    writes into the two of the first three that do not hold ``state``, and
+    a carried prefix becomes ``state`` in place.  A carry whose stages are
+    all at zero angle (``kernels.stages_run`` finds none to run) moves
+    ``stage`` and ``params`` forward without a kernel call: the call would
+    only have copied ``state``.  A call on one state skips a stage and adds
+    a qubit exactly when a call on the whole ansatz would, so the split
+    calls give the bits of one full call.  A probe pair goes in one stacked
+    call only when each row holds the qubits it would hold alone, after
+    every stage, so each row has the bits of its call alone.
     """
 
     def __init__(self, held0, psi0, ansatz, buffers):
         self.ansatz, self.held0, self.psi0 = ansatz, held0, psi0
         self.stage_count, self.param_stage = kernels.ansatz_stages(
             ansatz.n, ansatz.layers, ansatz.ring)
-        self._buffers = buffers
+        self._buffers, self._pair_input = buffers[:3], buffers[3]
         self._reset()
 
     def _reset(self):
@@ -615,9 +636,13 @@ class _Prefix:
         Starts from the kept prefix when every vector agrees with it on the
         stages below it, else from the initial state.  When the vectors
         first differ past that start, the prefix is first carried forward
-        to there, with the first vector's parameters.  Each state is
-        measured before the next call overwrites it: its probabilities go
-        into the float64 view of the free buffer the kernel did not return.
+        to there, with the first vector's parameters.  A pair of states that
+        together hold at most ``LOCKSTEP_AMPLITUDES`` amplitudes goes in one
+        call on two copies of ``state``, laid in the input buffer, with
+        buffer rows of half that: the kernel refuses it
+        (``kernels.CallRefused``, before any work) when its rows would not
+        hold the same qubits after every stage, or would come to hold more,
+        and the vectors then go one per call, as any other request.
         """
         xs = [np.asarray(x, dtype=np.float64) for x in request]
         if self.stage and min(self._shared(self.params, x) for x in xs) < self.stage:
@@ -633,16 +658,28 @@ class _Prefix:
             # a copy: a search may reuse the memory of the vectors it asked for
             self.params, self.stage = xs[0].copy(), split
         free = self._free()
-        values = []
-        for x in xs:
-            amps, held = _amplitudes(self.state, x, self.ansatz, start=self.stage, buffers=free,
-                                     held=self.held)
-            idle = free[1] if np.may_share_memory(amps, free[0]) else free[0]
-            probabilities = idle.view(np.float64)[:amps.size]
-            np.abs(amps, out=probabilities)
-            np.square(probabilities, out=probabilities)
-            values.append(tally(probabilities, held))
-        return values
+        if len(xs) == 2 and 2 * self.state.size <= LOCKSTEP_AMPLITUDES:
+            rows = self._pair_input[:2 * self.state.size].reshape(2, -1)
+            rows[:] = self.state
+            lent = tuple(b[:LOCKSTEP_AMPLITUDES].reshape(2, -1) for b in free)
+            try:
+                return self._measured(rows, np.stack(xs), lent, tally)
+            except kernels.CallRefused:
+                pass
+        return [value for x in xs for value in self._measured(self.state, x, free, tally)]
+
+    def _measured(self, psi, params, buffers, tally) -> list:
+        """The energies of one kernel call from ``stage`` on ``psi``, one
+        state or a stack, measured before the next call overwrites it: the
+        probabilities go into the float64 view of the buffer the kernel did
+        not return."""
+        amps, held = _amplitudes(psi, params, self.ansatz, start=self.stage, buffers=buffers,
+                                 held=self.held)
+        idle = buffers[1] if np.may_share_memory(amps, buffers[0]) else buffers[0]
+        probabilities = idle.view(np.float64)[..., :amps.shape[-1]]
+        np.abs(amps, out=probabilities)
+        np.square(probabilities, out=probabilities)
+        return [tally(row, held) for row in probabilities.reshape(-1, amps.shape[-1])]
 
 
 def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTrace:

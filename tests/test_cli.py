@@ -119,6 +119,25 @@ def test_output_path_checked_before_any_work(command, tmp_path, monkeypatch, cap
     assert not new.exists()
 
 
+@pytest.mark.parametrize("edges", [
+    '[[1, 2, "1e4300"], [2, 3, 1], [1, 3, 1]]',  # 10^4300: 4,301 digits
+    f'[[1, 2, {"9" * 4301}], [2, 3, 1], [1, 3, 1]]',  # an integer literal of 4,301 digits
+], ids=["exponent", "integer"])
+@pytest.mark.parametrize("command", [
+    ["solve"], ["encode", "--form", "ising"], ["encode"], ["audit"], ["landscape"],
+    ["vqe", "--max-evals", "5"], ["spectrum"],
+])
+def test_a_cost_past_4300_digits_exits_2(command, edges, tmp_path, capsys):
+    # every command refuses it as it reads the instance, with no traceback
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"nodes": 3, "directed": false, "variant": "tsp", "edges": {edges}}}')
+    out = tmp_path / "out"
+    assert main([command[0], str(path), *command[1:], "--no-timestamp", "-o", str(out)]) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("error: ") and "4300 digits" in err.err
+    assert not out.exists()
+
+
 class TestSolve:
     def test_landscape(self, tmp_path):
         doc = run_json(tmp_path, ["solve", LANDSCAPE])

@@ -26,6 +26,7 @@ from tspvqe import (
     to_ising,
 )
 from tspvqe import cli, kernels, vqe
+from tspvqe.encoder import encode
 from tspvqe.dqes import _BASIS_ELEMENT_CELLS, _RECORDS_PER_TRIPLE, _SEED_STRIDE, landscape_csv_rows
 from tspvqe.vqe import (
     AnsatzConfig,
@@ -138,12 +139,25 @@ class TestLandscape:
             compute_landscape(ising)
         assert ising._int_energies is None  # refused before enumerating
 
-    def test_float_vector_not_built(self, landscape_instance):
+    def test_float_vector_not_built(self, landscape_instance, monkeypatch):
+        # the keys come from the coefficients: neither the int64 nor the
+        # float64 vector of all 2^n energies is built, and the enumeration
+        # kernel runs on the triples' 3 spins alone
         ising = to_ising(encode_efficient(landscape_instance))
+        sizes = []
+        enumerate_spin_energies = kernels.enumerate_spin_energies
+
+        def recording(*args, **kwargs):
+            out = enumerate_spin_energies(*args, **kwargs)
+            sizes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(kernels, "enumerate_spin_energies", recording)
         compute_landscape(ising)
-        assert ising._int_energies is not None
-        assert not any(isinstance(value, np.ndarray) and value.dtype == np.float64
-                       for value in vars(ising).values())  # no float energies kept
+        assert sizes == [(comb(9, 3), 8)]
+        assert ising._int_energies is None
+        assert not any(isinstance(value, np.ndarray) and value.size >= 1 << ising.n
+                       for value in vars(ising).values())  # no energy vector kept
 
     def test_energies_match_direct_expectation(self, landscape_ising,
                                                landscape_records):
@@ -251,6 +265,89 @@ def test_keys_beyond_the_int64_rule_stay_exact(constant, field):
     ranks = [r.rank for r in landscape]
     assert ranks[:8] == [2, 0, 2, 0, 2, 0, 2, 0]
     assert set(ranks[8:]) == {1}
+
+
+def _random_ising(rng, n, values):
+    """A seeded spin form on n spins: every field and about half the
+    couplings drawn from ``values``."""
+    return IsingPolynomial(
+        n=n, constant=rng.choice(values), fields={i: rng.choice(values) for i in range(n)},
+        couplings={(i, j): rng.choice(values) for i, j in combinations(range(n), 2)
+                   if rng.random() < 0.5},
+        variable_order=tuple((1, t) for t in range(1, n + 1)), layout="full", node_count=n)
+
+
+def _coefficient_key_case(case, landscape_instance):
+    """The Ising form of a coefficient-key case: the shipped instance in one
+    of the three layouts, at A = 2^55 (keys past 2^50), a seeded random
+    form on 3 to 20 spins, or one whose |constant| + sum |h| + sum |J| is
+    just below 2^62, with a coupling above 2^61, so that 4 J overflows int64."""
+    if case in ("full", "fixed_start_full", "efficient"):
+        return to_ising(encode(landscape_instance, case))
+    if case == "efficient_a2^55":
+        return _exact_case_ising("shipped_a2^55", landscape_instance)
+    if case == "near_2^62":
+        big = 2**61 + 5
+        return IsingPolynomial(
+            n=5, constant=-(2**58), fields={0: 2**58, 3: -(2**57) - 7},
+            couplings={(0, 2): big, (1, 2): -(2**59), (2, 4): 2**57 + 3, (3, 4): -11},
+            variable_order=tuple((1, t) for t in range(1, 6)), layout="full", node_count=5)
+    n = int(case.split("_")[1])
+    values = [Fraction(p, q) for p in (-7, -3, -1, 2, 5, 13) for q in (1, 2, 3)]
+    return _random_ising(random.Random(n), n, values)
+
+
+def _landscape_from_the_gather(ising):
+    """The energy and rank tables of the landscape as the keys were built
+    before they came from the coefficients: each triple's 8 support
+    energies gathered from the 2^n int64 vector, then the keys, their exact
+    quotients and their dense ranks in Python ints and Fractions."""
+    triples = np.array(list(combinations(range(ising.n), 3)))
+    support_bits = (np.arange(8) >> np.arange(3)[:, None]) & 1
+    support = ising.energy_int_vector()[(1 << triples) @ support_bits].tolist()
+    scale = ising.to_int_arrays()[0]
+    keys = [[8 * e for e in row] + [sum(row)] for row in support]
+    level = {key: rank for rank, key in enumerate(sorted({k for row in keys for k in row}))}
+    return ([[float(Fraction(k, 8 * scale)) for k in row] for row in keys],
+            [[level[k] for k in row] for row in keys], triples, support)
+
+
+def _closed_form_support(ising, triples):
+    """Each triple's 8 support energies in Python ints, from the scaled
+    coefficients: with s = 1 - 2x, E(S) = E(0) + sum_{i in S} d_i +
+    sum_{i<j in S} 4 J_ij, where d_i = -2 (h_i + sum_j J_ij)."""
+    _, const, fields, values, first, second, couplings = (
+        a.tolist() if isinstance(a, np.ndarray) else a for a in ising.to_int_arrays())
+    h = dict(zip(fields, values))
+    pairs = dict(zip(zip(first, second), couplings))
+    e0 = const + sum(values) + sum(couplings)
+    d = [-2 * (h.get(i, 0) + sum(v for pair, v in pairs.items() if i in pair))
+         for i in range(ising.n)]
+    rows = []
+    for triple in triples.tolist():
+        subsets = [[q for k, q in enumerate(triple) if m >> k & 1] for m in range(8)]
+        rows.append([e0 + sum(d[i] for i in s) + sum(4 * pairs.get(p, 0)
+                                                      for p in combinations(s, 2))
+                     for s in subsets])
+    return rows
+
+
+@pytest.mark.parametrize("case", ["full", "fixed_start_full", "efficient", "efficient_a2^55",
+                                  "near_2^62", "random_3", "random_5", "random_8",
+                                  "random_13", "random_20"])
+def test_coefficient_keys_equal_the_gather(case, landscape_instance):
+    # the support energies of the triples' 3 spins alone are the entries of
+    # the full vector, so every energy and rank is the one the gather gave
+    ising = _coefficient_key_case(case, landscape_instance)
+    scale, *coefficients = ising.to_int_arrays()
+    energies, ranks, triples, support = _landscape_from_the_gather(ising)
+    alone = kernels.enumerate_spin_energies(ising.n, *coefficients, spins=triples)
+    assert alone.tolist() == support == _closed_form_support(ising, triples)
+    landscape = compute_landscape(ising)
+    assert landscape.energy_table.tolist() == energies
+    assert landscape.rank_table.tolist() == ranks
+    if case == "efficient_a2^55":  # the keys pass 2^50, so they are Python ints
+        assert max(abs(e) for row in support for e in row) >= 1 << 50
 
 
 @pytest.mark.parametrize("case", ["shipped", "shipped_a2^55", "n4_1", "n4_2", "n4_3", "n5_16",
@@ -800,34 +897,69 @@ class TestLockstep:
 
         assert any(partly_idle(*call) for call in calls)
 
-    def test_sixteen_qubits_one_state_per_call(self, monkeypatch):
+    def test_sixteen_qubits_one_call_per_request(self, monkeypatch):
         """A best-MUB start at 16 qubits holds 3 of them, and the short runs
         of the seeded instance turn at most two more: every call holds at
-        most 2^5 amplitudes, in and out."""
+        most 2^5 amplitudes per row, in and out.  So a probe pair fits one
+        call, and each request of a run is one call to the end: a probe
+        pair's two vectors go in one stack of two rows."""
         instance = _seeded_instance_16()
-        calls, lent = [], []
-        apply = kernels.apply_ansatz_amplitudes
+        log, lent, batches = [], [], []  # request sizes and calls; lent pairs; buffer sets
+        apply, search, state_buffers = (kernels.apply_ansatz_amplitudes, vqe._search,
+                                        vqe._state_buffers)
 
         def recording(psi0, *args, start=0, stop=None, buffers=None, held=None):
             out = apply(psi0, *args, start=start, stop=stop, buffers=buffers, held=held)
-            calls.append((np.shape(psi0), start, stop, out[0].size, held))
+            log.append(("call", np.shape(psi0), start, stop, out[0].shape, held))
             lent.append(buffers)
             return out
 
+        def logged(*args):
+            inner = search(*args)
+            request = next(inner)
+            while True:
+                log.append(len(request))
+                try:
+                    request = inner.send((yield request))
+                except StopIteration as done:
+                    return done.value
+
+        def recorded_buffers(n):
+            batches.append(state_buffers(n))
+            return batches[-1]
+
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+        monkeypatch.setattr(vqe, "_search", logged)
+        monkeypatch.setattr(vqe, "_state_buffers", recorded_buffers)
         optimizer = OptimizerConfig(max_evals=20)
         report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
-        assert all(held is not None and shape == (1 << len(held),) and shape[0] <= out <= 1 << 5
+        calls = [entry[1:] for entry in log if isinstance(entry, tuple)]
+        assert all(held is not None and shape[:-1] == out[:-1] and len(shape) <= 2
+                   and shape[-1] == 1 << len(held) and shape[-1] <= out[-1] <= 1 << 5
                    for shape, _, _, out, held in calls)
-        # every call writes into its run's own pair of buffers, three per run
+        # every call writes into the buffers of the batch, allocated once
+        [buffers] = batches
         assert all(pair is not None for pair in lent)
-        assert len({id(b) for pair in lent for b in pair}) <= 3 * len(report.traces)
-        # one call to the end per evaluation, none to find the best bitstrings
-        # afterwards; most start from a kept prefix, and fewer calls carry a
-        # prefix forward
+        assert all(any(np.shares_memory(b, mine) for mine in buffers[:3])
+                   for pair in lent for b in pair)
+        # one call to the end per request, on a row per vector, none to find
+        # the best bitstrings afterwards; most start from a kept prefix, and
+        # fewer calls carry a prefix forward
+        requests, rows = [], []
+        for entry in log:
+            if not isinstance(entry, tuple):
+                requests.append(entry)
+                rows.append([])
+            elif entry[3] is None:
+                shape = entry[1]
+                rows[-1].append(shape[0] if len(shape) == 2 else 1)
+        assert [sum(r) for r in rows] == requests
+        assert all(len(r) == 1 for r in rows)
+        assert requests.count(2) >= 10
         evaluations = sum(t.n_evaluations for t in report.traces)
-        assert sum(stop is None for _, _, stop, _, _ in calls) == evaluations
-        assert sum(start > 0 for _, start, stop, _, _ in calls if stop is None) >= evaluations // 2
+        assert sum(requests) == evaluations
+        assert sum(start > 0 for _, start, stop, _, _ in calls if stop is None) >= (
+            len(requests) // 2)
         assert sum(stop is not None for _, _, stop, _, _ in calls) <= evaluations // 2
         assert report.traces == _independent_traces(
             instance, report, AnsatzConfig(n=16), optimizer)
@@ -855,8 +987,8 @@ class TestLockstep:
                       held=None):
             if stop is not None:
                 calls.append(kernels.stages_run(n, layers, ring, params, start, stop))
-            else:
-                evaluated.append(np.array(params))
+            else:  # a row per evaluation
+                evaluated.extend(np.array(params).reshape(-1, np.shape(params)[-1]))
             return apply(psi0, n, layers, ring, params, start, stop, buffers, held)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)

@@ -161,3 +161,64 @@ def test_bad_field_types_exit_2(case, tmp_path, capsys):
     assert main(["solve", str(path), "--no-timestamp"]) == 2
     err = capsys.readouterr()
     assert err.out == "" and err.err.startswith("error: ")
+
+
+def _triangle(cost):
+    return ProblemInstance(3, False, "tsp", ((1, 2, cost), (2, 3, 1), (1, 3, 1)), 1, 1)
+
+
+# (value, digits of its numerator, or minus those of its denominator): the
+# most a parsed rational may have, 4,300 digits, Python's int-to-str limit
+AT_CAP = {
+    "1e4299": ("1e4299", 4300), "4300 nines": ("9" * 4300, 4300),
+    "int 10^4299": (10**4299, 4300), "1e-4299": ("1e-4299", -4300),
+    "Fraction 1/10^4299": (Fraction(1, 10**4299), -4300),
+    "4300 sevens/3": ("7" * 4300 + "/3", 4300),
+}
+PAST_CAP = {
+    "1e4300": "1e4300", "-1e4300": "-1e4300", "1e-4300": "1e-4300",
+    "10^4300 e0": "1" + "0" * 4300 + "e0", "10^4300 text": "1" + "0" * 4300,
+    "int 10^4300": 10**4300, "Fraction 1/10^4300": Fraction(1, 10**4300),
+    "0.5e4301": "0.5e4301", "25e-4302": "25e-4302", "5e8601": "5e8601",
+    "1e999999999": "1e999999999", "-3.5e-999999999": "-3.5e-999999999",
+}
+
+
+@pytest.mark.parametrize("value, digits", list(AT_CAP.values()), ids=list(AT_CAP))
+def test_rationals_of_4300_digits_are_kept_and_written_back(value, digits):
+    inst = _triangle(value)
+    cost = inst.cost(1, 2)
+    assert len(str(cost.numerator if digits > 0 else cost.denominator)) == abs(digits)
+    for fmt in ("json", "edge_list"):
+        assert load_instance(save_instance(inst, fmt), format=fmt) == inst
+
+
+@pytest.mark.parametrize("value", list(PAST_CAP.values()), ids=list(PAST_CAP))
+def test_rationals_past_4300_digits_are_refused(value):
+    with pytest.raises(ValidationError):
+        _triangle(value)
+    with pytest.raises(ValidationError, match="penalty_a"):
+        ProblemInstance(3, False, "tsp", (), value, 1)
+
+
+def test_a_huge_exponent_is_refused_before_it_is_expanded():
+    import time
+
+    start = time.perf_counter()
+    for value in ("1e999999999", "7.25E+999_999_999", "-1e-999999999"):
+        with pytest.raises(ValidationError, match="at most 4300 digits"):
+            _triangle(value)
+    assert time.perf_counter() - start < 0.5  # 10^999999999 would take minutes
+    # zero times any power of ten is zero, and stays a valid cost
+    assert _triangle("0e999999999").cost(1, 2) == 0
+    assert _triangle("-0.000e-999999999").cost(1, 2) == 0
+    for bad in ("0/1e999999999", "1/2e999999999", "e999999999", "1e99_", "0x1e999999999"):
+        with pytest.raises(ValidationError, match="bad rational"):
+            _triangle(bad)
+
+
+def test_a_json_integer_past_the_digit_limit_is_a_parse_error():
+    text = ('{"nodes": 3, "directed": false, "variant": "tsp", "edges": '
+            f'[[1, 2, {"9" * 4301}], [2, 3, 1], [1, 3, 1]]}}')
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        load_instance(text)

@@ -24,7 +24,14 @@ from tspvqe import (
     to_ising,
     validate_bitstring,
 )
-from tspvqe.ising import _energy_order, bit_cells, cell_table, render_rows, spectrum_csv_rows
+from tspvqe.ising import (
+    _energy_order,
+    bit_cells,
+    cell_table,
+    join_cells,
+    render_rows,
+    spectrum_csv_rows,
+)
 from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.layouts import bits_to_string, index_to_bits
 from tspvqe.oracle import Tour
@@ -393,3 +400,27 @@ def test_render_rows_drops_only_the_padding(cells):
         bits_to_string(index_to_bits(int(z), 9)).encode() + cells[c]
         for z, c in zip(indices, picked)
     )
+
+
+def _mask_rendering(columns) -> bytes:
+    """The rows' text by numpy's boolean mask over the joined bytes, the
+    compaction ``render_rows`` made before it used ``bytes.translate``."""
+    text = join_cells(columns).view(np.uint8)
+    return text[text != 0].tobytes()
+
+
+@pytest.mark.parametrize("case", ["padded", "unpadded", "zero_bits"])
+def test_render_rows_matches_the_boolean_mask(case):
+    rng = np.random.default_rng(3)
+    indices = rng.integers(0, 1 << 16, 4096)
+    if case == "padded":  # cells of mixed widths, as the landscape's energies
+        cells = cell_table([b",%d/%d\n" % (p, q) for p in range(-40, 40, 7) for q in (1, 3, 7)])
+        columns = [bit_cells(indices, 16), cells[rng.integers(0, len(cells), len(indices))]]
+    elif case == "unpadded":  # one width, as a spectrum block inside one suffix width
+        columns = [bit_cells(indices, 16), np.broadcast_to(cell_table([b",-5/4\n"]), (4096,))]
+    else:  # n = 0: every bit cell is one zero byte
+        columns = [bit_cells(indices, 0), cell_table([b",7\n", b",-1/3\n"])[indices % 2]]
+    expected = _mask_rendering(columns)
+    assert (b"\0" in join_cells(columns).tobytes()) == (case != "unpadded")
+    assert render_rows(columns) == expected
+    assert b"\0" not in expected and len(expected.split(b"\n")) == len(indices) + 1

@@ -6,6 +6,7 @@ import pytest
 from reference import spread, support
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
+    CallRefused,
     ansatz_rotations,
     ansatz_stages,
     apply_ansatz_amplitudes,
@@ -611,6 +612,100 @@ def test_held_calls_write_the_leading_entries_of_their_buffers():
             assert np.isnan(written[lent.size:]).all()
 
 
+def test_held_stacks_give_each_row_the_bits_of_its_call_alone():
+    """A probe pair (two vectors that differ in one parameter, by +- a
+    probe) stacked on two copies of one held state: each row's |a|^2 has
+    the bits of its call alone, into fresh arrays or lent buffers, and the
+    stack ends on the held set that each row's call returns.  Half the
+    parameters are exact zeros, so a row can sit out a stage the other
+    runs.  A probe equal to the parameter puts one row's angle at exactly
+    0.0; where that row would then hold fewer qubits after some stage, the
+    stack is refused."""
+    rng = np.random.default_rng(37)
+    stacked = refused = 0
+    for n in range(2, 10):
+        for layers in (1, 2):
+            for ring in (False, True):
+                count, stages = ansatz_stages(n, layers, ring)
+                held = tuple(sorted(rng.choice(n, int(rng.integers(0, n)), replace=False)
+                                    .tolist()))
+                params = rng.uniform(-np.pi, np.pi, len(stages))
+                params[rng.random(len(stages)) < 0.5] = 0.0
+                psi0 = rng.normal(size=1 << len(held)) + 1j * rng.normal(size=1 << len(held))
+                psi0 /= np.linalg.norm(psi0)
+                for start in sorted({0, int(rng.integers(0, count))}):
+                    head, mid = (apply_ansatz_amplitudes(psi0, n, layers, ring, params, 0, start,
+                                                         held=held) if start else (psi0, held))
+                    for k in rng.choice(len(stages), 6).tolist():
+                        pair = np.stack([params, params])
+                        probe = params[k] if rng.random() < 0.5 else 0.5
+                        pair[0, k] += probe
+                        pair[1, k] -= probe
+                        both = np.stack([head, head])
+                        lone = [apply_ansatz_amplitudes(head, n, layers, ring, x, start,
+                                                        held=mid) for x in pair]
+                        try:
+                            out, after = apply_ansatz_amplitudes(both, n, layers, ring, pair,
+                                                                 start, held=mid)
+                        except CallRefused:
+                            # one row turns a qubit the other leaves at |0> for a while
+                            assert not all(_same_held_sets(n, layers, ring, pair, mid, start))
+                            refused += 1
+                            continue
+                        assert all(_same_held_sets(n, layers, ring, pair, mid, start))
+                        size = 1 << len(after)
+                        lent = (np.full((2, size + 3), np.nan, complex),
+                                np.full((2, size + 3), np.nan, complex))
+                        into, _ = apply_ansatz_amplitudes(both, n, layers, ring, pair, start,
+                                                          buffers=lent, held=mid)
+                        assert np.array_equal(into.view(np.int64), out.view(np.int64))
+                        assert out.shape == (2, size)
+                        for row, (alone, alone_after) in zip(out, lone):
+                            assert alone_after == after, (n, layers, ring, start, k)
+                            assert np.array_equal((np.abs(row) ** 2).view(np.uint64),
+                                                  (np.abs(alone) ** 2).view(np.uint64))
+                        stacked += 1
+    assert stacked > 100 and refused > 5
+
+
+def _same_held_sets(n, layers, ring, pair, held, start):
+    """Per stage the stack runs, whether the rows of ``pair``, each called
+    alone on a state held on ``held`` up to that stage, end on one held set."""
+    return [apply_ansatz_amplitudes(np.ones(1 << len(held), complex), n, layers, ring, pair[0],
+                                    start, stage + 1, held=held)[1]
+            == apply_ansatz_amplitudes(np.ones(1 << len(held), complex), n, layers, ring,
+                                       pair[1], start, stage + 1, held=held)[1]
+            for stage in stages_run(n, layers, ring, pair, start)]
+
+
+def test_a_held_stack_is_refused_before_any_work():
+    # a pair whose rows would hold different qubits after a stage, or whose
+    # result is longer than the buffers lent, is refused, and nothing written
+    n, layers, ring = 6, 2, False
+    ry, _ = ansatz_rotations(n, layers, ring)
+    x = np.zeros(ansatz_stages(n, layers, ring)[1].size)
+    x[[ry[0, 1], ry[1, 4], ry[2, 4]]] = 0.25
+    apart = x.copy()
+    apart[ry[0, 1]] = 0.0  # qubit 1 turned from stage 0 in one row, never in the other
+    both = np.ones((2, 2), complex) / np.sqrt(2)
+    lent = (np.full((2, 4), np.nan, complex), np.full((2, 4), np.nan, complex))
+    with pytest.raises(CallRefused, match="different qubits"):
+        apply_ansatz_amplitudes(both, n, layers, ring, np.stack([x, apart]), buffers=lent,
+                                held=(2,))
+    y = x.copy()
+    y[ry[0, 2]] = -0.5  # qubit 2 is held already: the rows hold the same qubits
+    with pytest.raises(CallRefused, match="more than the 4"):  # they end on (1, 2, 4)
+        apply_ansatz_amplitudes(both, n, layers, ring, np.stack([x, y]), buffers=lent, held=(2,))
+    assert np.isnan(lent[0]).all() and np.isnan(lent[1]).all()
+    out, held = apply_ansatz_amplitudes(both, n, layers, ring, np.stack([x, y]), held=(2,))
+    assert out.shape == (2, 8) and held == (1, 2, 4)
+    # held on every qubit, the rows of a stack hold the same qubits
+    full = np.ones((2, 1 << n), complex) / 8
+    out, held = apply_ansatz_amplitudes(full, n, layers, ring, np.stack([x, apart]),
+                                        held=tuple(range(n)))
+    assert out.shape == (2, 1 << n) and held == tuple(range(n))
+
+
 def test_held_arguments_are_checked():
     n, layers, ring = 4, 1, False
     params = np.zeros(ansatz_stages(n, layers, ring)[1].size)
@@ -620,8 +715,12 @@ def test_held_arguments_are_checked():
             apply_ansatz_amplitudes(state, n, layers, ring, params, held=held)
     with pytest.raises(ValueError, match="amplitudes"):
         apply_ansatz_amplitudes(np.ones(8, dtype=complex), n, layers, ring, params, held=(0, 1))
+    # a held stack has one state per row of parameters
     with pytest.raises(ValueError, match="amplitudes"):
-        apply_ansatz_amplitudes(state[None], n, layers, ring, params[None], held=(0, 1))
+        apply_ansatz_amplitudes(state[None], n, layers, ring, params, held=(0, 1))
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_ansatz_amplitudes(state[None], n, layers, ring, np.stack([params] * 2),
+                                held=(0, 1))
     with pytest.raises(ValueError):
         # buffers shorter than the result
         apply_ansatz_amplitudes(state, n, layers, ring, np.full(params.size, 0.5),

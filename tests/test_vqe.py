@@ -21,6 +21,7 @@ from tspvqe import (
 )
 from tspvqe import cli, kernels, vqe
 from tspvqe.kernels import apply_ansatz_amplitudes
+from tspvqe.vqe import run_lockstep
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +320,108 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
     assert all(pair is not None for pair in lent)
     assert len({id(b) for pair in lent for b in pair}) == 3
     assert batch == alone
+
+
+def _chain_ising(n, seed):
+    """A seeded spin form on an n-spin chain, fields and couplings in quarters."""
+    import random
+    from fractions import Fraction
+
+    from tspvqe import IsingPolynomial
+
+    rng = random.Random(seed)
+    values = [Fraction(p, q) for p in (-3, -1, 2, 5) for q in (1, 4)]
+    return IsingPolynomial(
+        n=n, constant=Fraction(1, 3), fields={i: rng.choice(values) for i in range(n)},
+        couplings={(i, i + 1): rng.choice(values) for i in range(n - 1)},
+        variable_order=tuple((1, t) for t in range(1, n + 1)), layout="full", node_count=n)
+
+
+@pytest.mark.parametrize("case, rows", [
+    ("zero on a qubit not held", [1, 1]),
+    ("zero on a held qubit", [2]),
+    ("both turned", [2]),
+    ("above the cap", [1, 1]),
+])
+def test_a_probe_pair_goes_in_one_call_when_its_rows_hold_the_same_qubits(monkeypatch, case,
+                                                                          rows):
+    """A prefix evaluates a probe pair in one stacked call when both rows
+    hold the same qubits after every stage and together fit
+    ``LOCKSTEP_AMPLITUDES``; else one vector per call.  Either way each
+    value has the bits of the pair evaluated one vector per call."""
+    n = 14 if case == "above the cap" else 16
+    ansatz = AnsatzConfig(n=n)
+    energy_vector = _chain_ising(n, n).energy_float_vector()
+    if case == "above the cap":  # a random start holds every qubit: 2 x 2^14 amplitudes
+        held, amps, _ = RandomInit(seed=3).build(n)
+    else:
+        held, amps, _ = MubInit(positions=(2, 5, 9), basis=1, element=3).build(n)
+    ry, _ = kernels.ansatz_rotations(n, ansatz.layers, ansatz.ring)
+    x = np.zeros(ansatz.parameter_count)
+    x[[ry[0, 5], ry[0, 11], ry[1, 7]]] = (0.4, -0.3, 0.9)
+    k = ry[1, 2] if case == "zero on a held qubit" else ry[1, 0]
+    x[k] = 0.7
+    probe = 0.5 if case == "both turned" else 0.7  # 0.7 - 0.7 is exactly 0.0
+    plus, minus = x.copy(), x.copy()
+    plus[k] += probe
+    minus[k] -= probe
+    assert (minus[k] == 0.0) == (probe == 0.7)
+
+    calls = []
+    apply = kernels.apply_ansatz_amplitudes
+
+    def recording(psi0, *args, stop=None, **options):
+        out = apply(psi0, *args, stop=stop, **options)  # a refused call raises, doing nothing
+        if stop is None:
+            calls.append(len(psi0) if np.ndim(psi0) == 2 else 1)
+        return out
+
+    monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
+    prefix = vqe._Prefix(held, amps, ansatz, vqe._state_buffers(n))
+    values = prefix.values((plus, minus), vqe._Tally(energy_vector))
+    assert calls == rows
+    monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 2)  # no pair of these states fits
+    alone = vqe._Prefix(held, amps, ansatz, vqe._state_buffers(n))
+    assert values == alone.values((plus, minus), vqe._Tally(energy_vector))
+    assert calls == rows + [1, 1]
+
+
+def test_restart_points_are_built_at_the_first_restart(landscape_ising, monkeypatch):
+    """A run builds its restart points when it first restarts, so one that
+    never restarts builds none.  On a constant Hamiltonian every first
+    sweep stalls, so each run of 200 evaluations restarts and builds them
+    once; the traces are those of runs given the points up front."""
+    from fractions import Fraction
+
+    from tspvqe import IsingPolynomial
+
+    built = []
+    restart_points = vqe._restart_points
+
+    def counted(config, product_angles, seed, *args):
+        built.append(seed)
+        return restart_points(config, product_angles, seed, *args)
+
+    def eager(*args):
+        return iter(restart_points(*args))
+
+    flat = IsingPolynomial(n=4, constant=Fraction(3, 2), fields={}, couplings={},
+                           variable_order=tuple((1, t) for t in range(1, 5)), layout="full",
+                           node_count=4)
+    starts = [(RandomInit(seed=40 + seed), seed) for seed in range(3)] + [(ZerosInit(), 7)]
+    monkeypatch.setattr(vqe, "_restart_points", counted)
+    assert run_lockstep(flat, starts, optimizer=OptimizerConfig(max_evals=20))
+    assert built == []
+    lazy = {}
+    for hamiltonian, max_evals in ((flat, 200), (landscape_ising, 400)):
+        lazy[max_evals] = run_lockstep(hamiltonian, starts,
+                                       optimizer=OptimizerConfig(max_evals=max_evals))
+        if hamiltonian is flat:
+            assert built == [0, 1, 2, 7]
+    monkeypatch.setattr(vqe, "_restarts", eager)
+    for hamiltonian, max_evals in ((flat, 200), (landscape_ising, 400)):
+        assert lazy[max_evals] == run_lockstep(hamiltonian, starts,
+                                               optimizer=OptimizerConfig(max_evals=max_evals))
 
 
 def _restart_points_per_qubit(config, product_angles, seed, count=16):

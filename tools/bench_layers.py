@@ -1,0 +1,217 @@
+"""Time the layers of the 16-qubit best-MUB pass, and its two commands.
+
+Run from the root of a tspvqe checkout::
+
+    python tools/bench_layers.py --label change
+    python tools/bench_layers.py --smoke
+
+The pass is the one the ``vqe-n5`` benchmark workload runs: on a seeded
+complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
+``landscape``, then ``vqe --init best-mubs --k 2 --max-evals 20``.  The rows:
+
+* ``compute_landscape``: on a fresh Ising form, as the command calls it;
+* ``landscape_csv_rows``: the landscape CSV written into a memory buffer;
+* ``spectrum_csv_rows``: the 16-spin spectrum CSV into a buffer, its
+  energies enumerated beforehand;
+* ``run_lockstep``: the best-MUB k=2 batch at 20 evaluations;
+* ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
+  writing into a temporary directory.
+
+The rows run in interleaved bursts: each burst times every row in turn, a
+few calls each, so a slow spell of a shared machine touches every row
+alike.  Each row reports the minimum, median and quartiles, over the
+bursts, of its milliseconds per call.  The program is imported from
+``src/`` of the checkout the tool runs in, so the same tool times two
+checkouts.  Writes ``BENCH_<label>.json`` (into ``--out``, by default the
+current directory) with the commit, the core count, Python, numpy, the BLAS
+and its thread count, since numbers from another machine or BLAS setting
+do not compare.  ``--smoke`` runs two short bursts, checks every row
+produced a time, and writes nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import io
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+from time import perf_counter
+
+ROOT = os.getcwd()
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+import tspvqe  # noqa: E402
+from tspvqe import cli, dqes, ising, vqe  # noqa: E402
+
+NODES = 5
+SEED = 1
+K = 2
+MAX_EVALS = 20
+
+
+def seeded_instance(seed=SEED):
+    """A complete NODES-node TSP with costs 1-20 drawn from ``seed``, at
+    safe penalties."""
+    rng = random.Random(seed)
+    edges = tuple((u, v, rng.randint(1, 20))
+                  for u in range(1, NODES + 1) for v in range(u + 1, NODES + 1))
+    raw = tspvqe.ProblemInstance(NODES, False, "tsp", edges, 1, 1)
+    return raw.with_penalties(*tspvqe.suggest_penalties(raw, "safe"))
+
+
+def rows(workdir):
+    """{name: (calls per burst, a function of no arguments that times one
+    call)} for every row, each set up once."""
+    instance = seeded_instance()
+    path = os.path.join(workdir, "n5.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(tspvqe.save_instance(instance))
+    form = tspvqe.to_ising(tspvqe.encode_efficient(instance))
+    landscape = dqes.compute_landscape(form)
+    form.energy_int_vector()
+    ground = float(tspvqe.ground_states(form)[0])
+    starts = [(vqe.MubInit(r.positions, r.basis, r.element), 2 * i)
+              for i, r in enumerate(dqes.best_k(landscape, K))]
+    ansatz = vqe.AnsatzConfig(n=form.n)
+    optimizer = vqe.OptimizerConfig(max_evals=MAX_EVALS)
+    common = ["--no-timestamp", "--penalties", "safe"]
+    landscape_argv = ["landscape", path, *common, "-o", os.path.join(workdir, "l.csv")]
+    vqe_argv = ["vqe", path, *common, "--init", "best-mubs", "--k", str(K), "--max-evals",
+                str(MAX_EVALS), "--seed", str(SEED), "--threads", "1",
+                "-o", os.path.join(workdir, "v.json")]
+
+    def timed(run, fresh=None):
+        def once():
+            argument = fresh() if fresh else None
+            start = perf_counter()
+            run(argument)
+            return perf_counter() - start
+        return once
+
+    def fresh_form():
+        return tspvqe.to_ising(tspvqe.encode_efficient(instance))
+
+    def into_buffer(blocks):
+        io.BytesIO().writelines(blocks)
+
+    def command(argv):
+        if cli.main(argv) != 0:
+            raise SystemExit(f"bench_layers: {argv[0]} failed")
+
+    return {
+        "compute_landscape": (5, timed(dqes.compute_landscape, fresh_form)),
+        "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
+        "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
+        "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
+            form, starts, ansatz, optimizer, ground, 1e-6))),
+        "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
+        "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
+    }
+
+
+def measure(table, bursts):
+    """{name: [ms per call, one entry per burst]}, the rows interleaved."""
+    samples = {name: [] for name in table}
+    for _ in range(bursts):
+        for name, (calls, once) in table.items():
+            samples[name].append(1e3 * sum(once() for _ in range(calls)) / calls)
+    return samples
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"unit": "ms", "min": min(values), "median": median, "q1": q1, "q3": q3,
+            "spread": (q3 - q1) / median, "bursts": len(values)}
+
+
+def _blas_threads():
+    """Thread count of the OpenBLAS numpy loaded, where the platform shows
+    its loaded libraries; else None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                function.argtypes = []
+                function.restype = ctypes.c_int
+                return function()
+    return None
+
+
+def _git(*args) -> str:
+    """The output of a git command in the checkout, or "" without git."""
+    try:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True).stdout.strip()
+    except OSError:
+        return ""
+
+
+def environment():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas_name = None
+    return {
+        "commit": _git("rev-parse", "HEAD") or None,
+        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": _blas_threads(),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", default="local", help="names the output BENCH_<label>.json")
+    parser.add_argument("--bursts", type=int, default=15)
+    parser.add_argument("--out", default=".", help="directory of the output file")
+    parser.add_argument("--smoke", action="store_true")
+    args = parser.parse_args(argv)
+    bursts = 2 if args.smoke else args.bursts
+    if bursts < 2:
+        parser.error("--bursts must be at least 2")
+    with tempfile.TemporaryDirectory() as workdir:
+        table = rows(workdir)
+        for _, once in table.values():  # caches filled and imports done before timing
+            once()
+        samples = measure(table, bursts)
+    report = {"label": args.label, "env": environment(),
+              "rows": {name: summary(values) for name, values in samples.items()}}
+    for name, row in report["rows"].items():
+        print(f"{name:20s} min {row['min']:8.3f}  median {row['median']:8.3f}  "
+              f"q1-q3 {row['q1']:.3f}-{row['q3']:.3f} ms")
+    if args.smoke:
+        if not all(row["min"] > 0 for row in report["rows"].values()):
+            raise SystemExit("bench_layers: a row has no time")
+        return 0
+    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,8 +39,8 @@ at 1 layer, and zeros-initialized at 200 evaluations) and the seed-0 instance's 
 in the full and efficient layouts, binary and Ising (25 and 16 variables),
 the seed-0 ``paper-n4`` best-MUB batch once more on two worker processes
 (``--threads 2``), the seed-0 16-qubit best-MUB batch once more at
-``--threads 2`` (which runs in one process, since a 16-qubit kernel call
-holds one state), both landscape CSVs and the spectrum CSVs.  The 16-qubit
+``--threads 2`` (which runs in one process, since from 14 qubits up the runs
+of a batch go one at a time), both landscape CSVs and the spectrum CSVs.  The 16-qubit
 batches run circuits of 15, 20 and 10 stages (2, 3 and 1 layers), so the
 pair of buffers a run's kernel calls write in turn ends on either one.
 Then the exact-rational outputs: ``encode`` in all three layouts, binary and
