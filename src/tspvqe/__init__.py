@@ -16,7 +16,7 @@ from .graph import ProblemInstance, load_instance, save_instance
 from .ising import IsingPolynomial, ground_states, to_ising
 from .oracle import Tour, solve_exact_tsp, validate_bitstring
 from .quantum import build_mubs_3q
-from .vqe import AnsatzConfig, MubInit, OptimizerConfig, RandomInit, VqeTrace, ZerosInit
+from .vqe import AnsatzConfig, MubInit, RandomInit, VqeTrace, ZerosInit
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "Landscape",
     "LandscapeRecord",
     "MubInit",
-    "OptimizerConfig",
     "ParseError",
     "ProblemInstance",
     "PseudoBooleanPolynomial",

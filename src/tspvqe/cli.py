@@ -11,12 +11,12 @@ The commands pass their flags through; the library makes the decisions.
 ``layouts.LAYOUTS`` rows, ``audit`` in the full one.  The
 ``--init`` and ``--entangler`` choices are ``dqes.MODES`` and
 ``vqe.ENTANGLERS``, each first entry the default.  ``vqe`` runs rotation
-descent, set by ``--rho-start``, ``--rho-end`` and ``--max-evals``;
-``--threads`` only caps the worker count ``dqes.run_experiment`` picks.
-``audit``, ``spectrum``, ``landscape`` and ``vqe`` get their Ising form
-from ``encoder.spin_form``, which refuses an instance above
-``layouts.SPIN_CAP`` spins from its node count before anything is encoded;
-``--cap`` is passed there once and can lower that cap, not raise it.
+descent at the settings of the ``vqe`` constants, each run capped by
+``--max-evals``; ``--threads`` only caps the worker count
+``dqes.run_experiment`` picks.  ``audit``, ``spectrum``, ``landscape`` and
+``vqe`` get their Ising form from ``encoder.spin_form``, which refuses an
+instance above ``layouts.SPIN_CAP`` spins from its node count before
+anything is encoded.
 ``encode`` stops at ``layouts.TERM_CAP`` terms, ``vqe --layers`` at
 ``layouts.LAYER_CAP``.  ``--penalty-a`` and ``--penalty-b`` need
 ``--penalties explicit``.  Reports are strict JSON: a non-finite float is
@@ -48,7 +48,7 @@ from .encoder import audit_penalties, encode, spin_form, suggest_penalties
 from .errors import SizeCapError, TspVqeError, ValidationError
 from .graph import load_instance
 from .rationals import rational_to_json
-from .vqe import ENTANGLERS, OptimizerConfig
+from .vqe import ENTANGLERS
 
 _LAYOUT_FLAGS = {row.flag: row.name for row in layouts.LAYOUTS}
 
@@ -172,14 +172,14 @@ def cmd_solve(args) -> int:
 
 def cmd_audit(args) -> int:
     instance = _read_instance(args)
-    report = audit_penalties(instance, cap=args.cap)
+    report = audit_penalties(instance)
     _emit_report(args, "audit", vars(report))
     return 0
 
 
 def cmd_spectrum(args) -> int:
     instance = _read_instance(args)
-    form = spin_form(instance, _LAYOUT_FLAGS[args.layout], "spectrum", args.cap)
+    form = spin_form(instance, _LAYOUT_FLAGS[args.layout], "spectrum")
     _emit(args, ising.spectrum_csv_rows(form))
     return 0
 
@@ -193,12 +193,9 @@ def cmd_landscape(args) -> int:
 
 def cmd_vqe(args) -> int:
     instance = _read_instance(args)
-    optimizer = OptimizerConfig(rho_start=args.rho_start, rho_end=args.rho_end,
-                                max_evals=args.max_evals)
     report = dqes.run_experiment(
         instance, args.init, k=args.k, seed=args.seed, layers=args.layers,
-        entangler=args.entangler, optimizer=optimizer, convergence_tol=args.tol,
-        threads=args.threads,
+        entangler=args.entangler, max_evals=args.max_evals, threads=args.threads,
     )
     _emit_report(args, "vqe", vars(report))
     return 0
@@ -266,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exhaustively check the penalty choice")
     _add_common(p)
     _add_penalty_flags(p)
-    p.add_argument("--cap", type=int, default=layouts.SPIN_CAP,
-                   help=f"max full-layout variables (at most {layouts.SPIN_CAP})")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("spectrum", formatter_class=formatter,
@@ -275,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_penalty_flags(p)
     p.add_argument("--layout", choices=tuple(_LAYOUT_FLAGS), default="efficient")
-    p.add_argument("--cap", type=int, default=layouts.SPIN_CAP,
-                   help=f"max spin count (at most {layouts.SPIN_CAP})")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("landscape", formatter_class=formatter,
@@ -296,12 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--entangler", choices=ENTANGLERS, default=ENTANGLERS[0])
-    p.add_argument("--rho-start", type=float, default=0.5,
-                   help="rotation probe offset, pi * RHO_START, in (0, 1)")
-    p.add_argument("--rho-end", type=float, default=1e-4,
-                   help="resolution: a sweep whose largest step is below it restarts")
     p.add_argument("--max-evals", type=int, default=2000, help="most energy evaluations per run")
-    p.add_argument("--tol", type=float, default=1e-6, help="relative convergence tolerance")
     p.add_argument("--threads", type=int, default=1,
                    help="most worker processes, one per CPU at most, none from 14 qubits up")
     p.set_defaults(func=cmd_vqe)

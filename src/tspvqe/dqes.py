@@ -32,14 +32,15 @@ from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows
 from .vqe import (
     ATTEMPT_SWEEPS,
+    CONVERGENCE_TOL,
     RESTART_JITTER,
+    RHO_END,
+    RHO_START,
     AnsatzConfig,
     MubInit,
-    OptimizerConfig,
     RandomInit,
     ZerosInit,
     _is_int,
-    _is_real,
     run_lockstep,
     runs_alone,
 )
@@ -174,11 +175,15 @@ def best_k(landscape: Landscape, k: int):
     The table's entries in stable rank order give that order: the records
     of an entry are contiguous, and the 64 of a triple's column 8 come after
     its basis-0 ones.  Each column-8 entry is expanded into its 64 records
-    until there are k.
+    until there are k.  The ranks are sorted in the smallest unsigned type
+    that holds them: below 2^16, numpy's stable sort is then a radix sort,
+    in the same order as on the int64 table.
     """
     _check_k(k, len(landscape))
+    ranks = landscape.rank_table
     # every entry holds at least one record, so the first k entries hold the k
-    entries = np.argsort(landscape.rank_table, axis=None, kind="stable")[:k]
+    entries = np.argsort(ranks.astype(np.min_scalar_type(ranks.max())), axis=None,
+                         kind="stable")[:k]
     triple, column = np.divmod(entries, 9)
     first = (triple * _RECORDS_PER_TRIPLE + column).tolist()
     records = itertools.chain.from_iterable(
@@ -290,21 +295,22 @@ def run_experiment(
     seed: int = 0,
     layers: int = 2,
     entangler: str = "linear_rzz",
-    optimizer: OptimizerConfig | None = None,
-    convergence_tol: float = 1e-6,
+    max_evals: int = 2000,
     threads: int = 1,
 ) -> ExperimentReport:
     """Encode in ``LAYOUT``, run a VQE batch, certify against the oracle.
 
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
-    of ``LAYOUT``, counted from the node count.  Runs are decoded in the
-    Ising form's own layout.  An instance too small for ``LAYOUT`` (one
-    node), an invalid ansatz, a ``k``, ``seed`` or ``threads`` that is not an
-    int, a ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
-    landscape's records), a negative seed, a ``threads`` below 1 or a
-    ``convergence_tol`` that is not a finite real >= 0 is refused before
-    anything is encoded.  Numbers are stored as plain ints and floats, so
-    the report can be written as JSON.
+    of ``LAYOUT``, counted from the node count.  Each run is rotation
+    descent of at most ``max_evals`` evaluations, at the settings of the
+    ``vqe`` constants, and converges within ``CONVERGENCE_TOL`` (relative)
+    of the ground energy.  Runs are decoded in the Ising form's own layout.
+    An instance too small for ``LAYOUT`` (one node), an invalid ansatz, a
+    ``k``, ``seed``, ``max_evals`` or ``threads`` that is not an int, a
+    ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
+    landscape's records), a negative seed, or a ``max_evals`` or
+    ``threads`` below 1 is refused before anything is encoded.  Numbers are
+    stored as plain ints, so the report can be written as JSON.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -317,25 +323,23 @@ def run_experiment(
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
-    for name, value in (("k", k), ("seed", seed), ("threads", threads)):
+    for name, value in (("k", k), ("seed", seed), ("max_evals", max_evals),
+                        ("threads", threads)):
         if not _is_int(value):
             raise ValidationError(f"{name} must be an int, got {value!r}")
-    if not _is_real(convergence_tol):
-        raise ValidationError(f"convergence_tol must be a real number, got {convergence_tol!r}")
-    # a numpy number would reach the report
-    k, seed, threads, convergence_tol = int(k), int(seed), int(threads), float(convergence_tol)
+    # a numpy int would reach the report
+    k, seed, max_evals, threads = int(k), int(seed), int(max_evals), int(threads)
     if mode != "zeros" and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
     if mode == "best_mubs":
         _check_k(k, landscape_size(n))
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
-    if not 0 <= convergence_tol < math.inf:
-        raise ValidationError(f"convergence_tol must be finite and >= 0, got {convergence_tol}")
+    if max_evals < 1:
+        raise ValidationError(f"max_evals must be at least 1, got {max_evals}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
     ising = spin_form(instance, LAYOUT, "vqe")
-    optimizer = optimizer or OptimizerConfig()
     # the minimum of the cached energies; no ground bitstring is rendered
     ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
     ground = float(ground_exact)
@@ -354,8 +358,8 @@ def run_experiment(
         ]
 
     starts = [(init, seed * _SEED_STRIDE + 2 * i) for i, init in enumerate(inits)]
-    run = functools.partial(run_lockstep, ising, ansatz=ansatz, optimizer=optimizer,
-                            ground_energy=ground, convergence_tol=convergence_tol)
+    run = functools.partial(run_lockstep, ising, ansatz=ansatz, max_evals=max_evals,
+                            ground_energy=ground)
     # a forked worker keeps every BLAS thread it inherits, so a batch whose
     # kernel calls run on BLAS threads stays in this process
     workers = 1 if runs_alone(n) else min(threads, _usable_cpus(), len(starts))
@@ -385,7 +389,7 @@ def run_experiment(
         ground_energy_exact=ground_exact,
         oracle_cost=oracle_cost,
         oracle_tours=tuple(t.order for t in oracle_tours),
-        convergence_tol=convergence_tol,
+        convergence_tol=CONVERGENCE_TOL,
         traces=traces,
         converged_count=len(converged),
         n_runs=len(traces),
@@ -395,7 +399,8 @@ def run_experiment(
         config={
             "ansatz": {**asdict(ansatz), "parameter_count": ansatz.parameter_count},
             # a report names its optimizer; rotation descent is the only one
-            "optimizer": {"method": "rotation_descent", **asdict(optimizer),
+            "optimizer": {"method": "rotation_descent", "rho_start": RHO_START,
+                          "rho_end": RHO_END, "max_evals": max_evals,
                           "attempt_sweeps": ATTEMPT_SWEEPS, "restart_jitter": RESTART_JITTER},
             "threads": threads,
         },

@@ -235,11 +235,10 @@ def encode(instance: ProblemInstance, layout: str) -> PseudoBooleanPolynomial:
     return encode_cycle_hamiltonian(instance)
 
 
-def spin_form(instance: ProblemInstance, layout: str, what: str,
-              cap: int = layouts.SPIN_CAP) -> ising.IsingPolynomial:
+def spin_form(instance: ProblemInstance, layout: str, what: str) -> ising.IsingPolynomial:
     """The Ising form of ``encode(instance, layout)``, refused first as
-    ``what`` by ``layouts.check_spins`` from the node count and ``cap``."""
-    layouts.check_spins(layouts.variable_count(layout, instance.node_count), what, cap)
+    ``what`` by ``layouts.check_spins`` from the node count."""
+    layouts.check_spins(layouts.variable_count(layout, instance.node_count), what)
     return ising.to_ising(encode(instance, layout))
 
 
@@ -278,7 +277,7 @@ class AuditReport:
     minima_scanned: int = 0
 
 
-def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP) -> AuditReport:
+def audit_penalties(instance: ProblemInstance) -> AuditReport:
     """Brute-force the full-layout Hamiltonian and judge the penalty choice.
 
     Reports the global minimum, whether any minimizing assignment decodes to
@@ -288,7 +287,7 @@ def audit_penalties(instance: ProblemInstance, cap: int = layouts.SPIN_CAP) -> A
     """
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
-    form = spin_form(instance, "full", "audit", cap)
+    form = spin_form(instance, "full", "audit")
     scale = form.to_int_arrays()[0]
     energies = form.energy_int_vector()
     emin = int(energies.min())

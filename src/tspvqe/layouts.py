@@ -79,16 +79,10 @@ def variable_count(layout, n):
     return (n - lookup(layout).implied) ** 2
 
 
-def check_spins(n, what, cap=SPIN_CAP):
-    """Refuse a negative ``cap``, and ``n`` spins above ``cap`` or ``SPIN_CAP``.
-
-    ``cap`` can lower the limit but not raise it.
-    """
-    if cap < 0:
-        raise ValidationError(f"{what} cap must be non-negative, got {cap}")
-    limit = min(cap, SPIN_CAP)
-    if n > limit:
-        raise SizeCapError(f"{what} capped at {limit} qubits, got {n}")
+def check_spins(n, what):
+    """Refuse ``n`` spins above ``SPIN_CAP``, as ``what``."""
+    if n > SPIN_CAP:
+        raise SizeCapError(f"{what} capped at {SPIN_CAP} qubits, got {n}")
 
 
 def term_bound(layout, n):

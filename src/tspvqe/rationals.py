@@ -82,7 +82,16 @@ def _too_many_digits(context) -> ValidationError:
 
 
 def rational_to_json(value: Fraction):
-    """Render a Fraction as an int when integral, else as a "p/q" string."""
+    """Render a Fraction as an int when integral, else as a "p/q" string.
+
+    A value derived from accepted ones (a tour cost, a coefficient over a
+    common denominator) can pass ``RATIONAL_DIGITS`` digits, past which
+    Python writes no int: it is refused with ``ValidationError``, before any
+    of the text it belongs to is written.
+    """
+    if abs(value.numerator) >= _DIGIT_LIMIT or value.denominator >= _DIGIT_LIMIT:
+        raise ValidationError(f"a derived rational passes {RATIONAL_DIGITS} digits in its "
+                              f"numerator or denominator, the most that can be written")
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"

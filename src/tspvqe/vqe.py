@@ -13,7 +13,10 @@ Phys. Rev. Research 2, 043158, 2020).  On the 9-qubit problems here simplex
 methods plateau above the ground energy within the evaluation budget, while
 sinusoid descent reaches it exactly.  A run is deterministic given its seed,
 stops at its evaluation cap, and records the best-so-far energy after every
-evaluation.
+evaluation.  The cap is the one setting a caller passes: the probe offset,
+the resolution, the restart rules and the convergence tolerance are the
+module constants ``RHO_START``, ``RHO_END``, ``ATTEMPT_SWEEPS``,
+``RESTART_JITTER`` and ``CONVERGENCE_TOL``, which a report writes out.
 
 The search is an ask/tell generator.  It yields a tuple of parameter vectors
 whose values it needs before it can go on (the two probes of a coordinate,
@@ -75,7 +78,6 @@ from.
 
 from __future__ import annotations
 
-import math
 import mmap
 import numbers
 from dataclasses import dataclass
@@ -104,10 +106,6 @@ def runs_alone(n: int) -> bool:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -229,46 +227,20 @@ class MubInit:
 
 # -- the optimizer ------------------------------------------------------------
 
+# rotation descent's probe offset, in units of pi: a coordinate's two probes
+# sit at +/- pi * RHO_START from the current point
+RHO_START = 0.5
+# the resolution: a sweep whose largest step is below it has stalled, and a
+# step below RHO_END / 1000 is not taken
+RHO_END = 1e-4
+# relative tolerance within which a run's energy counts as the ground energy
+CONVERGENCE_TOL = 1e-6
 # sweeps per rotation-descent attempt while chasing a target, after which the
 # search restarts from the next restart point
 ATTEMPT_SWEEPS = 1
 # half-width, in units of pi, of the uniform jitter around x0 that a restart
 # falls back to once the restart points are used up
 RESTART_JITTER = 0.02
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """The rotation-descent settings of one run.
-
-    ``rho_start`` sets the probe offset, pi * ``rho_start``, and must lie in
-    (0, 1).  ``rho_end`` is the resolution: a sweep whose largest step is
-    below it has stalled, and a step below ``rho_end / 1000`` is not taken.
-    It must be finite and positive.  ``max_evals`` caps the evaluations.
-    Each is stored as a plain ``int`` or ``float``, as the report writes it.
-    """
-
-    rho_start: float = 0.5
-    rho_end: float = 1e-4
-    max_evals: int = 2000
-
-    def __post_init__(self):
-        if not _is_int(self.max_evals):
-            raise ValidationError(f"max_evals must be an int, got {self.max_evals!r}")
-        object.__setattr__(self, "max_evals", int(self.max_evals))
-        if self.max_evals < 1:
-            raise ValidationError(f"max_evals must be at least 1, got {self.max_evals}")
-        for name in ("rho_start", "rho_end"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
-            if not 0 < value < math.inf:
-                raise ValidationError(f"{name} must be finite and positive, got {value}")
-            object.__setattr__(self, name, value)
-        if self.rho_start >= 1:
-            raise ValidationError("rotation_descent needs rho_start in (0, 1); "
-                                  "the probe offset is pi * rho_start")
 
 
 @dataclass
@@ -315,14 +287,14 @@ class _Recorder:
             self.target is not None and abs(self.best_f - self.target) <= self.target_tol)
 
 
-def _search(x0, config, seed, target, target_tol, restart_points):
+def _search(x0, max_evals, seed, target, target_tol, restart_points):
     """One rotation-descent run from ``x0``: a generator that yields tuples of
     parameter vectors, is sent the list of their values, and returns the
     ``OptimizeResult``.  ``history`` is the best-so-far value after every
     evaluation (entry 0 is the value at ``x0``), so it never increases."""
-    rec = _Recorder(config.max_evals, target, target_tol)
+    rec = _Recorder(max_evals, target, target_tol)
     yield from rec.ask(x0)
-    yield from _rotation_descent(rec, x0, config, seed, restart_points)
+    yield from _rotation_descent(rec, x0, seed, restart_points)
     return OptimizeResult(
         best_params=rec.best_x,
         best_value=rec.best_f,
@@ -331,12 +303,12 @@ def _search(x0, config, seed, target, target_tol, restart_points):
     )
 
 
-def _rotation_descent(rec, x0, config, seed, restart_points):
+def _rotation_descent(rec, x0, seed, restart_points):
     """Exact coordinate minimization for per-parameter sinusoidal objectives.
 
     Each coordinate restriction of a rotation-gate energy is
     a + b*cos(u) + c*sin(u) around the current point; the current value and
-    two probes at +/- (pi * rho_start) determine the three coefficients
+    two probes at +/- (pi * RHO_START) determine the three coefficients
     exactly, and are asked for in one request.  Sweeps visit coordinates in
     a seeded random order; when a sweep stalls (or exceeds the attempt cap
     while chasing a target) the search restarts from the next suggested
@@ -346,7 +318,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
     if dim == 0:
         return
     rng = np.random.default_rng(seed)
-    probe = np.pi * config.rho_start
+    probe = np.pi * RHO_START
     cos_p, sin_p = np.cos(probe), np.sin(probe)
     queue = iter(restart_points or ())
     attempt_cap = ATTEMPT_SWEEPS * 3 * dim
@@ -375,7 +347,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
             if np.hypot(b, c) < 1e-14:
                 continue
             u = float(np.arctan2(-c, -b))
-            if abs(u) < config.rho_end * 1e-3:
+            if abs(u) < RHO_END * 1e-3:
                 continue
             candidate = x.copy()
             candidate[k] = t0 + u
@@ -386,7 +358,7 @@ def _rotation_descent(rec, x0, config, seed, restart_points):
                 x, fx = candidate, f_candidate
         if rec.done():
             break
-        stalled = (f_sweep_start - fx) < 1e-12 or moved < config.rho_end
+        stalled = (f_sweep_start - fx) < 1e-12 or moved < RHO_END
         # the attempt cap only cuts slow attempts when chasing a known target;
         # without one, attempts run until they genuinely stall
         capped = rec.target is not None and attempt_evals >= attempt_cap
@@ -456,11 +428,11 @@ def run_lockstep(
     ising: IsingPolynomial,
     starts: Sequence,
     ansatz: AnsatzConfig | None = None,
-    optimizer: OptimizerConfig | None = None,
+    max_evals: int = 2000,
     ground_energy: float | None = None,
-    convergence_tol: float = 1e-6,
 ) -> list:
-    """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep.
+    """One VQE run per ``(init, seed)`` in ``starts``, run in lockstep, each
+    of at most ``max_evals`` evaluations.
 
     Runs go in consecutive groups of at most ``LOCKSTEP_AMPLITUDES / 2^(n+1)``
     (at least one), whose two-vector requests fill one kernel call; below 14
@@ -468,16 +440,15 @@ def run_lockstep(
     run while it fits one.  Each trace equals that of its start alone.
     Expectations are exact state-vector averages (no sampling noise).  When
     ``ground_energy`` is given a run stops as soon as its energy is within
-    ``convergence_tol`` (relative) of it; otherwise convergence stays False
+    ``CONVERGENCE_TOL`` (relative) of it; otherwise convergence stays False
     and each run goes until it runs out of evaluations.
     """
     ansatz = ansatz or AnsatzConfig(n=ising.n)
-    optimizer = optimizer or OptimizerConfig()
     if ansatz.n != ising.n:
         raise ValidationError("ansatz qubit count must match the Hamiltonian")
     energy_vector = ising.energy_float_vector()
     target_tol = (
-        convergence_tol * max(1.0, abs(ground_energy)) if ground_energy is not None else 0.0
+        CONVERGENCE_TOL * max(1.0, abs(ground_energy)) if ground_energy is not None else 0.0
     )
     group_size = max(1, LOCKSTEP_AMPLITUDES >> (ising.n + 1))
     # from 14 qubits up a group is one run: the runs go one at a time, each
@@ -486,7 +457,7 @@ def run_lockstep(
     traces = []
     for first in range(0, len(starts), group_size):
         traces += _run_group(
-            starts[first:first + group_size], ansatz, optimizer, energy_vector,
+            starts[first:first + group_size], ansatz, max_evals, energy_vector,
             ground_energy, target_tol, buffers,
         )
     return traces
@@ -507,7 +478,7 @@ def _state_buffers(n) -> list:
     return list(block[:size].reshape(3, 1 << n)) + [block[size:]]
 
 
-def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_tol, buffers):
+def _run_group(group, ansatz, max_evals, energy_vector, ground_energy, target_tol, buffers):
     """The traces of one lockstep group; its states are freed on return.
 
     Each round evaluates the pending vectors of every live search.
@@ -519,7 +490,7 @@ def _run_group(group, ansatz, optimizer, energy_vector, ground_energy, target_to
     its kernel call returns.
     """
     built = [init.build(ansatz.n) for init, _ in group]
-    searches = [_search(np.zeros(ansatz.parameter_count), optimizer, seed, ground_energy,
+    searches = [_search(np.zeros(ansatz.parameter_count), max_evals, seed, ground_energy,
                         target_tol, _restarts(ansatz, product_angles, seed))
                 for (_, seed), (_, _, product_angles) in zip(group, built)]
     tallies = [_Tally(energy_vector) for _ in group]

@@ -16,7 +16,7 @@ import numpy as np
 
 from tspvqe import build_mubs_3q, layouts
 from tspvqe.quantum import _MUB_GENERATORS
-from tspvqe.vqe import OptimizerConfig, _search, run_lockstep
+from tspvqe.vqe import _search, run_lockstep
 
 
 def energy_of_bitstring(ising, bits) -> Fraction:
@@ -167,15 +167,14 @@ def landscape_fractions(ising) -> list:
     return energies
 
 
-def optimize(objective, x0, config=None, seed=0, target=None, target_tol=0.0,
+def optimize(objective, x0, max_evals=2000, seed=0, target=None, target_tol=0.0,
              restart_points=None):
     """Minimize ``objective`` by rotation descent, one vector at a time.
 
     Drives the ask/tell search that ``run_lockstep`` drives in batches.
     """
     search = _search(
-        np.asarray(x0, dtype=float), config or OptimizerConfig(), seed, target, target_tol,
-        restart_points,
+        np.asarray(x0, dtype=float), max_evals, seed, target, target_tol, restart_points,
     )
     request = next(search)
     while True:
@@ -185,10 +184,7 @@ def optimize(objective, x0, config=None, seed=0, target=None, target_tol=0.0,
             return done.value
 
 
-def run_vqe(ising, init, ansatz=None, optimizer=None, seed=0, ground_energy=None,
-            convergence_tol=1e-6):
+def run_vqe(ising, init, ansatz=None, max_evals=2000, seed=0, ground_energy=None):
     """One VQE run from ``init``: a lockstep batch of one."""
-    [trace] = run_lockstep(
-        ising, [(init, seed)], ansatz, optimizer, ground_energy, convergence_tol
-    )
+    [trace] = run_lockstep(ising, [(init, seed)], ansatz, max_evals, ground_energy)
     return trace

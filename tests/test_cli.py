@@ -182,10 +182,6 @@ class TestAudit:
         }))
         assert main(["audit", str(doc_path)]) == 3
 
-    def test_negative_cap_exits_2(self, capsys):
-        assert main(["audit", COUNTER, "--cap", "-1"]) == 2
-        assert "non-negative" in capsys.readouterr().err
-
     @pytest.mark.parametrize("variant", ["tsp", "cycle"])
     def test_one_node_minimum_is_the_tour(self, variant, tmp_path):
         doc_path = tmp_path / "one.json"
@@ -233,22 +229,18 @@ class TestSpectrumCsv:
         assert out.read_bytes() == expected.encode()
 
     def test_cap_above_hard_limit_exits_3(self, tmp_path, capsys):
-        # N=6 has 25 efficient spins: --cap 30 must not lift the 24-spin limit
+        # N=6 has 25 efficient spins and 36 full ones, above the 24-spin limit
         doc_path = tmp_path / "big.json"
         edges = [[u, v, 1] for u in range(1, 7) for v in range(u + 1, 7)]
         doc_path.write_text(json.dumps({
             "nodes": 6, "directed": False, "variant": "tsp", "edges": edges,
             "penalty_a": 7, "penalty_b": 1,
         }))
-        assert main(["spectrum", str(doc_path), "--cap", "30"]) == 3
-        assert main(["audit", str(doc_path), "--cap", "40"]) == 3
-        assert "capped at 24" in capsys.readouterr().err
-
-    def test_negative_cap_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "spec.csv"
-        assert main(["spectrum", LANDSCAPE, "--cap", "-1", "-o", str(out)]) == 2
-        assert "non-negative" in capsys.readouterr().err
-        assert not out.exists()  # refused before the output is opened
+        assert main(["spectrum", str(doc_path)]) == 3
+        assert main(["audit", str(doc_path)]) == 3
+        err = capsys.readouterr().err
+        assert "spectrum capped at 24 qubits, got 25" in err
+        assert "audit capped at 24 qubits, got 36" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -295,6 +287,58 @@ def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypa
     assert elapsed < 1.0
     assert "encode capped at 131072 terms" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vqe", "--rho-start", "0.5"],
+    ["vqe", "--rho-end", "1e-4"],
+    ["vqe", "--tol", "1e-6"],
+    ["audit", "--cap", "24"],
+    ["spectrum", "--cap", "24"],
+], ids=["vqe-rho-start", "vqe-rho-end", "vqe-tol", "audit-cap", "spectrum-cap"])
+def test_removed_flags_refused_by_the_parser(argv, capsys):
+    # rotation descent's settings are constants of vqe, and SPIN_CAP the one spin cap
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], LANDSCAPE, *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in capsys.readouterr().err
+
+
+def _write_past_the_digit_limit(path, kind):
+    """A 3-node tsp the parser accepts whose derived rationals pass 4,300
+    digits: costs of 4,300 nines, whose tour cost has 4,301, or costs 1/q of
+    coprime q of about 1,450 digits each, whose tour cost's denominator has
+    4,379."""
+    if kind == "nines":
+        costs = [10**4300 - 1] * 3
+    else:
+        costs = [f"1/{q}" for q in (3**3000, 5**2100, 7**1750)]
+    edges = [[u, v, cost] for (u, v), cost in zip(((1, 2), (1, 3), (2, 3)), costs)]
+    path.write_text(json.dumps({"nodes": 3, "directed": False, "variant": "tsp",
+                                "edges": edges, "penalty_a": 1, "penalty_b": 1}))
+
+
+@pytest.mark.parametrize("kind", ["nines", "pq"])
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["encode"], ["encode", "--form", "ising"],
+    ["encode", "--layout", "full", "--form", "ising"], ["audit"], ["spectrum"],
+    ["landscape"], ["vqe", "--max-evals", "5"],
+], ids=["solve", "encode", "encode-ising", "encode-full-ising", "audit", "spectrum",
+        "landscape", "vqe"])
+def test_derived_rationals_past_the_digit_limit_write_or_are_refused(argv, kind, tmp_path,
+                                                                     capsys):
+    path, out = tmp_path / "big.json", tmp_path / "out"
+    _write_past_the_digit_limit(path, kind)
+    code = main([argv[0], str(path), *argv[1:], "--no-timestamp", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")
+        assert not out.exists()  # refused before the output is opened
+    if argv[0] == "solve":  # the tour cost passes the limit
+        assert err == ("error: a derived rational passes 4300 digits in its numerator or "
+                       "denominator, the most that can be written\n")
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -424,7 +468,7 @@ class TestVqeCommand:
         ["--max-evals", "0"],
         ["--max-evals", "-5"],
         ["--init", "random", "--k", "0"],
-        ["--tol", "-1"],
+        ["--init", "best-mubs", "--k", "6049"],
         ["--threads", "0"],
         ["--threads", "-4"],
     ])
@@ -439,33 +483,16 @@ class TestVqeCommand:
         err = capsys.readouterr()
         assert err.out == "" and err.err == "error: seed must be non-negative, got -1\n"
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("flag", ["--tol", "--rho-start", "--rho-end"])
-    def test_non_finite_floats_exit_2(self, flag, value, capsys):
-        flags = [flag, value, "--max-evals", "20"]
-        assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2
-        err = capsys.readouterr()
-        assert err.out == "" and err.err.startswith("error: ") and "finite" in err.err
-
     def test_rotation_probe_refused_before_encoding(self, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
-            raise AssertionError("reached with a refused optimizer")
+            raise AssertionError("reached with a refused evaluation cap")
 
         monkeypatch.setattr(dqes, "spin_form", unreachable)
         monkeypatch.setattr(dqes, "compute_landscape", unreachable)
-        assert main(["vqe", LANDSCAPE, "--init", "best-mubs", "--rho-start", "1.5"]) == 2
+        assert main(["vqe", LANDSCAPE, "--init", "best-mubs", "--max-evals", "0"]) == 2
         err = capsys.readouterr()
         assert err.out == ""
-        assert err.err == ("error: rotation_descent needs rho_start in (0, 1); "
-                           "the probe offset is pi * rho_start\n")
-
-    @pytest.mark.parametrize("flag", ["--rho-start", "--rho-end"])
-    def test_zero_simplex_and_resolution_exit_2(self, flag, capsys):
-        argv = ["vqe", LANDSCAPE, "--no-timestamp", flag, "0"]
-        assert main(argv) == 2
-        err = capsys.readouterr()
-        name = flag[2:].replace("-", "_")
-        assert err.out == "" and err.err == f"error: {name} must be finite and positive, got 0.0\n"
+        assert err.err == "error: max_evals must be at least 1, got 0\n"
 
     def test_choices_are_the_library_tuples(self):
         parser = cli.build_parser()

@@ -31,7 +31,6 @@ from tspvqe.dqes import _BASIS_ELEMENT_CELLS, _RECORDS_PER_TRIPLE, _SEED_STRIDE,
 from tspvqe.vqe import (
     AnsatzConfig,
     MubInit,
-    OptimizerConfig,
     RandomInit,
     ZerosInit,
     _restart_points,
@@ -482,6 +481,24 @@ class TestBestK:
     def test_numpy_int_k_accepted(self, landscape_records):
         assert best_k(landscape_records, np.int64(3)) == best_k(landscape_records, 3)
 
+    @pytest.mark.parametrize("step", [20, 5_000, 6_400], ids=["uint8", "uint16", "uint32"])
+    def test_narrowed_ranks_keep_the_int64_stable_order(self, step):
+        """``best_k`` sorts the ranks in the smallest unsigned type that holds
+        them; its records are those of the int64 table's stable order, ties
+        by entry, whether the ranks reach 2^8, 2^16 or neither."""
+        rng = np.random.default_rng(step)
+        triples = np.array(list(combinations(range(8), 3)))
+        ranks = rng.integers(0, 12, (len(triples), 9)) * step  # 12 values: many ties
+        landscape = Landscape(triples, ranks.astype(np.float64), ranks)
+        entries = np.argsort(ranks, axis=None, kind="stable")
+        expected = [record for entry in entries.tolist()
+                    for triple, column in [divmod(entry, 9)]
+                    for record in range(triple * _RECORDS_PER_TRIPLE + column,
+                                        triple * _RECORDS_PER_TRIPLE + column
+                                        + (64 if column == 8 else 1))]
+        assert [r.index for r in best_k(landscape, len(landscape))] == expected
+        assert [r.index for r in best_k(landscape, 100)] == expected[:100]
+
 
 class TestCsv:
     def test_header_and_row_shape(self, landscape_records):
@@ -558,14 +575,12 @@ class TestExperiments:
             raise AssertionError("ground bitstrings rendered")
 
         monkeypatch.setattr(ising, "_bitstrings", render)
-        optimizer = OptimizerConfig(max_evals=5)
-        report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
+        report = run_experiment(landscape_instance, "zeros", seed=0, max_evals=5)
         assert report.ground_energy_exact == 13
         assert report.ground_energy == 13.0
 
     def test_report_names_the_optimizer(self, landscape_instance):
-        optimizer = OptimizerConfig(max_evals=5)
-        report = run_experiment(landscape_instance, "zeros", seed=0, optimizer=optimizer)
+        report = run_experiment(landscape_instance, "zeros", seed=0, max_evals=5)
         assert report.config["optimizer"] == {
             "method": "rotation_descent", "rho_start": 0.5, "rho_end": 1e-4, "max_evals": 5,
             "attempt_sweeps": 1, "restart_jitter": 0.02,
@@ -593,10 +608,9 @@ class TestExperiments:
         assert a == b
 
     def test_worker_pool_matches_serial(self, landscape_instance):
-        short = OptimizerConfig(max_evals=300)
-        for mode, k, optimizer in (("best_mubs", 4, None), ("random", 10, short)):
-            serial = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer)
-            pooled = run_experiment(landscape_instance, mode, k=k, seed=1, optimizer=optimizer,
+        for mode, k, max_evals in (("best_mubs", 4, 2000), ("random", 10, 300)):
+            serial = run_experiment(landscape_instance, mode, k=k, seed=1, max_evals=max_evals)
+            pooled = run_experiment(landscape_instance, mode, k=k, seed=1, max_evals=max_evals,
                                     threads=2)
             a, b = dict(vars(serial)), dict(vars(pooled))
             # the config echo records the thread count itself
@@ -609,14 +623,14 @@ class TestExperiments:
         parts of the batch, not to the requested thread count; a batch of
         one run is one part and starts no pool."""
         _show_cpus(monkeypatch, 64)
-        short = OptimizerConfig(max_evals=5)
+        short = 5
         for mode, k, threads, pools in (("zeros", 1, 4, []), ("random", 10, 6, [(5, 5)])):
-            pooled = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short,
+            pooled = run_experiment(landscape_instance, mode, k=k, seed=2, max_evals=short,
                                     threads=threads)
             assert in_process_pool == pools, mode
             in_process_pool.clear()
             assert pooled.config["threads"] == threads
-            serial = run_experiment(landscape_instance, mode, k=k, seed=2, optimizer=short)
+            serial = run_experiment(landscape_instance, mode, k=k, seed=2, max_evals=short)
             assert pooled.traces == serial.traces, mode
         assert in_process_pool == []
 
@@ -632,11 +646,11 @@ class TestExperiments:
         unknown, and one part starts no pool).  Each part has a worker of its
         own, and the report does not change."""
         _show_cpus(monkeypatch, cpus, affinity)
-        short = OptimizerConfig(max_evals=4)
-        pooled = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short,
+        short = 4
+        pooled = run_experiment(landscape_instance, "random", k=40, seed=3, max_evals=short,
                                 threads=10_000)
         assert in_process_pool == ([(workers, workers)] if workers > 1 else [])
-        serial = run_experiment(landscape_instance, "random", k=40, seed=3, optimizer=short)
+        serial = run_experiment(landscape_instance, "random", k=40, seed=3, max_evals=short)
         a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
@@ -647,11 +661,11 @@ class TestExperiments:
         per requested thread: a random k=10 batch at ``threads=10`` on 2 CPUs
         runs 2 parts of 5, and its report is the serial one."""
         _show_cpus(monkeypatch, 2)
-        short = OptimizerConfig(max_evals=5)
-        pooled = run_experiment(landscape_instance, "random", k=10, seed=4, optimizer=short,
+        short = 5
+        pooled = run_experiment(landscape_instance, "random", k=10, seed=4, max_evals=short,
                                 threads=10)
         assert in_process_pool == [(2, 2)]
-        serial = run_experiment(landscape_instance, "random", k=10, seed=4, optimizer=short)
+        serial = run_experiment(landscape_instance, "random", k=10, seed=4, max_evals=short)
         a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
@@ -661,10 +675,10 @@ class TestExperiments:
         threads, so any thread count runs the batch in this process."""
         _show_cpus(monkeypatch, 64)
         instance = _seeded_instance_16()
-        short = OptimizerConfig(max_evals=5)
-        pooled = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short, threads=2)
+        short = 5
+        pooled = run_experiment(instance, "best_mubs", k=2, seed=0, max_evals=short, threads=2)
         assert in_process_pool == []
-        serial = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=short)
+        serial = run_experiment(instance, "best_mubs", k=2, seed=0, max_evals=short)
         a, b = dict(vars(serial)), dict(vars(pooled))
         assert a.pop("config") == {**b.pop("config"), "threads": 1}
         assert a == b
@@ -719,10 +733,8 @@ class TestExperiments:
         # a float of 3 or more would reach range() as its step
         ("threads", 3.0, "threads must be an int, got 3.0"),
         ("threads", True, "threads must be an int, got True"),
-        ("convergence_tol", True, "convergence_tol must be a real number, got True"),
-        ("convergence_tol", "1e-6", "convergence_tol must be a real number, got '1e-6'"),
-    ], ids=["threads-float", "threads-float-3", "threads-bool", "tol-bool", "tol-str"])
-    def test_threads_or_tol_of_another_type_refused_before_encoding(
+    ], ids=["threads-float", "threads-float-3", "threads-bool"])
+    def test_threads_of_another_type_refused_before_encoding(
             self, landscape_instance, monkeypatch, name, value, message):
         from tspvqe import dqes
 
@@ -733,44 +745,36 @@ class TestExperiments:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             run_experiment(landscape_instance, "random", k=3, **{name: value})
 
-    def test_numpy_threads_and_tol_run(self, landscape_instance):
-        # and the report holds a plain int and float, so it can be written as JSON
-        optimizer = OptimizerConfig(max_evals=20)
-        report = run_experiment(landscape_instance, "zeros", optimizer=optimizer,
-                                threads=np.int64(1), convergence_tol=np.float32(1e-6))
-        expected = run_experiment(landscape_instance, "zeros", optimizer=optimizer, threads=1,
-                                  convergence_tol=float(np.float32(1e-6)))
+    def test_numpy_threads_and_max_evals_run(self, landscape_instance):
+        # and the report holds plain ints, so it can be written as JSON
+        report = run_experiment(landscape_instance, "zeros", max_evals=np.int64(20),
+                                threads=np.int64(1))
+        expected = run_experiment(landscape_instance, "zeros", max_evals=20, threads=1)
         assert (json.dumps(report, default=cli.json_default)
                 == json.dumps(expected, default=cli.json_default))
 
     def test_numpy_int_k_and_seed_run(self, landscape_instance):
         # and the report holds plain ints, so it can be written as JSON
-        optimizer = OptimizerConfig(max_evals=20)
         report = run_experiment(landscape_instance, "best_mubs", k=np.int64(2),
-                                seed=np.int64(1), optimizer=optimizer)
-        expected = run_experiment(landscape_instance, "best_mubs", k=2, seed=1,
-                                  optimizer=optimizer)
+                                seed=np.int64(1), max_evals=20)
+        expected = run_experiment(landscape_instance, "best_mubs", k=2, seed=1, max_evals=20)
         assert (json.dumps(report, default=cli.json_default)
                 == json.dumps(expected, default=cli.json_default))
 
     def test_instance_without_valid_tour(self):
         # the Hamiltonian minimum is still defined; the oracle reports no tour
         from tspvqe import ProblemInstance
-        from tspvqe.vqe import OptimizerConfig
 
         inst = ProblemInstance(4, False, "tsp",
                                ((1, 2, 1), (2, 3, 1), (3, 4, 1)), 5, 1)
-        report = run_experiment(
-            inst, "zeros", seed=0,
-            optimizer=OptimizerConfig(max_evals=300),
-        )
+        report = run_experiment(inst, "zeros", seed=0, max_evals=300)
         assert report.oracle_cost is None
         assert report.oracle_tours == ()
         assert json.loads(json.dumps(report, default=cli.json_default))["oracle_cost"] is None
         assert report.decoded_tours[0].valid in (True, False)
 
 
-def _independent_traces(instance, report, ansatz, optimizer):
+def _independent_traces(instance, report, ansatz, max_evals):
     """The traces of ``report`` redone one ``run_vqe`` call per run."""
     ising = to_ising(encode_efficient(instance))
     if report.mode == "zeros":
@@ -784,16 +788,15 @@ def _independent_traces(instance, report, ansatz, optimizer):
         inits = [RandomInit(seed=report.seed * _SEED_STRIDE + 2 * i + 1) for i in range(report.k)]
     return [
         run_vqe(
-            ising, init, ansatz=ansatz, optimizer=optimizer,
+            ising, init, ansatz=ansatz, max_evals=max_evals,
             seed=report.seed * _SEED_STRIDE + 2 * i,
             ground_energy=report.ground_energy,
-            convergence_tol=report.convergence_tol,
         )
         for i, init in enumerate(inits)
     ]
 
 
-def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, convergence_tol):
+def _full_kernel_traces(ising, starts, ansatz, max_evals, ground_energy):
     """(history, best parameters, best bitstring) of each start, from
     ``optimize`` with an objective that runs the whole ansatz on every vector,
     held on the qubits its init builds the start on, as the batch holds it."""
@@ -817,8 +820,8 @@ def _full_kernel_traces(ising, starts, ansatz, optimizer, ground_energy, converg
             return float(probabilities @ energies)
 
         result = optimize(
-            energy, np.zeros(ansatz.parameter_count), optimizer, seed=seed, target=ground_energy,
-            target_tol=convergence_tol * max(1.0, abs(ground_energy)),
+            energy, np.zeros(ansatz.parameter_count), max_evals, seed=seed, target=ground_energy,
+            target_tol=vqe.CONVERGENCE_TOL * max(1.0, abs(ground_energy)),
             restart_points=_restart_points(ansatz, product_angles, seed),
         )
         probabilities, _, index = measured(result.best_params)
@@ -839,22 +842,22 @@ class TestLockstep:
     ])
     def test_matches_independent_runs(self, landscape_instance, mode, k, seed, layers,
                                       entangler):
-        optimizer = OptimizerConfig(max_evals=300)
+        max_evals = 300
         report = run_experiment(landscape_instance, mode, k=k, seed=seed, layers=layers,
-                                entangler=entangler, optimizer=optimizer)
+                                entangler=entangler, max_evals=max_evals)
         assert report.traces == _independent_traces(
             landscape_instance, report, AnsatzConfig(n=9, layers=layers, entangler=entangler),
-            optimizer)
+            max_evals)
 
     def test_runs_of_unequal_length(self, landscape_instance):
         # two runs start at the ground state, two use all but one evaluation
-        optimizer = OptimizerConfig(max_evals=300)
+        max_evals = 300
         report = run_experiment(landscape_instance, "best_mubs", k=10, seed=1,
-                                optimizer=optimizer)
+                                max_evals=max_evals)
         lengths = [t.n_evaluations for t in report.traces]
         assert min(lengths) == 1 and max(lengths) == 299
         assert report.traces == _independent_traces(
-            landscape_instance, report, AnsatzConfig(n=9), optimizer)
+            landscape_instance, report, AnsatzConfig(n=9), max_evals)
 
     @pytest.mark.parametrize("mode", ["best_mubs", "zeros"])
     def test_short_batches_run_stages_their_runs_skip(self, landscape_instance,
@@ -871,20 +874,20 @@ class TestLockstep:
             return apply(psi0, n, layers, ring, params, **options)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
-        optimizer = OptimizerConfig(max_evals=30)
+        max_evals = 30
         if mode == "best_mubs":
             report = run_experiment(landscape_instance, mode, k=10, seed=0,
-                                    optimizer=optimizer)
+                                    max_evals=max_evals)
             traces = report.traces
             monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
             alone = _independent_traces(landscape_instance, report, AnsatzConfig(n=9),
-                                        optimizer)
+                                        max_evals)
         else:
             ground = float(ground_states(landscape_ising)[0])
             starts = [(ZerosInit(), seed) for seed in range(4)]
-            traces = run_lockstep(landscape_ising, starts, None, optimizer, ground)
+            traces = run_lockstep(landscape_ising, starts, None, max_evals, ground)
             monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", apply)
-            alone = [run_vqe(landscape_ising, init, optimizer=optimizer, seed=seed,
+            alone = [run_vqe(landscape_ising, init, max_evals=max_evals, seed=seed,
                              ground_energy=ground) for init, seed in starts]
         assert traces == alone
 
@@ -931,8 +934,8 @@ class TestLockstep:
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         monkeypatch.setattr(vqe, "_search", logged)
         monkeypatch.setattr(vqe, "_state_buffers", recorded_buffers)
-        optimizer = OptimizerConfig(max_evals=20)
-        report = run_experiment(instance, "best_mubs", k=2, seed=0, optimizer=optimizer)
+        max_evals = 20
+        report = run_experiment(instance, "best_mubs", k=2, seed=0, max_evals=max_evals)
         calls = [entry[1:] for entry in log if isinstance(entry, tuple)]
         assert all(held is not None and shape[:-1] == out[:-1] and len(shape) <= 2
                    and shape[-1] == 1 << len(held) and shape[-1] <= out[-1] <= 1 << 5
@@ -962,7 +965,7 @@ class TestLockstep:
             len(requests) // 2)
         assert sum(stop is not None for _, _, stop, _, _ in calls) <= evaluations // 2
         assert report.traces == _independent_traces(
-            instance, report, AnsatzConfig(n=16), optimizer)
+            instance, report, AnsatzConfig(n=16), max_evals)
 
     @pytest.mark.parametrize("mode, qubits, max_evals", [
         ("best_mubs", 16, 100),
@@ -993,8 +996,7 @@ class TestLockstep:
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
         monkeypatch.setattr(vqe, "LOCKSTEP_AMPLITUDES", 1 << qubits)
-        optimizer = OptimizerConfig(max_evals=max_evals)
-        report = run_experiment(instance, mode, k=2, seed=1, optimizer=optimizer)
+        report = run_experiment(instance, mode, k=2, seed=1, max_evals=max_evals)
         monkeypatch.undo()
         assert calls and all(calls)
         if mode == "zeros":
@@ -1010,7 +1012,7 @@ class TestLockstep:
             np.testing.assert_allclose(trace.energies, np.minimum.accumulate(dense),
                                        rtol=1e-12, atol=0)
         assert report.traces == _independent_traces(
-            instance, report, AnsatzConfig(n=qubits), optimizer)
+            instance, report, AnsatzConfig(n=qubits), max_evals)
 
     def test_sixteen_qubits_match_full_evaluations(self):
         """Prefix reuse at 16 qubits against whole-ansatz evaluations."""
@@ -1022,10 +1024,10 @@ class TestLockstep:
                   (MubInit(positions=best.positions, basis=5, element=2), 5),
                   (RandomInit(seed=11), 4)]
         ansatz = AnsatzConfig(n=16)
-        optimizer = OptimizerConfig(max_evals=40)
-        traces = run_lockstep(ising, starts, ansatz, optimizer, ground, 1e-6)
+        max_evals = 40
+        traces = run_lockstep(ising, starts, ansatz, max_evals, ground)
         assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
-            _full_kernel_traces(ising, starts, ansatz, optimizer, ground, 1e-6))
+            _full_kernel_traces(ising, starts, ansatz, max_evals, ground))
 
     @pytest.mark.parametrize("max_evals, layers, entangler", [
         (700, 2, "linear_rzz"),
@@ -1041,10 +1043,9 @@ class TestLockstep:
         ground = float(ground_states(landscape_ising)[0])
         starts = [(RandomInit(seed=seed + 40), seed) for seed in range(3)] + [(ZerosInit(), 2)]
         ansatz = AnsatzConfig(n=9, layers=layers, entangler=entangler)
-        optimizer = OptimizerConfig(max_evals=max_evals)
-        traces = run_lockstep(landscape_ising, starts, ansatz, optimizer, ground, 1e-6)
+        traces = run_lockstep(landscape_ising, starts, ansatz, max_evals, ground)
         assert [(t.energies, t.final_parameters, t.best_bitstring) for t in traces] == (
-            _full_kernel_traces(landscape_ising, starts, ansatz, optimizer, ground, 1e-6))
+            _full_kernel_traces(landscape_ising, starts, ansatz, max_evals, ground))
         assert max(t.n_evaluations for t in traces) > 3 * ansatz.parameter_count  # restarts ran
 
     def test_nine_qubits_stack_the_batch(self, landscape_instance, monkeypatch):
@@ -1056,8 +1057,8 @@ class TestLockstep:
             return apply(psi0, *args)
 
         monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
-        optimizer = OptimizerConfig(max_evals=300)
-        report = run_experiment(landscape_instance, "random", k=10, seed=0, optimizer=optimizer)
+        max_evals = 300
+        report = run_experiment(landscape_instance, "random", k=10, seed=0, max_evals=max_evals)
         evaluations = sum(t.n_evaluations for t in report.traces)
         # all 10 runs fit one group; a round asks at most two states per run
         assert max(shape[0] for shape in shapes if len(shape) == 2) == 20
@@ -1092,7 +1093,7 @@ class TestLockstep:
         monkeypatch.setattr(vqe, "_search", logged)
         starts = [(MubInit(r.positions, r.basis, r.element), seed)
                   for seed, r in enumerate(best_k(landscape_records, k))]
-        traces = run_lockstep(landscape_ising, starts, optimizer=OptimizerConfig(max_evals=60))
+        traces = run_lockstep(landscape_ising, starts, max_evals=60)
         # a round's requests are all asked before its call; the searches ask
         # nothing after the last call
         rounds, asked = [], 0

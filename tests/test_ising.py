@@ -345,9 +345,10 @@ def test_forms_above_the_spin_cap_refused_at_the_call():
 
 
 def test_audit_refuses_cap_above_hard_limit():
+    # N=5 has 25 full-layout spins, one above the cap
     edges = tuple((u, v, 1) for u in range(1, 6) for v in range(u + 1, 6))
-    with pytest.raises(SizeCapError):
-        audit_penalties(ProblemInstance(5, False, "tsp", edges, 6, 1), cap=40)
+    with pytest.raises(SizeCapError, match="audit capped at 24 qubits, got 25"):
+        audit_penalties(ProblemInstance(5, False, "tsp", edges, 6, 1))
 
 
 def test_ground_states_match_oracle(landscape_instance, counterexample_instance):

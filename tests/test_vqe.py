@@ -9,7 +9,6 @@ from reference import expectation, optimize, run_vqe, spread, support
 from tspvqe import (
     AnsatzConfig,
     MubInit,
-    OptimizerConfig,
     RandomInit,
     ValidationError,
     ZerosInit,
@@ -90,13 +89,11 @@ class TestAnsatz:
 
 class TestOptimize:
     def test_flat_objective(self):
-        result = optimize(lambda x: 5.0, [0.0, 0.0],
-                          OptimizerConfig(max_evals=60), seed=1)
+        result = optimize(lambda x: 5.0, [0.0, 0.0], 60, seed=1)
         assert set(result.history) == {5.0}
 
     def test_history_is_best_so_far(self):
-        result = optimize(lambda x: float(np.sum(x ** 2)), [2.0, -3.0],
-                          OptimizerConfig(max_evals=300), seed=2)
+        result = optimize(lambda x: float(np.sum(x ** 2)), [2.0, -3.0], 300, seed=2)
         history = np.asarray(result.history)
         assert history[0] == 13.0
         assert np.all(np.diff(history) <= 0)
@@ -106,8 +103,7 @@ class TestOptimize:
         def trig(x):
             return float(2.0 + np.cos(x[0] - 0.3) + 0.5 * np.sin(x[1] + 1.0))
 
-        result = optimize(trig, np.zeros(2),
-                          OptimizerConfig(max_evals=300), seed=0)
+        result = optimize(trig, np.zeros(2), 300, seed=0)
         assert result.best_value == pytest.approx(0.5, abs=1e-9)
 
     def test_rotation_descent_reaches_coordinate_stationarity(self):
@@ -117,8 +113,7 @@ class TestOptimize:
             return float(2.0 + np.cos(x[0] - 0.3) + 0.5 * np.sin(x[1] + 1.0)
                          + 0.2 * np.cos(x[0] + x[1]))
 
-        result = optimize(trig, np.zeros(2),
-                          OptimizerConfig(max_evals=300), seed=0)
+        result = optimize(trig, np.zeros(2), 300, seed=0)
         for k in range(2):
             for offset in (0.3, np.pi / 2, np.pi, -0.7):
                 probe = np.array(result.best_params)
@@ -131,7 +126,7 @@ class TestOptimize:
         RESTART_JITTER, drawn after that sweep's coordinate order."""
         x0 = np.array([0.5, -1.0, 2.0, 0.25])
         seed = 7
-        search = vqe._search(x0, OptimizerConfig(), seed, None, 0.0, None)
+        search = vqe._search(x0, 2000, seed, None, 0.0, None)
         requests = [next(search)]
         while len(requests) == 1 or len(requests[-1]) == 2:
             requests.append(search.send([5.0] * len(requests[-1])))
@@ -150,55 +145,39 @@ class TestOptimize:
             calls.append(1)
             return float(np.sum(x ** 2))
 
-        optimize(f, np.zeros(8), OptimizerConfig(max_evals=100), seed=0)
+        optimize(f, np.zeros(8), 100, seed=0)
         assert len(calls) <= 100
 
-    @pytest.mark.parametrize("name", ["rho_start", "rho_end"])
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_config_refuses_non_positive_rho(self, name, value):
-        with pytest.raises(ValidationError, match=f"{name} must be finite and positive"):
-            OptimizerConfig(**{name: value})
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "max_evals must be an int, got 2.5"),
+        (True, "max_evals must be an int, got True"),
+        ("5", "max_evals must be an int, got '5'"),
+    ], ids=["max_evals=2.5", "max_evals=True", "max_evals-str"])
+    def test_config_refuses_values_of_another_type(self, landscape_instance, monkeypatch,
+                                                   value, message):
+        """The evaluation cap, the one setting of a run, is refused before
+        anything is encoded."""
+        from tspvqe import dqes
 
-    def test_config_refuses_rotation_probe_of_pi_or_more(self):
-        for rho_start in (1.0, 1.5):
-            with pytest.raises(ValidationError, match=r"needs rho_start in \(0, 1\)"):
-                OptimizerConfig(rho_start=rho_start)
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"reached with max_evals={value!r}")
 
-    @pytest.mark.parametrize("name, value, message", [
-        ("max_evals", 2.5, "max_evals must be an int, got 2.5"),
-        ("max_evals", True, "max_evals must be an int, got True"),
-        ("max_evals", "5", "max_evals must be an int, got '5'"),
-        ("rho_start", True, "rho_start must be a real number, got True"),
-        ("rho_end", True, "rho_end must be a real number, got True"),
-        ("rho_end", "1e-4", "rho_end must be a real number, got '1e-4'"),
-    ], ids=["max_evals=2.5", "max_evals=True", "max_evals-str", "rho_start=True",
-            "rho_end=True", "rho_end-str"])
-    def test_config_refuses_values_of_another_type(self, name, value, message):
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            OptimizerConfig(**{name: value})
-
-    def test_config_stores_plain_numbers(self):
-        config = OptimizerConfig(rho_start=np.float32(0.25), rho_end=np.float32(1e-4),
-                                 max_evals=np.int64(5))
-        assert [type(v) for v in (config.rho_start, config.rho_end, config.max_evals)] == [
-            float, float, int]
-        assert config == OptimizerConfig(0.25, float(np.float32(1e-4)), 5)
-        assert type(OptimizerConfig(rho_end=1).rho_end) is float
+            run_experiment(landscape_instance, "zeros", max_evals=value)
 
 
 @pytest.mark.parametrize("setting, value", [
-    ("layers", np.int64(2)), ("max_evals", np.int64(5)), ("rho_end", np.float32(1e-4)),
-], ids=["layers", "max_evals", "rho_end"])
+    ("layers", np.int64(2)), ("max_evals", np.int64(5)),
+], ids=["layers", "max_evals"])
 def test_numpy_settings_reach_the_report_as_plain_numbers(landscape_instance, setting, value):
     """A numpy ansatz or optimizer setting runs the whole experiment, and its
     report is written as JSON as that of the plain number."""
     plain = value.item()
 
     def report(v):
-        settings = {"max_evals": 5, "rho_end": 1e-4, setting: v}
-        layers = settings.pop("layers", 2)
-        return run_experiment(landscape_instance, "zeros", layers=layers,
-                              optimizer=OptimizerConfig(**settings))
+        settings = {"layers": 2, "max_evals": 5, setting: v}
+        return run_experiment(landscape_instance, "zeros", **settings)
 
     assert (json.dumps(report(value), default=cli.json_default)
             == json.dumps(report(plain), default=cli.json_default))
@@ -206,8 +185,7 @@ def test_numpy_settings_reach_the_report_as_plain_numbers(landscape_instance, se
 
 class TestRunVqe:
     def test_trace_starts_at_initial_energy(self, landscape_ising):
-        trace = run_vqe(landscape_ising, ZerosInit(), seed=0,
-                        optimizer=OptimizerConfig(max_evals=50))
+        trace = run_vqe(landscape_ising, ZerosInit(), seed=0, max_evals=50)
         # zeros state: all rows and columns empty, six A penalties
         assert trace.energies[0] == pytest.approx(66.0, abs=1e-12)
 
@@ -232,8 +210,7 @@ class TestRunVqe:
     def test_final_energy_bounded_by_ground(self, landscape_ising):
         energies = landscape_ising.energy_float_vector()
         for seed in range(3):
-            trace = run_vqe(landscape_ising, RandomInit(seed=seed + 50), seed=seed,
-                            optimizer=OptimizerConfig(max_evals=400))
+            trace = run_vqe(landscape_ising, RandomInit(seed=seed + 50), seed=seed, max_evals=400)
             assert trace.final_energy >= energies.min() - 1e-9
             history = np.asarray(trace.energies)
             assert np.all(np.diff(history) <= 0)
@@ -253,8 +230,7 @@ class TestRunVqe:
         init = RandomInit(seed=123)
         held, amps, _ = init.build(9)
         assert held == tuple(range(9))
-        trace = run_vqe(landscape_ising, init, seed=0,
-                        optimizer=OptimizerConfig(max_evals=30))
+        trace = run_vqe(landscape_ising, init, seed=0, max_evals=30)
         assert trace.energies[0] == pytest.approx(
             expectation(landscape_ising, spread(amps, held, 9)), rel=1e-12
         )
@@ -273,8 +249,7 @@ class TestRunVqe:
             layout="full",
             node_count=4,
         )
-        trace = run_vqe(flat, ZerosInit(), seed=0,
-                        optimizer=OptimizerConfig(max_evals=200))
+        trace = run_vqe(flat, ZerosInit(), seed=0, max_evals=200)
         assert set(trace.energies) == {7.0}
 
 
@@ -310,12 +285,11 @@ def test_lockstep_runs_at_14_qubits_reuse_their_buffers(monkeypatch):
     def allocating(*args, buffers=None, **kwargs):
         return original(*args, **kwargs)
 
-    optimizer = OptimizerConfig(max_evals=25)
     starts = [(RandomInit(seed=5), 3), (RandomInit(seed=8), 4)]
     monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", recording)
-    batch = run_lockstep(ising, starts, optimizer=optimizer)
+    batch = run_lockstep(ising, starts, max_evals=25)
     monkeypatch.setattr(kernels, "apply_ansatz_amplitudes", allocating)
-    alone = [run_vqe(ising, init, seed=seed, optimizer=optimizer) for init, seed in starts]
+    alone = [run_vqe(ising, init, seed=seed, max_evals=25) for init, seed in starts]
     assert len(lent) > sum(t.n_evaluations for t in batch)  # prefixes were carried too
     assert all(pair is not None for pair in lent)
     assert len({id(b) for pair in lent for b in pair}) == 3
@@ -410,18 +384,18 @@ def test_restart_points_are_built_at_the_first_restart(landscape_ising, monkeypa
                            node_count=4)
     starts = [(RandomInit(seed=40 + seed), seed) for seed in range(3)] + [(ZerosInit(), 7)]
     monkeypatch.setattr(vqe, "_restart_points", counted)
-    assert run_lockstep(flat, starts, optimizer=OptimizerConfig(max_evals=20))
+    assert run_lockstep(flat, starts, max_evals=20)
     assert built == []
     lazy = {}
     for hamiltonian, max_evals in ((flat, 200), (landscape_ising, 400)):
         lazy[max_evals] = run_lockstep(hamiltonian, starts,
-                                       optimizer=OptimizerConfig(max_evals=max_evals))
+                                       max_evals=max_evals)
         if hamiltonian is flat:
             assert built == [0, 1, 2, 7]
     monkeypatch.setattr(vqe, "_restarts", eager)
     for hamiltonian, max_evals in ((flat, 200), (landscape_ising, 400)):
         assert lazy[max_evals] == run_lockstep(hamiltonian, starts,
-                                               optimizer=OptimizerConfig(max_evals=max_evals))
+                                               max_evals=max_evals)
 
 
 def _restart_points_per_qubit(config, product_angles, seed, count=16):

@@ -4,6 +4,7 @@ Run from the root of a tspvqe checkout::
 
     python tools/bench_layers.py --label change
     python tools/bench_layers.py --smoke
+    python tools/bench_layers.py --compare BENCH_parent.json BENCH_change.json
 
 The pass is the one the ``vqe-n5`` benchmark workload runs: on a seeded
 complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
@@ -23,10 +24,18 @@ alike.  Each row reports the minimum, median and quartiles, over the
 bursts, of its milliseconds per call.  The program is imported from
 ``src/`` of the checkout the tool runs in, so the same tool times two
 checkouts.  Writes ``BENCH_<label>.json`` (into ``--out``, by default the
-current directory) with the commit, the core count, Python, numpy, the BLAS
-and its thread count, since numbers from another machine or BLAS setting
-do not compare.  ``--smoke`` runs two short bursts, checks every row
-produced a time, and writes nothing.
+current directory) with the commit, whether ``src/`` differs from it, the
+hash of its ``src/`` tree, the core count, Python, numpy, the BLAS and its
+thread count, since numbers from another machine or BLAS setting do not
+compare.  ``--smoke`` runs two short bursts, checks every row produced a
+time, and writes nothing.
+
+``--compare A.json B.json`` reads two such files, A the parent and B the
+change, and prints each row's median in both with its quartiles, and the
+change of the median.  A row whose median moved by no more than A's
+interquartile range is marked ``inside``: its gap lies within the parent's
+own spread, so it shows no change.  Settings that differ between the two
+environments are printed first, since such a pair does not compare.
 """
 
 from __future__ import annotations
@@ -82,7 +91,6 @@ def rows(workdir):
     starts = [(vqe.MubInit(r.positions, r.basis, r.element), 2 * i)
               for i, r in enumerate(dqes.best_k(landscape, K))]
     ansatz = vqe.AnsatzConfig(n=form.n)
-    optimizer = vqe.OptimizerConfig(max_evals=MAX_EVALS)
     common = ["--no-timestamp", "--penalties", "safe"]
     landscape_argv = ["landscape", path, *common, "-o", os.path.join(workdir, "l.csv")]
     vqe_argv = ["vqe", path, *common, "--init", "best-mubs", "--k", str(K), "--max-evals",
@@ -112,7 +120,7 @@ def rows(workdir):
         "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
         "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
         "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
-            form, starts, ansatz, optimizer, ground, 1e-6))),
+            form, starts, ansatz, MAX_EVALS, ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
     }
@@ -171,6 +179,7 @@ def environment():
     return {
         "commit": _git("rev-parse", "HEAD") or None,
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        "src_tree": _git("rev-parse", "HEAD:src") or None,
         "cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count(),
         "python": platform.python_version(),
@@ -181,13 +190,47 @@ def environment():
     }
 
 
+# environment settings that must agree for two files to compare
+_SETTINGS = ("cores", "python", "numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS")
+
+
+def compare(parent_path, change_path):
+    """Print the rows of two ``BENCH`` files side by side: see the module
+    docstring."""
+    parent, change = [json.load(open(path, encoding="utf-8"))
+                      for path in (parent_path, change_path)]
+    for key in _SETTINGS:
+        if parent["env"].get(key) != change["env"].get(key):
+            print(f"differs: {key} {parent['env'].get(key)} -> {change['env'].get(key)}")
+    for side, report in (("A", parent), ("B", change)):
+        env = report["env"]
+        print(f"{side}: {report['label']}, commit {env.get('commit')}, "
+              f"src_modified {env.get('src_modified')}")
+    print(f"{'row (ms)':20s} {'A median [q1-q3]':>23s} {'B median [q1-q3]':>23s}  change")
+    for name in {**parent["rows"], **change["rows"]}:
+        if name not in parent["rows"] or name not in change["rows"]:
+            print(f"{name:20s} only in {'B' if name in change['rows'] else 'A'}")
+            continue
+        a, b = parent["rows"][name], change["rows"][name]
+        gap = b["median"] - a["median"]
+        inside = "  inside" if abs(gap) <= a["q3"] - a["q1"] else ""
+        print(f"{name:20s} {a['median']:9.3f} [{a['q1']:.3f}-{a['q3']:.3f}]"
+              f" {b['median']:9.3f} [{b['q1']:.3f}-{b['q3']:.3f}]"
+              f"  {100 * gap / a['median']:+6.1f}%{inside}")
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", default="local", help="names the output BENCH_<label>.json")
     parser.add_argument("--bursts", type=int, default=15)
     parser.add_argument("--out", default=".", help="directory of the output file")
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                        help="print the rows of two files, A the parent, and time nothing")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     bursts = 2 if args.smoke else args.bursts
     if bursts < 2:
         parser.error("--bursts must be at least 2")

@@ -51,8 +51,9 @@ each of the six variant x direction cases, so every row of
 ``layouts.LAYOUTS`` and every variant it refuses is compared.
 Last, the commands that must be refused: a seeded complete 6-node instance
 is above the 24-spin cap (25 efficient spins, 36 full) for ``spectrum`` in
-both layouts, ``landscape``, ``vqe`` and ``audit``, and ``spectrum --cap -1``
-is refused as invalid.  The generated instances are written by this script,
+both layouts, ``landscape``, ``vqe`` and ``audit``: five refusals, and 193
+outputs in all with the three written to standard output.  The generated
+instances are written by this script,
 the same for both sides.  Three commands of the
 list, a spectrum, a 16-qubit landscape and an audit, also run once more each
 without ``-o``, in a process of their own, and their standard output is
@@ -221,7 +222,6 @@ def commands(inputs):
         ("n6_landscape_0.csv", ["landscape", n6]),
         ("n6_vqe_0.json", ["vqe", n6, "--threads", "1"]),
         ("n6_audit_0.json", ["audit", n6]),
-        ("n6_spectrum_negative_cap_0.csv", ["spectrum", n6, "--cap", "-1"]),
     ]
     return out
 
