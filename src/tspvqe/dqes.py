@@ -27,15 +27,12 @@ import numpy as np
 
 from . import kernels, layouts, oracle
 from .encoder import spin_form
-from .errors import ValidationError
+from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows
 from .vqe import (
-    ATTEMPT_SWEEPS,
     CONVERGENCE_TOL,
-    RESTART_JITTER,
-    RHO_END,
-    RHO_START,
+    OPTIMIZER,
     AnsatzConfig,
     MubInit,
     RandomInit,
@@ -302,15 +299,18 @@ def run_experiment(
 
     The ansatz has ``layers`` layers of ``entangler`` on one qubit per spin
     of ``LAYOUT``, counted from the node count.  Each run is rotation
-    descent of at most ``max_evals`` evaluations, at the settings of the
-    ``vqe`` constants, and converges within ``CONVERGENCE_TOL`` (relative)
+    descent of at most ``max_evals`` evaluations, at the settings of
+    ``vqe.OPTIMIZER``, and converges within ``CONVERGENCE_TOL`` (relative)
     of the ground energy.  Runs are decoded in the Ising form's own layout.
     An instance too small for ``LAYOUT`` (one node), an invalid ansatz, a
     ``k``, ``seed``, ``max_evals`` or ``threads`` that is not an int, a
     ``k`` below 1 (for ``best_mubs``, one outside 1..C(n,3) * 72, the
-    landscape's records), a negative seed, or a ``max_evals`` or
-    ``threads`` below 1 is refused before anything is encoded.  Numbers are
-    stored as plain ints, so the report can be written as JSON.
+    landscape's records), a negative seed, a ``max_evals`` or ``threads``
+    below 1, or a batch that would record more than ``layouts.RECORD_CAP``
+    numbers (each run's history and parameters: runs x (max_evals +
+    parameter count), ``SizeCapError``) is refused before anything is
+    encoded.  Numbers are stored as plain ints, so the report can be
+    written as JSON.
 
     Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
     ``random`` (k seeded product states).  ``threads`` caps the worker
@@ -320,6 +320,8 @@ def run_experiment(
     """
     layouts.lookup(LAYOUT, nodes=instance.node_count)
     n = layouts.variable_count(LAYOUT, instance.node_count)
+    # before the record cap: a parameter count is read off an n-qubit plan
+    layouts.check_spins(n, "vqe")
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
@@ -339,6 +341,12 @@ def run_experiment(
         raise ValidationError(f"max_evals must be at least 1, got {max_evals}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
+    runs = 1 if mode == "zeros" else k
+    recorded = runs * (max_evals + ansatz.parameter_count)
+    if recorded > layouts.RECORD_CAP:
+        raise SizeCapError(f"a VQE batch is capped at {layouts.RECORD_CAP} recorded numbers, "
+                           f"got {runs} runs x ({max_evals} evaluations + "
+                           f"{ansatz.parameter_count} parameters) = {recorded}")
     ising = spin_form(instance, LAYOUT, "vqe")
     # the minimum of the cached energies; no ground bitstring is rendered
     ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
@@ -398,10 +406,7 @@ def run_experiment(
                        for t in traces],
         config={
             "ansatz": {**asdict(ansatz), "parameter_count": ansatz.parameter_count},
-            # a report names its optimizer; rotation descent is the only one
-            "optimizer": {"method": "rotation_descent", "rho_start": RHO_START,
-                          "rho_end": RHO_END, "max_evals": max_evals,
-                          "attempt_sweeps": ATTEMPT_SWEEPS, "restart_jitter": RESTART_JITTER},
+            "optimizer": {**OPTIMIZER, "max_evals": max_evals},
             "threads": threads,
         },
     )

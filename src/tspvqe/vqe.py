@@ -14,15 +14,18 @@ methods plateau above the ground energy within the evaluation budget, while
 sinusoid descent reaches it exactly.  A run is deterministic given its seed,
 stops at its evaluation cap, and records the best-so-far energy after every
 evaluation.  The cap is the one setting a caller passes: the probe offset,
-the resolution, the restart rules and the convergence tolerance are the
-module constants ``RHO_START``, ``RHO_END``, ``ATTEMPT_SWEEPS``,
-``RESTART_JITTER`` and ``CONVERGENCE_TOL``, which a report writes out.
+the resolution and the restart rules are the module dict ``OPTIMIZER``, and
+the convergence tolerance the constant ``CONVERGENCE_TOL``, which a report
+writes out.
 
 The search is an ask/tell generator.  It yields a tuple of parameter vectors
 whose values it needs before it can go on (the two probes of a coordinate,
 or a single point), is sent the list of their values, and finally returns
-its ``OptimizeResult``.  Values are recorded in request order, so the
-history is the same as if each vector had been evaluated alone.
+its record, the ``_Recorder`` it kept: the history, the best point and value,
+the evaluation count, and the first evaluation within the convergence
+tolerance of the target, noted as it is recorded.  Values are recorded in
+request order, so the history is the same as if each vector had been
+evaluated alone.
 
 :func:`run_lockstep` drives the independent runs of a VQE batch together,
 in groups: the runs whose two-vector requests (a probe pair) fill one
@@ -81,6 +84,7 @@ from __future__ import annotations
 import mmap
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -227,41 +231,40 @@ class MubInit:
 
 # -- the optimizer ------------------------------------------------------------
 
-# rotation descent's probe offset, in units of pi: a coordinate's two probes
-# sit at +/- pi * RHO_START from the current point
-RHO_START = 0.5
-# the resolution: a sweep whose largest step is below it has stalled, and a
-# step below RHO_END / 1000 is not taken
-RHO_END = 1e-4
+# rotation descent's settings, as a report names them (with ``max_evals``);
+# read-only, since every run and report reads this one copy
+OPTIMIZER = MappingProxyType({
+    "method": "rotation_descent",  # the only one
+    # the probe offset, in units of pi: a coordinate's two probes sit at
+    # +/- pi * rho_start from the current point
+    "rho_start": 0.5,
+    # the resolution: a sweep whose largest step is below it has stalled, and
+    # a step below rho_end / 1000 is not taken
+    "rho_end": 1e-4,
+    # sweeps per attempt while chasing a target, after which the search
+    # restarts from the next restart point
+    "attempt_sweeps": 1,
+    # half-width, in units of pi, of the uniform jitter around x0 that a
+    # restart falls back to once the restart points are used up
+    "restart_jitter": 0.02,
+})
 # relative tolerance within which a run's energy counts as the ground energy
 CONVERGENCE_TOL = 1e-6
-# sweeps per rotation-descent attempt while chasing a target, after which the
-# search restarts from the next restart point
-ATTEMPT_SWEEPS = 1
-# half-width, in units of pi, of the uniform jitter around x0 that a restart
-# falls back to once the restart points are used up
-RESTART_JITTER = 0.02
-
-
-@dataclass
-class OptimizeResult:
-    best_params: np.ndarray
-    best_value: float
-    history: list
-    n_evaluations: int
 
 
 class _Recorder:
-    """The evaluation count and running best of one search."""
+    """One search's record: its evaluation count, running best and history,
+    and the first evaluation within ``target_tol`` of the target."""
 
     def __init__(self, max_evals, target, target_tol):
         self.max_evals = max_evals
         self.target = target
         self.target_tol = target_tol
-        self.n_evals = 0
-        self.best_x = None
-        self.best_f = np.inf
+        self.n_evaluations = 0
+        self.best_params = None
+        self.best_value = np.inf
         self.history = []
+        self.converged_at = None  # the history index of that evaluation
 
     def ask(self, *xs):
         """Yield the vectors ``xs`` as one request and record their values.
@@ -272,61 +275,52 @@ class _Recorder:
         values = yield xs
         values = [float(value) for value in values]
         for x, value in zip(xs, values):
-            self.n_evals += 1
-            if value < self.best_f:
-                self.best_f = value
-                self.best_x = np.array(x, dtype=float, copy=True)
-            self.history.append(self.best_f)
+            if value < self.best_value:
+                self.best_value = value
+                self.best_params = np.array(x, dtype=float, copy=True)
+                if (self.converged_at is None and self.target is not None
+                        and abs(value - self.target) <= self.target_tol):
+                    self.converged_at = self.n_evaluations
+            self.n_evaluations += 1
+            self.history.append(self.best_value)
         return values
 
     def done(self) -> bool:
         """Whether the search stops: fewer evaluations left than the three of
-        a coordinate step, or the best value within ``target_tol`` of the
+        a coordinate step, or an evaluation within ``target_tol`` of the
         target."""
-        return self.max_evals - self.n_evals < 3 or (
-            self.target is not None and abs(self.best_f - self.target) <= self.target_tol)
+        return self.max_evals - self.n_evaluations < 3 or self.converged_at is not None
 
 
 def _search(x0, max_evals, seed, target, target_tol, restart_points):
     """One rotation-descent run from ``x0``: a generator that yields tuples of
-    parameter vectors, is sent the list of their values, and returns the
-    ``OptimizeResult``.  ``history`` is the best-so-far value after every
-    evaluation (entry 0 is the value at ``x0``), so it never increases."""
-    rec = _Recorder(max_evals, target, target_tol)
-    yield from rec.ask(x0)
-    yield from _rotation_descent(rec, x0, seed, restart_points)
-    return OptimizeResult(
-        best_params=rec.best_x,
-        best_value=rec.best_f,
-        history=rec.history,
-        n_evaluations=rec.n_evals,
-    )
+    parameter vectors, is sent the list of their values, and returns its
+    ``_Recorder``.  ``history`` is the best-so-far value after every
+    evaluation (entry 0 is the value at ``x0``), so it never increases.
 
-
-def _rotation_descent(rec, x0, seed, restart_points):
-    """Exact coordinate minimization for per-parameter sinusoidal objectives.
-
-    Each coordinate restriction of a rotation-gate energy is
+    Exact coordinate minimization for per-parameter sinusoidal objectives:
+    each coordinate restriction of a rotation-gate energy is
     a + b*cos(u) + c*sin(u) around the current point; the current value and
-    two probes at +/- (pi * RHO_START) determine the three coefficients
+    two probes at +/- (pi * rho_start) determine the three coefficients
     exactly, and are asked for in one request.  Sweeps visit coordinates in
     a seeded random order; when a sweep stalls (or exceeds the attempt cap
     while chasing a target) the search restarts from the next suggested
     restart point, falling back to small jitters of x0.
     """
+    rec = _Recorder(max_evals, target, target_tol)
+    yield from rec.ask(x0)
     dim = len(x0)
-    if dim == 0:
-        return
     rng = np.random.default_rng(seed)
-    probe = np.pi * RHO_START
+    probe = np.pi * OPTIMIZER["rho_start"]
     cos_p, sin_p = np.cos(probe), np.sin(probe)
+    rho_end, jitter = OPTIMIZER["rho_end"], OPTIMIZER["restart_jitter"] * np.pi
     queue = iter(restart_points or ())
-    attempt_cap = ATTEMPT_SWEEPS * 3 * dim
+    attempt_cap = OPTIMIZER["attempt_sweeps"] * 3 * dim
 
     x = np.array(x0, copy=True)
-    fx = rec.best_f
+    fx = rec.best_value
     attempt_evals = 0
-    while not rec.done():
+    while dim and not rec.done():
         order = rng.permutation(dim)
         f_sweep_start = fx
         moved = 0.0
@@ -343,11 +337,10 @@ def _rotation_descent(rec, x0, seed, restart_points):
             # fit a + b*cos(u) + c*sin(u) through fx, f(+probe), f(-probe)
             b = (fx - (f_plus + f_minus) / 2.0) / (1.0 - cos_p)
             c = (f_plus - f_minus) / (2.0 * sin_p)
-            a = fx - b
             if np.hypot(b, c) < 1e-14:
                 continue
             u = float(np.arctan2(-c, -b))
-            if abs(u) < RHO_END * 1e-3:
+            if abs(u) < rho_end * 1e-3:
                 continue
             candidate = x.copy()
             candidate[k] = t0 + u
@@ -358,18 +351,19 @@ def _rotation_descent(rec, x0, seed, restart_points):
                 x, fx = candidate, f_candidate
         if rec.done():
             break
-        stalled = (f_sweep_start - fx) < 1e-12 or moved < RHO_END
+        stalled = (f_sweep_start - fx) < 1e-12 or moved < rho_end
         # the attempt cap only cuts slow attempts when chasing a known target;
         # without one, attempts run until they genuinely stall
         capped = rec.target is not None and attempt_evals >= attempt_cap
         if stalled or capped:
             x = next(queue, None)
             if x is None:
-                x = x0 + rng.uniform(-RESTART_JITTER * np.pi, RESTART_JITTER * np.pi, dim)
+                x = x0 + rng.uniform(-jitter, jitter, dim)
             else:
                 x = np.asarray(x, dtype=float)
             [fx] = yield from rec.ask(x)
             attempt_evals = 0
+    return rec
 
 
 # -- restart-point construction ----------------------------------------------
@@ -383,9 +377,13 @@ def _restart_points(config, product_angles, seed, count=16):
     Layer 1's Rz undoes the azimuthal angle, layer 2's Ry rotates each qubit
     to the requested pole (their parameters as ``kernels.ansatz_rotations``
     places them); everything else stays zero.  Needs layers >= 2.
+
+    A generator: the points are built when the first one is asked for, so a
+    run that never restarts builds none.  They draw from their own
+    generator, so when they are built changes none of them.
     """
     if config.layers < 2:
-        return []
+        return
     n = config.n
     rng = np.random.default_rng([seed, 0x5EED])
     alpha, beta = (product_angles if product_angles is not None else np.zeros((n, 2))).T
@@ -396,14 +394,7 @@ def _restart_points(config, product_angles, seed, count=16):
     points = np.zeros((len(bits), config.parameter_count))
     points[:, rz[0]] = -beta
     points[:, ry[1]] = np.where(np.reshape(bits, (-1, n)), np.pi - alpha, -alpha)
-    return list(points)
-
-
-def _restarts(config, product_angles, seed):
-    """The restart points of ``_restart_points``, built when the first one
-    is asked for: a run that never restarts builds none.  They draw from
-    their own generator, so when they are built changes none of them."""
-    yield from _restart_points(config, product_angles, seed)
+    yield from points
 
 
 # -- the VQE loop --------------------------------------------------------------
@@ -491,7 +482,7 @@ def _run_group(group, ansatz, max_evals, energy_vector, ground_energy, target_to
     """
     built = [init.build(ansatz.n) for init, _ in group]
     searches = [_search(np.zeros(ansatz.parameter_count), max_evals, seed, ground_energy,
-                        target_tol, _restarts(ansatz, product_angles, seed))
+                        target_tol, _restart_points(ansatz, product_angles, seed))
                 for (_, seed), (_, _, product_angles) in zip(group, built)]
     tallies = [_Tally(energy_vector) for _ in group]
     if buffers is None:
@@ -513,8 +504,7 @@ def _run_group(group, ansatz, max_evals, energy_vector, ground_energy, target_to
             try:
                 pending[i] = searches[i].send(values[start:start + len(request)])
             except StopIteration as done:
-                traces[i] = _trace(*group[i], done.value, tallies[i].peak, ansatz,
-                                   ground_energy, target_tol)
+                traces[i] = _trace(*group[i], done.value, tallies[i].peak, ansatz)
                 del pending[i]
             start += len(request)
     return traces
@@ -653,25 +643,15 @@ class _Prefix:
         return [tally(row, held) for row in probabilities.reshape(-1, amps.shape[-1])]
 
 
-def _trace(init, seed, result, peak, ansatz, ground_energy, target_tol) -> VqeTrace:
-    converged = (
-        ground_energy is not None
-        and abs(result.best_value - ground_energy) <= target_tol
-    )
-    iterations = None
-    if converged:
-        hits = np.flatnonzero(
-            np.abs(np.asarray(result.history) - ground_energy) <= target_tol
-        )
-        iterations = int(hits[0])
+def _trace(init, seed, record, peak, ansatz) -> VqeTrace:
     return VqeTrace(
         init=init.label(),
         seed=seed,
-        energies=list(result.history),
-        final_energy=result.best_value,
-        final_parameters=[float(p) for p in result.best_params],
+        energies=record.history,
+        final_energy=record.best_value,
+        final_parameters=[float(p) for p in record.best_params],
         best_bitstring=layouts.bits_to_string(layouts.index_to_bits(peak, ansatz.n)),
-        converged=converged,
-        n_evaluations=result.n_evaluations,
-        iterations_to_convergence=iterations,
+        converged=record.converged_at is not None,
+        n_evaluations=record.n_evaluations,
+        iterations_to_convergence=record.converged_at,
     )

@@ -171,7 +171,9 @@ def optimize(objective, x0, max_evals=2000, seed=0, target=None, target_tol=0.0,
              restart_points=None):
     """Minimize ``objective`` by rotation descent, one vector at a time.
 
-    Drives the ask/tell search that ``run_lockstep`` drives in batches.
+    Drives the ask/tell search that ``run_lockstep`` drives in batches, and
+    returns its record (``best_params``, ``best_value``, ``history``,
+    ``n_evaluations``).
     """
     search = _search(
         np.asarray(x0, dtype=float), max_evals, seed, target, target_tol, restart_points,

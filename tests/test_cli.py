@@ -524,6 +524,30 @@ class TestVqeCommand:
         assert time.perf_counter() - start < 1
         assert "ansatz capped at 64 layers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options, message", [
+        (["--init", "random", "--k", "1000000000"],
+         "1000000000 runs x (2000 evaluations + 70 parameters)"),
+        (["--init", "zeros", "--max-evals", "1000000000000"],
+         "1 runs x (1000000000000 evaluations + 70 parameters)"),
+    ], ids=["k", "max-evals"])
+    def test_batch_above_record_cap_exit_3(self, tmp_path, monkeypatch, capsys, options,
+                                           message):
+        """A batch whose histories and parameters would pass
+        ``layouts.RECORD_CAP`` is refused before anything is encoded."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with an oversized batch")
+
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        out = tmp_path / "out.json"
+        start = time.perf_counter()
+        assert main(["vqe", LANDSCAPE, *options, "--no-timestamp", "-o", str(out)]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a VQE batch is capped at {layouts.RECORD_CAP} "
+                              "recorded numbers")
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_timestamp_present_by_default(self, tmp_path, capsys):
         assert main(["vqe", LANDSCAPE, "--init", "zeros", "--seed", "2",
                      "--max-evals", "100"]) == 0

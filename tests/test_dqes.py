@@ -585,6 +585,9 @@ class TestExperiments:
             "method": "rotation_descent", "rho_start": 0.5, "rho_end": 1e-4, "max_evals": 5,
             "attempt_sweeps": 1, "restart_jitter": 0.02,
         }
+        assert report.config["optimizer"] == {**vqe.OPTIMIZER, "max_evals": 5}
+        with pytest.raises(TypeError):  # every run reads the one copy
+            vqe.OPTIMIZER["rho_start"] = 0.25
 
     def test_best_mubs_small_batch(self, landscape_instance):
         # k=2 picks the two exact ground states; both converge instantly
@@ -744,6 +747,36 @@ class TestExperiments:
         monkeypatch.setattr(dqes, "spin_form", unreachable)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             run_experiment(landscape_instance, "random", k=3, **{name: value})
+
+    @pytest.mark.parametrize("mode, k, max_evals", [
+        ("random", 3, 5), ("best_mubs", 2, 7), ("zeros", 9, 6),
+    ])
+    def test_record_cap_boundary(self, landscape_instance, monkeypatch, mode, k, max_evals):
+        """A batch of exactly ``layouts.RECORD_CAP`` numbers runs, one more is
+        refused before encoding; a zeros batch is one run whatever ``k``."""
+        from tspvqe import dqes, layouts
+
+        runs = 1 if mode == "zeros" else k
+        recorded = runs * (max_evals + AnsatzConfig(n=9).parameter_count)
+        monkeypatch.setattr(layouts, "RECORD_CAP", recorded)
+        report = run_experiment(landscape_instance, mode, k=k, max_evals=max_evals)
+        assert report.n_runs == runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached with an oversized batch")
+
+        monkeypatch.setattr(layouts, "RECORD_CAP", recorded - 1)
+        monkeypatch.setattr(dqes, "spin_form", unreachable)
+        with pytest.raises(SizeCapError, match=f"= {recorded}$"):
+            run_experiment(landscape_instance, mode, k=k, max_evals=max_evals)
+
+    def test_record_cap_admits_the_documented_batches(self):
+        """The largest batches the README, the benchmark and the tools run:
+        40 random starts at 2,000 evaluations, 160 best-MUB starts at 20 and
+        10 at 300 on 9 qubits, and 2 best-MUB starts at 400 on 16."""
+        from tspvqe import layouts
+
+        for k, max_evals, n in ((40, 2000, 9), (160, 20, 9), (10, 300, 9), (2, 400, 16)):
+            assert k * (max_evals + AnsatzConfig(n=n).parameter_count) <= layouts.RECORD_CAP
 
     def test_numpy_threads_and_max_evals_run(self, landscape_instance):
         # and the report holds plain ints, so it can be written as JSON
@@ -1114,6 +1147,34 @@ class TestLockstep:
             alone = int(np.searchsorted(last, traces[-1].n_evaluations)) + 1
             assert last[alone - 1] == traces[-1].n_evaluations
             assert rows[-alone] == 1 and max(rows[-alone:]) == 2
+
+
+@pytest.mark.parametrize("qubits, mode, k, seed, max_evals", [
+    (9, "best_mubs", 10, 0, 300),
+    (9, "random", 10, 0, 2000),
+    (9, "zeros", 1, 2, 2000),
+    (16, "best_mubs", 4, 0, 2000),
+    (16, "random", 1, 0, 300),
+], ids=["9-best_mubs", "9-random", "9-zeros", "16-best_mubs", "16-random"])
+def test_convergence_is_the_first_evaluation_within_tolerance(landscape_instance, qubits, mode,
+                                                              k, seed, max_evals):
+    """A run notes its convergence as it records each evaluation; the note
+    is the first history index within ``CONVERGENCE_TOL`` (relative) of the
+    ground energy, as a scan of the whole history finds it, and a run
+    converges exactly when its final energy is within it."""
+    instance = _seeded_instance_16() if qubits == 16 else landscape_instance
+    report = run_experiment(instance, mode, k=k, seed=seed, max_evals=max_evals)
+    ground = report.ground_energy
+    tol = vqe.CONVERGENCE_TOL * max(1.0, abs(ground))
+    for trace in report.traces:
+        hits = np.flatnonzero(np.abs(np.asarray(trace.energies) - ground) <= tol)
+        assert trace.converged == bool(hits.size) == (abs(trace.final_energy - ground) <= tol)
+        assert trace.iterations_to_convergence == (int(hits[0]) if hits.size else None)
+        # a run stops at the evaluation request that converges
+        if trace.converged:
+            assert len(trace.energies) - trace.iterations_to_convergence <= 2
+    if k > 1:  # both outcomes are checked
+        assert {trace.converged for trace in report.traces} == {True, False}
 
 
 def test_landscape_and_best_k_peak_memory_per_record():

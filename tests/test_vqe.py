@@ -123,7 +123,7 @@ class TestOptimize:
     def test_restart_jitters_x0_by_the_seeded_draw(self):
         """On a flat objective with no restart points the first sweep stalls,
         and the search restarts at x0 plus a uniform draw in +/- pi *
-        RESTART_JITTER, drawn after that sweep's coordinate order."""
+        restart_jitter, drawn after that sweep's coordinate order."""
         x0 = np.array([0.5, -1.0, 2.0, 0.25])
         seed = 7
         search = vqe._search(x0, 2000, seed, None, 0.0, None)
@@ -134,7 +134,8 @@ class TestOptimize:
         assert len(requests) == 2 + len(x0)
         rng = np.random.default_rng(seed)
         rng.permutation(len(x0))
-        jitter = rng.uniform(-vqe.RESTART_JITTER * np.pi, vqe.RESTART_JITTER * np.pi, len(x0))
+        width = vqe.OPTIMIZER["restart_jitter"] * np.pi
+        jitter = rng.uniform(-width, width, len(x0))
         [restart] = requests[-1]
         np.testing.assert_array_equal(restart, x0 + jitter)
 
@@ -199,6 +200,18 @@ class TestRunVqe:
         assert trace.iterations_to_convergence == 0
         assert trace.energies[0] == pytest.approx(float(energy), abs=1e-12)
         assert trace.best_bitstring == bitstrings[1]
+
+    def test_run_without_ground_energy_never_converges(self, landscape_ising):
+        """With no target a run starting on a ground state notes no
+        convergence, and goes on until its evaluations run out."""
+        energy, bitstrings = ground_states(landscape_ising)
+        positions = tuple(k for k, b in enumerate(bitstrings[1]) if b == "1")
+        init = MubInit(positions=positions, basis=0, element=7)
+        trace = run_vqe(landscape_ising, init, seed=0, max_evals=60)
+        assert trace.energies[0] == pytest.approx(float(energy), abs=1e-12)
+        assert trace.converged is False
+        assert trace.iterations_to_convergence is None
+        assert trace.n_evaluations > 60 - 3
 
     def test_zeros_run_converges_with_documented_seed(self, landscape_ising):
         energy, _ = ground_states(landscape_ising)
@@ -373,11 +386,12 @@ def test_restart_points_are_built_at_the_first_restart(landscape_ising, monkeypa
     restart_points = vqe._restart_points
 
     def counted(config, product_angles, seed, *args):
+        # a generator: the seed is noted when the body runs, not at the call
         built.append(seed)
-        return restart_points(config, product_angles, seed, *args)
+        yield from restart_points(config, product_angles, seed, *args)
 
     def eager(*args):
-        return iter(restart_points(*args))
+        return iter(list(restart_points(*args)))
 
     flat = IsingPolynomial(n=4, constant=Fraction(3, 2), fields={}, couplings={},
                            variable_order=tuple((1, t) for t in range(1, 5)), layout="full",
@@ -392,7 +406,7 @@ def test_restart_points_are_built_at_the_first_restart(landscape_ising, monkeypa
                                        max_evals=max_evals)
         if hamiltonian is flat:
             assert built == [0, 1, 2, 7]
-    monkeypatch.setattr(vqe, "_restarts", eager)
+    monkeypatch.setattr(vqe, "_restart_points", eager)
     for hamiltonian, max_evals in ((flat, 200), (landscape_ising, 400)):
         assert lazy[max_evals] == run_lockstep(hamiltonian, starts,
                                                max_evals=max_evals)
@@ -433,7 +447,7 @@ def test_restart_points_match_the_per_qubit_construction(init, layers, entangler
     config = AnsatzConfig(n=9, layers=layers, entangler=entangler)
     *_, product_angles = init.build(config.n)
     for seed in (0, 1, 12345):
-        points = vqe._restart_points(config, product_angles, seed)
+        points = list(vqe._restart_points(config, product_angles, seed))
         expected = _restart_points_per_qubit(config, product_angles, seed)
         assert len(points) == len(expected) == (0 if layers < 2 else 16 + (
             product_angles is not None and bool(np.any(product_angles))))

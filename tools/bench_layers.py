@@ -1,4 +1,5 @@
-"""Time the layers of the 16-qubit best-MUB pass, and its two commands.
+"""Time the layers of the 16-qubit best-MUB pass, its two commands, and the
+9-qubit best-MUB batch.
 
 Run from the root of a tspvqe checkout::
 
@@ -15,6 +16,10 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
 * ``spectrum_csv_rows``: the 16-spin spectrum CSV into a buffer, its
   energies enumerated beforehand;
 * ``run_lockstep``: the best-MUB k=2 batch at 20 evaluations;
+* ``run_lockstep_9q``: the best-MUB k=10 batch at 300 evaluations on the
+  shipped 9-qubit instance, ``instances/landscape.json``, with the starts and
+  seeds the ``paper-n4`` benchmark workload's seed-1 batch runs: the same
+  driver on its stacked path, where the 16-qubit row runs alone;
 * ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
   writing into a temporary directory.
 
@@ -32,7 +37,9 @@ time, and writes nothing.
 
 ``--compare A.json B.json`` reads two such files, A the parent and B the
 change, and prints each row's median in both with its quartiles, and the
-change of the median.  A row whose median moved by no more than A's
+change of the median, then each side's minimum and the change of the
+minimum: on a shared machine a slow spell lifts the medians of one side
+while the minima still agree.  A row whose median moved by no more than A's
 interquartile range is marked ``inside``: its gap lies within the parent's
 own spread, so it shows no change.  Settings that differ between the two
 environments are printed first, since such a pair does not compare.
@@ -65,6 +72,9 @@ NODES = 5
 SEED = 1
 K = 2
 MAX_EVALS = 20
+# the paper-n4 batch: best-MUB starts on the shipped instance
+PAPER_K = 10
+PAPER_MAX_EVALS = 300
 
 
 def seeded_instance(seed=SEED):
@@ -91,6 +101,14 @@ def rows(workdir):
     starts = [(vqe.MubInit(r.positions, r.basis, r.element), 2 * i)
               for i, r in enumerate(dqes.best_k(landscape, K))]
     ansatz = vqe.AnsatzConfig(n=form.n)
+    with open(os.path.join(ROOT, "instances", "landscape.json"), "rb") as handle:
+        paper = tspvqe.to_ising(tspvqe.encode_efficient(tspvqe.load_instance(handle)))
+    paper_ground = float(tspvqe.ground_states(paper)[0])
+    # run_experiment's starts and optimizer seeds
+    paper_starts = [(vqe.MubInit(r.positions, r.basis, r.element),
+                     SEED * dqes._SEED_STRIDE + 2 * i)
+                    for i, r in enumerate(dqes.best_k(dqes.compute_landscape(paper), PAPER_K))]
+    paper_ansatz = vqe.AnsatzConfig(n=paper.n)
     common = ["--no-timestamp", "--penalties", "safe"]
     landscape_argv = ["landscape", path, *common, "-o", os.path.join(workdir, "l.csv")]
     vqe_argv = ["vqe", path, *common, "--init", "best-mubs", "--k", str(K), "--max-evals",
@@ -121,6 +139,8 @@ def rows(workdir):
         "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
         "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
             form, starts, ansatz, MAX_EVALS, ground))),
+        "run_lockstep_9q": (1, timed(lambda _: vqe.run_lockstep(
+            paper, paper_starts, paper_ansatz, PAPER_MAX_EVALS, paper_ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
     }
@@ -206,17 +226,19 @@ def compare(parent_path, change_path):
         env = report["env"]
         print(f"{side}: {report['label']}, commit {env.get('commit')}, "
               f"src_modified {env.get('src_modified')}")
-    print(f"{'row (ms)':20s} {'A median [q1-q3]':>23s} {'B median [q1-q3]':>23s}  change")
+    print(f"{'row (ms)':20s} {'A median [q1-q3]':>23s} {'B median [q1-q3]':>23s}  change"
+          f"{'':9s}{'A min':>9s} {'B min':>9s}  change")
     for name in {**parent["rows"], **change["rows"]}:
         if name not in parent["rows"] or name not in change["rows"]:
             print(f"{name:20s} only in {'B' if name in change['rows'] else 'A'}")
             continue
         a, b = parent["rows"][name], change["rows"][name]
         gap = b["median"] - a["median"]
-        inside = "  inside" if abs(gap) <= a["q3"] - a["q1"] else ""
+        inside = "inside" if abs(gap) <= a["q3"] - a["q1"] else ""
         print(f"{name:20s} {a['median']:9.3f} [{a['q1']:.3f}-{a['q3']:.3f}]"
               f" {b['median']:9.3f} [{b['q1']:.3f}-{b['q3']:.3f}]"
-              f"  {100 * gap / a['median']:+6.1f}%{inside}")
+              f"  {100 * gap / a['median']:+6.1f}% {inside:6s}"
+              f" {a['min']:9.3f} {b['min']:9.3f}  {100 * (b['min'] - a['min']) / a['min']:+6.1f}%")
     return 0
 
 
