@@ -108,7 +108,6 @@ def rows(workdir):
     paper_starts = [(vqe.MubInit(r.positions, r.basis, r.element),
                      SEED * dqes._SEED_STRIDE + 2 * i)
                     for i, r in enumerate(dqes.best_k(dqes.compute_landscape(paper), PAPER_K))]
-    paper_ansatz = vqe.AnsatzConfig(n=paper.n)
     common = ["--no-timestamp", "--penalties", "safe"]
     landscape_argv = ["landscape", path, *common, "-o", os.path.join(workdir, "l.csv")]
     vqe_argv = ["vqe", path, *common, "--init", "best-mubs", "--k", str(K), "--max-evals",
@@ -140,7 +139,7 @@ def rows(workdir):
         "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
             form, starts, ansatz, MAX_EVALS, ground))),
         "run_lockstep_9q": (1, timed(lambda _: vqe.run_lockstep(
-            paper, paper_starts, paper_ansatz, PAPER_MAX_EVALS, paper_ground))),
+            paper, paper_starts, None, PAPER_MAX_EVALS, paper_ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
     }
