@@ -761,6 +761,7 @@ class TestExperiments:
         monkeypatch.setattr(layouts, "RECORD_CAP", recorded)
         report = run_experiment(landscape_instance, mode, k=k, max_evals=max_evals)
         assert report.n_runs == runs
+
         def unreachable(*args, **kwargs):
             raise AssertionError("reached with an oversized batch")
 
