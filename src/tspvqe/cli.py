@@ -9,8 +9,9 @@ The commands pass their flags through; the library makes the decisions.
 ``landscape`` and ``vqe`` encode in ``dqes.LAYOUT``, ``encode`` and
 ``spectrum`` in their ``--layout``, whose choices are the flags of the
 ``layouts.LAYOUTS`` rows, ``audit`` in the full one.  The
-``--init`` and ``--entangler`` choices are ``dqes.MODES`` and
-``vqe.ENTANGLERS``, each first entry the default.  ``vqe`` runs rotation
+``--init`` and ``--entangler`` choices are ``layouts.MODES`` and
+``layouts.ENTANGLERS`` (``dqes`` and ``vqe`` bind the same tuples), each
+first entry the default.  ``vqe`` runs rotation
 descent at the settings of the ``vqe`` constants, each run capped by
 ``--max-evals``; ``--threads`` only caps the worker count
 ``dqes.run_experiment`` picks.  ``audit``, ``spectrum``, ``landscape`` and
@@ -22,6 +23,10 @@ anything is encoded.
 ``--penalties explicit``.  Reports are strict JSON: a non-finite float is
 refused, not written.  A report is its dataclass's fields, written through
 ``json_default``.
+
+This module imports only ``layouts``, ``errors``, ``graph`` and
+``rationals``, none of which needs numpy; each command imports the modules
+it runs when it runs, so the parser and ``solve`` load no numpy at all.
 
 Exit codes: 0 success, 1 internal error, 2 input validation, 3 size cap.
 An instance or ``-o`` path that cannot be opened exits 2; the ``-o`` path
@@ -43,12 +48,10 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import dqes, ising, layouts, oracle
-from .encoder import audit_penalties, encode, spin_form, suggest_penalties
+from . import layouts
 from .errors import SizeCapError, TspVqeError, ValidationError
 from .graph import load_instance
 from .rationals import rational_to_json
-from .vqe import ENTANGLERS
 
 _LAYOUT_FLAGS = {row.flag: row.name for row in layouts.LAYOUTS}
 
@@ -74,6 +77,8 @@ def _apply_penalties(instance, args):
         raise ValidationError("--penalty-a and --penalty-b need --penalties explicit")
     if mode == "file":
         return instance
+    from .encoder import suggest_penalties
+
     return instance.with_penalties(*suggest_penalties(instance, mode))
 
 
@@ -146,6 +151,9 @@ def _emit_report(args, command: str, payload: dict):
 
 
 def cmd_encode(args) -> int:
+    from . import ising
+    from .encoder import encode
+
     instance = _read_instance(args)
     layout = _LAYOUT_FLAGS[args.layout]
     layouts.check_terms(layout, instance.node_count)
@@ -163,6 +171,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import oracle
+
     instance = _read_instance(args)
     cost, tours = oracle.solve_exact_tsp(instance)
     _emit_report(args, "solve", {"optimal_cost": cost, "tours": tours,
@@ -171,6 +181,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .encoder import audit_penalties
+
     instance = _read_instance(args)
     report = audit_penalties(instance)
     _emit_report(args, "audit", vars(report))
@@ -178,6 +190,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import ising
+    from .encoder import spin_form
+
     instance = _read_instance(args)
     form = spin_form(instance, _LAYOUT_FLAGS[args.layout], "spectrum")
     _emit(args, ising.spectrum_csv_rows(form))
@@ -185,6 +200,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    from . import dqes
+    from .encoder import spin_form
+
     instance = _read_instance(args)
     landscape = dqes.compute_landscape(spin_form(instance, dqes.LAYOUT, "landscape"))
     _emit(args, dqes.landscape_csv_rows(landscape))
@@ -192,6 +210,8 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_vqe(args) -> int:
+    from . import dqes
+
     instance = _read_instance(args)
     report = dqes.run_experiment(
         instance, args.init, k=args.k, seed=args.seed, layers=args.layers,
@@ -283,12 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_penalty_flags(p)
     # best-mubs is read as the mode best_mubs
-    p.add_argument("--init", choices=dqes.MODES, default=dqes.MODES[0],
+    p.add_argument("--init", choices=layouts.MODES, default=layouts.MODES[0],
                    type=lambda value: value.replace("-", "_"))
     p.add_argument("--k", type=int, default=10, help="batch size for best-mubs/random")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--entangler", choices=ENTANGLERS, default=ENTANGLERS[0])
+    p.add_argument("--entangler", choices=layouts.ENTANGLERS, default=layouts.ENTANGLERS[0])
     p.add_argument("--max-evals", type=int, default=2000, help="most energy evaluations per run")
     p.add_argument("--threads", type=int, default=1,
                    help="most worker processes, one per CPU at most, none from 14 qubits up")

@@ -30,6 +30,7 @@ from .encoder import spin_form
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows
+from .layouts import MODES
 from .vqe import (
     CONVERGENCE_TOL,
     OPTIMIZER,
@@ -42,7 +43,6 @@ from .vqe import (
     runs_alone,
 )
 
-MODES = ("zeros", "best_mubs", "random")
 LAYOUT = "efficient"  # of an experiment's Ising form, landscape and ansatz
 _RECORDS_PER_TRIPLE = 72  # 9 bases x 8 elements
 
@@ -320,8 +320,6 @@ def run_experiment(
     """
     layouts.lookup(LAYOUT, nodes=instance.node_count)
     n = layouts.variable_count(LAYOUT, instance.node_count)
-    # before the record cap: a parameter count is read off an n-qubit plan
-    layouts.check_spins(n, "vqe")
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")

@@ -27,10 +27,28 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import kernels, layouts
-from .rationals import ExactPolynomial, exact_terms, rational_to_json, scale_to_int64
+from .errors import ValidationError
+from .rationals import ExactPolynomial, exact_terms, rational_to_json
 
 if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
+
+
+def scale_to_int64(denominator: int, constant: int, numerators):
+    """(scale, constant, int64 array of coefficients): the values
+    ``constant / denominator`` and ``numerators[k] / denominator`` as exact
+    ints over their least common denominator ``scale``.
+
+    ``scale`` is ``denominator`` divided by its gcd with every numerator.
+    Raises ``ValidationError`` unless the scaled |constant| + sum
+    |coefficients| is below 2^62, the bound under which the int64 energy
+    kernel is exact.
+    """
+    g = gcd(denominator, constant, *numerators)
+    ints = [constant // g, *(c // g for c in numerators)]
+    if sum(map(abs, ints)) >= 1 << 62:
+        raise ValidationError("coefficients overflow int64 kernels")
+    return denominator // g, ints[0], np.array(ints[1:], dtype=np.int64)
 
 
 class IsingPolynomial(ExactPolynomial):
@@ -67,7 +85,7 @@ class IsingPolynomial(ExactPolynomial):
 
         ``scale`` is the least common denominator of the coefficients: the
         numerators are divided by their gcd with ``denominator``, then
-        bounded by ``rationals.scale_to_int64``.  Fields and couplings come
+        bounded by ``scale_to_int64``.  Fields and couplings come
         in key order.  The arrays are read-only.
         """
         if self._arrays is None:

@@ -326,7 +326,7 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval, spins=None
     few spins' states need no 2^n vector.
 
     Exact as long as |const| + sum |h| + sum |J| < 2^62, the bound that
-    ``rationals.scale_to_int64`` enforces: every E and G_k lies within that
+    ``ising.scale_to_int64`` enforces: every E and G_k lies within that
     bound, and every 2 G_k, 2 J_jk and partial sum within twice it, below 2^63.
     """
     h = np.zeros(n, dtype=np.int64)

@@ -25,6 +25,10 @@ Writing an encoding out stops at ``TERM_CAP`` terms, checked from the node
 count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers,
 and a VQE batch records at most ``RECORD_CAP`` numbers: one per evaluation
 of each run's history, and each run's final parameters.
+
+``MODES`` (the experiment modes of ``dqes``) and ``ENTANGLERS`` (the
+ansatz entanglers of ``vqe``) are stated here, where the CLI's parser reads
+them without importing numpy; each first entry is the default.
 """
 
 from typing import NamedTuple
@@ -40,6 +44,9 @@ LAYER_CAP = 64  # ansatz gather indices: 64 KB per layer at 16 qubits, 4 MB here
 # instance peaked at 109.8 MB of RSS against 37.4 MB for one of 79 (135 B
 # each), so a batch at the cap peaks near 0.3 GB
 RECORD_CAP = 1 << 21
+
+MODES = ("zeros", "best_mubs", "random")
+ENTANGLERS = ("linear_rzz", "ring_rzz")
 
 
 def full_variable_order(n):

@@ -17,9 +17,7 @@ as one.
 import re
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-
-import numpy as np
+from math import lcm
 
 from .errors import ValidationError
 
@@ -156,19 +154,3 @@ class ExactPolynomial:
         return {key: Fraction(c, d) for key, c in sorted(self.numerators.items())
                 if len(key) == degree}
 
-
-def scale_to_int64(denominator: int, constant: int, numerators):
-    """(scale, constant, int64 array of coefficients): the values
-    ``constant / denominator`` and ``numerators[k] / denominator`` as exact
-    ints over their least common denominator ``scale``.
-
-    ``scale`` is ``denominator`` divided by its gcd with every numerator.
-    Raises ``ValidationError`` unless the scaled |constant| + sum
-    |coefficients| is below 2^62, the bound under which the int64 energy
-    kernel is exact.
-    """
-    g = gcd(denominator, constant, *numerators)
-    ints = [constant // g, *(c // g for c in numerators)]
-    if sum(map(abs, ints)) >= 1 << 62:
-        raise ValidationError("coefficients overflow int64 kernels")
-    return denominator // g, ints[0], np.array(ints[1:], dtype=np.int64)

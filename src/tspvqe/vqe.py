@@ -92,9 +92,8 @@ import numpy as np
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
+from .layouts import ENTANGLERS
 from .quantum import build_mubs_3q
-
-ENTANGLERS = ("linear_rzz", "ring_rzz")
 
 # amplitudes per ansatz kernel call in a lockstep group; groups are sized for
 # two pending states per run (a rotation-descent probe pair)
@@ -114,7 +113,8 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Shape of the variational circuit."""
+    """Shape of the variational circuit, on at most ``layouts.SPIN_CAP``
+    qubits: a larger ``n`` is refused before any plan is built."""
 
     n: int
     layers: int = 2
@@ -126,6 +126,8 @@ class AnsatzConfig:
             if not _is_int(value):
                 raise ValidationError(f"ansatz {name} must be an int, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy int would reach the report
+            if name == "n":  # a qubit count above the cap is refused before any other field
+                layouts.check_spins(self.n, "vqe")
         if self.n < 1:
             raise ValidationError(f"ansatz needs at least one qubit, got {self.n}")
         if self.entangler not in ENTANGLERS:

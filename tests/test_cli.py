@@ -104,7 +104,7 @@ def test_output_path_checked_before_any_work(command, tmp_path, monkeypatch, cap
         raise AssertionError("ran before the output path was checked")
 
     monkeypatch.setattr(dqes, "run_experiment", unreachable)
-    monkeypatch.setattr(cli, "spin_form", unreachable)
+    monkeypatch.setattr(encoder, "spin_form", unreachable)
     assert main([command[0], LANDSCAPE, *command[1:], "-o", str(tmp_path)]) == 2
     err = capsys.readouterr()
     assert err.out == "" and err.err.startswith("error: ") and "Is a directory" in err.err

@@ -1,15 +1,92 @@
-"""The package's public surface: its ``__all__`` and the README's examples."""
+"""The package's public surface: its ``__all__``, what importing it loads, and
+the README's examples."""
 
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 import tspvqe
 from tspvqe import cli
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+# prints the tspvqe submodules and whether numpy are in sys.modules
+_LOADED = """
+import json
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("tspvqe.")),
+                  "numpy" in sys.modules]))
+"""
+
+
+def _fresh(code, *argv):
+    """(tspvqe submodules, whether numpy) loaded by ``code``, run with
+    ``sys`` imported and ``argv`` in a fresh interpreter, which imports the
+    tspvqe these tests run on."""
+    src = str(pathlib.Path(tspvqe.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code + _LOADED, *argv],
+                          capture_output=True, text=True, env=env, cwd=REPO)
+    assert done.returncode == 0, done.stderr
+    submodules, numpy = json.loads(done.stdout.splitlines()[-1])
+    return submodules, numpy
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    assert _fresh("import tspvqe") == ([], False)
+
+
+def test_a_name_loads_its_home_module_alone():
+    assert _fresh("from tspvqe import build_mubs_3q") == (["tspvqe.quantum"], True)
+
+
+def test_solve_loads_no_numpy(tmp_path):
+    out = tmp_path / "solve.json"
+    code = "from tspvqe import cli\nassert cli.main(sys.argv[1:]) == 0"
+    submodules, numpy = _fresh(code, "solve", "instances/landscape.json", "--no-timestamp",
+                               "-o", str(out))
+    assert not numpy
+    assert "tspvqe.oracle" in submodules
+    assert json.loads(out.read_text())["optimal_cost"] == 13
+
+
+def test_every_name_is_its_home_modules_object():
+    code = """
+import importlib
+import tspvqe
+for name in tspvqe.__all__:
+    value = getattr(tspvqe, name)
+    assert value.__module__.startswith("tspvqe."), name
+    assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert vars(tspvqe)[name] is value, name  # bound on first read
+"""
+    assert len(_fresh(code)[0]) >= 8
+
+
+def test_dir_lists_all_and_loads_nothing():
+    code = "import tspvqe\nassert set(tspvqe.__all__) <= set(dir(tspvqe))"
+    assert _fresh(code) == ([], False)
+
+
+def test_unknown_name_is_an_attribute_error():
+    code = """
+import tspvqe
+try:
+    tspvqe.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'tspvqe' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("no AttributeError")
+"""
+    assert _fresh(code) == ([], False)
+    with pytest.raises(ImportError):
+        exec("from tspvqe import no_such_name", {})
 
 
 def test_star_import_binds_all():

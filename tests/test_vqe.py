@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from tspvqe import (
     AnsatzConfig,
     MubInit,
     RandomInit,
+    SizeCapError,
     ValidationError,
     ZerosInit,
     build_mubs_3q,
@@ -18,7 +20,7 @@ from tspvqe import (
     run_experiment,
     to_ising,
 )
-from tspvqe import cli, kernels, vqe
+from tspvqe import cli, kernels, layouts, vqe
 from tspvqe.kernels import apply_ansatz_amplitudes
 from tspvqe.vqe import run_lockstep
 
@@ -56,6 +58,21 @@ class TestAnsatz:
         assert config.parameter_count == AnsatzConfig(n=4, layers=2).parameter_count
         assert (type(config.n), type(config.layers)) == (int, int)
         assert config == AnsatzConfig(n=4, layers=2)
+
+    @pytest.mark.parametrize("n", [layouts.SPIN_CAP + 1, 10**10], ids=["cap+1", "1e10"])
+    def test_qubits_above_cap_refused_at_construction(self, n, monkeypatch):
+        # a parameter count is read off an n-qubit plan, so no config above
+        # the cap may exist
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an ansatz plan was built")
+
+        monkeypatch.setattr(kernels, "_ansatz_plan", unreachable)
+        start = time.perf_counter()
+        message = f"vqe capped at {layouts.SPIN_CAP} qubits, got {n}"
+        with pytest.raises(SizeCapError, match=f"^{message}$"):
+            AnsatzConfig(n=n)
+        assert time.perf_counter() - start < 1
+        assert AnsatzConfig(n=layouts.SPIN_CAP).n == layouts.SPIN_CAP
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_ring_below_3_qubits_refused(self, n):

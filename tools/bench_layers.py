@@ -1,5 +1,5 @@
-"""Time the layers of the 16-qubit best-MUB pass, its two commands, and the
-9-qubit best-MUB batch.
+"""Time the layers of the 16-qubit best-MUB pass, its two commands, the
+9-qubit best-MUB batch, and the cold start of a fresh interpreter.
 
 Run from the root of a tspvqe checkout::
 
@@ -21,7 +21,14 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
   seeds the ``paper-n4`` benchmark workload's seed-1 batch runs: the same
   driver on its stacked path, where the 16-qubit row runs alone;
 * ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
-  writing into a temporary directory.
+  writing into a temporary directory;
+* ``cold_setup``: a fresh interpreter running the set-up lines that
+  ``perfbench/run.py`` times for ``setup_s`` (``import tspvqe``,
+  ``build_mubs_3q()``, ``load_instance`` of the shipped instance);
+* ``cold_solve``: a fresh interpreter running ``cli.main`` on ``solve`` of
+  the shipped instance.  Both cold rows include starting the interpreter,
+  and, where ``PYTHONDONTWRITEBYTECODE`` is set or no bytecode cache exists,
+  compiling every module they import.
 
 The rows run in interleaved bursts: each burst times every row in turn, a
 few calls each, so a slow spell of a shared machine touches every row
@@ -31,9 +38,9 @@ bursts, of its milliseconds per call.  The program is imported from
 checkouts.  Writes ``BENCH_<label>.json`` (into ``--out``, by default the
 current directory) with the commit, whether ``src/`` differs from it, the
 hash of its ``src/`` tree, the core count, Python, numpy, the BLAS and its
-thread count, since numbers from another machine or BLAS setting do not
-compare.  ``--smoke`` runs two short bursts, checks every row produced a
-time, and writes nothing.
+thread count, and ``PYTHONDONTWRITEBYTECODE``, since numbers from another
+machine, BLAS setting or bytecode setting do not compare.  ``--smoke`` runs
+two short bursts, checks every row produced a time, and writes nothing.
 
 ``--compare A.json B.json`` reads two such files, A the parent and B the
 change, and prints each row's median in both with its quartiles, and the
@@ -75,6 +82,22 @@ MAX_EVALS = 20
 # the paper-n4 batch: best-MUB starts on the shipped instance
 PAPER_K = 10
 PAPER_MAX_EVALS = 300
+# the cold rows' programs, each run by a fresh interpreter in the checkout;
+# COLD_SETUP is perfbench/run.py's SETUP_CODE
+COLD_SETUP = """\
+import sys
+sys.path.insert(0, "src")
+import tspvqe
+tspvqe.build_mubs_3q()
+with open("instances/landscape.json", "rb") as handle:
+    tspvqe.load_instance(handle)
+"""
+COLD_MAIN = """\
+import sys
+sys.path.insert(0, "src")
+from tspvqe import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
 
 def seeded_instance(seed=SEED):
@@ -132,6 +155,10 @@ def rows(workdir):
         if cli.main(argv) != 0:
             raise SystemExit(f"bench_layers: {argv[0]} failed")
 
+    def fresh_interpreter(code, *argv):
+        return lambda _: subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
+                                        check=True)
+
     return {
         "compute_landscape": (5, timed(dqes.compute_landscape, fresh_form)),
         "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
@@ -142,6 +169,10 @@ def rows(workdir):
             paper, paper_starts, None, PAPER_MAX_EVALS, paper_ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
+        "cold_setup": (1, timed(fresh_interpreter(COLD_SETUP))),
+        "cold_solve": (1, timed(fresh_interpreter(
+            COLD_MAIN, "solve", os.path.join("instances", "landscape.json"), "--no-timestamp",
+            "-o", os.path.join(workdir, "s.json")))),
     }
 
 
@@ -206,11 +237,13 @@ def environment():
         "blas": blas_name,
         "blas_threads": _blas_threads(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
 # environment settings that must agree for two files to compare
-_SETTINGS = ("cores", "python", "numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS")
+_SETTINGS = ("cores", "python", "numpy", "blas", "blas_threads", "OPENBLAS_NUM_THREADS",
+             "PYTHONDONTWRITEBYTECODE")
 
 
 def compare(parent_path, change_path):
