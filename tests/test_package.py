@@ -16,7 +16,7 @@ import tspvqe
 from tspvqe import cli
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-# prints the tspvqe submodules and whether numpy are in sys.modules
+# prints which tspvqe submodules are in sys.modules, and whether numpy is
 _LOADED = """
 import json
 print(json.dumps([sorted(m for m in sys.modules if m.startswith("tspvqe.")),
@@ -34,8 +34,7 @@ def _fresh(code, *argv):
     done = subprocess.run([sys.executable, "-c", "import sys\n" + code + _LOADED, *argv],
                           capture_output=True, text=True, env=env, cwd=REPO)
     assert done.returncode == 0, done.stderr
-    submodules, numpy = json.loads(done.stdout.splitlines()[-1])
-    return submodules, numpy
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
 
 
 def test_import_loads_no_submodule_and_no_numpy():
@@ -66,7 +65,7 @@ for name in tspvqe.__all__:
     assert getattr(importlib.import_module(value.__module__), name) is value, name
     assert vars(tspvqe)[name] is value, name  # bound on first read
 """
-    assert len(_fresh(code)[0]) >= 8
+    _fresh(code)
 
 
 def test_dir_lists_all_and_loads_nothing():
