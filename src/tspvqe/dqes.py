@@ -29,8 +29,8 @@ from . import kernels, layouts, oracle
 from .encoder import spin_form
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
-from .ising import IsingPolynomial, cell_table, join_cells, render_rows
-from .layouts import MODES
+from .ising import IsingPolynomial, cell_table, join_cells, render_rows, stable_order
+from .layouts import MODES, is_int
 from .vqe import (
     CONVERGENCE_TOL,
     OPTIMIZER,
@@ -38,7 +38,6 @@ from .vqe import (
     MubInit,
     RandomInit,
     ZerosInit,
-    _is_int,
     run_lockstep,
     runs_alone,
 )
@@ -126,7 +125,7 @@ def landscape_size(n: int) -> int:
 def _check_k(k: int, records: int):
     """Refuse a best-MUB ``k`` that is not an int in 1..``records``, the
     records of its landscape."""
-    if not _is_int(k):
+    if not is_int(k):
         raise ValidationError(f"k must be an int, got {k!r}")
     if not 1 <= k <= records:
         raise ValidationError(f"k must be in 1..{records}, got {k}")
@@ -153,10 +152,10 @@ def compute_landscape(ising: IsingPolynomial):
     triples = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 3)), dtype=np.int64
     ).reshape(-1, 3)
-    scale, *coefficients = ising.to_int_arrays()
+    scale, const, h, J = ising.to_int_arrays()
     denominator = 8 * scale  # of every key
     # (triples, 8): support m sets qubit k of its triple for each bit k of m
-    support = kernels.enumerate_spin_energies(n, *coefficients, spins=triples)
+    support = kernels.enumerate_spin_energies(n, const, h, J, spins=triples)
     if max(denominator, int(np.abs(support).max())) >= 1 << 50:
         support = support.astype(object)
     keys = np.empty((len(triples), 9), dtype=support.dtype)
@@ -172,15 +171,11 @@ def best_k(landscape: Landscape, k: int):
     The table's entries in stable rank order give that order: the records
     of an entry are contiguous, and the 64 of a triple's column 8 come after
     its basis-0 ones.  Each column-8 entry is expanded into its 64 records
-    until there are k.  The ranks are sorted in the smallest unsigned type
-    that holds them: below 2^16, numpy's stable sort is then a radix sort,
-    in the same order as on the int64 table.
+    until there are k.
     """
     _check_k(k, len(landscape))
-    ranks = landscape.rank_table
     # every entry holds at least one record, so the first k entries hold the k
-    entries = np.argsort(ranks.astype(np.min_scalar_type(ranks.max())), axis=None,
-                         kind="stable")[:k]
+    entries = stable_order(landscape.rank_table)[:k]
     triple, column = np.divmod(entries, 9)
     first = (triple * _RECORDS_PER_TRIPLE + column).tolist()
     records = itertools.chain.from_iterable(
@@ -325,7 +320,7 @@ def run_experiment(
         raise ValidationError(f"unknown experiment mode {mode!r}")
     for name, value in (("k", k), ("seed", seed), ("max_evals", max_evals),
                         ("threads", threads)):
-        if not _is_int(value):
+        if not is_int(value):
             raise ValidationError(f"{name} must be an int, got {value!r}")
     # a numpy int would reach the report
     k, seed, max_evals, threads = int(k), int(seed), int(max_evals), int(threads)
@@ -346,8 +341,7 @@ def run_experiment(
                            f"got {runs} runs x ({max_evals} evaluations + "
                            f"{ansatz.parameter_count} parameters) = {recorded}")
     ising = spin_form(instance, LAYOUT, "vqe")
-    # the minimum of the cached energies; no ground bitstring is rendered
-    ground_exact = Fraction(int(ising.energy_int_vector().min()), ising.to_int_arrays()[0])
+    ground_exact = ising.minimum()[0]  # no ground bitstring is rendered
     ground = float(ground_exact)
     oracle_cost, oracle_tours = oracle.solve_exact_tsp(instance)
 

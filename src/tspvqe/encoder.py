@@ -17,7 +17,8 @@ structure encodes the problem:
 ``encode(instance, layout)`` is the one place that picks an encoder, from
 the layout's row of ``layouts.LAYOUTS``, and ``spin_form`` the one path
 from an instance to its Ising form: it refuses an instance above the spin
-cap from its node count, then encodes.
+cap from its node count, then encodes.  ``audit_penalties`` reads the
+exhaustive minimum of that form, ``IsingPolynomial.minimum``.
 
 All coefficients are exact rationals.  A polynomial is a
 ``rationals.ExactPolynomial``: one ``numerators`` dict keyed by sorted
@@ -32,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from . import ising, layouts, oracle
 from .errors import ValidationError
@@ -280,18 +279,16 @@ class AuditReport:
 def audit_penalties(instance: ProblemInstance) -> AuditReport:
     """Brute-force the full-layout Hamiltonian and judge the penalty choice.
 
-    Reports the global minimum, whether any minimizing assignment decodes to
-    a valid tour (the first ``MAX_MINIMA_SCAN`` minima are decoded), the
-    best valid tour value, and whether the two closed-form penalty
-    conditions hold.
+    Reports the global minimum (``IsingPolynomial.minimum`` of the full
+    layout's spin form), whether any minimizing assignment decodes to a
+    valid tour (the first ``MAX_MINIMA_SCAN`` minima, in index order, are
+    decoded), the best valid tour value, and whether the two closed-form
+    penalty conditions hold.
     """
     if instance.variant == "hamiltonian_path":
         raise ValidationError("audit_penalties applies to cyclic variants only")
     form = spin_form(instance, "full", "audit")
-    scale = form.to_int_arrays()[0]
-    energies = form.energy_int_vector()
-    emin = int(energies.min())
-    argmins = np.flatnonzero(energies == emin)
+    minimum_energy, argmins = form.minimum()
     minimum_tour = None
     minimum_violations = ()
     scanned = 0
@@ -326,7 +323,7 @@ def audit_penalties(instance: ProblemInstance) -> AuditReport:
         n_variables=form.n,
         penalty_a=instance.penalty_a,
         penalty_b=instance.penalty_b,
-        minimum_energy=Fraction(emin, scale),
+        minimum_energy=minimum_energy,
         minimum_bitstring=layouts.bits_to_string(first_bits),
         minimum_count=int(len(argmins)),
         minimum_is_valid_tour=minimum_tour is not None,

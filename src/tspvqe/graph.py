@@ -25,17 +25,13 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
+from .layouts import is_int
 from .rationals import RATIONAL_DIGITS, parse_rational, rational_to_json
 
 VARIANTS = ("hamiltonian_cycle", "hamiltonian_path", "tsp")
 
 _SHORT_VARIANT = {"cycle": "hamiltonian_cycle", "path": "hamiltonian_path", "tsp": "tsp"}
-_VARIANT_SHORT = {"hamiltonian_cycle": "cycle", "hamiltonian_path": "path", "tsp": "tsp"}
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (JSON ``true`` loads as ``True``)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_VARIANT_SHORT = {v: k for k, v in _SHORT_VARIANT.items()}
 
 
 def _normalize_variant(variant: str) -> str:
@@ -64,8 +60,10 @@ class ProblemInstance:
 
     def __post_init__(self):
         n = self.node_count
-        if not _is_int(n) or n < 1:
+        if not is_int(n) or n < 1:
             raise ValidationError(f"node_count must be a positive integer, got {n!r}")
+        n = int(n)  # a numpy int would reach the JSON
+        object.__setattr__(self, "node_count", n)
         if not isinstance(self.directed, bool):
             raise ValidationError(f"directed must be True or False, got {self.directed!r}")
         object.__setattr__(self, "variant", _normalize_variant(self.variant))
@@ -83,8 +81,9 @@ class ProblemInstance:
                 u, v, c = edge
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"edge #{i}: expected (u, v, cost)") from exc
-            if not (_is_int(u) and _is_int(v)):
+            if not (is_int(u) and is_int(v)):
                 raise ValidationError(f"edge #{i}: node ids must be integers")
+            u, v = int(u), int(v)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"edge #{i}: node id out of range 1..{n}: ({u}, {v})")
             if u == v:

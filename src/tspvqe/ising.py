@@ -7,10 +7,15 @@ matching the Pauli-Z eigenvalue of |0>.  Both forms are
 ``rationals.ExactPolynomial`` cores.  The transform walks the binary form's
 ``numerators`` dict and sums ints over 4 times its denominator into the
 spin form's, keyed by the same indices; ``to_int_arrays`` reduces those by
-one gcd to the int64 kernels' scale.
+one gcd to the int64 kernels' scale, and gives them in the one integer form
+the enumeration kernel takes: ``(scale, const, h, J)``, the fields ``h`` and
+the symmetric couplings ``J`` as dense int64 arrays.
 
 Every 2^n step goes through ``energy_int_vector``, which refuses a form
-above ``layouts.SPIN_CAP`` spins before it allocates anything.
+above ``layouts.SPIN_CAP`` spins before it allocates anything.  Its minimum
+has one home, ``IsingPolynomial.minimum``: the ground states, the penalty
+audit and the ground energy of an experiment read it.  ``stable_order`` is
+the one stable integer sort: the spectrum's order and ``dqes.best_k``'s.
 
 ``render_rows`` is the one block text renderer: the spectrum CSV, the ground
 bitstrings and the landscape CSV of ``dqes`` are written by it, as ASCII
@@ -34,21 +39,29 @@ if TYPE_CHECKING:
     from .encoder import PseudoBooleanPolynomial
 
 
-def scale_to_int64(denominator: int, constant: int, numerators):
-    """(scale, constant, int64 array of coefficients): the values
-    ``constant / denominator`` and ``numerators[k] / denominator`` as exact
-    ints over their least common denominator ``scale``.
+def scale_to_int64(denominator: int, numerators: dict, n: int):
+    """(scale, const, h, J): the terms ``numerators`` (an ``ExactPolynomial``'s
+    on n spins) over ``denominator``, as exact ints over their least common
+    denominator ``scale``: the constant, the int64 fields ``h``, shape
+    ``(n,)``, and the symmetric int64 couplings ``J``, shape ``(n, n)``, with
+    a zero diagonal.
 
     ``scale`` is ``denominator`` divided by its gcd with every numerator.
-    Raises ``ValidationError`` unless the scaled |constant| + sum
-    |coefficients| is below 2^62, the bound under which the int64 energy
+    Raises ``ValidationError`` unless the scaled |const| + sum |h_i| +
+    sum_{i<j} |J_ij| is below 2^62, the bound under which the int64 energy
     kernel is exact.
     """
-    g = gcd(denominator, constant, *numerators)
-    ints = [constant // g, *(c // g for c in numerators)]
-    if sum(map(abs, ints)) >= 1 << 62:
+    g = gcd(denominator, *numerators.values())
+    if sum(map(abs, numerators.values())) >= g << 62:  # each numerator is g times its int
         raise ValidationError("coefficients overflow int64 kernels")
-    return denominator // g, ints[0], np.array(ints[1:], dtype=np.int64)
+    h = np.zeros(n, dtype=np.int64)
+    J = np.zeros((n, n), dtype=np.int64)
+    for key, c in numerators.items():
+        if len(key) == 2:
+            J[key] = J[key[::-1]] = c // g
+        elif key:
+            h[key] = c // g
+    return denominator // g, numerators.get((), 0) // g, h, J
 
 
 class IsingPolynomial(ExactPolynomial):
@@ -81,36 +94,13 @@ class IsingPolynomial(ExactPolynomial):
         return self.fractions(2)
 
     def to_int_arrays(self):
-        """(scale, const, field spins, field values, coupling i, j, values) in int64.
-
-        ``scale`` is the least common denominator of the coefficients: the
-        numerators are divided by their gcd with ``denominator``, then
-        bounded by ``scale_to_int64``.  Fields and couplings come
-        in key order.  The arrays are read-only.
+        """(scale, const, h, J) in int64: the fields ``h``, shape ``(n,)``, and
+        the symmetric couplings ``J``, shape ``(n, n)``, with a zero diagonal,
+        over their least common denominator ``scale`` (``scale_to_int64``).
+        The arrays are read-only.
         """
         if self._arrays is None:
-            numerators = self.numerators
-            spins, pairs = [], []
-            for key in numerators:
-                if len(key) == 2:
-                    pairs.append(key)
-                elif key:
-                    spins.append(key[0])
-            spins.sort()
-            pairs.sort()
-            scale, const, values = scale_to_int64(
-                self.denominator, numerators.get((), 0),
-                [numerators[(i,)] for i in spins] + [numerators[p] for p in pairs],
-            )
-            self._arrays = (
-                scale,
-                const,
-                np.array(spins, dtype=np.int64),
-                values[:len(spins)],
-                np.array([i for i, _ in pairs], dtype=np.int64),
-                np.array([j for _, j in pairs], dtype=np.int64),
-                values[len(spins):],
-            )
+            self._arrays = scale_to_int64(self.denominator, self.numerators, self.n)
             for array in self._arrays[2:]:
                 array.flags.writeable = False
         return self._arrays
@@ -120,12 +110,16 @@ class IsingPolynomial(ExactPolynomial):
         array is read-only."""
         if self._int_energies is None:
             layouts.check_spins(self.n, "energy vector")
-            _, const, li, lv, qi, qj, qv = self.to_int_arrays()
-            self._int_energies = kernels.enumerate_spin_energies(
-                self.n, const, li, lv, qi, qj, qv
-            )
+            self._int_energies = kernels.enumerate_spin_energies(self.n, *self.to_int_arrays()[1:])
             self._int_energies.flags.writeable = False
         return self._int_energies
+
+    def minimum(self):
+        """(minimum energy as a Fraction, the ascending indices of the basis
+        states that reach it), from the enumerated energies."""
+        ints = self.energy_int_vector()
+        low = ints.min()
+        return Fraction(int(low), self.to_int_arrays()[0]), np.flatnonzero(ints == low)
 
     def energy_float_vector(self) -> np.ndarray:
         """float64 energies of all 2^n basis states, scaled from the int64 ones."""
@@ -237,10 +231,8 @@ def _bitstrings(indices: np.ndarray, n: int) -> list:
 
 def ground_states(ising: IsingPolynomial):
     """(ground energy, all minimizing bitstrings in index order)."""
-    ints = ising.energy_int_vector()
-    scale = ising.to_int_arrays()[0]
-    emin = int(ints.min())
-    return Fraction(emin, scale), _bitstrings(np.flatnonzero(ints == emin), ising.n)
+    energy, indices = ising.minimum()
+    return energy, _bitstrings(indices, ising.n)
 
 
 def _energy_suffix(value: int, scale: int) -> bytes:
@@ -266,22 +258,22 @@ def spectrum_csv_rows(ising: IsingPolynomial):
     return _spectrum_blocks(ising.n, ising.to_int_arrays()[0], ints)
 
 
-def _energy_order(ints: np.ndarray) -> np.ndarray:
-    """Basis-state indices sorted by energy, ties by index.
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """The flat indices of int64 ``values`` sorted by value, ties by index.
 
-    Energies spanning fewer than 2^16 values are sorted as uint16 offsets
-    from the minimum, for which numpy's stable sort is a radix sort; the
-    order is the same.  The span cannot overflow int64: every |E| < 2^62.
+    Values spanning fewer than 2^16 are sorted as uint16 offsets from their
+    minimum, for which numpy's stable sort is a radix sort; the order is the
+    same.  The span cannot overflow int64: every |value| < 2^62.
     """
-    low = ints.min()
-    if int(ints.max()) - int(low) < 1 << 16:
-        return np.argsort((ints - low).astype(np.uint16), kind="stable")
-    return np.argsort(ints, kind="stable")
+    low = values.min()
+    if int(values.max()) - int(low) < 1 << 16:
+        values = (values - low).astype(np.uint16)
+    return np.argsort(values, axis=None, kind="stable")
 
 
 def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
     yield b"bitstring,energy\n"
-    order = _energy_order(ints)
+    order = stable_order(ints)
     last, suffix = None, None
     for at in range(0, len(order), _BLOCK_ROWS):
         indices = order[at:at + _BLOCK_ROWS]

@@ -1,9 +1,10 @@
 """Hot numeric kernels: exhaustive energy enumeration and ansatz application.
 
 Both are numpy kernels, the same on every install.  Energy enumeration works
-in scaled int64 arithmetic (the caller supplies coefficients multiplied by a
-common denominator), so results are exact; it gives all 2^n energies, or
-those of the 2^m states of each row of a few spins.  The ansatz kernel
+in scaled int64 arithmetic (the caller supplies the dense fields and
+couplings of ``IsingPolynomial.to_int_arrays``, multiplied by a common
+denominator), so results are exact; it gives all 2^n energies, or those of
+the 2^m states of each row of a few spins.  The ansatz kernel
 applies each layer as a few grouped Ry matmuls and one fused phase vector
 for its Rz and Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
 ``(R, P)`` parameters applies row r's parameters to row r's state in one call.
@@ -310,9 +311,12 @@ class CallRefused(ValueError):
     go one per call, or into longer buffers."""
 
 
-def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval, spins=None):
+def enumerate_spin_energies(n, const, h, J, spins=None):
     """Scaled-int Ising energies of all 2^n spin assignments (s = 1 - 2*bit).
 
+    ``h`` holds the n int64 fields and ``J`` the symmetric ``(n, n)`` int64
+    couplings with a zero diagonal, as ``IsingPolynomial.to_int_arrays``
+    gives them; the energy is const + sum h_k s_k + sum_{j<k} J_jk s_j s_k.
     A doubling recurrence in O(2^n) int64 additions and no memory beyond the
     result.  Spins from k up are +1 in every state z < 2^k, and flipping
     spin k changes the energy by 2 G_k[z], where
@@ -325,22 +329,19 @@ def enumerate_spin_energies(n, const, lin_idx, lin_val, qi, qj, qval, spins=None
     is -1 for each bit k of z, every other spin +1.  So the energies of a
     few spins' states need no 2^n vector.
 
-    Exact as long as |const| + sum |h| + sum |J| < 2^62, the bound that
-    ``ising.scale_to_int64`` enforces: every E and G_k lies within that
-    bound, and every 2 G_k, 2 J_jk and partial sum within twice it, below 2^63.
+    Exact as long as |const| + sum |h_k| + sum_{j<k} |J_jk| < 2^62, the bound
+    that ``ising.scale_to_int64`` enforces: every E, every G_k and every row
+    sum of J lies within that bound, and every 2 G_k, 2 J_jk and partial sum
+    within twice it, below 2^63.  The whole of J sums to twice its upper
+    triangle, so the constant term reads the triangle alone.
     """
-    h = np.zeros(n, dtype=np.int64)
-    np.add.at(h, np.asarray(lin_idx, dtype=np.int64), np.asarray(lin_val, dtype=np.int64))
-    qi, qj, qval = (np.asarray(a, dtype=np.int64) for a in (qi, qj, qval))
-    coupling = np.zeros((n, n), dtype=np.int64)
-    np.add.at(coupling, (qi, qj), qval)
-    np.add.at(coupling, (qj, qi), qval)
+    h, J = np.asarray(h, dtype=np.int64), np.asarray(J, dtype=np.int64)
     # one column per row of ``spins``: entry [z, t] is state z of row t
     columns = np.arange(n)[:, None] if spins is None else np.asarray(spins, dtype=np.int64).T
-    gain = (-(h + coupling.sum(axis=1)))[columns]  # G_k at the all +1 state
-    twice = 2 * coupling[columns[:, None], columns[None, :]]
+    gain = (-(h + J.sum(axis=1)))[columns]  # G_k at the all +1 state
+    twice = 2 * J[columns[:, None], columns[None, :]]
     energies = np.empty((1 << len(columns), columns.shape[1]), dtype=np.int64)
-    energies[0] = np.int64(const) + h.sum() + qval.sum()
+    energies[0] = np.int64(const) + h.sum() + np.triu(J, 1).sum()
     for k in range(len(columns)):
         flip = energies[1 << k:2 << k]  # holds G_k, then the energies it leads to
         flip[0] = gain[k]

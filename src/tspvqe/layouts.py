@@ -31,6 +31,7 @@ ansatz entanglers of ``vqe``) are stated here, where the CLI's parser reads
 them without importing numpy; each first entry is the default.
 """
 
+import numbers
 from typing import NamedTuple
 
 from .errors import SizeCapError, ValidationError
@@ -118,6 +119,12 @@ def check_terms(layout, n):
         raise SizeCapError(
             f"encode capped at {TERM_CAP} terms, got up to {bound} ({layout} layout, {n} nodes)"
         )
+
+
+def is_int(value):
+    """Whether ``value`` is an integer, a numpy one included, and not a bool
+    (JSON ``true`` loads as ``True``)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_bit(value):

@@ -20,6 +20,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import ValidationError
+from .layouts import is_int
 
 # The most decimal digits a parsed rational's numerator or denominator may
 # have: Python's default limit on int-to-str conversion, so every accepted
@@ -48,7 +49,8 @@ def _bounded(text: str, context) -> str:
 
 
 def parse_rational(value, context="value") -> Fraction:
-    """Convert an int, string, float, or Fraction to an exact Fraction.
+    """Convert an int (a numpy one included), string, float, or Fraction to
+    an exact Fraction.
 
     Floats are parsed through their shortest decimal repr, so a JSON file
     read with ``parse_float=str`` and a float passed directly give the
@@ -59,8 +61,10 @@ def parse_rational(value, context="value") -> Fraction:
     """
     if isinstance(value, bool):
         raise ValidationError(f"{context}: expected a number, got a bool")
-    if isinstance(value, (int, Fraction)):
-        result = Fraction(value)
+    if is_int(value):
+        result = Fraction(int(value))
+    elif isinstance(value, Fraction):
+        result = value
     elif isinstance(value, (float, str)):
         text = repr(value) if isinstance(value, float) else value.strip()
         try:

@@ -82,7 +82,6 @@ from.
 from __future__ import annotations
 
 import mmap
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
@@ -92,7 +91,7 @@ import numpy as np
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
-from .layouts import ENTANGLERS
+from .layouts import ENTANGLERS, is_int
 from .quantum import build_mubs_3q
 
 # amplitudes per ansatz kernel call in a lockstep group; groups are sized for
@@ -107,10 +106,6 @@ def runs_alone(n: int) -> bool:
     return LOCKSTEP_AMPLITUDES >> n <= 1
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class AnsatzConfig:
     """Shape of the variational circuit, on at most ``layouts.SPIN_CAP``
@@ -123,7 +118,7 @@ class AnsatzConfig:
     def __post_init__(self):
         for name in ("n", "layers"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValidationError(f"ansatz {name} must be an int, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy int would reach the report
             if name == "n":  # a qubit count above the cap is refused before any other field
@@ -208,11 +203,11 @@ class MubInit:
     def __post_init__(self):
         for name, count in (("basis", 9), ("element", 8)):
             value = getattr(self, name)
-            if not (_is_int(value) and 0 <= value < count):
+            if not (is_int(value) and 0 <= value < count):
                 raise ValidationError(f"MUB {name} must be an int in 0..{count - 1}, "
                                       f"got {value!r}")
         positions = tuple(self.positions)
-        if not (len(positions) == 3 and all(map(_is_int, positions))
+        if not (len(positions) == 3 and all(map(is_int, positions))
                 and 0 <= positions[0] < positions[1] < positions[2]):
             raise ValidationError(f"MUB positions must be three distinct ascending qubits, "
                                   f"got {positions}")

@@ -122,8 +122,8 @@ def test_05_ising_equivalence(landscape_instance, bit_energies):
         poly = encode_tsp_hamiltonian(landscape_instance)
         ising = to_ising(poly)
         binary, scale_b = bit_energies(poly)
-        scale_s, const_s, li_s, lv_s, qi_s, qj_s, qv_s = ising.to_int_arrays()
-        spins = enumerate_spin_energies(16, const_s, li_s, lv_s, qi_s, qj_s, qv_s)
+        scale_s, const_s, h_s, J_s = ising.to_int_arrays()
+        spins = enumerate_spin_energies(16, const_s, h_s, J_s)
         assert np.array_equal(binary * scale_s, spins * scale_b)
 
 

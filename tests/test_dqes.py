@@ -315,17 +315,15 @@ def _closed_form_support(ising, triples):
     """Each triple's 8 support energies in Python ints, from the scaled
     coefficients: with s = 1 - 2x, E(S) = E(0) + sum_{i in S} d_i +
     sum_{i<j in S} 4 J_ij, where d_i = -2 (h_i + sum_j J_ij)."""
-    _, const, fields, values, first, second, couplings = (
-        a.tolist() if isinstance(a, np.ndarray) else a for a in ising.to_int_arrays())
-    h = dict(zip(fields, values))
-    pairs = dict(zip(zip(first, second), couplings))
-    e0 = const + sum(values) + sum(couplings)
-    d = [-2 * (h.get(i, 0) + sum(v for pair, v in pairs.items() if i in pair))
-         for i in range(ising.n)]
+    _, const, h, J = (a.tolist() if isinstance(a, np.ndarray) else a
+                      for a in ising.to_int_arrays())
+    pairs = {(i, j): J[i][j] for i, j in combinations(range(ising.n), 2)}
+    e0 = const + sum(h) + sum(pairs.values())
+    d = [-2 * (h[i] + sum(J[i])) for i in range(ising.n)]
     rows = []
     for triple in triples.tolist():
         subsets = [[q for k, q in enumerate(triple) if m >> k & 1] for m in range(8)]
-        rows.append([e0 + sum(d[i] for i in s) + sum(4 * pairs.get(p, 0)
+        rows.append([e0 + sum(d[i] for i in s) + sum(4 * pairs[p]
                                                       for p in combinations(s, 2))
                      for s in subsets])
     return rows
@@ -338,9 +336,9 @@ def test_coefficient_keys_equal_the_gather(case, landscape_instance):
     # the support energies of the triples' 3 spins alone are the entries of
     # the full vector, so every energy and rank is the one the gather gave
     ising = _coefficient_key_case(case, landscape_instance)
-    scale, *coefficients = ising.to_int_arrays()
+    _, const, h, J = ising.to_int_arrays()
     energies, ranks, triples, support = _landscape_from_the_gather(ising)
-    alone = kernels.enumerate_spin_energies(ising.n, *coefficients, spins=triples)
+    alone = kernels.enumerate_spin_energies(ising.n, const, h, J, spins=triples)
     assert alone.tolist() == support == _closed_form_support(ising, triples)
     landscape = compute_landscape(ising)
     assert landscape.energy_table.tolist() == energies

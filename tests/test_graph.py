@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tspvqe import (
@@ -147,6 +148,24 @@ def test_bool_node_id_rejected():
         load_instance(BAD_FIELD_TYPES["bool_node_id"])
     with pytest.raises(ValidationError, match="node ids must be integers"):
         ProblemInstance(3, False, "tsp", ((1, True, 1),), 1, 1)
+
+
+def test_numpy_ints_build_an_instance_of_plain_ints():
+    """Node counts, node ids, costs and penalties given as numpy ints are
+    accepted, as the VQE settings are, and stored as plain ints and
+    Fractions, so the instance saves as JSON; numpy bools stay refused."""
+    plain = ProblemInstance(3, False, "tsp", ((2, 1, 4), (2, 3, 1), (1, 3, 2)), 9, 1)
+    edges = tuple(tuple(map(np.int64, edge)) for edge in ((2, 1, 4), (2, 3, 1), (1, 3, 2)))
+    inst = ProblemInstance(np.int64(3), False, "tsp", edges, np.int32(9), np.int64(1))
+    assert inst == plain
+    assert type(inst.node_count) is int
+    assert {type(x) for u, v, c in inst.edges for x in (u, v)} == {int}
+    for fmt in ("json", "edge_list"):
+        assert load_instance(save_instance(inst, fmt), format=fmt) == plain
+    with pytest.raises(ValidationError, match="node_count"):
+        ProblemInstance(np.bool_(True), False, "cycle", (), 1, 1)
+    with pytest.raises(ValidationError, match="node ids must be integers"):
+        ProblemInstance(3, False, "tsp", ((1, np.bool_(True), 1),), 1, 1)
 
 
 def test_non_string_variant_rejected():

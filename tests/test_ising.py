@@ -25,12 +25,12 @@ from tspvqe import (
     validate_bitstring,
 )
 from tspvqe.ising import (
-    _energy_order,
     bit_cells,
     cell_table,
     join_cells,
     render_rows,
     spectrum_csv_rows,
+    stable_order,
 )
 from tspvqe.kernels import enumerate_spin_energies
 from tspvqe.layouts import bits_to_string, index_to_bits
@@ -70,8 +70,8 @@ def test_full_tsp_equivalence_exhaustive(complete4_instance, bit_energies):
     poly = encode_tsp_hamiltonian(complete4_instance)
     ising = to_ising(poly)
     binary, scale_b = bit_energies(poly)
-    scale_s, const_s, li_s, lv_s, qi_s, qj_s, qv_s = ising.to_int_arrays()
-    spins = enumerate_spin_energies(16, const_s, li_s, lv_s, qi_s, qj_s, qv_s)
+    scale_s, const_s, h_s, J_s = ising.to_int_arrays()
+    spins = enumerate_spin_energies(16, const_s, h_s, J_s)
     assert np.array_equal(binary * scale_s, spins * scale_b)
 
 
@@ -125,14 +125,79 @@ def test_int64_guard_applies_after_the_gcd_reduction():
 
     poly, ising, unreduced = spin_form(2**58)
     assert unreduced == 2**63
-    scale, const, _, lv, _, _, qv = ising.to_int_arrays()
+    scale, const, h, J = ising.to_int_arrays()
     assert scale == 1
-    assert abs(const) + int(np.abs(lv).sum()) + int(np.abs(qv).sum()) == 2**61
+    assert abs(const) + int(np.abs(h).sum()) + int(np.abs(np.triu(J)).sum()) == 2**61
     ints = ising.energy_int_vector()
     for z in range(1 << poly.n_vars):
         assert int(ints[z]) == evaluate(poly, index_to_bits(z, poly.n_vars))
     with pytest.raises(ValidationError):
         spin_form(2**59)[1].to_int_arrays()
+
+
+def _random_pq_form(n, seed):
+    """A seeded spin form on n spins with p/q coefficients: about two thirds
+    of the fields and half of the couplings set."""
+    rng = random.Random(seed)
+    values = [Fraction(p, q) for p in (-9, -4, -1, 1, 3, 7) for q in (1, 2, 3, 5)]
+    return IsingPolynomial(
+        n=n, constant=rng.choice(values),
+        fields={i: rng.choice(values) for i in range(n) if rng.random() < 0.7},
+        couplings={(i, j): rng.choice(values) for i in range(n) for j in range(i + 1, n)
+                   if rng.random() < 0.5},
+        variable_order=tuple((1, t) for t in range(1, n + 1)), layout="full", node_count=n)
+
+
+def _form_at_the_bound():
+    """4 spins whose |constant| + sum |h| + sum |J| is 2^62 - 1 at scale 1,
+    most of it in couplings of both signs."""
+    return IsingPolynomial(
+        n=4, constant=2**57 - 6, fields={0: -(2**57), 3: 5},
+        couplings={(0, 1): 2**61, (1, 2): -(2**60), (2, 3): 2**59, (0, 3): 2**58},
+        variable_order=tuple((1, t) for t in range(1, 5)), layout="full", node_count=4)
+
+
+@pytest.mark.parametrize("case", [*range(1, 21), "bound"])
+def test_int_arrays_are_the_scaled_coefficients(case):
+    """``to_int_arrays`` is (scale, const, h, J): the fields and the symmetric
+    couplings times the scale, with a zero diagonal, every array read-only.
+    At the 2^62 - 1 bound every energy is still exact."""
+    ising = _form_at_the_bound() if case == "bound" else _random_pq_form(case, case)
+    scale, const, h, J = ising.to_int_arrays()
+    n = ising.n
+    assert const == ising.constant * scale
+    assert h.dtype == J.dtype == np.int64 and h.shape == (n,) and J.shape == (n, n)
+    assert h.tolist() == [ising.fields.get(i, 0) * scale for i in range(n)]
+    assert J.tolist() == [[ising.couplings.get((min(i, j), max(i, j)), 0) * scale
+                           if i != j else 0 for j in range(n)] for i in range(n)]
+    assert np.array_equal(J, J.T) and not J.diagonal().any()
+    for array in (h, J):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    if case == "bound":
+        assert scale == 1
+        assert abs(const) + int(np.abs(h).sum()) + int(np.abs(np.triu(J)).sum()) == 2**62 - 1
+    if n <= 12:
+        ints = ising.energy_int_vector()
+        assert [Fraction(int(e), scale) for e in ints] == [
+            energy_of_bitstring(ising, index_to_bits(z, n)) for z in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 12])
+def test_minimum_is_the_brute_force_minimum(n):
+    # no term holds the last spin, so every minimum comes twice
+    rng = random.Random(n)
+    ising = IsingPolynomial(
+        n=n, constant=rng.randint(-3, 3), fields={i: rng.randint(-1, 1) for i in range(n - 1)},
+        couplings={(i, j): rng.choice((-1, 0, 1, Fraction(1, 2)))
+                   for i in range(n) for j in range(i + 1, n - 1)},
+        variable_order=tuple((1, t) for t in range(1, n + 1)), layout="full", node_count=n)
+    energies = [energy_of_bitstring(ising, index_to_bits(z, n)) for z in range(1 << n)]
+    energy, indices = ising.minimum()
+    assert type(energy) is Fraction and energy == min(energies)
+    assert indices.tolist() == [z for z, e in enumerate(energies) if e == energy]
+    assert list(indices) == sorted(indices) and len(indices) >= min(n, 2)
 
 
 def test_same_row_and_column_couplings_are_half_a(complete4_instance):
@@ -314,13 +379,15 @@ def test_spectrum_csv_peak_memory_per_row():
 ])
 def test_energy_order_is_by_energy_then_index(low, span):
     # spans below 2^16 take the uint16 radix sort, wider ones the int64 sort;
-    # both must give the stable order, ties (many here) by index
+    # both must give the stable order, ties (many here) by index, and a
+    # table is ordered by its flat indices
     rng = np.random.default_rng(span % 997)
     levels = low + np.concatenate([[0, span], rng.integers(0, span, 30, endpoint=True)])
     ints = levels[rng.integers(0, len(levels), 5000)]
-    order = _energy_order(ints)
+    order = stable_order(ints)
     assert np.array_equal(order, np.lexsort((np.arange(len(ints)), ints)))
     assert np.array_equal(order, np.argsort(ints, kind="stable"))
+    assert np.array_equal(stable_order(ints.reshape(-1, 8)), order)
 
 
 def test_forms_above_the_spin_cap_refused_at_the_call():

@@ -66,6 +66,15 @@ def test_bit_energies_against_scalar_reference(bit_energies):
             assert out[z] == _reference_bit_energy(z, n, const, li, lv, qi, qj, qv)
 
 
+def _dense(n, lin_idx, lin_val, qi, qj, qval):
+    """The fields ``h`` and the symmetric couplings ``J`` of a sparse form."""
+    h = np.zeros(n, dtype=np.int64)
+    h[lin_idx] = lin_val
+    J = np.zeros((n, n), dtype=np.int64)
+    J[qi, qj] = J[qj, qi] = qval
+    return h, J
+
+
 def test_spin_energies_against_scalar_reference():
     rng = np.random.default_rng(1)
     none = np.array([], dtype=np.int64)
@@ -77,7 +86,7 @@ def test_spin_energies_against_scalar_reference():
             (const, li, lv, none, none, none),  # no couplings
             (const, none, none, none, none, none),
         ):
-            out = enumerate_spin_energies(n, *form)
+            out = enumerate_spin_energies(n, const, *_dense(n, *form[1:]))
             assert out.dtype == np.int64 and len(out) == 1 << n
             for z in range(1 << n):
                 assert out[z] == _reference_spin_energy(z, n, *form), (n, z)

@@ -1,5 +1,6 @@
-"""Time the layers of the 16-qubit best-MUB pass, its two commands, the
-9-qubit best-MUB batch, and the cold start of a fresh interpreter.
+"""Time the integer Ising form and the layers of the 16-qubit best-MUB pass,
+its two commands, the 9-qubit best-MUB batch, and the cold start of a fresh
+interpreter.
 
 Run from the root of a tspvqe checkout::
 
@@ -11,6 +12,8 @@ The pass is the one the ``vqe-n5`` benchmark workload runs: on a seeded
 complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
 ``landscape``, then ``vqe --init best-mubs --k 2 --max-evals 20``.  The rows:
 
+* ``int_form_16``: ``to_ising`` of a fresh efficient encoding of that
+  instance, then its ``to_int_arrays()`` and its 2^16 ``energy_int_vector()``;
 * ``compute_landscape``: on a fresh Ising form, as the command calls it;
 * ``landscape_csv_rows``: the landscape CSV written into a memory buffer;
 * ``spectrum_csv_rows``: the 16-spin spectrum CSV into a buffer, its
@@ -159,7 +162,13 @@ def rows(workdir):
         return lambda _: subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT,
                                         check=True)
 
+    def int_form(poly):
+        form = tspvqe.to_ising(poly)
+        form.to_int_arrays()
+        form.energy_int_vector()
+
     return {
+        "int_form_16": (5, timed(int_form, lambda: tspvqe.encode_efficient(instance))),
         "compute_landscape": (5, timed(dqes.compute_landscape, fresh_form)),
         "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
         "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
