@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
@@ -41,6 +41,17 @@ def _normalize_variant(variant: str) -> str:
     if v not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
     return v
+
+
+def _checked_penalties(variant: str, penalty_a, penalty_b) -> tuple[Fraction, Fraction]:
+    """(A, B) as Fractions; refuses A <= 0, and B <= 0 for tsp."""
+    a = parse_rational(penalty_a, "penalty_a")
+    b = parse_rational(penalty_b, "penalty_b")
+    if a <= 0:
+        raise ValidationError(f"penalty_a must be positive, got {a}")
+    if variant == "tsp" and b <= 0:
+        raise ValidationError(f"penalty_b must be positive for tsp, got {b}")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,9 @@ class ProblemInstance:
         if not isinstance(self.directed, bool):
             raise ValidationError(f"directed must be True or False, got {self.directed!r}")
         object.__setattr__(self, "variant", _normalize_variant(self.variant))
-        object.__setattr__(self, "penalty_a", parse_rational(self.penalty_a, "penalty_a"))
-        object.__setattr__(self, "penalty_b", parse_rational(self.penalty_b, "penalty_b"))
-        if self.penalty_a <= 0:
-            raise ValidationError(f"penalty_a must be positive, got {self.penalty_a}")
-        if self.variant == "tsp" and self.penalty_b <= 0:
-            raise ValidationError(f"penalty_b must be positive for tsp, got {self.penalty_b}")
+        a, b = _checked_penalties(self.variant, self.penalty_a, self.penalty_b)
+        object.__setattr__(self, "penalty_a", a)
+        object.__setattr__(self, "penalty_b", b)
 
         canonical = []
         cost = {}
@@ -133,7 +141,13 @@ class ProblemInstance:
                     yield u, v
 
     def with_penalties(self, penalty_a, penalty_b) -> "ProblemInstance":
-        return replace(self, penalty_a=penalty_a, penalty_b=penalty_b)
+        """This instance with penalties A and B, checked as the constructor
+        checks them.  The graph, checked already, is shared, not parsed
+        again."""
+        a, b = _checked_penalties(self.variant, penalty_a, penalty_b)
+        instance = object.__new__(type(self))
+        instance.__dict__.update(self.__dict__, penalty_a=a, penalty_b=b)
+        return instance
 
 
 # -- loading ---------------------------------------------------------------

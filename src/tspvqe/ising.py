@@ -15,7 +15,9 @@ Every 2^n step goes through ``energy_int_vector``, which refuses a form
 above ``layouts.SPIN_CAP`` spins before it allocates anything.  Its minimum
 has one home, ``IsingPolynomial.minimum``: the ground states, the penalty
 audit and the ground energy of an experiment read it.  ``stable_order`` is
-the one stable integer sort: the spectrum's order and ``dqes.best_k``'s.
+the one stable integer sort, of value and index packed into one unsigned
+key where they fit: the spectrum's order and ``dqes.best_k``'s.  The
+spectrum repeats each level's text over its run of rows.
 
 ``render_rows`` is the one block text renderer: the spectrum CSV, the ground
 bitstrings and the landscape CSV of ``dqes`` are written by it, as ASCII
@@ -261,31 +263,36 @@ def spectrum_csv_rows(ising: IsingPolynomial):
 def stable_order(values: np.ndarray) -> np.ndarray:
     """The flat indices of int64 ``values`` sorted by value, ties by index.
 
-    Values spanning fewer than 2^16 are sorted as uint16 offsets from their
-    minimum, for which numpy's stable sort is a radix sort; the order is the
-    same.  The span cannot overflow int64: every |value| < 2^62.
+    Where the offset of a value from the minimum and its index fit in 64
+    bits side by side, each is packed into one unsigned key, offset << b |
+    index, with b the bit length of the last index: in uint32 when the keys
+    fit, else uint64.  The keys are distinct, so any sort of them gives the
+    stable order, and the index is masked back out.  Wider spans take the
+    int64 stable sort.  The span cannot overflow int64: every |value| < 2^62.
     """
     low = values.min()
-    if int(values.max()) - int(low) < 1 << 16:
-        values = (values - low).astype(np.uint16)
-    return np.argsort(values, axis=None, kind="stable")
+    b = (values.size - 1).bit_length()
+    width = (int(values.max()) - int(low)).bit_length() + b
+    if width > 64:
+        return np.argsort(values, axis=None, kind="stable")
+    # typed scalars: numpy 1.24 would promote a Python int shift to float64
+    key = np.uint32 if width <= 32 else np.uint64
+    keys = (values.reshape(-1) - low).astype(key)
+    keys <<= key(b)
+    keys |= np.arange(values.size, dtype=key)
+    keys.sort()
+    keys &= key((1 << b) - 1)
+    return keys.astype(np.intp)
 
 
 def _spectrum_blocks(n: int, scale: int, ints: np.ndarray):
     yield b"bitstring,energy\n"
     order = stable_order(ints)
-    last, suffix = None, None
     for at in range(0, len(order), _BLOCK_ROWS):
         indices = order[at:at + _BLOCK_ROWS]
         energies = ints[indices]
-        starts = np.empty(len(energies), dtype=bool)  # row opens a new level
-        starts[0] = last is None or energies[0] != last
-        np.not_equal(energies[1:], energies[:-1], out=starts[1:])
+        # the first row of each level in the block, and the rows it runs for
+        starts = np.flatnonzero(np.concatenate(([True], energies[1:] != energies[:-1])))
+        runs = np.diff(starts, append=len(energies))
         suffixes = [_energy_suffix(v, scale) for v in energies[starts].tolist()]
-        levels = np.cumsum(starts)
-        if starts[0]:
-            levels -= 1
-        else:  # the block opens inside the previous block's last level
-            suffixes.insert(0, suffix)
-        yield render_rows([bit_cells(indices, n), cell_table(suffixes)[levels]])
-        last, suffix = energies[-1], suffixes[-1]
+        yield render_rows([bit_cells(indices, n), np.repeat(cell_table(suffixes), runs)])

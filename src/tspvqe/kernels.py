@@ -4,8 +4,8 @@ Both are numpy kernels, the same on every install.  Energy enumeration works
 in scaled int64 arithmetic (the caller supplies the dense fields and
 couplings of ``IsingPolynomial.to_int_arrays``, multiplied by a common
 denominator), so results are exact; it gives all 2^n energies, or those of
-the 2^m states of each row of a few spins.  The ansatz kernel
-applies each layer as a few grouped Ry matmuls and one fused phase vector
+the 2^m states of each row of a few spins, in O(n) numpy calls.  The ansatz
+kernel applies each layer as a few grouped Ry matmuls and one fused phase vector
 for its Rz and Rzz gates.  It takes one state or a stack of them: an ``(R, 2^n)`` stack with
 ``(R, P)`` parameters applies row r's parameters to row r's state in one call.
 A call can also run only some stages of the circuit: calls that split the
@@ -311,17 +311,26 @@ class CallRefused(ValueError):
     go one per call, or into longer buffers."""
 
 
+# The spins of the enumeration's G_k table: at 16 spins on a 2-core Xeon VM,
+# tables of 4, 6, 8 and 10 spins were timed, and 8 was the fastest.
+_LOW_SPINS = 8
+
+
 def enumerate_spin_energies(n, const, h, J, spins=None):
     """Scaled-int Ising energies of all 2^n spin assignments (s = 1 - 2*bit).
 
     ``h`` holds the n int64 fields and ``J`` the symmetric ``(n, n)`` int64
     couplings with a zero diagonal, as ``IsingPolynomial.to_int_arrays``
     gives them; the energy is const + sum h_k s_k + sum_{j<k} J_jk s_j s_k.
-    A doubling recurrence in O(2^n) int64 additions and no memory beyond the
-    result.  Spins from k up are +1 in every state z < 2^k, and flipping
-    spin k changes the energy by 2 G_k[z], where
-    G_k[z] = -h_k - sum_{j != k} J_jk s_j(z), so E[z + 2^k] = E[z] + 2 G_k[z].
-    G_k doubles the same way: G_k[z + 2^j] = G_k[z] + 2 J_jk for j < k.
+    A doubling recurrence in O(2^n) int64 additions, O(n) numpy calls and
+    no memory beyond the result and a small table.  Spins from k up are +1
+    in every state z < 2^k, and flipping spin k changes the energy by
+    2 G_k[z], where G_k[z] = -h_k - sum_{j != k} J_jk s_j(z), so
+    E[z + 2^k] = E[z] + 2 G_k[z].  G_k doubles the same way:
+    G_k[z + 2^j] = G_k[z] + 2 J_jk for j != k.  A table holds G_k at the
+    2^m states of the low m = min(n, 8) spins for every k at once, built in
+    m doublings; each k copies its column and doubles over spins m..k-1
+    alone.
 
     ``spins``, a ``(T, m)`` array of distinct spins per row, runs the same
     recurrence on each row's spins alone: the result is ``(T, 2^m)``, and
@@ -332,7 +341,8 @@ def enumerate_spin_energies(n, const, h, J, spins=None):
     Exact as long as |const| + sum |h_k| + sum_{j<k} |J_jk| < 2^62, the bound
     that ``ising.scale_to_int64`` enforces: every E, every G_k and every row
     sum of J lies within that bound, and every 2 G_k, 2 J_jk and partial sum
-    within twice it, below 2^63.  The whole of J sums to twice its upper
+    within twice it, below 2^63.  Every table entry is G_k at some state, so
+    the same holds for the table.  The whole of J sums to twice its upper
     triangle, so the constant term reads the triangle alone.
     """
     h, J = np.asarray(h, dtype=np.int64), np.asarray(J, dtype=np.int64)
@@ -340,12 +350,19 @@ def enumerate_spin_energies(n, const, h, J, spins=None):
     columns = np.arange(n)[:, None] if spins is None else np.asarray(spins, dtype=np.int64).T
     gain = (-(h + J.sum(axis=1)))[columns]  # G_k at the all +1 state
     twice = 2 * J[columns[:, None], columns[None, :]]
+    low = min(len(columns), _LOW_SPINS)
+    # table[z, k]: G_k at state z of the low spins, every other spin +1
+    table = np.empty((1 << low,) + gain.shape, dtype=np.int64)
+    table[0] = gain
+    for j in range(low):
+        np.add(table[:1 << j], twice[j], out=table[1 << j:2 << j])
     energies = np.empty((1 << len(columns), columns.shape[1]), dtype=np.int64)
     energies[0] = np.int64(const) + h.sum() + np.triu(J, 1).sum()
     for k in range(len(columns)):
         flip = energies[1 << k:2 << k]  # holds G_k, then the energies it leads to
-        flip[0] = gain[k]
-        for j in range(k):
+        start = min(k, low)
+        flip[:1 << start] = table[:1 << start, k]
+        for j in range(start, k):
             np.add(flip[:1 << j], twice[j, k], out=flip[1 << j:2 << j])
         flip *= 2
         flip += energies[:1 << k]

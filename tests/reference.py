@@ -1,8 +1,9 @@
 """Plain references the tests hold the package to.
 
 Each one is the straightforward form of something the package computes
-another way: an exact rational energy, a polynomial's exact value at bits
-or at a cell table, a state spread from its held qubits onto all of them,
+another way: an exact rational energy, the enumeration kernel's doubling
+recurrence with one numpy call per pair of spins, a polynomial's exact value
+at bits or at a cell table, a state spread from its held qubits onto all of them,
 the qubits it occupies, its expectation, the Pauli classes and the 3-qubit
 MUBs built as projector products, the exact energies of the DQES
 landscape, one search driven by a scalar objective, one VQE run on its own.
@@ -29,6 +30,27 @@ def energy_of_bitstring(ising, bits) -> Fraction:
             c *= spins[i]
         total += c
     return Fraction(total, ising.denominator)
+
+
+def spin_energies(n, const, h, J, spins=None) -> np.ndarray:
+    """``kernels.enumerate_spin_energies`` as the plain doubling recurrence:
+    flipping spin k adds 2 G_k[z] for z < 2^k, and G_k is doubled from its
+    value at the all +1 state one spin j < k at a time, a numpy call per
+    pair j < k.  The same int64 sums, so the same bits."""
+    h, J = np.asarray(h, dtype=np.int64), np.asarray(J, dtype=np.int64)
+    columns = np.arange(n)[:, None] if spins is None else np.asarray(spins, dtype=np.int64).T
+    gain = (-(h + J.sum(axis=1)))[columns]
+    twice = 2 * J[columns[:, None], columns[None, :]]
+    energies = np.empty((1 << len(columns), columns.shape[1]), dtype=np.int64)
+    energies[0] = np.int64(const) + h.sum() + np.triu(J, 1).sum()
+    for k in range(len(columns)):
+        flip = energies[1 << k:2 << k]
+        flip[0] = gain[k]
+        for j in range(k):
+            np.add(flip[:1 << j], twice[j, k], out=flip[1 << j:2 << j])
+        flip *= 2
+        flip += energies[:1 << k]
+    return energies[:, 0] if spins is None else energies.T
 
 
 def evaluate(poly, bits) -> Fraction:

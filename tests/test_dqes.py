@@ -481,9 +481,9 @@ class TestBestK:
 
     @pytest.mark.parametrize("step", [20, 5_000, 6_400], ids=["uint8", "uint16", "uint32"])
     def test_narrowed_ranks_keep_the_int64_stable_order(self, step):
-        """``best_k`` sorts the ranks in the smallest unsigned type that holds
-        them; its records are those of the int64 table's stable order, ties
-        by entry, whether the ranks reach 2^8, 2^16 or neither."""
+        """``best_k`` sorts the ranks as packed keys of rank and entry; its
+        records are those of the int64 table's stable order, ties by entry,
+        whether the ranks reach 2^8, 2^16 or neither."""
         rng = np.random.default_rng(step)
         triples = np.array(list(combinations(range(8), 3)))
         ranks = rng.integers(0, 12, (len(triples), 9)) * step  # 12 values: many ties

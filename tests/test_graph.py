@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,34 @@ def test_nonpositive_penalty_rejected():
         ProblemInstance(2, False, "tsp", ((1, 2, 1),), 0, 1)
     with pytest.raises(ValidationError, match="penalty_b"):
         ProblemInstance(2, False, "tsp", ((1, 2, 1),), 1, 0)
+
+
+@pytest.mark.parametrize("variant", ["cycle", "path", "tsp"])
+@pytest.mark.parametrize("directed", [False, True])
+def test_with_penalties_is_a_fresh_instance(variant, directed):
+    """``with_penalties`` keeps the checked graph and checks the two new
+    penalties alone: the result equals an instance built afresh, edge costs
+    included, and each refusal is the constructor's, message and all."""
+    rng = random.Random(variant)
+    edges = tuple((v, u, Fraction(rng.randint(1, 9), rng.randint(1, 3)))
+                  for u in range(1, 5) for v in range(1, 5) if u != v and (directed or u < v))
+    instance = ProblemInstance(4, directed, variant, edges, 1, 1)
+    for a, b in ((Fraction(7, 2), "0.25"), ("5/3", 2), (np.int64(3), 1.5)):
+        fresh = ProblemInstance(4, directed, variant, edges, a, b)
+        changed = instance.with_penalties(a, b)
+        assert changed == fresh and changed._cost == fresh._cost
+        assert (type(changed.penalty_a), type(changed.penalty_b)) == (Fraction, Fraction)
+    assert (instance.penalty_a, instance.penalty_b) == (1, 1)
+    refused = [(0, 1), ("1e4300", 1), (1, "1e-4300")]
+    if variant == "tsp":
+        refused.append((1, -2))
+    else:
+        assert instance.with_penalties(1, -2) == ProblemInstance(4, directed, variant, edges, 1, -2)
+    for a, b in refused:
+        with pytest.raises(ValidationError) as fresh:
+            ProblemInstance(4, directed, variant, edges, a, b)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(fresh.value))}$"):
+            instance.with_penalties(a, b)
 
 
 def test_parse_error_has_locus():

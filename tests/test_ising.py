@@ -355,6 +355,25 @@ def test_spectrum_rows_match_exact_energies(n):
     )).encode()
 
 
+@pytest.mark.parametrize("n, fields, across", [
+    (13, {0: Fraction(1, 2), 1: Fraction(1, 2)}, True),  # a level from row 2048 to 6143
+    (13, {0: Fraction(1, 2)}, False),  # levels that meet at row 4096
+    (14, {3: Fraction(2, 3)}, True),  # a level over two whole blocks
+], ids=["across", "at", "whole"])
+def test_spectrum_levels_across_block_edges(n, fields, across):
+    """A level that runs on past the end of a 4096-row block keeps its
+    energy text in the next block."""
+    ising = IsingPolynomial(n=n, constant=Fraction(1, 3), fields=fields, couplings={},
+                            variable_order=tuple((1, t) for t in range(1, n + 1)),
+                            layout="full", node_count=n)
+    energies = sorted((energy_of_bitstring(ising, index_to_bits(z, n)), z)
+                      for z in range(1 << n))
+    assert (energies[4095][0] == energies[4096][0]) == across
+    assert b"".join(spectrum_csv_rows(ising)) == ("bitstring,energy\n" + "".join(
+        f"{bits_to_string(index_to_bits(z, n))},{rational_to_json(energy)}\n"
+        for energy, z in energies)).encode()
+
+
 def test_spectrum_csv_peak_memory_per_row():
     # the 24-spin cap must not be a memory cliff: writing a 20-spin p/q
     # spectrum into a sink holds the int64 energies, the sort order and one
@@ -376,11 +395,14 @@ def test_spectrum_csv_peak_memory_per_row():
 @pytest.mark.parametrize("low, span", [
     (-7, 1), (-12345, 1000), (1 - (1 << 62), 1000), (0, (1 << 16) - 1),
     (0, 1 << 16), (-5, 1 << 40), (1 - (1 << 62), (1 << 63) - 2),
+    # 5000 indices take 13 bits: packed keys of 32, 33, 64 and 65 bits
+    (0, (1 << 19) - 1), (-3, 1 << 19), (7, (1 << 51) - 1), (1 - (1 << 62), 1 << 51),
 ])
 def test_energy_order_is_by_energy_then_index(low, span):
-    # spans below 2^16 take the uint16 radix sort, wider ones the int64 sort;
-    # both must give the stable order, ties (many here) by index, and a
-    # table is ordered by its flat indices
+    # the offset from the minimum and the index packed in uint32 or uint64
+    # keys, or the int64 stable sort where they do not fit in 64 bits: each
+    # must give the stable order, ties (many here) by index, and a table is
+    # ordered by its flat indices
     rng = np.random.default_rng(span % 997)
     levels = low + np.concatenate([[0, span], rng.integers(0, span, 30, endpoint=True)])
     ints = levels[rng.integers(0, len(levels), 5000)]
@@ -388,6 +410,9 @@ def test_energy_order_is_by_energy_then_index(low, span):
     assert np.array_equal(order, np.lexsort((np.arange(len(ints)), ints)))
     assert np.array_equal(order, np.argsort(ints, kind="stable"))
     assert np.array_equal(stable_order(ints.reshape(-1, 8)), order)
+    # a transposed view's flat indices are those of its own C order
+    table = ints.reshape(-1, 8).T
+    assert np.array_equal(stable_order(table), np.argsort(table, axis=None, kind="stable"))
 
 
 def test_forms_above_the_spin_cap_refused_at_the_call():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from reference import spread, support
 from tspvqe import PseudoBooleanPolynomial
 from tspvqe.kernels import (
@@ -90,6 +91,72 @@ def test_spin_energies_against_scalar_reference():
             assert out.dtype == np.int64 and len(out) == 1 << n
             for z in range(1 << n):
                 assert out[z] == _reference_spin_energy(z, n, *form), (n, z)
+
+
+def _dense_form(rng, n, bound=50):
+    """Random int64 fields and symmetric couplings, zero diagonal, each
+    entry below ``bound`` in size."""
+    h = rng.integers(-bound, bound, n)
+    J = np.triu(rng.integers(-bound, bound, (n, n)), 1)
+    return h, J + J.T
+
+
+def test_spin_energies_bit_equal_to_the_pairwise_recurrence():
+    """The low-spin table path gives the bits of the one-call-per-pair
+    recurrence, on every side of the table's 8 spins."""
+    rng = np.random.default_rng(2)
+    for n in range(21):
+        h, J = _dense_form(rng, n)
+        const = int(rng.integers(-100, 100))
+        out = enumerate_spin_energies(n, const, h, J)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, reference.spin_energies(n, const, h, J)), n
+
+
+def test_spin_rows_bit_equal_to_the_pairwise_recurrence():
+    rng = np.random.default_rng(3)
+    n = 12
+    h, J = _dense_form(rng, n)
+    for m in range(1, 11):
+        spins = np.array([rng.choice(n, m, replace=False) for _ in range(9)])
+        out = enumerate_spin_energies(n, 7, h, J, spins=spins)
+        assert out.shape == (9, 1 << m)
+        assert np.array_equal(out, reference.spin_energies(n, 7, h, J, spins=spins)), m
+
+
+def _exact_energies(const, h, J, spins):
+    """Python-int energies of the states of ``spins``, a (states, n) array of
+    +-1, one per row."""
+    s = spins.astype(object)
+    return const + s @ h.astype(object) + ((s @ np.triu(J, 1).astype(object)) * s).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 12])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_spin_energies_exact_at_the_2_62_bound(n, sign):
+    """|const| + sum |h| + sum_{j<k} |J| = 2^62 - 1, with the signs set so
+    that one state reaches sign * (2^62 - 1): every energy is the exact
+    Python-int one, on the full vector and on rows of spins."""
+    rng = np.random.default_rng(n)
+    target = rng.choice([-1, 1], n)  # the state at the extreme
+    h, J = _dense_form(rng, n, 1 << 55)
+    h, J = np.abs(h) * target, np.abs(J) * np.outer(target, target)
+    const = (1 << 62) - 1 - int(np.abs(h).sum()) - int(np.abs(np.triu(J, 1)).sum())
+    assert const > 0
+    h, J, const = sign * h, sign * J, sign * const
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    exact = _exact_energies(const, h, J, 1 - 2 * bits)
+    out = enumerate_spin_energies(n, const, h, J)
+    assert np.array_equal(out, reference.spin_energies(n, const, h, J))
+    assert out.tolist() == exact.tolist()
+    assert sign * max(sign * exact) == sign * ((1 << 62) - 1)
+    spins = np.array([rng.permutation(n)[:min(n, 5)] for _ in range(4)])
+    rows = enumerate_spin_energies(n, const, h, J, spins=spins)
+    assert np.array_equal(rows, reference.spin_energies(n, const, h, J, spins=spins))
+    for row, chosen in zip(rows, spins):
+        states = np.ones((rows.shape[1], n), dtype=np.int64)
+        states[:, chosen] = 1 - 2 * bits[:rows.shape[1], :len(chosen)]
+        assert row.tolist() == _exact_energies(const, h, J, states).tolist()
 
 
 # reference gates on plain amplitude arrays: bit k of an index is qubit k,

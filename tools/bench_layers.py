@@ -1,6 +1,6 @@
 """Time the integer Ising form and the layers of the 16-qubit best-MUB pass,
-its two commands, the 9-qubit best-MUB batch, and the cold start of a fresh
-interpreter.
+its two commands, the 9-qubit best-MUB batch, the exhaustive commands and
+their kernel, and the cold start of a fresh interpreter.
 
 Run from the root of a tspvqe checkout::
 
@@ -25,6 +25,11 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
   driver on its stacked path, where the 16-qubit row runs alone;
 * ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
   writing into a temporary directory;
+* ``cmd_audit`` and ``cmd_spectrum``: the two exhaustive commands the same
+  way, on a seeded complete 4-node TSP at safe penalties in the full layout
+  (16 spins);
+* ``enumerate_20``: ``kernels.enumerate_spin_energies`` alone on a seeded
+  20-spin form, all 2^20 energies;
 * ``cold_setup``: a fresh interpreter running the set-up lines that
   ``perfbench/run.py`` times for ``setup_s`` (``import tspvqe``,
   ``build_mubs_3q()``, ``load_instance`` of the shipped instance);
@@ -76,10 +81,13 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import tspvqe  # noqa: E402
-from tspvqe import cli, dqes, ising, vqe  # noqa: E402
+from tspvqe import cli, dqes, ising, kernels, vqe  # noqa: E402
 
 NODES = 5
 SEED = 1
+# the exhaustive commands' instance, and the spins of the kernel row
+EXHAUSTIVE_NODES = 4
+ENUMERATE_SPINS = 20
 K = 2
 MAX_EVALS = 20
 # the paper-n4 batch: best-MUB starts on the shipped instance
@@ -103,13 +111,13 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def seeded_instance(seed=SEED):
-    """A complete NODES-node TSP with costs 1-20 drawn from ``seed``, at
-    safe penalties."""
+def seeded_instance(seed=SEED, nodes=NODES):
+    """A complete TSP on ``nodes`` nodes with costs 1-20 drawn from ``seed``,
+    at safe penalties."""
     rng = random.Random(seed)
     edges = tuple((u, v, rng.randint(1, 20))
-                  for u in range(1, NODES + 1) for v in range(u + 1, NODES + 1))
-    raw = tspvqe.ProblemInstance(NODES, False, "tsp", edges, 1, 1)
+                  for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1))
+    raw = tspvqe.ProblemInstance(nodes, False, "tsp", edges, 1, 1)
     return raw.with_penalties(*tspvqe.suggest_penalties(raw, "safe"))
 
 
@@ -118,8 +126,10 @@ def rows(workdir):
     call)} for every row, each set up once."""
     instance = seeded_instance()
     path = os.path.join(workdir, "n5.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(tspvqe.save_instance(instance))
+    path4 = os.path.join(workdir, "n4.json")
+    for name, written in ((path, instance), (path4, seeded_instance(nodes=EXHAUSTIVE_NODES))):
+        with open(name, "w", encoding="utf-8") as handle:
+            handle.write(tspvqe.save_instance(written))
     form = tspvqe.to_ising(tspvqe.encode_efficient(instance))
     landscape = dqes.compute_landscape(form)
     form.energy_int_vector()
@@ -139,6 +149,13 @@ def rows(workdir):
     vqe_argv = ["vqe", path, *common, "--init", "best-mubs", "--k", str(K), "--max-evals",
                 str(MAX_EVALS), "--seed", str(SEED), "--threads", "1",
                 "-o", os.path.join(workdir, "v.json")]
+    audit_argv = ["audit", path4, *common, "-o", os.path.join(workdir, "a.json")]
+    spectrum_argv = ["spectrum", path4, *common, "--layout", "full",
+                     "-o", os.path.join(workdir, "e.csv")]
+    rng = np.random.default_rng(SEED)
+    h = rng.integers(-50, 50, ENUMERATE_SPINS)
+    J = np.triu(rng.integers(-50, 50, (ENUMERATE_SPINS, ENUMERATE_SPINS)), 1)
+    J += J.T
 
     def timed(run, fresh=None):
         def once():
@@ -178,6 +195,10 @@ def rows(workdir):
             paper, paper_starts, None, PAPER_MAX_EVALS, paper_ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
+        "cmd_audit": (2, timed(lambda _: command(audit_argv))),
+        "cmd_spectrum": (2, timed(lambda _: command(spectrum_argv))),
+        "enumerate_20": (3, timed(lambda _: kernels.enumerate_spin_energies(
+            ENUMERATE_SPINS, 7, h, J))),
         "cold_setup": (1, timed(fresh_interpreter(COLD_SETUP))),
         "cold_solve": (1, timed(fresh_interpreter(
             COLD_MAIN, "solve", os.path.join("instances", "landscape.json"), "--no-timestamp",
