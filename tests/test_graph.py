@@ -92,9 +92,9 @@ def test_with_penalties_is_a_fresh_instance(variant, directed):
     else:
         assert instance.with_penalties(1, -2) == ProblemInstance(4, directed, variant, edges, 1, -2)
     for a, b in refused:
-        with pytest.raises(ValidationError) as fresh:
+        with pytest.raises(ValidationError) as built:
             ProblemInstance(4, directed, variant, edges, a, b)
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(fresh.value))}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(built.value))}$"):
             instance.with_penalties(a, b)
 
 
