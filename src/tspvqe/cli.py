@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: encode, solve, audit, spectrum, landscape, vqe.  Every command
-reads an instance file (JSON or edge-list), is deterministic given its flags
-and seed, and emits JSON or CSV.  Reports carry a timestamp unless
-``--no-timestamp`` is passed, so reruns can be compared byte for byte.
+reads an instance file, JSON or an edge list under any file name (as
+``graph.load_instance`` tells them apart, by the text), is deterministic
+given its flags and seed, and emits JSON or CSV.  Reports carry a timestamp
+unless ``--no-timestamp`` is passed, so reruns can be compared byte for
+byte.
 
 The commands pass their flags through; the library makes the decisions.
 ``landscape`` and ``vqe`` encode in ``dqes.LAYOUT``, ``encode`` and
@@ -57,12 +59,8 @@ _LAYOUT_FLAGS = {row.flag: row.name for row in layouts.LAYOUTS}
 
 
 def _read_instance(args):
-    path = args.instance
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "edge_list" if path.endswith((".txt", ".edges", ".edgelist")) else "json"
-    with _open(path, "rb") as handle:
-        instance = load_instance(handle, format=fmt)
+    with _open(args.instance, "rb") as handle:
+        instance = load_instance(handle)
     return _apply_penalties(instance, args)
 
 
@@ -94,14 +92,16 @@ def _check_output(path):
     """Refuse an ``-o`` path that does not open for writing, before any work.
 
     It is opened for appending, so an existing file keeps its bytes, and a
-    file the check made is removed again.
+    file the check made is removed again: the file a symlink names, never
+    the link.
     """
     if not path or path == "-":
         return
-    existed = os.path.lexists(path)
+    target = os.path.realpath(path)
+    existed = os.path.exists(target)
     _open(path, "ab").close()
     if not existed:
-        os.remove(path)
+        os.remove(target)
 
 
 def _emit(args, chunks):
@@ -223,12 +223,6 @@ def cmd_vqe(args) -> int:
 
 def _add_common(parser):
     parser.add_argument("instance", help="instance file (JSON or edge list)")
-    parser.add_argument(
-        "--format",
-        choices=("auto", "json", "edge_list"),
-        default="auto",
-        help="instance file format (default: by extension)",
-    )
     parser.add_argument("-o", "--output", default="-", help="output path (default: stdout)")
     parser.add_argument(
         "--no-timestamp",

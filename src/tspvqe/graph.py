@@ -1,6 +1,7 @@
 """Problem instances: weighted graphs, variants, penalties, and file I/O.
 
-Two on-disk formats are supported and documented in the README:
+Two on-disk formats are supported and documented in the README;
+``load_instance`` tells them apart by the text, under any file name:
 
 JSON::
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -164,18 +166,22 @@ def _read_text(source) -> str:
     return data
 
 
-def load_instance(source, format: str = "json") -> ProblemInstance:
-    """Parse an instance from text, bytes, or a file object.
+# a JSON instance is an object; an edge-list header starts with the node
+# count or a '#' comment
+_JSON_START = re.compile(r"\s*[{\[]")
+
+
+def load_instance(source) -> ProblemInstance:
+    """Parse an instance from text, bytes, or a file object: JSON when its
+    first non-blank character is ``{`` or ``[``, else an edge list.
 
     Raises ParseError (with a locus) on malformed input and ValidationError
     on semantic problems such as duplicate edges or non-positive penalties.
     """
     text = _read_text(source)
-    if format == "json":
+    if _JSON_START.match(text):
         return _load_json(text)
-    if format == "edge_list":
-        return _load_edge_list(text)
-    raise ValidationError(f"unknown instance format {format!r}")
+    return _load_edge_list(text)
 
 
 def _load_json(text: str) -> ProblemInstance:

@@ -119,6 +119,58 @@ def test_output_path_checked_before_any_work(command, tmp_path, monkeypatch, cap
     assert not new.exists()
 
 
+def test_output_through_a_symlink_leaves_no_stray_file(tmp_path):
+    # the check removes the file it made through the link, never the link
+    target, link = tmp_path / "target.json", tmp_path / "link"
+    link.symlink_to(target)
+    assert main(["solve", str(tmp_path / "missing.json"), "-o", str(link)]) == 2
+    assert link.is_symlink() and not target.exists()
+    assert main(["solve", LANDSCAPE, "--no-timestamp", "-o", str(link)]) == 0
+    written = target.read_bytes()
+    assert json.loads(written)["optimal_cost"] == 13
+    assert main(["solve", str(tmp_path / "missing.json"), "-o", str(link)]) == 2
+    assert target.read_bytes() == written
+
+
+_COMMANDS = {
+    "encode": ["--form", "ising"], "solve": [], "audit": [], "spectrum": [], "landscape": [],
+    "vqe": ["--k", "2", "--max-evals", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_reads_both_formats_under_any_name(command, tmp_path):
+    # the format is told from the text, so the file name plays no part
+    for name in (LANDSCAPE, COUNTER):
+        source = pathlib.Path(name)
+        edge_list = tspvqe.save_instance(load_instance(source.read_bytes()), "edge_list")
+        copies = {"edges.txt": edge_list, "edges.edges": edge_list, "edges": edge_list,
+                  "json.txt": source.read_text()}
+        for copy, text in copies.items():
+            (tmp_path / copy).write_text(text)
+        outputs = []
+        for path in [source, *(tmp_path / copy for copy in copies)]:
+            out = tmp_path / "out"
+            argv = [command, str(path), *_COMMANDS[command], "--no-timestamp", "-o", str(out)]
+            assert main(argv) == 0, path.name
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * len(copies)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty edge-list input"),
+    ("[[1, 2, 1]]", "top level: expected a JSON object"),
+    ("a line of words", "line 1: header needs 'N directed variant A B'"),
+], ids=["empty", "json-array", "words"])
+def test_text_of_neither_format_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "instance"
+    path.write_text(text)
+    for command in _COMMANDS:
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr()
+        assert err.out == "" and err.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("edges", [
     '[[1, 2, "1e4300"], [2, 3, 1], [1, 3, 1]]',  # 10^4300: 4,301 digits
     f'[[1, 2, {"9" * 4301}], [2, 3, 1], [1, 3, 1]]',  # an integer literal of 4,301 digits
@@ -295,9 +347,12 @@ def test_huge_instance_encode_refused_before_encoding(layout, tmp_path, monkeypa
     ["vqe", "--tol", "1e-6"],
     ["audit", "--cap", "24"],
     ["spectrum", "--cap", "24"],
-], ids=["vqe-rho-start", "vqe-rho-end", "vqe-tol", "audit-cap", "spectrum-cap"])
+    *([command, "--format", "json"] for command in _COMMANDS),
+], ids=["vqe-rho-start", "vqe-rho-end", "vqe-tol", "audit-cap", "spectrum-cap",
+        *(f"{command}-format" for command in _COMMANDS)])
 def test_removed_flags_refused_by_the_parser(argv, capsys):
-    # rotation descent's settings are constants of vqe, and SPIN_CAP the one spin cap
+    # rotation descent's settings are constants of vqe, SPIN_CAP the one spin
+    # cap, and the instance format is told from the text
     with pytest.raises(SystemExit) as exc:
         main([argv[0], LANDSCAPE, *argv[1:]])
     assert exc.value.code == 2

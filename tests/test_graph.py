@@ -137,14 +137,22 @@ def test_save_load_round_trip():
     for _ in range(40):
         inst = _random_instance(rng)
         for fmt in ("json", "edge_list"):
-            again = load_instance(save_instance(inst, fmt), format=fmt)
+            again = load_instance(save_instance(inst, fmt))
             assert again == inst
 
 
 def test_edge_list_format(counterexample_instance):
     text = save_instance(counterexample_instance, "edge_list")
     assert text.splitlines()[0] == "4 undirected tsp 11 1"
-    assert load_instance(text, format="edge_list") == counterexample_instance
+    assert load_instance(text) == counterexample_instance
+
+
+def test_format_from_the_first_non_blank_character(counterexample_instance):
+    # blank lines before a JSON object, and a '#' comment before an edge-list header
+    text = save_instance(counterexample_instance)
+    assert load_instance(" \n\t" + text) == counterexample_instance
+    text = save_instance(counterexample_instance, "edge_list")
+    assert load_instance("\n# a comment\n" + text) == counterexample_instance
 
 
 def test_directed_must_be_a_json_bool():
@@ -190,7 +198,7 @@ def test_numpy_ints_build_an_instance_of_plain_ints():
     assert type(inst.node_count) is int
     assert {type(x) for u, v, c in inst.edges for x in (u, v)} == {int}
     for fmt in ("json", "edge_list"):
-        assert load_instance(save_instance(inst, fmt), format=fmt) == plain
+        assert load_instance(save_instance(inst, fmt)) == plain
     with pytest.raises(ValidationError, match="node_count"):
         ProblemInstance(np.bool_(True), False, "cycle", (), 1, 1)
     with pytest.raises(ValidationError, match="node ids must be integers"):
@@ -238,7 +246,7 @@ def test_rationals_of_4300_digits_are_kept_and_written_back(value, digits):
     cost = inst.cost(1, 2)
     assert len(str(cost.numerator if digits > 0 else cost.denominator)) == abs(digits)
     for fmt in ("json", "edge_list"):
-        assert load_instance(save_instance(inst, fmt), format=fmt) == inst
+        assert load_instance(save_instance(inst, fmt)) == inst
 
 
 @pytest.mark.parametrize("value", list(PAST_CAP.values()), ids=list(PAST_CAP))

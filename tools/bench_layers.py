@@ -1,6 +1,7 @@
-"""Time the integer Ising form and the layers of the 16-qubit best-MUB pass,
-its two commands, the 9-qubit best-MUB batch, the exhaustive commands and
-their kernel, and the cold start of a fresh interpreter.
+"""Time the instance reader, the integer Ising form and the layers of the
+16-qubit best-MUB pass, its two commands, a 16-qubit random-start run, the
+9-qubit best-MUB batch, the exhaustive commands and their kernel, and the
+cold start of a fresh interpreter.
 
 Run from the root of a tspvqe checkout::
 
@@ -12,6 +13,9 @@ The pass is the one the ``vqe-n5`` benchmark workload runs: on a seeded
 complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
 ``landscape``, then ``vqe --init best-mubs --k 2 --max-evals 20``.  The rows:
 
+* ``load_instance``: ``tspvqe.load_instance`` on the JSON text of the shipped
+  instance, ``instances/landscape.json``, the read every command and the
+  benchmark's set-up make;
 * ``int_form_16``: ``to_ising`` of a fresh efficient encoding of that
   instance, then its ``to_int_arrays()`` and its 2^16 ``energy_int_vector()``;
 * ``compute_landscape``: on a fresh Ising form, as the command calls it;
@@ -19,10 +23,13 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
 * ``spectrum_csv_rows``: the 16-spin spectrum CSV into a buffer, its
   energies enumerated beforehand;
 * ``run_lockstep``: the best-MUB k=2 batch at 20 evaluations;
+* ``run_lockstep_16_random``: one run at 20 evaluations from the random
+  start and optimizer seed that ``run_experiment`` gives the first run of
+  seed 1, the only row whose states fill all 2^16 amplitudes;
 * ``run_lockstep_9q``: the best-MUB k=10 batch at 300 evaluations on the
-  shipped 9-qubit instance, ``instances/landscape.json``, with the starts and
-  seeds the ``paper-n4`` benchmark workload's seed-1 batch runs: the same
-  driver on its stacked path, where the 16-qubit row runs alone;
+  shipped 9-qubit instance, with the starts and seeds the ``paper-n4``
+  benchmark workload's seed-1 batch runs: the same driver on its stacked
+  path, where the 16-qubit rows run alone;
 * ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
   writing into a temporary directory;
 * ``cmd_audit`` and ``cmd_spectrum``: the two exhaustive commands the same
@@ -136,9 +143,13 @@ def rows(workdir):
     ground = float(tspvqe.ground_states(form)[0])
     starts = [(vqe.MubInit(r.positions, r.basis, r.element), 2 * i)
               for i, r in enumerate(dqes.best_k(landscape, K))]
+    # run_experiment's first random start and optimizer seed
+    random_start = [(vqe.RandomInit(seed=SEED * dqes._SEED_STRIDE + 1),
+                     SEED * dqes._SEED_STRIDE)]
     ansatz = vqe.AnsatzConfig(n=form.n)
-    with open(os.path.join(ROOT, "instances", "landscape.json"), "rb") as handle:
-        paper = tspvqe.to_ising(tspvqe.encode_efficient(tspvqe.load_instance(handle)))
+    with open(os.path.join(ROOT, "instances", "landscape.json"), encoding="utf-8") as handle:
+        paper_text = handle.read()
+    paper = tspvqe.to_ising(tspvqe.encode_efficient(tspvqe.load_instance(paper_text)))
     paper_ground = float(tspvqe.ground_states(paper)[0])
     # run_experiment's starts and optimizer seeds
     paper_starts = [(vqe.MubInit(r.positions, r.basis, r.element),
@@ -185,12 +196,15 @@ def rows(workdir):
         form.energy_int_vector()
 
     return {
+        "load_instance": (100, timed(lambda _: tspvqe.load_instance(paper_text))),
         "int_form_16": (5, timed(int_form, lambda: tspvqe.encode_efficient(instance))),
         "compute_landscape": (5, timed(dqes.compute_landscape, fresh_form)),
         "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
         "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
         "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
             form, starts, ansatz, MAX_EVALS, ground))),
+        "run_lockstep_16_random": (1, timed(lambda _: vqe.run_lockstep(
+            form, random_start, ansatz, MAX_EVALS, ground))),
         "run_lockstep_9q": (1, timed(lambda _: vqe.run_lockstep(
             paper, paper_starts, None, PAPER_MAX_EVALS, paper_ground))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
@@ -288,16 +302,16 @@ def compare(parent_path, change_path):
         env = report["env"]
         print(f"{side}: {report['label']}, commit {env.get('commit')}, "
               f"src_modified {env.get('src_modified')}")
-    print(f"{'row (ms)':20s} {'A median [q1-q3]':>23s} {'B median [q1-q3]':>23s}  change"
+    print(f"{'row (ms)':22s} {'A median [q1-q3]':>23s} {'B median [q1-q3]':>23s}  change"
           f"{'':9s}{'A min':>9s} {'B min':>9s}  change")
     for name in {**parent["rows"], **change["rows"]}:
         if name not in parent["rows"] or name not in change["rows"]:
-            print(f"{name:20s} only in {'B' if name in change['rows'] else 'A'}")
+            print(f"{name:22s} only in {'B' if name in change['rows'] else 'A'}")
             continue
         a, b = parent["rows"][name], change["rows"][name]
         gap = b["median"] - a["median"]
         inside = "inside" if abs(gap) <= a["q3"] - a["q1"] else ""
-        print(f"{name:20s} {a['median']:9.3f} [{a['q1']:.3f}-{a['q3']:.3f}]"
+        print(f"{name:22s} {a['median']:9.3f} [{a['q1']:.3f}-{a['q3']:.3f}]"
               f" {b['median']:9.3f} [{b['q1']:.3f}-{b['q3']:.3f}]"
               f"  {100 * gap / a['median']:+6.1f}% {inside:6s}"
               f" {a['min']:9.3f} {b['min']:9.3f}  {100 * (b['min'] - a['min']) / a['min']:+6.1f}%")
@@ -326,7 +340,7 @@ def main(argv=None):
     report = {"label": args.label, "env": environment(),
               "rows": {name: summary(values) for name, values in samples.items()}}
     for name, row in report["rows"].items():
-        print(f"{name:20s} min {row['min']:8.3f}  median {row['median']:8.3f}  "
+        print(f"{name:22s} min {row['min']:8.3f}  median {row['median']:8.3f}  "
               f"q1-q3 {row['q1']:.3f}-{row['q3']:.3f} ms")
     if args.smoke:
         if not all(row["min"] > 0 for row in report["rows"].values()):
