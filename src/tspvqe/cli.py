@@ -93,15 +93,15 @@ def _check_output(path):
 
     It is opened for appending, so an existing file keeps its bytes, and a
     file the check made is removed again: the file a symlink names, never
-    the link.
+    the link.  Whether it existed is asked of the path itself, following
+    links, so ``/dev/stdout`` on a pipe counts as existing.
     """
     if not path or path == "-":
         return
-    target = os.path.realpath(path)
-    existed = os.path.exists(target)
+    existed = os.path.exists(path)
     _open(path, "ab").close()
     if not existed:
-        os.remove(target)
+        os.remove(os.path.realpath(path))
 
 
 def _emit(args, chunks):

@@ -156,14 +156,11 @@ class ProblemInstance:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
+    data = source if isinstance(source, (str, bytes)) else source.read()
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return data
+    # a leading byte-order mark is not blank, so it would hide a JSON '{'
+    return data.removeprefix("\ufeff")
 
 
 # a JSON instance is an object; an edge-list header starts with the node

@@ -37,6 +37,13 @@ LANDSCAPE = str(INSTANCE_DIR / "landscape.json")
 COUNTER = str(INSTANCE_DIR / "counterexample.json")
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this ``tspvqe``."""
+    src = str(pathlib.Path(tspvqe.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_json(tmp_path, args, name="out.json"):
     out = tmp_path / name
     code = main(args + ["--no-timestamp", "-o", str(out)])
@@ -130,6 +137,18 @@ def test_output_through_a_symlink_leaves_no_stray_file(tmp_path):
     assert json.loads(written)["optimal_cost"] == 13
     assert main(["solve", str(tmp_path / "missing.json"), "-o", str(link)]) == 2
     assert target.read_bytes() == written
+
+
+def test_output_to_dev_stdout_on_a_pipe(tmp_path):
+    # /dev/stdout resolves to a pipe no path names; the check must not
+    # take it for a file it made and try to remove it
+    out = tmp_path / "out.json"
+    assert main(["solve", LANDSCAPE, "--no-timestamp", "-o", str(out)]) == 0
+    done = subprocess.run(
+        [sys.executable, "-m", "tspvqe.cli", "solve", LANDSCAPE, "--no-timestamp",
+         "-o", "/dev/stdout"], capture_output=True, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == out.read_bytes()
 
 
 _COMMANDS = {
@@ -711,11 +730,8 @@ def test_stdout_gets_the_bytes_of_the_output_file(command, tmp_path):
     # the text layer's pending output; a real process, not a captured stream
     out = tmp_path / "out"
     assert main(command + ["--no-timestamp", "-o", str(out)]) == 0
-    src = str(pathlib.Path(tspvqe.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", _STDOUT_RUNNER, *command, "--no-timestamp"],
-                          capture_output=True, env=env, check=True)
+                          capture_output=True, env=_child_env(), check=True)
     assert done.stdout == b"first line\n" + 2 * out.read_bytes()
 
 
@@ -730,12 +746,9 @@ def test_text_only_stdout_gets_the_decoded_text(tmp_path):
 def test_closed_stdout_exits_1_without_a_traceback():
     # the landscape CSV (6,048 rows) is larger than a pipe holds, so the
     # command is still writing when the reader closes the pipe
-    src = str(pathlib.Path(tspvqe.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     reader = subprocess.Popen(
         [sys.executable, "-m", "tspvqe.cli", "landscape", LANDSCAPE],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     assert len(reader.stdout.read(20)) == 20
     reader.stdout.close()
     assert reader.wait(timeout=60) == 1

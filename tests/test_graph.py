@@ -1,3 +1,4 @@
+import io
 import random
 import re
 from fractions import Fraction
@@ -153,6 +154,11 @@ def test_format_from_the_first_non_blank_character(counterexample_instance):
     assert load_instance(" \n\t" + text) == counterexample_instance
     text = save_instance(counterexample_instance, "edge_list")
     assert load_instance("\n# a comment\n" + text) == counterexample_instance
+    # a byte-order mark before either format is dropped, from text or bytes
+    for fmt in ("json", "edge_list"):
+        text = "\ufeff" + save_instance(counterexample_instance, fmt)
+        for source in (text, text.encode(), io.BytesIO(text.encode())):
+            assert load_instance(source) == counterexample_instance
 
 
 def test_directed_must_be_a_json_bool():
