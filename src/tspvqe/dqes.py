@@ -8,9 +8,10 @@ each of its triple's 8 support states, so the 64 records of bases 1-8 of a
 triple share one energy, and the landscape is held as one row of nine
 entries per triple: the 8 elements of basis 0, then that shared one.  Each
 energy is an exact rational, computed from integer keys with no float
-contraction, so ranks and best-k selections follow the exact (energy,
-record index) order on every platform.  Records are built only when they
-are read.  The CSV is rendered as bytes by ``ising.render_rows``.
+contraction, and best-k selections sort the keys themselves, so they
+follow the exact (energy, record index) order on every platform.  Records
+are built only when they are read.  The CSV is rendered as bytes by
+``ising.render_rows``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .encoder import spin_form
 from .errors import SizeCapError, ValidationError
 from .graph import ProblemInstance
 from .ising import IsingPolynomial, cell_table, join_cells, render_rows, stable_order
-from .layouts import MODES, is_int
+from .layouts import MODES, checked_int
 from .vqe import (
     CONVERGENCE_TOL,
     OPTIMIZER,
@@ -67,7 +68,6 @@ class LandscapeRecord:
     basis: int
     element: int
     energy: float
-    rank: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +75,25 @@ class Landscape(Sequence):
     """The landscape records of one Hamiltonian, held as read-only tables.
 
     ``triples`` is the (C(n,3), 3) table of qubit triples.  ``energy_table``
-    and ``rank_table`` are (C(n,3), 9) tables of the energies and their dense
-    ranks: column e < 8 of row t is element e of basis 0 on triple t, and
-    column 8 stands for the 64 records of bases 1-8 on it, which share one
-    energy.  Record i embeds element i % 8 of basis i // 8 % 9 on triple
-    i // 72; indexing builds that ``LandscapeRecord`` on demand, and a slice
-    gives a list of them.
+    and ``key_table`` are (C(n,3), 9) tables of the energies and their exact
+    keys (each energy is its key over one shared denominator, so the keys
+    order the energies exactly): column e < 8 of row t is element e of
+    basis 0 on triple t, and column 8 stands for the 64 records of bases
+    1-8 on it, which share one energy.  Record i embeds element i % 8 of
+    basis i // 8 % 9 on triple i // 72; indexing builds that
+    ``LandscapeRecord`` on demand, and a slice gives a list of them.
     """
 
     triples: np.ndarray
     energy_table: np.ndarray
-    rank_table: np.ndarray
+    key_table: np.ndarray
 
     def __post_init__(self):
         shape = (len(self.triples), 9)
-        if not self.energy_table.shape == self.rank_table.shape == shape:
+        if not self.energy_table.shape == self.key_table.shape == shape:
             raise ValidationError(f"landscape tables must have shape {shape}, got "
-                                  f"{self.energy_table.shape} and {self.rank_table.shape}")
-        for array in (self.triples, self.energy_table, self.rank_table):
+                                  f"{self.energy_table.shape} and {self.key_table.shape}")
+        for array in (self.triples, self.energy_table, self.key_table):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -110,7 +111,6 @@ class Landscape(Sequence):
             basis=basis_element // 8,
             element=basis_element % 8,
             energy=float(self.energy_table[triple, column]),
-            rank=int(self.rank_table[triple, column]),
         )
 
 
@@ -122,29 +122,20 @@ def landscape_size(n: int) -> int:
     return math.comb(n, 3) * _RECORDS_PER_TRIPLE
 
 
-def _check_k(k: int, records: int):
-    """Refuse a best-MUB ``k`` that is not an int in 1..``records``, the
-    records of its landscape."""
-    if not is_int(k):
-        raise ValidationError(f"k must be an int, got {k!r}")
-    if not 1 <= k <= records:
-        raise ValidationError(f"k must be in 1..{records}, got {k}")
-
-
 def compute_landscape(ising: IsingPolynomial):
     """Energies of all embedded MUB states, as a ``Landscape`` of one row of
     nine entries per triple.
 
     Each energy is its key over 8 x scale, correctly rounded.  The key is 8
     x E of support state e for basis 0 element e (column e), and the sum of
-    the triple's 8 support energies for bases 1-8 (column 8); ranks are the
-    dense ranks of the 9 x C(n,3) keys.  The support energies are scaled
-    ints from the coefficients of ``to_int_arrays``, each triple's 8 by the
-    enumeration kernel's recurrence on its 3 spins alone, so no 2^n vector
-    is built.  Keys are int64 while 8 x scale and each support energy are
-    below 2^50 (keys below 2^53 divide exactly), else Python ints.  A form
-    above ``layouts.SPIN_CAP`` spins is refused before its C(n,3) qubit
-    triples are built.
+    the triple's 8 support energies for bases 1-8 (column 8), kept as the
+    ``key_table``.  The support energies are scaled ints from the
+    coefficients of ``to_int_arrays``, each triple's 8 by the enumeration
+    kernel's recurrence on its 3 spins alone, so no 2^n vector is built.
+    Keys are int64 while 8 x scale and each support energy are below 2^50
+    (keys below 2^53 divide exactly), else Python ints.  A form above
+    ``layouts.SPIN_CAP`` spins is refused before its C(n,3) qubit triples
+    are built.
     """
     n = ising.n
     landscape_size(n)
@@ -161,21 +152,20 @@ def compute_landscape(ising: IsingPolynomial):
     keys = np.empty((len(triples), 9), dtype=support.dtype)
     keys[:, :8] = 8 * support
     keys[:, 8] = support.sum(axis=1)
-    ranks = np.searchsorted(_distinct(keys.reshape(-1)), keys)
-    return Landscape(triples, (keys / denominator).astype(np.float64, copy=False), ranks)
+    return Landscape(triples, (keys / denominator).astype(np.float64, copy=False), keys)
 
 
 def best_k(landscape: Landscape, k: int):
     """The k lowest-energy records, in exact (energy, record index) order.
 
-    The table's entries in stable rank order give that order: the records
+    The table's entries in stable key order give that order: the records
     of an entry are contiguous, and the 64 of a triple's column 8 come after
     its basis-0 ones.  Each column-8 entry is expanded into its 64 records
-    until there are k.
+    until there are k, an int in 1..len(landscape).
     """
-    _check_k(k, len(landscape))
+    k = checked_int("k", k, 1, len(landscape))
     # every entry holds at least one record, so the first k entries hold the k
-    entries = stable_order(landscape.rank_table)[:k]
+    entries = stable_order(landscape.key_table)[:k]
     triple, column = np.divmod(entries, 9)
     first = (triple * _RECORDS_PER_TRIPLE + column).tolist()
     records = itertools.chain.from_iterable(
@@ -197,8 +187,8 @@ def _index_cells():
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``values``, ascending: the ``np.unique`` of
-    an int64 or Python-int array, in a quarter of its time with numpy 2.4."""
+    """The distinct entries of int64 ``values``, ascending: their
+    ``np.unique``, in a quarter of its time with numpy 2.4."""
     ordered = np.sort(values)
     keep = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
@@ -318,22 +308,12 @@ def run_experiment(
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
-    for name, value in (("k", k), ("seed", seed), ("max_evals", max_evals),
-                        ("threads", threads)):
-        if not is_int(value):
-            raise ValidationError(f"{name} must be an int, got {value!r}")
-    # a numpy int would reach the report
-    k, seed, max_evals, threads = int(k), int(seed), int(max_evals), int(threads)
-    if mode != "zeros" and k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
+    k = checked_int("k", k, None if mode == "zeros" else 1)
     if mode == "best_mubs":
-        _check_k(k, landscape_size(n))
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    if max_evals < 1:
-        raise ValidationError(f"max_evals must be at least 1, got {max_evals}")
-    if threads < 1:
-        raise ValidationError(f"threads must be at least 1, got {threads}")
+        k = checked_int("k", k, 1, landscape_size(n))
+    seed = checked_int("seed", seed, 0)
+    max_evals = checked_int("max_evals", max_evals, 1)
+    threads = checked_int("threads", threads, 1)
     runs = 1 if mode == "zeros" else k
     recorded = runs * (max_evals + ansatz.parameter_count)
     if recorded > layouts.RECORD_CAP:

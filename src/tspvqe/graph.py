@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .layouts import is_int
+from .layouts import checked_int, is_int
 from .rationals import RATIONAL_DIGITS, parse_rational, rational_to_json
 
 VARIANTS = ("hamiltonian_cycle", "hamiltonian_path", "tsp")
@@ -72,10 +72,7 @@ class ProblemInstance:
     _cost: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.node_count
-        if not is_int(n) or n < 1:
-            raise ValidationError(f"node_count must be a positive integer, got {n!r}")
-        n = int(n)  # a numpy int would reach the JSON
+        n = checked_int("node_count", self.node_count, 1)
         object.__setattr__(self, "node_count", n)
         if not isinstance(self.directed, bool):
             raise ValidationError(f"directed must be True or False, got {self.directed!r}")

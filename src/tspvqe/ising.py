@@ -261,14 +261,15 @@ def spectrum_csv_rows(ising: IsingPolynomial):
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
-    """The flat indices of int64 ``values`` sorted by value, ties by index.
+    """The flat indices of ``values``, int64 or Python ints, sorted by value,
+    ties by index.
 
     Where the offset of a value from the minimum and its index fit in 64
     bits side by side, each is packed into one unsigned key, offset << b |
     index, with b the bit length of the last index: in uint32 when the keys
     fit, else uint64.  The keys are distinct, so any sort of them gives the
-    stable order, and the index is masked back out.  Wider spans take the
-    int64 stable sort.  The span cannot overflow int64: every |value| < 2^62.
+    stable order, and the index is masked back out.  Wider spans take
+    numpy's stable sort.  An int64 span cannot overflow: every |value| < 2^62.
     """
     low = values.min()
     b = (values.size - 1).bit_length()

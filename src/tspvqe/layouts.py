@@ -26,6 +26,9 @@ count with ``check_terms``.  An ansatz has at most ``LAYER_CAP`` layers,
 and a VQE batch records at most ``RECORD_CAP`` numbers: one per evaluation
 of each run's history, and each run's final parameters.
 
+Every setting that is one integer (a qubit count, a seed, a batch size)
+is read by ``checked_int``, which refuses it in one message shape.
+
 ``MODES`` (the experiment modes of ``dqes``) and ``ENTANGLERS`` (the
 ansatz entanglers of ``vqe``) are stated here, where the CLI's parser reads
 them without importing numpy; each first entry is the default.
@@ -125,6 +128,23 @@ def is_int(value):
     """Whether ``value`` is an integer, a numpy one included, and not a bool
     (JSON ``true`` loads as ``True``)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def checked_int(name, value, low=None, high=None):
+    """``value`` as a plain int, refused with ``ValidationError`` when
+    ``is_int`` says it is not one, when it is below ``low``, or when it lies
+    outside ``low``..``high`` (a ``high`` comes with a ``low``).
+
+    The one check of every single-integer setting: a numpy int is accepted
+    and stored as the plain int a report writes."""
+    if not is_int(value):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def is_bit(value):

@@ -91,7 +91,7 @@ import numpy as np
 from . import kernels, layouts
 from .errors import SizeCapError, ValidationError
 from .ising import IsingPolynomial
-from .layouts import ENTANGLERS, is_int
+from .layouts import ENTANGLERS, checked_int, is_int
 from .quantum import build_mubs_3q
 
 # amplitudes per ansatz kernel call in a lockstep group; groups are sized for
@@ -116,21 +116,13 @@ class AnsatzConfig:
     entangler: str = "linear_rzz"
 
     def __post_init__(self):
-        for name in ("n", "layers"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValidationError(f"ansatz {name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy int would reach the report
-            if name == "n":  # a qubit count above the cap is refused before any other field
-                layouts.check_spins(self.n, "vqe")
-        if self.n < 1:
-            raise ValidationError(f"ansatz needs at least one qubit, got {self.n}")
+        object.__setattr__(self, "n", checked_int("ansatz n", self.n, 1))
+        layouts.check_spins(self.n, "vqe")  # before any other field
+        object.__setattr__(self, "layers", checked_int("ansatz layers", self.layers, 1))
         if self.entangler not in ENTANGLERS:
             raise ValidationError(f"unknown entangler {self.entangler!r}")
         if self.ring and self.n < 3:  # a smaller ring repeats a pair, or pairs a qubit with itself
             raise ValidationError(f"ring_rzz needs at least 3 qubits, got {self.n}")
-        if self.layers < 1:
-            raise ValidationError("ansatz needs at least one layer")
         if self.layers > layouts.LAYER_CAP:
             raise SizeCapError(f"ansatz capped at {layouts.LAYER_CAP} layers, got {self.layers}")
 
@@ -169,9 +161,12 @@ class ZerosInit:
 @dataclass(frozen=True)
 class RandomInit:
     """Product of per-qubit Ry(alpha)Rz(beta) rotations with seeded angles,
-    held on every qubit."""
+    held on every qubit.  The seed is a non-negative int."""
 
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", checked_int("seed", self.seed, 0))
 
     def label(self) -> str:
         return f"random({self.seed})"
@@ -194,23 +189,22 @@ class MubInit:
     ``positions``, three distinct and ascending; every other qubit is |0>.
 
     The start is held on the qubits it occupies, read from the record: all
-    three positions in bases 1-8, and in basis 0 those its element sets."""
+    three positions in bases 1-8, and in basis 0 those its element sets.
+    Every field is stored as plain ints, the positions as a tuple."""
 
     positions: tuple
     basis: int
     element: int
 
     def __post_init__(self):
-        for name, count in (("basis", 9), ("element", 8)):
-            value = getattr(self, name)
-            if not (is_int(value) and 0 <= value < count):
-                raise ValidationError(f"MUB {name} must be an int in 0..{count - 1}, "
-                                      f"got {value!r}")
+        object.__setattr__(self, "basis", checked_int("MUB basis", self.basis, 0, 8))
+        object.__setattr__(self, "element", checked_int("MUB element", self.element, 0, 7))
         positions = tuple(self.positions)
         if not (len(positions) == 3 and all(map(is_int, positions))
                 and 0 <= positions[0] < positions[1] < positions[2]):
             raise ValidationError(f"MUB positions must be three distinct ascending qubits, "
                                   f"got {positions}")
+        object.__setattr__(self, "positions", tuple(map(int, positions)))
 
     def label(self) -> str:
         pos = "-".join(str(p) for p in self.positions)
@@ -218,10 +212,9 @@ class MubInit:
 
     def build(self, n: int):
         if self.positions[-1] >= n:
-            raise ValidationError(f"positions {tuple(self.positions)} out of range "
-                                  f"for {n} qubits")
+            raise ValidationError(f"positions {self.positions} out of range for {n} qubits")
         occupied = tuple(i for i in range(3) if self.basis or self.element >> i & 1)
-        held = tuple(int(self.positions[i]) for i in occupied)
+        held = tuple(self.positions[i] for i in occupied)
         amplitudes = build_mubs_3q()[self.basis, self.element, kernels.basis_indices(occupied)]
         return held, amplitudes, None
 
@@ -429,8 +422,12 @@ def run_lockstep(
     Expectations are exact state-vector averages (no sampling noise).  When
     ``ground_energy`` is given a run stops as soon as its energy is within
     ``CONVERGENCE_TOL`` (relative) of it; otherwise convergence stays False
-    and each run goes until it runs out of evaluations.
+    and each run goes until it runs out of evaluations.  A ``max_evals``
+    below 1 or a seed that is not a non-negative int is refused before any
+    start is built.
     """
+    max_evals = checked_int("max_evals", max_evals, 1)
+    starts = [(init, checked_int("seed", seed, 0)) for init, seed in starts]
     ansatz = ansatz or AnsatzConfig(n=ising.n)
     if ansatz.n != ising.n:
         raise ValidationError("ansatz qubit count must match the Hamiltonian")

@@ -105,8 +105,7 @@ def _landscape_reference(ising):
 
     The reference for the array-backed landscape: per qubit triple, the 8
     support indices bit by bit, their energies from the float vector, and
-    one 8x8 probability-matrix product per basis; dense ranks on energies
-    rounded to 1e-9.
+    one 8x8 probability-matrix product per basis.
     """
     mubs = build_mubs_3q()
     prob_rows = [np.abs(mubs[b]) ** 2 for b in range(9)]
@@ -121,11 +120,8 @@ def _landscape_reference(ising):
             energies = prob_rows[basis] @ support_energies
             for element in range(8):
                 raw.append((positions, basis, element, float(energies[element])))
-    rounded = np.round([r[3] for r in raw], 9)
-    ranks = np.searchsorted(np.unique(rounded), rounded)
     return [
-        LandscapeRecord(index=i, positions=r[0], basis=r[1], element=r[2],
-                        energy=r[3], rank=int(ranks[i]))
+        LandscapeRecord(index=i, positions=r[0], basis=r[1], element=r[2], energy=r[3])
         for i, r in enumerate(raw)
     ]
 

@@ -555,7 +555,7 @@ class TestVqeCommand:
     def test_negative_seed_exits_2(self, init, capsys):
         assert main(["vqe", LANDSCAPE, "--no-timestamp", "--init", init, "--seed", "-1"]) == 2
         err = capsys.readouterr()
-        assert err.out == "" and err.err == "error: seed must be non-negative, got -1\n"
+        assert err.out == "" and err.err == "error: seed must be at least 0, got -1\n"
 
     def test_rotation_probe_refused_before_encoding(self, monkeypatch, capsys):
         def unreachable(*args, **kwargs):

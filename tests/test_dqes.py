@@ -27,7 +27,13 @@ from tspvqe import (
 )
 from tspvqe import cli, kernels, vqe
 from tspvqe.encoder import encode
-from tspvqe.dqes import _BASIS_ELEMENT_CELLS, _RECORDS_PER_TRIPLE, _SEED_STRIDE, landscape_csv_rows
+from tspvqe.dqes import (
+    _BASIS_ELEMENT_CELLS,
+    _RECORD_COLUMN,
+    _RECORDS_PER_TRIPLE,
+    _SEED_STRIDE,
+    landscape_csv_rows,
+)
 from tspvqe.vqe import (
     AnsatzConfig,
     MubInit,
@@ -78,6 +84,17 @@ def _seeded_ising_16():
     return to_ising(encode_efficient(_seeded_instance_16()))
 
 
+def _record_keys(landscape) -> list:
+    """The key of every record, in record order, from the nine-column table."""
+    return landscape.key_table[:, _RECORD_COLUMN].reshape(-1).tolist()
+
+
+def _dense_ranks(values) -> list:
+    """The dense rank of each of ``values``: 0 for the least."""
+    level = {value: rank for rank, value in enumerate(sorted(set(values)))}
+    return [level[value] for value in values]
+
+
 class TestLandscape:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10, 12])
     def test_record_count_formula(self, n):
@@ -100,7 +117,7 @@ class TestLandscape:
         }
         assert {r.positions for r in minima} == expected_positions
         assert all(r.basis == 0 and r.element == 7 for r in minima)
-        assert all(r.rank == 0 for r in minima)
+        assert best_k(landscape_records, 2) == minima  # the least key, ties by index
 
     def test_minimum_not_above_low_weight_basis_states(self, landscape_ising,
                                                        landscape_records):
@@ -123,8 +140,9 @@ class TestLandscape:
             (r.positions, r.basis, r.element) for r in landscape_records
         ]
         assert [r.energy for r in again] == [r.energy for r in landscape_records]
-        ranks = {r.rank for r in landscape_records}
-        assert min(ranks) == 0
+        assert _record_keys(again) == _record_keys(landscape_records)
+        # one distinct key, and so one dense rank, per distinct exact energy
+        ranks = _dense_ranks(_record_keys(landscape_records))
         assert max(ranks) == len(set(landscape_fractions(landscape_ising))) - 1
 
     def test_too_few_qubits_rejected(self):
@@ -190,7 +208,9 @@ class TestAgainstReference:
         np.testing.assert_array_max_ulp(
             np.array([r.energy for r in landscape]), np.array([r.energy for r in reference]),
             maxulp=2)
-        assert [r.rank for r in landscape] == [r.rank for r in reference]
+        # the keys rank the records as the reference's energies, rounded to 1e-9, do
+        assert _dense_ranks(_record_keys(landscape)) == _dense_ranks(
+            np.round([r.energy for r in reference], 9).tolist())
 
     def test_best_k_is_energy_then_index_order(self, pair):
         landscape, _ = pair
@@ -231,9 +251,9 @@ def test_landscape_is_exact(case, landscape_instance):
     landscape, exact = compute_landscape(ising), landscape_fractions(ising)
     # each energy is its exact value, correctly rounded
     assert [r.energy for r in landscape] == [float(e) for e in exact]
-    # ranks are the dense ranks of the exact energies
-    level = {e: rank for rank, e in enumerate(sorted(set(exact)))}
-    assert [r.rank for r in landscape] == [level[e] for e in exact]
+    # each key over 8 x scale is the exact energy
+    denominator = 8 * ising.to_int_arrays()[0]
+    assert [Fraction(key, denominator) for key in _record_keys(landscape)] == exact
     # best_k follows the exact (energy, record index) order
     order = sorted(range(len(exact)), key=lambda i: (exact[i], i))
     assert [r.index for r in best_k(landscape, len(landscape))] == order
@@ -257,13 +277,16 @@ def test_keys_beyond_the_int64_rule_stay_exact(constant, field):
     # these apart; 8 x E overflows int64 at 2^61; and at scale 3 an int64
     # key converted to float64 before the division rounds twice
     ising = _one_field_ising(constant, field)
-    landscape = compute_landscape(ising)
+    landscape, exact = compute_landscape(ising), landscape_fractions(ising)
     assert [(r.index, r.energy) for r in best_k(landscape, 3)] == [
         (i, float(constant - field)) for i in (1, 3, 5)]
-    assert [r.energy for r in landscape] == [float(e) for e in landscape_fractions(ising)]
-    ranks = [r.rank for r in landscape]
+    assert [r.energy for r in landscape] == [float(e) for e in exact]
+    ranks = _dense_ranks(_record_keys(landscape))
     assert ranks[:8] == [2, 0, 2, 0, 2, 0, 2, 0]
     assert set(ranks[8:]) == {1}
+    # best_k of every record is the (exact energy, record index) order
+    order = sorted(range(len(exact)), key=lambda i: (exact[i], i))
+    assert [r.index for r in best_k(landscape, len(landscape))] == order
 
 
 def _random_ising(rng, n, values):
@@ -297,18 +320,17 @@ def _coefficient_key_case(case, landscape_instance):
 
 
 def _landscape_from_the_gather(ising):
-    """The energy and rank tables of the landscape as the keys were built
+    """The energy and key tables of the landscape as the keys were built
     before they came from the coefficients: each triple's 8 support
-    energies gathered from the 2^n int64 vector, then the keys, their exact
-    quotients and their dense ranks in Python ints and Fractions."""
+    energies gathered from the 2^n int64 vector, then the keys and their
+    exact quotients in Python ints and Fractions."""
     triples = np.array(list(combinations(range(ising.n), 3)))
     support_bits = (np.arange(8) >> np.arange(3)[:, None]) & 1
     support = ising.energy_int_vector()[(1 << triples) @ support_bits].tolist()
     scale = ising.to_int_arrays()[0]
     keys = [[8 * e for e in row] + [sum(row)] for row in support]
-    level = {key: rank for rank, key in enumerate(sorted({k for row in keys for k in row}))}
     return ([[float(Fraction(k, 8 * scale)) for k in row] for row in keys],
-            [[level[k] for k in row] for row in keys], triples, support)
+            keys, triples, support)
 
 
 def _closed_form_support(ising, triples):
@@ -334,15 +356,15 @@ def _closed_form_support(ising, triples):
                                   "random_13", "random_20"])
 def test_coefficient_keys_equal_the_gather(case, landscape_instance):
     # the support energies of the triples' 3 spins alone are the entries of
-    # the full vector, so every energy and rank is the one the gather gave
+    # the full vector, so every energy and key is the one the gather gave
     ising = _coefficient_key_case(case, landscape_instance)
     _, const, h, J = ising.to_int_arrays()
-    energies, ranks, triples, support = _landscape_from_the_gather(ising)
+    energies, keys, triples, support = _landscape_from_the_gather(ising)
     alone = kernels.enumerate_spin_energies(ising.n, const, h, J, spins=triples)
     assert alone.tolist() == support == _closed_form_support(ising, triples)
     landscape = compute_landscape(ising)
     assert landscape.energy_table.tolist() == energies
-    assert landscape.rank_table.tolist() == ranks
+    assert landscape.key_table.tolist() == keys
     if case == "efficient_a2^55":  # the keys pass 2^50, so they are Python ints
         assert max(abs(e) for row in support for e in row) >= 1 << 50
 
@@ -355,8 +377,8 @@ def test_no_superposition_record_before_its_triples_best_basis_state(case, lands
     ising = (_one_field_ising(*_BEYOND_INT64[case]) if case in _BEYOND_INT64
              else _exact_case_ising(case, landscape_instance))
     landscape = compute_landscape(ising)
-    ranks = landscape.rank_table
-    assert (ranks[:, :8].min(axis=1) <= ranks[:, 8]).all()
+    keys = landscape.key_table
+    assert (keys[:, :8].min(axis=1) <= keys[:, 8]).all()
     seen = set()  # triples whose best basis-0 record is listed
     for record in best_k(landscape, len(landscape)):
         triple = record.index // _RECORDS_PER_TRIPLE
@@ -428,19 +450,19 @@ class TestSequence:
     def test_constructor_takes_nine_column_tables(self, landscape_records):
         triples = landscape_records.triples
         rebuilt = Landscape(triples, landscape_records.energy_table.copy(),
-                            landscape_records.rank_table.copy())
+                            landscape_records.key_table.copy())
         assert list(rebuilt) == list(landscape_records)
         # one entry per record is the shape of neither table
         energies = np.array([r.energy for r in landscape_records])
-        ranks = np.array([r.rank for r in landscape_records])
+        keys = np.array(_record_keys(landscape_records))
         with pytest.raises(ValidationError, match=r"shape \(84, 9\), got \(6048,\)"):
-            Landscape(triples, energies, ranks)
+            Landscape(triples, energies, keys)
 
     def test_immutable(self, landscape_records):
         with pytest.raises(AttributeError):
             landscape_records.energy_table = None
         for table in (landscape_records.triples, landscape_records.energy_table,
-                      landscape_records.rank_table):
+                      landscape_records.key_table):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -481,9 +503,9 @@ class TestBestK:
 
     @pytest.mark.parametrize("step", [20, 5_000, 6_400], ids=["uint8", "uint16", "uint32"])
     def test_narrowed_ranks_keep_the_int64_stable_order(self, step):
-        """``best_k`` sorts the ranks as packed keys of rank and entry; its
-        records are those of the int64 table's stable order, ties by entry,
-        whether the ranks reach 2^8, 2^16 or neither."""
+        """``best_k`` sorts the key table as packed keys of value and entry;
+        its records are those of the int64 table's stable order, ties by
+        entry, whether the values reach 2^8, 2^16 or neither."""
         rng = np.random.default_rng(step)
         triples = np.array(list(combinations(range(8), 3)))
         ranks = rng.integers(0, 12, (len(triples), 9)) * step  # 12 values: many ties

@@ -180,7 +180,7 @@ def test_directed_must_be_a_bool():
 
 
 def test_bool_node_count_rejected():
-    with pytest.raises(ValidationError, match="node_count must be a positive integer"):
+    with pytest.raises(ValidationError, match="^node_count must be an int, got True$"):
         load_instance(BAD_FIELD_TYPES["bool_node_count"])
     with pytest.raises(ValidationError, match="node_count"):
         ProblemInstance(True, False, "cycle", (), 1, 1)

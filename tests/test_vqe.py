@@ -10,11 +10,14 @@ from reference import expectation, optimize, run_vqe, spread, support
 from tspvqe import (
     AnsatzConfig,
     MubInit,
+    ProblemInstance,
     RandomInit,
     SizeCapError,
     ValidationError,
     ZerosInit,
+    best_k,
     build_mubs_3q,
+    compute_landscape,
     encode_efficient,
     ground_states,
     run_experiment,
@@ -41,8 +44,8 @@ class TestAnsatz:
         assert AnsatzConfig(n=4, layers=1, entangler="ring_rzz").parameter_count == 20
 
     @pytest.mark.parametrize("field, value, message", [
-        ("n", 0, "ansatz needs at least one qubit, got 0"),
-        ("n", -3, "ansatz needs at least one qubit, got -3"),
+        ("n", 0, "ansatz n must be at least 1, got 0"),
+        ("n", -3, "ansatz n must be at least 1, got -3"),
         ("n", 1.5, "ansatz n must be an int, got 1.5"),
         ("n", True, "ansatz n must be an int, got True"),
         ("layers", 1.5, "ansatz layers must be an int, got 1.5"),
@@ -510,13 +513,17 @@ class TestInitBuild:
             product = qubit[(bits >> q) & 1] * product
         self._check_held_build(RandomInit(seed=17), n, product)
 
-    @pytest.mark.parametrize("field, value", [
-        ("basis", -1), ("basis", 9), ("basis", 1.0), ("element", -1), ("element", 8),
-        ("element", True),
-    ])
-    def test_mub_refuses_a_basis_or_element_out_of_range(self, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("basis", -1, "MUB basis must be in 0..8, got -1"),
+        ("basis", 9, "MUB basis must be in 0..8, got 9"),
+        ("basis", 1.0, "MUB basis must be an int, got 1.0"),
+        ("element", -1, "MUB element must be in 0..7, got -1"),
+        ("element", 8, "MUB element must be in 0..7, got 8"),
+        ("element", True, "MUB element must be an int, got True"),
+    ], ids=["basis--1", "basis-9", "basis-1.0", "element--1", "element-8", "element-True"])
+    def test_mub_refuses_a_basis_or_element_out_of_range(self, field, value, message):
         fields = {"positions": (0, 1, 2), "basis": 0, "element": 0, field: value}
-        with pytest.raises(ValidationError, match=f"MUB {field} must be an int in 0..[78]"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             MubInit(**fields)
 
     @pytest.mark.parametrize("positions", [(2, 1, 0), (0, 0, 1), (0, 1), (0, 1, 2, 3),
@@ -530,3 +537,103 @@ class TestInitBuild:
         with pytest.raises(ValidationError, match=r"out of range for 9 qubits"):
             init.build(9)
         assert init.build(10)[0] == ()
+
+    @pytest.mark.parametrize("positions", [[0, 1, 2], np.array([0, 1, 2]),
+                                           tuple(map(np.int64, (0, 1, 2)))],
+                             ids=["list", "array", "numpy-ints"])
+    def test_mub_stores_plain_ints(self, positions):
+        # a frozen start hashes and compares as its plain-int twin
+        init, plain = MubInit(positions, np.int64(1), np.int64(3)), MubInit((0, 1, 2), 1, 3)
+        assert init == plain and hash(init) == hash(plain)
+        assert type(init.positions) is tuple
+        assert {type(x) for x in (*init.positions, init.basis, init.element)} == {int}
+        assert init.label() == plain.label()
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an int, got 1.5"),
+        (True, "seed must be an int, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_random_start_refuses_a_seed_at_construction(self, seed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RandomInit(seed=seed)
+
+    def test_random_start_stores_a_plain_seed(self):
+        init = RandomInit(seed=np.int64(17))
+        assert type(init.seed) is int and init == RandomInit(seed=17)
+        assert init.label() == "random(17)"
+
+
+class _Unbuilt:
+    """A start whose build is never reached."""
+
+    def build(self, n):
+        raise AssertionError("a start was built")
+
+
+@pytest.mark.parametrize("max_evals, seed, message", [
+    (0, 0, "max_evals must be at least 1, got 0"),
+    (5, -1, "seed must be at least 0, got -1"),
+    (5, 1.5, "seed must be an int, got 1.5"),
+], ids=["max_evals=0", "seed=-1", "seed=1.5"])
+def test_lockstep_refuses_a_cap_or_seed_before_building_a_start(landscape_ising, max_evals,
+                                                                  seed, message):
+    # the seed of the second start is refused before the first is built
+    starts = [(_Unbuilt(), 0), (_Unbuilt(), seed)]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run_lockstep(landscape_ising, starts, max_evals=max_evals)
+
+
+def _small_instance():
+    """A complete 3-node TSP: 4 qubits in the efficient layout."""
+    return ProblemInstance(3, False, "tsp", ((1, 2, 1), (1, 3, 2), (2, 3, 3)), 10, 1)
+
+
+def _four_spin_ising():
+    return to_ising(encode_efficient(_small_instance()))
+
+
+def _lockstep_cap(max_evals):
+    """One run at the cap ``max_evals``, which it keeps to and does not store."""
+    [trace] = run_lockstep(_four_spin_ising(), [(ZerosInit(), 0)], max_evals=max_evals)
+    assert trace.n_evaluations <= max_evals
+
+
+# every setting that is one integer: (the name its refusal gives, a call that
+# passes the value and returns what is stored of it, or None)
+_INT_ENTRY_POINTS = {
+    "AnsatzConfig.n": ("ansatz n", lambda v: AnsatzConfig(n=v).n),
+    "AnsatzConfig.layers": ("ansatz layers", lambda v: AnsatzConfig(n=4, layers=v).layers),
+    "MubInit.basis": ("MUB basis", lambda v: MubInit((0, 1, 2), v, 0).basis),
+    "MubInit.element": ("MUB element", lambda v: MubInit((0, 1, 2), 0, v).element),
+    "RandomInit.seed": ("seed", lambda v: RandomInit(seed=v).seed),
+    "run_experiment.k": (
+        "k", lambda v: run_experiment(_small_instance(), "random", k=v, max_evals=5).k),
+    "run_experiment.seed": (
+        "seed", lambda v: run_experiment(_small_instance(), "zeros", seed=v, max_evals=5).seed),
+    "run_experiment.max_evals": ("max_evals", lambda v: run_experiment(
+        _small_instance(), "zeros", max_evals=v).config["optimizer"]["max_evals"]),
+    "run_experiment.threads": ("threads", lambda v: run_experiment(
+        _small_instance(), "zeros", max_evals=5, threads=v).config["threads"]),
+    "best_k.k": ("k", lambda v: len(best_k(compute_landscape(_four_spin_ising()), v))),
+    "ProblemInstance.node_count": (
+        "node_count", lambda v: ProblemInstance(v, False, "tsp", (), 1, 1).node_count),
+    "run_lockstep.max_evals": ("max_evals", _lockstep_cap),
+    "run_lockstep.seed": ("seed", lambda v: run_lockstep(
+        _four_spin_ising(), [(ZerosInit(), v)], max_evals=5)[0].seed),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INT_ENTRY_POINTS))
+@pytest.mark.parametrize("value", [True, 1.5, "3"], ids=["bool", "float", "str"])
+def test_an_integer_setting_of_another_type_is_refused(entry, value):
+    name, call = _INT_ENTRY_POINTS[entry]
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", list(_INT_ENTRY_POINTS))
+def test_an_integer_setting_takes_a_numpy_int_as_a_plain_int(entry):
+    stored = _INT_ENTRY_POINTS[entry][1](np.int64(3))
+    assert stored is None or (type(stored) is int and stored == 3)

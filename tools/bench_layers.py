@@ -1,7 +1,8 @@
-"""Time the instance reader, the integer Ising form and the layers of the
-16-qubit best-MUB pass, its two commands, a 16-qubit random-start run, the
-9-qubit best-MUB batch, the exhaustive commands and their kernel, and the
-cold start of a fresh interpreter.
+"""Time the instance reader, the encoder, the integer Ising form and the
+layers of the 16-qubit best-MUB pass, its two commands, a 16-qubit
+random-start run, the 9-qubit best-MUB batch, the exact TSP solve, the
+exhaustive commands and their kernel, and the cold start of a fresh
+interpreter.
 
 Run from the root of a tspvqe checkout::
 
@@ -16,9 +17,12 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
 * ``load_instance``: ``tspvqe.load_instance`` on the JSON text of the shipped
   instance, ``instances/landscape.json``, the read every command and the
   benchmark's set-up make;
+* ``encode_16``: ``encode_efficient`` of the seeded 5-node instance (16
+  variables);
 * ``int_form_16``: ``to_ising`` of a fresh efficient encoding of that
   instance, then its ``to_int_arrays()`` and its 2^16 ``energy_int_vector()``;
 * ``compute_landscape``: on a fresh Ising form, as the command calls it;
+* ``best_k``: the k=10 lowest records of that 16-qubit landscape;
 * ``landscape_csv_rows``: the landscape CSV written into a memory buffer;
 * ``spectrum_csv_rows``: the 16-spin spectrum CSV into a buffer, its
   energies enumerated beforehand;
@@ -30,6 +34,9 @@ complete 5-node TSP at safe penalties (16 qubits in the efficient layout),
   shipped 9-qubit instance, with the starts and seeds the ``paper-n4``
   benchmark workload's seed-1 batch runs: the same driver on its stacked
   path, where the 16-qubit rows run alone;
+* ``solve_exact_9``: ``oracle.solve_exact_tsp`` (Held-Karp) on a seeded
+  complete 9-node TSP with costs 1-99, as the ``certify`` benchmark
+  workload's N=9 ``solve`` makes;
 * ``cmd_landscape`` and ``cmd_vqe``: the two commands through ``cli.main``,
   writing into a temporary directory;
 * ``cmd_audit`` and ``cmd_spectrum``: the two exhaustive commands the same
@@ -88,7 +95,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import tspvqe  # noqa: E402
-from tspvqe import cli, dqes, ising, kernels, vqe  # noqa: E402
+from tspvqe import cli, dqes, ising, kernels, oracle, vqe  # noqa: E402
 
 NODES = 5
 SEED = 1
@@ -97,6 +104,10 @@ EXHAUSTIVE_NODES = 4
 ENUMERATE_SPINS = 20
 K = 2
 MAX_EVALS = 20
+BEST_K = 10
+# the certify workload's exact solve: a complete TSP with costs 1-99
+SOLVE_NODES = 9
+SOLVE_MAX_COST = 99
 # the paper-n4 batch: best-MUB starts on the shipped instance
 PAPER_K = 10
 PAPER_MAX_EVALS = 300
@@ -118,11 +129,11 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def seeded_instance(seed=SEED, nodes=NODES):
-    """A complete TSP on ``nodes`` nodes with costs 1-20 drawn from ``seed``,
-    at safe penalties."""
+def seeded_instance(seed=SEED, nodes=NODES, max_cost=20):
+    """A complete TSP on ``nodes`` nodes with costs 1-``max_cost`` drawn from
+    ``seed``, at safe penalties."""
     rng = random.Random(seed)
-    edges = tuple((u, v, rng.randint(1, 20))
+    edges = tuple((u, v, rng.randint(1, max_cost))
                   for u in range(1, nodes + 1) for v in range(u + 1, nodes + 1))
     raw = tspvqe.ProblemInstance(nodes, False, "tsp", edges, 1, 1)
     return raw.with_penalties(*tspvqe.suggest_penalties(raw, "safe"))
@@ -141,6 +152,7 @@ def rows(workdir):
     landscape = dqes.compute_landscape(form)
     form.energy_int_vector()
     ground = float(tspvqe.ground_states(form)[0])
+    solve_instance = seeded_instance(nodes=SOLVE_NODES, max_cost=SOLVE_MAX_COST)
     starts = [(vqe.MubInit(r.positions, r.basis, r.element), 2 * i)
               for i, r in enumerate(dqes.best_k(landscape, K))]
     # run_experiment's first random start and optimizer seed
@@ -197,8 +209,10 @@ def rows(workdir):
 
     return {
         "load_instance": (100, timed(lambda _: tspvqe.load_instance(paper_text))),
+        "encode_16": (5, timed(lambda _: tspvqe.encode_efficient(instance))),
         "int_form_16": (5, timed(int_form, lambda: tspvqe.encode_efficient(instance))),
         "compute_landscape": (5, timed(dqes.compute_landscape, fresh_form)),
+        "best_k": (20, timed(lambda _: dqes.best_k(landscape, BEST_K))),
         "landscape_csv_rows": (3, timed(lambda _: into_buffer(dqes.landscape_csv_rows(landscape)))),
         "spectrum_csv_rows": (1, timed(lambda _: into_buffer(ising.spectrum_csv_rows(form)))),
         "run_lockstep": (2, timed(lambda _: vqe.run_lockstep(
@@ -207,6 +221,7 @@ def rows(workdir):
             form, random_start, ansatz, MAX_EVALS, ground))),
         "run_lockstep_9q": (1, timed(lambda _: vqe.run_lockstep(
             paper, paper_starts, None, PAPER_MAX_EVALS, paper_ground))),
+        "solve_exact_9": (5, timed(lambda _: oracle.solve_exact_tsp(solve_instance))),
         "cmd_landscape": (2, timed(lambda _: command(landscape_argv))),
         "cmd_vqe": (2, timed(lambda _: command(vqe_argv))),
         "cmd_audit": (2, timed(lambda _: command(audit_argv))),
