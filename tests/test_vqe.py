@@ -48,9 +48,10 @@ class TestAnsatz:
         ("n", -3, "ansatz n must be at least 1, got -3"),
         ("n", 1.5, "ansatz n must be an int, got 1.5"),
         ("n", True, "ansatz n must be an int, got True"),
+        ("layers", 0, "ansatz layers must be at least 1, got 0"),
         ("layers", 1.5, "ansatz layers must be an int, got 1.5"),
         ("layers", True, "ansatz layers must be an int, got True"),
-    ], ids=["n=0", "n=-3", "n=1.5", "n=True", "layers=1.5", "layers=True"])
+    ], ids=["n=0", "n=-3", "n=1.5", "n=True", "layers=0", "layers=1.5", "layers=True"])
     def test_impossible_shapes_refused(self, field, value, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             AnsatzConfig(**{"n": 4, field: value})
