@@ -20,7 +20,6 @@ _EXPORTS = {
         "encode_efficient",
         "encode_fixed_start",
         "encode_tsp_hamiltonian",
-        "fix_variables",
         "suggest_penalties",
     ),
     "errors": ("ParseError", "SizeCapError", "TspVqeError", "ValidationError"),

@@ -297,18 +297,19 @@ def run_experiment(
     encoded.  Numbers are stored as plain ints, so the report can be
     written as JSON.
 
-    Modes: ``zeros`` (single run), ``best_mubs`` (k lowest landscape states),
-    ``random`` (k seeded product states).  ``threads`` caps the worker
-    processes: from 14 qubits up (``runs_alone``: one run at a time) the
-    batch runs here, on BLAS threads, else in ``min(threads, usable CPUs, runs)``
-    contiguous parts, a worker each from two up; the traces are the same.
+    Modes: ``zeros`` (one run, whatever the valid ``k``), ``best_mubs`` (k
+    lowest landscape states), ``random`` (k seeded product states).
+    ``threads`` caps the worker processes: from 14 qubits up (``runs_alone``:
+    one run at a time) the batch runs here, on BLAS threads, else in
+    ``min(threads, usable CPUs, runs)`` contiguous parts, a worker each from
+    two up; the traces are the same.
     """
     layouts.lookup(LAYOUT, nodes=instance.node_count)
     n = layouts.variable_count(LAYOUT, instance.node_count)
     ansatz = AnsatzConfig(n=n, layers=layers, entangler=entangler)
     if mode not in MODES:
         raise ValidationError(f"unknown experiment mode {mode!r}")
-    k = checked_int("k", k, None if mode == "zeros" else 1)
+    k = checked_int("k", k, 1)
     if mode == "best_mubs":
         k = checked_int("k", k, 1, landscape_size(n))
     seed = checked_int("seed", seed, 0)

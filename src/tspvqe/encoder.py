@@ -9,10 +9,10 @@ structure encodes the problem:
 * ``encode_tsp_hamiltonian``   -- the cycle penalties plus cost-weighted
   transition terms over existing edges.
 * ``encode_fixed_start``       -- additionally pins node 1 to step 1.
-* ``encode_efficient``         -- derived from the fixed-start form by
-  ``fix_variables``, which substitutes out ``layouts.implied_cells`` (the
-  row and column of node 1), leaving (N-1)^2 variables; node 1's outgoing
-  and incoming steps become linear boundary terms on columns 2 and N.
+* ``encode_efficient``         -- the fixed-start form built on (N-1)^2
+  variables: the builder substitutes ``layouts.implied_cells`` (the row
+  and column of node 1) as it sums the terms, so node 1's outgoing and
+  incoming steps become linear boundary terms on columns 2 and N.
 
 ``encode(instance, layout)`` is the one place that picks an encoder, from
 the layout's row of ``layouts.LAYOUTS``, and ``spin_form`` the one path
@@ -22,10 +22,10 @@ exhaustive minimum of that form, ``IsingPolynomial.minimum``.
 
 All coefficients are exact rationals.  A polynomial is a
 ``rationals.ExactPolynomial``: one ``numerators`` dict keyed by sorted
-tuples of variable indices, over one denominator.  The encoders and
-``fix_variables`` sum Python ints into it, so no Fraction is made per term
-unless a coefficient is read as one.  For undirected instances every stored
-edge contributes both traversal orientations.
+tuples of variable indices, over one denominator.  The encoders sum Python
+ints into it, so no Fraction is made per term unless a coefficient is read
+as one.  For undirected instances every stored edge contributes both
+traversal orientations.
 """
 
 from __future__ import annotations
@@ -57,11 +57,7 @@ class PseudoBooleanPolynomial(ExactPolynomial):
         self.node_count = node_count
         self.variable_order = variable_order
         self.denominator, self.numerators = exact_terms(
-            self._index, constant, linear, quadratic)
-
-    @cached_property
-    def _index(self) -> dict:
-        return {var: k for k, var in enumerate(self.variable_order)}
+            {var: k for k, var in enumerate(variable_order)}, constant, linear, quadratic)
 
     @cached_property
     def linear(self) -> dict:
@@ -77,9 +73,6 @@ class PseudoBooleanPolynomial(ExactPolynomial):
     def n_vars(self) -> int:
         return len(self.variable_order)
 
-    def index_of(self, var) -> int:
-        return self._index[var]
-
     def to_json_dict(self) -> dict:
         order = self.variable_order
         return {
@@ -93,20 +86,28 @@ class PseudoBooleanPolynomial(ExactPolynomial):
 
 
 class _PolyBuilder:
-    """Sums terms as Python ints, keyed by sorted variable indices."""
+    """Sums terms as Python ints, keyed by sorted variable indices.
 
-    def __init__(self, variable_order):
-        self.index = {var: k for k, var in enumerate(variable_order)}
+    The cells in ``fixed`` ({var: 0 or 1}) are substituted as each term is
+    added: a term on a cell at 0 is dropped, and a cell at 1 leaves its
+    product.  ``order`` holds the variables left, in ``variable_order``, and
+    the keys index it."""
+
+    def __init__(self, variable_order, fixed):
+        self.order = tuple(var for var in variable_order if var not in fixed)
+        # each cell's share of a key: (index,), () at 1, None at 0
+        self.part = {var: (k,) for k, var in enumerate(self.order)}
+        self.part.update((var, () if value else None) for var, value in fixed.items())
         self.sums = {}
 
     def add(self, c, *variables):
         """Add ``c`` times the product of ``variables``: none, one, or two distinct ones."""
-        index = self.index
-        if len(variables) == 2:
-            i, j = index[variables[0]], index[variables[1]]
-            key = (i, j) if i < j else (j, i)
-        else:
-            key = (index[variables[0]],) if variables else ()
+        key = ()
+        for var in variables:
+            part = self.part[var]
+            if part is None:
+                return
+            key = key + part if key < part else part + key
         self.sums[key] = self.sums.get(key, 0) + c
 
 
@@ -136,16 +137,20 @@ def _transition_steps(instance):
     return [(t, t % n + 1) for t in range(1, n + 1)]
 
 
-def _encode_full(instance, layout, costs, fixed_start=False):
-    """Full-layout penalties, plus B*cost transitions over existing edges if
-    ``costs``, plus the start-at-node-1 term A*(1 - x_{1,1})^2 if ``fixed_start``."""
+def _encode_full(instance, layout, costs):
+    """The Hamiltonian of ``layout``'s row: one-hot and missing-edge penalties,
+    plus B*cost transitions over existing edges if ``costs``.  A pinned row
+    adds the start-at-node-1 term A*(1 - x_{1,1})^2, and a row with implied
+    cells has them substituted as the terms are added (the start term then
+    adds A - A = 0)."""
     n = instance.node_count
+    row = layouts.lookup(layout, instance.variant, n)
     edges = list(instance.ordered_edges()) if costs else []
     scale, (a, *edge_weights) = common_scale(
         [instance.penalty_a, *(instance.penalty_b * c for _, _, c in edges)]
     )
-    order = layouts.full_variable_order(n)
-    builder = _PolyBuilder(order)
+    builder = _PolyBuilder(layouts.full_variable_order(n),
+                           layouts.implied_cells(n) if row.implied else {})
     _add_one_hot_penalties(builder, n, a)
     weighted = [(u, v, a) for u, v in instance.missing_ordered_pairs()]
     weighted += [(u, v, w) for (u, v, _), w in zip(edges, edge_weights)]
@@ -153,12 +158,12 @@ def _encode_full(instance, layout, costs, fixed_start=False):
     for u, v, w in weighted:
         for t, t_next in steps:
             builder.add(w, (u, t), (v, t_next))
-    if fixed_start:
+    if row.pinned:
         # (1 - x)^2 = 1 - x for binary x
         builder.add(a)
         builder.add(-a, (1, 1))
     return PseudoBooleanPolynomial.of(scale, builder.sums, layout=layout, node_count=n,
-                                      variable_order=order)
+                                      variable_order=builder.order)
 
 
 def encode_cycle_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial:
@@ -175,52 +180,18 @@ def encode_tsp_hamiltonian(instance: ProblemInstance) -> PseudoBooleanPolynomial
 
 def encode_fixed_start(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """Full Hamiltonian plus the start-at-node-1 term A*(1 - x_{1,1})^2."""
-    layout = layouts.lookup("fixed_start_full", instance.variant).name
-    return _encode_full(instance, layout, costs=instance.variant == "tsp", fixed_start=True)
-
-
-def fix_variables(poly: PseudoBooleanPolynomial, assignment: dict,
-                  layout: str) -> PseudoBooleanPolynomial:
-    """``poly`` with the variables of ``assignment`` ({var: 0 or 1}) substituted.
-
-    The remaining variables keep their order; the result, labelled
-    ``layout``, takes at every assignment of them the value ``poly`` takes
-    at the completed assignment.
-    """
-    fixed = {}
-    for var, value in assignment.items():
-        if var not in poly._index:
-            raise ValidationError(f"cannot fix unknown variable {var}")
-        if not layouts.is_bit(value):
-            raise ValidationError(f"variable {var} can be fixed to 0 or 1, not {value!r}")
-        fixed[poly.index_of(var)] = value
-    kept = [k for k in range(poly.n_vars) if k not in fixed]
-    position = {k: at for at, k in enumerate(kept)}
-    sums = {}
-    for key, c in poly.numerators.items():
-        rest = []
-        for i in key:
-            if i in fixed:
-                c *= fixed[i]
-            else:
-                rest.append(position[i])
-        key = tuple(rest)
-        sums[key] = sums.get(key, 0) + c
-    return PseudoBooleanPolynomial.of(
-        poly.denominator, sums, layout=layout, node_count=poly.node_count,
-        variable_order=tuple(poly.variable_order[k] for k in kept))
+    return _encode_full(instance, "fixed_start_full", costs=instance.variant == "tsp")
 
 
 def encode_efficient(instance: ProblemInstance) -> PseudoBooleanPolynomial:
     """(N-1)^2-variable Hamiltonian with node 1 fixed at step 1.
 
-    ``encode_fixed_start`` with row 1 and column 1 substituted out by
-    ``fix_variables``: node 1's boundary steps 1 -> 2 and N -> 1 become
-    linear terms on columns 2 and N.
+    The fixed-start Hamiltonian built on the cells left once
+    ``layouts.implied_cells`` (row 1 and column 1) are substituted: node
+    1's boundary steps 1 -> 2 and N -> 1 become linear terms on columns 2
+    and N, and no N^2-variable form is built.
     """
-    n = instance.node_count
-    layout = layouts.lookup("efficient", instance.variant, n).name
-    return fix_variables(encode_fixed_start(instance), layouts.implied_cells(n), layout)
+    return _encode_full(instance, "efficient", costs=True)
 
 
 def encode(instance: ProblemInstance, layout: str) -> PseudoBooleanPolynomial:

@@ -199,8 +199,12 @@ class MubInit:
     def __post_init__(self):
         object.__setattr__(self, "basis", checked_int("MUB basis", self.basis, 0, 8))
         object.__setattr__(self, "element", checked_int("MUB element", self.element, 0, 7))
-        positions = tuple(self.positions)
-        if not (len(positions) == 3 and all(map(is_int, positions))
+        try:
+            positions = tuple(self.positions)
+        except TypeError:  # not iterable: refused below, shown as given
+            positions = self.positions
+        if not (isinstance(positions, tuple) and len(positions) == 3
+                and all(map(is_int, positions))
                 and 0 <= positions[0] < positions[1] < positions[2]):
             raise ValidationError(f"MUB positions must be three distinct ascending qubits, "
                                   f"got {positions}")

@@ -53,10 +53,11 @@ def _bit_energies(poly):
     z = np.arange(1 << poly.n_vars, dtype=np.int64)
     bits = (z[:, None] >> np.arange(poly.n_vars)) & 1
     out = np.full(len(z), int(poly.constant * scale), dtype=np.int64)
+    at = poly.variable_order.index
     for var, c in poly.linear.items():
-        out += int(c * scale) * bits[:, poly.index_of(var)]
+        out += int(c * scale) * bits[:, at(var)]
     for (a, b), c in poly.quadratic.items():
-        out += int(c * scale) * (bits[:, poly.index_of(a)] & bits[:, poly.index_of(b)])
+        out += int(c * scale) * (bits[:, at(a)] & bits[:, at(b)])
     return out, scale
 
 
@@ -164,7 +165,9 @@ class _FractionBuilder:
 
 
 def _fix_reference(poly, assignment, layout):
-    """``encoder.fix_variables`` in Fraction arithmetic (no argument checks)."""
+    """``poly`` with the variables of ``assignment`` ({var: 0 or 1})
+    substituted, in Fraction arithmetic: the reference for the efficient
+    encoder's substitution of its implied cells."""
     builder = _FractionBuilder(tuple(v for v in poly.variable_order if v not in assignment))
     builder.add_constant(poly.constant)
     for var, c in poly.linear.items():
@@ -242,14 +245,15 @@ def _to_ising_reference(poly):
             i, j = j, i
         couplings[(i, j)] = couplings.get((i, j), Fraction(0)) + c
 
+    at = poly.variable_order.index
     for var, coef in poly.linear.items():
         constant += coef / 2
-        add_field(poly.index_of(var), -coef / 2)
+        add_field(at(var), -coef / 2)
     for (a, b), coef in poly.quadratic.items():
         constant += coef / 4
-        add_field(poly.index_of(a), -coef / 4)
-        add_field(poly.index_of(b), -coef / 4)
-        add_coupling(poly.index_of(a), poly.index_of(b), coef / 4)
+        add_field(at(a), -coef / 4)
+        add_field(at(b), -coef / 4)
+        add_coupling(at(a), at(b), coef / 4)
     return IsingPolynomial(
         n=poly.n_vars,
         constant=constant,
@@ -263,7 +267,6 @@ def _to_ising_reference(poly):
 
 @pytest.fixture(scope="session")
 def fraction_reference():
-    """The Fraction-arithmetic references: ``encode``, ``fix_variables`` and
-    ``to_ising``, for the encoders and the spin form that sum exact ints."""
-    return SimpleNamespace(encode=_encode_reference, fix_variables=_fix_reference,
-                           to_ising=_to_ising_reference)
+    """The Fraction-arithmetic references: ``encode`` and ``to_ising``, for
+    the encoders and the spin form that sum exact ints."""
+    return SimpleNamespace(encode=_encode_reference, to_ising=_to_ising_reference)

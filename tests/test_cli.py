@@ -545,6 +545,7 @@ class TestVqeCommand:
         ["--init", "best-mubs", "--k", "6049"],
         ["--threads", "0"],
         ["--threads", "-4"],
+        ["--init", "zeros", "--k", "0"],  # one run, yet k is checked
     ])
     def test_meaningless_inputs_exit_2(self, flags, capsys):
         assert main(["vqe", LANDSCAPE, "--no-timestamp"] + flags) == 2

@@ -713,6 +713,9 @@ class TestExperiments:
     @pytest.mark.parametrize("mode, nodes, k, message", [
         pytest.param("best_mubs", 4, 0, "k must be at least 1, got 0", id="best_mubs"),
         pytest.param("random", 4, 0, "k must be at least 1, got 0", id="random"),
+        # a zeros batch is one run whatever k, yet k is checked
+        pytest.param("zeros", 4, 0, "k must be at least 1, got 0", id="zeros"),
+        pytest.param("zeros", 4, -5, "k must be at least 1, got -5", id="zeros-negative"),
         # C(9, 3) * 72 = 6048 landscape records at 4 nodes
         pytest.param("best_mubs", 4, 6049, r"k must be in 1\.\.6048, got 6049",
                      id="best_mubs-above-the-landscape"),

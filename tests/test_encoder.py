@@ -17,7 +17,6 @@ from tspvqe import (
     encode_efficient,
     encode_fixed_start,
     encode_tsp_hamiltonian,
-    fix_variables,
     solve_exact_tsp,
     suggest_penalties,
     to_ising,
@@ -216,6 +215,22 @@ class TestEfficient:
             completed = self._completed_full_table(bits, 4)
             assert evaluate(eff, bits) == evaluate_table(fixed, completed)
 
+    def test_builds_no_form_past_its_variables(self, monkeypatch):
+        """The implied cells are substituted as the terms are summed: at N = 5
+        no polynomial of more than (N-1)^2 = 16 variables is built."""
+        built = []
+        of = PseudoBooleanPolynomial.of.__func__
+
+        def recording(cls, denominator, sums, **names):
+            built.append(len(names["variable_order"]))
+            return of(cls, denominator, sums, **names)
+
+        monkeypatch.setattr(PseudoBooleanPolynomial, "of", classmethod(recording))
+        edges = tuple((u, v, u + v) for u, v in itertools.combinations(range(1, 6), 2))
+        poly = encode_efficient(ProblemInstance(5, False, "tsp", edges, 50, 1))
+        assert built == [16]
+        assert poly.n_vars == 16
+
     def test_two_node_instance(self):
         instance = ProblemInstance(2, False, "tsp", ((1, 2, 3),), 7, 1)
         eff = encode_efficient(instance)
@@ -225,44 +240,6 @@ class TestEfficient:
         fixed = encode_fixed_start(instance)
         table = {(1, 1): 1, (1, 2): 0, (2, 1): 0, (2, 2): 1}
         assert evaluate_table(fixed, table) == 6
-
-
-class TestFixVariables:
-    def test_matches_evaluate_exhaustively(self):
-        rng = random.Random(29)
-
-        def rational():
-            return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
-
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            order = tuple((1, t) for t in range(1, n + 1))
-            poly = PseudoBooleanPolynomial(
-                layout="full",
-                node_count=n,
-                variable_order=order,
-                constant=rational(),
-                linear={v: rational() for v in order if rng.random() < 0.7},
-                quadratic={(order[i], order[j]): rational()
-                           for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5},
-            )
-            assignment = {v: rng.randint(0, 1)
-                          for v in rng.sample(order, rng.randint(1, min(3, n)))}
-            reduced = fix_variables(poly, assignment, "reduced")
-            assert reduced.layout == "reduced"
-            assert reduced.variable_order == tuple(v for v in order if v not in assignment)
-            for z in range(1 << reduced.n_vars):
-                bits = [(z >> k) & 1 for k in range(reduced.n_vars)]
-                table = {**dict(zip(reduced.variable_order, bits)), **assignment}
-                assert evaluate(reduced, bits) == evaluate_table(poly, table)
-
-    def test_rejects_unknown_variable_and_bad_value(self, complete4_instance):
-        poly = encode_tsp_hamiltonian(complete4_instance)
-        with pytest.raises(ValidationError):
-            fix_variables(poly, {(5, 1): 0}, "full")
-        for value in (2, -1, Fraction(1, 2), 1.0):
-            with pytest.raises(ValidationError):
-                fix_variables(poly, {(1, 1): value}, "full")
 
 
 def test_float_bits_are_refused_not_truncated(landscape_instance):
@@ -348,8 +325,8 @@ def _random_pq_instance(rng, n, variant, directed):
 
 
 class TestExactArithmetic:
-    """The int-summing builder, ``fix_variables`` and ``to_ising`` against the
-    same sums in Fraction arithmetic."""
+    """The int-summing builder, its substitution of the implied cells
+    included, and ``to_ising`` against the same sums in Fraction arithmetic."""
 
     def test_common_scale(self):
         values = [Fraction(-3, 4), Fraction(5, 6), 7, Fraction(0)]
@@ -364,29 +341,27 @@ class TestExactArithmetic:
             poly = _random_rational_polynomial(rng, n)
             reference = fraction_reference.to_ising(poly)
             _assert_same_ising(to_ising(poly), reference)
-            touched = {poly.index_of(v) for v in poly.linear}
-            touched.update(poly.index_of(v) for pair in poly.quadratic for v in pair)
+            touched = set(poly.linear).union(*poly.quadratic)
             dropped += len(touched) - len(reference.fields)
-            assignment = {v: rng.randint(0, 1)
-                          for v in rng.sample(poly.variable_order, rng.randint(0, n))}
-            _assert_same_poly(fix_variables(poly, assignment, "reduced"),
-                              fraction_reference.fix_variables(poly, assignment, "reduced"),
-                              fraction_reference)
         assert dropped > 0  # cancelled fields were produced, and dropped
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("variant", ["tsp", "hamiltonian_cycle", "hamiltonian_path"])
     def test_encoders_on_pq_instances(self, variant, directed, fraction_reference):
         rng = random.Random(f"exact:{variant}:{directed}")
-        for n in range(2, 6):
+        for n in range(2, 8):
             for _ in range(2):
                 instance = _random_pq_instance(rng, n, variant, directed)
-                encoded = [(encode_cycle_hamiltonian, "full", False)]
-                if variant == "tsp":
-                    encoded += [(encode_tsp_hamiltonian, "full", True),
-                                (encode_efficient, "efficient", True)]
-                if variant != "hamiltonian_path":
-                    encoded.append((encode_fixed_start, "fixed_start_full", variant == "tsp"))
+                encoded = []
+                if variant == "tsp":  # at 2-7 nodes: 1 to 36 variables
+                    encoded.append((encode_efficient, "efficient", True))
+                if n <= 5:
+                    encoded.append((encode_cycle_hamiltonian, "full", False))
+                    if variant == "tsp":
+                        encoded.append((encode_tsp_hamiltonian, "full", True))
+                    if variant != "hamiltonian_path":
+                        encoded.append((encode_fixed_start, "fixed_start_full",
+                                        variant == "tsp"))
                 for encoder, layout, costs in encoded:
                     _assert_same_poly(encoder(instance),
                                       fraction_reference.encode(instance, layout, costs),

@@ -207,9 +207,9 @@ def test_same_row_and_column_couplings_are_half_a(complete4_instance):
     a = complete4_instance.penalty_a
     poly = encode_tsp_hamiltonian(complete4_instance)
     ising = to_ising(poly)
-    i_11 = poly.index_of((1, 1))
-    i_12 = poly.index_of((1, 2))
-    i_21 = poly.index_of((2, 1))
+    i_11 = poly.variable_order.index((1, 1))
+    i_12 = poly.variable_order.index((1, 2))
+    i_21 = poly.variable_order.index((2, 1))
     assert ising.couplings[(min(i_11, i_12), max(i_11, i_12))] == a / 2
     assert ising.couplings[(min(i_11, i_21), max(i_11, i_21))] == a / 2
 
@@ -226,7 +226,7 @@ def test_field_coefficient_structure_on_complete_graph(landscape_instance):
         incident = sum(c for x, y, c in landscape_instance.edges if v in (x, y))
         for t in range(1, n + 1):
             expected = a * (2 - n) - b * incident / 2
-            assert ising.fields[poly.index_of((v, t))] == expected
+            assert ising.fields[poly.variable_order.index((v, t))] == expected
 
 
 def test_fixed_start_adds_half_a_field(complete4_instance):
@@ -234,7 +234,7 @@ def test_fixed_start_adds_half_a_field(complete4_instance):
     a = complete4_instance.penalty_a
     plain = to_ising(encode_tsp_hamiltonian(complete4_instance))
     fixed = to_ising(encode_fixed_start(complete4_instance))
-    idx = encode_tsp_hamiltonian(complete4_instance).index_of((1, 1))
+    idx = encode_tsp_hamiltonian(complete4_instance).variable_order.index((1, 1))
     assert fixed.fields[idx] - plain.fields.get(idx, Fraction(0)) == a / 2
     assert fixed.constant - plain.constant == a / 2
 

@@ -528,7 +528,7 @@ class TestInitBuild:
             MubInit(**fields)
 
     @pytest.mark.parametrize("positions", [(2, 1, 0), (0, 0, 1), (0, 1), (0, 1, 2, 3),
-                                           (-1, 0, 1), (0, 1.0, 2)])
+                                           (-1, 0, 1), (0, 1.0, 2), 5, None])
     def test_mub_refuses_positions_not_three_ascending_qubits(self, positions):
         with pytest.raises(ValidationError, match="three distinct ascending qubits"):
             MubInit(positions=positions, basis=0, element=0)

@@ -51,10 +51,13 @@ each of the six variant x direction cases, so every row of
 ``layouts.LAYOUTS`` and every variant it refuses is compared.
 Last, the commands that must be refused: a seeded complete 6-node instance
 is above the 24-spin cap (25 efficient spins, 36 full) for ``spectrum`` in
-both layouts, ``landscape``, ``vqe`` and ``audit``: five refusals, and 193
-outputs in all with the three written to standard output.  The generated
-instances are written by this script,
-the same for both sides.  Three commands of the
+both layouts, ``landscape``, ``vqe`` and ``audit``: five refusals.  Then
+``encode`` in the efficient layout, binary and Ising, at the node-count
+edges: a 2-node and a 3-node directed tsp instance with p/q costs, that
+6-node instance and a seeded complete 7-node one (1, 4, 25 and 36
+variables).  That makes 201 outputs in all with the three written to
+standard output.  The generated instances are written by this script, the
+same for both sides.  Three commands of the
 list, a spectrum, a 16-qubit landscape and an audit, also run once more each
 without ``-o``, in a process of their own, and their standard output is
 compared in the same way.
@@ -119,13 +122,15 @@ def _write_complete(path, nodes, seed):
         json.dump(doc, handle)
 
 
-def _write_pq(path, variant, directed):
-    """A seeded 4-node instance with p/q costs and penalties, some edges missing."""
-    rng = random.Random(f"compare-outputs:pq:{variant}:{directed}")
-    pairs = (itertools.permutations if directed else itertools.combinations)(range(1, 5), 2)
+def _write_pq(path, variant, directed, nodes=4):
+    """A seeded instance with p/q costs and penalties, some edges missing."""
+    size = "" if nodes == 4 else f":n{nodes}"  # the 4-node seeds predate other sizes
+    rng = random.Random(f"compare-outputs:pq:{variant}:{directed}{size}")
+    pairs = (itertools.permutations if directed else itertools.combinations)(
+        range(1, nodes + 1), 2)
     edges = [[u, v, f"{rng.randint(0, 20)}/{rng.randint(1, 9)}"]
              for u, v in pairs if rng.random() < 0.8]
-    doc = {"nodes": 4, "directed": directed, "variant": variant, "edges": edges,
+    doc = {"nodes": nodes, "directed": directed, "variant": variant, "edges": edges,
            "penalty_a": f"{rng.randint(20, 90)}/{rng.randint(1, 7)}",
            "penalty_b": f"{rng.randint(1, 9)}/{rng.randint(1, 5)}"}
     with open(path, "w") as handle:
@@ -223,6 +228,18 @@ def commands(inputs):
         ("n6_vqe_0.json", ["vqe", n6, "--threads", "1"]),
         ("n6_audit_0.json", ["audit", n6]),
     ]
+    # the efficient encoding at the node-count edges: 1, 4, 25 and 36 variables
+    edge_cases = []
+    for nodes in (2, 3):
+        edge_cases.append(os.path.join(inputs, f"pq_tsp_di_n{nodes}.json"))
+        _write_pq(edge_cases[-1], "tsp", True, nodes)
+    edge_cases.append(n6)
+    edge_cases.append(os.path.join(inputs, "n7_0.json"))
+    _write_complete(edge_cases[-1], 7, 0)
+    for path, form in itertools.product(edge_cases, ("binary", "ising")):
+        stem = os.path.splitext(os.path.basename(path))[0]
+        out.append((f"encode_edge_{stem}_efficient_{form}.json",
+                    ["encode", path, "--layout", "efficient", "--form", form]))
     return out
 
 
